@@ -15,7 +15,7 @@ bench:
 
 # Full paper-vs-measured sweep (hours at scale 1; see EXPERIMENTS.md).
 reproduce:
-	REPRO_CACHE=out/results_cache.json $(PYTHON) tools/run_reproduction.py out/report.txt
+	REPRO_CACHE=out/results/ $(PYTHON) tools/run_reproduction.py out/report.txt
 
 examples:
 	$(PYTHON) examples/quickstart.py

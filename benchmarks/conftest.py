@@ -27,9 +27,10 @@ def bench_cores() -> int:
 
 
 def bench_workloads() -> list:
-    from repro.harness.experiment import default_workloads, env_flag
+    from repro import config
+    from repro.harness.experiment import default_workloads
 
-    if env_flag("REPRO_FULL"):
+    if config.resolve("full"):
         return default_workloads(full=True)
     return ["canneal", "fluidanimate", "water_spatial"]
 

@@ -11,9 +11,9 @@ a higher circuit success rate (shorter paths, fewer conflicts).
 
 from random import Random
 
+from repro.config import resolve
 from repro.cpu.trace import AccessStream
 from repro.cpu.workloads import workload_by_name
-from repro.harness.experiment import scale
 from repro.noc.topology import Mesh
 from repro.partition import build_partitioned_system, quadrants
 from repro.sim.config import SystemConfig, Variant
@@ -29,7 +29,7 @@ def _success(system) -> float:
 
 
 def _quanta():
-    factor = scale()
+    factor = resolve("scale")
     return max(100, int(250 * factor)), max(300, int(900 * factor))
 
 

@@ -1,13 +1,13 @@
 """Ablation benches for the design choices DESIGN.md calls out."""
 
 from repro import build_system, workload_by_name
-from repro.harness.experiment import scale
+from repro.config import resolve
 from repro.sim.config import CircuitConfig, CircuitMode, SystemConfig, Variant
 
 
 def _run(circuit: CircuitConfig, cores: int, workload: str,
          instrs: int = 1200, warm: int = 300):
-    factor = scale()
+    factor = resolve("scale")
     config = SystemConfig(n_cores=cores, seed=1).with_circuit(circuit)
     system = build_system(config, workload_by_name(workload))
     system.warmup(max(100, int(warm * factor)))

@@ -26,9 +26,6 @@ Results are bit-identical across modes -- the daemon's workers execute
 the exact :func:`repro.harness.experiment.run_experiment` code path --
 and daemon results are fed into the local experiment memo, so serial
 assembly code (tables, figures) transparently consumes them either way.
-
-The old direct entry points (``repro.harness.experiment.run_matrix`` /
-``compare_variants``) remain as :class:`DeprecationWarning` shims.
 """
 
 from __future__ import annotations
@@ -320,8 +317,7 @@ def run_matrix(n_cores: int, variants: Iterable[Variant],
     """
     from repro.harness import experiment
 
-    if fail_fast is None:
-        fail_fast = experiment.env_flag("REPRO_FAILFAST")
+    fail_fast = repro_config.resolve("failfast", override=fail_fast)
     variants = list(variants)
     workloads = list(workloads)
     specs = [

@@ -1,28 +1,26 @@
 """Unified configuration resolution for every ``REPRO_*`` knob.
 
-The harness grew one environment variable per PR -- ``REPRO_JOBS``,
-``REPRO_CACHE``, ``REPRO_CHECK``, ``REPRO_SHARDS``, ``REPRO_CHECKPOINT``,
-``REPRO_TOPOLOGY``, ... -- each parsed ad hoc at its point of use.  This
-module is the one place that knows them all:
+This module is the only place in ``src/`` that reads a ``REPRO_*``
+environment variable (``tests/test_config_overrides.py`` enforces it
+with an AST walk):
 
 * a declarative :data:`SETTINGS` registry (name, environment variable,
-  type, default, constraint) covering every knob;
+  type, default, constraint) covering every knob, test hooks included;
 * :func:`overrides` -- resolve the whole configuration with explicit
   precedence **kwargs > environment > defaults**, returning per-setting
   values *and* the source each value came from;
 * :func:`resolve` -- resolve a single setting under the same rules;
-* typed :class:`ConfigError` (a ``ValueError`` subclass, so existing
+  call sites pass their config field or keyword argument as
+  ``override`` and add only the structural checks that are theirs alone
+  (e.g. shards <= router-grid height);
+* the one typed :class:`ConfigError` (a ``ValueError`` subclass, so
   ``except ValueError`` call sites keep working) that names the
   offending source: the environment variable for environment values,
-  ``<name>= (keyword)`` for keyword overrides.
+  the config field or ``<name>= (keyword)`` for overrides.
 
 ``python -m repro.harness env`` prints the effective resolved
-configuration as a table (value + source per setting).
-
-The legacy per-module resolvers (``repro.harness.parallel.resolve_jobs``,
-``repro.harness.experiment.scale`` / ``env_flag``, ...) now delegate to
-this layer, so a malformed value produces the same typed error no matter
-which entry point touches it first.
+configuration as a table (value + source per setting), and the CLI's
+``--help`` environment section is :func:`env_help`.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ __all__ = [
     "Resolved",
     "SETTINGS",
     "describe",
+    "env_help",
     "overrides",
     "resolve",
     "setting",
@@ -47,9 +46,10 @@ class ConfigError(ValueError):
     """A configuration value failed validation.
 
     ``source`` names where the offending value came from -- the
-    environment variable (e.g. ``"REPRO_JOBS"``) or the keyword argument
-    (e.g. ``"jobs= (keyword)"``) -- and is always embedded in the
-    message so the user can find and fix it.
+    environment variable (e.g. ``"REPRO_JOBS"``), the config field (e.g.
+    ``"config.noc.topology"``) or the keyword argument (e.g.
+    ``"jobs= (keyword)"``) -- and is always embedded in the message so
+    the user can find and fix it.
     """
 
     def __init__(self, name: str, source: str, message: str) -> None:
@@ -130,8 +130,6 @@ def _parse_str(raw, source: str, setting: "Setting"):
 
 def _parse_topology(raw, source: str, setting: "Setting"):
     value = str(raw).strip().lower()
-    if not value:
-        return ""
     from repro.noc.topology import TOPOLOGY_CHOICES
 
     if value not in TOPOLOGY_CHOICES:
@@ -143,8 +141,8 @@ def _parse_topology(raw, source: str, setting: "Setting"):
     return value
 
 
-# Bespoke parsers preserving the exact long-standing messages of the
-# legacy resolvers (tests match on them).
+# Bespoke parsers: their messages explain what the value multiplies or
+# what 0 means (tests match on them).
 
 def _parse_jobs(raw, source: str, setting: "Setting"):
     try:
@@ -200,7 +198,8 @@ class Setting:
 #: Every REPRO_* knob, in display order.  ``default`` is the effective
 #: value when neither a keyword override nor the environment supplies
 #: one (some call sites apply further context-specific defaults, e.g.
-#: ``resolve_jobs(default=...)``).
+#: ``resolve_jobs(default=...)``).  The ``help`` texts are the CLI's
+#: environment help (:func:`env_help`).
 SETTINGS: Dict[str, Setting] = {}
 
 
@@ -215,10 +214,7 @@ _register("scale", "REPRO_SCALE", 1.0, _parse_scale,
 _register("full", "REPRO_FULL", False, _parse_bool,
           "sweep all 22 workloads instead of the 6-workload subset")
 _register("cache", "REPRO_CACHE", "", _parse_str,
-          "result store path: a .json file (legacy) or a sharded directory")
-_register("cache_shards", "REPRO_CACHE_SHARDS", 0,
-          _parse_int(0, " (shard files; 0 = auto-detect layout)"),
-          "shard count when creating a sharded result store")
+          "result store directory, reused across invocations")
 _register("check", "REPRO_CHECK", False, _parse_bool,
           "attach the invariant monitor inside every experiment")
 _register("check_interval", "REPRO_CHECK_INTERVAL", 2000,
@@ -252,7 +248,12 @@ _register("service", "REPRO_SERVICE", "", _parse_str,
           "when set, repro.api routes work through the daemon")
 _register("service_workers", "REPRO_SERVICE_WORKERS", 0,
           _parse_int(0, " (0 = one per CPU core)"),
-          "daemon worker-fleet size")
+          "daemon worker-fleet size (0 = one per CPU core)")
+_register("shard_pidfile", "REPRO_SHARD_PIDFILE", "", _parse_str,
+          "test hook: file every spawned shard worker appends its pid to")
+_register("chaos_kill_after", "REPRO_CHAOS_KILL_AFTER", 0,
+          _parse_int(1, " (checkpoint captures)"),
+          "test hook: SIGKILL the run after its Nth checkpoint capture")
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ class Resolved:
 
     name: str
     value: object
-    source: str  # "default", the env var name, or "<name>= (keyword)"
+    source: str  # "default", the env var name, or the override's source
 
 
 def setting(name: str) -> Setting:
@@ -269,20 +270,24 @@ def setting(name: str) -> Setting:
     return SETTINGS[name]
 
 
-def resolve(name: str, override=None, default=None):
+def resolve(name: str, override=None, default=None,
+            source: Optional[str] = None):
     """Resolve one setting: ``override`` > environment > default.
 
     ``default`` replaces the registry default when not None (call sites
-    with context-dependent defaults use it).  Raises :class:`ConfigError`
-    naming the offending source on a malformed value.
+    with context-dependent defaults use it).  ``source`` names where the
+    override came from when it is not a keyword argument (e.g.
+    ``"config.sim.shards"``).  Raises :class:`ConfigError` naming the
+    offending source on a malformed value.
     """
-    return _resolve(name, override, default).value
+    return _resolve(name, override, default, source).value
 
 
-def _resolve(name: str, override=None, default=None) -> Resolved:
+def _resolve(name: str, override=None, default=None,
+             source: Optional[str] = None) -> Resolved:
     entry = SETTINGS[name]
     if override is not None:
-        source = f"{name}= (keyword)"
+        source = source or f"{name}= (keyword)"
         return Resolved(name, entry.parse(override, source, entry), source)
     raw = os.environ.get(entry.env)
     if raw is not None and raw.strip() != "":
@@ -326,3 +331,14 @@ def describe(**kwargs) -> List[Tuple[str, str, str, str]]:
             value, source = f"<error: {exc}>", entry.env
         rows.append((name, entry.env, repr(value), source))
     return rows
+
+
+def env_help() -> str:
+    """The CLI's environment help: one line per registered variable."""
+    width = max(len(entry.env) for entry in SETTINGS.values())
+    lines = ["environment (resolved through repro.config; the `env` "
+             "command shows the effective values):"]
+    for entry in SETTINGS.values():
+        default = f" (default {entry.default})" if entry.default else ""
+        lines.append(f"  {entry.env:<{width}s}  {entry.help}{default}")
+    return "\n".join(lines)

@@ -1,20 +1,14 @@
 """Experiment harness reproducing every table and figure of the paper.
 
-``run_matrix`` / ``compare_variants`` here are the deprecated legacy
-spellings (they forward to :mod:`repro.api`, the canonical home, with a
-:class:`DeprecationWarning`).
+Sweeps (``run_matrix`` / ``compare_variants``) live in :mod:`repro.api`.
 """
 
-from repro.harness.cache import ResultCache, ShardedCache, open_cache
+from repro.harness.cache import ShardedCache, open_cache
 from repro.harness.experiment import (
     RunResult,
     RunSpec,
-    compare_variants,
     default_workloads,
-    env_flag,
     run_experiment,
-    run_matrix,
-    scale,
 )
 from repro.harness.parallel import (
     ParallelError,
@@ -26,19 +20,14 @@ from repro.harness.parallel import (
 
 __all__ = [
     "ParallelError",
-    "ResultCache",
     "ShardedCache",
     "open_cache",
     "RunResult",
     "RunSpec",
     "RunTimeoutError",
     "WorkerCrashError",
-    "compare_variants",
     "default_workloads",
-    "env_flag",
     "resolve_jobs",
     "run_experiment",
-    "run_matrix",
     "run_specs",
-    "scale",
 ]

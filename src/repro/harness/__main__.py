@@ -26,26 +26,8 @@ Usage::
     python -m repro.harness env               # print the effective resolved
                                               # configuration (value + source)
 
-Environment (resolved through repro.config; `env` shows the result):
-    REPRO_SCALE      simulation-length multiplier (default 1.0)
-    REPRO_TOPOLOGY   network topology: mesh (default), torus or cmesh
-    REPRO_FULL       1 = sweep all 22 workloads (default: 6-workload subset)
-    REPRO_CACHE      path of a JSON result cache reused across invocations
-    REPRO_JOBS       worker processes when --jobs is not given (0 = all cores)
-    REPRO_CHECK      1 = run the invariant monitor inside every experiment
-    REPRO_FAILFAST   1 = abort sweeps on the first failing run
-    REPRO_CRASH_DIR  where crash reports land (default out/crash)
-    REPRO_SHARDS     split each run across N worker processes (bit-identical)
-    REPRO_CHECKPOINT cycles between durable checkpoints (0/unset = off)
-    REPRO_CHECKPOINT_DIR  checkpoint root (default out/checkpoint)
-    REPRO_RESUME     1 = resume interrupted runs from their checkpoints
-    REPRO_SHARD_TIMEOUT   seconds before a silent shard worker is declared
-                          dead and respawned (default 1200)
-    REPRO_SHARD_RESPAWNS  respawn budget per shard worker (default 2)
-    REPRO_SERVICE    job-daemon address (socket path or host:port); when
-                     set, sweeps run through the shared daemon fleet
-    REPRO_SERVICE_WORKERS daemon worker-fleet size (0 = one per CPU core)
-    REPRO_CACHE_SHARDS    shard count when creating a sharded result store
+Every ``REPRO_*`` environment variable is listed by ``--help`` (generated
+from the :mod:`repro.config` registry); ``env`` shows the resolved values.
 """
 
 from __future__ import annotations
@@ -54,6 +36,7 @@ import argparse
 import os
 import sys
 
+from repro import config as repro_config
 from repro.harness import figures, parallel, render, tables
 from repro.harness.experiment import (
     RunSpec,
@@ -336,8 +319,9 @@ def cmd_serve(args) -> int:
         level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    address = args.socket or os.environ.get("REPRO_SERVICE") \
-        or os.path.join("out", "repro.sock")
+    address = repro_config.resolve(
+        "service", override=args.socket,
+        default=os.path.join("out", "repro.sock"))
     directory = os.path.dirname(address)
     if directory and ":" not in address:
         os.makedirs(directory, exist_ok=True)
@@ -353,8 +337,6 @@ def cmd_serve(args) -> int:
 
 def cmd_env(args) -> int:
     """Print the effective resolved configuration, one row per setting."""
-    from repro import config as repro_config
-
     rows = repro_config.describe()
     name_w = max(len(row[0]) for row in rows)
     env_w = max(len(row[1]) for row in rows)
@@ -424,6 +406,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-harness",
         description="Regenerate the paper's tables and figures.",
+        epilog=repro_config.env_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("what", nargs="?", default=None,
                         choices=list(COMMANDS) + ["all", "check", "inject",
@@ -474,6 +458,15 @@ def main(argv=None) -> int:
                         help="serve: worker-fleet size (default: "
                              "REPRO_SERVICE_WORKERS or one per CPU core)")
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args, parser)
+    except repro_config.ConfigError as exc:
+        # a user error gets a message; anything else keeps its traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args, parser) -> int:
     if args.what == "env":
         return cmd_env(args)
     if args.what == "serve":
@@ -505,18 +498,12 @@ def main(argv=None) -> int:
     if args.fail_fast:
         os.environ["REPRO_FAILFAST"] = "1"
     names = list(COMMANDS) if args.what == "all" else [args.what]
-    try:
-        if jobs > 1:
-            _prefetch(names, args, jobs)
-        for name in names:
-            COMMANDS[name](args)
-            if args.what == "all":
-                print()
-    except ValueError as exc:
-        if "REPRO_" not in str(exc):
-            raise  # a real bug, keep the traceback
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if jobs > 1:
+        _prefetch(names, args, jobs)
+    for name in names:
+        COMMANDS[name](args)
+        if args.what == "all":
+            print()
     return 0
 
 

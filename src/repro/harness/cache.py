@@ -1,46 +1,33 @@
 """Crash-safe, multiprocess-shared result store (``REPRO_CACHE``).
 
-Two on-disk backends share one interface (``load`` / ``load_all`` /
-``store`` / ``store_many``):
+The store is a directory (:class:`ShardedCache`): a ``shards.json``
+manifest anchoring the geometry plus ``shard-NNN.json`` files, each with
+its own lock file.  Entries are routed by their spec-key *prefix*
+(``n_cores/variant/workload``), so hundreds of concurrent writers -- the
+service daemon's worker fleet, parallel sweeps, concurrent pytest
+invocations -- contend only when writing the same sweep cell instead of
+all serialising on one global file.
 
-* :class:`ResultCache` -- the legacy layout: a single JSON file mapping
-  spec keys to serialised :class:`~repro.harness.experiment.RunResult`
-  dicts;
-* :class:`ShardedCache` -- a directory of ``shard-NNN.json`` files, each
-  an independent :class:`ResultCache` with its own lock file.  Entries
-  are routed by their spec-key *prefix* (``n_cores/variant/workload``),
-  so hundreds of concurrent writers -- the service daemon's worker
-  fleet, parallel sweeps, concurrent pytest invocations -- contend only
-  when writing the same sweep cell instead of all serialising on one
-  global file.
-
-Both backends guarantee, per file:
+Per shard file the store guarantees:
 
 * **atomic publication**: writers dump to a private temp file and
-  ``os.replace`` it over the cache, so readers always see either the old
+  ``os.replace`` it over the shard, so readers always see either the old
   or the new complete file, never a torn ``json.dump``;
 * **merge-on-write**: writers re-read the file under an exclusive lock
   file before publishing, so concurrent writers union their entries
   instead of overwriting each other;
-* **versioning**: the file carries a ``schema`` field; unknown schemas
-  are never silently reinterpreted;
-* **quarantine**: a corrupt or unreadable cache file is renamed to
+* **versioning**: the file carries a ``schema`` field; a file without
+  one, or with an unknown one, is never reinterpreted;
+* **quarantine**: a corrupt or unreadable shard file is renamed to
   ``<path>.corrupt.<pid>.<n>`` (and a warning logged) instead of being
   silently ignored -- the evidence survives, and subsequent runs start
   from a clean file rather than re-quarantining forever.  Only the
   newest ``QUARANTINE_KEEP`` quarantined files are retained.
 
-:func:`open_cache` picks the backend (a directory or trailing separator
-means sharded; ``REPRO_CACHE_SHARDS > 0`` requests sharding explicitly)
-and performs the **one-shot migration** of a legacy single-file cache
-into the sharded layout.  Migration never drops data: entries whose spec
-keys no longer parse under the current key schema (see
-:func:`parse_spec_key`) are quarantined to ``quarantined-keys.*.json``
-inside the new store -- pruned to the newest :data:`QUARANTINE_KEEP`
-files like every other quarantine -- instead of being discarded.
-
-Files written by pre-versioning releases (a bare ``{key: entry}`` dict)
-are still read, and upgraded to the current schema on the next write.
+:func:`open_cache` is the one way in.  A *regular file* at the store
+path is outside input this build does not understand: it fails with a
+typed :class:`~repro.config.ConfigError` naming the path and is never
+read, moved or overwritten.
 """
 
 from __future__ import annotations
@@ -52,7 +39,9 @@ import logging
 import os
 import time
 import zlib
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
+
+from repro.config import ConfigError
 
 logger = logging.getLogger("repro.harness.cache")
 
@@ -63,12 +52,11 @@ SCHEMA_VERSION = 1
 #: are pruned so a flaky disk cannot grow the directory without bound.
 QUARANTINE_KEEP = 5
 
-#: Shard files created when a sharded store is built without an explicit
-#: count (kwarg or ``REPRO_CACHE_SHARDS``).
+#: Shard files a new store is created with; existing stores follow
+#: their manifest.
 DEFAULT_SHARDS = 16
 
-#: Manifest file anchoring a sharded store's geometry; its presence also
-#: marks a directory as a sharded cache.
+#: Manifest file anchoring a store's geometry.
 MANIFEST_NAME = "shards.json"
 
 
@@ -144,8 +132,8 @@ class FileLock:
         self.release()
 
 
-class ResultCache:
-    """One JSON cache file with locking, merging and quarantine."""
+class _ShardFile:
+    """One JSON shard file with locking, merging and quarantine."""
 
     def __init__(self, path: str, lock_timeout: float = 30.0,
                  lock_stale: float = 30.0) -> None:
@@ -153,11 +141,6 @@ class ResultCache:
         self.lock_path = path + ".lock"
         self.lock_timeout = lock_timeout
         self.lock_stale = lock_stale
-
-    @classmethod
-    def from_env(cls) -> Optional["ResultCache"]:
-        path = os.environ.get("REPRO_CACHE")
-        return cls(path) if path else None
 
     # -- reading ---------------------------------------------------------
 
@@ -187,8 +170,6 @@ class ResultCache:
         if not isinstance(data, dict):
             self._quarantine("top level is not an object")
             return None
-        if "schema" not in data:
-            return data  # legacy flat {key: entry} layout
         if data.get("schema") != SCHEMA_VERSION or not isinstance(
             data.get("entries"), dict
         ):
@@ -247,16 +228,15 @@ class ResultCache:
 
 
 # ----------------------------------------------------------------------
-# Quarantine pruning (shared by corrupt-file and migration quarantines).
+# Quarantine pruning.
 # ----------------------------------------------------------------------
 
 def prune_quarantine(directory: str, prefix: str,
                      keep: int = QUARANTINE_KEEP) -> None:
     """Keep only the newest ``keep`` files matching ``prefix``.
 
-    A repeatedly-corrupted cache (bad disk, crashing writers) or a
-    repeatedly re-run migration must not grow an unbounded pile of
-    quarantined siblings.
+    A repeatedly-corrupted cache (bad disk, crashing writers) must not
+    grow an unbounded pile of quarantined siblings.
     """
     try:
         names = [n for n in os.listdir(directory) if n.startswith(prefix)]
@@ -294,10 +274,8 @@ def parse_spec_key(key: str) -> Dict[str, object]:
 
         n_cores/variant/workload/seed/measure/warmup[/topology]
 
-    Used by the migration path to decide which legacy entries still mean
-    anything to this build (unparseable ones are quarantined, never
-    silently dropped) and by the service daemon to validate submitted
-    keys.
+    The first three components are the cell prefix
+    :func:`spec_key_shard` routes on.
     """
     parts = key.split("/")
     if len(parts) not in (6, 7):
@@ -358,23 +336,31 @@ def spec_key_shard(key: str, n_shards: int) -> int:
 # ----------------------------------------------------------------------
 
 class ShardedCache:
-    """A directory of per-shard :class:`ResultCache` files.
+    """A directory of per-shard JSON files.
 
     Geometry is anchored by a ``shards.json`` manifest written when the
     store is created; later openers follow the manifest regardless of
-    their own ``n_shards`` argument, so concurrent processes with
-    different environments always agree on the key -> shard routing.
+    their own ``n_shards`` argument, so concurrent processes always
+    agree on the key -> shard routing.  A regular file at ``root`` raises
+    :class:`~repro.config.ConfigError` and is left untouched.
     """
 
     def __init__(self, root: str, n_shards: Optional[int] = None,
                  lock_timeout: float = 30.0,
                  lock_stale: float = 30.0) -> None:
+        if os.path.isfile(root):
+            raise ConfigError(
+                "cache", "REPRO_CACHE",
+                f"result store path {root!r} is a regular file; the store "
+                f"is a directory (e.g. REPRO_CACHE=out/results/). Point it "
+                f"elsewhere or move the file away; it was not touched."
+            )
         self.root = root
         self.lock_timeout = lock_timeout
         self.lock_stale = lock_stale
         os.makedirs(root, exist_ok=True)
         self.n_shards = self._anchor_manifest(n_shards)
-        self._shards: Dict[int, ResultCache] = {}
+        self._shards: Dict[int, _ShardFile] = {}
 
     def _anchor_manifest(self, n_shards: Optional[int]) -> int:
         manifest_path = os.path.join(self.root, MANIFEST_NAME)
@@ -410,17 +396,17 @@ class ShardedCache:
                 "requested %d", self.root, existing, n_shards)
         return existing
 
-    def _shard(self, index: int) -> ResultCache:
+    def _shard(self, index: int) -> _ShardFile:
         cache = self._shards.get(index)
         if cache is None:
-            cache = ResultCache(
+            cache = _ShardFile(
                 os.path.join(self.root, f"shard-{index:03d}.json"),
                 lock_timeout=self.lock_timeout, lock_stale=self.lock_stale,
             )
             self._shards[index] = cache
         return cache
 
-    def shard_for(self, key: str) -> ResultCache:
+    def shard_for(self, key: str) -> _ShardFile:
         return self._shard(spec_key_shard(key, self.n_shards))
 
     # -- reading ---------------------------------------------------------
@@ -452,110 +438,10 @@ class ShardedCache:
         for index, group in sorted(by_shard.items()):
             self._shard(index).store_many(group)
 
-    # -- migration quarantine -------------------------------------------
 
-    def quarantine_entries(self, entries: Dict[str, dict],
-                           reason: str) -> Optional[str]:
-        """Preserve unmigratable entries inside the store; returns path."""
-        if not entries:
-            return None
-        for n in itertools.count():
-            dest = os.path.join(
-                self.root, f"quarantined-keys.{os.getpid()}.{n}.json")
-            if not os.path.exists(dest):
-                break
-        tmp = f"{dest}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump({"schema": SCHEMA_VERSION, "reason": reason,
-                       "entries": entries}, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, dest)
-        logger.warning(
-            "quarantined %d legacy cache entr%s with unparseable spec "
-            "keys -> %s: %s", len(entries),
-            "y" if len(entries) == 1 else "ies", dest, reason)
-        prune_quarantine(self.root, "quarantined-keys.")
-        return dest
+def open_cache(path: str) -> ShardedCache:
+    """Open (creating it if missing) the result store directory ``path``.
 
-
-CacheBackend = Union[ResultCache, ShardedCache]
-
-
-def migrate_legacy_file(path: str, n_shards: Optional[int] = None
-                        ) -> ShardedCache:
-    """One-shot migration: legacy single-file cache -> sharded store.
-
-    Entries whose spec keys parse under the current schema are routed to
-    their shards; the rest are *quarantined* inside the new store (never
-    dropped).  The legacy file is preserved as ``<path>.migrated``.
-    Concurrent migrators serialise on a lock file; the loser finds a
-    directory and simply opens it.
+    A trailing separator is accepted and ignored.
     """
-    with FileLock(path + ".migrate.lock", timeout=60.0):
-        if os.path.isdir(path):  # somebody else migrated while we waited
-            return ShardedCache(path, n_shards)
-        legacy = ResultCache(path)
-        entries = legacy.load_all()
-        good: Dict[str, dict] = {}
-        bad: Dict[str, dict] = {}
-        errors = []
-        for key, entry in entries.items():
-            try:
-                parse_spec_key(key)
-            except ValueError as exc:
-                bad[key] = entry
-                if len(errors) < 3:
-                    errors.append(str(exc))
-                continue
-            good[key] = entry
-        # Build the sharded store beside the file, move the legacy file
-        # aside, then claim its path.  A crash in between leaves the
-        # fully-populated temp directory and the .migrated backup; no
-        # window loses entries that existed in only one place.
-        tmp_root = f"{path}.tmp-shards.{os.getpid()}"
-        store = ShardedCache(tmp_root, n_shards)
-        store.store_many(good)
-        store.quarantine_entries(
-            bad, "; ".join(errors) if errors else "unparseable spec keys")
-        if os.path.exists(path):
-            os.replace(path, path + ".migrated")
-        os.rename(tmp_root, path)
-        logger.warning(
-            "migrated legacy result cache %s -> sharded store "
-            "(%d entr%s, %d quarantined; original kept as %s)",
-            path, len(good), "y" if len(good) == 1 else "ies", len(bad),
-            path + ".migrated")
-        return ShardedCache(path, n_shards)
-
-
-def open_cache(path: str, n_shards: Optional[int] = None) -> CacheBackend:
-    """Open the result store at ``path``, picking the right backend.
-
-    * an existing directory (or a path with a trailing separator, or an
-      explicit ``n_shards``/``REPRO_CACHE_SHARDS`` > 0) -> sharded store;
-    * an existing legacy *file* with sharding requested -> one-shot
-      migration into a sharded store at the same path;
-    * anything else -> the legacy single-file :class:`ResultCache`.
-    """
-    if n_shards is None:
-        from repro import config as repro_config
-
-        n_shards = repro_config.resolve("cache_shards")
-    wants_dir = (
-        path.endswith(os.sep) or path.endswith("/")
-        or os.path.isdir(path)
-        or (n_shards or 0) > 0
-    )
-    clean = path.rstrip("/").rstrip(os.sep) or path
-    if not wants_dir:
-        return ResultCache(clean)
-    if os.path.isfile(clean):
-        return migrate_legacy_file(clean, n_shards or None)
-    return ShardedCache(clean, n_shards or None)
-
-
-def cache_from_env() -> Optional[CacheBackend]:
-    """The shared result store named by ``REPRO_CACHE``, if configured."""
-    path = os.environ.get("REPRO_CACHE")
-    return open_cache(path) if path else None
+    return ShardedCache(path.rstrip("/").rstrip(os.sep) or path)

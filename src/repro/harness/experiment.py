@@ -15,15 +15,14 @@ produce stable averages.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro import config as repro_config
 from repro.circuits.outcomes import outcome_fractions
 from repro.noc.topology import resolve_topology
 from repro.cpu.workloads import ALL_WORKLOADS, workload_by_name
-from repro.harness.cache import CacheBackend, cache_from_env
+from repro.harness.cache import ShardedCache, open_cache
 from repro.power.energy import network_energy
 from repro.sim.config import SystemConfig, Variant
 from repro.sim.stats import Histogram, Stats
@@ -45,36 +44,9 @@ DEFAULT_WORKLOAD_SUBSET = [
 ]
 
 
-#: Environment-variable name -> repro.config setting name, so the legacy
-#: ``env_flag("REPRO_CHECK")`` spelling keeps working while all parsing
-#: and error reporting happens in one place (:mod:`repro.config`).
-_ENV_TO_SETTING = {
-    entry.env: name for name, entry in repro_config.SETTINGS.items()
-}
-
-
-def env_flag(name: str, default: bool = False) -> bool:
-    """Parse a boolean environment variable, rejecting garbage loudly.
-
-    Delegates to :func:`repro.config.resolve`; ``name`` is the
-    environment-variable spelling (e.g. ``"REPRO_CHECK"``).
-    """
-    setting_name = _ENV_TO_SETTING.get(name)
-    if setting_name is None:
-        raise KeyError(f"unknown configuration variable {name}")
-    return bool(repro_config.resolve(setting_name, default=default))
-
-
-def scale() -> float:
-    """Global simulation-length multiplier (env ``REPRO_SCALE``)."""
-    return repro_config.resolve("scale")
-
-
 def default_workloads(full: Optional[bool] = None) -> List[str]:
     """Workload names to sweep (env ``REPRO_FULL=1`` for all 22)."""
-    if full is None:
-        full = env_flag("REPRO_FULL")
-    if full:
+    if repro_config.resolve("full", override=full):
         return [w.name for w in ALL_WORKLOADS]
     return list(DEFAULT_WORKLOAD_SUBSET)
 
@@ -100,7 +72,7 @@ class RunSpec:
     topology: str = ""
 
     def scaled(self) -> "RunSpec":
-        factor = scale()
+        factor = repro_config.resolve("scale")
         if factor == 1.0:
             return self
         return RunSpec(
@@ -243,14 +215,10 @@ def _serialize_histograms(stats: Stats) -> Dict[str, dict]:
     }
 
 
-def _disk_cache() -> Optional[CacheBackend]:
-    """The shared result store (env ``REPRO_CACHE``), if configured.
-
-    Either a legacy single-file :class:`~repro.harness.cache.ResultCache`
-    or a :class:`~repro.harness.cache.ShardedCache` directory -- see
-    :func:`repro.harness.cache.open_cache` for how the backend is picked.
-    """
-    return cache_from_env()
+def _disk_cache() -> Optional[ShardedCache]:
+    """The shared result store (``REPRO_CACHE``), if configured."""
+    path = repro_config.resolve("cache")
+    return open_cache(path) if path else None
 
 
 def _load_disk(key: str) -> Optional[RunResult]:
@@ -318,9 +286,9 @@ def _checkpoint_interval(config: SystemConfig) -> int:
     execution-engine concern: results are bit-identical with or without
     it, so it is deliberately absent from cache keys.
     """
-    if config.sim.checkpoint_interval:
-        return config.sim.checkpoint_interval
-    return repro_config.resolve("checkpoint")
+    return repro_config.resolve(
+        "checkpoint", override=config.sim.checkpoint_interval or None,
+        source="config.sim.checkpoint_interval")
 
 
 def _checkpoint_base_dir() -> str:
@@ -412,7 +380,8 @@ def run_experiment(spec: RunSpec) -> RunResult:
             # resumed; without one the engine still self-heals worker
             # deaths via a private temporary directory.
             directory = _checkpoint_dir(key)
-            resume = env_flag("REPRO_RESUME") and os.path.isdir(directory) \
+            resume = repro_config.resolve("resume") \
+                and os.path.isdir(directory) \
                 and any(_SNAPSHOT_RE.match(name)
                         for name in os.listdir(directory))
             ckpt_kwargs = dict(checkpoint_dir=directory,
@@ -420,7 +389,7 @@ def run_experiment(spec: RunSpec) -> RunResult:
         sharded = run_sharded(
             config, spec.workload, spec.warmup_instructions,
             spec.measure_instructions, n_shards=shards,
-            check=env_flag("REPRO_CHECK"),
+            check=repro_config.resolve("check"),
             check_interval=_check_interval(),
             **ckpt_kwargs,
         )
@@ -450,13 +419,13 @@ def run_experiment(spec: RunSpec) -> RunResult:
             fingerprint(config, spec.workload, spec.warmup_instructions,
                         spec.measure_instructions),
         )
-        if env_flag("REPRO_RESUME") and policy.has_checkpoint():
+        if repro_config.resolve("resume") and policy.has_checkpoint():
             _header, payload = read_checkpoint(
                 policy.path, kind="run", config_hash=policy.config_hash
             )
             data = restore_system(payload)
             system = data["system"]
-            if env_flag("REPRO_CHECK"):
+            if repro_config.resolve("check"):
                 from repro.validate import InvariantMonitor
 
                 InvariantMonitor(
@@ -466,7 +435,7 @@ def run_experiment(spec: RunSpec) -> RunResult:
             start, finish = resume_checkpointed(system, data["run"], policy)
         else:
             system = build_system(config, workload_by_name(spec.workload))
-            if env_flag("REPRO_CHECK"):
+            if repro_config.resolve("check"):
                 from repro.validate import InvariantMonitor
 
                 InvariantMonitor(
@@ -485,7 +454,7 @@ def run_experiment(spec: RunSpec) -> RunResult:
         return result
 
     system = build_system(config, workload_by_name(spec.workload))
-    if env_flag("REPRO_CHECK"):
+    if repro_config.resolve("check"):
         from repro.validate import InvariantMonitor
 
         InvariantMonitor(
@@ -565,36 +534,3 @@ def _save_crash(spec: RunSpec, exc: BaseException) -> Optional[str]:
         return save_crash_report(report, crash_dir(), spec.key())
     except OSError:
         return None  # an unwritable crash dir must not mask the failure
-
-
-def run_matrix(n_cores: int, variants: Iterable[Variant],
-               workloads: Iterable[str], seed: int = 1,
-               jobs: Optional[int] = None,
-               fail_fast: Optional[bool] = None,
-               ) -> Dict[Variant, Dict[str, RunResult]]:
-    """Deprecated alias for :func:`repro.api.run_matrix`."""
-    warnings.warn(
-        "repro.harness.experiment.run_matrix is deprecated; "
-        "use repro.api.run_matrix",
-        DeprecationWarning, stacklevel=2,
-    )
-    from repro import api
-
-    return api.run_matrix(n_cores, variants, workloads, seed=seed,
-                          jobs=jobs, fail_fast=fail_fast)
-
-
-def compare_variants(workload: str, n_cores: int = 16,
-                     variants: Optional[Iterable[Variant]] = None,
-                     seed: int = 1,
-                     jobs: Optional[int] = None) -> Dict[str, Dict[str, float]]:
-    """Deprecated alias for :func:`repro.api.compare_variants`."""
-    warnings.warn(
-        "repro.harness.experiment.compare_variants is deprecated; "
-        "use repro.api.compare_variants",
-        DeprecationWarning, stacklevel=2,
-    )
-    from repro import api
-
-    return api.compare_variants(workload, n_cores=n_cores,
-                                variants=variants, seed=seed, jobs=jobs)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro import config as repro_config
 from repro.circuits.outcomes import OUTCOME_ORDER
 from repro.harness.experiment import (
     RunSpec,
-    env_flag,
     run_experiment,
     run_experiment_safe,
 )
@@ -18,7 +18,7 @@ from repro.sim.stats import mean_and_stderr
 
 def _run(spec: RunSpec):
     """Graceful-degradation runner (``REPRO_FAILFAST=1`` restores raising)."""
-    if env_flag("REPRO_FAILFAST"):
+    if repro_config.resolve("failfast"):
         return run_experiment(spec)
     return run_experiment_safe(spec)
 

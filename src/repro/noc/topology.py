@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from typing import Dict, Iterator, List, Tuple
+
+from repro.config import ConfigError, resolve
 
 
 class Port(enum.IntEnum):
@@ -63,10 +64,6 @@ _DELTAS: Dict[Port, Tuple[int, int]] = {
 def opposite(port: Port) -> Port:
     """The port a neighbouring router uses for the reverse direction."""
     return _OPPOSITE[port]
-
-
-class ConfigError(ValueError):
-    """A configuration value (config field or REPRO_* variable) is invalid."""
 
 
 class Topology:
@@ -431,30 +428,20 @@ TOPOLOGY_CHOICES = ("mesh", "torus", "cmesh")
 def resolve_topology(value: str = "") -> str:
     """Validate a topology name; '' defers to REPRO_TOPOLOGY (then mesh).
 
-    Raises :class:`ConfigError` naming the valid choices on anything
-    else, so a typo in ``config.noc.topology`` or ``REPRO_TOPOLOGY``
-    fails at configuration time instead of deep inside construction.
+    Raises :class:`~repro.config.ConfigError` naming the valid choices on
+    anything else, so a typo in ``config.noc.topology`` or
+    ``REPRO_TOPOLOGY`` fails at configuration time instead of deep inside
+    construction.
     """
-    source = "config.noc.topology"
-    if not value:
-        value = os.environ.get("REPRO_TOPOLOGY", "")
-        source = "REPRO_TOPOLOGY"
-    if not value:
-        return "mesh"
-    name = value.strip().lower()
-    if name not in TOPOLOGY_CHOICES:
-        raise ConfigError(
-            f"unknown topology {value!r} (from {source}): valid choices "
-            f"are {', '.join(TOPOLOGY_CHOICES)}"
-        )
-    return name
+    return resolve("topology", override=value or None,
+                   source="config.noc.topology")
 
 
 def topology_grid_side(name: str, n_cores: int) -> int:
     """Router-grid side for ``n_cores`` under topology ``name``.
 
-    Raises :class:`ConfigError` when the core count does not tile the
-    topology (mesh/torus need a perfect square; cmesh needs
+    Raises :class:`~repro.config.ConfigError` when the core count does
+    not tile the topology (mesh/torus need a perfect square; cmesh needs
     ``CONCENTRATION`` times a perfect square).
     """
     if name == "cmesh":
@@ -462,6 +449,7 @@ def topology_grid_side(name: str, n_cores: int) -> int:
         side = math.isqrt(routers)
         if rem or side * side != routers:
             raise ConfigError(
+                "n_cores", "n_cores",
                 f"cmesh needs n_cores = {CONCENTRATION} * k^2 "
                 f"({CONCENTRATION} cores per router on a square router "
                 f"grid), got {n_cores}"
@@ -469,7 +457,9 @@ def topology_grid_side(name: str, n_cores: int) -> int:
         return side
     side = math.isqrt(n_cores)
     if side * side != n_cores:
-        raise ValueError(f"n_cores must be a perfect square ({name})")
+        raise ConfigError(
+            "n_cores", "n_cores",
+            f"n_cores must be a perfect square ({name}), got {n_cores}")
     return side
 
 

@@ -60,6 +60,7 @@ import types
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+from repro import config as repro_config
 from repro.sim.kernel import SimulationError
 
 #: On-disk layout version; bump on incompatible change.
@@ -301,19 +302,6 @@ def read_checkpoint(path: str, *, kind: Optional[str] = None,
 # Periodic capture watchdog.
 # ----------------------------------------------------------------------
 
-def _chaos_kill_after() -> Optional[int]:
-    """Test hook (chaos campaign): SIGKILL self after the Nth capture."""
-    raw = os.environ.get("REPRO_CHAOS_KILL_AFTER", "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_CHAOS_KILL_AFTER must be an integer, got {raw!r}"
-        ) from None
-
-
 class CheckpointWatchdog:
     """Simulator hook capturing a checkpoint every ``interval`` cycles.
 
@@ -345,7 +333,7 @@ class CheckpointWatchdog:
         #: checkpoints survive the atomic overwrite of the newest one.
         self.keep_history = False
         self._on_capture = on_capture
-        self._chaos_kill = _chaos_kill_after()
+        self._chaos_kill = repro_config.resolve("chaos_kill_after")
         self._anchor = 0
         self._ci = 64
         self._next: Optional[int] = None
@@ -390,8 +378,7 @@ class CheckpointWatchdog:
             )
         if self._on_capture is not None:
             self._on_capture(at_cycle)
-        if self._chaos_kill is not None \
-                and self.checkpoints_written >= self._chaos_kill:
+        if self._chaos_kill and self.checkpoints_written >= self._chaos_kill:
             os.kill(os.getpid(), signal.SIGKILL)  # chaos: die mid-run
 
 

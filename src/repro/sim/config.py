@@ -12,6 +12,8 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
+from repro.config import ConfigError
+
 
 class CircuitMode(enum.Enum):
     """How reply circuits are reserved (paper section 4.2 / 4.8)."""
@@ -90,8 +92,8 @@ class NocConfig:
     #: pre-overhaul reference pipeline, which A/B equivalence tests use to
     #: prove the fast path bit-identical (stats, histograms, finish cycle).
     fastpath: bool = True
-    #: Network topology: "mesh" (default), "torus" or "cmesh".  The empty
-    #: string defers to the ``REPRO_TOPOLOGY`` environment variable;
+    #: Network topology: "mesh" (default), "torus" or "cmesh".  Unset
+    #: (the empty string) defers to ``repro.config`` (``topology``);
     #: :class:`SystemConfig` resolves it eagerly so pickled configs (shard
     #: workers, checkpoints) are independent of the worker's environment.
     topology: str = ""
@@ -220,31 +222,30 @@ class SimConfig:
     """
 
     #: Number of single-process shards the mesh is split across.
-    #: ``0`` defers to the ``REPRO_SHARDS`` environment variable
-    #: (unset = 1 = the plain single-process engine).
+    #: Unset (``0``) defers to ``repro.config`` (``shards``; default 1 =
+    #: the plain single-process engine).
     shards: int = 0
 
     #: Cycles between durable checkpoints (``repro.sim.checkpoint``).
-    #: ``0`` defers to the ``REPRO_CHECKPOINT`` environment variable
-    #: (unset = no periodic checkpoints).  Checkpoints are captured on
+    #: Unset (``0``) defers to ``repro.config`` (``checkpoint``; default
+    #: no periodic checkpoints).  Checkpoints are captured on
     #: run-control chunk boundaries, so restored runs stay bit-identical.
     checkpoint_interval: int = 0
 
     #: Seconds the shard coordinator waits for a worker's barrier
-    #: message before declaring it unresponsive.  ``0.0`` defers to the
-    #: ``REPRO_SHARD_TIMEOUT`` environment variable (unset = 1200s).
+    #: message before declaring it unresponsive.  Unset (``0.0``) defers
+    #: to ``repro.config`` (``shard_timeout``; default 1200s).
     shard_timeout: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.shards < 0:
-            raise ValueError("sim.shards must be >= 0 (0 = use REPRO_SHARDS)")
-        if self.checkpoint_interval < 0:
-            raise ValueError(
-                "sim.checkpoint_interval must be >= 0 "
-                "(0 = use REPRO_CHECKPOINT)")
-        if self.shard_timeout < 0:
-            raise ValueError(
-                "sim.shard_timeout must be >= 0 (0 = use REPRO_SHARD_TIMEOUT)")
+        for name, setting in (("shards", "shards"),
+                              ("checkpoint_interval", "checkpoint"),
+                              ("shard_timeout", "shard_timeout")):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    setting, f"config.sim.{name}",
+                    f"config.sim.{name} must be >= 0 (0 = unset), "
+                    f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,7 @@ class SystemConfig:
     sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self) -> None:
-        # Resolve the topology eagerly (consulting REPRO_TOPOLOGY once)
+        # Resolve the topology eagerly (consulting repro.config once)
         # so pickled configs reaching shard workers or checkpoints do not
         # depend on the receiving process's environment.  Imported here:
         # repro.noc pulls in modules that import this one at load time.
@@ -273,10 +274,11 @@ class SystemConfig:
         if self.cache.num_memory_controllers > self.n_cores:
             raise ValueError("more memory controllers than tiles")
         if self.sim.shards > side:
-            raise ValueError(
-                f"sim.shards={self.sim.shards} exceeds the router-grid "
-                f"height {side} (shards are horizontal row bands of "
-                ">= 1 row)"
+            raise ConfigError(
+                "shards", "config.sim.shards",
+                f"config.sim.shards={self.sim.shards} exceeds the "
+                f"router-grid height {side} (shards are horizontal row "
+                "bands of >= 1 row)"
             )
         # Fragmented circuits grow the reply VN to 3 VCs; enforce coherence
         # between the two sub-configs here so callers cannot desynchronise.

@@ -75,6 +75,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import config as repro_config
 from repro.sim.checkpoint import (
     CheckpointError,
     capture_system,
@@ -94,12 +95,6 @@ _BASE_INTERVAL = 16
 #: (mirrors CmpSystem.run_instructions' ProgressWatchdog default).
 _WATCHDOG_WINDOW = 500_000
 
-#: Default seconds the coordinator waits on a silent worker before
-#: declaring it dead (``config.sim.shard_timeout`` / ``REPRO_SHARD_TIMEOUT``
-#: override).  Generous: a worker only goes silent mid-window, and
-#: windows are a handful of simulated cycles.
-_RECV_TIMEOUT = 1200.0
-
 #: Recovery-snapshot cadence (simulated cycles) when neither
 #: ``checkpoint_interval`` nor config/environment specify one.
 _DEFAULT_SNAPSHOT_INTERVAL = 50_000
@@ -109,9 +104,6 @@ _DEFAULT_SNAPSHOT_INTERVAL = 50_000
 #: one lockstep round apart, so every worker always still holds the
 #: previous common seq while the newest one spreads.
 _SNAPSHOTS_KEPT = 2
-
-#: Default respawn budget per shard (``REPRO_SHARD_RESPAWNS`` overrides).
-_DEFAULT_RESPAWN_LIMIT = 2
 
 #: Floor (seconds) on the first receive after a respawn: the replacement
 #: must rebuild or restore a full system and replay before it can speak.
@@ -142,23 +134,21 @@ def shard_window(link_latency: int) -> int:
     raise AssertionError("unreachable: 1 always qualifies")
 
 
-def resolve_shards(config) -> int:
-    """Effective shard count: ``config.sim.shards`` or ``REPRO_SHARDS``."""
-    shards = config.sim.shards
-    if shards == 0:
-        raw = os.environ.get("REPRO_SHARDS", "").strip()
-        if not raw:
-            return 1
-        try:
-            shards = int(raw)
-        except ValueError:
-            shards = -1
-        if shards < 1:
-            raise ValueError(
-                f"REPRO_SHARDS must be a positive integer, got {raw!r}"
-            )
+def _resolve_field(name: str, override, config, field: str, default=None):
+    """Explicit kwarg > ``config.sim.<field>`` > environment > default."""
+    if override is not None or config is None:
+        return repro_config.resolve(name, override=override, default=default)
+    return repro_config.resolve(
+        name, override=getattr(config.sim, field) or None, default=default,
+        source=f"config.sim.{field}")
+
+
+def resolve_shards(config, override: Optional[int] = None) -> int:
+    """Effective shard count, checked against the router-grid height."""
+    shards = _resolve_field("shards", override, config, "shards")
     if shards > config.mesh_side:
-        raise ValueError(
+        raise repro_config.ConfigError(
+            "shards", "config.sim.shards / REPRO_SHARDS",
             f"{shards} shards exceed the router-grid height "
             f"{config.mesh_side} (shards are horizontal row bands of "
             ">= 1 row)"
@@ -168,68 +158,10 @@ def resolve_shards(config) -> int:
 
 def resolve_shard_timeout(config=None, override: Optional[float] = None
                           ) -> float:
-    """Worker receive timeout: explicit > config > environment > default."""
-    if override is not None:
-        if override <= 0:
-            raise ValueError("shard timeout must be positive")
-        return override
-    if config is not None and config.sim.shard_timeout:
-        return config.sim.shard_timeout
-    raw = os.environ.get("REPRO_SHARD_TIMEOUT", "").strip()
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            value = -1.0
-        if value <= 0:
-            raise ValueError(
-                f"REPRO_SHARD_TIMEOUT must be a positive number of "
-                f"seconds, got {raw!r}"
-            )
-        return value
-    return _RECV_TIMEOUT
-
-
-def _resolve_respawn_limit(override: Optional[int] = None) -> int:
-    if override is not None:
-        if override < 0:
-            raise ValueError("respawn limit must be >= 0")
-        return override
-    raw = os.environ.get("REPRO_SHARD_RESPAWNS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = -1
-        if value < 0:
-            raise ValueError(
-                f"REPRO_SHARD_RESPAWNS must be a non-negative integer, "
-                f"got {raw!r}"
-            )
-        return value
-    return _DEFAULT_RESPAWN_LIMIT
-
-
-def _resolve_snapshot_interval(config, override: Optional[int]) -> int:
-    if override is not None:
-        if override <= 0:
-            raise ValueError("checkpoint interval must be positive")
-        return override
-    if config.sim.checkpoint_interval:
-        return config.sim.checkpoint_interval
-    raw = os.environ.get("REPRO_CHECKPOINT", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = -1
-        if value <= 0:
-            raise ValueError(
-                f"REPRO_CHECKPOINT must be a positive cycle count, "
-                f"got {raw!r}"
-            )
-        return value
-    return _DEFAULT_SNAPSHOT_INTERVAL
+    """Seconds the coordinator waits on a silent worker before declaring
+    it dead.  The default is generous: a worker only goes silent
+    mid-window, and windows are a handful of simulated cycles."""
+    return _resolve_field("shard_timeout", override, config, "shard_timeout")
 
 
 class ShardWorkerDied(SimulationError):
@@ -897,7 +829,7 @@ class _Supervisor:
         self.procs[index] = proc
         self.all_procs.append(proc)
         self._fresh[index] = True
-        pidfile = os.environ.get("REPRO_SHARD_PIDFILE", "").strip()
+        pidfile = repro_config.resolve("shard_pidfile")
         if pidfile:  # chaos campaign: record every worker ever spawned
             with open(pidfile, "a") as handle:
                 handle.write(f"{proc.pid}\n")
@@ -1077,8 +1009,7 @@ def run_sharded(config, workload: str, warmup_instructions: int,
     Bit-identical (stats, finish cycle) to building the same system in
     one process and running warmup + measurement there.  ``check``
     attaches a shard-aware :class:`InvariantMonitor` in every worker
-    (default: the ``REPRO_CHECK`` environment flag, matching
-    ``run_experiment``).
+    (default: the ``REPRO_CHECK`` setting, matching ``run_experiment``).
 
     Self-healing is always on: workers snapshot to ``checkpoint_dir``
     (a private temporary directory when not given) every
@@ -1093,16 +1024,16 @@ def run_sharded(config, workload: str, warmup_instructions: int,
     from repro.noc.topology import build_topology
     from repro.partition import shard_assignment
 
-    if n_shards is None:
-        n_shards = resolve_shards(config)
+    n_shards = resolve_shards(config, n_shards)
     topo = build_topology(config)
     assignment = shard_assignment(topo, n_shards)
-    if check is None:
-        check = os.environ.get("REPRO_CHECK", "") not in ("", "0")
+    check = repro_config.resolve("check", override=check)
     timeout = resolve_shard_timeout(config, timeout)
-    respawn_limit = _resolve_respawn_limit(respawn_limit)
-    snapshot_interval = _resolve_snapshot_interval(config,
-                                                   checkpoint_interval)
+    respawn_limit = repro_config.resolve("shard_respawns",
+                                         override=respawn_limit)
+    snapshot_interval = _resolve_field(
+        "checkpoint", checkpoint_interval, config, "checkpoint_interval",
+        default=_DEFAULT_SNAPSHOT_INTERVAL)
     owned_dir = checkpoint_dir is None
     if owned_dir:
         if resume:

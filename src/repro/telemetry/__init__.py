@@ -1,7 +1,6 @@
 """Unified observation API: metrics, message spans, kernel profiling.
 
-One façade replaces the grab-bag of per-tool entry points that used to
-live in ``repro.noc.debug``:
+One façade over every instrument:
 
     from repro.telemetry import Telemetry, TelemetryConfig
 
@@ -91,7 +90,8 @@ class TelemetryConfig:
     The default interval (1000 cycles) matches the production cadence of
     the invariant monitor: fine enough to resolve circuit warm-up within
     a run, coarse enough that the sampling overhead stays below the 5%
-    budget enforced by ``tools/bench_telemetry.py``.
+    budget tracked by ``python3 -m bench --trace``
+    (``telemetry.observed_overhead_frac``).
     """
 
     metrics: bool = True

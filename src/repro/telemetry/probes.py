@@ -1,4 +1,4 @@
-"""Interactive observation probes (formerly ``repro.noc.debug``).
+"""Interactive observation probes.
 
 These are the hand-held instruments of the telemetry subsystem - small,
 composable and simulation-neutral:
@@ -14,8 +14,6 @@ composable and simulation-neutral:
   :class:`~repro.telemetry.metrics.MetricRegistry` supersedes it for
   multi-stream time series but it remains the cheapest single-number
   answer to "how loaded is this network?".
-
-``repro.noc.debug`` keeps thin deprecation shims delegating here.
 """
 
 from __future__ import annotations

@@ -121,7 +121,7 @@ class _PidWatch:
             mode="w", suffix=".pids", delete=False)
         handle.close()
         self.path = handle.name
-        self._saved = os.environ.get("REPRO_SHARD_PIDFILE")
+        self._saved = os.environ.pop("REPRO_SHARD_PIDFILE", None)
         os.environ["REPRO_SHARD_PIDFILE"] = self.path
         return self
 

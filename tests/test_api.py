@@ -1,4 +1,4 @@
-"""The public facade (:mod:`repro.api`): both modes, shims, streaming.
+"""The public facade (:mod:`repro.api`): both modes, streaming.
 
 In-process mode runs real (tiny) simulations; daemon mode boots a real
 :class:`repro.service.Daemon` on a unix socket and asserts the facade
@@ -21,8 +21,7 @@ SMALL = dict(measure_instructions=250, warmup_instructions=80)
 @pytest.fixture(autouse=True)
 def clean_state(monkeypatch):
     for var in ("REPRO_SCALE", "REPRO_FULL", "REPRO_JOBS", "REPRO_CACHE",
-                "REPRO_CACHE_SHARDS", "REPRO_SERVICE",
-                "REPRO_SERVICE_WORKERS", "REPRO_FAILFAST"):
+                "REPRO_SERVICE", "REPRO_SERVICE_WORKERS", "REPRO_FAILFAST"):
         monkeypatch.delenv(var, raising=False)
     saved = dict(experiment._memo)
     experiment._memo.clear()
@@ -148,26 +147,11 @@ def test_run_matrix_assembles_variant_by_workload(monkeypatch):
             assert result.workload == workload
 
 
-def test_legacy_entry_points_warn_and_forward(monkeypatch):
-    sentinel = object()
-    monkeypatch.setattr(api, "run_matrix",
-                        lambda *args, **kwargs: sentinel)
-    with pytest.warns(DeprecationWarning, match="repro.api.run_matrix"):
-        assert experiment.run_matrix(16, [], []) is sentinel
-    monkeypatch.setattr(api, "compare_variants",
-                        lambda *args, **kwargs: sentinel)
-    with pytest.warns(DeprecationWarning,
-                      match="repro.api.compare_variants"):
-        assert experiment.compare_variants("canneal") is sentinel
-
-
 def test_legacy_imports_still_resolve():
     import repro
-    from repro.harness import compare_variants, run_matrix
 
     assert repro.run_matrix is api.run_matrix
     assert repro.compare_variants is api.compare_variants
-    assert run_matrix is not None and compare_variants is not None
 
 
 # ----------------------------------------------------------------------

@@ -107,44 +107,3 @@ def test_load_sampler_idle_network():
     sampler = LoadSampler(net)
     assert sampler.mean_load() == 0.0
     assert sampler.sparkline() == "(no samples)"
-
-# ----------------------------------------------------------------------
-# repro.noc.debug is now a deprecation shim over repro.telemetry.
-# ----------------------------------------------------------------------
-def test_debug_shims_warn_and_delegate():
-    import pytest
-
-    from repro.noc import debug
-
-    net = Network(SystemConfig(n_cores=16))
-    with pytest.warns(DeprecationWarning, match="moved to repro.telemetry"):
-        events = debug.attach_tracer(net)
-    run_traffic(net, [(0, 3)])
-    assert len(events) == 4  # the shim attached a real tracer
-    with pytest.warns(DeprecationWarning):
-        debug.detach_tracer(net)
-    with pytest.warns(DeprecationWarning):
-        text = debug.utilization_heatmap(net)
-    assert "peak" in text
-    with pytest.warns(DeprecationWarning):
-        debug.reset_utilization(net)
-    assert all(r.forwarded == 0 for r in net.routers)
-
-
-def test_debug_shim_sleep_report_and_sampler():
-    import pytest
-
-    from repro.noc import debug
-    from repro.noc.traffic import RequestReplyTraffic
-    from repro.telemetry import LoadSampler
-
-    traffic = RequestReplyTraffic(SystemConfig(n_cores=16),
-                                  requests_per_node_per_kcycle=20.0, seed=2)
-    with pytest.warns(DeprecationWarning):
-        report = debug.sleep_report(traffic.sim)
-    assert "asleep" in report
-    with pytest.warns(DeprecationWarning):
-        sampler = debug.LoadSampler(traffic.net, interval=50)
-    # the shim subclass IS the telemetry sampler (isinstance keeps working)
-    assert isinstance(sampler, LoadSampler)
-    assert debug.TraceEvent is not None

@@ -10,6 +10,7 @@ from repro.circuits.outcomes import (
     outcome_counts,
     outcome_fractions,
 )
+from repro.api import run_matrix
 from repro.harness import figures, render, tables
 from repro.harness.experiment import (
     RunResult,
@@ -17,7 +18,6 @@ from repro.harness.experiment import (
     _memo,
     default_workloads,
     run_experiment,
-    run_matrix,
 )
 from repro.sim.config import Variant
 from repro.sim.stats import Stats

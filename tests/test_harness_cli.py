@@ -82,3 +82,47 @@ def test_cli_profile_prints_component_table(capsys, monkeypatch, tmp_path):
 def test_cli_trace_rejects_unknown_variant(capsys):
     assert main(["trace", "--variant", "NoSuchVariant"]) == 2
     assert "unknown variant" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# User errors are caught by type: one ConfigError, one-line message.
+# ----------------------------------------------------------------------
+
+def test_one_config_error_class_covers_topology_errors():
+    import repro.config
+    import repro.noc
+    from repro.noc.topology import make_topology
+
+    assert repro.noc.ConfigError is repro.config.ConfigError
+    with pytest.raises(repro.config.ConfigError):
+        make_topology("ring", 16)
+    with pytest.raises(repro.config.ConfigError):
+        make_topology("cmesh", 32)
+
+
+@pytest.mark.parametrize("env,value,argv,needle", [
+    # none of these messages used to contain "REPRO_", so the CLI's
+    # string test let them through as tracebacks
+    ("REPRO_TOPOLOGY", "cmesh", ["table1", "--cores", "32"], "cmesh"),
+    ("REPRO_TOPOLOGY", "mesh", ["table1", "--cores", "32"], "n_cores"),
+    ("REPRO_SHARDS", "9", ["table1"], "router-grid height"),
+    ("REPRO_SHARDS", "x", ["table1"], "REPRO_SHARDS"),
+    ("REPRO_TOPOLOGY", "ring", ["trace"], "REPRO_TOPOLOGY"),
+], ids=["cmesh-32", "mesh-32", "shards-9", "shards-x", "trace-ring"])
+def test_cli_config_error_exits_2(monkeypatch, capsys, env, value, argv,
+                                  needle):
+    monkeypatch.setenv(env, value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_help_lists_every_registered_variable(capsys):
+    from repro import config
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for entry in config.SETTINGS.values():
+        assert entry.env in out

@@ -9,9 +9,10 @@ import types
 
 import pytest
 
+from repro.api import run_matrix
 from repro.harness import experiment, parallel
-from repro.harness.cache import FileLock, ResultCache
-from repro.harness.experiment import RunResult, RunSpec, run_matrix
+from repro.harness.cache import FileLock, ShardedCache, open_cache
+from repro.harness.experiment import RunResult, RunSpec
 from repro.sim.config import Variant
 from repro.sim.kernel import DeadlockError
 
@@ -50,13 +51,19 @@ def test_filelock_release_survives_missing_lock_file(tmp_path):
     lock.release()  # and is idempotent
 
 
+def _torn_store(tmp_path, text="{ torn json"):
+    """A one-shard store whose single shard file holds ``text``."""
+    cache = ShardedCache(str(tmp_path / "store"), n_shards=1)
+    path = cache.shard_for("k").path
+    with open(path, "w") as fh:
+        fh.write(text)
+    return cache, path
+
+
 def test_quarantine_losing_the_move_race_stays_quiet(
     tmp_path, monkeypatch, caplog
 ):
-    path = str(tmp_path / "cache.json")
-    with open(path, "w") as fh:
-        fh.write("{ torn json")
-    cache = ResultCache(path)
+    cache, _path = _torn_store(tmp_path)
 
     def lost_race(src, dst):
         raise OSError("moved by a concurrent process")
@@ -70,11 +77,9 @@ def test_quarantine_losing_the_move_race_stays_quiet(
 
 
 def test_quarantine_logs_a_warning_when_it_wins(tmp_path, caplog):
-    path = str(tmp_path / "cache.json")
-    with open(path, "w") as fh:
-        fh.write("{ torn json")
+    cache, path = _torn_store(tmp_path)
     with caplog.at_level(logging.WARNING, logger="repro.harness.cache"):
-        assert ResultCache(path).load_all() == {}
+        assert cache.load_all() == {}
     assert any(
         "quarantined" in record.getMessage() for record in caplog.records
     )
@@ -89,17 +94,14 @@ def test_quarantine_growth_is_capped(tmp_path, caplog):
     """
     from repro.harness.cache import QUARANTINE_KEEP
 
-    path = str(tmp_path / "cache.json")
-    cache = ResultCache(path)
     rounds = QUARANTINE_KEEP + 4
     for round_no in range(rounds):
-        with open(path, "w") as fh:
-            fh.write(f"{{ torn json #{round_no}")
+        cache, path = _torn_store(tmp_path, f"{{ torn json #{round_no}")
         with caplog.at_level(logging.WARNING, logger="repro.harness.cache"):
             assert cache.load_all() == {}
     corrupt = sorted(
-        name for name in os.listdir(tmp_path)
-        if name.startswith("cache.json.corrupt.")
+        name for name in os.listdir(os.path.dirname(path))
+        if name.startswith("shard-000.json.corrupt.")
     )
     assert len(corrupt) == QUARANTINE_KEEP
     assert any(
@@ -153,12 +155,12 @@ def test_run_matrix_fail_fast_restores_raising(fake_runs):
 
 
 def test_failure_results_are_not_disk_cached(fake_runs, monkeypatch):
-    cache_path = str(fake_runs / "results.json")
+    cache_path = str(fake_runs / "results")
     monkeypatch.setenv("REPRO_CACHE", cache_path)
     spec = RunSpec(16, Variant.BASELINE, "streamcluster", 1)
     result = experiment.run_experiment_safe(spec)
     assert result.failed
-    stored = ResultCache(cache_path).load_all()
+    stored = open_cache(cache_path).load_all()
     assert spec.scaled().key() not in stored
 
 

@@ -8,19 +8,20 @@ import time
 import pytest
 
 from repro.harness import parallel
+from repro import config
+from repro.api import run_matrix
 from repro.harness.cache import (
     SCHEMA_VERSION,
     CacheLockTimeout,
     FileLock,
-    ResultCache,
+    ShardedCache,
+    open_cache,
 )
 from repro.harness.experiment import (
     RunSpec,
     _memo,
     default_workloads,
     run_experiment,
-    run_matrix,
-    scale,
 )
 from repro.sim.config import Variant
 
@@ -64,11 +65,11 @@ def test_scale_env_validation(monkeypatch):
     for bad in ("banana", "0", "-1", "inf", "nan"):
         monkeypatch.setenv("REPRO_SCALE", bad)
         with pytest.raises(ValueError, match="REPRO_SCALE"):
-            scale()
+            config.resolve("scale")
     monkeypatch.setenv("REPRO_SCALE", "0.5")
-    assert scale() == 0.5
+    assert config.resolve("scale") == 0.5
     monkeypatch.delenv("REPRO_SCALE")
-    assert scale() == 1.0
+    assert config.resolve("scale") == 1.0
 
 
 def test_full_env_validation(monkeypatch):
@@ -239,70 +240,79 @@ def test_run_matrix_parallel_is_bit_identical(monkeypatch, tmp_path):
     serial = run_matrix(16, variants, workloads)
     _memo.clear()
     monkeypatch.setenv("REPRO_JOBS", "4")
-    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache.json"))
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "results"))
     par = run_matrix(16, variants, workloads)
     for variant in variants:
         for workload in workloads:
             assert (par[variant][workload].to_json()
                     == serial[variant][workload].to_json()), (variant, workload)
-    # the six specs landed in the shared disk cache with the right schema
-    data = json.loads((tmp_path / "cache.json").read_text())
-    assert data["schema"] == SCHEMA_VERSION
-    assert len(data["entries"]) == 6
+    # the six specs landed in the shared result store
+    stored = open_cache(str(tmp_path / "results")).load_all()
+    assert len(stored) == 6
+    for variant in variants:
+        for workload in workloads:
+            result = par[variant][workload]
+            assert stored[result.spec_key] == result.to_json()
 
 
 # ---------------------------------------------------------------------------
-# crash-safe result cache
+# crash-safe result store (one shard, so every key shares one file)
+
+
+def _one_file_store(tmp_path):
+    """A one-shard store and the path of its single shard file."""
+    store = ShardedCache(str(tmp_path / "store"), n_shards=1)
+    return store, tmp_path / "store" / "shard-000.json"
 
 
 def test_cache_quarantines_corrupt_file(tmp_path):
-    path = tmp_path / "cache.json"
+    store, path = _one_file_store(tmp_path)
     path.write_text("{ definitely not json")
-    cache = ResultCache(str(path))
-    assert cache.load("k") is None
+    assert store.load("k") is None
     assert not path.exists()  # moved aside, not retried forever
-    quarantined = list(tmp_path.glob("cache.json.corrupt.*"))
+    quarantined = list(path.parent.glob("shard-000.json.corrupt.*"))
     assert len(quarantined) == 1
     assert quarantined[0].read_text() == "{ definitely not json"
-    cache.store("k", {"x": 1})  # a fresh, valid file replaces it
+    store.store("k", {"x": 1})  # a fresh, valid file replaces it
     data = json.loads(path.read_text())
     assert data == {"schema": SCHEMA_VERSION, "entries": {"k": {"x": 1}}}
 
 
 def test_cache_quarantines_unknown_schema(tmp_path):
-    path = tmp_path / "cache.json"
+    store, path = _one_file_store(tmp_path)
     path.write_text(json.dumps({"schema": 999, "entries": {"k": {}}}))
-    cache = ResultCache(str(path))
-    assert cache.load_all() == {}
-    assert list(tmp_path.glob("cache.json.corrupt.*"))
+    assert store.load_all() == {}
+    assert list(path.parent.glob("shard-000.json.corrupt.*"))
 
 
-def test_cache_reads_and_upgrades_legacy_layout(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"old-key": {"x": 1}}))
-    cache = ResultCache(str(path))
-    assert cache.load("old-key") == {"x": 1}
-    cache.store("new-key", {"y": 2})
-    data = json.loads(path.read_text())
-    assert data["schema"] == SCHEMA_VERSION
-    assert data["entries"] == {"old-key": {"x": 1}, "new-key": {"y": 2}}
+def test_cache_quarantines_schemaless_file(tmp_path):
+    """A file without a schema field is never reinterpreted as entries."""
+    store, path = _one_file_store(tmp_path)
+    flat = json.dumps({"old-key": {"x": 1}})
+    path.write_text(flat)
+    assert store.load("old-key") is None
+    assert store.load_all() == {}
+    [quarantined] = path.parent.glob("shard-000.json.corrupt.*")
+    assert quarantined.read_text() == flat  # the evidence survives
+    store.store("new-key", {"y": 2})
+    assert json.loads(path.read_text()) == {
+        "schema": SCHEMA_VERSION, "entries": {"new-key": {"y": 2}}}
 
 
 def test_cache_merge_on_write(tmp_path):
-    path = str(tmp_path / "cache.json")
-    ResultCache(path).store("a", {"v": 1})
-    ResultCache(path).store("b", {"v": 2})
-    assert ResultCache(path).load_all() == {"a": {"v": 1}, "b": {"v": 2}}
+    root = str(tmp_path / "store")
+    open_cache(root).store("a", {"v": 1})
+    open_cache(root).store("b", {"v": 2})
+    assert open_cache(root).load_all() == {"a": {"v": 1}, "b": {"v": 2}}
 
 
 def test_cache_drops_corrupt_entries_not_file(tmp_path):
-    path = tmp_path / "cache.json"
+    store, path = _one_file_store(tmp_path)
     path.write_text(json.dumps(
         {"schema": SCHEMA_VERSION,
          "entries": {"good": {"v": 1}, "bad": "not-a-dict"}}
     ))
-    cache = ResultCache(str(path))
-    assert cache.load_all() == {"good": {"v": 1}}
+    assert store.load_all() == {"good": {"v": 1}}
     assert path.exists()
 
 
@@ -320,17 +330,18 @@ def test_file_lock_times_out_then_breaks_stale(tmp_path):
     assert not os.path.exists(lock_path)
 
 
-def _hammer(path, start, count):
-    cache = ResultCache(path)
+def _hammer(root, start, count):
+    store = open_cache(root)
     for i in range(start, start + count):
-        cache.store(f"key-{i}", {"value": i})
+        store.store(f"key-{i}", {"value": i})
 
 
 def test_cache_multiprocess_hammer(tmp_path):
-    """>= 4 concurrent writers on one cache file lose nothing."""
-    path = str(tmp_path / "cache.json")
+    """>= 4 concurrent writers on one shard file lose nothing."""
+    store, path = _one_file_store(tmp_path)
     workers = [
-        multiprocessing.Process(target=_hammer, args=(path, w * 20, 20))
+        multiprocessing.Process(target=_hammer,
+                                args=(store.root, w * 20, 20))
         for w in range(5)
     ]
     for proc in workers:
@@ -338,10 +349,11 @@ def test_cache_multiprocess_hammer(tmp_path):
     for proc in workers:
         proc.join(timeout=120)
     assert all(proc.exitcode == 0 for proc in workers)
-    entries = ResultCache(path).load_all()
+    entries = open_cache(store.root).load_all()
     assert len(entries) == 100
     for i in range(100):
         assert entries[f"key-{i}"] == {"value": i}
-    data = json.loads(open(path).read())  # never a torn file
+    data = json.loads(path.read_text())  # never a torn file
     assert data["schema"] == SCHEMA_VERSION
-    assert not list(tmp_path.glob("*.corrupt.*"))
+    assert len(data["entries"]) == 100
+    assert not list(path.parent.glob("*.corrupt.*"))

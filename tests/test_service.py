@@ -31,9 +31,8 @@ SMALL = dict(measure_instructions=250, warmup_instructions=80)
 @pytest.fixture(autouse=True)
 def clean_state(monkeypatch):
     for var in ("REPRO_SCALE", "REPRO_FULL", "REPRO_JOBS", "REPRO_CACHE",
-                "REPRO_CACHE_SHARDS", "REPRO_SERVICE",
-                "REPRO_SERVICE_WORKERS", "REPRO_CHECKPOINT",
-                "REPRO_RESUME"):
+                "REPRO_SERVICE", "REPRO_SERVICE_WORKERS",
+                "REPRO_CHECKPOINT", "REPRO_RESUME"):
         monkeypatch.delenv(var, raising=False)
     saved = dict(experiment._memo)
     experiment._memo.clear()

@@ -1,4 +1,4 @@
-"""The sharded result store: routing, migration, multiprocess safety.
+"""The sharded result store: routing, the one way in, multiprocess safety.
 
 The hammer tests at the bottom are the acceptance gate of the store: N
 concurrent writer processes across M shards, one of them crashing while
@@ -14,13 +14,12 @@ import time
 
 import pytest
 
+from repro.config import ConfigError
 from repro.harness.cache import (
     DEFAULT_SHARDS,
     MANIFEST_NAME,
     QUARANTINE_KEEP,
-    ResultCache,
     ShardedCache,
-    migrate_legacy_file,
     open_cache,
     parse_spec_key,
     prune_quarantine,
@@ -31,7 +30,6 @@ from repro.harness.cache import (
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_SHARDS", raising=False)
 
 
 def _key(n_cores=16, variant="Baseline", workload="canneal", seed=1,
@@ -129,18 +127,32 @@ def test_manifest_anchors_geometry_over_requests(tmp_path):
         assert json.load(handle)["n_shards"] == 4
 
 
-def test_open_cache_picks_backend(tmp_path, monkeypatch):
-    plain = str(tmp_path / "cache.json")
-    assert isinstance(open_cache(plain), ResultCache)
-    assert isinstance(open_cache(str(tmp_path / "store") + os.sep),
-                      ShardedCache)
+def test_open_cache_picks_backend(tmp_path):
+    """One backend, however the path is spelled."""
     existing_dir = tmp_path / "dirstore"
     existing_dir.mkdir()
-    assert isinstance(open_cache(str(existing_dir)), ShardedCache)
-    monkeypatch.setenv("REPRO_CACHE_SHARDS", "8")
-    via_env = open_cache(str(tmp_path / "envstore"))
-    assert isinstance(via_env, ShardedCache)
-    assert via_env.n_shards == 8
+    for path in (str(tmp_path / "missing"), str(existing_dir)):
+        for spelling in (path, path + os.sep, path + "/"):
+            store = open_cache(spelling)
+            assert type(store) is ShardedCache
+            assert store.root == path
+    # an existing store's geometry comes from its manifest
+    ShardedCache(str(tmp_path / "small"), n_shards=2)
+    assert open_cache(str(tmp_path / "small") + os.sep).n_shards == 2
+
+
+def test_open_cache_rejects_a_regular_file_and_leaves_it_alone(tmp_path):
+    """A file at the store path is outside input: typed error, the file is
+    never read, moved or overwritten."""
+    path = tmp_path / "cache.json"
+    payload = json.dumps({"schema": 1, "entries": {_key(): {"v": 1}}})
+    path.write_text(payload)
+    for spelling in (str(path), str(path) + os.sep):
+        with pytest.raises(ConfigError, match="cache.json") as info:
+            open_cache(spelling)
+        assert info.value.setting == "cache"
+    assert path.read_text() == payload
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
 
 
 def test_open_cache_defaults_shard_count(tmp_path):
@@ -164,51 +176,6 @@ def test_corrupt_shard_is_quarantined_not_fatal(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Legacy-file migration.
-# ----------------------------------------------------------------------
-
-def test_migration_routes_good_and_quarantines_bad(tmp_path):
-    path = str(tmp_path / "cache.json")
-    legacy = ResultCache(path)
-    good = {_key(workload=f"wl{i}"): {"i": i} for i in range(4)}
-    bad = {"garbage-key": {"old": 1},
-           "16/gone_variant/fft/1/100/10": {"old": 2}}
-    legacy.store_many(dict(good, **bad))
-
-    store = open_cache(path, n_shards=4)
-    assert isinstance(store, ShardedCache)
-    assert os.path.isdir(path)
-    assert store.load_all() == good
-    # The legacy file survives as an escape hatch...
-    backup = ResultCache(path + ".migrated").load_all()
-    assert set(backup) == set(good) | set(bad)
-    # ...and the unparseable entries are quarantined inside the store.
-    quarantined = [n for n in os.listdir(path)
-                   if n.startswith("quarantined-keys.")]
-    assert len(quarantined) == 1
-    with open(os.path.join(path, quarantined[0])) as handle:
-        payload = json.load(handle)
-    assert payload["entries"] == bad
-    assert payload["reason"]
-
-
-def test_migration_is_idempotent(tmp_path):
-    path = str(tmp_path / "cache.json")
-    ResultCache(path).store(_key(), {"v": 1})
-    first = open_cache(path, n_shards=2)
-    second = open_cache(path, n_shards=2)
-    assert isinstance(second, ShardedCache)
-    assert first.load_all() == second.load_all() == {_key(): {"v": 1}}
-
-
-def test_migrate_legacy_file_direct_on_missing_file(tmp_path):
-    # Migrating a path that never existed just builds an empty store.
-    path = str(tmp_path / "cache.json")
-    store = migrate_legacy_file(path, n_shards=2)
-    assert store.load_all() == {}
-
-
-# ----------------------------------------------------------------------
 # Quarantine pruning.
 # ----------------------------------------------------------------------
 
@@ -223,16 +190,6 @@ def test_prune_quarantine_keeps_newest(tmp_path):
     # The newest (highest-mtime) files survive.
     assert f"cache.json.corrupt.1.{QUARANTINE_KEEP + 2}" in left
     assert "cache.json.corrupt.1.0" not in left
-
-
-def test_quarantine_entries_prunes_its_own_pile(tmp_path):
-    store = ShardedCache(str(tmp_path / "store"), n_shards=2)
-    for n in range(QUARANTINE_KEEP + 2):
-        path = store.quarantine_entries({"bad": {"n": n}}, "test")
-        os.utime(path, (n, n))
-    piles = [n for n in os.listdir(store.root)
-             if n.startswith("quarantined-keys.")]
-    assert len(piles) == QUARANTINE_KEEP
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +224,7 @@ def _crashing_writer(root, barrier):
     def crash_publish(self, entries):
         os._exit(17)
 
-    cache_mod.ResultCache._publish = crash_publish
+    cache_mod._ShardFile._publish = crash_publish
     store = cache_mod.ShardedCache(root, lock_timeout=120.0, lock_stale=1.0)
     barrier.wait()
     store.store(_key(n_cores=16, workload="wl0", seed=99), {"doomed": True})

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Full reproduction driver: regenerate every table and figure, both chip
-sizes, and dump the rendered report plus a JSON result cache.
+sizes, and dump the rendered report (results land in the REPRO_CACHE store).
 
 Usage:
     REPRO_SCALE=0.6 python tools/run_reproduction.py out/report.txt --jobs 4
@@ -12,10 +12,10 @@ assembles the identical results from the in-process memo.
 """
 
 import argparse
-import os
 import sys
 import time
 
+from repro import config
 from repro.harness import figures, parallel, render, tables
 from repro.harness.experiment import RunSpec, default_workloads
 from repro.sim.config import Variant
@@ -79,8 +79,7 @@ def main(argv=None) -> int:
         )
 
     emit(f"# Reactive Circuits reproduction report")
-    emit(f"# scale={os.environ.get('REPRO_SCALE', '1.0')} "
-         f"workloads={workloads}")
+    emit(f"# scale={config.resolve('scale')} workloads={workloads}")
     emit()
 
     emit("## Table 6 - router area savings")
