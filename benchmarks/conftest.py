@@ -47,21 +47,20 @@ def workloads() -> list:
 
 @pytest.fixture(scope="session", autouse=True)
 def parallel_prefetch():
-    """With REPRO_JOBS set, warm the memo for the whole benchmark matrix.
+    """With REPRO_JOBS or REPRO_SERVICE set, warm the memo for the whole
+    benchmark matrix.
 
     The specs the table/figure benchmarks need are all independent, so
-    they are computed across worker processes once up front; each
-    benchmark then assembles its numbers from memo hits.  Results are
-    bit-identical to serial execution (same specs, same seeds).
+    they are computed across worker processes (or the job daemon) once
+    up front; each benchmark then assembles its numbers from memo hits.
+    Results are bit-identical to serial execution (same specs, same
+    seeds).
     """
-    from repro.harness import figures, parallel
+    from repro import api
+    from repro.harness import figures
     from repro.harness.experiment import RunSpec
     from repro.sim.config import Variant
 
-    jobs = parallel.resolve_jobs()
-    if jobs <= 1:
-        yield
-        return
     variants = [Variant.BASELINE]
     for group in (figures.FIG6_VARIANTS, figures.FIG7_VARIANTS,
                   figures.FIG8_VARIANTS, figures.FIG9_VARIANTS,
@@ -74,5 +73,5 @@ def parallel_prefetch():
         for variant in variants
         for workload in bench_workloads()
     ]
-    parallel.run_specs(specs, jobs=jobs)
+    api.prefetch(specs)
     yield

@@ -44,6 +44,7 @@ __all__ = [
     "status",
     "results",
     "stream_metrics",
+    "prefetch",
     "run_matrix",
     "compare_variants",
     "map_tasks",
@@ -280,13 +281,25 @@ def run(spec: RunSpec, address: Optional[str] = None) -> RunResult:
 # Sweep helpers (the canonical homes; old spellings are shims).
 # ----------------------------------------------------------------------
 
-def _prefetch(specs: List[RunSpec], jobs: Optional[int],
-              safe: bool) -> None:
-    """Compute a batch through the active backend, seeding the memo."""
+def prefetch(specs: Iterable[RunSpec], jobs: Optional[int] = None,
+             safe: bool = False, echo=None) -> None:
+    """Compute a batch through the active backend, seeding the memo.
+
+    The shared daemon fleet in service mode, worker processes otherwise
+    (``jobs`` / ``REPRO_JOBS``; nothing to do when serial), so serial
+    assembly afterwards is all memo hits.  ``echo`` receives progress
+    lines; without ``safe`` a failed run raises.
+    """
     from repro.harness import parallel
 
+    specs = list(specs)
+    if not specs:
+        return
     backend = _backend()
     if backend is not _IN_PROCESS:
+        if echo is not None:
+            echo(f"submitting {len(specs)} spec(s) to the job daemon at "
+                 f"{backend.address}")
         batch = backend.results(backend.submit(specs))
         if not safe:
             for result in batch:
@@ -295,7 +308,7 @@ def _prefetch(specs: List[RunSpec], jobs: Optional[int],
                         f"{result.error_kind}: {result.error} "
                         f"(spec {result.spec_key})")
     elif parallel.resolve_jobs(jobs) > 1 and len(specs) > 1:
-        parallel.run_specs(specs, jobs=jobs, safe=safe)
+        parallel.run_specs(specs, jobs=jobs, safe=safe, echo=echo)
 
 
 def run_matrix(n_cores: int, variants: Iterable[Variant],
@@ -325,7 +338,7 @@ def run_matrix(n_cores: int, variants: Iterable[Variant],
         for variant in variants
         for workload in workloads
     ]
-    _prefetch(specs, jobs, safe=not fail_fast)
+    prefetch(specs, jobs, safe=not fail_fast)
     runner = (experiment.run_experiment if fail_fast
               else experiment.run_experiment_safe)
     out: Dict[Variant, Dict[str, RunResult]] = {}
@@ -360,7 +373,7 @@ def compare_variants(workload: str, n_cores: int = 16,
     variants = list(variants)
     specs = [RunSpec(n_cores, v, workload, seed)
              for v in [Variant.BASELINE] + variants]
-    _prefetch(specs, jobs, safe=False)
+    prefetch(specs, jobs)
     base = experiment.run_experiment(
         RunSpec(n_cores, Variant.BASELINE, workload, seed))
     out: Dict[str, Dict[str, float]] = {}

@@ -385,21 +385,12 @@ def _prefetch(names, args, jobs: int) -> None:
         for variant in variants
         for workload in _workloads(args)
     ]
-    if len(specs) <= 1:
-        return
     from repro import api
 
-    if api.service_address():
-        # Daemon mode: the shared fleet computes (and dedups) the batch;
-        # results() seeds the memo for the serial rendering below.
-        print(f"submitting {len(specs)} spec(s) to the job daemon at "
-              f"{api.service_address()}", file=sys.stderr, flush=True)
-        api.results(api.submit(specs))
-    else:
-        parallel.run_specs(
-            specs, jobs=jobs,
-            echo=lambda msg: print(msg, file=sys.stderr, flush=True),
-        )
+    api.prefetch(
+        specs, jobs=jobs, safe=not repro_config.resolve("failfast"),
+        echo=lambda msg: print(msg, file=sys.stderr, flush=True),
+    )
 
 
 def main(argv=None) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro import config as repro_config
@@ -253,8 +254,8 @@ def _assemble_result(spec: RunSpec, key: str, config: SystemConfig,
                      stats: Stats, exec_cycles: int) -> RunResult:
     """Measured stats -> the flattened RunResult the figures consume.
 
-    Shared by the single-process engine and the sharded engine
-    (:mod:`repro.sim.shard`) so both produce byte-identical results.
+    Every engine's stats pass through here, so results are
+    byte-identical whichever one ran.
     """
     energy = network_energy(config, stats, exec_cycles)
     means = {k: m.mean for k, m in stats.means.items()}
@@ -328,6 +329,87 @@ def _resolved_shards(spec: RunSpec, config: SystemConfig) -> int:
     return shards
 
 
+def _run_sharded(spec: RunSpec, key: str, config: SystemConfig,
+                 shards: int):
+    """The sharded engine -> ``(stats, start_cycle, finish_cycle)``."""
+    from repro.sim.shard import has_snapshots, run_sharded
+
+    ckpt_kwargs = {}
+    interval = _checkpoint_interval(config)
+    if interval:
+        # A persistent directory lets a killed *coordinator* be
+        # resumed; without one the engine still self-heals worker
+        # deaths via a private temporary directory.
+        directory = _checkpoint_dir(key)
+        ckpt_kwargs = dict(
+            checkpoint_dir=directory, checkpoint_interval=interval,
+            resume=repro_config.resolve("resume")
+            and has_snapshots(directory))
+    sharded = run_sharded(
+        config, spec.workload, spec.warmup_instructions,
+        spec.measure_instructions, n_shards=shards,
+        check=repro_config.resolve("check"),
+        check_interval=_check_interval(),
+        **ckpt_kwargs,
+    )
+    return sharded.stats, sharded.start_cycle, sharded.finish_cycle
+
+
+def _run_local(spec: RunSpec, key: str, config: SystemConfig):
+    """The single-process engine -> ``(stats, start_cycle, finish_cycle)``.
+
+    Plain, checkpointing and resumed runs are one call of
+    :meth:`~repro.system.CmpSystem.run_script`; they differ in whether a
+    checkpoint policy is passed and where the system comes from.
+    Observed runs never checkpoint - instruments hold live object
+    references that cannot be restored.
+    """
+    policy = run_state = None
+    interval = 0 if spec.observed else _checkpoint_interval(config)
+    if interval:
+        from repro.sim.checkpoint import CheckpointPolicy, fingerprint
+
+        policy = CheckpointPolicy(
+            _checkpoint_dir(key), interval,
+            fingerprint(config, spec.workload, spec.warmup_instructions,
+                        spec.measure_instructions),
+        )
+    if policy is not None and repro_config.resolve("resume") \
+            and policy.has_checkpoint():
+        data = policy.restore()
+        system, run_state = data["system"], data["run"]
+    else:
+        system = build_system(config, workload_by_name(spec.workload))
+    if repro_config.resolve("check"):
+        from repro.validate import InvariantMonitor
+
+        InvariantMonitor(
+            system.network, system=system, interval=_check_interval()
+        ).attach(system.sim)
+    # Telemetry attaches where measurement starts: warm-up ends with a
+    # stats reset, which would corrupt the interval-delta probes.
+    telem = Telemetry(spec.telemetry) if spec.observed else None
+    try:
+        start, finish = system.run_script(
+            spec.warmup_instructions, spec.measure_instructions, policy,
+            run_state=run_state,
+            at_measure=partial(telem.attach, system) if telem else None,
+        )
+    finally:
+        if telem is not None:
+            telem.detach()
+    if policy is not None:
+        policy.discard()  # completed: recovery data is moot
+    if telem is not None:
+        global _last_telemetry
+        _last_telemetry = {
+            "telemetry": telem,
+            "paths": telem.export(spec.label()),
+            "spec_key": key,
+        }
+    return system.stats, start, finish
+
+
 def run_experiment(spec: RunSpec) -> RunResult:
     """Simulate one configuration (memoised per process and on disk).
 
@@ -371,117 +453,10 @@ def run_experiment(spec: RunSpec) -> RunResult:
                                              topology=spec.topology))
     shards = _resolved_shards(spec, config)
     if shards > 1:
-        from repro.sim.shard import _SNAPSHOT_RE, run_sharded
-
-        ckpt_kwargs = {}
-        interval = _checkpoint_interval(config)
-        if interval:
-            # A persistent directory lets a killed *coordinator* be
-            # resumed; without one the engine still self-heals worker
-            # deaths via a private temporary directory.
-            directory = _checkpoint_dir(key)
-            resume = repro_config.resolve("resume") \
-                and os.path.isdir(directory) \
-                and any(_SNAPSHOT_RE.match(name)
-                        for name in os.listdir(directory))
-            ckpt_kwargs = dict(checkpoint_dir=directory,
-                               checkpoint_interval=interval, resume=resume)
-        sharded = run_sharded(
-            config, spec.workload, spec.warmup_instructions,
-            spec.measure_instructions, n_shards=shards,
-            check=repro_config.resolve("check"),
-            check_interval=_check_interval(),
-            **ckpt_kwargs,
-        )
-        result = _assemble_result(spec, key, config, sharded.stats,
-                                  sharded.exec_cycles)
-        _memo[key] = result
-        _store_disk(result)
-        return result
-
-    interval = 0 if spec.observed else _checkpoint_interval(config)
-    if interval:
-        # Checkpointed single-process run: phase-for-phase equivalent of
-        # the plain path below, so results (and cache entries) are
-        # bit-identical.  Observed runs never checkpoint - instruments
-        # hold live object references that cannot be restored.
-        from repro.sim.checkpoint import (
-            CheckpointPolicy,
-            fingerprint,
-            read_checkpoint,
-            restore_system,
-            resume_checkpointed,
-            run_checkpointed,
-        )
-
-        policy = CheckpointPolicy(
-            _checkpoint_dir(key), interval,
-            fingerprint(config, spec.workload, spec.warmup_instructions,
-                        spec.measure_instructions),
-        )
-        if repro_config.resolve("resume") and policy.has_checkpoint():
-            _header, payload = read_checkpoint(
-                policy.path, kind="run", config_hash=policy.config_hash
-            )
-            data = restore_system(payload)
-            system = data["system"]
-            if repro_config.resolve("check"):
-                from repro.validate import InvariantMonitor
-
-                InvariantMonitor(
-                    system.network, system=system,
-                    interval=_check_interval(),
-                ).attach(system.sim)
-            start, finish = resume_checkpointed(system, data["run"], policy)
-        else:
-            system = build_system(config, workload_by_name(spec.workload))
-            if repro_config.resolve("check"):
-                from repro.validate import InvariantMonitor
-
-                InvariantMonitor(
-                    system.network, system=system,
-                    interval=_check_interval(),
-                ).attach(system.sim)
-            start, finish = run_checkpointed(
-                system, spec.warmup_instructions,
-                spec.measure_instructions, policy,
-            )
-        policy.discard()  # completed: recovery data is moot
-        result = _assemble_result(spec, key, config, system.stats,
-                                  finish - start)
-        _memo[key] = result
-        _store_disk(result)
-        return result
-
-    system = build_system(config, workload_by_name(spec.workload))
-    if repro_config.resolve("check"):
-        from repro.validate import InvariantMonitor
-
-        InvariantMonitor(
-            system.network, system=system, interval=_check_interval()
-        ).attach(system.sim)
-    if spec.warmup_instructions:
-        system.warmup(spec.warmup_instructions)
-    telem: Optional[Telemetry] = None
-    if spec.observed:
-        # After warmup: warmup ends with a stats reset, which would
-        # corrupt the interval-delta probes.
-        telem = Telemetry(spec.telemetry).attach(system)
-    start = system.sim.cycle
-    try:
-        finish = system.run_instructions(spec.measure_instructions)
-    finally:
-        if telem is not None:
-            telem.detach()
-    if telem is not None:
-        global _last_telemetry
-        _last_telemetry = {
-            "telemetry": telem,
-            "paths": telem.export(spec.label()),
-            "spec_key": key,
-        }
-    result = _assemble_result(spec, key, config, system.stats,
-                              finish - start)
+        stats, start, finish = _run_sharded(spec, key, config, shards)
+    else:
+        stats, start, finish = _run_local(spec, key, config)
+    result = _assemble_result(spec, key, config, stats, finish - start)
     _memo[key] = result
     _store_disk(result)
     return result
@@ -498,16 +473,14 @@ def run_experiment_safe(spec: RunSpec) -> RunResult:
     """
     from repro.sim.kernel import SimulationError
 
-    # scaled() is not idempotent, so the key is computed on a scaled
-    # copy while run_experiment (which scales internally) receives the
-    # original spec -- otherwise REPRO_SCALE would be applied twice.
-    scaled = spec.scaled()
-    key = scaled.key()
-    if key in _memo:
-        return _memo[key]
     try:
         return run_experiment(spec)
     except SimulationError as exc:
+        # run_experiment scales internally and scaled() is not
+        # idempotent, so it received the original spec; the failure
+        # record is keyed like the result it stands in for.
+        scaled = spec.scaled()
+        key = scaled.key()
         result = RunResult(
             spec_key=key,
             n_cores=scaled.n_cores,

@@ -3,12 +3,16 @@
 A checkpoint is a pickle of the *entire* live object graph - kernel wake
 heap and awake set, RNG streams, router/NI/coherence/driver state,
 batched :class:`~repro.sim.stats.Stats` counters, in-flight messages -
-plus a small run-state dict recording where the phase script (warmup ->
-drain -> measure) stood.  Restoring unpickles the graph and re-creates
-the wiring closures, then run control re-enters the interrupted phase at
-the exact ``run_until`` chunk boundary the checkpoint was taken on, so a
-resumed run is bit-identical (stats, histograms, finish cycle) to an
-uninterrupted one.
+plus the run-state record saying where the run script stood.  This
+module owns the snapshot (capture, file format, restore) and *when* one
+is taken; the script itself - warm-up -> drain -> measure - is
+:func:`repro.system.run_phases`, the same driver every engine walks.
+Restoring unpickles the graph and re-creates the wiring closures;
+handing the restored system and record back to
+:meth:`repro.system.CmpSystem.run_script` re-enters the interrupted
+phase at the exact ``run_until`` chunk boundary the checkpoint was taken
+on, so a resumed run is bit-identical (stats, histograms, finish cycle)
+to an uninterrupted one.
 
 Why pickling the graph is safe here:
 
@@ -40,10 +44,11 @@ Capture points and bit-identity: ``run_until(done, ...)`` evaluates
 ``done()`` on exact ``check_interval`` boundaries relative to the phase
 start (the *anchor*).  :class:`CheckpointWatchdog` therefore only
 captures on those boundaries (its ``next_due`` also keeps the kernel's
-quiet-gap fast-forward exact), and resumed run control re-derives the
-remaining chunk boundaries from the same anchor - the resumed schedule
-of ``done()`` checks, watchdog hooks and component ticks is identical to
-the uninterrupted run's.
+quiet-gap fast-forward exact), so ``run_until`` restarted from a
+restored cycle towards the recorded absolute deadline walks the same
+remaining chunk boundaries - the resumed schedule of ``done()`` checks,
+watchdog hooks and component ticks is identical to the uninterrupted
+run's.
 """
 
 from __future__ import annotations
@@ -63,15 +68,11 @@ from typing import Callable, Optional, Tuple
 from repro import config as repro_config
 from repro.sim.kernel import SimulationError
 
-#: On-disk layout version; bump on incompatible change.
-SCHEMA_VERSION = 1
+#: On-disk layout version; bump on incompatible change (2: the pickled
+#: ``run`` record is the one :func:`repro.system.new_run_state` builds).
+SCHEMA_VERSION = 2
 
 MAGIC = b"RPROCKPT"
-
-#: Default deadline for an instruction phase (mirrors run_instructions).
-MAX_RUN_CYCLES = 50_000_000
-#: Default deadline for the post-warmup drain (mirrors CmpSystem.drain).
-DRAIN_CYCLES = 2_000_000
 
 
 class CheckpointError(SimulationError):
@@ -196,7 +197,13 @@ def restore_system(blob: bytes) -> dict:
             "checkpoint payload is not a system capture"
         )
     import repro.noc.flit as flit_mod
+    from repro.system import PHASES
 
+    phase = data["run"].get("phase")
+    if phase not in PHASES:
+        raise CorruptCheckpointError(
+            f"checkpoint records unknown phase {phase!r}"
+        )
     flit_mod._msg_ids = data["msg_ids"]
     system = data["system"]
     system.reattach()
@@ -383,7 +390,7 @@ class CheckpointWatchdog:
 
 
 # ----------------------------------------------------------------------
-# Phase-scripted run control (single-process engine).
+# Where one single-process run keeps its checkpoint.
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -401,6 +408,12 @@ class CheckpointPolicy:
     def has_checkpoint(self) -> bool:
         return os.path.exists(self.path)
 
+    def restore(self) -> dict:
+        """Validated :func:`restore_system` of this run's checkpoint."""
+        _header, payload = read_checkpoint(self.path, kind="run",
+                                           config_hash=self.config_hash)
+        return restore_system(payload)
+
     def discard(self) -> None:
         """Remove this run's checkpoint artifacts (called on success)."""
         if not os.path.isdir(self.directory):
@@ -415,107 +428,3 @@ class CheckpointPolicy:
             os.rmdir(self.directory)
         except OSError:
             pass  # foreign files or shared directory: leave it
-
-
-def _arm_phase(system, run_state: dict, watchdog: CheckpointWatchdog,
-               phase: str, deadline_cycles: int, check_interval: int) -> None:
-    cycle = system.sim.cycle
-    run_state.update(phase=phase, anchor=cycle,
-                     deadline=cycle + deadline_cycles, ci=check_interval)
-    watchdog.set_phase(cycle, check_interval)
-
-
-def run_checkpointed(system, warmup_instructions: int,
-                     measure_instructions: int, policy: CheckpointPolicy,
-                     max_measure_cycles: Optional[int] = None,
-                     keep_history: bool = False) -> Tuple[int, int]:
-    """Run the standard warmup+measure script with periodic checkpoints.
-
-    Phase-for-phase equivalent of ``system.warmup(...)`` followed by
-    ``system.run_instructions(...)`` - same targets, same deadlines, same
-    check intervals - so results are bit-identical to the plain path.
-    Returns ``(start_cycle, finish_cycle)``.
-    """
-    max_measure = max_measure_cycles or MAX_RUN_CYCLES
-    run_state = {
-        "phase": None, "start": None,
-        "warmup": warmup_instructions, "measure": measure_instructions,
-        "max_measure_cycles": max_measure,
-    }
-    watchdog = CheckpointWatchdog(system, run_state, policy.path,
-                                  policy.interval, policy.config_hash)
-    watchdog.keep_history = keep_history
-    sim = system.sim
-    sim.add_watchdog(watchdog)
-    try:
-        if warmup_instructions:
-            system.functional_prewarm()
-            for core in system.cores:
-                core.set_target(warmup_instructions)
-            _arm_phase(system, run_state, watchdog, "warmup",
-                       MAX_RUN_CYCLES, 64)
-            system.continue_instructions(run_state["deadline"])
-            _arm_phase(system, run_state, watchdog, "drain",
-                       DRAIN_CYCLES, 16)
-            system.continue_drain(run_state["deadline"])
-            system.stats.reset()
-        start = sim.cycle
-        run_state["start"] = start
-        for core in system.cores:
-            core.set_target(measure_instructions)
-        _arm_phase(system, run_state, watchdog, "measure", max_measure, 64)
-        finish = system.continue_instructions(run_state["deadline"])
-    finally:
-        sim.remove_watchdog(watchdog)
-    return start, finish
-
-
-def resume_checkpointed(system, run_state: dict, policy: CheckpointPolicy,
-                        keep_history: bool = False) -> Tuple[int, int]:
-    """Re-enter the phase script of a restored system mid-phase.
-
-    ``system``/``run_state`` come from :func:`restore_system` on
-    ``policy.path``.  The interrupted phase continues to its original
-    absolute deadline with chunk boundaries re-derived from the original
-    anchor, then the remaining phases run exactly as a fresh run would -
-    so the resumed run's stats, histograms and finish cycle are
-    bit-identical to an uninterrupted run.  Returns
-    ``(start_cycle, finish_cycle)``.
-    """
-    watchdog = CheckpointWatchdog(system, run_state, policy.path,
-                                  policy.interval, policy.config_hash)
-    watchdog.keep_history = keep_history
-    sim = system.sim
-    phase = run_state["phase"]
-    if phase not in ("warmup", "drain", "measure"):  # pragma: no cover
-        raise CorruptCheckpointError(
-            f"checkpoint records unknown phase {phase!r}"
-        )
-    watchdog.set_phase(run_state["anchor"], run_state["ci"],
-                       from_cycle=sim.cycle)
-    sim.add_watchdog(watchdog)
-    try:
-        if phase == "warmup":
-            system.continue_instructions(run_state["deadline"])
-            _arm_phase(system, run_state, watchdog, "drain",
-                       DRAIN_CYCLES, 16)
-            system.continue_drain(run_state["deadline"])
-            system.stats.reset()
-            phase = None
-        elif phase == "drain":
-            system.continue_drain(run_state["deadline"])
-            system.stats.reset()
-            phase = None
-        if phase is None:
-            start = sim.cycle
-            run_state["start"] = start
-            for core in system.cores:
-                core.set_target(run_state["measure"])
-            _arm_phase(system, run_state, watchdog, "measure",
-                       run_state["max_measure_cycles"], 64)
-        else:
-            start = run_state["start"]
-        finish = system.continue_instructions(run_state["deadline"])
-    finally:
-        sim.remove_watchdog(watchdog)
-    return start, finish

@@ -33,6 +33,15 @@ Determinism / bit-identity argument (gated by
   shard index (all summed quantities are integer-valued, so merged
   means/histograms are exact).
 
+Run control: every worker walks the same warm-up -> drain -> measure
+script as a single process - :func:`repro.system.run_phases` over its
+local cores - and supplies only how one armed phase executes here: the
+windowed barrier loop ``_ShardWorker._run_phase``, whose end-of-phase
+vote is the phase's own predicate (``CmpSystem.phase_done``; plus, for a
+drain, a veto while this shard has flits in transit between processes)
+AND-reduced by the coordinator.  Deadlines, check cadences and the stall window come from
+the one phase table in :mod:`repro.system`.
+
 Message identity across the wire: flits are pickled per destination
 batch, and the receiver canonicalises unpickled copies by ``uid`` (each
 worker draws uids from a disjoint range) so all flits of one message
@@ -65,6 +74,7 @@ resume=True)`` restarts the whole run from it with empty replay logs.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -86,14 +96,12 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.kernel import DeadlockError, SimulationError
 from repro.sim.stats import Stats
+from repro.system import PHASES, CmpSystem, Phase, new_run_state, run_phases
 
-#: Single-process ``run_until`` cadences the barriers must subdivide:
-#: 64 for run_instructions, 16 for drain (both divisible by 16).
-_BASE_INTERVAL = 16
-
-#: Progress-stall window for the coordinator's global deadlock watchdog
-#: (mirrors CmpSystem.run_instructions' ProgressWatchdog default).
-_WATCHDOG_WINDOW = 500_000
+#: Barriers must land on every phase's ``run_until`` check boundaries,
+#: so the window divides all of the script's check cadences.
+_BASE_INTERVAL = math.gcd(*(phase.check_interval
+                            for phase in PHASES.values()))
 
 #: Recovery-snapshot cadence (simulated cycles) when neither
 #: ``checkpoint_interval`` nor config/environment specify one.
@@ -123,13 +131,13 @@ def shard_window(link_latency: int) -> int:
     """Barrier window width for a given boundary-link latency.
 
     The safe lookahead is ``link_latency + 1`` cycles (send at ``t`` ->
-    due ``t + 1 + latency``).  The window must also divide the
-    single-process check intervals (16 and 64) so barriers land exactly
-    on ``run_until`` chunk boundaries; we take the largest divisor of 16
-    not exceeding the lookahead.
+    due ``t + 1 + latency``).  The window must also divide every phase's
+    check interval so barriers land exactly on ``run_until`` chunk
+    boundaries; we take the largest such divisor not exceeding the
+    lookahead.
     """
-    for width in (16, 8, 4, 2, 1):
-        if width <= link_latency + 1 and _BASE_INTERVAL % width == 0:
+    for width in range(min(link_latency + 1, _BASE_INTERVAL), 0, -1):
+        if _BASE_INTERVAL % width == 0:
             return width
     raise AssertionError("unreachable: 1 always qualifies")
 
@@ -254,85 +262,67 @@ class _ShardWorker:
     """One band of the mesh, simulated in this process."""
 
     def __init__(self, conn, params: dict, index: int,
+                 snapshot_path: Optional[str] = None,
                  replay: Optional[list] = None,
                  chaos: Optional[dict] = None) -> None:
+        """A fresh worker, or one rebuilt from ``snapshot_path`` (respawn /
+        coordinator resume): the two differ only in where the system,
+        the script position and the reassembly table come from."""
         self.conn = conn
         self.index = index
         self.params = params
         self.window = params["window"]
         self._chaos = chaos
         self._replay = list(replay or [])
-        self._seq = 0          # next barrier sequence number
-        self._snap_seq = 0     # seq of the last durable snapshot (0 = none)
-
-        # Disjoint uid ranges per shard: uids are only compared for
-        # equality (reassembly maps, circuit keys), never ordered, so
-        # the offset cannot affect simulated behaviour.
-        import repro.noc.flit as flit_mod
-
-        flit_mod._msg_ids = itertools.count(index << 48)
-
-        from repro.cpu.workloads import workload_by_name
-        from repro.system import CmpSystem
-
+        self._parent_pid = os.getppid()
         assignment = params["assignment"]
         local = frozenset(
             node for node, shard in enumerate(assignment) if shard == index
         )
-        self.system = CmpSystem(
-            params["config"],
-            workload_by_name(params["workload"]),
-            local_nodes=local,
-        )
+        if snapshot_path is None:
+            # Disjoint uid ranges per shard: uids are only compared for
+            # equality (reassembly maps, circuit keys), never ordered, so
+            # the offset cannot affect simulated behaviour.
+            import repro.noc.flit as flit_mod
+
+            flit_mod._msg_ids = itertools.count(index << 48)
+
+            from repro.cpu.workloads import workload_by_name
+
+            self.system = CmpSystem(
+                params["config"],
+                workload_by_name(params["workload"]),
+                local_nodes=local,
+            )
+            self.system.network.shard_flits_imported = 0
+            self.system.network.shard_flits_exported = 0
+            #: uid -> [canonical Message, flits seen] for in-flight imports.
+            self._canon: Dict[int, list] = {}
+            #: Script position; snapshotted alongside the system so a
+            #: respawned replacement re-enters the interrupted phase
+            #: exactly.  ``next_seq`` numbers the next barrier.
+            self._run_state = new_run_state(
+                params["warmup_instructions"],
+                params["measure_instructions"],
+                max_measure_cycles=params["max_measure_cycles"],
+            )
+            self._run_state["next_seq"] = 0
+        else:
+            _header, payload = read_checkpoint(
+                snapshot_path, kind="shard",
+                config_hash=params["config_hash"]
+            )
+            data = restore_system(payload)  # also reinstalls flit uid stream
+            self.system = data["system"]
+            self._canon = data["canon"]
+            self._run_state = data["run"]
         self.net = self.system.network
-        self.net.shard_flits_imported = 0
-        self.net.shard_flits_exported = 0
-
-        #: uid -> [canonical Message, flits seen] for in-flight imports.
-        self._canon: Dict[int, list] = {}
-        #: Phase-script position; snapshotted alongside the system so a
-        #: respawned replacement re-enters the interrupted phase exactly.
-        self._run_state: dict = {"phase": None, "start": None}
-        self._finish_setup()
-
-    @classmethod
-    def restored(cls, conn, params: dict, index: int, snapshot_path: str,
-                 replay: Optional[list] = None,
-                 chaos: Optional[dict] = None) -> "_ShardWorker":
-        """Rebuild a worker from its snapshot (respawn / coordinator resume)."""
-        worker = cls.__new__(cls)
-        worker.conn = conn
-        worker.index = index
-        worker.params = params
-        worker.window = params["window"]
-        worker._chaos = chaos
-        worker._replay = list(replay or [])
-        _header, payload = read_checkpoint(
-            snapshot_path, kind="shard", config_hash=params["config_hash"]
-        )
-        data = restore_system(payload)  # also reinstalls flit uid stream
-        worker.system = data["system"]
-        worker.net = worker.system.network
-        worker._canon = data["canon"]
-        worker._run_state = data["run"]
-        worker._seq = worker._run_state["next_seq"]
-        worker._snap_seq = worker._run_state["next_seq"]
-        worker._finish_setup()
-        return worker
-
-    def _finish_setup(self) -> None:
-        """Wiring shared by fresh construction and snapshot restore."""
-        params = self.params
-        assignment = params["assignment"]
-        local = frozenset(
-            node for node, shard in enumerate(assignment)
-            if shard == self.index
-        )
+        self._seq = self._run_state["next_seq"]  # next barrier sequence number
+        self._snap_seq = self._seq  # seq of the last durable snapshot (0 = none)
         self.local_cores = [
             tile.core for tile in self.system.tiles
             if tile.core is not None and tile.node in local
         ]
-        self._parent_pid = os.getppid()
         self.monitor = None
         if params["check"]:
             from repro.validate.invariants import InvariantMonitor
@@ -451,7 +441,7 @@ class _ShardWorker:
         if imported:
             self.net.shard_flits_imported += imported
 
-    def _barrier(self, flag_fn=None, wd: bool = False) -> Optional[bool]:
+    def _barrier(self, flag_fn=None, wd: int = 0) -> Optional[bool]:
         """Exchange boundary traffic with every other shard.
 
         ``flag_fn(exported)`` - evaluated after the harvest, before the
@@ -558,45 +548,9 @@ class _ShardWorker:
             except OSError:  # pragma: no cover - concurrent cleanup
                 pass
 
-    # -- run control (mirrors Simulator.run_until globally) ------------
-    def _flag_fn(self, phase: str):
-        """Barrier vote for a phase (derived, never stored: closures
-        cannot ride in a snapshot)."""
-        if phase in ("warmup", "measure"):
-            cores = self.local_cores
-
-            def done(_exported: int) -> bool:
-                return all(core.done for core in cores)
-
-            return done
-        system = self.system
-
-        def idle(exported: int) -> bool:
-            # Flits harvested this very barrier are in transit between
-            # processes and invisible to both censuses; the sender (us)
-            # vetoes idleness for them.  A single process would have
-            # counted them on the boundary link via in_flight().
-            if exported:
-                return False
-            if system.network.in_flight():
-                return False
-            return all(
-                not tile.l1.busy() and not tile.l2.busy()
-                and (tile.mc is None or not tile.mc.busy())
-                for tile in system.tiles
-            )
-
-        return idle
-
-    def _arm(self, phase: str, max_cycles: int, check_interval: int,
-             wd: bool) -> None:
-        cycle = self.system.sim.cycle
-        self._run_state.update(
-            phase=phase, anchor=cycle, deadline=cycle + max_cycles,
-            ci=check_interval, wd=wd,
-        )
-
-    def _run_phase(self, resume: bool = False) -> None:
+    # -- run control: this engine's half of repro.system.run_phases -----
+    def _run_phase(self, phase: Phase, run_state: dict,
+                   resumed: bool = False) -> None:
         """Global ``run_until``: advance in windows, AND-reduce the vote.
 
         Flags are exchanged at exactly the cycles a single-process
@@ -604,22 +558,34 @@ class _ShardWorker:
         ``done()`` - on entry and after every chunk - so completion
         cycles are bit-identical.
 
-        ``resume`` re-enters mid-phase after a snapshot restore.  The
+        ``resumed`` re-enters mid-phase after a snapshot restore.  The
         snapshot was taken at a barrier whose reply was already applied,
         so the position is unambiguous: on a chunk boundary (offset 0
         from the anchor) the next step is the outer loop; mid-chunk, the
         partial chunk is finished first - with the original clamped end,
         so the remaining barrier schedule is identical.
         """
-        run_state = self._run_state
-        sim = self.system.sim
+        system = self.system
+        sim = system.sim
         window = self.window
-        flag_fn = self._flag_fn(run_state["phase"])
         ci = run_state["ci"]
-        wd = run_state["wd"]
+        # The phase's stall window rides on every barrier (0 = unwatched)
+        # for the coordinator's global progress watchdog.
+        wd = phase.watchdog
         deadline = run_state["deadline"]
         anchor = run_state["anchor"]
-        if resume:
+        cores = self.local_cores
+
+        def vote(exported: int) -> bool:
+            # Flits harvested this very barrier are in transit between
+            # processes and invisible to both censuses; the sender (us)
+            # vetoes idleness for them.  A single process would have
+            # counted them on the boundary link via in_flight().
+            if exported and phase.until_idle:
+                return False
+            return system.phase_done(phase, cores)
+
+        if resumed:
             offset = (sim.cycle - anchor) % ci
             if offset:
                 chunk = min(sim.cycle + (ci - offset), deadline)
@@ -628,9 +594,9 @@ class _ShardWorker:
                     if sim.cycle >= chunk:
                         break
                     self._barrier(None, wd)
-                if self._barrier(flag_fn, wd):
+                if self._barrier(vote, wd):
                     return
-        elif self._barrier(flag_fn, wd):
+        elif self._barrier(vote, wd):
             return
         while sim.cycle < deadline:
             chunk = min(sim.cycle + ci, deadline)
@@ -639,83 +605,44 @@ class _ShardWorker:
                 if sim.cycle >= chunk:
                     break
                 self._barrier(None, wd)
-            if self._barrier(flag_fn, wd):
+            if self._barrier(vote, wd):
                 return
         raise DeadlockError(
             f"simulation did not complete within {deadline - anchor} cycles",
             cycle=sim.cycle,
         )
 
+    def _at_measure(self) -> None:
+        """Measurement starts: the transfer counters restart with the
+        statistics they are balanced against."""
+        self.net.shard_flits_imported = 0
+        self.net.shard_flits_exported = 0
+        self._cpu_measure = time.process_time()
+
     def run(self) -> dict:
-        params = self.params
         system = self.system
-        cpu_start = time.process_time()
-        run_state = self._run_state
-        # Phase script mirrors run_experiment: warmup() (functional
-        # prewarm + timing warmup + drain + stats reset) only when a
-        # warmup quantum was requested, then the measured phase.  A
-        # restored worker re-enters the snapshotted phase instead.
-        resume = run_state["phase"] is not None
-        if not resume:
-            if params["warmup_instructions"]:
-                system.functional_prewarm()
-                for core in self.local_cores:
-                    core.set_target(params["warmup_instructions"])
-                self._arm("warmup", 50_000_000, 64, wd=True)
-            else:
-                self._arm_measure()
-        if run_state["phase"] == "warmup":
-            try:
-                self._run_phase(resume=resume)
-            finally:
-                system.stats.flush()
-            resume = False
-            self._arm("drain", 2_000_000, 16, wd=False)
-        if run_state["phase"] == "drain":
-            try:
-                self._run_phase(resume=resume)
-            finally:
-                system.stats.flush()
-            resume = False
-            system.stats.reset()
-            self.net.shard_flits_imported = 0
-            self.net.shard_flits_exported = 0
-            self._arm_measure()
-        cpu_measure = time.process_time()
-        try:
-            self._run_phase(resume=resume)  # measure
-        finally:
-            system.stats.flush()
+        cpu_start = self._cpu_measure = time.process_time()
+        start, finish = run_phases(system, self._run_state, self._run_phase,
+                                   self.local_cores, self._at_measure)
         cpu_end = time.process_time()
         return {
             "stats": _stats_snapshot(system.stats),
-            "start": run_state["start"],
-            "finish": max(core.finish_cycle for core in self.local_cores),
+            "start": start,
+            "finish": finish,
             "end_cycle": system.sim.cycle,
             "cpu_seconds": cpu_end - cpu_start,
-            "cpu_seconds_measure": cpu_end - cpu_measure,
+            "cpu_seconds_measure": cpu_end - self._cpu_measure,
             "ticks_run": system.sim.ticks_run,
         }
-
-    def _arm_measure(self) -> None:
-        params = self.params
-        self._run_state["start"] = self.system.sim.cycle
-        for core in self.local_cores:
-            core.set_target(params["measure_instructions"])
-        self._arm("measure", params["max_measure_cycles"] or 50_000_000,
-                  64, wd=True)
 
 
 def _shard_worker_main(conn, params: dict, index: int,
                        restore: Optional[tuple] = None,
                        chaos: Optional[dict] = None) -> None:
     try:
-        if restore is not None and restore[0] is not None:
-            worker = _ShardWorker.restored(conn, params, index,
-                                           restore[0], restore[1], chaos)
-        else:
-            replay = restore[1] if restore is not None else None
-            worker = _ShardWorker(conn, params, index, replay, chaos)
+        snapshot_path, replay = restore or (None, None)
+        worker = _ShardWorker(conn, params, index, snapshot_path, replay,
+                              chaos)
         result = worker.run()
         conn.send(("done", result))
     except _ShardAborted:
@@ -976,6 +903,14 @@ def _find_resume_seq(directory: str, n_shards: int) -> int:
     )
 
 
+def has_snapshots(directory: str) -> bool:
+    """Whether ``directory`` holds anything ``resume=True`` could use."""
+    try:
+        return any(_SNAPSHOT_RE.match(name) for name in os.listdir(directory))
+    except OSError:
+        return False
+
+
 def _cleanup_snapshots(directory: str) -> None:
     try:
         names = os.listdir(directory)
@@ -1110,21 +1045,22 @@ def run_sharded(config, workload: str, warmup_instructions: int,
                 global_flag = None
             else:
                 global_flag = all(flags)
-            # Global deadlock watchdog, active while every shard runs an
-            # instruction phase (mirrors the single-process
-            # ProgressWatchdog at the coordinator level).  Window and
-            # chunk barriers both report progress during those phases,
-            # so the stall clock accumulates across rounds; only drain
-            # rounds (wd=False) pause it.
+            # Global deadlock watchdog, active while every shard runs a
+            # watched phase (the coordinator-level ProgressWatchdog; its
+            # window is the phase's, carried by the barriers).  Window
+            # and chunk barriers both report progress during those
+            # phases, so the stall clock accumulates across rounds; only
+            # drain rounds (wd=0) pause it.
+            stall_window = messages[0][6]
             if all(msg[6] for msg in messages):
                 progress = sum(msg[5] for msg in messages)
                 if watchdog_last is None or progress != watchdog_last[0]:
                     watchdog_last = (progress, cycle)
-                elif cycle - watchdog_last[1] >= _WATCHDOG_WINDOW:
+                elif cycle - watchdog_last[1] >= stall_window:
                     supervisor.abort_all(messages, "global progress stall")
                     raise DeadlockError(
                         f"no progress across {n_shards} shards for "
-                        f"{_WATCHDOG_WINDOW} cycles (cycle {cycle}, last "
+                        f"{stall_window} cycles (cycle {cycle}, last "
                         f"progress at cycle {watchdog_last[1]})",
                         cycle=cycle,
                         last_progress_cycle=watchdog_last[1],

@@ -9,7 +9,9 @@ and provides run/warmup/drain control for experiments.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.coherence.l1 import L1Controller
 from repro.coherence.l2dir import L2BankController
@@ -34,6 +36,111 @@ _L2_KINDS = frozenset({
     Kind.MEMORY_DATA, Kind.MEMORY_ACK,
 })
 _MC_KINDS = frozenset({Kind.MEM_READ, Kind.WB_L2})
+
+
+# ----------------------------------------------------------------------
+# The run script (paper sec. 5.1: warm the chip up, then measure), as
+# data.  Every engine - plain, checkpointed, resumed, sharded - walks
+# these three rows through :func:`run_phases`.
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Phase:
+    """One row of the run script."""
+
+    name: str
+    #: Cycle budget; the phase raises ``DeadlockError`` once it is spent.
+    deadline: int
+    #: Cadence (cycles from the phase's anchor) of the end-of-phase check.
+    check_interval: int
+    #: Progress-stall window in cycles (0 = the phase is not watched).
+    watchdog: int
+    #: Ends when network and controllers are idle; otherwise when every
+    #: core has retired its target.
+    until_idle: bool = False
+
+
+WARMUP = Phase("warmup", deadline=50_000_000, check_interval=64,
+               watchdog=500_000)
+DRAIN = Phase("drain", deadline=2_000_000, check_interval=16, watchdog=0,
+              until_idle=True)
+MEASURE = replace(WARMUP, name="measure")
+PHASES = {phase.name: phase for phase in (WARMUP, DRAIN, MEASURE)}
+
+
+def new_run_state(warmup_instructions: int,
+                  measure_instructions: Optional[int],
+                  max_warmup_cycles: Optional[int] = None,
+                  max_measure_cycles: Optional[int] = None) -> dict:
+    """Script position of a run that has not started.
+
+    ``phase``/``anchor``/``deadline``/``ci`` are filled in as phases are
+    armed; the record rides in every checkpoint, so a restored run
+    re-enters :func:`run_phases` exactly where it stood.
+    """
+    return {
+        "phase": None, "start": None,
+        "warmup": warmup_instructions, "measure": measure_instructions,
+        "max_warmup_cycles": max_warmup_cycles,
+        "max_measure_cycles": max_measure_cycles,
+    }
+
+
+def arm_phase(system: "CmpSystem", run_state: dict, phase: Phase,
+              cores: Sequence[Core] = (), target: int = 0,
+              max_cycles: Optional[int] = None) -> dict:
+    """Start ``phase`` at the current cycle: aim ``cores`` at ``target``
+    more instructions and record anchor, absolute deadline (the table's
+    budget unless ``max_cycles`` caps it) and check cadence."""
+    for core in cores:
+        core.set_target(target)
+    cycle = system.sim.cycle
+    run_state.update(phase=phase.name, anchor=cycle,
+                     deadline=cycle + (max_cycles or phase.deadline),
+                     ci=phase.check_interval)
+    return run_state
+
+
+def run_phases(system: "CmpSystem", run_state: dict,
+               execute: Callable[[Phase, dict, bool], None],
+               cores: Sequence[Core],
+               at_measure: Optional[Callable[[], None]] = None,
+               ) -> Tuple[Optional[int], Optional[int]]:
+    """Walk the script over ``run_state``: prewarm, warm-up, drain, stats
+    reset, mark ``start``, measure.  Returns ``(start, finish)`` cycles.
+
+    ``run_state`` is fresh (:func:`new_run_state`) or restored from a
+    checkpoint, in which case the script is re-entered in the recorded
+    phase.  ``execute(phase, run_state, resumed)`` is the one thing an
+    engine supplies: how an armed phase runs to its end-of-phase
+    predicate over ``cores`` (the shard worker passes its local ones).
+    ``at_measure`` runs once where measurement starts - after the stats
+    reset, before the first measured cycle.  A ``measure`` target of
+    None ends the script there (:meth:`CmpSystem.warmup`).
+    """
+    resumed = run_state["phase"] is not None
+    if not resumed and run_state["warmup"]:
+        system.functional_prewarm()
+        arm_phase(system, run_state, WARMUP, cores, run_state["warmup"],
+                  run_state["max_warmup_cycles"])
+    if run_state["phase"] == WARMUP.name:
+        execute(WARMUP, run_state, resumed)
+        resumed = False
+        arm_phase(system, run_state, DRAIN)
+    if run_state["phase"] == DRAIN.name:
+        execute(DRAIN, run_state, resumed)
+        resumed = False
+        system.stats.reset()
+    if run_state["measure"] is None:
+        return None, None
+    if not resumed:
+        if at_measure is not None:
+            at_measure()
+        run_state["start"] = system.sim.cycle
+        arm_phase(system, run_state, MEASURE, cores, run_state["measure"],
+                  run_state["max_measure_cycles"])
+    execute(MEASURE, run_state, resumed)
+    return run_state["start"], max(core.finish_cycle for core in cores)
 
 
 class Tile:
@@ -228,48 +335,103 @@ class CmpSystem:
         except Exception:  # pragma: no cover - diagnosis must not mask
             pass           # the original failure
 
-    def run_instructions(self, per_core: int, max_cycles: int = 50_000_000,
-                         watchdog_window: int = 500_000) -> int:
+    def phase_done(self, phase: Phase, cores: Sequence[Core]) -> bool:
+        """The end-of-phase predicate: every one of ``cores`` retired its
+        target, or - for a drain - no message is in flight and no
+        controller is busy."""
+        if not phase.until_idle:
+            return all(core.done for core in cores)
+        if self.network.in_flight():
+            return False
+        return all(
+            not tile.l1.busy() and not tile.l2.busy()
+            and (tile.mc is None or not tile.mc.busy())
+            for tile in self.tiles
+        )
+
+    def run_phase(self, phase: Phase, run_state: dict,
+                  resumed: bool = False) -> None:
+        """Execute one armed phase in this process (the local engine's
+        half of :func:`run_phases`): ``Simulator.run_until`` from the
+        current cycle to the phase's absolute deadline, under a
+        :class:`ProgressWatchdog` when the phase is watched.
+
+        A restored run needs nothing extra (``resumed`` is for engines
+        that do): checkpoints are taken on check boundaries, so chunks
+        restarting from the restored cycle are the uninterrupted run's.
+        """
+        sim = self.sim
+        watchdog = None
+        if phase.watchdog:
+            watchdog = ProgressWatchdog(self._progress, phase.watchdog,
+                                        on_deadlock=self._deadlock_context)
+            sim.add_watchdog(watchdog)
+        try:
+            sim.run_until(partial(self.phase_done, phase, self.cores),
+                          run_state["deadline"] - sim.cycle, run_state["ci"])
+        except SimulationError as error:
+            self._attach_crash_report(error)
+            raise
+        finally:
+            if watchdog is not None:
+                sim.remove_watchdog(watchdog)
+            self.stats.flush()
+
+    def run_script(self, warmup_instructions: int = 0,
+                   measure_instructions: Optional[int] = 0,
+                   policy=None, keep_history: bool = False,
+                   run_state: Optional[dict] = None,
+                   at_measure: Optional[Callable[[], None]] = None,
+                   ) -> Tuple[Optional[int], Optional[int]]:
+        """Run the warm-up + measure script in this process.
+
+        Fresh when no ``run_state`` is given; otherwise ``self`` and
+        ``run_state`` come from ``checkpoint.restore_system`` and the
+        script continues from the recorded position (the instruction
+        arguments are then ignored).  With a
+        :class:`~repro.sim.checkpoint.CheckpointPolicy` a
+        ``CheckpointWatchdog`` captures periodically; without one no
+        hook is added.  Plain, checkpointed and resumed runs are
+        bit-identical.  Returns ``(start_cycle, finish_cycle)``.
+        """
+        if run_state is None:
+            run_state = new_run_state(warmup_instructions,
+                                      measure_instructions)
+        execute = self.run_phase
+        watchdog = None
+        if policy is not None:
+            from repro.sim.checkpoint import CheckpointWatchdog
+
+            watchdog = CheckpointWatchdog(self, run_state, policy.path,
+                                          policy.interval, policy.config_hash)
+            watchdog.keep_history = keep_history
+
+            def execute(phase: Phase, run_state: dict, resumed: bool) -> None:
+                watchdog.set_phase(run_state["anchor"], run_state["ci"],
+                                   from_cycle=self.sim.cycle)
+                self.run_phase(phase, run_state)
+
+            self.sim.add_watchdog(watchdog)
+        try:
+            return run_phases(self, run_state, execute, self.cores,
+                              at_measure)
+        finally:
+            if watchdog is not None:
+                self.sim.remove_watchdog(watchdog)
+
+    def run_instructions(self, per_core: int,
+                         max_cycles: int = MEASURE.deadline,
+                         watchdog_window: int = MEASURE.watchdog) -> int:
         """Run until every core retires ``per_core`` more instructions.
 
         Returns the cycle at which the last core finished (the execution
         time used for the paper's speedup comparisons).
         """
-        for core in self.cores:
-            core.set_target(per_core)
-        return self.continue_instructions(self.sim.cycle + max_cycles,
-                                          watchdog_window)
-
-    def continue_instructions(self, deadline: int,
-                              watchdog_window: int = 500_000) -> int:
-        """Run already-armed cores until all are done or ``deadline``.
-
-        The checkpoint/resume path of :func:`run_instructions`: restored
-        cores still carry their targets, so re-arming them would change
-        semantics.  ``deadline`` is an absolute cycle, which keeps the
-        ``run_until`` chunk boundaries identical to the uninterrupted
-        run's (chunks restart from the current - boundary-aligned -
-        cycle).
-        """
-        watchdog = ProgressWatchdog(self._progress, watchdog_window,
-                                    on_deadlock=self._deadlock_context)
-        self.sim.add_watchdog(watchdog)
-        try:
-            self.sim.run_until(
-                lambda: all(core.done for core in self.cores),
-                deadline - self.sim.cycle,
-            )
-        except SimulationError as error:
-            self._attach_crash_report(error)
-            raise
-        finally:
-            self.sim.remove_watchdog(watchdog)
-            self.stats.flush()
-        return max(core.finish_cycle for core in self.cores)
-
-    def continue_drain(self, deadline: int) -> int:
-        """Absolute-deadline variant of :meth:`drain` (checkpoint resume)."""
-        return self.drain(deadline - self.sim.cycle)
+        cores = self.cores
+        self.run_phase(replace(MEASURE, watchdog=watchdog_window),
+                       arm_phase(self, {}, MEASURE, cores, per_core,
+                                 max_cycles))
+        return max(core.finish_cycle for core in cores)
 
     def functional_prewarm(self) -> None:
         """Install steady-state cache/directory contents directly.
@@ -332,36 +494,22 @@ class CmpSystem:
                             addr, sharers=stale
                         )
 
-    def warmup(self, per_core: int, max_cycles: int = 50_000_000) -> None:
+    def warmup(self, per_core: int,
+               max_cycles: int = WARMUP.deadline) -> None:
         """Warm caches/directory, then clear statistics (paper sec. 5.1).
 
         Combines a functional prewarm (cache/directory contents) with a
-        short timing warmup (queues, PLRU state, in-flight traffic).
+        short timing warmup (queues, PLRU state, in-flight traffic): the
+        run script up to where measurement would start.
         """
-        self.functional_prewarm()
-        self.run_instructions(per_core, max_cycles)
-        self.drain()
-        self.stats.reset()
+        self.run_script(run_state=new_run_state(
+            per_core, None, max_warmup_cycles=max_cycles))
 
-    def drain(self, max_cycles: int = 2_000_000) -> int:
+    def drain(self, max_cycles: int = DRAIN.deadline) -> int:
         """Run until no message is in flight and no controller is busy."""
-
-        def idle() -> bool:
-            if self.network.in_flight():
-                return False
-            return all(
-                not tile.l1.busy() and not tile.l2.busy()
-                and (tile.mc is None or not tile.mc.busy())
-                for tile in self.tiles
-            )
-
-        try:
-            return self.sim.run_until(idle, max_cycles, check_interval=16)
-        except SimulationError as error:
-            self._attach_crash_report(error)
-            raise
-        finally:
-            self.stats.flush()
+        self.run_phase(DRAIN, arm_phase(self, {}, DRAIN,
+                                        max_cycles=max_cycles))
+        return self.sim.cycle
 
 
 def build_system(config: SystemConfig,

@@ -43,9 +43,6 @@ from repro.sim.checkpoint import (
     IncompatibleCheckpointError,
     fingerprint,
     read_checkpoint,
-    resume_checkpointed,
-    restore_system,
-    run_checkpointed,
 )
 from repro.sim.config import Variant, small_test_config
 from repro.sim.shard import (
@@ -355,8 +352,7 @@ def _scenario_singleproc_sigkill(pipeline: str) -> ChaosOutcome:
         f"sys.path.insert(0, {src_root!r})\n"
         "import dataclasses\n"
         "from repro.cpu.workloads import workload_by_name\n"
-        "from repro.sim.checkpoint import CheckpointPolicy, fingerprint, "
-        "run_checkpointed\n"
+        "from repro.sim.checkpoint import CheckpointPolicy\n"
         "from repro.sim.config import Variant, small_test_config\n"
         "from repro.system import build_system\n"
         f"config = small_test_config(16, variant=Variant.REUSE_NOACK, "
@@ -368,7 +364,7 @@ def _scenario_singleproc_sigkill(pipeline: str) -> ChaosOutcome:
         f"system = build_system(config, workload_by_name({_WORKLOAD!r}))\n"
         f"policy = CheckpointPolicy(sys.argv[1], {_INTERVAL}, "
         f"{config_hash!r})\n"
-        f"run_checkpointed(system, {_WARMUP}, {_MEASURE}, policy)\n"
+        f"system.run_script({_WARMUP}, {_MEASURE}, policy)\n"
     )
     with tempfile.TemporaryDirectory() as tmp:
         ckdir = os.path.join(tmp, "ck")
@@ -385,11 +381,9 @@ def _scenario_singleproc_sigkill(pipeline: str) -> ChaosOutcome:
         if not policy.has_checkpoint():
             return ChaosOutcome(name, False,
                                 error="killed run left no checkpoint")
-        _header, payload = read_checkpoint(policy.path, kind="run",
-                                           config_hash=config_hash)
-        data = restore_system(payload)
-        start, finish = resume_checkpointed(data["system"], data["run"],
-                                            policy)
+        data = policy.restore()
+        start, finish = data["system"].run_script(run_state=data["run"],
+                                                  policy=policy)
     if (start, finish) != (ref_start, ref_finish):
         return ChaosOutcome(name, False,
                             error=f"cycles diverge: ({start}, {finish}) != "
@@ -410,8 +404,8 @@ def _checkpoint_file_for_damage(directory: str) -> str:
     policy = CheckpointPolicy(directory, _INTERVAL,
                               fingerprint("chaos-damage"))
     watchdog_path = policy.path
-    run_checkpointed(system, _WARMUP, _MEASURE, policy, keep_history=True)
-    # run_checkpointed discards nothing; the newest checkpoint survives
+    system.run_script(_WARMUP, _MEASURE, policy, keep_history=True)
+    # run_script discards nothing; the newest checkpoint survives
     # under policy.path history copies.  Use the last history copy.
     history = sorted(
         entry for entry in os.listdir(directory)

@@ -84,6 +84,22 @@ def test_stream_metrics_in_process_replays_buffered_series(tmp_path):
                for _, _, values in samples)
 
 
+def test_observed_submit_is_not_swallowed_by_the_memo(tmp_path):
+    # Regression: the safe runner consulted the memo before
+    # run_experiment could apply its "observed runs bypass the cache
+    # read" rule, so an observed submit after a plain run of the same
+    # spec simulated nothing and streamed nothing.
+    telemetry = TelemetryConfig(
+        metrics=True, spans=False, profile=False, interval=50,
+        out_dir=str(tmp_path / "telemetry"),
+        trace_dir=str(tmp_path / "trace"),
+    )
+    plain = api.run(_spec())
+    handle = api.submit([_spec(telemetry=telemetry)])
+    assert list(api.stream_metrics(handle)), "memo hit swallowed the run"
+    assert api.results(handle)[0].to_json() == plain.to_json()
+
+
 def test_plain_specs_produce_no_stream():
     handle = api.submit([_spec(seed=3)])
     assert list(api.stream_metrics(handle)) == []

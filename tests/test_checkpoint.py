@@ -34,8 +34,6 @@ from repro.sim.checkpoint import (
     fingerprint,
     read_checkpoint,
     restore_system,
-    resume_checkpointed,
-    run_checkpointed,
     write_checkpoint,
 )
 from repro.sim.config import Variant, small_test_config
@@ -84,8 +82,8 @@ class _Run:
         self.directory = tempfile.mkdtemp(prefix="repro-ckpt-test-")
         policy = CheckpointPolicy(self.directory, INTERVAL, self.config_hash)
         system = _build(variant, fastpath)
-        start, finish = run_checkpointed(system, WARMUP, MEASURE, policy,
-                                         keep_history=True)
+        start, finish = system.run_script(WARMUP, MEASURE, policy,
+                                          keep_history=True)
         # Writing checkpoints must not perturb the run itself.
         assert (start, finish) == (self.start, self.finish)
         assert system.sim.cycle == self.end
@@ -137,7 +135,8 @@ def test_resume_is_bit_identical(variant, fastpath, fraction):
     scratch = tempfile.mkdtemp(prefix="repro-ckpt-resume-")
     try:
         policy = CheckpointPolicy(scratch, INTERVAL, run.config_hash)
-        start, finish = resume_checkpointed(system, data["run"], policy)
+        start, finish = system.run_script(run_state=data["run"],
+                                          policy=policy)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     assert (start, finish) == (run.start, run.finish)

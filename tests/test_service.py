@@ -222,6 +222,33 @@ def test_stream_delivers_live_metrics_then_end(client, tmp_path):
                for e in metrics)
 
 
+def test_repeated_observed_job_streams_every_time(tmp_path):
+    # Regression: the one worker's memo answered the second identical
+    # observed job, so it streamed nothing although observed jobs are
+    # never deduplicated.
+    telemetry = TelemetryConfig(
+        metrics=True, spans=False, profile=False, interval=50,
+        out_dir=str(tmp_path / "telemetry"),
+        trace_dir=str(tmp_path / "trace"),
+    )
+    spec = RunSpec(16, Variant.BASELINE, "canneal", 1,
+                   telemetry=telemetry, **SMALL)
+    daemon = Daemon(str(tmp_path / "one.sock"), workers=1,
+                    env=dict(os.environ))
+    daemon.start()
+    try:
+        client = ServiceClient(daemon.address)
+        counts = []
+        for _ in range(2):
+            [status] = client.submit([spec])
+            events = list(client.stream(status["job_id"]))
+            assert events[-1] == {"event": "end", "state": DONE}
+            counts.append(sum(e["event"] == "metric" for e in events))
+    finally:
+        daemon.shutdown()
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
 def test_status_of_unknown_job(client):
     [row] = client.status(["job-does-not-exist"])
     assert row["state"] == "unknown"

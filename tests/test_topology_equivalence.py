@@ -26,8 +26,6 @@ from repro.sim.checkpoint import (
     fingerprint,
     read_checkpoint,
     restore_system,
-    resume_checkpointed,
-    run_checkpointed,
 )
 from repro.sim.config import SystemConfig, Variant, small_test_config
 from repro.sim.shard import run_sharded
@@ -161,8 +159,8 @@ def test_checkpoint_resume_bit_identical_on_torus():
     try:
         policy = CheckpointPolicy(directory, 600, config_hash)
         system = CmpSystem(config, workload_by_name("canneal"))
-        run_start, run_finish = run_checkpointed(
-            system, WARMUP, MEASURE, policy, keep_history=True
+        run_start, run_finish = system.run_script(
+            WARMUP, MEASURE, policy, keep_history=True
         )
         assert (snapshot(system.stats), run_start, run_finish,
                 system.sim.cycle) == ref
@@ -180,9 +178,9 @@ def test_checkpoint_resume_bit_identical_on_torus():
         resumed = data["system"]
         scratch = tempfile.mkdtemp(prefix="repro-topo-resume-")
         try:
-            res_start, res_finish = resume_checkpointed(
-                resumed, data["run"], CheckpointPolicy(scratch, 600,
-                                                       config_hash)
+            res_start, res_finish = resumed.run_script(
+                run_state=data["run"],
+                policy=CheckpointPolicy(scratch, 600, config_hash),
             )
         finally:
             shutil.rmtree(scratch, ignore_errors=True)

@@ -16,7 +16,7 @@ import sys
 import time
 
 from repro import config
-from repro.harness import figures, parallel, render, tables
+from repro.harness import figures, render, tables
 from repro.harness.experiment import RunSpec, default_workloads
 from repro.sim.config import Variant
 
@@ -64,19 +64,11 @@ def main(argv=None) -> int:
     t0 = time.time()
     from repro import api
 
-    jobs = parallel.resolve_jobs(args.jobs)
-    if api.service_address():
-        # Shared job daemon: the fleet computes (and dedups) the batch;
-        # rendering below consumes the memo-seeded results.
-        specs = _all_specs(workloads, full, args.seed)
-        print(f"submitting {len(specs)} spec(s) to the job daemon at "
-              f"{api.service_address()}", file=sys.stderr, flush=True)
-        api.results(api.submit(specs))
-    elif jobs > 1:
-        parallel.run_specs(
-            _all_specs(workloads, full, args.seed), jobs=jobs,
-            echo=lambda msg: print(msg, file=sys.stderr, flush=True),
-        )
+    api.prefetch(
+        _all_specs(workloads, full, args.seed), jobs=args.jobs,
+        safe=not config.resolve("failfast"),
+        echo=lambda msg: print(msg, file=sys.stderr, flush=True),
+    )
 
     emit(f"# Reactive Circuits reproduction report")
     emit(f"# scale={config.resolve('scale')} workloads={workloads}")
