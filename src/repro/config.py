@@ -250,7 +250,7 @@ _register("service_workers", "REPRO_SERVICE_WORKERS", 0,
           _parse_int(0, " (0 = one per CPU core)"),
           "daemon worker-fleet size (0 = one per CPU core)")
 _register("shard_pidfile", "REPRO_SHARD_PIDFILE", "", _parse_str,
-          "test hook: file every spawned shard worker appends its pid to")
+          "test hook: file the pid of every spawned worker is appended to")
 _register("chaos_kill_after", "REPRO_CHAOS_KILL_AFTER", 0,
           _parse_int(1, " (checkpoint captures)"),
           "test hook: SIGKILL the run after its Nth checkpoint capture")

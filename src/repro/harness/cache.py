@@ -90,7 +90,8 @@ class FileLock:
                 os.write(self._fd, str(os.getpid()).encode())
                 return
             except FileExistsError:
-                self._break_if_stale()
+                if self._break_if_stale():
+                    continue  # free now: retry even on the deadline's edge
             except OSError as exc:  # pragma: no cover - exotic filesystems
                 if exc.errno != errno.EEXIST:
                     raise
@@ -102,11 +103,11 @@ class FileLock:
             time.sleep(delay)
             delay = min(delay * 2, 0.05)
 
-    def _break_if_stale(self) -> None:
+    def _break_if_stale(self) -> bool:
         try:
             age = time.time() - os.stat(self.path).st_mtime
         except OSError:
-            return  # released between our open() and stat()
+            return False  # released between our open() and stat()
         if age > self.stale_seconds:
             logger.warning("breaking stale cache lock %s (%.0fs old)",
                            self.path, age)
@@ -114,6 +115,8 @@ class FileLock:
                 os.unlink(self.path)
             except OSError:
                 pass
+            return True
+        return False
 
     def release(self) -> None:
         if self._fd is not None:

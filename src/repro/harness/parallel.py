@@ -2,16 +2,15 @@
 
 Every :class:`~repro.harness.experiment.RunSpec` is independent (own
 system, own deterministic RNG seeded from the spec), so a sweep is
-embarrassingly parallel.  This module schedules specs across a
-:class:`concurrent.futures.ProcessPoolExecutor` and feeds the results
-back into the in-process memo, so the serial table/figure assembly code
-consumes them exactly as if it had computed them itself:
+embarrassingly parallel.  This module farms specs out to a
+:class:`repro.proc.Fleet` and feeds the results back into the
+in-process memo, so the serial table/figure assembly code consumes them
+exactly as if it had computed them itself:
 
 * worker count from ``REPRO_JOBS`` (``0`` = one worker per CPU core,
   which is also the default when the engine is invoked explicitly);
-* a per-run timeout enforced *inside* the worker via ``SIGALRM`` (the
-  pool slot is freed, the pool survives);
-* one retry when a worker process dies (segfault, OOM kill, ...);
+* per-run timeout, worker-death retries, orphan guard and shutdown are
+  the fleet's (see :mod:`repro.proc`, the one supervision policy);
 * progress / ETA logging through the ``repro.harness.parallel`` logger
   and an optional ``echo`` callback.
 
@@ -30,24 +29,15 @@ completed runs come straight from the result cache.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
-import signal
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterable, Optional
 
+from repro.proc import DEFAULT_RETRIES, Fleet, ParallelError, RunTimeoutError
+
 logger = logging.getLogger("repro.harness.parallel")
-
-
-class ParallelError(RuntimeError):
-    """Base class for experiment-engine failures."""
-
-
-class RunTimeoutError(ParallelError):
-    """A run exceeded its per-run timeout."""
 
 
 class WorkerCrashError(ParallelError):
@@ -74,24 +64,8 @@ def resolve_jobs(jobs: Optional[int] = None, default: int = 1) -> int:
     return jobs
 
 
-def _invoke(worker: Callable, payload, timeout: Optional[float]):
-    """Run ``worker(payload)`` in the child, enforcing the per-run timeout.
-
-    ``SIGALRM`` interrupts the simulation loop wherever it is, the
-    resulting :class:`RunTimeoutError` pickles back through the future,
-    and the worker process stays alive for the next task.
-    """
-    if timeout and timeout > 0 and hasattr(signal, "SIGALRM"):
-        def _alarm(signum, frame):
-            raise RunTimeoutError(f"run exceeded the {timeout:g}s timeout")
-
-        previous = signal.signal(signal.SIGALRM, _alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-        try:
-            return worker(payload)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
+def _call(worker: Callable, payload, emit):
+    """Fleet task body: plain ``worker(payload)``, nothing to emit."""
     return worker(payload)
 
 
@@ -100,7 +74,7 @@ def run_tasks(
     worker: Callable,
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
-    crash_retries: int = 1,
+    crash_retries: int = DEFAULT_RETRIES,
     echo: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, object]:
     """Run ``worker(payload)`` for every ``{key: payload}`` task.
@@ -110,20 +84,15 @@ def run_tasks(
     its worker process after ``crash_retries`` retries, and re-raises
     the first ordinary worker exception.
 
-    Crash accounting: at most ``jobs`` tasks are in flight at a time, so
-    when a worker death breaks the pool only the tasks actually running
-    are charged an attempt - the queued backlog is retried for free.  A
-    task that exhausts its retries is dropped (and reported at the end)
-    while the remaining tasks keep running; one poisonous configuration
-    cannot abort the innocent rest of a sweep.
+    A task that exhausts its retries is dropped (and reported at the
+    end) while the remaining tasks keep running; one poisonous
+    configuration cannot abort the innocent rest of a sweep.
     """
     jobs = resolve_jobs(jobs)
-    todo = dict(tasks)
     results: Dict[str, object] = {}
-    attempts = {key: 0 for key in todo}
     timed_out: Dict[str, RunTimeoutError] = {}
     crashed: Dict[str, int] = {}
-    total = len(todo)
+    total = len(tasks)
     started = time.monotonic()
 
     def _progress() -> None:
@@ -138,71 +107,29 @@ def run_tasks(
         if echo is not None:
             echo(message)
 
-    while todo:
-        pool_broke = False
-        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-            backlog = deque(todo.items())
-            futures: Dict[object, str] = {}  # in-flight future -> key
-
-            def _fill() -> None:
-                # Submission is throttled to the worker count: every
-                # in-flight task owns a worker, so on a pool break the
-                # in-flight set is exactly the candidate-killer set.
-                while backlog and len(futures) < jobs:
-                    key, payload = backlog.popleft()
-                    futures[pool.submit(_invoke, worker, payload,
-                                        timeout)] = key
-
-            _fill()
-            while futures:
-                finished, _ = wait(set(futures),
-                                   return_when=FIRST_COMPLETED)
-                for future in finished:
-                    key = futures.pop(future)
-                    try:
-                        results[key] = future.result()
-                    except RunTimeoutError as exc:
-                        # no retry: a deterministic run that timed out
-                        # once will time out again
-                        timed_out[key] = exc
-                        todo.pop(key)
-                        _progress()
-                    except BrokenProcessPool:
-                        # only the tasks in flight when the pool broke
-                        # land here; the backlog was never submitted and
-                        # is not charged an attempt
-                        pool_broke = True
-                        attempts[key] += 1
-                    except Exception:
+    fleet = Fleet(functools.partial(_call, worker), min(jobs, total),
+                  retries=crash_retries, timeout=timeout)
+    try:
+        for key, payload in tasks.items():
+            fleet.submit(key, payload)
+        while len(results) + len(timed_out) + len(crashed) < total:
+            for kind, key, *data in fleet.events():
+                if kind == "done":
+                    results[key] = data[0]
+                    _progress()
+                elif kind == "gave_up":
+                    # drop the culprit, keep running everything else
+                    crashed[key] = data[0]
+                elif kind == "failed":
+                    if not isinstance(data[0], RunTimeoutError):
                         # an ordinary worker error is deterministic;
                         # don't wait for the rest of the matrix before
                         # raising it
-                        for pending in futures:
-                            pending.cancel()
-                        raise
-                    else:
-                        todo.pop(key)
-                        _progress()
-                if not pool_broke:
-                    _fill()
-        if pool_broke:
-            exhausted = sorted(
-                key for key in todo if attempts[key] > crash_retries
-            )
-            for key in exhausted:
-                # drop the culprit, keep running everything else
-                crashed[key] = attempts[key]
-                todo.pop(key)
-            if exhausted:
-                logger.warning(
-                    "giving up on %d run(s) after repeated worker "
-                    "deaths: %s", len(exhausted), ", ".join(exhausted),
-                )
-            if todo:
-                logger.warning(
-                    "worker process died; retrying %d unfinished run(s)",
-                    len(todo),
-                )
+                        raise data[0]
+                    timed_out[key] = data[0]
+                    _progress()
+    finally:
+        fleet.close()
     if crashed:
         keys = ", ".join(sorted(crashed))
         raise WorkerCrashError(
@@ -216,22 +143,6 @@ def run_tasks(
             f"per-run timeout: {keys}"
         )
     return results
-
-
-def _run_one(spec) -> object:
-    """Pool worker: simulate one spec (module-level, hence picklable)."""
-    from repro.harness.experiment import run_experiment
-
-    return run_experiment(spec)
-
-
-def _run_one_safe(spec) -> object:
-    """Pool worker with graceful degradation: a simulation failure comes
-    back as a failure RunResult (plus saved crash report) instead of an
-    exception that would abort the whole sweep."""
-    from repro.harness.experiment import run_experiment_safe
-
-    return run_experiment_safe(spec)
 
 
 def run_specs(
@@ -281,9 +192,8 @@ def run_specs(
         else:
             logger.info("running %d spec(s) across %d worker processes",
                         len(pending), jobs)
-            computed = run_tasks(pending,
-                                 worker=_run_one_safe if safe else _run_one,
-                                 jobs=jobs, timeout=timeout, echo=echo)
+            computed = run_tasks(pending, worker=runner, jobs=jobs,
+                                 timeout=timeout, echo=echo)
             for key, result in computed.items():
                 experiment._memo[key] = result
                 results[key] = result

@@ -15,7 +15,8 @@ Talk to it (usually indirectly, through :mod:`repro.api` with
 
 Architecture notes live in ``docs/architecture.md`` §15; the pieces are
 
-* :mod:`repro.service.daemon` -- worker fleet, supervisor, socket server;
+* :mod:`repro.service.daemon` -- job table over a :class:`repro.proc.Fleet`,
+  socket server;
 * :mod:`repro.service.client` -- the line-protocol client;
 * :mod:`repro.service.jobs` -- job states, dedup rules, the job table;
 * :mod:`repro.service.protocol` -- framing, addresses, spec (de)serialisation.
@@ -32,7 +33,6 @@ from repro.service.jobs import (
     FAILED,
     QUEUED,
     RUNNING,
-    DEFAULT_JOB_RETRIES,
     Job,
     JobTable,
 )
@@ -48,5 +48,4 @@ __all__ = [
     "RUNNING",
     "DONE",
     "FAILED",
-    "DEFAULT_JOB_RETRIES",
 ]

@@ -2,17 +2,13 @@
 
 One :class:`Daemon` owns
 
-* a **worker fleet** -- long-lived processes, one pipe each, executing
+* a :class:`repro.proc.Fleet` -- long-lived worker processes executing
   :func:`repro.harness.experiment.run_experiment_safe` (so a sick
   configuration degrades to a failure result instead of killing the
-  worker) with the per-run ``SIGALRM`` timeout of
-  :func:`repro.harness.parallel._invoke`;
-* a **supervisor thread** -- multiplexes worker pipes and process
-  sentinels through :func:`multiprocessing.connection.wait`; a worker
-  death requeues its job (bounded by
-  :data:`~repro.service.jobs.DEFAULT_JOB_RETRIES` attempts) and respawns
-  the worker, following the self-healing discipline of
-  :mod:`repro.sim.shard`;
+  worker); timeout, worker-death requeue, respawn and shutdown are the
+  fleet's (see :mod:`repro.proc`, the one supervision policy);
+* a **pump thread** -- turns :meth:`~repro.proc.Fleet.events` into job
+  state transitions and metric fan-out;
 * a **socket server** -- one thread per client connection speaking the
   newline-JSON protocol of :mod:`repro.service.protocol`;
 * a :class:`~repro.service.jobs.JobTable` with the dedup rules
@@ -21,9 +17,9 @@ One :class:`Daemon` owns
 
 Telemetry-observed jobs stream: the worker attaches a forwarding
 ``on_sample`` callback (:attr:`repro.telemetry.TelemetryConfig.on_sample`)
-so every metric sample travels supervisor-ward while the run is in
-flight; the daemon fans samples out to any number of ``stream``
-subscribers, keeping a bounded replay buffer for late joiners.
+so every metric sample travels daemon-ward while the run is in flight;
+the daemon fans samples out to any number of ``stream`` subscribers,
+keeping a bounded replay buffer for late joiners.
 
 Determinism: workers compute results with the exact same code path as a
 direct ``run_experiment`` call -- the daemon only schedules, so results
@@ -34,22 +30,19 @@ campaign).
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import multiprocessing.connection
 import os
 import queue
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro import config as repro_config
 from repro.harness.cache import open_cache
-from repro.harness.parallel import _invoke
+from repro.proc import DEFAULT_RETRIES, Fleet
 from repro.service import jobs as jobstates
-from repro.service.jobs import DEFAULT_JOB_RETRIES, Job, JobTable
+from repro.service.jobs import Job, JobTable
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     bind_address,
@@ -77,83 +70,18 @@ def worker_env(base: Optional[dict] = None) -> Dict[str, str]:
     }
 
 
-def _worker_main(conn, env: Dict[str, str], parent_pid: int,
-                 run_timeout: Optional[float]) -> None:
-    """Worker loop: receive ("run", ...), reply ("done"/"failed", ...).
-
-    Runs in the child process.  The environment is patched *here* so the
-    daemon's host process is never mutated.  An orphan guard exits when
-    the daemon disappears, mirroring ``repro.sim.shard``'s workers.
-    """
+def _run_job(spec_json: dict, emit) -> dict:
+    """Fleet task: simulate one spec, streaming its samples if observed."""
     from repro.harness.experiment import run_experiment_safe
 
-    for name in _PROPAGATED:
-        os.environ.pop(name, None)
-    os.environ.update(env)
-    while True:
-        try:
-            if not conn.poll(1.0):
-                if os.getppid() != parent_pid:
-                    os._exit(2)  # orphaned: daemon died without cleanup
-                continue
-            message = conn.recv()
-        except (EOFError, OSError):
-            os._exit(2)
-        if message[0] == "exit":
-            return
-        _, job_id, spec_json = message
-        spec = spec_from_json(spec_json)
-        if spec.observed:
-            def _forward(cycle, values, _job=job_id):
-                try:
-                    conn.send(("metric", _job, cycle, dict(values)))
-                except (BrokenPipeError, OSError):
-                    pass  # daemon gone; the orphan guard will fire
-            spec = replace(
-                spec, telemetry=replace(spec.telemetry, on_sample=_forward)
-            )
-        try:
-            result = _invoke(run_experiment_safe, spec, run_timeout)
-            conn.send(("done", job_id, result.to_json()))
-        except BaseException as exc:  # noqa: BLE001 - forwarded, not hidden
-            try:
-                conn.send(("failed", job_id, type(exc).__name__, str(exc)))
-            except (BrokenPipeError, OSError):
-                os._exit(2)
-
-
-class _Worker:
-    """Supervisor-side handle of one fleet member."""
-
-    def __init__(self, ctx, env, run_timeout) -> None:
-        self.conn, child_conn = ctx.Pipe()
-        self.proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, env, os.getpid(), run_timeout),
-            daemon=True,
+    spec = spec_from_json(spec_json)
+    if spec.observed:
+        def _forward(cycle, values):
+            emit((cycle, dict(values)))
+        spec = replace(
+            spec, telemetry=replace(spec.telemetry, on_sample=_forward)
         )
-        self.proc.start()
-        child_conn.close()
-        self.current: Optional[str] = None  # job_id in flight
-        self.executed = 0
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.proc.pid
-
-    def stop(self, grace: float = 2.0) -> None:
-        try:
-            self.conn.send(("exit",))
-        except (BrokenPipeError, OSError):
-            pass
-        self.proc.join(grace)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(grace)
-            if self.proc.is_alive():  # pragma: no cover - stuck in C code
-                self.proc.kill()
-                self.proc.join()
-        self.conn.close()
+    return run_experiment_safe(spec).to_json()
 
 
 class Daemon:
@@ -161,7 +89,7 @@ class Daemon:
 
     def __init__(self, address: str, workers: Optional[int] = None,
                  env: Optional[Dict[str, str]] = None,
-                 retries: int = DEFAULT_JOB_RETRIES,
+                 retries: int = DEFAULT_RETRIES,
                  run_timeout: Optional[float] = None) -> None:
         self.address = address
         self.retries = retries
@@ -174,20 +102,13 @@ class Daemon:
         self.n_workers = configured if configured else (os.cpu_count() or 1)
         self.jobs = JobTable()
         self.started_at: Optional[float] = None
-        self._queue: deque = deque()
         self._lock = threading.RLock()
-        self._workers: List[_Worker] = []
+        self._fleet: Optional[Fleet] = None
         self._subscribers: Dict[str, List[queue.Queue]] = {}
         self._metric_buffers: Dict[str, List[list]] = {}
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         self._server: Optional[socket.socket] = None
-        self._respawns = 0
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            ctx = multiprocessing.get_context()
-        self._ctx = ctx
         cache_path = self.env.get("REPRO_CACHE", "")
         self._store = open_cache(cache_path) if cache_path else None
 
@@ -197,11 +118,9 @@ class Daemon:
         self._server = bind_address(self.address)
         self._server.settimeout(0.2)
         self.started_at = time.time()
-        with self._lock:
-            for _ in range(self.n_workers):
-                self._workers.append(
-                    _Worker(self._ctx, self.env, self.run_timeout))
-        for target, name in ((self._supervise, "supervisor"),
+        self._fleet = Fleet(_run_job, self.n_workers, self.retries,
+                            self.run_timeout, env=self.env)
+        for target, name in ((self._pump, "pump"),
                              (self._accept, "acceptor")):
             thread = threading.Thread(
                 target=target, name=f"repro-service-{name}", daemon=True)
@@ -225,10 +144,8 @@ class Daemon:
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=5.0)
-        with self._lock:
-            workers, self._workers = self._workers, []
-        for worker in workers:
-            worker.stop()
+        if self._fleet is not None:
+            self._fleet.close()
         if self._server is not None:
             self._server.close()
             from repro.service.protocol import parse_address
@@ -239,8 +156,7 @@ class Daemon:
                     os.unlink(parsed)
                 except OSError:
                     pass
-        logger.info("daemon on %s shut down (%d respawns)",
-                    self.address, self._respawns)
+        logger.info("daemon on %s shut down", self.address)
 
     # -- job intake ------------------------------------------------------
 
@@ -263,131 +179,38 @@ class Daemon:
                             result=entry)
                 if job is None:
                     job = self.jobs.new_job(spec, key)
-                    self._queue.append(job.job_id)
+                    self._fleet.submit(job.job_id, spec_to_json(spec))
                 out.append(job.to_status())
-        self._dispatch()
         return out
 
-    def _dispatch(self) -> None:
-        """Hand queued jobs to idle workers (any thread may call this)."""
-        with self._lock:
-            if self._stop.is_set():
-                return
-            idle = [w for w in self._workers
-                    if w.current is None and w.proc.is_alive()]
-            while self._queue and idle:
-                job = self.jobs.get(self._queue.popleft())
-                if job is None or job.state != jobstates.QUEUED:
-                    continue
-                worker = idle.pop()
-                job.state = jobstates.RUNNING
-                job.worker_pid = worker.pid
-                worker.current = job.job_id
-                try:
-                    worker.conn.send(
-                        ("run", job.job_id, spec_to_json(job.spec)))
-                except (BrokenPipeError, OSError):
-                    # Death will also surface via the sentinel; requeue
-                    # here so the job never sits RUNNING on a corpse.
-                    job.state = jobstates.QUEUED
-                    job.worker_pid = None
-                    worker.current = None
-                    self._queue.appendleft(job.job_id)
-                    break
+    # -- fleet events -> job states ---------------------------------------
 
-    # -- supervision -----------------------------------------------------
-
-    def _supervise(self) -> None:
+    def _pump(self) -> None:
         while not self._stop.is_set():
-            with self._lock:
-                conns = {w.conn: w for w in self._workers}
-                sentinels = {w.proc.sentinel: w for w in self._workers}
-            if not conns:
-                time.sleep(0.1)
-                continue
-            try:
-                ready = multiprocessing.connection.wait(
-                    list(conns) + list(sentinels), timeout=0.2)
-            except OSError:
-                continue
-            for item in ready:
-                worker = conns.get(item)
-                if worker is not None:
-                    try:
-                        while worker.conn.poll(0):
-                            self._handle_event(worker, worker.conn.recv())
-                    except (EOFError, OSError):
-                        pass  # sentinel handling below picks it up
-                    continue
-                worker = sentinels.get(item)
-                if worker is not None and not worker.proc.is_alive():
-                    self._reap(worker)
-            self._dispatch()
+            for kind, job_id, *data in self._fleet.events(timeout=0.2):
+                job = self.jobs.get(job_id)
+                if kind == "event":
+                    self._publish(job_id, ["metric", *data[0]])
+                elif kind == "started":
+                    job.state = jobstates.RUNNING
+                    job.worker_pid, job.attempts = data
+                elif kind == "done":
+                    self._finish(job, jobstates.DONE, result=data[0])
+                elif kind == "failed":  # raised inside the worker
+                    job.attempts += 1
+                    self._finish(job, jobstates.FAILED, error=str(data[0]),
+                                 error_kind=type(data[0]).__name__)
+                else:  # "gave_up": its workers kept dying
+                    job.attempts = data[0]
+                    self._finish(job, jobstates.FAILED, error=data[1],
+                                 error_kind="WorkerDied")
 
-    def _handle_event(self, worker: _Worker, event: tuple) -> None:
-        kind = event[0]
-        if kind == "metric":
-            _, job_id, cycle, values = event
-            self._publish(job_id, ["metric", cycle, values])
-            return
-        _, job_id = event[0], event[1]
-        job = self.jobs.get(job_id)
-        if job is None:  # pragma: no cover - cancelled/unknown
-            worker.current = None
-            return
-        if kind == "done":
-            self.jobs.finish(job, state=jobstates.DONE, result=event[2])
-            self._publish(job_id, ["end", jobstates.DONE], close=True)
-        else:  # "failed": infrastructure error inside the worker
-            _, _, error_kind, message = event
-            self._fail_or_requeue(job, error_kind, message)
-        worker.current = None
-        worker.executed += 1
-
-    def _fail_or_requeue(self, job: Job, error_kind: str,
-                         message: str) -> None:
-        job.attempts += 1
-        if job.attempts > self.retries:
-            logger.error("job %s (%s) failed permanently after %d "
-                         "attempts: %s", job.job_id, job.key, job.attempts,
-                         message)
-            self.jobs.finish(job, state=jobstates.FAILED, error=message,
-                             error_kind=error_kind)
-            self._publish(job.job_id, ["end", jobstates.FAILED], close=True)
-        else:
-            logger.warning("job %s (%s) attempt %d failed (%s: %s); "
-                           "requeueing", job.job_id, job.key, job.attempts,
-                           error_kind, message)
-            with self._lock:
-                job.state = jobstates.QUEUED
-                job.worker_pid = None
-                self._queue.appendleft(job.job_id)
-
-    def _reap(self, dead: _Worker) -> None:
-        """A worker died (SIGKILL, segfault, OOM): requeue + respawn."""
-        with self._lock:
-            if dead not in self._workers:
-                return
-            self._workers.remove(dead)
-            job_id = dead.current
-        exitcode = dead.proc.exitcode
-        try:
-            dead.conn.close()
-        except OSError:
-            pass
-        if job_id is not None:
-            job = self.jobs.get(job_id)
-            if job is not None:
-                self._fail_or_requeue(
-                    job, "WorkerDied",
-                    f"worker pid {dead.pid} died (exit {exitcode}) mid-job")
-        if not self._stop.is_set():
-            replacement = _Worker(self._ctx, self.env, self.run_timeout)
-            with self._lock:
-                self._workers.append(replacement)
-                self._respawns += 1
-            logger.warning("respawned worker (pid %s -> %s) after exit %s",
-                           dead.pid, replacement.pid, exitcode)
+    def _finish(self, job: Job, state: str, **outcome) -> None:
+        if state == jobstates.FAILED:
+            logger.error("job %s (%s) failed after %d attempt(s): %s",
+                         job.job_id, job.key, job.attempts, outcome["error"])
+        self.jobs.finish(job, state=state, **outcome)
+        self._publish(job.job_id, ["end", state], close=True)
 
     # -- metric fan-out --------------------------------------------------
 
@@ -544,12 +367,6 @@ class Daemon:
             self._unsubscribe(job_id, q)
 
     def _info(self) -> dict:
-        with self._lock:
-            workers = [
-                {"pid": w.pid, "alive": w.proc.is_alive(),
-                 "current": w.current, "executed": w.executed}
-                for w in self._workers
-            ]
         states: Dict[str, int] = {}
         for job in self.jobs.snapshot():
             states[job.state] = states.get(job.state, 0) + 1
@@ -558,9 +375,9 @@ class Daemon:
             "protocol": PROTOCOL_VERSION,
             "pid": os.getpid(),
             "address": self.address,
-            "workers": workers,
+            "workers": self._fleet.workers(),
             "jobs": states,
-            "queued": len(self._queue),
-            "respawns": self._respawns,
+            "queued": states.get(jobstates.QUEUED, 0),
+            "respawns": self._fleet.respawns,
             "store": self.env.get("REPRO_CACHE", ""),
         }

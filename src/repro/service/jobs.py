@@ -3,12 +3,14 @@
 A *job* is one submitted :class:`~repro.harness.experiment.RunSpec`.
 Lifecycle::
 
-    QUEUED --dispatch--> RUNNING --("done" event)--> DONE
-       ^                    |
-       |                    +--(worker death, attempts left)--+
-       +------------------- requeue <-------------------------+
-                            |
-                            +--(attempts exhausted / error)--> FAILED
+    QUEUED --("started")--> RUNNING --("done")--> DONE
+                               |  ^
+                               |  +--(worker death, retries left)
+                               |
+                               +--("failed" / "gave_up")--> FAILED
+
+The arrows are :class:`repro.proc.Fleet` events; the requeue-on-death
+rule is the fleet's.
 
 Dedup rules (also documented in ``docs/architecture.md`` §15):
 
@@ -41,9 +43,6 @@ FAILED = "failed"
 JOINABLE = (QUEUED, RUNNING, DONE)
 #: States that terminate streaming.
 TERMINAL = (DONE, FAILED)
-
-#: Worker deaths tolerated per job before it is declared FAILED.
-DEFAULT_JOB_RETRIES = 2
 
 
 @dataclass
@@ -83,7 +82,7 @@ class Job:
 class JobTable:
     """Thread-safe job registry with key-based dedup.
 
-    All daemon threads (server connections, the supervisor) funnel
+    All daemon threads (server connections, the event pump) funnel
     through one lock; operations are dictionary updates, so contention
     is negligible next to simulation time.
     """

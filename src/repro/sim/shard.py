@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
 import pickle
 import re
@@ -86,6 +85,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import config as repro_config
+from repro.proc import reap, recv_or_exit, spawn
 from repro.sim.checkpoint import (
     CheckpointError,
     capture_system,
@@ -117,12 +117,9 @@ _SNAPSHOTS_KEPT = 2
 #: must rebuild or restore a full system and replay before it can speak.
 _RESPAWN_RECV_FLOOR = 120.0
 
-#: How often (seconds) a worker blocked at a barrier checks whether the
-#: coordinator is still alive.  With the fork start method every worker
-#: inherits duplicate fds of its siblings' pipes, so a SIGKILLed
-#: coordinator never produces EOF - the orphan check is the only way a
-#: stranded worker ever exits.
-_ORPHAN_POLL_S = 5.0
+#: What the coordinator tells a worker it no longer needs; read in place
+#: of the next barrier reply.
+_ABORT = ("abort", "coordinator shutting down")
 
 _SNAPSHOT_RE = re.compile(r"^shard(\d+)-seq(\d{8})\.ckpt$")
 
@@ -261,7 +258,7 @@ class _ShardAborted(SimulationError):
 class _ShardWorker:
     """One band of the mesh, simulated in this process."""
 
-    def __init__(self, conn, params: dict, index: int,
+    def __init__(self, conn, parent_pid: int, params: dict, index: int,
                  snapshot_path: Optional[str] = None,
                  replay: Optional[list] = None,
                  chaos: Optional[dict] = None) -> None:
@@ -274,7 +271,7 @@ class _ShardWorker:
         self.window = params["window"]
         self._chaos = chaos
         self._replay = list(replay or [])
-        self._parent_pid = os.getppid()
+        self._parent_pid = parent_pid
         assignment = params["assignment"]
         local = frozenset(
             node for node, shard in enumerate(assignment) if shard == index
@@ -470,7 +467,7 @@ class _ShardWorker:
             "b", seq, self.system.sim.cycle, blobs, flag,
             self.system._progress() if wd else 0, wd, self._snap_seq,
         ))
-        reply = self._recv_from_coordinator()
+        reply = recv_or_exit(self.conn, self._parent_pid)
         if reply[0] == "abort":
             raise _ShardAborted(reply[1])
         _kind, inbound, global_flag = reply
@@ -481,20 +478,6 @@ class _ShardWorker:
         if global_flag is not True:
             self._maybe_snapshot(seq + 1)
         return global_flag
-
-    def _recv_from_coordinator(self):
-        """Blocking receive that notices coordinator death.
-
-        A plain ``recv()`` would hang forever after the coordinator is
-        SIGKILLed: sibling workers hold forked duplicates of every pipe
-        fd, so the peer end never closes and EOF never arrives.  Poll
-        instead, and exit hard once this process has been re-parented
-        away from the coordinator (nobody is left to read an exception).
-        """
-        while not self.conn.poll(_ORPHAN_POLL_S):
-            if os.getppid() != self._parent_pid:
-                os._exit(1)  # orphaned: coordinator is gone
-        return self.conn.recv()
 
     def _chaos_hook(self, seq: int) -> None:
         """Fault injection for the chaos campaign (first spawn only)."""
@@ -636,13 +619,13 @@ class _ShardWorker:
         }
 
 
-def _shard_worker_main(conn, params: dict, index: int,
+def _shard_worker_main(conn, parent_pid: int, params: dict, index: int,
                        restore: Optional[tuple] = None,
                        chaos: Optional[dict] = None) -> None:
     try:
         snapshot_path, replay = restore or (None, None)
-        worker = _ShardWorker(conn, params, index, snapshot_path, replay,
-                              chaos)
+        worker = _ShardWorker(conn, parent_pid, params, index,
+                              snapshot_path, replay, chaos)
         result = worker.run()
         conn.send(("done", result))
     except _ShardAborted:
@@ -698,32 +681,11 @@ def _reraise_worker_error(index: int, kind: str, message: str):
     raise SimulationError(f"{prefix}[{kind}] {message}")
 
 
-def _shutdown_procs(procs, join_timeout: float = 30.0,
-                    term_timeout: float = 10.0) -> None:
-    """Reap worker processes, escalating terminate -> kill.
-
-    A worker wedged in uninterruptible state (or SIGSTOPped by the chaos
-    campaign) ignores SIGTERM; the final SIGKILL guarantees no process
-    outlives the coordinator.
-    """
-    for proc in procs:
-        if proc is None:
-            continue
-        proc.join(timeout=join_timeout)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=term_timeout)
-        if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-            proc.kill()
-            proc.join(timeout=term_timeout)
-
-
 class _Supervisor:
     """Spawns, watches, and respawns the shard worker fleet."""
 
-    def __init__(self, ctx, params: dict, n_shards: int, timeout: float,
+    def __init__(self, params: dict, n_shards: int, timeout: float,
                  respawn_limit: int, chaos: Optional[dict]) -> None:
-        self.ctx = ctx
         self.params = params
         self.n_shards = n_shards
         self.timeout = timeout
@@ -731,7 +693,7 @@ class _Supervisor:
         self.chaos = chaos
         self.conns: List = [None] * n_shards
         self.procs: List = [None] * n_shards
-        self.all_procs: List = []  # every process ever spawned (for reaping)
+        self.spawned: List = []  # every (process, conn) ever, for reaping
         #: Per shard: barrier replies sent since its acked snapshot,
         #: as (seq, (inbound blobs, global flag)).
         self.logs: List[List[tuple]] = [[] for _ in range(n_shards)]
@@ -743,23 +705,12 @@ class _Supervisor:
 
     def spawn(self, index: int, restore: Optional[tuple] = None,
               chaos: Optional[dict] = None) -> None:
-        parent_conn, child_conn = self.ctx.Pipe()
-        proc = self.ctx.Process(
-            target=_shard_worker_main,
-            args=(child_conn, self.params, index, restore, chaos),
-            daemon=True,
-            name=f"repro-shard-{index}",
-        )
-        proc.start()
-        child_conn.close()
-        self.conns[index] = parent_conn
-        self.procs[index] = proc
-        self.all_procs.append(proc)
+        child = spawn(_shard_worker_main,
+                      (self.params, index, restore, chaos),
+                      f"repro-shard-{index}")
+        self.procs[index], self.conns[index] = child
+        self.spawned.append(child)
         self._fresh[index] = True
-        pidfile = repro_config.resolve("shard_pidfile")
-        if pidfile:  # chaos campaign: record every worker ever spawned
-            with open(pidfile, "a") as handle:
-                handle.write(f"{proc.pid}\n")
 
     def spawn_all(self, resume_seq: Optional[int] = None) -> None:
         for index in range(self.n_shards):
@@ -780,12 +731,8 @@ class _Supervisor:
             ) from cause
         self.respawns += 1
         self._respawns_by_shard[index] += 1
-        proc, conn = self.procs[index], self.conns[index]
-        if conn is not None:
-            conn.close()
-        if proc is not None:
-            proc.kill()  # SIGKILL: works on wedged/SIGSTOPped workers too
-            proc.join(timeout=30)
+        # Dead already, or wedged (SIGSTOP ignores SIGTERM): a short ladder.
+        reap([(self.procs[index], self.conns[index])], _ABORT, grace=1.0)
         snap = self.snap_seq[index]
         path = _snapshot_path(self.params["snapshot_dir"], index, snap) \
             if snap else None
@@ -839,19 +786,9 @@ class _Supervisor:
                     entry for entry in self.logs[index] if entry[0] >= acked
                 ]
 
-    def abort_all(self, messages: List, reason: str) -> None:
-        for index, msg in enumerate(messages):
-            if msg is not None and msg[0] == "b":
-                try:
-                    self.conns[index].send(("abort", reason))
-                except (BrokenPipeError, OSError):  # pragma: no cover
-                    pass
-
     def shutdown(self) -> None:
-        for conn in self.conns:
-            if conn is not None:
-                conn.close()
-        _shutdown_procs(self.all_procs)
+        """Workers still at a barrier read the abort as their reply."""
+        reap(self.spawned, _ABORT)
 
 
 def _find_resume_seq(directory: str, n_shards: int) -> int:
@@ -995,10 +932,7 @@ def run_sharded(config, workload: str, warmup_instructions: int,
                                    measure_instructions, n_shards),
     }
 
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    supervisor = _Supervisor(ctx, params, n_shards, timeout, respawn_limit,
-                             _chaos)
+    supervisor = _Supervisor(params, n_shards, timeout, respawn_limit, _chaos)
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
     try:
@@ -1015,7 +949,6 @@ def run_sharded(config, workload: str, warmup_instructions: int,
                 None,
             )
             if failed is not None:
-                supervisor.abort_all(messages, "another shard failed")
                 _kind, err_kind, err_message = messages[failed]
                 _reraise_worker_error(failed, err_kind, err_message)
             if all(msg[0] == "done" for msg in messages):
@@ -1057,7 +990,6 @@ def run_sharded(config, workload: str, warmup_instructions: int,
                 if watchdog_last is None or progress != watchdog_last[0]:
                     watchdog_last = (progress, cycle)
                 elif cycle - watchdog_last[1] >= stall_window:
-                    supervisor.abort_all(messages, "global progress stall")
                     raise DeadlockError(
                         f"no progress across {n_shards} shards for "
                         f"{stall_window} cycles (cycle {cycle}, last "

@@ -15,8 +15,9 @@ outcomes, with nothing in between:
   :class:`~repro.sim.checkpoint.CorruptCheckpointError`, ...).
 
 A clean control run must report **zero** respawns (no false positives),
-and no worker process may outlive its campaign scenario (checked
-through ``REPRO_SHARD_PIDFILE``).
+and no worker process - shard or daemon - may outlive its campaign
+scenario (checked through ``REPRO_SHARD_PIDFILE``, which
+:func:`repro.proc.spawn` appends every pid to).
 
 Run it via ``python -m repro.harness chaos`` or
 :func:`run_chaos_campaign`; the CI ``chaos`` job gates on it.
@@ -127,14 +128,12 @@ class _PidWatch:
             os.environ.pop("REPRO_SHARD_PIDFILE", None)
         else:  # pragma: no cover - nested campaigns
             os.environ["REPRO_SHARD_PIDFILE"] = self._saved
+        os.unlink(self.path)
 
     def leaked(self) -> List[int]:
         alive = []
-        try:
-            with open(self.path) as handle:
-                pids = [int(line) for line in handle if line.strip()]
-        finally:
-            os.unlink(self.path)
+        with open(self.path) as handle:
+            pids = [int(line) for line in handle if line.strip()]
         deadline = time.time() + 10  # grace for SIGKILLed procs to reap
         for pid in pids:
             while True:
@@ -248,7 +247,6 @@ def _scenario_respawn_exhausted() -> ChaosOutcome:
                                     error=f"leaked workers: {leaked}")
             return ChaosOutcome(name, True, detail=f"typed error: {err}")
         except Exception as err:  # noqa: BLE001 - verdict, not control flow
-            watch.leaked()
             return ChaosOutcome(name, False,
                                 error=f"wrong error type "
                                       f"{type(err).__name__}: {err}")
@@ -318,7 +316,6 @@ def _scenario_coordinator_sigkill(pipeline: str,
                     checkpoint_interval=_INTERVAL, resume=True,
                 )
             except Exception as err:  # noqa: BLE001 - verdict
-                watch.leaked()
                 return ChaosOutcome(name, False,
                                     error=f"resume failed: "
                                           f"{type(err).__name__}: {err}")
@@ -534,7 +531,7 @@ def _scenario_service_worker_sigkill() -> ChaosOutcome:
     # a genuine multi-second simulation the kill can land inside.
     saved_memo = dict(experiment._memo)
     experiment._memo.clear()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, _PidWatch() as watch:
         env = dict(os.environ,
                    REPRO_CACHE=os.path.join(tmp, "store") + os.sep)
         daemon = Daemon(os.path.join(tmp, "repro.sock"), workers=1, env=env)
@@ -569,6 +566,9 @@ def _scenario_service_worker_sigkill() -> ChaosOutcome:
             daemon.shutdown()
             experiment._memo.clear()
             experiment._memo.update(saved_memo)
+        leaked = watch.leaked()
+    if leaked:
+        return ChaosOutcome(name, False, error=f"leaked workers: {leaked}")
     if row["state"] != jobstates.DONE:
         return ChaosOutcome(
             name, False,
@@ -607,7 +607,7 @@ def _scenario_service_dedup() -> ChaosOutcome:
                    measure_instructions=600, warmup_instructions=150)
     saved_memo = dict(experiment._memo)
     experiment._memo.clear()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, _PidWatch() as watch:
         env = dict(os.environ,
                    REPRO_CACHE=os.path.join(tmp, "store") + os.sep)
         daemon = Daemon(os.path.join(tmp, "a.sock"), workers=1, env=env)
@@ -649,6 +649,9 @@ def _scenario_service_dedup() -> ChaosOutcome:
                            for w in client.info()["workers"])
         finally:
             daemon.shutdown()
+        leaked = watch.leaked()
+    if leaked:
+        return ChaosOutcome(name, False, error=f"leaked workers: {leaked}")
     if executed != 0:
         return ChaosOutcome(name, False,
                             error=f"restarted daemon re-simulated "

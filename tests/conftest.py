@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import os
+import time
+from typing import Dict, Iterable, List, Set, Tuple
 
 import pytest
 
 from repro.noc.flit import Message
 from repro.noc.network import Network
 from repro.sim.config import SystemConfig, Variant
+
+
+def surviving_pids(pids: Iterable[int], timeout: float) -> Set[int]:
+    """The ``pids`` still alive after waiting up to ``timeout`` seconds."""
+    alive = set(pids)
+    deadline = time.monotonic() + timeout
+    while alive and time.monotonic() < deadline:
+        for pid in list(alive):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                alive.discard(pid)
+        time.sleep(0.2)
+    return alive
 
 
 class ScriptedChip:

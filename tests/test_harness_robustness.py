@@ -9,6 +9,7 @@ import types
 
 import pytest
 
+from repro import proc
 from repro.api import run_matrix
 from repro.harness import experiment, parallel
 from repro.harness.cache import FileLock, ShardedCache, open_cache
@@ -17,17 +18,17 @@ from repro.sim.config import Variant
 from repro.sim.kernel import DeadlockError
 
 
-# -- parallel._invoke ---------------------------------------------------
+# -- proc._invoke (the per-run timeout every fleet worker runs under) ---
 
 def test_invoke_without_sigalrm_falls_back_to_plain_call(monkeypatch):
     # platforms without SIGALRM (e.g. Windows) run untimed, not crash
-    monkeypatch.setattr(parallel, "signal", types.SimpleNamespace())
-    assert parallel._invoke(lambda x: x + 1, 41, timeout=5.0) == 42
+    monkeypatch.setattr(proc, "signal", types.SimpleNamespace())
+    assert proc._invoke(lambda x: x + 1, 41, timeout=5.0) == 42
 
 
 def test_invoke_without_timeout_runs_directly():
-    assert parallel._invoke(lambda x: x * 2, 21, timeout=None) == 42
-    assert parallel._invoke(lambda x: x * 2, 21, timeout=0) == 42
+    assert proc._invoke(lambda x: x * 2, 21, timeout=None) == 42
+    assert proc._invoke(lambda x: x * 2, 21, timeout=0) == 42
 
 
 def test_invoke_timeout_raises_in_process():
@@ -36,7 +37,7 @@ def test_invoke_timeout_raises_in_process():
 
     before = time.monotonic()
     with pytest.raises(parallel.RunTimeoutError):
-        parallel._invoke(slow, None, timeout=0.05)
+        proc._invoke(slow, None, timeout=0.05)
     assert time.monotonic() - before < 2.0
 
 

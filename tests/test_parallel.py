@@ -6,6 +6,7 @@ import os
 import time
 
 import pytest
+from tests.conftest import surviving_pids
 
 from repro.harness import parallel
 from repro import config
@@ -157,6 +158,51 @@ def test_pool_break_charges_only_running_task(tmp_path):
     # the innocent tasks were retried and ran to completion
     assert (tmp_path / "good-1").exists()
     assert (tmp_path / "good-2").exists()
+
+
+def test_sigkilled_sweep_leaks_no_pool_workers(tmp_path):
+    """SIGKILLing a ``--jobs N`` sweep must not strand its workers.
+
+    Forked siblings hold duplicate pipe fds, so the dead parent never
+    produces EOF; the workers' re-parenting check is their only exit
+    (same contract as ``test_orphaned_workers_exit_when_coordinator_dies``).
+    """
+    import signal
+    import subprocess
+    import sys
+
+    pidfile = str(tmp_path / "pids")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    program = (
+        "import os, time\n"
+        "from repro.harness import parallel\n"
+        "def nap(path):\n"
+        "    with open(path, 'a') as handle:\n"
+        "        handle.write(f'{os.getpid()}\\n')\n"
+        "    time.sleep(2)\n"
+        f"parallel.run_tasks(dict.fromkeys('abcd', {pidfile!r}), nap, jobs=2)\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", program], env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and len(pids) < 2:
+            time.sleep(0.1)
+            if os.path.exists(pidfile):
+                pids = [int(line) for line in open(pidfile) if line.strip()]
+        assert len(set(pids)) == 2, "workers never recorded their pids"
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        # a 2 s task to finish, then the 1 s orphan poll; allow slack
+        alive = surviving_pids(pids, timeout=20)
+        assert not alive, f"leaked pool workers: {sorted(alive)}"
+    finally:
+        for pid in [proc.pid] + pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except (ProcessLookupError, PermissionError):
+                pass
+        proc.wait()
 
 
 def _maybe_sleep(payload):
@@ -328,6 +374,11 @@ def test_file_lock_times_out_then_breaks_stale(tmp_path):
     with FileLock(lock_path, timeout=5, stale_seconds=30):
         pass
     assert not os.path.exists(lock_path)
+    # ... also when it turns stale only as the waiter's patience runs out
+    # (a worker SIGKILLed holding it, the requeued run waiting on it)
+    open(lock_path, "w").close()
+    with FileLock(lock_path, timeout=0.3, stale_seconds=0.3):
+        pass
 
 
 def _hammer(root, start, count):

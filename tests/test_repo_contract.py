@@ -59,3 +59,56 @@ def test_all_paper_variants_exposed():
                      "Reuse_NoAck", "Timed_NoAck", "SlackDelay1_NoAck",
                      "Postponed1_NoAck", "Ideal"):
         assert required in names
+
+
+# ----------------------------------------------------------------------
+# One process supervisor: src/ forks, detects parent death and escalates
+# terminate -> kill only in repro/proc.py (repro/validate/ is fault
+# injection, which kills on purpose).
+# ----------------------------------------------------------------------
+
+def _supervision_sites(tree):
+    """(lineno, what) for executor pools, ``.Process(...)``,
+    ``os.getppid()`` and argument-less ``.terminate()`` / ``.kill()``."""
+    import ast
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.alias, ast.Attribute)):
+            name = getattr(node, "id", None) or getattr(node, "name", None) \
+                or getattr(node, "attr", None)
+            if name in ("ProcessPoolExecutor", "BrokenProcessPool"):
+                yield getattr(node, "lineno", 0), name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+            bare = not node.args and not node.keywords
+            if attr in ("Process", "getppid") \
+                    or (attr in ("terminate", "kill") and bare):
+                yield node.lineno, f".{attr}()"
+
+
+def test_only_repro_proc_supervises_processes():
+    import ast
+
+    probe = ast.parse(
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "p = ctx.Process(target=f)\n"
+        "if os.getppid() != parent: p.terminate(); p.kill()\n"
+        "os.kill(pid, signal.SIGKILL)\n"  # a signal to a pid, not a reap
+    )
+    assert [what for _line, what in _supervision_sites(probe)] == [
+        "ProcessPoolExecutor", ".Process()", ".getppid()", ".terminate()",
+        ".kill()"]
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative.parts[0] == "validate":
+            continue
+        sites = list(_supervision_sites(
+            ast.parse(path.read_text(), filename=str(path))))
+        if relative.name == "proc.py" and len(relative.parts) == 1:
+            assert {what for _line, what in sites} == {
+                ".Process()", ".getppid()", ".terminate()", ".kill()"}
+            continue
+        offenders += [f"{relative}:{line} {what}" for line, what in sites]
+    assert not offenders, offenders

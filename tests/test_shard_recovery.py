@@ -9,19 +9,19 @@ the run must fail with a typed error naming the shard - and no process,
 healthy or wedged, may ever outlive the coordinator.
 """
 
-import multiprocessing
 import os
 import signal
 import time
 
 import pytest
+from tests.conftest import surviving_pids
 
 from repro.cpu.workloads import workload_by_name
+from repro.proc import reap, spawn
 from repro.sim.config import Variant, small_test_config
 from repro.sim.shard import (
     ShardRecoveryError,
     ShardWorkerDied,
-    _shutdown_procs,
     resolve_shard_timeout,
     run_sharded,
 )
@@ -93,23 +93,19 @@ def test_respawn_budget_exhaustion_is_typed():
 
 # -- shutdown backstop: terminate -> kill escalation --------------------
 
-def _ignore_sigterm_forever():
+def _ignore_sigterm_forever(conn, parent_pid):
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     while True:
         time.sleep(0.05)
 
 
 def test_shutdown_escalates_to_sigkill_for_stubborn_workers():
-    """A SIGTERM-ignoring worker must still be reaped, and quickly."""
-    ctx = multiprocessing.get_context("fork")
-    proc = ctx.Process(target=_ignore_sigterm_forever, daemon=True)
-    proc.start()
-    deadline = time.monotonic() + 5
-    while proc.pid is None and time.monotonic() < deadline:
-        time.sleep(0.01)
+    """A worker deaf to the ask and to SIGTERM must still be reaped (the
+    one ladder in ``repro.proc``: ask -> join -> terminate -> kill)."""
+    proc, conn = spawn(_ignore_sigterm_forever, (), "repro-test-stubborn")
     time.sleep(0.3)  # let the child install its SIG_IGN handler
     started = time.monotonic()
-    _shutdown_procs([proc, None], join_timeout=0.2, term_timeout=0.5)
+    reap([(proc, conn)], "please stop", grace=0.3)
     elapsed = time.monotonic() - started
     assert not proc.is_alive()
     assert elapsed < 5, f"escalation took {elapsed:.1f}s"
@@ -151,15 +147,8 @@ def test_orphaned_workers_exit_when_coordinator_dies():
         time.sleep(1.0)  # let them get past startup and into the run
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
-        deadline = time.monotonic() + 30  # orphan poll is 5s; allow slack
-        alive = set(pids)
-        while time.monotonic() < deadline and alive:
-            for pid in list(alive):
-                try:
-                    os.kill(pid, 0)
-                except ProcessLookupError:
-                    alive.discard(pid)
-            time.sleep(0.2)
+        # orphan poll is 1s; allow slack
+        alive = surviving_pids(pids, timeout=30)
         assert not alive, f"leaked orphan workers: {sorted(alive)}"
     finally:
         if proc.poll() is None:
