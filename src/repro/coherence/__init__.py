@@ -1,6 +1,6 @@
 """MESI directory coherence protocol over the NoC (paper Tables 2 and 3)."""
 
-from repro.coherence.cache import CacheArray, PseudoLruTree
+from repro.coherence.cache import CacheArray
 from repro.coherence.l1 import L1Controller
 from repro.coherence.l2dir import L2BankController
 from repro.coherence.memory import MemoryController
@@ -12,5 +12,4 @@ __all__ = [
     "L1Controller",
     "L2BankController",
     "MemoryController",
-    "PseudoLruTree",
 ]

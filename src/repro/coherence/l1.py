@@ -76,12 +76,8 @@ class L1Controller(ScheduledController):
     # ------------------------------------------------------------------
     def prewarm_line(self, addr: int, state: L1State) -> bool:
         """Install a line directly (functional warmup); False if set full."""
-        if addr in self.array:
-            return True
-        if not self.array.has_free_way(addr):
-            return False
-        self.array.install(addr, L1Line(state))
-        return True
+        return addr in self.array or self.array.install_if_free(
+            addr, L1Line(state))
 
     # ------------------------------------------------------------------
     # Core-facing interface.
@@ -171,11 +167,12 @@ class L1Controller(ScheduledController):
             line = self.array.lookup(addr)
             line.state = state
             return
-        if not self.array.has_free_way(addr):
+        line = L1Line(state)
+        if not self.array.install_if_free(addr, line):
             victim = self.array.choose_victim(addr, lambda line: True)
             assert victim is not None
             self._evict(victim, cycle)
-        self.array.install(addr, L1Line(state))
+            self.array.install(addr, line)
 
     def _evict(self, addr: int, cycle: int) -> None:
         line = self.array.remove(addr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, Optional, Set
+from typing import Callable, Deque, Dict, Iterable, Optional, Set
 
 from repro.coherence.base import ScheduledController
 from repro.coherence.cache import CacheArray
@@ -31,9 +31,17 @@ class DirLine:
         self.dirty = False
         #: L1 holding the line in E/M (exclusive ownership), if any.
         self.owner: Optional[int] = None
-        self.sharers: Set[int] = set()
+        #: L1s holding the line in S; None until the first one is added
+        #: (most lines of a bank never have a sharer).
+        self.sharers: Optional[Set[int]] = None
         #: A transaction is in flight for this line (requests must queue).
         self.busy = False
+
+    def add_sharer(self, node: int) -> None:
+        if self.sharers is None:
+            self.sharers = {node}
+        else:
+            self.sharers.add(node)
 
 
 class _TxnKind(enum.Enum):
@@ -101,14 +109,16 @@ class L2BankController(ScheduledController):
             if owner is not None and line.owner is None and not line.sharers:
                 line.owner = owner
             return True
-        if not self.array.has_free_way(addr):
-            return False
         line = DirLine()
         line.owner = owner
         if sharers:
-            line.sharers.update(sharers)
-        self.array.install(addr, line)
-        return True
+            line.sharers = set(sharers)
+        return self.array.install_if_free(addr, line)
+
+    def prewarm_fill(self, addrs: Iterable[int]) -> None:
+        """``prewarm_line(addr)`` for each of ``addrs``: the unowned,
+        unshared bulk of a functional warmup."""
+        self.array.fill_absent(addrs, DirLine)
 
     # ------------------------------------------------------------------
     def receive(self, msg: Message, cycle: int) -> None:
@@ -153,7 +163,7 @@ class L2BankController(ScheduledController):
             # no WB race is possible here): grant the line again.
             line.owner = None
             self._grant(line, msg, cycle)
-        elif is_write and line.sharers - {requestor}:
+        elif is_write and line.sharers and line.sharers - {requestor}:
             self._invalidate_then_grant(line, msg, cycle)
         else:
             self._grant(line, msg, cycle)
@@ -161,7 +171,9 @@ class L2BankController(ScheduledController):
     def _start_fetch(self, msg: Message, cycle: int) -> None:
         addr = msg.payload.addr
         self.stats.bump("l2.misses")
-        if not self.array.has_free_way(addr):
+        placeholder = DirLine()
+        placeholder.busy = True
+        if not self.array.install_if_free(addr, placeholder):
             victim = self.array.choose_victim(addr, lambda l: not l.busy)
             if victim is None:
                 # Every way busy: retry after another directory access.
@@ -170,9 +182,7 @@ class L2BankController(ScheduledController):
                 self.stats.bump("l2.fetch_retries")
                 return
             self._start_eviction(victim, cycle)
-        placeholder = DirLine()
-        placeholder.busy = True
-        self.array.install(addr, placeholder)
+            self.array.install(addr, placeholder)
         txn = Txn(_TxnKind.FETCH, addr, msg.src, msg.kind == Kind.GETX, msg)
         txn.mem_pending = True
         self.txns[addr] = txn
@@ -187,7 +197,7 @@ class L2BankController(ScheduledController):
         assert line is not None and not line.busy
         self.stats.bump("l2.evictions")
         txn = Txn(_TxnKind.EVICT, addr)
-        targets = set(line.sharers)
+        targets = set(line.sharers or ())
         if line.owner is not None:
             targets.add(line.owner)
             line.dirty = True  # the owner's copy supersedes ours
@@ -272,7 +282,8 @@ class L2BankController(ScheduledController):
         assert line is not None
         if txn.is_write:
             line.owner = txn.requestor
-            line.sharers.clear()
+            if line.sharers is not None:
+                line.sharers.clear()
         else:
             if line.sharers:
                 line.sharers.add(txn.requestor)
@@ -295,11 +306,12 @@ class L2BankController(ScheduledController):
             old_owner = line.owner
             if txn.is_write:
                 line.owner = txn.requestor
-                line.sharers.clear()
+                if line.sharers is not None:
+                    line.sharers.clear()
             else:
                 if old_owner is not None:
-                    line.sharers.add(old_owner)
-                line.sharers.add(txn.requestor)
+                    line.add_sharer(old_owner)
+                line.add_sharer(txn.requestor)
                 line.owner = None
                 line.dirty = True
             line.busy = False
@@ -321,7 +333,8 @@ class L2BankController(ScheduledController):
         elif txn.kind is _TxnKind.INV_GRANT:
             line = self.array.peek(addr)
             assert line is not None
-            line.sharers = {s for s in line.sharers if s == txn.requestor}
+            line.sharers = {s for s in line.sharers or ()
+                            if s == txn.requestor}
             txn.kind = _TxnKind.GRANT
             reply = self.factory.l2_reply(self.node, txn.requestor, addr,
                                           txn.request, True)
@@ -339,7 +352,7 @@ class L2BankController(ScheduledController):
         if line is not None and line.owner == msg.src:
             line.owner = None
             line.dirty = line.dirty or msg.payload.exclusive
-        elif line is not None:
+        elif line is not None and line.sharers:
             line.sharers.discard(msg.src)
         ack = self.factory.l2_wb_ack(self.node, msg.src, addr, msg)
         self.ni.enqueue(ack, cycle)

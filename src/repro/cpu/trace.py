@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -122,21 +122,23 @@ class AccessStream:
     # ------------------------------------------------------------------
     # Functional warmup support.
     # ------------------------------------------------------------------
-    def hot_lines(self) -> Iterable[int]:
+    def _line_addrs(self, first_line: int, n_lines: int) -> range:
+        return range(first_line * self.line_bytes,
+                     (first_line + n_lines) * self.line_bytes,
+                     self.line_bytes)
+
+    def hot_lines(self) -> range:
         """Byte addresses of the L1-resident hot set."""
-        for line in range(self._hot_base, self._hot_base + self.params.hot_lines):
-            yield line * self.line_bytes
+        return self._line_addrs(self._hot_base, self.params.hot_lines)
 
-    def mid_lines(self) -> Iterable[int]:
+    def mid_lines(self) -> range:
         """Byte addresses of the L2-resident mid region."""
-        for line in range(self._mid_base, self._mid_base + self.params.mid_lines):
-            yield line * self.line_bytes
+        return self._line_addrs(self._mid_base, self.params.mid_lines)
 
-    def shared_lines(self) -> Iterable[int]:
+    def shared_lines(self) -> range:
         """Byte addresses of the shared hot region."""
-        base = self.shared_base_line
-        for line in range(base, base + self.params.shared_lines):
-            yield line * self.line_bytes
+        return self._line_addrs(self.shared_base_line,
+                                self.params.shared_lines)
 
     @staticmethod
     def _geometric(rng: Random, p: float) -> int:

@@ -15,6 +15,7 @@ produce stable averages.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional
@@ -192,6 +193,20 @@ class RunResult:
 
 
 _memo: Dict[str, RunResult] = {}
+
+
+@contextmanager
+def fresh_memo():
+    """Run the block with an empty in-process result memo (so a run in it
+    really simulates, or really reads the store), then put back what was
+    memoised before; results the block itself memoised are dropped."""
+    saved = dict(_memo)
+    _memo.clear()
+    try:
+        yield
+    finally:
+        _memo.clear()
+        _memo.update(saved)
 
 #: Instruments + artifact paths of the most recent telemetry-enabled run
 #: in this process (the CLI ``trace``/``profile`` commands read it).

@@ -142,6 +142,16 @@ class Network:
             if nodes is None or ni.node in nodes:
                 sim.add(ni)
 
+    def msgs_delivered(self) -> int:
+        """Messages delivered so far, without flushing: the flushed
+        ``noc.msgs_delivered`` count plus what the NIs still batch.  Cheap
+        enough for a per-cycle hook (the progress watchdog's probe), which
+        ``Stats.counter`` - a flush of every batcher - is not."""
+        total = self.stats.counters.get("noc.msgs_delivered", 0)
+        for ni in self.interfaces:
+            total += ni._c_delivered_msgs
+        return total
+
     def in_flight(self) -> int:
         """Flits/messages anywhere in the network or NI queues."""
         total = 0

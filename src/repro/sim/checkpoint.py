@@ -69,8 +69,10 @@ from repro import config as repro_config
 from repro.sim.kernel import SimulationError
 
 #: On-disk layout version; bump on incompatible change (2: the pickled
-#: ``run`` record is the one :func:`repro.system.new_run_state` builds).
-SCHEMA_VERSION = 2
+#: ``run`` record is the one :func:`repro.system.new_run_state` builds;
+#: 3: cache sets are parallel lists with int PLRU bits, ``DirLine.sharers``
+#: may be None).
+SCHEMA_VERSION = 3
 
 MAGIC = b"RPROCKPT"
 

@@ -115,11 +115,19 @@ class Stats:
 
     Hot components (routers, NIs) batch their per-flit counters in plain
     int attributes and register a *flusher* here; every read-style method
-    calls :meth:`flush` first, so observers (samplers, invariant checkers,
-    forensics, result builders) always see complete counts.  A flusher
-    must move its pending deltas into ``counters`` and zero itself, and
-    must not add keys whose pending delta is zero (snapshot equality with
-    unbatched runs depends on it).
+    (``counter``, ``counters_with_prefix``, ``as_dict``, ``share``,
+    ``merge``, ``reset``) calls :meth:`flush` first, so observers
+    (samplers, invariant checkers, forensics, result builders) always see
+    complete counts.  That makes a read cost one call per registered
+    batcher - two per node plus the circuit policy - so read-style
+    methods are for interval and end-of-phase observers; a hook that runs
+    every stepped cycle (a kernel watchdog's probe) must not call them,
+    or it undoes the batching.  Such a hook reads ``counters`` plus the
+    batchers' pending ints itself, as ``Network.msgs_delivered`` does
+    (``tests/test_system_misc.py`` counts flusher calls to hold this).
+    A flusher must move its pending deltas into ``counters`` and zero
+    itself, and must not add keys whose pending delta is zero (snapshot
+    equality with unbatched runs depends on it).
     """
 
     def __init__(self) -> None:

@@ -9,6 +9,7 @@ and provides run/warmup/drain control for experiments.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -214,6 +215,8 @@ class CmpSystem:
             tile = Tile(node, ni, l1, l2, mc, core)
             self.tiles.append(tile)
             ni.deliver = self._make_dispatch(tile)
+        self.cores: List[Core] = [
+            tile.core for tile in self.tiles if tile.core is not None]
         # Tick order: cores issue, controllers run due handlers, then the
         # network moves flits.  All channels carry >= 1 cycle so the order
         # only defines intra-cycle convention, not semantics.
@@ -290,15 +293,13 @@ class CmpSystem:
     # ------------------------------------------------------------------
     # Run control.
     # ------------------------------------------------------------------
-    @property
-    def cores(self) -> List[Core]:
-        return [tile.core for tile in self.tiles if tile.core is not None]
-
     def total_retired(self) -> int:
         return sum(core.retired for core in self.cores)
 
     def _progress(self) -> int:
-        return self.total_retired() + self.stats.counter("noc.msgs_delivered")
+        """The watchdog's probe, read on every stepped cycle: it must not
+        flush the counter batchers (``Stats.counter`` would)."""
+        return self.total_retired() + self.network.msgs_delivered()
 
     def run_cycles(self, cycles: int) -> None:
         self.sim.run(cycles)
@@ -444,6 +445,8 @@ class CmpSystem:
         from repro.coherence.l1 import L1State
 
         rng = self.rng.stream("prewarm")
+        home_of = self.home_of
+        banks = [tile.l2 for tile in self.tiles]
         shared_done = set()
         l1_capacity = self.config.cache.l1_sets * self.config.cache.l1_assoc
         for tile in self.tiles:
@@ -464,23 +467,26 @@ class CmpSystem:
                     return L1State.MODIFIED
                 return L1State.EXCLUSIVE
 
-            installed = 0
-            for addr in stream.hot_lines():
-                home = self.home_of(addr)
-                if self.tiles[home].l2.prewarm_line(addr, owner=tile.node):
-                    if tile.l1.prewarm_line(addr, warm_state()):
-                        installed += 1
+            def own(addr: int) -> bool:
+                """Place ``addr`` in this L1, owned at its home bank."""
+                return (banks[home_of(addr)].prewarm_line(addr, tile.node)
+                        and tile.l1.prewarm_line(addr, warm_state()))
+
+            installed = sum(map(own, stream.hot_lines()))
             # Fill the rest of the L1 with mid-region lines so measurement
             # starts with a full cache (every miss evicts, as at steady
-            # state); the remaining mid lines go to the L2 only.
-            for addr in stream.mid_lines():
-                home = self.home_of(addr)
-                if installed < l1_capacity:
-                    if self.tiles[home].l2.prewarm_line(addr, owner=tile.node):
-                        if tile.l1.prewarm_line(addr, warm_state()):
-                            installed += 1
-                        continue
-                self.tiles[home].l2.prewarm_line(addr)
+            # state); the remaining mid lines go to the L2 only, each
+            # bank's share in one call.
+            mid = stream.mid_lines()
+            owned = 0
+            while installed < l1_capacity and owned < len(mid):
+                installed += own(mid[owned])
+                owned += 1
+            l2_only = defaultdict(list)
+            for addr in mid[owned:]:
+                l2_only[home_of(addr)].append(addr)
+            for home, addrs in l2_only.items():
+                banks[home].prewarm_fill(addrs)
             if stream.params.shared_frac:
                 n = self.config.n_cores
                 for addr in stream.shared_lines():
@@ -490,9 +496,7 @@ class CmpSystem:
                         # grants, as at steady state, instead of a cold
                         # E-grant-then-forward on every line.
                         stale = {(addr // 64) % n, (addr // 64 + 7) % n}
-                        self.tiles[self.home_of(addr)].l2.prewarm_line(
-                            addr, sharers=stale
-                        )
+                        banks[home_of(addr)].prewarm_line(addr, sharers=stale)
 
     def warmup(self, per_core: int,
                max_cycles: int = WARMUP.deadline) -> None:

@@ -502,14 +502,11 @@ def _service_reference(spec) -> dict:
     comparison against the daemon's answer is a real recomputation."""
     from repro.harness import experiment
 
-    saved_memo = dict(experiment._memo)
     saved_cache = os.environ.pop("REPRO_CACHE", None)
     try:
-        experiment._memo.clear()
-        return experiment.run_experiment(spec).to_json()
+        with experiment.fresh_memo():
+            return experiment.run_experiment(spec).to_json()
     finally:
-        experiment._memo.clear()
-        experiment._memo.update(saved_memo)
         if saved_cache is not None:
             os.environ["REPRO_CACHE"] = saved_cache
 
@@ -527,11 +524,10 @@ def _scenario_service_worker_sigkill() -> ChaosOutcome:
     name = "service-worker-sigkill"
     spec = RunSpec(16, Variant.REUSE_NOACK, _WORKLOAD, _SEED,
                    measure_instructions=2500, warmup_instructions=300)
-    # Workers are forked at start(): clear the memo first so the job is
+    # Workers are forked at start(): empty the memo first so the job is
     # a genuine multi-second simulation the kill can land inside.
-    saved_memo = dict(experiment._memo)
-    experiment._memo.clear()
-    with tempfile.TemporaryDirectory() as tmp, _PidWatch() as watch:
+    with experiment.fresh_memo(), \
+            tempfile.TemporaryDirectory() as tmp, _PidWatch() as watch:
         env = dict(os.environ,
                    REPRO_CACHE=os.path.join(tmp, "store") + os.sep)
         daemon = Daemon(os.path.join(tmp, "repro.sock"), workers=1, env=env)
@@ -564,8 +560,6 @@ def _scenario_service_worker_sigkill() -> ChaosOutcome:
             respawns = client.info()["respawns"]
         finally:
             daemon.shutdown()
-            experiment._memo.clear()
-            experiment._memo.update(saved_memo)
         leaked = watch.leaked()
     if leaked:
         return ChaosOutcome(name, False, error=f"leaked workers: {leaked}")
@@ -605,9 +599,8 @@ def _scenario_service_dedup() -> ChaosOutcome:
     name = "service-dedup-and-store"
     spec = RunSpec(16, Variant.REUSE_NOACK, _WORKLOAD, _SEED,
                    measure_instructions=600, warmup_instructions=150)
-    saved_memo = dict(experiment._memo)
-    experiment._memo.clear()
-    with tempfile.TemporaryDirectory() as tmp, _PidWatch() as watch:
+    with experiment.fresh_memo(), \
+            tempfile.TemporaryDirectory() as tmp, _PidWatch() as watch:
         env = dict(os.environ,
                    REPRO_CACHE=os.path.join(tmp, "store") + os.sep)
         daemon = Daemon(os.path.join(tmp, "a.sock"), workers=1, env=env)
@@ -625,8 +618,6 @@ def _scenario_service_dedup() -> ChaosOutcome:
             first_result = row["result"]
         finally:
             daemon.shutdown()
-            experiment._memo.clear()
-            experiment._memo.update(saved_memo)
         if row["state"] != jobstates.DONE:
             return ChaosOutcome(name, False,
                                 error=f"job ended {row['state']!r}: "

@@ -23,11 +23,8 @@ def clean_state(monkeypatch):
     for var in ("REPRO_SCALE", "REPRO_FULL", "REPRO_JOBS", "REPRO_CACHE",
                 "REPRO_SERVICE", "REPRO_SERVICE_WORKERS", "REPRO_FAILFAST"):
         monkeypatch.delenv(var, raising=False)
-    saved = dict(experiment._memo)
-    experiment._memo.clear()
-    yield
-    experiment._memo.clear()
-    experiment._memo.update(saved)
+    with experiment.fresh_memo():
+        yield
 
 
 @pytest.fixture

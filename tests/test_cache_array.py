@@ -1,14 +1,89 @@
 """Cache arrays and tree pseudo-LRU replacement."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.coherence.cache import CacheArray, PseudoLruTree
+from repro.coherence.cache import CacheArray, plru_masks, plru_victim
 
 
 class Line:
     def __init__(self, tag):
         self.tag = tag
+
+
+class PseudoLruTree:
+    """The production encoding - one int per set, per-way ``(keep, set)``
+    masks - behind the touch/victim shape these tests are written in."""
+
+    def __init__(self, ways):
+        self.ways = ways
+        self.masks = plru_masks(ways)
+        self.bits = 0
+
+    def touch(self, way):
+        keep, point = self.masks[way]
+        self.bits = self.bits & keep | point
+
+    def victim(self):
+        return plru_victim(self.bits, self.ways)
+
+
+class TreeWalkOracle:
+    """The bool-list tree walk the int encoding replaced, kept as the
+    reference: one flag per internal node in heap order, True = the
+    victim walk goes right."""
+
+    def __init__(self, ways):
+        self.ways = ways
+        self.flags = [False] * max(1, ways - 1)
+
+    def touch(self, way):
+        node, span, base = 0, self.ways, 0
+        while span > 1:
+            half = span // 2
+            go_right = way >= base + half
+            self.flags[node] = not go_right  # point away from the used half
+            node = 2 * node + (2 if go_right else 1)
+            if go_right:
+                base += half
+            span = half
+
+    def victim(self):
+        node, span, base = 0, self.ways, 0
+        while span > 1:
+            half = span // 2
+            go_right = self.flags[node]
+            node = 2 * node + (2 if go_right else 1)
+            if go_right:
+                base += half
+            span = half
+        return base
+
+    @property
+    def bits(self):
+        return sum(flag << node for node, flag in enumerate(self.flags))
+
+
+@pytest.mark.parametrize("ways", [1, 2, 4, 8, 16])
+def test_plru_int_masks_agree_with_tree_walk(ways):
+    """Random touch/victim sequences: same victim and the same bits, step
+    for step, as the tree walk (victim-then-touch is a replacement, a
+    bare touch is a hit)."""
+    rng = random.Random(f"plru/{ways}")
+    for _ in range(50):
+        plru, oracle = PseudoLruTree(ways), TreeWalkOracle(ways)
+        for _ in range(200):
+            if rng.random() < 0.3:
+                way = plru.victim()
+                assert way == oracle.victim()
+            else:
+                way = rng.randrange(ways)
+            plru.touch(way)
+            oracle.touch(way)
+            assert plru.bits == oracle.bits
+            assert plru.victim() == oracle.victim()
 
 
 def test_plru_requires_power_of_two():
@@ -67,12 +142,44 @@ def test_set_conflict_and_victim():
     cache = CacheArray(2, 2, 64)  # addresses 0, 128, 256 map to set 0
     cache.install(0, Line("a"))
     cache.install(128, Line("b"))
-    assert not cache.has_free_way(256)
+    assert not cache.install_if_free(256, Line("c"))
+    assert 256 not in cache and cache.occupancy() == 2
+    with pytest.raises(ValueError):
+        cache.install(256, Line("c"))
     victim = cache.choose_victim(256, lambda line: True)
     assert victim in (0, 128)
     cache.remove(victim)
-    cache.install(256, Line("c"))
+    assert cache.install_if_free(256, Line("c"))
     assert cache.lookup(256).tag == "c"
+
+
+def test_install_takes_the_lowest_free_way():
+    cache = CacheArray(1, 4, 64)
+    for i in range(4):
+        cache.install(i * 64, Line(i))
+    cache.remove(2 * 64)
+    cache.remove(1 * 64)
+    cache.install(4 * 64, Line(4))
+    assert cache._where[4 * 64] == 1
+
+
+def test_fill_absent_is_install_if_free_in_order():
+    """The bulk warm-up fill leaves exactly what one ``install_if_free``
+    per absent address leaves: residents untouched (no recency update),
+    full sets skipped, same ways, same PLRU bits."""
+    addrs = [a * 64 for a in (0, 5, 2, 5, 9, 1, 17, 33, 4, 0, 6, 3)]
+    bulk, single = CacheArray(4, 2, 64), CacheArray(4, 2, 64)
+    for cache in (bulk, single):
+        cache.install(5 * 64, Line("resident"))
+    bulk.fill_absent(addrs, lambda: Line("filled"))
+    for addr in addrs:
+        if addr not in single:
+            single.install_if_free(addr, Line("filled"))
+    assert bulk._where == single._where
+    assert bulk._plru == single._plru
+    assert bulk._addrs == single._addrs
+    assert bulk.peek(5 * 64).tag == "resident"
+    assert 33 * 64 not in bulk  # set 1 was full by then
 
 
 def test_victim_respects_evictability():
@@ -117,8 +224,8 @@ def test_cache_never_exceeds_capacity(addrs):
         addr *= 64
         if addr in cache:
             continue
-        if not cache.has_free_way(addr):
+        if not cache.install_if_free(addr, Line(addr)):
             victim = cache.choose_victim(addr, lambda line: True)
             cache.remove(victim)
-        cache.install(addr, Line(addr))
+            cache.install(addr, Line(addr))
         assert cache.occupancy() <= 8 * 4

@@ -210,6 +210,19 @@ def test_future_schema_is_incompatible(ckpt):
         read_checkpoint(ckpt)
 
 
+def test_schema_2_file_is_refused_before_unpickling(tmp_path):
+    """Schema 2 pickled ``CacheSet``/``PseudoLruTree`` objects this build
+    no longer has: resuming from such a file must fail typed at the
+    header, never as an ``AttributeError`` out of the unpickler (the
+    payload here would not even unpickle)."""
+    policy = CheckpointPolicy(str(tmp_path), INTERVAL, "cafe")
+    write_checkpoint(policy.path, b"payload-bytes", kind="run",
+                     config_hash="cafe", cycle=42)
+    _rewrite_header(policy.path, schema=2)
+    with pytest.raises(IncompatibleCheckpointError, match="schema 2"):
+        policy.restore()
+
+
 def test_wrong_kind_is_incompatible(ckpt):
     with pytest.raises(IncompatibleCheckpointError, match="'shard'"):
         read_checkpoint(ckpt, kind="shard")

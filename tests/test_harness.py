@@ -24,6 +24,7 @@ from repro.harness.experiment import (
     RunSpec,
     _memo,
     default_workloads,
+    fresh_memo,
     run_experiment,
 )
 from repro.sim.config import Variant
@@ -50,6 +51,20 @@ def test_run_experiment_is_memoised():
     a = run_experiment(spec())
     b = run_experiment(spec())
     assert a is b
+
+
+def test_fresh_memo_forces_a_real_run_then_restores():
+    kept = run_experiment(spec())
+    with fresh_memo():
+        assert not _memo
+        again = run_experiment(spec())
+        assert again is not kept
+        assert again.to_json() == kept.to_json()
+    assert run_experiment(spec()) is kept  # the block's own result is gone
+    with pytest.raises(RuntimeError):
+        with fresh_memo():
+            raise RuntimeError("boom")
+    assert run_experiment(spec()) is kept
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):

@@ -57,3 +57,56 @@ def test_64_core_system_builds_and_steps():
     system.functional_prewarm()
     system.run_cycles(300)
     assert system.total_retired() > 0
+
+
+# -- the watchdog's progress probe ---------------------------------------
+
+def _instrumented_run(check_at_boundaries: bool):
+    """A short 16-core warm-up + measure run with counters on the probe,
+    the end-of-phase check and every registered counter flusher."""
+    system = build_system(small_test_config(16, Variant.COMPLETE_NOACK),
+                          workload_by_name("canneal"))
+    calls = {"probe": 0, "boundary": 0, "flusher": 0}
+
+    def counted(name, fn, before=None):
+        def wrapper(*args):
+            calls[name] += 1
+            if before is not None:
+                before()
+            return fn(*args)
+        return wrapper
+
+    def contract():
+        assert system._progress() == (
+            system.total_retired()
+            + system.stats.counter("noc.msgs_delivered"))
+
+    stats = system.stats
+    stats._flushers[:] = [counted("flusher", f) for f in stats._flushers]
+    system._progress = counted("probe", system._progress)
+    system.phase_done = counted(
+        "boundary", system.phase_done,
+        before=contract if check_at_boundaries else None)
+    system.run_script(warmup_instructions=150, measure_instructions=300)
+    return system, calls
+
+
+def test_progress_probe_equals_the_flushed_count_at_every_boundary():
+    system, calls = _instrumented_run(check_at_boundaries=True)
+    assert calls["boundary"] > 20
+    assert system.stats.counter("noc.msgs_delivered") > 0
+
+
+def test_per_cycle_hooks_do_not_flush_the_counter_batchers():
+    """Tripwire (counts only, no wall clock): the watchdog probes on every
+    stepped cycle, so a read-style ``Stats`` call there flushes every
+    router/NI/policy batcher per cycle and undoes the batching.  Flushes
+    may scale with check boundaries, never with stepped cycles."""
+    system, calls = _instrumented_run(check_at_boundaries=False)
+    n_flushers = len(system.stats._flushers)
+    assert n_flushers >= 32  # 16 routers + 16 NIs (+ the circuit policy)
+    # The probe really is the hot one here ...
+    assert calls["probe"] > 4 * calls["boundary"]
+    # ... and flushing is not tied to it: today a handful of rounds per
+    # run (end-of-phase flushes, the stats reset), at most one per check.
+    assert calls["flusher"] <= n_flushers * (calls["boundary"] + 8)
