@@ -93,7 +93,7 @@ class L2BankController(ScheduledController):
         cache = config.cache
         self.array: CacheArray[DirLine] = CacheArray(
             cache.l2_bank_sets, cache.l2_assoc, cache.line_bytes,
-            block_stride=config.n_cores,
+            block_stride=config.n_cores, make_line=DirLine,
         )
         self.txns: Dict[int, Txn] = {}
         self.queues: Dict[int, Deque[Message]] = {}
@@ -117,8 +117,9 @@ class L2BankController(ScheduledController):
 
     def prewarm_fill(self, addrs: Iterable[int]) -> None:
         """``prewarm_line(addr)`` for each of ``addrs``: the unowned,
-        unshared bulk of a functional warmup."""
-        self.array.fill_absent(addrs, DirLine)
+        unshared bulk of a functional warmup, left as default lines the
+        array builds on first access."""
+        self.array.fill_absent(addrs)
 
     # ------------------------------------------------------------------
     def receive(self, msg: Message, cycle: int) -> None:

@@ -71,8 +71,9 @@ from repro.sim.kernel import SimulationError
 #: On-disk layout version; bump on incompatible change (2: the pickled
 #: ``run`` record is the one :func:`repro.system.new_run_state` builds;
 #: 3: cache sets are parallel lists with int PLRU bits, ``DirLine.sharers``
-#: may be None).
-SCHEMA_VERSION = 3
+#: may be None; 4: a cache array has no addr -> way dict, and a resident
+#: way whose line slot is None holds the default line, not yet built).
+SCHEMA_VERSION = 4
 
 MAGIC = b"RPROCKPT"
 

@@ -476,7 +476,8 @@ class CmpSystem:
             # Fill the rest of the L1 with mid-region lines so measurement
             # starts with a full cache (every miss evicts, as at steady
             # state); the remaining mid lines go to the L2 only, each
-            # bank's share in one call.
+            # bank's share in one call that places addresses and builds
+            # no directory line (the run builds the few it reads).
             mid = stream.mid_lines()
             owned = 0
             while installed < l1_capacity and owned < len(mid):

@@ -637,10 +637,14 @@ class InvariantMonitor:
             l2 = tile.l2
             if l2 is None:
                 continue
+            # A way still holding its default line has never been handed
+            # to the controller, so it cannot be busy - and reading it
+            # (``peek``) would build it: the monitor only observes.
+            lines = dict(l2.array.items(defaults=False))
             for addr, txn in l2.txns.items():
                 if txn.kind.name == "EVICT":
                     continue  # eviction transactions track a removed line
-                line = l2.array.peek(addr)
+                line = lines.get(addr)
                 if line is None or not line.busy:
                     raise self._fail(
                         "coherence", cycle,
@@ -649,7 +653,7 @@ class InvariantMonitor:
                         f"busy line backing it",
                         {"addr": addr, "txn": txn.kind.name},
                     )
-            for addr, line in l2.array.items():
+            for addr, line in lines.items():
                 if line.busy and addr not in l2.txns:
                     raise self._fail(
                         "coherence", cycle,

@@ -160,7 +160,15 @@ def test_install_takes_the_lowest_free_way():
     cache.remove(2 * 64)
     cache.remove(1 * 64)
     cache.install(4 * 64, Line(4))
-    assert cache._where[4 * 64] == 1
+    assert cache.way_of(4 * 64) == 1
+    assert cache.way_of(2 * 64) is None
+
+
+def _placement(cache):
+    """Everything but the lines: which way each address sits in, in
+    iteration order, and every set's PLRU bits."""
+    return ([(addr, cache.way_of(addr)) for addr, _ in cache.items()],
+            list(cache._plru))
 
 
 def test_fill_absent_is_install_if_free_in_order():
@@ -168,18 +176,45 @@ def test_fill_absent_is_install_if_free_in_order():
     per absent address leaves: residents untouched (no recency update),
     full sets skipped, same ways, same PLRU bits."""
     addrs = [a * 64 for a in (0, 5, 2, 5, 9, 1, 17, 33, 4, 0, 6, 3)]
-    bulk, single = CacheArray(4, 2, 64), CacheArray(4, 2, 64)
+    bulk, single = (CacheArray(4, 2, 64, make_line=lambda: Line("filled"))
+                    for _ in range(2))
     for cache in (bulk, single):
         cache.install(5 * 64, Line("resident"))
-    bulk.fill_absent(addrs, lambda: Line("filled"))
+    bulk.fill_absent(addrs)
     for addr in addrs:
         if addr not in single:
             single.install_if_free(addr, Line("filled"))
-    assert bulk._where == single._where
-    assert bulk._plru == single._plru
-    assert bulk._addrs == single._addrs
+    assert _placement(bulk) == _placement(single)
     assert bulk.peek(5 * 64).tag == "resident"
+    assert bulk.peek(9 * 64).tag == "filled"
     assert 33 * 64 not in bulk  # set 1 was full by then
+
+
+def test_default_lines_are_built_on_first_read_and_only_then():
+    built = []
+
+    def make_line():
+        built.append(Line("default"))
+        return built[-1]
+
+    cache = CacheArray(2, 2, 64, make_line=make_line)
+    cache.fill_absent([0, 64, 128])
+    cache.install(192, Line("given"))
+    assert cache.occupancy() == 4 and 128 in cache and cache.way_of(128) == 1
+    assert [addr for addr, _ in cache.items(defaults=False)] == [192]
+    assert not built  # residency, ways and PLRU cost no line
+    assert [(addr, line.tag) for addr, line in cache.items()] == [
+        (0, "default"), (128, "default"), (64, "default"), (192, "given")]
+    assert len(built) == 3  # throwaway copies: observers store nothing
+    assert [addr for addr, _ in cache.items(defaults=False)] == [192]
+    line = cache.peek(128)
+    assert line is built[-1] and cache.lookup(128) is line
+    assert cache.peek(128) is line and len(built) == 4
+    assert cache.choose_victim(256, lambda line: line.tag == "default") == 0
+    assert cache.remove(0) is built[-1] and len(built) == 5
+    assert cache.remove(64).tag == "default" and len(built) == 6
+    assert sorted(addr for addr, _ in cache.items(defaults=False)) == [
+        128, 192]
 
 
 def test_victim_respects_evictability():

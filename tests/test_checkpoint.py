@@ -30,14 +30,15 @@ from repro.sim.checkpoint import (
     CorruptCheckpointError,
     IncompatibleCheckpointError,
     UnpicklableStateError,
+    capture_system,
     dumps_state,
     fingerprint,
     read_checkpoint,
     restore_system,
     write_checkpoint,
 )
-from repro.sim.config import Variant, small_test_config
-from repro.system import CmpSystem
+from repro.sim.config import SystemConfig, Variant, small_test_config
+from repro.system import PHASES, CmpSystem, arm_phase, new_run_state
 
 WARMUP = 80
 MEASURE = 250
@@ -144,6 +145,48 @@ def test_resume_is_bit_identical(variant, fastpath, fraction):
     assert _snapshot(system.stats) == run.stats
 
 
+def _directory_lines(system):
+    """(resident, built) L2 lines: the rest are default lines an array
+    holds as an address and an empty slot."""
+    arrays = [tile.l2.array for tile in system.tiles]
+    return (sum(array.occupancy() for array in arrays),
+            sum(1 for array in arrays for _ in array.items(defaults=False)))
+
+
+def test_capture_right_after_prewarm_resumes_identically():
+    """The snapshot with the most unbuilt lines in it: "not built yet" is
+    an empty slot, so it survives pickling as itself, and the restored
+    run builds the same lines the uninterrupted one did."""
+    run = _run_for(Variant.REUSE_NOACK, True)
+    system = _build(Variant.REUSE_NOACK, True)
+    run_state = new_run_state(WARMUP, MEASURE)
+    system.functional_prewarm()
+    arm_phase(system, run_state, PHASES["warmup"], system.cores, WARMUP)
+    before = _directory_lines(system)
+    assert 0 < before[1] < before[0] // 4
+    data = restore_system(
+        capture_system(system, dict(run_state, cycle=system.sim.cycle)))
+    restored = data["system"]
+    assert _directory_lines(restored) == before
+    assert restored.run_script(run_state=data["run"]) == (run.start,
+                                                          run.finish)
+    assert restored.sim.cycle == run.end
+    assert _snapshot(restored.stats) == run.stats
+    system.run_script(run_state=run_state)  # the uninterrupted twin
+    assert _directory_lines(restored) == _directory_lines(system)
+
+
+def test_prewarmed_snapshot_stays_small():
+    """Deterministic size tripwire: a snapshot of the prewarmed 16-core
+    canneal chip (the ``cmp16_canneal`` golden config) pickles 135 168
+    resident L2 lines; 7.9 MB when each was a ``DirLine``, 2.0 MB as
+    addresses.  A change that builds lines in bulk again fails here."""
+    system = CmpSystem(SystemConfig(n_cores=16, seed=1),
+                       workload_by_name("canneal"))
+    system.functional_prewarm()
+    assert len(dumps_state(system)) <= 3_500_000
+
+
 # -- file format: every damage mode has a typed rejection ---------------
 
 @pytest.fixture
@@ -220,6 +263,18 @@ def test_schema_2_file_is_refused_before_unpickling(tmp_path):
                      config_hash="cafe", cycle=42)
     _rewrite_header(policy.path, schema=2)
     with pytest.raises(IncompatibleCheckpointError, match="schema 2"):
+        policy.restore()
+
+
+def test_schema_3_file_is_refused_before_unpickling(tmp_path):
+    """Schema 3 arrays carry an ``addr -> way`` dict and a line object in
+    every resident way; unpickled into this build they would read as
+    arrays whose occupancy is 0.  Refused typed at the header, like 2."""
+    policy = CheckpointPolicy(str(tmp_path), INTERVAL, "cafe")
+    write_checkpoint(policy.path, b"payload-bytes", kind="run",
+                     config_hash="cafe", cycle=42)
+    _rewrite_header(policy.path, schema=3)
+    with pytest.raises(IncompatibleCheckpointError, match="schema 3"):
         policy.restore()
 
 

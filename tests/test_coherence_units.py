@@ -360,6 +360,48 @@ def test_l2_eviction_invalidates_and_writes_back(setup):
     assert ni.kinds() == [Kind.WB_L2]
 
 
+def _one_set(config, ways=16, base_block=3):
+    """Addresses of bank 3 that all map to one of its sets."""
+    sets = config.cache.l2_bank_sets
+    return [(base_block + 16 * sets * i) * 64 for i in range(ways + 1)]
+
+
+def _built(l2):
+    return [addr for addr, _ in l2.array.items(defaults=False)]
+
+
+def test_l2_prewarm_fill_builds_nothing_until_a_line_is_owned(setup):
+    config, factory, _ = setup
+    l2, ni = make_l2(setup)
+    *addrs, overflow = _one_set(config)
+    l2.prewarm_fill(addrs + [overflow])
+    assert l2.array.occupancy() == 16 and overflow not in l2.array
+    assert _built(l2) == []
+    # prewarm-then-own: ownership lands on a line the fill left unbuilt
+    assert l2.prewarm_line(addrs[5], owner=9)
+    assert _built(l2) == [addrs[5]]
+    assert l2.array.peek(addrs[5]).owner == 9
+    line = l2.array.peek(addrs[6])  # first read builds the default line
+    assert (line.owner, line.sharers, line.dirty, line.busy) == (
+        None, None, False, False)
+    assert l2.array.peek(addrs[6]) is line
+
+
+def test_l2_evicting_a_default_line_is_silent(setup):
+    """A never-read victim is clean, unowned and unshared: it leaves
+    without an invalidation or a writeback."""
+    config, factory, _ = setup
+    l2, ni = make_l2(setup)
+    *addrs, new_addr = _one_set(config)
+    l2.prewarm_fill(addrs)
+    l2.receive(factory.gets(0, 3, new_addr), 0)
+    drive(l2, 20)
+    assert ni.kinds() == [Kind.MEM_READ]
+    assert l2.stats.counter("l2.evictions") == 1
+    assert l2.array.occupancy() == 16 and _built(l2) == [new_addr]
+    assert not l2.txns.keys() - {new_addr}  # the eviction already closed
+
+
 # ---------------------------------------------------------------------------
 # Memory controller.
 # ---------------------------------------------------------------------------

@@ -249,3 +249,37 @@ def test_every_engine_yields_the_same_result(engine, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESUME", "1")
     assert _run_engine(spec) == _engine_reference[0]
     assert not ckpt_dir.exists() or not any(ckpt_dir.iterdir())
+
+
+def test_checked_run_builds_no_directory_line(monkeypatch):
+    """``REPRO_CHECK=1`` is read-only down to the cache arrays: the
+    monitor sweeps every L2 bank, yet the checked run ends with exactly
+    the lines the plain run built (a default line cannot be busy, so it
+    is never read) and the same result, byte for byte."""
+    from repro.harness import experiment
+
+    systems = []
+    real_build = experiment.build_system
+
+    def build_system(*args):
+        systems.append(real_build(*args))
+        return systems[-1]
+
+    monkeypatch.setattr(experiment, "build_system", build_system)
+    for name in ENGINE_ENV:
+        monkeypatch.delenv(name, raising=False)
+    plain = _run_engine(ENGINE_SPEC)
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    monkeypatch.setenv("REPRO_CHECK_INTERVAL", "200")
+    assert _run_engine(ENGINE_SPEC) == plain
+
+    def lines(system):
+        arrays = [tile.l2.array for tile in system.tiles]
+        return (sum(1 for array in arrays
+                    for _ in array.items(defaults=False)),
+                sum(array.occupancy() for array in arrays))
+
+    plain_lines, checked_lines = map(lines, systems)
+    assert checked_lines == plain_lines
+    built, resident = plain_lines
+    assert 0 < built < resident // 4

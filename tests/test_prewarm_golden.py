@@ -2,9 +2,11 @@
 
 ``tests/golden/prewarm_state.json`` was generated from the code *before*
 the cache arrays were compacted and the prewarm's L2 tail became a bulk
-fill per bank, so it pins the steady state every measured run starts
-from: which way each line landed in, who owns it, who shares it, every
-set's PLRU bits, and how far the ``prewarm`` RNG stream was drawn.
+fill per bank that builds no line, so it pins the steady state every
+measured run starts from: which way each line landed in, who owns it,
+who shares it, every set's PLRU bits, and how far the ``prewarm`` RNG
+stream was drawn.  A line the fill left unbuilt digests as the
+``DirLine()`` it stands for.
 
 Regenerate (only when the prewarm's *intended* result changes) with
 ``PYTHONPATH=src python tests/test_prewarm_golden.py``.
@@ -55,16 +57,15 @@ CASES = {
 
 def _array_digest(array, describe):
     """Digest of one cache array: per set its PLRU bits, then every
-    resident ``(addr, way, *describe(line))`` in way order."""
+    resident ``(addr, way, *describe(line))`` in way order.  ``items()``
+    stores nothing, so digesting leaves default lines unbuilt."""
+    rows = [[] for _ in range(array.sets)]
+    for addr, line in array.items():
+        rows[array.set_index(addr)].append(
+            (addr, array.way_of(addr)) + describe(line))
     sha = hashlib.sha256()
-    for index in range(array.sets):
-        rows = [
-            (addr, way) + describe(line)
-            for way, (addr, line) in enumerate(
-                zip(array._addrs[index], array._lines[index]))
-            if addr is not None
-        ]
-        sha.update(repr((index, array._plru[index], rows)).encode())
+    for index, row in enumerate(rows):
+        sha.update(repr((index, array._plru[index], row)).encode())
     return sha.hexdigest()[:16]
 
 
@@ -106,6 +107,31 @@ def test_prewarm_reproduces_golden(case, tmp_path):
         golden = json.load(handle)
     config, workload = CASES[case](tmp_path)
     assert prewarm_state(build_system(config, workload)) == golden[case]
+
+
+def _built_l2_lines(system) -> int:
+    return sum(1 for tile in system.tiles
+               for _ in tile.l2.array.items(defaults=False))
+
+
+def test_prewarm_builds_only_owned_and_shared_lines():
+    """Count tripwire (deterministic, so CI can gate what an RSS reading
+    cannot): of the 135 168 L2 lines the 16-core canneal prewarm makes
+    resident, only the owned (16 x 512, one per L1 line) and pre-shared
+    (1 024) ones exist as ``DirLine`` objects; the L2-only tail is
+    addresses.  A run at the benchmark's quanta builds the few hundred it
+    touches.  A change that builds lines in bulk again fails here."""
+    with open(GOLDEN) as handle:
+        golden = json.load(handle)["cmp16_canneal"]
+    system = build_system(*CASES["cmp16_canneal"](None))
+    system.functional_prewarm()
+    assert sum(t.l2.array.occupancy()
+               for t in system.tiles) == golden["l2_lines"] == 135168
+    assert _built_l2_lines(system) == golden["l1_lines"] + 1024 == 9216
+
+    system = build_system(*CASES["cmp16_canneal"](None))
+    system.run_script(warmup_instructions=400, measure_instructions=1500)
+    assert 9216 < _built_l2_lines(system) <= 9216 + 600  # 9 601 today
 
 
 def test_golden_cases_are_distinct_and_non_trivial():

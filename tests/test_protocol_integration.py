@@ -38,8 +38,7 @@ def test_single_writer_invariant():
     """At any L2 bank, a line has either one owner or sharers, never both."""
     system, _ = run_small(Variant.COMPLETE_NOACK, instrs=500)
     for tile in system.tiles:
-        for addr, way in tile.l2.array._where.items():
-            line = tile.l2.array.peek(addr)
+        for addr, line in tile.l2.array.items():
             if line.owner is not None:
                 assert not line.sharers, (
                     f"line {addr:#x} has owner {line.owner} and sharers "
@@ -52,8 +51,7 @@ def test_l1_modified_implies_l2_ownership():
     system, _ = run_small(Variant.BASELINE, instrs=500)
     system.drain()
     for tile in system.tiles:
-        for addr in list(tile.l1.array._where):
-            line = tile.l1.array.peek(addr)
+        for addr, line in tile.l1.array.items():
             if line.state is L1State.MODIFIED:
                 home = system.tiles[system.home_of(addr)]
                 dir_line = home.l2.array.peek(addr)
