@@ -18,7 +18,6 @@ from typing import Dict, Optional, TYPE_CHECKING, Set, Tuple
 
 from repro.circuits.table import CircuitEntry, CircuitTable, CircuitWalk, HopRecord
 from repro.noc.flit import CircuitKey, Flit, Message
-from repro.noc.link import Credit
 from repro.noc.topology import Topology
 from repro.noc.vc import VcStage
 from repro.sim.config import CircuitMode, SystemConfig
@@ -528,71 +527,6 @@ class CompletePolicy(_TablePolicy):
             self._c_entries_used += 1
         return True
 
-    def handle_arrival_fast(self, router: "Router", port: int, flit: Flit,
-                            cycle: int) -> bool:
-        """Flattened twin of :meth:`handle_arrival` for the fast router.
-
-        The caller already applied the ``on_circuit`` pre-filter, and the
-        router helper calls (claim_path, forward_flit) are inlined per
-        circuit flit; the A/B suite holds the two paths bit-identical.
-        """
-        msg = flit.msg
-        key = msg.ride_key if msg.ride_key is not None else msg.circuit_key
-        table = router.inputs[port].circuit_table
-        # Inlined CircuitTable.lookup.
-        entry = table.entries.get(key) if table is not None else None
-        if entry is not None and entry.window_end is not None \
-                and entry.window_end < cycle:
-            del table.entries[key]
-            entry = None
-        if entry is None:
-            raise SimulationError(
-                f"circuit flit {flit!r} found no entry at router "
-                f"{router.node} port {router.mesh.port_name(port)} "
-                f"(key={key})"
-            )
-        out = entry.out_port
-        # Inlined claim_path; fault injection patches it per instance, so
-        # the bit tests only replace an *unpatched* method.
-        patched = router.__dict__.get("claim_path")
-        if patched is None:
-            out_bit = 1 << out
-            in_bit = 1 << port
-            if (router._out_claimed & out_bit) or (router._in_claimed & in_bit):
-                claimed = False
-            else:
-                router._out_claimed |= out_bit
-                router._in_claimed |= in_bit
-                claimed = True
-        else:
-            claimed = patched(port, out)
-        if not claimed:
-            raise SimulationError(
-                f"complete-circuit collision at router {router.node}: "
-                f"{router.mesh.port_name(port)} -> "
-                f"{router.mesh.port_name(out)}"
-            )
-        # Inlined forward_flit (link send + batched counters).
-        link = router.out_flit[out]
-        due = cycle + 1 + link.latency
-        link._queue.append((due, flit))
-        watcher = link.watcher
-        if watcher is not None:
-            watcher.incoming += 1
-            wake = watcher.kernel_wake
-            if wake is not None:
-                wake(due)
-        router.forwarded += 1
-        router._c_xbar += 1
-        router._c_link += 1
-        if router.tracer is not None:
-            router.tracer(cycle, router, out, flit)
-        self._c_flit_hops += 1
-        if flit.is_tail and msg.ride_key is None:
-            table.remove(key)
-            self._c_entries_used += 1
-        return True
-
 
 class FragmentedPolicy(_TablePolicy):
     """Fragmented circuits: partial reservations with buffered circuit VCs.
@@ -712,110 +646,6 @@ class FragmentedPolicy(_TablePolicy):
             if flit.is_tail:
                 self._release_entry(router, port, entry, vc, cycle)
             return True
-        self._buffer_on_circuit_vc(router, port, entry, vc, flit, cycle)
-        return True
-
-    def handle_arrival_fast(self, router: "Router", port: int, flit: Flit,
-                            cycle: int) -> bool:
-        """Flattened twin of :meth:`handle_arrival` + :meth:`_try_fly`.
-
-        Bound by the fast router (which already applied the reply-VN /
-        circuit-key pre-filter); the lookup, eligibility checks,
-        claim_path, forward_flit, and return_credit bodies are inlined in
-        one pass per circuit flit.  The branch conditions and their order
-        mirror ``_try_fly`` exactly, so the A/B suite holds the two paths
-        bit-identical.
-        """
-        msg = flit.msg
-        unit = router.inputs[port]
-        table = unit.circuit_table
-        if table is None:
-            return False
-        key = msg.circuit_key
-        entry = table.entries.get(key)
-        if entry is None:
-            return False
-        if entry.window_end is not None and entry.window_end < cycle:
-            del table.entries[key]
-            return False
-        vc = unit.vcs[1][entry.vc_index]
-        if not vc.buffer:
-            arrival_vc = flit.dst_vc
-            out = entry.out_port
-            out_vc = None
-            token = None
-            new_dst = 0
-            if out >= self._local_base:
-                eligible = True
-            elif entry.fwd_reserved and entry.fwd_vc is not None:
-                out_vc = router.outputs[out].vcs[1][entry.fwd_vc]
-                eligible = out_vc.credits > 0
-                new_dst = entry.fwd_vc
-            else:
-                # Downstream hop not reserved: the flit continues packet-
-                # switched in the downstream VC0, owned like a VA would.
-                out_vc = router.outputs[out].vcs[1][0]
-                token = ("frag", msg.uid)
-                eligible = (out_vc.allocated_to in (None, token)
-                            and out_vc.credits > 0)
-            if eligible:
-                # Inlined claim_path (patch-aware, as in the router's ST).
-                patched = router.__dict__.get("claim_path")
-                if patched is None:
-                    out_bit = 1 << out
-                    in_bit = 1 << port
-                    if (router._out_claimed & out_bit) or \
-                            (router._in_claimed & in_bit):
-                        eligible = False
-                    else:
-                        router._out_claimed |= out_bit
-                        router._in_claimed |= in_bit
-                else:
-                    eligible = patched(port, out)
-            if eligible:
-                if out_vc is not None:
-                    if token is not None:
-                        out_vc.allocated_to = token
-                    out_vc.credits -= 1
-                    flit.dst_vc = new_dst
-                # Inlined forward_flit.
-                link = router.out_flit[out]
-                due = cycle + 1 + link.latency
-                link._queue.append((due, flit))
-                watcher = link.watcher
-                if watcher is not None:
-                    watcher.incoming += 1
-                    wake = watcher.kernel_wake
-                    if wake is not None:
-                        wake(due)
-                router.forwarded += 1
-                router._c_xbar += 1
-                router._c_link += 1
-                if router.tracer is not None:
-                    router.tracer(cycle, router, out, flit)
-                if token is not None and flit.is_tail:
-                    out_vc.allocated_to = None
-                # The flit never occupied our buffer: return its credit
-                # immediately (inlined return_credit, cached-credit push).
-                clink = router.out_credit[port]
-                cache = clink._cache
-                ckey = (1 << 8) | arrival_vc
-                credit = cache.get(ckey)
-                if credit is None:
-                    credit = cache[ckey] = Credit(1, arrival_vc)
-                due = cycle + 1 + clink.latency
-                clink._queue.append((due, credit))
-                watcher = clink.watcher
-                if watcher is not None:
-                    watcher.incoming += 1
-                    wake = watcher.kernel_wake
-                    if wake is not None:
-                        wake(due)
-                router._c_credits += 1
-                self._c_flit_hops += 1
-                if flit.is_tail:
-                    self._release_entry(router, port, entry, vc, cycle)
-                return True
         self._buffer_on_circuit_vc(router, port, entry, vc, flit, cycle)
         return True
 

@@ -4,11 +4,10 @@ The baseline router (paper Table 4) uses round-robin two-phase allocators:
 phase 1 arbitrates among a unit's own candidates, phase 2 arbitrates among
 phase-1 winners competing for the same resource.
 
-Two implementations live here.  :class:`RoundRobinArbiter` and
-:func:`two_phase_allocate` are the optimised hot-path versions (index
-rotation, no per-arbitration list copies, single-requester bypass).
-:class:`ReferenceRoundRobinArbiter` and
-:func:`reference_two_phase_allocate` preserve the pre-overhaul
+:class:`RoundRobinArbiter` is the optimised hot-path arbiter (index
+rotation, no per-arbitration list copies); the fast router runs its
+allocation stages inline over it.  :class:`ReferenceRoundRobinArbiter`
+and :func:`reference_two_phase_allocate` preserve the pre-overhaul
 implementations verbatim; the reference router pipeline uses them so A/B
 tests can prove the fast paths grant-for-grant identical.
 """
@@ -115,51 +114,18 @@ class ArbiterPool:
         return arbiter.pick(candidates)
 
 
-def two_phase_allocate(
-    requests: Dict[Hashable, List[Hashable]],
-    phase1: ArbiterPool,
-    phase2: ArbiterPool,
-) -> Dict[Hashable, Hashable]:
-    """Generic separable allocation.
-
-    ``requests`` maps each requester to the resources it can use.  Phase 1:
-    each requester picks one resource (round-robin over its options).
-    Phase 2: each resource picks one requester.  Returns
-    ``{requester: resource}`` for the winners.
-
-    A single requester cannot lose phase 2, so that (uncontended) case
-    bypasses the proposal-dict construction entirely; both arbiters still
-    advance exactly as the full path would, keeping later contended
-    cycles decision-identical.
-    """
-    if len(requests) == 1:
-        (requester, resources), = requests.items()
-        choice = phase1.pick(requester, resources)
-        if choice is None:
-            return {}
-        winner = phase2.pick(choice, (requester,))
-        return {winner: choice} if winner is not None else {}
-    # Phase 1 - requester-side arbitration among acceptable resources.
-    proposals: Dict[Hashable, List[Hashable]] = {}
-    for requester, resources in requests.items():
-        choice = phase1.pick(requester, resources)
-        if choice is not None:
-            proposals.setdefault(choice, []).append(requester)
-    # Phase 2 - resource-side arbitration among proposers.
-    grants: Dict[Hashable, Hashable] = {}
-    for resource, requesters in proposals.items():
-        winner = phase2.pick(resource, requesters)
-        if winner is not None:
-            grants[winner] = resource
-    return grants
-
-
 def reference_two_phase_allocate(
     requests: Dict[Hashable, List[Hashable]],
     phase1: ArbiterPool,
     phase2: ArbiterPool,
 ) -> Dict[Hashable, Hashable]:
-    """Pre-overhaul allocation (no bypass), kept for A/B reference runs."""
+    """Generic separable allocation, kept for A/B reference runs.
+
+    ``requests`` maps each requester to the resources it can use.  Phase 1:
+    each requester picks one resource (round-robin over its options).
+    Phase 2: each resource picks one requester.  Returns
+    ``{requester: resource}`` for the winners.
+    """
     proposals: Dict[Hashable, List[Hashable]] = {}
     for requester, resources in requests.items():
         choice = phase1.pick(requester, resources)

@@ -185,18 +185,12 @@ class NetworkInterface:
     # Tick.
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        """Plain ``Clocked`` entry point (always-tick mode, direct tests)."""
-        self.tick_wake(cycle)
-
-    def tick_wake(self, cycle: int) -> Optional[int]:
-        """One NI cycle with the link drains and the sleep decision
-        (``next_wake``'s body) inlined - the kernel's fused tick+sleep
-        protocol, see ``_Slot.tick_wake``.  The reference NI keeps the
-        method-per-stage pipeline; A/B tests hold the two bit-identical.
+        """One NI cycle with the link drains inlined.  The reference NI
+        keeps the method-per-stage pipeline; A/B tests hold the two
+        bit-identical.
         """
         active_packet = self.active_packet
         # Inlined _has_work() (this guard runs once per awake cycle).
-        # On this exact state next_wake returns None (sleep until poked).
         if not (
             self.incoming
             or self.req_queue
@@ -208,7 +202,7 @@ class NetworkInterface:
             or active_packet[0] is not None
             or active_packet[1] is not None
         ):
-            return None
+            return
         if self.incoming:
             removed = 0
             # Inlined credit drain.
@@ -254,30 +248,6 @@ class NetworkInterface:
             or active_packet[1] is not None
         ):
             self._inject_one_flit(cycle)
-        # -- fused sleep decision (next_wake's body, same order) -----------
-        if (
-            self.req_queue
-            or self.reply_pending
-            or self.reply_queue
-            or self.active_circuit is not None
-            or active_packet[0] is not None
-            or active_packet[1] is not None
-        ):
-            return cycle + 1
-        due: Optional[int] = None
-        if self.incoming:
-            for link in (self.from_router, self.credit_in):
-                if link is not None and link._queue:
-                    arrival = link._queue[0][0]
-                    if due is None or arrival < due:
-                        due = arrival
-        if self.held and (due is None or self.held[0][0] < due):
-            due = self.held[0][0]
-        if self._undo_out:
-            undo_due = min(entry[0] for entry in self._undo_out)
-            if due is None or undo_due < due:
-                due = undo_due
-        return due
 
     def _has_work(self) -> bool:
         return bool(
@@ -540,10 +510,6 @@ class ReferenceNetworkInterface(NetworkInterface):
     link drains and the per-send ``getattr`` policy probe that the fast
     path hoists or batches.  Built when ``config.noc.fastpath`` is False.
     """
-
-    #: Opt out of the kernel's fused tick+next_wake protocol: the
-    #: reference pipeline keeps the separate tick / next_wake calls.
-    tick_wake = None
 
     def tick(self, cycle: int) -> None:
         """Pre-overhaul tick: one method call per NI stage."""

@@ -191,14 +191,9 @@ class Router:
         # hook's own first-line guard is hoisted in front of the call:
         # 0 = always call, 1 = only flits riding a circuit, 2 = only
         # reply-VN flits carrying a circuit key.
-        # Policies may ship a flattened ``handle_arrival_fast`` twin whose
-        # body inlines the router helper calls; the reference pipeline
-        # always binds the readable ``handle_arrival`` original.
-        if policy.handles_arrivals:
-            self._arrival_hook = getattr(
-                policy, "handle_arrival_fast", policy.handle_arrival)
-        else:
-            self._arrival_hook = None
+        self._arrival_hook = (
+            policy.handle_arrival if policy.handles_arrivals else None
+        )
         self._tail_hook = policy.on_tail_departure if policy.handles_tails else None
         filt = policy.arrival_filter
         self._arrival_filter = (
@@ -266,10 +261,6 @@ class Router:
 
     def output_vc(self, port: int, vn: int, index: int) -> OutputVc:
         return self.outputs[port].vcs[vn][index]
-
-    def input_units(self):
-        """(port, InputUnit) pairs for the ports that exist, in port order."""
-        return self._input_units
 
     def claim_path(self, in_port: int, out_port: int) -> bool:
         """Atomically claim crossbar input+output lines for this cycle."""
@@ -347,10 +338,6 @@ class Router:
     # Tick.
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        """Plain ``Clocked`` entry point (always-tick mode, direct tests)."""
-        self.tick_wake(cycle)
-
-    def tick_wake(self, cycle: int) -> Optional[int]:
         """One router cycle: credits, arrivals, traversal, allocation.
 
         The four stage bodies live inline in this one function: at
@@ -360,24 +347,16 @@ class Router:
         method-per-stage pipeline; the A/B tests hold the two
         bit-identical, so treat each section here as a transcription of
         the reference method it replaced.
-
-        Returns what :meth:`next_wake` would (the kernel's fused
-        tick+sleep protocol, see ``_Slot.tick_wake``); the sleep logic is
-        inlined at the tail for the same reason the stages are.
         """
         # Inlined _has_work() (this guard runs once per awake cycle).
-        # An idle router sleeps indefinitely: with no busy VC, no granted
-        # traversal, nothing on the wire and no ideal-mode waiters, only
-        # an external kernel_wake poke can create work (next_wake returns
-        # None on exactly this state).
         if not (self._busy_vcs or self._st_pending or self.incoming):
             if not self._waiting:
-                return None
+                return
             for _port, unit in self._input_units:
                 if unit.wait_queue:
                     break
             else:
-                return None
+                return
         self._out_claimed = 0
         self._in_claimed = 0
         inputs = self.inputs
@@ -408,63 +387,28 @@ class Router:
             policy.retry_waiting(self, cycle)
         if incoming:
             # -- stage 1: arrivals (circuit check, buffering + RC) ---------
-            # Two copies of the drain loop: policies whose handle_arrival
-            # is a no-op (the flag is static per policy class) skip the
-            # call - and the test - per flit.
+            # Policies whose handle_arrival is a no-op (the flag is static
+            # per policy class) leave the hook unbound and skip the call.
             arrival_hook = self._arrival_hook
+            filt = self._arrival_filter
             route_rows = self._route_rows
             IDLE = _IDLE
             VA = _VA
             removed = 0
             writes = 0
             routes = 0
-            if arrival_hook is None:
-                for port, link in self._flit_pulls:
-                    queue = link._queue
-                    if not queue or queue[0][0] > cycle:
-                        continue
-                    unit = inputs[port]
-                    port_vcs = unit.vcs
-                    while queue and queue[0][0] <= cycle:
-                        flit = queue.popleft()[1]
-                        removed += 1
-                        msg = flit.msg
-                        vn = msg.vn
-                        dst_vc = flit.dst_vc
-                        vc = port_vcs[vn][dst_vc]
-                        buf = vc.buffer
-                        if len(buf) >= vc.depth:
-                            self._overflow(port, flit, vn, dst_vc, vc)
-                        buf.append((flit, cycle, dst_vc))
-                        writes += 1
-                        if flit.is_head and vc.stage is IDLE and len(buf) == 1:
-                            # Inlined vc_became_busy (per-packet-head path).
-                            self._busy_vcs += 1
-                            unit.busy_count += 1
-                            busy = unit.busy_list
-                            bkey = (vn, dst_vc)
-                            i = len(busy)
-                            while i and (busy[i - 1].vn,
-                                         busy[i - 1].index) > bkey:
-                                i -= 1
-                            busy.insert(i, vc)
-                            vc.route = route_rows[vn][msg.dest]
-                            vc.stage = VA
-                            vc.ready_cycle = cycle + 1
-                            routes += 1
-            else:
-                filt = self._arrival_filter
-                for port, link in self._flit_pulls:
-                    queue = link._queue
-                    if not queue or queue[0][0] > cycle:
-                        continue
-                    unit = inputs[port]
-                    port_vcs = unit.vcs
-                    ptable = unit.circuit_table
-                    while queue and queue[0][0] <= cycle:
-                        flit = queue.popleft()[1]
-                        removed += 1
-                        msg = flit.msg
+            for port, link in self._flit_pulls:
+                queue = link._queue
+                if not queue or queue[0][0] > cycle:
+                    continue
+                unit = inputs[port]
+                port_vcs = unit.vcs
+                ptable = unit.circuit_table
+                while queue and queue[0][0] <= cycle:
+                    flit = queue.popleft()[1]
+                    removed += 1
+                    msg = flit.msg
+                    if arrival_hook is not None:
                         # The filter replicates the hook's first-line early
                         # return, so skipping the call is decision-identical.
                         if filt == 1:
@@ -486,29 +430,29 @@ class Router:
                             if self.observer is not None:
                                 self.observer.router_circuit_hit(self, flit, cycle)
                             continue
-                        vn = msg.vn
-                        dst_vc = flit.dst_vc
-                        vc = port_vcs[vn][dst_vc]
-                        buf = vc.buffer
-                        if len(buf) >= vc.depth:
-                            self._overflow(port, flit, vn, dst_vc, vc)
-                        buf.append((flit, cycle, dst_vc))
-                        writes += 1
-                        if flit.is_head and vc.stage is IDLE and len(buf) == 1:
-                            # Inlined vc_became_busy (per-packet-head path).
-                            self._busy_vcs += 1
-                            unit.busy_count += 1
-                            busy = unit.busy_list
-                            bkey = (vn, dst_vc)
-                            i = len(busy)
-                            while i and (busy[i - 1].vn,
-                                         busy[i - 1].index) > bkey:
-                                i -= 1
-                            busy.insert(i, vc)
-                            vc.route = route_rows[vn][msg.dest]
-                            vc.stage = VA
-                            vc.ready_cycle = cycle + 1
-                            routes += 1
+                    vn = msg.vn
+                    dst_vc = flit.dst_vc
+                    vc = port_vcs[vn][dst_vc]
+                    buf = vc.buffer
+                    if len(buf) >= vc.depth:
+                        self._overflow(port, flit, vn, dst_vc, vc)
+                    buf.append((flit, cycle, dst_vc))
+                    writes += 1
+                    if flit.is_head and vc.stage is IDLE and len(buf) == 1:
+                        # Inlined vc_became_busy (per-packet-head path).
+                        self._busy_vcs += 1
+                        unit.busy_count += 1
+                        busy = unit.busy_list
+                        bkey = (vn, dst_vc)
+                        i = len(busy)
+                        while i and (busy[i - 1].vn,
+                                     busy[i - 1].index) > bkey:
+                            i -= 1
+                        busy.insert(i, vc)
+                        vc.route = route_rows[vn][msg.dest]
+                        vc.stage = VA
+                        vc.ready_cycle = cycle + 1
+                        routes += 1
             if removed:
                 self.incoming -= removed
                 self._c_buffer_writes += writes
@@ -753,44 +697,6 @@ class Router:
                             self.observer.router_reservation(self, msg, cycle)
                 del touched[:]
                 self._c_va += grants
-        # -- fused sleep decision (next_wake's body, same order) -----------
-        if self._st_pending:
-            return cycle + 1
-        if self._waiting:
-            for _port, unit in self._input_units:
-                if unit.wait_queue:
-                    return cycle + 1
-        due: Optional[int] = None
-        if self._busy_vcs:
-            threshold = cycle + 1
-            alloc_vn = self._alloc_vn
-            ACTIVE = _ACTIVE
-            for _port, unit in self._input_units:
-                for vc in unit.busy_list:
-                    if vc.ready_cycle > threshold:
-                        if due is None or vc.ready_cycle < due:
-                            due = vc.ready_cycle
-                        continue
-                    if vc.stage is ACTIVE:
-                        # granted_pending is impossible here: grants sit
-                        # in _st_pending until their switch traversal.
-                        if vc.buffer and vc.out_obj.credits > 0:
-                            return threshold
-                    else:  # VcStage.VA
-                        out_vcs = outputs[vc.route].vcs[vc.vn]
-                        for index in alloc_vn[vc.vn]:
-                            if out_vcs[index].allocated_to is None:
-                                return threshold
-        if self.incoming:
-            for _port, link in self._flit_pulls:
-                queue = link._queue
-                if queue and (due is None or queue[0][0] < due):
-                    due = queue[0][0]
-            for _port, link in self._credit_pulls:
-                queue = link._queue
-                if queue and (due is None or queue[0][0] < due):
-                    due = queue[0][0]
-        return due
 
     def _has_work(self) -> bool:
         if self._busy_vcs or self._st_pending or self.incoming:
@@ -872,17 +778,6 @@ class Router:
             f"vc ({vn},{dst_vc})"
         )
 
-    def _buffer_flit(self, port: int, flit: Flit, cycle: int) -> None:
-        vn = flit.msg.vn
-        vc = self.inputs[port].vcs[vn][flit.dst_vc]
-        if len(vc.buffer) >= vc.depth:
-            self._overflow(port, flit, vn, flit.dst_vc, vc)
-        vc.buffer.append((flit, cycle, flit.dst_vc))
-        self._c_buffer_writes += 1
-        if flit.is_head and vc.stage is _IDLE and len(vc.buffer) == 1:
-            self.vc_became_busy(port, vc)
-            self._route_compute(vc, flit, cycle)
-
     def _route_compute(self, vc: InputVc, flit: Flit, cycle: int) -> None:
         """Stage 1 route computation; the caller manages busy accounting."""
         msg = flit.msg
@@ -924,10 +819,6 @@ class ReferenceRouter(Router):
     ``config.noc.fastpath`` is False.
     """
 
-    #: Opt out of the kernel's fused tick+next_wake protocol: the
-    #: reference pipeline keeps the separate tick / next_wake calls.
-    tick_wake = None
-
     def __init__(self, node: int, mesh: Topology, config: "SystemConfig",
                  policy, stats: Stats) -> None:
         super().__init__(node, mesh, config, policy, stats)
@@ -935,9 +826,6 @@ class ReferenceRouter(Router):
         self._va_p2 = ArbiterPool(ReferenceRoundRobinArbiter)
         self._sa_in = ArbiterPool(ReferenceRoundRobinArbiter)
         self._sa_out = ArbiterPool(ReferenceRoundRobinArbiter)
-        # The reference pipeline calls every policy hook unconditionally.
-        self._arrival_hook = policy.handle_arrival
-        self._tail_hook = policy.on_tail_departure
 
     def tick(self, cycle: int) -> None:
         """Pre-overhaul tick: one method call per pipeline stage."""

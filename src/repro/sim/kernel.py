@@ -90,8 +90,7 @@ class DeadlockError(SimulationError):
 class _Slot:
     """Kernel bookkeeping for one registered component."""
 
-    __slots__ = ("component", "order", "awake", "wake_at", "next_wake", "tick",
-                 "tick_wake")
+    __slots__ = ("component", "order", "awake", "wake_at", "next_wake", "tick")
 
     def __init__(self, component: Clocked, order: int) -> None:
         self.component = component
@@ -106,11 +105,6 @@ class _Slot:
         #: attribute so instrumentation (the telemetry kernel profiler)
         #: can interpose a timing wrapper without touching the component.
         self.tick = component.tick
-        #: Optional fused fast path: ``tick_wake(cycle)`` performs the
-        #: tick AND returns what ``next_wake(cycle)`` would have - one
-        #: call per awake component-cycle instead of two.  ``None`` when
-        #: the component does not provide it (plain tick + next_wake).
-        self.tick_wake = getattr(component, "tick_wake", None)
 
 
 class Simulator:
@@ -242,16 +236,20 @@ class Simulator:
 
     def set_always_tick(self, enabled: bool = True) -> None:
         """Force the legacy cycle-driven behaviour: tick everything, skip
-        nothing.  Used by A/B equivalence tests and kernel benchmarks."""
+        nothing.  Used by A/B equivalence tests and kernel benchmarks.
+
+        Either direction of the toggle starts from a clean slate -
+        everything awake, no queued wakeups - so always-tick mode never
+        reports a component it ticks every cycle as ``sleeping()``, and
+        activity tracking re-decides via each component's next
+        ``next_wake``.
+        """
         self._always_tick = enabled
-        if not enabled:
-            # Re-arm activity tracking from a clean slate: everything
-            # awake, every component re-decides via its next next_wake.
-            for slot in self._slots:
-                slot.awake = True
-                slot.wake_at = None
-            self._wake_heap.clear()
-            self._awake = list(self._slots)
+        for slot in self._slots:
+            slot.awake = True
+            slot.wake_at = None
+        self._wake_heap.clear()
+        self._awake = list(self._slots)
 
     # -- introspection -------------------------------------------------
     def skip_ratio(self) -> float:
@@ -315,15 +313,11 @@ class Simulator:
         wake_bound = cycle + 1
         slept = False
         for slot in awake:
-            tick_wake = slot.tick_wake
-            if tick_wake is not None:
-                due = tick_wake(cycle)
-            else:
-                slot.tick(cycle)
-                next_wake = slot.next_wake
-                if next_wake is None:
-                    continue
-                due = next_wake(cycle)
+            slot.tick(cycle)
+            next_wake = slot.next_wake
+            if next_wake is None:
+                continue
+            due = next_wake(cycle)
             if due is not None and due <= wake_bound:
                 continue
             slot.awake = False

@@ -212,37 +212,6 @@ class ShardResult:
         return self.finish_cycle - self.start_cycle
 
 
-# ----------------------------------------------------------------------
-# Stats marshalling: Stats objects hold unpicklable flusher closures, so
-# workers ship a plain snapshot and the coordinator rebuilds.
-# ----------------------------------------------------------------------
-
-def _stats_snapshot(stats: Stats):
-    stats.flush()
-    return (
-        dict(stats.counters),
-        {k: (m.total, m.count) for k, m in stats.means.items()},
-        {k: (h.bucket_width, dict(h.buckets), h.count)
-         for k, h in stats.histograms.items()},
-    )
-
-
-def _stats_restore(snapshot) -> Stats:
-    counters, means, histograms = snapshot
-    stats = Stats()
-    stats.counters.update(counters)
-    for key, (total, count) in means.items():
-        stat = stats.means[key]
-        stat.total = total
-        stat.count = count
-    for key, (width, buckets, count) in histograms.items():
-        hist = stats.histograms[key]
-        hist.bucket_width = width
-        hist.buckets.update(buckets)
-        hist.count = count
-    return stats
-
-
 def _snapshot_path(directory: str, index: int, seq: int) -> str:
     return os.path.join(directory, f"shard{index}-seq{seq:08d}.ckpt")
 
@@ -609,7 +578,7 @@ class _ShardWorker:
                                    self.local_cores, self._at_measure)
         cpu_end = time.process_time()
         return {
-            "stats": _stats_snapshot(system.stats),
+            "stats": system.stats.snapshot(),
             "start": start,
             "finish": finish,
             "end_cycle": system.sim.cycle,
@@ -1021,7 +990,7 @@ def run_sharded(config, workload: str, warmup_instructions: int,
     assert len(ends) == 1, f"shards disagree on the end cycle: {ends}"
     merged = Stats()
     for result in done:  # ascending shard index: deterministic merge
-        merged.merge(_stats_restore(result["stats"]))
+        merged.merge(Stats.from_snapshot(result["stats"]))
     return ShardResult(
         stats=merged,
         start_cycle=starts.pop(),

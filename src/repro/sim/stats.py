@@ -115,8 +115,8 @@ class Stats:
 
     Hot components (routers, NIs) batch their per-flit counters in plain
     int attributes and register a *flusher* here; every read-style method
-    (``counter``, ``counters_with_prefix``, ``as_dict``, ``share``,
-    ``merge``, ``reset``) calls :meth:`flush` first, so observers
+    (``counter``, ``counters_with_prefix``, ``as_dict``, ``snapshot``,
+    ``share``, ``merge``, ``reset``) calls :meth:`flush` first, so observers
     (samplers, invariant checkers, forensics, result builders) always see
     complete counts.  That makes a read cost one call per registered
     batcher - two per node plus the circuit policy - so read-style
@@ -199,6 +199,35 @@ class Stats:
             self.means[key].merge(stat)
         for key, hist in other.histograms.items():
             self.histograms[key].merge(hist)
+
+    def snapshot(self) -> tuple:
+        """Every accumulator as plain data: the bit-identity witness two
+        runs are compared by, and (``Stats`` holds unpicklable flusher
+        closures) the form a shard worker ships its stats in."""
+        self.flush()
+        return (
+            dict(self.counters),
+            {k: (m.total, m.count) for k, m in self.means.items()},
+            {k: (h.bucket_width, dict(h.buckets), h.count)
+             for k, h in self.histograms.items()},
+        )
+
+    @classmethod
+    def from_snapshot(cls, snapshot: tuple) -> "Stats":
+        """Rebuild the ``Stats`` that :meth:`snapshot` was taken from."""
+        counters, means, histograms = snapshot
+        stats = cls()
+        stats.counters.update(counters)
+        for key, (total, count) in means.items():
+            stat = stats.means[key]
+            stat.total = total
+            stat.count = count
+        for key, (width, buckets, count) in histograms.items():
+            hist = stats.histograms[key]
+            hist.bucket_width = width
+            hist.buckets.update(buckets)
+            hist.count = count
+        return stats
 
     def as_dict(self) -> Dict[str, float]:
         """Flatten to plain floats (counters verbatim, means as averages)."""

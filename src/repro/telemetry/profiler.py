@@ -82,11 +82,20 @@ class _Cell:
 
 
 class KernelProfiler:
-    """Per-component-class wall-time and tick attribution."""
+    """Per-component-class wall-time and tick attribution.
+
+    Only ``slot.tick`` is wrapped.  A component's sleep decision
+    (``next_wake``) is kernel time (``kernel_seconds``) for every class -
+    routers and NIs as much as cores, controllers and the traffic driver
+    - so compare ``router + ni + kernel`` sums across commits that move
+    work between a tick and its ``next_wake``, never one column alone.  A
+    second per-tick wrapper would make the split finer, at a cost the
+    observed-run overhead budget does not have.
+    """
 
     def __init__(self) -> None:
         self._sim = None
-        self._saved: List = []  # (slot, original tick, original tick_wake)
+        self._saved: List = []  # (slot, original tick)
         self.cells: Dict[str, _Cell] = {}
         self.components: Dict[str, int] = {}
         self.wall_seconds = 0.0
@@ -112,7 +121,6 @@ class KernelProfiler:
             cell = self.cells.setdefault(name, _Cell())
             self.components[name] = self.components.get(name, 0) + 1
             original = slot.tick
-            original_tw = slot.tick_wake
 
             def timed(cycle, _tick=original, _cell=cell, _perf=perf):
                 start = _perf()
@@ -120,19 +128,8 @@ class KernelProfiler:
                 _cell.seconds += _perf() - start
                 _cell.ticks += 1
 
-            self._saved.append((slot, original, original_tw))
+            self._saved.append((slot, original))
             slot.tick = timed
-            if original_tw is not None:
-                # Fused tick+next_wake fast path: the wrapper must hand
-                # the sleep decision back to the kernel unchanged.
-                def timed_tw(cycle, _tw=original_tw, _cell=cell, _perf=perf):
-                    start = _perf()
-                    due = _tw(cycle)
-                    _cell.seconds += _perf() - start
-                    _cell.ticks += 1
-                    return due
-
-                slot.tick_wake = timed_tw
         self._t0 = perf()
         self._ticks0 = sim.ticks_run
         self._skipped0 = sim.cycles_skipped
@@ -147,9 +144,8 @@ class KernelProfiler:
         self.ticks_run += sim.ticks_run - self._ticks0
         self.cycles_skipped += sim.cycles_skipped - self._skipped0
         self.cycles += sim.cycle - self._cycle0
-        for slot, original, original_tw in self._saved:
+        for slot, original in self._saved:
             slot.tick = original
-            slot.tick_wake = original_tw
         self._saved.clear()
         self._sim = None
 

@@ -103,10 +103,12 @@ def _identical(result, reference) -> Optional[str]:
             f"{result.end_cycle}) != ({reference.start_cycle}, "
             f"{reference.finish_cycle}, {reference.end_cycle})"
         )
-    ours, theirs = result.stats.as_dict(), reference.stats.as_dict()
-    if ours != theirs:
-        diff = [key for key in sorted(set(ours) | set(theirs))
-                if ours.get(key) != theirs.get(key)]
+    sections = zip(("counters", "means", "histograms"),
+                   result.stats.snapshot(), reference.stats.snapshot())
+    diff = [f"{name}:{key}" for name, ours, theirs in sections
+            for key in sorted(set(ours) | set(theirs))
+            if ours.get(key) != theirs.get(key)]
+    if diff:
         return f"stats diverge on {len(diff)} keys (first: {diff[:3]})"
     return None
 

@@ -2,7 +2,11 @@
 
 from hypothesis import given, strategies as st
 
-from repro.noc.allocators import ArbiterPool, RoundRobinArbiter, two_phase_allocate
+from repro.noc.allocators import (
+    ArbiterPool,
+    RoundRobinArbiter,
+    reference_two_phase_allocate,
+)
 
 
 def test_round_robin_rotates():
@@ -40,7 +44,7 @@ def test_two_phase_grants_are_conflict_free():
         "in1": ["outA"],
         "in2": ["outB"],
     }
-    grants = two_phase_allocate(requests, p1, p2)
+    grants = reference_two_phase_allocate(requests, p1, p2)
     # each requester gets at most one resource; each resource one requester
     assert len(set(grants.values())) == len(grants)
     for requester, resource in grants.items():
@@ -54,7 +58,7 @@ def test_two_phase_grants_are_conflict_free():
 ))
 def test_two_phase_properties(requests):
     p1, p2 = ArbiterPool(), ArbiterPool()
-    grants = two_phase_allocate(requests, p1, p2)
+    grants = reference_two_phase_allocate(requests, p1, p2)
     # a resource is granted to at most one requester
     assert len(set(grants.values())) == len(grants)
     # every grant was requested
@@ -73,6 +77,6 @@ def test_two_phase_serves_everyone_over_time():
     requests = {f"in{i}": ["out"] for i in range(4)}
     winners = set()
     for _ in range(8):
-        grants = two_phase_allocate(requests, p1, p2)
+        grants = reference_two_phase_allocate(requests, p1, p2)
         winners.update(grants)
     assert winners == set(requests)

@@ -45,16 +45,6 @@ MEASURE = 250
 INTERVAL = 600  # capture every ~600 cycles: several per phase at this size
 
 
-def _snapshot(stats):
-    stats.flush()
-    return (
-        dict(stats.counters),
-        {k: (m.total, m.count) for k, m in stats.means.items()},
-        {k: (h.bucket_width, dict(h.buckets), h.count)
-         for k, h in stats.histograms.items()},
-    )
-
-
 def _config(variant, fastpath):
     config = small_test_config(16, variant, seed=3)
     if not fastpath:
@@ -77,7 +67,7 @@ class _Run:
         self.start = system.sim.cycle
         self.finish = system.run_instructions(MEASURE)
         self.end = system.sim.cycle
-        self.stats = _snapshot(system.stats)
+        self.stats = system.stats.snapshot()
 
         self.config_hash = fingerprint(variant.value, fastpath)
         self.directory = tempfile.mkdtemp(prefix="repro-ckpt-test-")
@@ -88,7 +78,7 @@ class _Run:
         # Writing checkpoints must not perturb the run itself.
         assert (start, finish) == (self.start, self.finish)
         assert system.sim.cycle == self.end
-        assert _snapshot(system.stats) == self.stats
+        assert system.stats.snapshot() == self.stats
         self.history = sorted(
             os.path.join(self.directory, name)
             for name in os.listdir(self.directory)
@@ -142,7 +132,7 @@ def test_resume_is_bit_identical(variant, fastpath, fraction):
         shutil.rmtree(scratch, ignore_errors=True)
     assert (start, finish) == (run.start, run.finish)
     assert system.sim.cycle == run.end
-    assert _snapshot(system.stats) == run.stats
+    assert system.stats.snapshot() == run.stats
 
 
 def _directory_lines(system):
@@ -171,7 +161,7 @@ def test_capture_right_after_prewarm_resumes_identically():
     assert restored.run_script(run_state=data["run"]) == (run.start,
                                                           run.finish)
     assert restored.sim.cycle == run.end
-    assert _snapshot(restored.stats) == run.stats
+    assert restored.stats.snapshot() == run.stats
     system.run_script(run_state=run_state)  # the uninterrupted twin
     assert _directory_lines(restored) == _directory_lines(system)
 

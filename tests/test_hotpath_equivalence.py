@@ -1,9 +1,8 @@
 """A/B equivalence of the saturation hot path vs. the reference pipeline.
 
 The hot-path overhaul's contract is *bit-identical* behaviour: the merged
-router tick, the fused kernel ``tick_wake`` protocol, the precomputed
-route tables, the index-rotation arbiters, the allocation bypass and the
-batched counters must produce exactly the same stats counters, means,
+router tick, the precomputed route tables, the index-rotation arbiters
+and the batched counters must produce exactly the same stats counters, means,
 histograms and finish cycles as the pre-overhaul reference pipeline
 (``config.noc.fastpath = False`` builds ``ReferenceRouter`` /
 ``ReferenceNetworkInterface`` with the reference arbiters and per-event
@@ -13,7 +12,7 @@ stats).  These tests pin that contract at four levels:
   with telemetry + invariant checking attached;
 * a full CMP system (cores + MESI + NoC) run to completion both ways;
 * hypothesis property tests for the building blocks (route tables vs.
-  the routing functions, fast vs. reference arbiter, allocation bypass);
+  the routing functions, fast vs. reference arbiter);
 * the batched-counter flush boundaries (Stats.merge/reset, interval
   probes) and the profiler's self-measurement calibration.
 """
@@ -25,13 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import build_system, workload_by_name
-from repro.noc.allocators import (
-    ArbiterPool,
-    ReferenceRoundRobinArbiter,
-    RoundRobinArbiter,
-    reference_two_phase_allocate,
-    two_phase_allocate,
-)
+from repro.noc.allocators import ReferenceRoundRobinArbiter, RoundRobinArbiter
 from repro.noc.routing import route_for_vn, route_tables, route_xy, route_yx
 from repro.noc.topology import Mesh
 from repro.noc.traffic import RequestReplyTraffic
@@ -54,15 +47,6 @@ VARIANTS = [
 
 #: Saturating load for the 16-node mesh (the regime the tentpole targets).
 SATURATION_RATE = 48.0
-
-
-def snapshot(stats):
-    """Every accumulator in comparable form (the bit-identity witness)."""
-    return (
-        dict(stats.counters),
-        {k: (m.total, m.count) for k, m in stats.means.items()},
-        {k: (dict(h.buckets), h.count) for k, h in stats.histograms.items()},
-    )
 
 
 def with_fastpath(cfg, fastpath):
@@ -93,7 +77,7 @@ def traffic_run(variant, rate, cycles, fastpath, seed=1, n_cores=16,
     if telem is not None:
         telem.detach()
     return (
-        snapshot(t.net.stats),
+        t.net.stats.snapshot(),
         t.cycle,
         t.requests_sent,
         t.replies_received,
@@ -134,14 +118,14 @@ def test_bit_identical_with_telemetry_and_invariants(variant, tmp_path):
 @pytest.mark.parametrize(
     "variant", [Variant.FRAGMENTED, Variant.IDEAL], ids=lambda v: v.name
 )
-def test_fused_tick_wake_matches_always_tick(variant):
-    """The kernel's fused tick+next_wake protocol (``tick_wake``) must be
-    invisible: forced always-tick mode (which calls the plain ``tick``
-    wrappers) produces identical results."""
-    fused = traffic_run(variant, 24.0, 1500, fastpath=True)
+def test_activity_driven_matches_always_tick(variant):
+    """Sleeping on the fast pipeline's ``next_wake`` must be invisible:
+    forced always-tick mode (``tick`` every cycle, ``next_wake`` never
+    asked) produces identical results."""
+    activity = traffic_run(variant, 24.0, 1500, fastpath=True)
     always = traffic_run(variant, 24.0, 1500, fastpath=True,
                          always_tick=True)
-    assert fused == always
+    assert activity == always
 
 
 def test_full_system_bit_identical():
@@ -152,7 +136,7 @@ def test_full_system_bit_identical():
         system = build_system(cfg, workload_by_name("fluidanimate"))
         cycles = system.run_instructions(200, max_cycles=1_500_000)
         system.drain()
-        return snapshot(system.stats), cycles, system.sim.cycle
+        return system.stats.snapshot(), cycles, system.sim.cycle
 
     assert run(fastpath=True) == run(fastpath=False)
 
@@ -248,34 +232,6 @@ def test_arbiter_empty_candidates():
     assert ReferenceRoundRobinArbiter().pick([]) is None
 
 
-request_maps = st.lists(
-    st.dictionaries(
-        keys=st.integers(min_value=0, max_value=4),
-        values=st.lists(st.sampled_from("xyz"), min_size=1, max_size=3,
-                        unique=True),
-        min_size=1,
-        max_size=4,
-    ),
-    min_size=1,
-    max_size=20,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(history=request_maps)
-def test_two_phase_allocate_bypass_equivalence(history):
-    """The single-requester bypass must leave every arbiter in the same
-    state the full path would, across arbitrary request sequences that
-    mix uncontended (bypassed) and contended rounds."""
-    fast1, fast2 = ArbiterPool(), ArbiterPool()
-    ref1 = ArbiterPool(ReferenceRoundRobinArbiter)
-    ref2 = ArbiterPool(ReferenceRoundRobinArbiter)
-    for requests in history:
-        fast = two_phase_allocate(requests, fast1, fast2)
-        ref = reference_two_phase_allocate(requests, ref1, ref2)
-        assert fast == ref
-
-
 # ---------------------------------------------------------------------------
 # Batched-counter flush boundaries.
 # ---------------------------------------------------------------------------
@@ -330,7 +286,7 @@ def test_counter_rate_probe_sees_batched_deltas():
 
 
 # ---------------------------------------------------------------------------
-# Profiler self-measurement calibration (and fused-tick wrapping).
+# Profiler self-measurement calibration (and slot.tick wrapping).
 # ---------------------------------------------------------------------------
 def test_profiler_calibration_reports_overhead():
     cfg = SystemConfig(n_cores=16).with_variant(Variant.COMPLETE)
@@ -348,16 +304,16 @@ def test_profiler_calibration_reports_overhead():
     assert "corrected" in profiler.table()
 
 
-def test_profiler_wraps_fused_tick_and_restores_it():
+def test_profiler_wraps_slot_tick_and_restores_it():
     cfg = SystemConfig(n_cores=16).with_variant(Variant.BASELINE)
     t = RequestReplyTraffic(cfg, 12.0, seed=2)
-    saved = [(slot.tick, slot.tick_wake) for slot in t.sim._slots]
-    assert any(tw is not None for _, tw in saved)  # fused path in use
+    saved = [slot.tick for slot in t.sim._slots]
     profiler = KernelProfiler().attach(t.sim)
+    assert all(slot.tick != tick for slot, tick in zip(t.sim._slots, saved))
     t.run(400)
     profiler.detach()
-    assert [(slot.tick, slot.tick_wake) for slot in t.sim._slots] == saved
-    # the profiled ticks came through the fused wrapper
+    assert [slot.tick for slot in t.sim._slots] == saved
+    # the profiled ticks came through the wrapper
     assert profiler.report()["classes"]["Router"]["ticks"] > 0
 
 
@@ -370,6 +326,6 @@ def test_profiled_run_is_bit_identical():
         t.drain()
         if profiler is not None:
             profiler.detach()
-        return snapshot(t.net.stats), t.cycle
+        return t.net.stats.snapshot(), t.cycle
 
     assert run(profiled=True) == run(profiled=False)

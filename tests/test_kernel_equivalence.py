@@ -27,15 +27,6 @@ from repro.sim.kernel import DeadlockError, ProgressWatchdog, Simulator
 VARIANTS = [Variant.BASELINE, Variant.COMPLETE, Variant.COMPLETE_NOACK]
 
 
-def snapshot(stats):
-    """Exact value of every counter, mean and histogram."""
-    return (
-        dict(stats.counters),
-        {key: (m.total, m.count) for key, m in stats.means.items()},
-        {key: (dict(h.buckets), h.count) for key, h in stats.histograms.items()},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Scripted components against the raw kernel.
 # ---------------------------------------------------------------------------
@@ -271,7 +262,7 @@ def traffic_run(variant, rate, cycles, always, seed=1, n_cores=16):
     t.run(cycles)
     t.drain()
     return (
-        snapshot(t.net.stats),
+        t.net.stats.snapshot(),
         t.cycle,
         t.requests_sent,
         t.replies_received,
@@ -321,6 +312,6 @@ def test_full_system_bit_identical(variant):
             system.sim.set_always_tick(True)
         cycles = system.run_instructions(200, max_cycles=1_500_000)
         system.drain()
-        return snapshot(system.stats), cycles, system.sim.cycle
+        return system.stats.snapshot(), cycles, system.sim.cycle
 
     assert run(always=False) == run(always=True)

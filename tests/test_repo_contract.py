@@ -67,6 +67,16 @@ def test_all_paper_variants_exposed():
 # injection, which kills on purpose).
 # ----------------------------------------------------------------------
 
+def _repro_sources():
+    """(path relative to the package, parsed module) for all of src/repro."""
+    import ast
+
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(root), ast.parse(
+            path.read_text(), filename=str(path))
+
+
 def _supervision_sites(tree):
     """(lineno, what) for executor pools, ``.Process(...)``,
     ``os.getppid()`` and argument-less ``.terminate()`` / ``.kill()``."""
@@ -98,17 +108,51 @@ def test_only_repro_proc_supervises_processes():
     assert [what for _line, what in _supervision_sites(probe)] == [
         "ProcessPoolExecutor", ".Process()", ".getppid()", ".terminate()",
         ".kill()"]
-    root = pathlib.Path(repro.__file__).parent
     offenders = []
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
+    for relative, tree in _repro_sources():
         if relative.parts[0] == "validate":
             continue
-        sites = list(_supervision_sites(
-            ast.parse(path.read_text(), filename=str(path))))
+        sites = list(_supervision_sites(tree))
         if relative.name == "proc.py" and len(relative.parts) == 1:
             assert {what for _line, what in sites} == {
                 ".Process()", ".getppid()", ".terminate()", ".kill()"}
             continue
         offenders += [f"{relative}:{line} {what}" for line, what in sites]
+    assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# One clocked protocol: the kernel calls ``tick`` and, where a component
+# has one, ``next_wake`` - no fused third entry point, no hand-inlined
+# ``*_fast`` twin of a hook the reference pipeline also runs.
+# ----------------------------------------------------------------------
+
+def test_components_speak_one_clocked_protocol():
+    import ast
+
+    offenders = []
+    classes = {}  # class name -> (where, own method names, base names)
+    for relative, tree in _repro_sources():
+        for node in ast.walk(tree):
+            where = f"{relative}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name == "tick_wake" or node.name.endswith("_fast"):
+                    offenders.append(f"{where} def {node.name}")
+            elif isinstance(node, ast.ClassDef):
+                classes[node.name] = (
+                    where,
+                    {item.name for item in node.body
+                     if isinstance(item, ast.FunctionDef)},
+                    [base.id for base in node.bases
+                     if isinstance(base, ast.Name)],
+                )
+
+    def has_tick(name):
+        _where, methods, bases = classes.get(name, ("", (), ()))
+        return "tick" in methods or any(has_tick(base) for base in bases)
+
+    assert has_tick("ReferenceRouter") and not has_tick("CircuitPolicy")
+    offenders += [f"{where} class {name}: next_wake without tick"
+                  for name, (where, methods, _bases) in classes.items()
+                  if "next_wake" in methods and not has_tick(name)]
     assert not offenders, offenders

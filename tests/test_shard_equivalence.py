@@ -22,22 +22,12 @@ WARMUP = 80
 MEASURE = 250
 
 
-def _snapshot(stats):
-    stats.flush()
-    return (
-        dict(stats.counters),
-        {k: (m.total, m.count) for k, m in stats.means.items()},
-        {k: (h.bucket_width, dict(h.buckets), h.count)
-         for k, h in stats.histograms.items()},
-    )
-
-
 def _reference(config, workload="canneal"):
     system = CmpSystem(config, workload_by_name(workload))
     system.warmup(WARMUP)
     start = system.sim.cycle
     finish = system.run_instructions(MEASURE)
-    return _snapshot(system.stats), start, finish, system.sim.cycle
+    return system.stats.snapshot(), start, finish, system.sim.cycle
 
 
 @pytest.fixture(autouse=True)
@@ -58,7 +48,7 @@ def test_sharded_run_bit_identical(variant, n_shards):
     assert result.start_cycle == start
     assert result.finish_cycle == finish
     assert result.end_cycle == end
-    assert _snapshot(result.stats) == ref_stats
+    assert result.stats.snapshot() == ref_stats
 
 
 @pytest.mark.parametrize("variant",
@@ -75,7 +65,7 @@ def test_sharded_run_bit_identical_reference_pipeline(variant):
                          n_shards=2, check=False)
     assert result.start_cycle == start
     assert result.finish_cycle == finish
-    assert _snapshot(result.stats) == ref_stats
+    assert result.stats.snapshot() == ref_stats
 
 
 def test_sharded_run_with_invariant_monitor():
@@ -86,7 +76,7 @@ def test_sharded_run_with_invariant_monitor():
     result = run_sharded(config, "canneal", WARMUP, MEASURE,
                          n_shards=2, check=True, check_interval=500)
     assert result.finish_cycle == finish
-    assert _snapshot(result.stats) == ref_stats
+    assert result.stats.snapshot() == ref_stats
 
 
 def test_run_experiment_with_shards_matches(monkeypatch):
@@ -114,11 +104,11 @@ def test_measure_only_run_matches():
     system = CmpSystem(config, workload_by_name("fft"))
     start = system.sim.cycle
     finish = system.run_instructions(MEASURE)
-    ref_stats = _snapshot(system.stats)
+    ref_stats = system.stats.snapshot()
     result = run_sharded(config, "fft", 0, MEASURE, n_shards=2, check=False)
     assert result.start_cycle == start
     assert result.finish_cycle == finish
-    assert _snapshot(result.stats) == ref_stats
+    assert result.stats.snapshot() == ref_stats
 
 
 def test_shard_window_respects_lookahead():

@@ -31,22 +31,12 @@ WARMUP = 80
 MEASURE = 250
 
 
-def _snapshot(stats):
-    stats.flush()
-    return (
-        dict(stats.counters),
-        {k: (m.total, m.count) for k, m in stats.means.items()},
-        {k: (h.bucket_width, dict(h.buckets), h.count)
-         for k, h in stats.histograms.items()},
-    )
-
-
 def _reference(config):
     system = CmpSystem(config, workload_by_name("canneal"))
     system.warmup(WARMUP)
     start = system.sim.cycle
     finish = system.run_instructions(MEASURE)
-    return _snapshot(system.stats), start, finish, system.sim.cycle
+    return system.stats.snapshot(), start, finish, system.sim.cycle
 
 
 @pytest.fixture(autouse=True)
@@ -76,7 +66,7 @@ def test_worker_sigkill_recovers_bit_identically(barrier_seq):
     assert result.start_cycle == start
     assert result.finish_cycle == finish
     assert result.end_cycle == end
-    assert _snapshot(result.stats) == ref_stats
+    assert result.stats.snapshot() == ref_stats
 
 
 def test_respawn_budget_exhaustion_is_typed():

@@ -5,7 +5,13 @@ from hypothesis import given, strategies as st
 
 from repro.sim.kernel import DeadlockError, ProgressWatchdog, Simulator
 from repro.sim.rng import DeterministicRng
-from repro.sim.stats import MeanStat, Stats, mean_and_stderr, weighted_fractions
+from repro.sim.stats import (
+    Histogram,
+    MeanStat,
+    Stats,
+    mean_and_stderr,
+    weighted_fractions,
+)
 
 
 class Counter:
@@ -85,6 +91,27 @@ def test_progress_watchdog_allows_progress():
     sim.run(100)  # should not raise
 
 
+def test_always_tick_toggle_wakes_the_sleepers():
+    """Switching to always-tick mid-run must re-arm the kernel: a
+    component that now ticks every cycle is not ``sleeping()``, so the
+    ``kernel_sleep`` audit has nothing (stale) to raise on."""
+    from repro.noc.traffic import RequestReplyTraffic
+    from repro.sim.config import SystemConfig, Variant
+    from repro.validate.invariants import InvariantMonitor
+
+    cfg = SystemConfig(n_cores=16).with_variant(Variant.COMPLETE_NOACK)
+    t = RequestReplyTraffic(cfg, 6.0, seed=1)
+    t.run(600)
+    assert t.sim.sleeping()  # light load: the activity kernel slept some
+    t.sim.set_always_tick(True)
+    InvariantMonitor(t.net, interval=50).attach(t.sim)
+    t.run(600)
+    assert t.sim.sleeping() == [] and t.sim.sleeping_slots() == []
+    t.sim.set_always_tick(False)
+    t.run(600)
+    assert t.sim.sleeping()
+
+
 def test_rng_streams_are_deterministic_and_independent():
     a = DeterministicRng(7).stream("x")
     b = DeterministicRng(7).stream("x")
@@ -127,6 +154,33 @@ def test_stats_share_and_prefix():
     stats.bump("q.c", 6)
     assert stats.share(["p.a"], ["p.a", "p.b"]) == 0.75
     assert stats.counters_with_prefix("p.") == {"p.a": 3, "p.b": 1}
+
+
+def test_stats_snapshot_round_trip():
+    """``snapshot`` flushes batched counters and keeps every accumulator
+    (bucket widths included); ``from_snapshot`` rebuilds an equal Stats."""
+    stats = Stats()
+    pending = [7]  # a batcher's unflushed delta
+
+    def flusher():
+        while pending:
+            stats.counters["noc.link_flits"] += pending.pop()
+
+    stats.add_flusher(flusher)
+    stats.bump("a", 2)
+    stats.observe("m", 8, weight=2)
+    stats.record("lat", 3.7)
+    stats.histograms["fine"] = Histogram(bucket_width=0.25)
+    stats.histograms["fine"].add(1.3)
+    snap = stats.snapshot()
+    assert snap[0] == {"a": 2, "noc.link_flits": 7}
+    assert snap[1] == {"m": (8, 2), "lat": (3.7, 1)}
+    assert snap[2] == {"lat": (1, {3: 1}, 1), "fine": (0.25, {5: 1}, 1)}
+    rebuilt = Stats.from_snapshot(snap)
+    assert rebuilt.snapshot() == snap
+    assert rebuilt.percentile("fine", 50) == 1.25
+    rebuilt.merge(stats)  # widths survived, so the histograms still merge
+    assert rebuilt.counter("a") == 4 and rebuilt.histograms["fine"].count == 2
 
 
 def test_weighted_fractions():

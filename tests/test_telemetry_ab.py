@@ -28,16 +28,6 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "trace_small.json")
 SMALL = dict(measure_instructions=250, warmup_instructions=80)
 
 
-def stats_snapshot(stats):
-    """Every accumulator in comparable form (the bit-identity witness)."""
-    return (
-        dict(stats.counters),
-        {k: (m.total, m.count) for k, m in stats.means.items()},
-        {k: (dict(h.buckets), h.count, h.bucket_width)
-         for k, h in stats.histograms.items()},
-    )
-
-
 def _traffic():
     return RequestReplyTraffic(
         SystemConfig(n_cores=16).with_variant(Variant.COMPLETE_NOACK),
@@ -50,7 +40,7 @@ def test_traffic_run_is_bit_identical_under_full_telemetry(tmp_path):
     bare = _traffic()
     bare.run(2000)
     bare.drain()
-    reference = (stats_snapshot(bare.net.stats), bare.sim.cycle,
+    reference = (bare.net.stats.snapshot(), bare.sim.cycle,
                  bare.sim.ticks_run, bare.sim.cycles_skipped)
 
     observed = _traffic()
@@ -63,7 +53,7 @@ def test_traffic_run_is_bit_identical_under_full_telemetry(tmp_path):
     observed.drain()
     telem.detach()
 
-    assert (stats_snapshot(observed.net.stats), observed.sim.cycle,
+    assert (observed.net.stats.snapshot(), observed.sim.cycle,
             observed.sim.ticks_run, observed.sim.cycles_skipped) == reference
     # and the observation itself was substantive, not vacuously empty
     assert len(telem.registry) >= 8

@@ -38,15 +38,6 @@ WARMUP = 80
 MEASURE = 250
 
 
-def snapshot(stats):
-    stats.flush()
-    return (
-        dict(stats.counters),
-        {k: (m.total, m.count) for k, m in stats.means.items()},
-        {k: (dict(h.buckets), h.count) for k, h in stats.histograms.items()},
-    )
-
-
 def with_noc(cfg, topology, fastpath):
     return dataclasses.replace(
         cfg, noc=dataclasses.replace(
@@ -74,7 +65,7 @@ def traffic_run(topology, variant, rate, cycles, fastpath, seed=1,
     t.run(cycles)
     t.drain()
     return (
-        snapshot(t.net.stats),
+        t.net.stats.snapshot(),
         t.cycle,
         t.requests_sent,
         t.replies_received,
@@ -118,7 +109,7 @@ def test_full_system_bit_identical(topology):
         system = build_system(cfg, workload_by_name("fluidanimate"))
         cycles = system.run_instructions(200, max_cycles=1_500_000)
         system.drain()
-        return snapshot(system.stats), cycles, system.sim.cycle
+        return system.stats.snapshot(), cycles, system.sim.cycle
 
     assert run(fastpath=True) == run(fastpath=False)
 
@@ -134,11 +125,11 @@ def test_sharded_run_bit_identical(topology):
     system.warmup(WARMUP)
     start = system.sim.cycle
     finish = system.run_instructions(MEASURE)
-    ref = (snapshot(system.stats), start, finish, system.sim.cycle)
+    ref = (system.stats.snapshot(), start, finish, system.sim.cycle)
 
     result = run_sharded(config, "canneal", WARMUP, MEASURE,
                          n_shards=2, check=False)
-    assert (snapshot(result.stats), result.start_cycle,
+    assert (result.stats.snapshot(), result.start_cycle,
             result.finish_cycle, result.end_cycle) == ref
 
 
@@ -152,7 +143,7 @@ def test_checkpoint_resume_bit_identical_on_torus():
     system.warmup(WARMUP)
     start = system.sim.cycle
     finish = system.run_instructions(MEASURE)
-    ref = (snapshot(system.stats), start, finish, system.sim.cycle)
+    ref = (system.stats.snapshot(), start, finish, system.sim.cycle)
 
     config_hash = fingerprint("torus-equivalence")
     directory = tempfile.mkdtemp(prefix="repro-topo-ckpt-")
@@ -162,7 +153,7 @@ def test_checkpoint_resume_bit_identical_on_torus():
         run_start, run_finish = system.run_script(
             WARMUP, MEASURE, policy, keep_history=True
         )
-        assert (snapshot(system.stats), run_start, run_finish,
+        assert (system.stats.snapshot(), run_start, run_finish,
                 system.sim.cycle) == ref
 
         history = sorted(
@@ -184,7 +175,7 @@ def test_checkpoint_resume_bit_identical_on_torus():
             )
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
-        assert (snapshot(resumed.stats), res_start, res_finish,
+        assert (resumed.stats.snapshot(), res_start, res_finish,
                 resumed.sim.cycle) == ref
     finally:
         shutil.rmtree(directory, ignore_errors=True)

@@ -37,16 +37,6 @@ N_CORES = 16
 MEASURE = 120  # instructions per core, measure-only (no warmup)
 
 
-def _snapshot(stats):
-    stats.flush()
-    return (
-        dict(stats.counters),
-        {k: (m.total, m.count) for k, m in stats.means.items()},
-        {k: (h.bucket_width, dict(h.buckets), h.count)
-         for k, h in stats.histograms.items()},
-    )
-
-
 def _config(topology: str, fastpath: bool):
     config = small_test_config(N_CORES, VARIANT, seed=SEED)
     return dataclasses.replace(
@@ -62,12 +52,12 @@ def run_cell(topology: str, fastpath: bool, n_shards: int) -> dict:
     if n_shards == 1:
         system = CmpSystem(config, workload_by_name(WORKLOAD))
         finish = system.run_instructions(MEASURE)
-        snapshot = _snapshot(system.stats)
+        snapshot = system.stats.snapshot()
     else:
         result = run_sharded(config, WORKLOAD, 0, MEASURE,
                              n_shards=n_shards, check=False)
         finish = result.finish_cycle
-        snapshot = _snapshot(result.stats)
+        snapshot = result.stats.snapshot()
     return {
         "topology": topology,
         "fastpath": fastpath,
