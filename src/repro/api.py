@@ -177,7 +177,12 @@ class _DaemonBackend:
         for row, spec in zip(rows, handle.specs):
             entry = row.get("result")
             if entry is not None:
-                result = RunResult.from_json(entry)
+                try:
+                    result = RunResult.from_json(entry)
+                except TypeError as exc:
+                    raise ServiceError(
+                        f"job {row.get('job_id')}: the daemon's result is "
+                        f"not a RunResult of this build ({exc})") from None
             elif row.get("state") == "failed":
                 # Infrastructure failure (worker kept dying, timeout):
                 # surface it exactly like a degraded simulation failure.

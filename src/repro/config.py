@@ -277,7 +277,7 @@ def resolve(name: str, override=None, default=None,
     ``default`` replaces the registry default when not None (call sites
     with context-dependent defaults use it).  ``source`` names where the
     override came from when it is not a keyword argument (e.g.
-    ``"config.sim.shards"``).  Raises :class:`ConfigError` naming the
+    ``"config.noc.topology"``).  Raises :class:`ConfigError` naming the
     offending source on a malformed value.
     """
     return _resolve(name, override, default, source).value

@@ -136,30 +136,33 @@ def cmd_check_topology(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Monitored clean sweep across switching variants (zero violations)."""
-    from repro.sim.kernel import SimulationError
-    from repro.validate import CHECK_VARIANTS, measure_overhead, run_clean
+    """Monitored clean sweep: the conformance matrix's check cells, one
+    line each (invariant monitor + paper-property oracles, zero
+    violations expected)."""
+    import time
 
-    cycles = args.cycles or 5000
+    from repro.sim.kernel import SimulationError
+    from repro.validate import conformance
+
+    cells = conformance.check_cells(args.cycles or 5000, args.cores)
     failures = 0
-    print(f"Invariant-checked clean sweep ({cycles} cycles/variant)")
-    for variant in CHECK_VARIANTS:
+    print(f"Invariant-checked clean sweep ({len(cells)} conformance cells)")
+    for cell in cells:
+        started = time.perf_counter()
         try:
-            report = run_clean(variant, cycles=cycles)
+            audit = conformance.run(cell, "monitored")["audit"]
         except SimulationError as exc:
             failures += 1
-            print(f"  {variant.value:22s} VIOLATION: {exc}")
+            print(f"  {cell.id:52s} VIOLATION: {exc}")
             continue
-        print(f"  {report.variant:22s} OK  {report.checks_run} checks, "
-              f"{report.requests_sent} requests, "
-              f"{report.wall_seconds:.1f}s")
-    overhead = measure_overhead(cycles=min(cycles, 5000))
-    print(f"monitor overhead at production cadence (interval 2000): "
-          f"{(overhead - 1) * 100:+.1f}%")
+        print(f"  {cell.id:52s} OK  {audit['checks_run']} checks, "
+              f"{audit['replies_checked']} circuit replies, "
+              f"{audit['self_acks_checked']} self-acks, "
+              f"{time.perf_counter() - started:.1f}s")
     if failures:
-        print(f"{failures} variant(s) FAILED")
+        print(f"{failures} cell(s) FAILED")
         return 1
-    print("all variants clean: zero violations")
+    print("all cells clean: zero violations")
     return 0
 
 

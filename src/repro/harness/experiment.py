@@ -294,19 +294,6 @@ def _assemble_result(spec: RunSpec, key: str, config: SystemConfig,
     )
 
 
-def _checkpoint_interval(config: SystemConfig) -> int:
-    """Cycles between durable checkpoints (0 = periodic checkpoints off).
-
-    ``config.sim.checkpoint_interval`` wins; otherwise the
-    ``REPRO_CHECKPOINT`` environment variable.  Checkpointing is an
-    execution-engine concern: results are bit-identical with or without
-    it, so it is deliberately absent from cache keys.
-    """
-    return repro_config.resolve(
-        "checkpoint", override=config.sim.checkpoint_interval or None,
-        source="config.sim.checkpoint_interval")
-
-
 def _checkpoint_base_dir() -> str:
     return repro_config.resolve("checkpoint_dir")
 
@@ -350,7 +337,7 @@ def _run_sharded(spec: RunSpec, key: str, config: SystemConfig,
     from repro.sim.shard import has_snapshots, run_sharded
 
     ckpt_kwargs = {}
-    interval = _checkpoint_interval(config)
+    interval = repro_config.resolve("checkpoint")
     if interval:
         # A persistent directory lets a killed *coordinator* be
         # resumed; without one the engine still self-heals worker
@@ -380,7 +367,7 @@ def _run_local(spec: RunSpec, key: str, config: SystemConfig):
     references that cannot be restored.
     """
     policy = run_state = None
-    interval = 0 if spec.observed else _checkpoint_interval(config)
+    interval = 0 if spec.observed else repro_config.resolve("checkpoint")
     if interval:
         from repro.sim.checkpoint import CheckpointPolicy, fingerprint
 
@@ -433,15 +420,14 @@ def run_experiment(spec: RunSpec) -> RunResult:
     The monitor is read-only, so checked results are bit-identical to
     unchecked ones and share the same cache entries.
 
-    With ``REPRO_SHARDS=<n>`` (or ``config.sim.shards``) the run executes
-    on the sharded engine (:mod:`repro.sim.shard`): the mesh is split into
-    ``n`` row bands simulated in ``n`` worker processes.  Sharded results
-    are bit-identical to single-process ones, so they share the same memo
+    With ``REPRO_SHARDS=<n>`` the run executes on the sharded engine
+    (:mod:`repro.sim.shard`): the mesh is split into ``n`` row bands
+    simulated in ``n`` worker processes.  Sharded results are
+    bit-identical to single-process ones, so they share the same memo
     and disk-cache entries.
 
-    With ``REPRO_CHECKPOINT=<cycles>`` (or ``config.sim.checkpoint_interval``)
-    the run writes periodic durable checkpoints (:mod:`repro.sim.checkpoint`)
-    under ``REPRO_CHECKPOINT_DIR`` (default ``out/checkpoint``), keyed by
+    With ``REPRO_CHECKPOINT=<cycles>`` the run writes periodic durable
+    checkpoints (:mod:`repro.sim.checkpoint`) under ``REPRO_CHECKPOINT_DIR`` (default ``out/checkpoint``), keyed by
     the spec key; ``REPRO_RESUME=1`` restarts an interrupted run from its
     newest checkpoint.  Checkpointed, resumed and plain runs are all
     bit-identical, so they share cache entries too.  Telemetry-observed

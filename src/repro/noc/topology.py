@@ -13,8 +13,9 @@ Three topologies are registered:
   ``i`` sits at ``(x, y) = (i % side, i // side)``; EAST increases x,
   SOUTH increases y.
 * :class:`Torus` - the mesh plus wraparound links in both dimensions.
-  No datelines are needed: the request/reply VN split already separates
-  the two dimension-order networks (see ``docs/architecture.md`` §14).
+  There are no dateline VCs, so a ring can deadlock within one virtual
+  network under load: observed on the 8x8 torus, never on the 4x4 (see
+  ``docs/architecture.md`` §14).
 * :class:`CMesh` - a concentrated mesh with ``CONCENTRATION`` cores per
   router, which makes router radix variable (4 network ports + 4 local
   ports) and node id != router id.
@@ -297,12 +298,15 @@ class Mesh(Topology):
 class Torus(Mesh):
     """Square 2-D torus: the mesh plus wraparound links per dimension.
 
-    Every router has all four network ports.  Deadlock freedom needs no
-    datelines here: requests and replies each own a virtual network and
-    a dimension order, and within one VN the circuit mechanism never
-    blocks a packet on another packet's wrap-around credit (the paper's
-    request/reply split is the usual two-network argument; the detailed
-    deadlock discussion lives in docs/architecture.md §14).
+    Every router has all four network ports.  The model has no dateline
+    VCs, and the request/reply VN split does not replace them: packets
+    of *one* VN still wait on each other's credits all the way round a
+    row or column ring, and an 8x8 torus under load closes that cycle
+    (Baseline at 120 requests/kcycle/node wedges VN1 round routers
+    48..55; pinned by ``tests/test_conformance.py``).  The 4x4 torus has
+    never been seen to (its rings are 4 routers of 5-flit buffers).
+    docs/architecture.md §14 has the counterexample and the load the
+    conformance matrix keeps 64-core torus cells under.
     """
 
     name = "torus"

@@ -14,6 +14,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.harness.experiment import RunSpec
 from repro.service.protocol import (
+    ServiceError,
     connect_address,
     recv_json,
     send_json,
@@ -21,10 +22,6 @@ from repro.service.protocol import (
 )
 
 CONNECT_TIMEOUT = 10.0
-
-
-class ServiceError(RuntimeError):
-    """The daemon answered, but with an error."""
 
 
 class ServiceUnavailable(ServiceError):

@@ -19,16 +19,30 @@ installs its own forwarding callback worker-side).
 from __future__ import annotations
 
 import json
+import os
 import socket
+import stat
 from dataclasses import asdict
 from typing import Optional, Tuple, Union
 
+from repro.config import ConfigError
 from repro.harness.experiment import RunSpec
 from repro.sim.config import Variant
 from repro.telemetry import TelemetryConfig
 
 #: Protocol revision; bumped on incompatible message-shape changes.
 PROTOCOL_VERSION = 1
+
+#: Longest frame (one JSON line) either side accepts.  A 22-workload x
+#: 14-variant result batch is ~2 MB; anything near this bound is not a
+#: message of this protocol.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+
+class ServiceError(RuntimeError):
+    """The daemon answered with an error, or a peer sent a frame that is
+    not a message of this protocol."""
+
 
 #: Fields of TelemetryConfig that serialise (everything but on_sample).
 _TELEMETRY_FIELDS = (
@@ -87,18 +101,33 @@ def parse_address(address: str) -> Union[str, Tuple[str, int]]:
 
 
 def bind_address(address: str) -> socket.socket:
+    """Listen on ``address``.  A unix-socket path is reclaimed only when
+    it holds a socket nobody answers on (a dead daemon's leftover); a
+    live daemon or any other kind of file there is a
+    :class:`~repro.config.ConfigError`, and nothing is removed."""
     parsed = parse_address(address)
     if isinstance(parsed, tuple):
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind(parsed)
     else:
-        import os
-
         try:
+            mode = os.lstat(parsed).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None:
+            from repro.service.client import ServiceClient
+
+            if not stat.S_ISSOCK(mode):
+                raise ConfigError(
+                    "service", "--socket / REPRO_SERVICE",
+                    f"daemon socket path {parsed!r} exists and is not a "
+                    "socket; refusing to replace it")
+            if ServiceClient(parsed, connect_timeout=2.0).ping():
+                raise ConfigError(
+                    "service", "--socket / REPRO_SERVICE",
+                    f"a job daemon is already serving {parsed!r}")
             os.unlink(parsed)
-        except OSError:
-            pass
         server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         server.bind(parsed)
     server.listen(64)
@@ -128,8 +157,20 @@ def send_json(handle, obj: dict) -> None:
 
 
 def recv_json(handle) -> Optional[dict]:
-    """Read one JSON line; None on a cleanly closed connection."""
-    line = handle.readline()
+    """Read one JSON line; None on a cleanly closed connection.  Raises
+    :class:`ServiceError` for a frame over :data:`MAX_FRAME_BYTES`, one
+    that does not decode, or one that is not a JSON object."""
+    line = handle.readline(MAX_FRAME_BYTES + 1)
     if not line:
         return None
-    return json.loads(line.decode())
+    if len(line) > MAX_FRAME_BYTES:
+        raise ServiceError(
+            f"frame exceeds {MAX_FRAME_BYTES} bytes; not a repro message")
+    try:
+        message = json.loads(line.decode())
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ServiceError(f"undecodable frame: {exc}") from None
+    if not isinstance(message, dict):
+        raise ServiceError(
+            f"frame is a JSON {type(message).__name__}, not an object")
+    return message

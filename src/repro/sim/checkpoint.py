@@ -72,8 +72,9 @@ from repro.sim.kernel import SimulationError
 #: ``run`` record is the one :func:`repro.system.new_run_state` builds;
 #: 3: cache sets are parallel lists with int PLRU bits, ``DirLine.sharers``
 #: may be None; 4: a cache array has no addr -> way dict, and a resident
-#: way whose line slot is None holds the default line, not yet built).
-SCHEMA_VERSION = 4
+#: way whose line slot is None holds the default line, not yet built;
+#: 5: ``SystemConfig`` has no ``sim`` field).
+SCHEMA_VERSION = 5
 
 MAGIC = b"RPROCKPT"
 

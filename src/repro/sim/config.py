@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
-from repro.config import ConfigError
-
 
 class CircuitMode(enum.Enum):
     """How reply circuits are reserved (paper section 4.2 / 4.8)."""
@@ -212,43 +210,6 @@ def variant_config(variant: Variant) -> CircuitConfig:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Execution-engine knobs (how the model is simulated, not what it is).
-
-    Nothing here may change simulated behaviour: any legal ``SimConfig``
-    must produce bit-identical stats and finish cycles.  The sharded
-    engine (``repro.sim.shard``) enforces that with A/B equivalence
-    tests.
-    """
-
-    #: Number of single-process shards the mesh is split across.
-    #: Unset (``0``) defers to ``repro.config`` (``shards``; default 1 =
-    #: the plain single-process engine).
-    shards: int = 0
-
-    #: Cycles between durable checkpoints (``repro.sim.checkpoint``).
-    #: Unset (``0``) defers to ``repro.config`` (``checkpoint``; default
-    #: no periodic checkpoints).  Checkpoints are captured on
-    #: run-control chunk boundaries, so restored runs stay bit-identical.
-    checkpoint_interval: int = 0
-
-    #: Seconds the shard coordinator waits for a worker's barrier
-    #: message before declaring it unresponsive.  Unset (``0.0``) defers
-    #: to ``repro.config`` (``shard_timeout``; default 1200s).
-    shard_timeout: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name, setting in (("shards", "shards"),
-                              ("checkpoint_interval", "checkpoint"),
-                              ("shard_timeout", "shard_timeout")):
-            if getattr(self, name) < 0:
-                raise ConfigError(
-                    setting, f"config.sim.{name}",
-                    f"config.sim.{name} must be >= 0 (0 = unset), "
-                    f"got {getattr(self, name)!r}")
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     """Complete description of a simulated CMP."""
 
@@ -257,7 +218,6 @@ class SystemConfig:
     noc: NocConfig = field(default_factory=NocConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
     circuit: CircuitConfig = field(default_factory=CircuitConfig)
-    sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self) -> None:
         # Resolve the topology eagerly (consulting repro.config once)
@@ -270,16 +230,9 @@ class SystemConfig:
         if topology != self.noc.topology:
             object.__setattr__(
                 self, "noc", replace(self.noc, topology=topology))
-        side = topology_grid_side(topology, self.n_cores)
+        topology_grid_side(topology, self.n_cores)  # n_cores must tile it
         if self.cache.num_memory_controllers > self.n_cores:
             raise ValueError("more memory controllers than tiles")
-        if self.sim.shards > side:
-            raise ConfigError(
-                "shards", "config.sim.shards",
-                f"config.sim.shards={self.sim.shards} exceeds the "
-                f"router-grid height {side} (shards are horizontal row "
-                "bands of >= 1 row)"
-            )
         # Fragmented circuits grow the reply VN to 3 VCs; enforce coherence
         # between the two sub-configs here so callers cannot desynchronise.
         expected = 3 if self.circuit.mode is CircuitMode.FRAGMENTED else 2

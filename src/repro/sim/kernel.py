@@ -124,7 +124,7 @@ class Simulator:
     def __init__(self) -> None:
         self.cycle = 0
         self._slots: List[_Slot] = []
-        #: Awake slots in registration order; step() touches only these.
+        #: Awake slots in registration order; a cycle touches only these.
         self._awake: List[_Slot] = []
         self._wake_heap: List[Tuple[int, int, _Slot]] = []
         self._watchdogs: List[Callable[[int], None]] = []
@@ -196,31 +196,6 @@ class Simulator:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
 
-    def checkpoint(self) -> bytes:
-        """Serialise this simulator (and its component graph) to bytes.
-
-        The bytes contain the complete kernel state - clock, slots, awake
-        set, wake heap, skip counters - plus every registered component
-        reachable from it.  See :mod:`repro.sim.checkpoint` for the
-        closure policy and the typed errors raised for unpicklable state.
-        """
-        from repro.sim.checkpoint import dumps_state
-
-        return dumps_state(self)
-
-    @staticmethod
-    def restore(blob: bytes) -> "Simulator":
-        """Rebuild a simulator from :meth:`checkpoint` bytes and rewire it."""
-        from repro.sim.checkpoint import loads_state
-
-        sim = loads_state(blob)
-        if not isinstance(sim, Simulator):  # pragma: no cover - misuse trap
-            raise SimulationError(
-                f"checkpoint blob holds {type(sim).__name__}, not a Simulator"
-            )
-        sim.rewire_wakes()
-        return sim
-
     def add_watchdog(self, hook: Callable[[int], None]) -> None:
         """Register a hook invoked after every executed cycle.
 
@@ -277,19 +252,6 @@ class Simulator:
         ]
 
     # -- the clock -----------------------------------------------------
-    def step(self) -> None:
-        """Advance the whole system by exactly one cycle."""
-        cycle = self.cycle
-        if self._always_tick:
-            for slot in self._slots:
-                slot.tick(cycle)
-            self.ticks_run += len(self._slots)
-        else:
-            self._step_awake(cycle)
-        for hook in self._watchdogs:
-            hook(cycle)
-        self.cycle = cycle + 1
-
     def _step_awake(self, cycle: int) -> None:
         """Tick the awake set for ``cycle`` and apply sleep decisions."""
         heap = self._wake_heap

@@ -139,21 +139,12 @@ def shard_window(link_latency: int) -> int:
     raise AssertionError("unreachable: 1 always qualifies")
 
 
-def _resolve_field(name: str, override, config, field: str, default=None):
-    """Explicit kwarg > ``config.sim.<field>`` > environment > default."""
-    if override is not None or config is None:
-        return repro_config.resolve(name, override=override, default=default)
-    return repro_config.resolve(
-        name, override=getattr(config.sim, field) or None, default=default,
-        source=f"config.sim.{field}")
-
-
 def resolve_shards(config, override: Optional[int] = None) -> int:
     """Effective shard count, checked against the router-grid height."""
-    shards = _resolve_field("shards", override, config, "shards")
+    shards = repro_config.resolve("shards", override=override)
     if shards > config.mesh_side:
         raise repro_config.ConfigError(
-            "shards", "config.sim.shards / REPRO_SHARDS",
+            "shards", "shards= / REPRO_SHARDS",
             f"{shards} shards exceed the router-grid height "
             f"{config.mesh_side} (shards are horizontal row bands of "
             ">= 1 row)"
@@ -161,12 +152,11 @@ def resolve_shards(config, override: Optional[int] = None) -> int:
     return shards
 
 
-def resolve_shard_timeout(config=None, override: Optional[float] = None
-                          ) -> float:
+def resolve_shard_timeout(override: Optional[float] = None) -> float:
     """Seconds the coordinator waits on a silent worker before declaring
     it dead.  The default is generous: a worker only goes silent
     mid-window, and windows are a handful of simulated cycles."""
-    return _resolve_field("shard_timeout", override, config, "shard_timeout")
+    return repro_config.resolve("shard_timeout", override=override)
 
 
 class ShardWorkerDied(SimulationError):
@@ -869,11 +859,11 @@ def run_sharded(config, workload: str, warmup_instructions: int,
     topo = build_topology(config)
     assignment = shard_assignment(topo, n_shards)
     check = repro_config.resolve("check", override=check)
-    timeout = resolve_shard_timeout(config, timeout)
+    timeout = resolve_shard_timeout(timeout)
     respawn_limit = repro_config.resolve("shard_respawns",
                                          override=respawn_limit)
-    snapshot_interval = _resolve_field(
-        "checkpoint", checkpoint_interval, config, "checkpoint_interval",
+    snapshot_interval = repro_config.resolve(
+        "checkpoint", override=checkpoint_interval,
         default=_DEFAULT_SNAPSHOT_INTERVAL)
     owned_dir = checkpoint_dir is None
     if owned_dir:

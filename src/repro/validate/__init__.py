@@ -12,19 +12,13 @@ See ``docs/architecture.md`` (section "Validation & fault injection").
 """
 
 from repro.validate.campaign import (
-    CHECK_VARIANTS,
     EXPECTED_CHECKER,
     FAULT_VARIANTS,
-    CleanReport,
     FaultOutcome,
     TopologyReport,
     check_topology,
-    measure_overhead,
     run_campaign,
-    run_clean,
-    run_clean_sweep,
     run_fault,
-    run_system_check,
 )
 from repro.validate.chaos import ChaosOutcome, run_chaos_campaign
 from repro.validate.faults import FaultInjector, FaultKind
@@ -44,10 +38,8 @@ from repro.validate.invariants import (
 
 __all__ = [
     "ALL_CHECKS",
-    "CHECK_VARIANTS",
     "EXPECTED_CHECKER",
     "FAULT_VARIANTS",
-    "CleanReport",
     "CrashReport",
     "FaultInjector",
     "FaultKind",
@@ -60,13 +52,9 @@ __all__ = [
     "crash_report",
     "find_cycle",
     "flit_census",
-    "measure_overhead",
     "ChaosOutcome",
     "run_campaign",
     "run_chaos_campaign",
-    "run_clean",
-    "run_clean_sweep",
     "run_fault",
-    "run_system_check",
     "save_crash_report",
 ]

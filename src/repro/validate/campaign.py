@@ -1,20 +1,18 @@
-"""Clean-run validation sweeps and the seeded fault-injection campaign.
+"""The seeded fault-injection campaign and the static topology check.
 
-Two jobs, both driven by the CLI (``python -m repro.harness check`` /
-``inject``) and by CI:
-
-* :func:`run_clean` / :func:`run_clean_sweep` - run synthetic
-  request-reply traffic under every switching variant with the
-  :class:`~repro.validate.invariants.InvariantMonitor` enabled and
-  assert **zero violations** (no false positives);
 * :func:`run_fault` / :func:`run_campaign` - inject one seeded fault per
   :class:`~repro.validate.faults.FaultKind` and assert the **expected
-  checker** catches it (no false negatives), producing a crash report.
+  checker** catches it (no false negatives), producing a crash report;
+* :func:`check_topology` - port / adjacency / route-table self-check of
+  one registered topology.
+
+The other half - monitored clean runs that must report **zero
+violations** (no false positives) - is ``monitored`` mode of
+:mod:`repro.validate.conformance` (``python -m repro.harness check``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -24,17 +22,6 @@ from repro.sim.kernel import SimulationError
 from repro.validate.faults import FaultInjector, FaultKind
 from repro.validate.forensics import crash_report, save_crash_report
 from repro.validate.invariants import InvariantMonitor, InvariantViolation
-
-#: Variants exercised by the clean sweep: packet baseline, both circuit
-#: flavours, ACK elimination, timed windows, and the ideal bound.
-CHECK_VARIANTS = (
-    Variant.BASELINE,
-    Variant.FRAGMENTED,
-    Variant.COMPLETE,
-    Variant.COMPLETE_NOACK,
-    Variant.SLACKDELAY1_NOACK,
-    Variant.IDEAL,
-)
 
 #: Which variant each fault class runs under (the one with the state the
 #: fault corrupts).
@@ -76,23 +63,6 @@ FAULT_STALL_THRESHOLDS: Dict[FaultKind, int] = {
 
 
 @dataclass
-class CleanReport:
-    """One monitored clean run: zero violations expected."""
-
-    variant: str
-    cycles: int
-    checks_run: int
-    violations: int
-    requests_sent: int
-    replies_received: int
-    wall_seconds: float
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-
-@dataclass
 class FaultOutcome:
     """One fault-injection run: detection by the right checker expected."""
 
@@ -116,81 +86,6 @@ class FaultOutcome:
             and not self.false_positive
             and self.checker == self.expected_checker
         )
-
-
-def run_clean(
-    variant: Variant,
-    cycles: int = 5000,
-    rate: float = 12.0,
-    seed: int = 3,
-    interval: int = 200,
-    monitor: Optional[InvariantMonitor] = None,
-) -> CleanReport:
-    """Monitored synthetic-traffic run; raises on any violation."""
-    config = SystemConfig(n_cores=16, seed=seed).with_variant(variant)
-    traffic = RequestReplyTraffic(config, rate, seed=seed)
-    if monitor is None:
-        monitor = InvariantMonitor(traffic.net, interval=interval)
-    started = time.perf_counter()
-    for _ in range(cycles):
-        traffic.run(1)
-        monitor(traffic.cycle)
-    traffic.drain()
-    monitor.check_now(traffic.cycle)
-    return CleanReport(
-        variant=variant.value,
-        cycles=traffic.cycle,
-        checks_run=monitor.checks_run,
-        violations=monitor.violations,
-        requests_sent=traffic.requests_sent,
-        replies_received=traffic.replies_received,
-        wall_seconds=time.perf_counter() - started,
-    )
-
-
-def run_clean_sweep(
-    variants: Iterable[Variant] = CHECK_VARIANTS,
-    cycles: int = 5000,
-    rate: float = 12.0,
-    seed: int = 3,
-    interval: int = 200,
-) -> List[CleanReport]:
-    return [
-        run_clean(variant, cycles=cycles, rate=rate, seed=seed,
-                  interval=interval)
-        for variant in variants
-    ]
-
-
-def measure_overhead(
-    variant: Variant = Variant.COMPLETE_NOACK,
-    cycles: int = 5000,
-    rate: float = 12.0,
-    seed: int = 3,
-    interval: int = 2000,
-) -> float:
-    """Checked/unchecked wall-time ratio at the production cadence."""
-
-    def _run(check: bool) -> float:
-        config = SystemConfig(n_cores=16, seed=seed).with_variant(variant)
-        traffic = RequestReplyTraffic(config, rate, seed=seed)
-        monitor = (
-            InvariantMonitor(traffic.net, interval=interval, forensics=False)
-            if check else None
-        )
-        started = time.perf_counter()
-        for _ in range(cycles):
-            traffic.run(1)
-            if monitor is not None:
-                monitor(traffic.cycle)
-        traffic.drain()
-        return time.perf_counter() - started
-
-    unchecked = _run(False)
-    checked = _run(True)
-    if unchecked <= 0:
-        return 1.0
-    return checked / unchecked
 
 
 def run_fault(
@@ -371,29 +266,3 @@ def check_topology(name: str, n_cores: int = 16,
         checks_run=checks,
         problems=problems,
     )
-
-
-def run_system_check(
-    variant: Variant = Variant.COMPLETE_NOACK,
-    workload: str = "canneal",
-    n_cores: int = 16,
-    instructions: int = 300,
-    interval: int = 500,
-    seed: int = 1,
-) -> InvariantMonitor:
-    """Full-stack monitored run (cores + coherence + NoC): the coherence
-    checks only make sense here.  Raises on any violation; returns the
-    monitor for introspection."""
-    from repro.cpu.workloads import workload_by_name
-    from repro.system import build_system
-
-    config = SystemConfig(n_cores=n_cores, seed=seed).with_variant(variant)
-    system = build_system(config, workload_by_name(workload))
-    monitor = InvariantMonitor(system.network, system=system,
-                               interval=interval)
-    monitor.attach(system.sim)
-    system.warmup(max(instructions // 3, 50))
-    system.run_instructions(instructions)
-    system.drain()
-    monitor.check_now(system.sim.cycle)
-    return monitor

@@ -25,7 +25,6 @@ Run it via ``python -m repro.harness chaos`` or
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import signal
 import subprocess
@@ -45,14 +44,10 @@ from repro.sim.checkpoint import (
     fingerprint,
     read_checkpoint,
 )
-from repro.sim.config import Variant, small_test_config
-from repro.sim.shard import (
-    _SNAPSHOT_RE,
-    ShardRecoveryError,
-    ShardResult,
-    run_sharded,
-)
+from repro.sim.config import Variant
+from repro.sim.shard import _SNAPSHOT_RE, ShardRecoveryError, run_sharded
 from repro.system import build_system
+from repro.validate import conformance
 
 #: Small-but-real quanta: enough cycles for several barrier windows,
 #: snapshots and phase transitions on a 4x4 mesh.
@@ -63,6 +58,10 @@ _SEED = 3
 #: Snapshot cadence tight enough that every scenario crosses several
 #: snapshot points inside its ~15k-cycle run.
 _INTERVAL = 2000
+
+#: The conformance cell every recovery scenario runs.
+CELL = conformance.Cell(Variant.REUSE_NOACK, _WORKLOAD, _MEASURE,
+                        warmup=_WARMUP, seed=_SEED)
 
 #: The two router/NI pipelines every recovery scenario must hold on.
 PIPELINES = ("fastpath", "classic")
@@ -79,38 +78,22 @@ class ChaosOutcome:
 
 
 def _config(pipeline: str = "fastpath"):
-    config = small_test_config(16, variant=Variant.REUSE_NOACK, seed=_SEED)
-    if pipeline == "classic":
-        config = dataclasses.replace(
-            config, noc=dataclasses.replace(config.noc, fastpath=False)
-        )
-    return config
+    return CELL.config(reference=pipeline == "classic")
 
 
-def _reference(pipeline: str) -> ShardResult:
-    """Uninterrupted sharded run every recovery scenario compares against."""
-    return run_sharded(_config(pipeline), _WORKLOAD, _WARMUP, _MEASURE,
-                       n_shards=2, check=False)
+def _reference(pipeline: str) -> dict:
+    """Witness of the uninterrupted sharded run every recovery scenario
+    compares against."""
+    return conformance.run(
+        CELL, "reference+shards2" if pipeline == "classic" else "shards2")
 
 
-def _identical(result, reference) -> Optional[str]:
-    """None when bit-identical, else a description of the divergence."""
-    if (result.start_cycle, result.finish_cycle, result.end_cycle) != \
-            (reference.start_cycle, reference.finish_cycle,
-             reference.end_cycle):
-        return (
-            f"cycles diverge: ({result.start_cycle}, {result.finish_cycle}, "
-            f"{result.end_cycle}) != ({reference.start_cycle}, "
-            f"{reference.finish_cycle}, {reference.end_cycle})"
-        )
-    sections = zip(("counters", "means", "histograms"),
-                   result.stats.snapshot(), reference.stats.snapshot())
-    diff = [f"{name}:{key}" for name, ours, theirs in sections
-            for key in sorted(set(ours) | set(theirs))
-            if ours.get(key) != theirs.get(key)]
-    if diff:
-        return f"stats diverge on {len(diff)} keys (first: {diff[:3]})"
-    return None
+def _identical(result, reference: dict) -> Optional[str]:
+    """None when the ``ShardResult`` is bit-identical to the reference
+    witness, else :func:`conformance.diff`'s description."""
+    return conformance.diff(conformance.witness(
+        result.stats, start=result.start_cycle, finish=result.finish_cycle,
+        end=result.end_cycle), reference)
 
 
 class _PidWatch:
@@ -157,67 +140,21 @@ class _PidWatch:
 # one uninterrupted run per pipeline serves every scenario.
 # ----------------------------------------------------------------------
 
-def _scenario_clean(pipeline: str, reference: ShardResult) -> ChaosOutcome:
-    """Control: an unharmed run must not trip the supervisor at all."""
-    name = f"clean-run-{pipeline}"
+def _scenario_recovery(name: str, pipeline: str, reference: dict,
+                       respawns: int, detail: str, **fault) -> ChaosOutcome:
+    """One supervised sharded run, unharmed (``respawns=0``: the control,
+    which must not trip the supervisor at all) or with a ``_chaos`` fault
+    injected into a worker: exactly ``respawns`` respawns, no leaked
+    worker, and a result bit-identical to ``reference``."""
+    name = f"{name}-{pipeline}"
     with _PidWatch() as watch:
         result = run_sharded(_config(pipeline), _WORKLOAD, _WARMUP,
                              _MEASURE, n_shards=2, check=False,
-                             checkpoint_interval=_INTERVAL)
+                             checkpoint_interval=_INTERVAL, **fault)
         leaked = watch.leaked()
-    if result.respawns != 0:
+    if result.respawns != respawns:
         return ChaosOutcome(name, False,
-                            error=f"false positive: {result.respawns} "
-                                  f"respawn(s) on a healthy run")
-    if leaked:
-        return ChaosOutcome(name, False, error=f"leaked workers: {leaked}")
-    divergence = _identical(result, reference)
-    if divergence:
-        return ChaosOutcome(name, False, error=divergence)
-    return ChaosOutcome(name, True, detail="0 respawns, bit-identical")
-
-
-def _scenario_worker_sigkill(pipeline: str, reference: ShardResult,
-                             barrier_seq: int, label: str) -> ChaosOutcome:
-    """SIGKILL one worker mid-window; the respawn must replay exactly."""
-    name = f"worker-sigkill-{label}-{pipeline}"
-    with _PidWatch() as watch:
-        result = run_sharded(
-            _config(pipeline), _WORKLOAD, _WARMUP, _MEASURE, n_shards=2,
-            check=False, checkpoint_interval=_INTERVAL,
-            _chaos={"shard": 1, "barrier_seq": barrier_seq,
-                    "action": "sigkill"},
-        )
-        leaked = watch.leaked()
-    if result.respawns != 1:
-        return ChaosOutcome(name, False,
-                            error=f"expected 1 respawn, got "
-                                  f"{result.respawns}")
-    if leaked:
-        return ChaosOutcome(name, False, error=f"leaked workers: {leaked}")
-    divergence = _identical(result, reference)
-    if divergence:
-        return ChaosOutcome(name, False, error=divergence)
-    return ChaosOutcome(name, True,
-                        detail=f"killed at barrier seq {barrier_seq}, "
-                               f"recovered bit-identical")
-
-
-def _scenario_worker_sigstop(pipeline: str,
-                             reference: ShardResult) -> ChaosOutcome:
-    """Wedge a worker past the receive timeout; it must be killed and
-    respawned, and the run must stay bit-identical."""
-    name = f"worker-sigstop-{pipeline}"
-    with _PidWatch() as watch:
-        result = run_sharded(
-            _config(pipeline), _WORKLOAD, _WARMUP, _MEASURE, n_shards=2,
-            check=False, checkpoint_interval=_INTERVAL, timeout=2.0,
-            _chaos={"shard": 0, "barrier_seq": 60, "action": "sigstop"},
-        )
-        leaked = watch.leaked()
-    if result.respawns != 1:
-        return ChaosOutcome(name, False,
-                            error=f"expected 1 respawn, got "
+                            error=f"expected {respawns} respawn(s), got "
                                   f"{result.respawns}")
     if leaked:
         return ChaosOutcome(name, False,
@@ -225,9 +162,7 @@ def _scenario_worker_sigstop(pipeline: str,
     divergence = _identical(result, reference)
     if divergence:
         return ChaosOutcome(name, False, error=divergence)
-    return ChaosOutcome(name, True,
-                        detail="wedge detected by timeout, recovered "
-                               "bit-identical")
+    return ChaosOutcome(name, True, detail=detail)
 
 
 def _scenario_respawn_exhausted() -> ChaosOutcome:
@@ -258,7 +193,7 @@ def _scenario_respawn_exhausted() -> ChaosOutcome:
 
 
 def _scenario_coordinator_sigkill(pipeline: str,
-                                  reference: ShardResult) -> ChaosOutcome:
+                                  reference: dict) -> ChaosOutcome:
     """SIGKILL the whole coordinator process mid-run, then resume the run
     from the workers' snapshots (newest consistent cut)."""
     name = f"coordinator-sigkill-{pipeline}"
@@ -266,16 +201,10 @@ def _scenario_coordinator_sigkill(pipeline: str,
     child_src = (
         "import sys\n"
         f"sys.path.insert(0, {src_root!r})\n"
-        "import dataclasses\n"
-        "from repro.sim.config import Variant, small_test_config\n"
         "from repro.sim.shard import run_sharded\n"
-        f"config = small_test_config(16, variant=Variant.REUSE_NOACK, "
-        f"seed={_SEED})\n"
-        f"pipeline = {pipeline!r}\n"
-        "if pipeline == 'classic':\n"
-        "    config = dataclasses.replace(config, noc=dataclasses.replace("
-        "config.noc, fastpath=False))\n"
-        f"run_sharded(config, {_WORKLOAD!r}, {_WARMUP}, {_MEASURE}, "
+        "from repro.validate.chaos import _config\n"
+        f"run_sharded(_config({pipeline!r}), {_WORKLOAD!r}, {_WARMUP}, "
+        f"{_MEASURE}, "
         f"n_shards=2, check=False, checkpoint_dir=sys.argv[1], "
         f"checkpoint_interval={_INTERVAL})\n"
     )
@@ -333,64 +262,19 @@ def _scenario_coordinator_sigkill(pipeline: str,
 
 def _scenario_singleproc_sigkill(pipeline: str) -> ChaosOutcome:
     """SIGKILL a checkpointing single-process run, resume from its
-    newest checkpoint, and match an uninterrupted in-process run."""
+    newest checkpoint, and match an uninterrupted in-process run (the
+    matrix's ``killed-resume`` mode)."""
     name = f"singleproc-sigkill-resume-{pipeline}"
-    config = _config(pipeline)
-    from repro.cpu.workloads import workload_by_name
-
-    reference = build_system(config, workload_by_name(_WORKLOAD))
-    reference.warmup(_WARMUP)
-    ref_start = reference.sim.cycle
-    ref_finish = reference.run_instructions(_MEASURE)
-    ref_stats = reference.stats.as_dict()
-
-    src_root = os.path.dirname(os.path.dirname(repro.__file__))
-    config_hash = fingerprint("chaos-singleproc", pipeline)
-    child_src = (
-        "import sys\n"
-        f"sys.path.insert(0, {src_root!r})\n"
-        "import dataclasses\n"
-        "from repro.cpu.workloads import workload_by_name\n"
-        "from repro.sim.checkpoint import CheckpointPolicy\n"
-        "from repro.sim.config import Variant, small_test_config\n"
-        "from repro.system import build_system\n"
-        f"config = small_test_config(16, variant=Variant.REUSE_NOACK, "
-        f"seed={_SEED})\n"
-        f"pipeline = {pipeline!r}\n"
-        "if pipeline == 'classic':\n"
-        "    config = dataclasses.replace(config, noc=dataclasses.replace("
-        "config.noc, fastpath=False))\n"
-        f"system = build_system(config, workload_by_name({_WORKLOAD!r}))\n"
-        f"policy = CheckpointPolicy(sys.argv[1], {_INTERVAL}, "
-        f"{config_hash!r})\n"
-        f"system.run_script({_WARMUP}, {_MEASURE}, policy)\n"
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        ckdir = os.path.join(tmp, "ck")
-        env = dict(os.environ, REPRO_CHAOS_KILL_AFTER="3")
-        victim = subprocess.run([sys.executable, "-c", child_src, ckdir],
-                                env=env, capture_output=True, text=True)
-        if victim.returncode != -signal.SIGKILL:
-            return ChaosOutcome(
-                name, False,
-                error=f"victim exited {victim.returncode} instead of being "
-                      f"killed after its 3rd checkpoint: "
-                      f"{victim.stderr[-300:]}")
-        policy = CheckpointPolicy(ckdir, _INTERVAL, config_hash)
-        if not policy.has_checkpoint():
-            return ChaosOutcome(name, False,
-                                error="killed run left no checkpoint")
-        data = policy.restore()
-        start, finish = data["system"].run_script(run_state=data["run"],
-                                                  policy=policy)
-    if (start, finish) != (ref_start, ref_finish):
-        return ChaosOutcome(name, False,
-                            error=f"cycles diverge: ({start}, {finish}) != "
-                                  f"({ref_start}, {ref_finish})")
-    if data["system"].stats.as_dict() != ref_stats:
-        return ChaosOutcome(name, False, error="stats diverge after resume")
+    mode = "reference" if pipeline == "classic" else "fast"
+    try:
+        resumed = conformance.run(CELL, mode + "+killed-resume")
+    except RuntimeError as err:  # the victim was not killed
+        return ChaosOutcome(name, False, error=str(err))
+    divergence = conformance.diff(resumed, conformance.run(CELL, mode))
+    if divergence:
+        return ChaosOutcome(name, False, error=divergence)
     return ChaosOutcome(name, True,
-                        detail="killed after 3rd checkpoint, resumed "
+                        detail="killed after 2nd checkpoint, resumed "
                                "bit-identical")
 
 
@@ -684,14 +568,22 @@ def run_chaos_campaign(
     for pipeline in pipelines:
         say(f"pipeline: {pipeline}")
         reference = _reference(pipeline)
-        run(lambda: _scenario_clean(pipeline, reference))
-        # Before the first snapshot (fresh respawn + full replay) and
-        # after several (snapshot restore + partial replay).
-        run(lambda: _scenario_worker_sigkill(pipeline, reference, 3,
-                                             "early"))
-        run(lambda: _scenario_worker_sigkill(pipeline, reference, 200,
-                                             "late"))
-        run(lambda: _scenario_worker_sigstop(pipeline, reference))
+        run(lambda: _scenario_recovery(
+            "clean-run", pipeline, reference, 0, "0 respawns, bit-identical"))
+        # SIGKILL one worker mid-window, before the first snapshot (fresh
+        # respawn + full replay) and after several (snapshot restore +
+        # partial replay); then wedge one past the receive timeout.
+        for label, seq in (("early", 3), ("late", 200)):
+            run(lambda: _scenario_recovery(
+                f"worker-sigkill-{label}", pipeline, reference, 1,
+                f"killed at barrier seq {seq}, recovered bit-identical",
+                _chaos={"shard": 1, "barrier_seq": seq,
+                        "action": "sigkill"}))
+        run(lambda: _scenario_recovery(
+            "worker-sigstop", pipeline, reference, 1,
+            "wedge detected by timeout, recovered bit-identical",
+            timeout=2.0,
+            _chaos={"shard": 0, "barrier_seq": 60, "action": "sigstop"}))
         run(lambda: _scenario_coordinator_sigkill(pipeline, reference))
         run(lambda: _scenario_singleproc_sigkill(pipeline))
     say("pipeline-independent scenarios")

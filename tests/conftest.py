@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from typing import Dict, Iterable, List, Set, Tuple
@@ -11,6 +12,10 @@ import pytest
 from repro.noc.flit import Message
 from repro.noc.network import Network
 from repro.sim.config import SystemConfig, Variant
+from repro.validate import conformance
+
+CONFORMANCE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                                  "conformance.json")
 
 
 def surviving_pids(pids: Iterable[int], timeout: float) -> Set[int]:
@@ -105,3 +110,58 @@ def chip():
              **kwargs) -> ScriptedChip:
         return ScriptedChip(n_cores=n_cores, variant=variant, **kwargs)
     return make
+
+
+@pytest.fixture(scope="session")
+def _conformance_golden():
+    """``cell id -> digest`` of every pinned conformance cell, generated
+    by the reference pipeline under always-tick at the parent of the
+    commit that introduced the matrix.  Regenerate (only when the model's
+    *intended* behaviour changes) by running the tests that pin cells with
+    ``REPRO_REGOLDEN=1``: each cell is then re-run in
+    ``conformance.GOLDEN_MODE`` and the file rewritten at session end."""
+    with open(CONFORMANCE_GOLDEN) as handle:
+        golden = json.load(handle)
+    yield golden
+    if os.environ.get("REPRO_REGOLDEN"):
+        with open(CONFORMANCE_GOLDEN, "w") as handle:
+            json.dump(golden, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+
+
+@pytest.fixture(scope="session")
+def _plain_witness():
+    return {}
+
+
+@pytest.fixture
+def pinned(_conformance_golden, _plain_witness):
+    """``pinned(cell, *modes, workdir=None)``: run ``cell`` in each mode
+    and require the witness to hash to the cell's committed golden digest
+    (``api`` / ``daemon`` witnesses, which are ``RunResult``-shaped, to
+    ``diff`` clean against the cell's plain run instead).  A mismatch is
+    explained by a diff against a fresh reference run, so the message
+    names the first diverging counter and which side moved.  Returns the
+    last witness."""
+    def check(cell, *modes, workdir=None):
+        if os.environ.get("REPRO_REGOLDEN"):
+            _conformance_golden[cell.id] = conformance.digest(
+                conformance.run(cell, conformance.GOLDEN_MODE))
+        assert cell.id in _conformance_golden, (
+            f"{cell!r} has no golden digest; see _conformance_golden")
+        for mode in modes:
+            measured = conformance.run(cell, mode, workdir)
+            if {"api", "daemon"} & set(mode.split("+")):
+                if cell not in _plain_witness:
+                    _plain_witness[cell] = check(cell, "fast")
+                problem = conformance.diff(measured, _plain_witness[cell])
+            elif conformance.digest(measured) == _conformance_golden[cell.id]:
+                problem = None
+            else:
+                problem = conformance.diff(measured, conformance.run(
+                    cell, conformance.GOLDEN_MODE)) or (
+                    f"a fresh {conformance.GOLDEN_MODE} run agrees with it: "
+                    "the reference moved too, or the golden is stale")
+            assert not problem, f"{cell!r} in mode {mode!r}: {problem}"
+        return measured
+    return check

@@ -268,6 +268,17 @@ def test_schema_3_file_is_refused_before_unpickling(tmp_path):
         policy.restore()
 
 
+def test_schema_4_file_is_refused_before_unpickling(tmp_path):
+    """Schema 4 pickled a ``SystemConfig`` with a ``sim`` field (and the
+    ``SimConfig`` class behind it) this build no longer has."""
+    policy = CheckpointPolicy(str(tmp_path), INTERVAL, "cafe")
+    write_checkpoint(policy.path, b"payload-bytes", kind="run",
+                     config_hash="cafe", cycle=42)
+    _rewrite_header(policy.path, schema=4)
+    with pytest.raises(IncompatibleCheckpointError, match="schema 4"):
+        policy.restore()
+
+
 def test_wrong_kind_is_incompatible(ckpt):
     with pytest.raises(IncompatibleCheckpointError, match="'shard'"):
         read_checkpoint(ckpt, kind="shard")

@@ -11,7 +11,7 @@ import pytest
 from repro import config
 from repro.harness import experiment, parallel
 from repro.harness.__main__ import main as harness_main
-from repro.sim.config import NocConfig, SimConfig, SystemConfig
+from repro.sim.config import NocConfig, SystemConfig
 from repro.sim.shard import resolve_shard_timeout, resolve_shards, run_sharded
 
 
@@ -140,15 +140,10 @@ def test_bad_env_is_typed_at_entry_point(monkeypatch, env, bad, entry_point):
     lambda: _sharded(checkpoint_interval=0),
     lambda: run_sharded(SystemConfig(n_cores=16), "canneal", 10, 10,
                         n_shards=9),
-    lambda: SimConfig(shards=-1),
-    lambda: SimConfig(checkpoint_interval=-5),
-    lambda: SimConfig(shard_timeout=-1.0),
-    lambda: SystemConfig(n_cores=16, sim=SimConfig(shards=9)),
     lambda: SystemConfig(n_cores=16, noc=NocConfig(topology="ring")),
     lambda: SystemConfig(n_cores=17),
 ], ids=["timeout", "respawn_limit", "checkpoint_interval", "n_shards",
-        "sim.shards", "sim.checkpoint_interval", "sim.shard_timeout",
-        "sim.shards>grid", "noc.topology", "n_cores"])
+        "noc.topology", "n_cores"])
 def test_bad_kwarg_or_field_is_typed(entry_point):
     with pytest.raises(config.ConfigError):
         entry_point()
@@ -159,12 +154,10 @@ def test_config_fields_beat_the_environment(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "7")
     monkeypatch.setenv("REPRO_TOPOLOGY", "torus")
     assert resolve_shards(SystemConfig(n_cores=16)) == 4
-    explicit = SystemConfig(
-        n_cores=16, noc=NocConfig(topology="mesh"),
-        sim=SimConfig(shards=2, shard_timeout=9.0))
-    assert resolve_shards(explicit) == 2
-    assert resolve_shard_timeout(explicit) == 9.0
-    assert resolve_shard_timeout(explicit, override=3.0) == 3.0
+    explicit = SystemConfig(n_cores=16, noc=NocConfig(topology="mesh"))
+    assert resolve_shards(explicit, override=2) == 2
+    assert resolve_shard_timeout() == 7.0
+    assert resolve_shard_timeout(override=3.0) == 3.0
     assert explicit.noc.topology == "mesh"
     assert SystemConfig(n_cores=16).noc.topology == "torus"
 

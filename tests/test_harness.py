@@ -1,15 +1,8 @@
 """Experiment harness: runner, caching, table/figure builders, rendering."""
 
-import dataclasses
 import json
-import os
-import signal
-import subprocess
-import sys
 
 import pytest
-
-import repro
 
 from repro.circuits.outcomes import (
     OUTCOME_ORDER,
@@ -29,7 +22,7 @@ from repro.harness.experiment import (
 )
 from repro.sim.config import Variant
 from repro.sim.stats import Stats
-from repro.telemetry import TelemetryConfig
+from repro.validate.conformance import Cell
 
 SMALL = dict(measure_instructions=250, warmup_instructions=80)
 WLS = ["water_spatial"]
@@ -196,12 +189,12 @@ def test_run_result_carries_latency_percentiles():
 # ---------------------------------------------------------------------------
 # Every execution engine behind run_experiment yields the same result.
 # ---------------------------------------------------------------------------
-ENGINE_SPEC = RunSpec(16, Variant.REUSE_NOACK, "canneal", seed=3,
-                      measure_instructions=250, warmup_instructions=80)
+ENGINE_CELL = Cell(Variant.REUSE_NOACK, "canneal", 250, warmup=80, seed=3,
+                   paper_caches=True)
+ENGINE_SPEC = ENGINE_CELL.spec()
 ENGINE_ENV = ("REPRO_CHECKPOINT", "REPRO_CHECKPOINT_DIR", "REPRO_RESUME",
               "REPRO_SHARDS", "REPRO_CHAOS_KILL_AFTER", "REPRO_CACHE",
               "REPRO_SCALE", "REPRO_CHECK", "REPRO_TOPOLOGY")
-_engine_reference = []
 
 
 def _run_engine(spec):
@@ -212,43 +205,22 @@ def _run_engine(spec):
         _memo.clear()
 
 
-@pytest.mark.parametrize("engine", [
-    "plain", "checkpoint", "killed-resume", "shards2", "shards2-checkpoint",
-    "observed",
-])
-def test_every_engine_yields_the_same_result(engine, tmp_path, monkeypatch):
+#: Engine -> the conformance-matrix mode that picks it through the
+#: ``REPRO_*`` settings a user would export.
+ENGINE_MODES = {
+    "plain": "api", "checkpoint": "api+checkpoint",
+    "killed-resume": "api+killed-resume", "shards2": "api+shards2",
+    "shards2-checkpoint": "api+shards2+checkpoint",
+    "observed": "api+observed", "daemon": "daemon",
+}
+
+
+@pytest.mark.parametrize("engine", list(ENGINE_MODES))
+def test_every_engine_yields_the_same_result(engine, pinned):
     """plain = checkpointed = killed-and-resumed = 2 shards = 2 shards
-    checkpointed = observed, byte for byte, with no checkpoint left over."""
-    for name in ENGINE_ENV:
-        monkeypatch.delenv(name, raising=False)
-    if not _engine_reference:
-        _engine_reference.append(_run_engine(ENGINE_SPEC))
-    ckpt_dir = tmp_path / "ckpt"
-    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(ckpt_dir))
-    spec = ENGINE_SPEC
-    if "checkpoint" in engine or engine == "killed-resume":
-        monkeypatch.setenv("REPRO_CHECKPOINT", "600")
-    if engine.startswith("shards2"):
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-    if engine == "observed":
-        spec = dataclasses.replace(spec, telemetry=TelemetryConfig(
-            out_dir=str(tmp_path / "telemetry"),
-            trace_dir=str(tmp_path / "trace")))
-    if engine == "killed-resume":
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        victim = subprocess.run(
-            [sys.executable, "-c",
-             "from tests.test_harness import ENGINE_SPEC, run_experiment\n"
-             "run_experiment(ENGINE_SPEC)\n"],
-            env=dict(os.environ, REPRO_CHAOS_KILL_AFTER="2",
-                     PYTHONPATH=os.pathsep.join([src, os.path.dirname(src)])),
-            capture_output=True, text=True, timeout=300)
-        assert victim.returncode == -signal.SIGKILL, victim.stderr[-500:]
-        (run_dir,) = ckpt_dir.iterdir()
-        assert (run_dir / "run.ckpt").exists()
-        monkeypatch.setenv("REPRO_RESUME", "1")
-    assert _run_engine(spec) == _engine_reference[0]
-    assert not ckpt_dir.exists() or not any(ckpt_dir.iterdir())
+    checkpointed = observed = served by a job daemon, with no checkpoint
+    left over."""
+    pinned(ENGINE_CELL, ENGINE_MODES[engine])
 
 
 def test_checked_run_builds_no_directory_line(monkeypatch):

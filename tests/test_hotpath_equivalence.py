@@ -1,4 +1,4 @@
-"""A/B equivalence of the saturation hot path vs. the reference pipeline.
+"""The saturation hot path vs. the reference pipeline.
 
 The hot-path overhaul's contract is *bit-identical* behaviour: the merged
 router tick, the precomputed route tables, the index-rotation arbiters
@@ -8,32 +8,29 @@ histograms and finish cycles as the pre-overhaul reference pipeline
 ``ReferenceNetworkInterface`` with the reference arbiters and per-event
 stats).  These tests pin that contract at four levels:
 
-* full traffic runs per variant at saturation and at low load, bare and
-  with telemetry + invariant checking attached;
-* a full CMP system (cores + MESI + NoC) run to completion both ways;
+* conformance-matrix cells (``pinned``, see ``tests/conftest.py``): full
+  traffic runs per variant at saturation and at low load, bare and with
+  telemetry + invariant checking attached, and a full CMP system, each
+  mode hashing to the golden the reference pipeline generated;
 * hypothesis property tests for the building blocks (route tables vs.
   the routing functions, fast vs. reference arbiter);
 * the batched-counter flush boundaries (Stats.merge/reset, interval
   probes) and the profiler's self-measurement calibration.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import build_system, workload_by_name
 from repro.noc.allocators import ReferenceRoundRobinArbiter, RoundRobinArbiter
 from repro.noc.routing import route_for_vn, route_tables, route_xy, route_yx
 from repro.noc.topology import Mesh
 from repro.noc.traffic import RequestReplyTraffic
-from repro.sim.config import SystemConfig, Variant, small_test_config
-from repro.sim.kernel import Simulator
+from repro.sim.config import SystemConfig, Variant
 from repro.sim.stats import Stats
-from repro.telemetry import KernelProfiler, Telemetry, TelemetryConfig
+from repro.telemetry import KernelProfiler
 from repro.telemetry.metrics import counter_rate
-from repro.validate.invariants import InvariantMonitor
+from repro.validate.conformance import Cell
 
 #: Every distinct policy/pipeline shape, including a timed variant so the
 #: reservation-window purge path runs under both pipelines.
@@ -49,96 +46,42 @@ VARIANTS = [
 SATURATION_RATE = 48.0
 
 
-def with_fastpath(cfg, fastpath):
-    return dataclasses.replace(
-        cfg, noc=dataclasses.replace(cfg.noc, fastpath=fastpath)
-    )
-
-
-def traffic_run(variant, rate, cycles, fastpath, seed=1, n_cores=16,
-                telemetry_dir=None, invariants=False, always_tick=False):
-    cfg = with_fastpath(
-        SystemConfig(n_cores=n_cores).with_variant(variant), fastpath
-    )
-    t = RequestReplyTraffic(cfg, rate, seed=seed)
-    if always_tick:
-        t.sim.set_always_tick(True)
-    if invariants:
-        InvariantMonitor(t.net, interval=250).attach(t.sim)
-    telem = None
-    if telemetry_dir is not None:
-        telem = Telemetry(TelemetryConfig(
-            interval=250,
-            out_dir=str(telemetry_dir / "out"),
-            trace_dir=str(telemetry_dir / "trace"),
-        )).attach(t)
-    t.run(cycles)
-    t.drain()
-    if telem is not None:
-        telem.detach()
-    return (
-        t.net.stats.snapshot(),
-        t.cycle,
-        t.requests_sent,
-        t.replies_received,
-        tuple(t.reply_latencies),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Full traffic runs: fast pipeline vs. reference pipeline.
+# Full traffic runs: fast pipeline and reference pipeline against the golden.
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
-def test_saturation_bit_identical(variant):
-    fast = traffic_run(variant, SATURATION_RATE, 2000, fastpath=True)
-    ref = traffic_run(variant, SATURATION_RATE, 2000, fastpath=False)
-    assert fast == ref
+def test_saturation_bit_identical(variant, pinned):
+    pinned(Cell(variant, SATURATION_RATE, 2000), "fast", "reference")
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
-def test_low_load_bit_identical(variant):
-    fast = traffic_run(variant, 6.0, 2000, fastpath=True)
-    ref = traffic_run(variant, 6.0, 2000, fastpath=False)
-    assert fast == ref
+def test_low_load_bit_identical(variant, pinned):
+    pinned(Cell(variant, 6.0, 2000), "fast", "reference")
 
 
 @pytest.mark.parametrize(
     "variant", [Variant.COMPLETE, Variant.FRAGMENTED], ids=lambda v: v.name
 )
-def test_bit_identical_with_telemetry_and_invariants(variant, tmp_path):
+def test_bit_identical_with_telemetry_and_invariants(variant, pinned):
     """Observers force mid-run flushes of the batched counters; results
     must still match a bare reference run exactly (satellite: samplers,
     invariant checkers and forensics always read through a flush)."""
-    fast = traffic_run(variant, SATURATION_RATE, 2000, fastpath=True,
-                       telemetry_dir=tmp_path, invariants=True)
-    ref = traffic_run(variant, SATURATION_RATE, 2000, fastpath=False)
-    assert fast == ref
+    pinned(Cell(variant, SATURATION_RATE, 2000), "observed+monitored")
 
 
 @pytest.mark.parametrize(
     "variant", [Variant.FRAGMENTED, Variant.IDEAL], ids=lambda v: v.name
 )
-def test_activity_driven_matches_always_tick(variant):
+def test_activity_driven_matches_always_tick(variant, pinned):
     """Sleeping on the fast pipeline's ``next_wake`` must be invisible:
     forced always-tick mode (``tick`` every cycle, ``next_wake`` never
     asked) produces identical results."""
-    activity = traffic_run(variant, 24.0, 1500, fastpath=True)
-    always = traffic_run(variant, 24.0, 1500, fastpath=True,
-                         always_tick=True)
-    assert activity == always
+    pinned(Cell(variant, 24.0, 1500), "fast", "always_tick")
 
 
-def test_full_system_bit_identical():
-    def run(fastpath):
-        cfg = with_fastpath(
-            small_test_config(16, Variant.COMPLETE, seed=3), fastpath
-        )
-        system = build_system(cfg, workload_by_name("fluidanimate"))
-        cycles = system.run_instructions(200, max_cycles=1_500_000)
-        system.drain()
-        return system.stats.snapshot(), cycles, system.sim.cycle
-
-    assert run(fastpath=True) == run(fastpath=False)
+def test_full_system_bit_identical(pinned):
+    pinned(Cell(Variant.COMPLETE, "fluidanimate", 200, seed=3),
+           "fast", "reference")
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +260,5 @@ def test_profiler_wraps_slot_tick_and_restores_it():
     assert profiler.report()["classes"]["Router"]["ticks"] > 0
 
 
-def test_profiled_run_is_bit_identical():
-    def run(profiled):
-        cfg = SystemConfig(n_cores=16).with_variant(Variant.COMPLETE)
-        t = RequestReplyTraffic(cfg, SATURATION_RATE, seed=1)
-        profiler = KernelProfiler().attach(t.sim) if profiled else None
-        t.run(1200)
-        t.drain()
-        if profiler is not None:
-            profiler.detach()
-        return t.net.stats.snapshot(), t.cycle
-
-    assert run(profiled=True) == run(profiled=False)
+def test_profiled_run_is_bit_identical(pinned):
+    pinned(Cell(Variant.COMPLETE, SATURATION_RATE, 1200), "profiled")

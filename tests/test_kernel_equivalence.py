@@ -1,4 +1,4 @@
-"""A/B equivalence of the activity-driven kernel vs. forced always-tick.
+"""The activity-driven kernel vs. forced always-tick.
 
 The kernel refactor's contract is *bit-identical* behaviour: skipping
 sleeping components and fast-forwarding globally-quiet gaps must produce
@@ -9,20 +9,23 @@ pin that contract at three levels:
 * scripted ClockedV2 components against the raw :class:`Simulator`
   (wake/sleep bookkeeping, scheduled wakeups, external pokes,
   fast-forward accounting, watchdog interaction);
-* the synthetic traffic driver over a full network, for the variants the
-  kernel benchmark sweeps (BASELINE, COMPLETE, COMPLETE_NOACK), plus a
-  hypothesis property test over randomized short workloads;
-* a full CMP system (cores + MESI + NoC) run to completion both ways.
+* conformance-matrix cells (``pinned``, see ``tests/conftest.py``) of the
+  synthetic traffic driver, for the variants the kernel benchmark sweeps
+  (BASELINE, COMPLETE, COMPLETE_NOACK), plus a hypothesis property test
+  over randomized short workloads;
+* a full CMP system (cores + MESI + NoC) run both ways.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Variant, build_system, workload_by_name
+from repro import Variant
 from repro.noc.traffic import RequestReplyTraffic
-from repro.sim.config import SystemConfig, small_test_config
+from repro.sim.config import SystemConfig
 from repro.sim.kernel import DeadlockError, ProgressWatchdog, Simulator
+from repro.validate import conformance
+from repro.validate.conformance import Cell
 
 VARIANTS = [Variant.BASELINE, Variant.COMPLETE, Variant.COMPLETE_NOACK]
 
@@ -254,28 +257,10 @@ def test_run_until_finish_cycle_matches_always_tick():
 # ---------------------------------------------------------------------------
 # Traffic driver over a full network.
 # ---------------------------------------------------------------------------
-def traffic_run(variant, rate, cycles, always, seed=1, n_cores=16):
-    cfg = SystemConfig(n_cores=n_cores).with_variant(variant)
-    t = RequestReplyTraffic(cfg, rate, seed=seed)
-    if always:
-        t.sim.set_always_tick(True)
-    t.run(cycles)
-    t.drain()
-    return (
-        t.net.stats.snapshot(),
-        t.cycle,
-        t.requests_sent,
-        t.replies_received,
-        tuple(t.reply_latencies),
-    )
-
-
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
 @pytest.mark.parametrize("rate", [1.0, 24.0])
-def test_traffic_bit_identical(variant, rate):
-    always = traffic_run(variant, rate, 3000, always=True)
-    activity = traffic_run(variant, rate, 3000, always=False)
-    assert activity == always
+def test_traffic_bit_identical(variant, rate, pinned):
+    pinned(Cell(variant, rate, 3000), "fast", "always_tick")
 
 
 def test_activity_kernel_actually_skips_work():
@@ -295,23 +280,14 @@ def test_activity_kernel_actually_skips_work():
     cycles=st.integers(min_value=200, max_value=1500),
 )
 def test_property_randomized_workloads_match(variant, rate, seed, cycles):
-    always = traffic_run(variant, rate, cycles, always=True, seed=seed)
-    activity = traffic_run(variant, rate, cycles, always=False, seed=seed)
-    assert activity == always
+    cell = Cell(variant, rate, cycles, seed=seed)
+    assert not conformance.diff(conformance.run(cell),
+                                conformance.run(cell, "always_tick"))
 
 
 # ---------------------------------------------------------------------------
 # Full CMP system (cores + MESI + NoC + circuits).
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
-def test_full_system_bit_identical(variant):
-    def run(always):
-        cfg = small_test_config(16, variant, seed=3)
-        system = build_system(cfg, workload_by_name("fluidanimate"))
-        if always:
-            system.sim.set_always_tick(True)
-        cycles = system.run_instructions(200, max_cycles=1_500_000)
-        system.drain()
-        return system.stats.snapshot(), cycles, system.sim.cycle
-
-    assert run(always=False) == run(always=True)
+def test_full_system_bit_identical(variant, pinned):
+    pinned(Cell(variant, "fluidanimate", 200, seed=3), "fast", "always_tick")

@@ -2,43 +2,26 @@
 
 Eliminating L1_DATA_ACK is only sound if data sent over a complete
 circuit provably arrives before anything the unblocked directory sends
-afterwards.  We instrument a full system and check the ordering for every
-self-acknowledged transaction.
+afterwards.  ``monitored`` mode of the conformance matrix instruments a
+full system with that ordering oracle (``PaperOracles``:
+``noack_ordering``, and ``reply_retraces_request`` for the path the
+argument rests on); here it runs over NoAck CMP cells on all three
+topologies and must have judged a substantial number of
+self-acknowledged transactions.
 """
 
-from collections import defaultdict
-
-from repro import Variant, build_system, workload_by_name
-from repro.coherence.messages import Kind
-from repro.sim.config import small_test_config
+from repro import Variant
+from repro.noc.topology import TOPOLOGY_CHOICES
+from repro.validate.conformance import Cell
 
 
-def test_circuit_data_always_beats_subsequent_messages():
-    config = small_test_config(16, Variant.COMPLETE_NOACK, seed=9)
-    system = build_system(config, workload_by_name("fluidanimate"))
-
-    # Record per (destination L1, address): delivery cycle of suppressed
-    # data replies, and of any INV/FWD that follows for the same line.
-    data_arrivals = {}
-    violations = []
-
-    for tile in system.tiles:
-        inner = tile.ni.deliver
-
-        def wrapped(msg, cycle, _inner=inner, node=tile.node):
-            addr = getattr(msg.payload, "addr", None)
-            if addr is not None:
-                key = (node, addr)
-                if msg.kind == Kind.L2_REPLY and msg.payload.ack_suppressed:
-                    data_arrivals[key] = cycle
-                elif msg.kind in (Kind.INV, Kind.FWD_GETS, Kind.FWD_GETX):
-                    sent_after_data = data_arrivals.get(key)
-                    if sent_after_data is not None and cycle < sent_after_data:
-                        violations.append((key, cycle, sent_after_data))
-            _inner(msg, cycle)
-
-        tile.ni.deliver = wrapped
-
-    system.run_instructions(500, max_cycles=1_500_000)
-    assert data_arrivals, "expected some self-acknowledged replies"
-    assert not violations, violations
+def test_circuit_data_always_beats_subsequent_messages(pinned):
+    for topology, variant, length in zip(
+            TOPOLOGY_CHOICES,
+            (Variant.COMPLETE_NOACK, Variant.REUSE_NOACK,
+             Variant.SLACKDELAY1_NOACK),
+            (500, 250, 250)):
+        audit = pinned(Cell(variant, "fluidanimate", length, seed=9,
+                            topology=topology), "monitored")["audit"]
+        assert audit["self_acks_checked"] > 30, (topology, audit)
+        assert audit["replies_checked"] >= audit["self_acks_checked"]

@@ -156,3 +156,32 @@ def test_components_speak_one_clocked_protocol():
                   for name, (where, methods, _bases) in classes.items()
                   if "next_wake" in methods and not has_tick(name)]
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# One conformance experiment: "run a configuration two ways and compare
+# what it measured" goes through repro.validate.conformance (the
+# ``pinned`` fixture, ``run`` / ``diff``), not through a per-file copy.
+# ----------------------------------------------------------------------
+
+def test_only_the_conformance_matrix_compares_runs():
+    import ast
+
+    def takes_a_snapshot(node):
+        return any(isinstance(sub, ast.Call)
+                   and isinstance(sub.func, ast.Attribute)
+                   and sub.func.attr == "snapshot" for sub in ast.walk(node))
+
+    offenders = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name == "test_conformance.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name in ("traffic_run", "_reference"):
+                offenders.append(f"{where} def {node.name}")
+            elif isinstance(node, ast.Compare) and takes_a_snapshot(node.left) \
+                    and any(map(takes_a_snapshot, node.comparators)):
+                offenders.append(f"{where} compares two Stats.snapshot()s")
+    assert not offenders, offenders

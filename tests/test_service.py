@@ -7,13 +7,17 @@ bit-identical to direct ``run_experiment`` calls, and a worker SIGKILL
 mid-job must be absorbed by requeue + respawn.
 """
 
+import io
 import os
 import signal
+import socket
 import threading
 import time
 
 import pytest
 
+from repro import api
+from repro.config import ConfigError
 from repro.harness import experiment
 from repro.harness.experiment import RunSpec
 from repro.service import (
@@ -21,6 +25,8 @@ from repro.service import (
     FAILED,
     Daemon,
     ServiceClient,
+    ServiceError,
+    protocol,
 )
 from repro.sim.config import Variant
 from repro.telemetry import TelemetryConfig
@@ -293,3 +299,69 @@ def test_shutdown_op_stops_the_daemon(daemon):
     while time.time() < deadline and client.ping():
         time.sleep(0.05)
     assert not client.ping()
+
+
+# -- the daemon's edge: socket paths and hostile frames -----------------
+
+def test_socket_path_holding_a_regular_file_is_refused(tmp_path):
+    """``serve --socket out/report.txt`` must not delete the report."""
+    report = tmp_path / "report.txt"
+    report.write_text("table 1")
+    with pytest.raises(ConfigError, match="report.txt.*not a socket"):
+        Daemon(str(report), workers=1).start()
+    assert report.read_text() == "table 1"
+
+
+def test_second_daemon_cannot_steal_a_live_socket(daemon, client):
+    thief = Daemon(daemon.address, workers=1)
+    with pytest.raises(ConfigError, match="already serving"):
+        thief.start()
+    thief.shutdown()  # must not unlink the first daemon's socket either
+    assert client.ping()
+    # ... while a dead daemon's leftover socket file is reclaimed
+    stale = os.path.join(os.path.dirname(daemon.address), "stale.sock")
+    leftover = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    leftover.bind(stale)
+    leftover.close()
+    successor = Daemon(stale, workers=1).start()
+    try:
+        assert ServiceClient(stale).ping()
+    finally:
+        successor.shutdown()
+
+
+@pytest.mark.parametrize("frame,complaint", [
+    (b"x" * 70_000 + b"\n", "exceeds"),
+    (b"\xff\xfe{not json\n", "undecodable"),
+    (b"[1, 2, 3]\n", "not an object"),
+], ids=["oversized", "undecodable", "non-object"])
+def test_malformed_frame_is_a_service_error(frame, complaint, daemon,
+                                            monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 65_536)
+    with pytest.raises(ServiceError, match=complaint):  # receiving side
+        protocol.recv_json(io.BytesIO(frame))
+    sock = protocol.connect_address(daemon.address, timeout=10.0)
+    try:  # the daemon answers a hostile client with a typed error, too
+        handle = sock.makefile("rwb")
+        handle.write(frame)
+        handle.flush()
+        reply = protocol.recv_json(handle)
+    finally:
+        sock.close()
+    assert reply["ok"] is False and complaint in reply["error"]
+    assert ServiceClient(daemon.address).ping()
+
+
+def test_result_of_another_build_is_a_service_error(daemon, monkeypatch):
+    spec = RunSpec(16, Variant.BASELINE, "canneal", 1, **SMALL)
+    handle = api.submit([spec], address=daemon.address)
+    real = ServiceClient.results
+
+    def results(self, job_ids, **kwargs):
+        rows = real(self, job_ids, **kwargs)
+        rows[0]["result"]["field_of_a_newer_build"] = 1
+        return rows
+
+    monkeypatch.setattr(ServiceClient, "results", results)
+    with pytest.raises(ServiceError, match="not a RunResult of this build"):
+        api.results(handle, timeout=300.0)

@@ -1,33 +1,27 @@
-"""A/B gate for the sharded engine: bit-identity with single-process runs.
+"""Gate for the sharded engine: bit-identity with single-process runs.
 
 The sharded engine (:mod:`repro.sim.shard`) must be a pure execution-
 engine change: for any configuration, splitting the mesh across worker
 processes yields the exact same statistics (counters, means, histograms)
 and the exact same finish cycle as simulating the whole chip in one
-process.  These tests pin that contract for the paper's main variants,
+process.  These tests pin that contract as conformance-matrix cells
+(``pinned``, see ``tests/conftest.py``) for the paper's main variants,
 for both router pipelines (fastpath on/off), and through the public
 ``run_experiment`` / ``REPRO_SHARDS`` entry points.
 """
 
-import os
-
 import pytest
 
-from repro.cpu.workloads import workload_by_name
 from repro.sim.config import Variant, small_test_config
 from repro.sim.shard import resolve_shards, run_sharded, shard_window
-from repro.system import CmpSystem
+from repro.validate.conformance import Cell
 
 WARMUP = 80
 MEASURE = 250
 
 
-def _reference(config, workload="canneal"):
-    system = CmpSystem(config, workload_by_name(workload))
-    system.warmup(WARMUP)
-    start = system.sim.cycle
-    finish = system.run_instructions(MEASURE)
-    return system.stats.snapshot(), start, finish, system.sim.cycle
+def _cell(variant, **fields):
+    return Cell(variant, "canneal", MEASURE, warmup=WARMUP, seed=3, **fields)
 
 
 @pytest.fixture(autouse=True)
@@ -39,76 +33,32 @@ def _no_engine_env(monkeypatch):
 
 @pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.COMPLETE])
 @pytest.mark.parametrize("n_shards", [2, 4])
-def test_sharded_run_bit_identical(variant, n_shards):
-    config = small_test_config(16, variant, seed=3)
-    ref_stats, start, finish, end = _reference(config)
-    result = run_sharded(config, "canneal", WARMUP, MEASURE,
-                         n_shards=n_shards, check=False)
-    assert result.n_shards == n_shards
-    assert result.start_cycle == start
-    assert result.finish_cycle == finish
-    assert result.end_cycle == end
-    assert result.stats.snapshot() == ref_stats
+def test_sharded_run_bit_identical(variant, n_shards, pinned):
+    pinned(_cell(variant), f"shards{n_shards}")
 
 
 @pytest.mark.parametrize("variant",
                          [Variant.BASELINE, Variant.COMPLETE,
                           Variant.FRAGMENTED])
-def test_sharded_run_bit_identical_reference_pipeline(variant):
+def test_sharded_run_bit_identical_reference_pipeline(variant, pinned):
     """The pre-overhaul (fastpath=False) pipeline shards identically."""
-    from dataclasses import replace
-
-    config = small_test_config(16, variant, seed=3)
-    config = replace(config, noc=replace(config.noc, fastpath=False))
-    ref_stats, start, finish, _end = _reference(config)
-    result = run_sharded(config, "canneal", WARMUP, MEASURE,
-                         n_shards=2, check=False)
-    assert result.start_cycle == start
-    assert result.finish_cycle == finish
-    assert result.stats.snapshot() == ref_stats
+    pinned(_cell(variant), "reference+shards2")
 
 
-def test_sharded_run_with_invariant_monitor():
+def test_sharded_run_with_invariant_monitor(pinned):
     """The shard-aware InvariantMonitor passes on every worker and the
     audited run stays bit-identical to the unaudited single process."""
-    config = small_test_config(16, Variant.COMPLETE, seed=3)
-    ref_stats, _start, finish, _end = _reference(config)
-    result = run_sharded(config, "canneal", WARMUP, MEASURE,
-                         n_shards=2, check=True, check_interval=500)
-    assert result.finish_cycle == finish
-    assert result.stats.snapshot() == ref_stats
+    pinned(_cell(Variant.COMPLETE), "shards2+monitored")
 
 
-def test_run_experiment_with_shards_matches(monkeypatch):
+def test_run_experiment_with_shards_matches(pinned):
     """REPRO_SHARDS flows through run_experiment to an identical RunResult."""
-    from repro.harness import experiment
-    from repro.harness.experiment import RunSpec, run_experiment
-
-    spec = RunSpec(16, Variant.COMPLETE, "canneal", seed=3,
-                   measure_instructions=MEASURE,
-                   warmup_instructions=WARMUP)
-    experiment._memo.clear()
-    reference = run_experiment(spec)
-    experiment._memo.clear()
-    monkeypatch.setenv("REPRO_SHARDS", "2")
-    sharded = run_experiment(spec)
-    assert sharded.to_json() == reference.to_json()
-    # bit-identical results share the memo: a repeat call is a hit
-    assert run_experiment(spec) is sharded
-    experiment._memo.clear()
+    pinned(_cell(Variant.COMPLETE, paper_caches=True), "api", "api+shards2")
 
 
-def test_measure_only_run_matches():
+def test_measure_only_run_matches(pinned):
     """warmup_instructions=0 skips warmup in both engines identically."""
-    config = small_test_config(16, Variant.BASELINE, seed=5)
-    system = CmpSystem(config, workload_by_name("fft"))
-    start = system.sim.cycle
-    finish = system.run_instructions(MEASURE)
-    ref_stats = system.stats.snapshot()
-    result = run_sharded(config, "fft", 0, MEASURE, n_shards=2, check=False)
-    assert result.start_cycle == start
-    assert result.finish_cycle == finish
-    assert result.stats.snapshot() == ref_stats
+    pinned(Cell(Variant.BASELINE, "fft", MEASURE, seed=5), "shards2")
 
 
 def test_shard_window_respects_lookahead():
@@ -120,7 +70,7 @@ def test_shard_window_respects_lookahead():
 
 
 def test_resolve_shards(monkeypatch):
-    from repro.sim.config import SimConfig, SystemConfig
+    from repro.sim.config import SystemConfig
 
     monkeypatch.delenv("REPRO_SHARDS", raising=False)
     config = SystemConfig(n_cores=16)
@@ -134,10 +84,9 @@ def test_resolve_shards(monkeypatch):
     with pytest.raises(ValueError):
         resolve_shards(config)  # 9 row bands do not fit a 4x4 mesh
     monkeypatch.delenv("REPRO_SHARDS", raising=False)
-    explicit = SystemConfig(n_cores=16, sim=SimConfig(shards=2))
-    assert resolve_shards(explicit) == 2
+    assert resolve_shards(config, override=2) == 2
     with pytest.raises(ValueError):
-        SystemConfig(n_cores=16, sim=SimConfig(shards=5))
+        resolve_shards(config, override=5)
 
 
 def test_worker_error_propagates():

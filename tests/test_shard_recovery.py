@@ -16,7 +16,6 @@ import time
 import pytest
 from tests.conftest import surviving_pids
 
-from repro.cpu.workloads import workload_by_name
 from repro.proc import reap, spawn
 from repro.sim.config import Variant, small_test_config
 from repro.sim.shard import (
@@ -25,18 +24,16 @@ from repro.sim.shard import (
     resolve_shard_timeout,
     run_sharded,
 )
-from repro.system import CmpSystem
+from repro.validate import conformance
+from repro.validate.conformance import Cell
 
 WARMUP = 80
 MEASURE = 250
 
 
-def _reference(config):
-    system = CmpSystem(config, workload_by_name("canneal"))
-    system.warmup(WARMUP)
-    start = system.sim.cycle
-    finish = system.run_instructions(MEASURE)
-    return system.stats.snapshot(), start, finish, system.sim.cycle
+#: The conformance cell of ``run_sharded(config, "canneal", WARMUP,
+#: MEASURE)`` below; its golden witness is what recovery must reproduce.
+CELL = Cell(Variant.REUSE_NOACK, "canneal", MEASURE, warmup=WARMUP, seed=3)
 
 
 @pytest.fixture(autouse=True)
@@ -49,24 +46,23 @@ def _no_engine_env(monkeypatch):
 # -- recovery keeps bit-identity ----------------------------------------
 
 @pytest.mark.parametrize("barrier_seq", [3, 40])
-def test_worker_sigkill_recovers_bit_identically(barrier_seq):
+def test_worker_sigkill_recovers_bit_identically(barrier_seq, pinned):
     """SIGKILL a worker mid-run; the respawned fleet finishes identically.
 
     Seq 3 dies before the first snapshot cadence (recovery = fresh build
     + full replay); seq 40 dies with a snapshot on disk (restore +
     partial replay).  Both paths must converge on the reference result.
     """
-    config = small_test_config(16, Variant.REUSE_NOACK, seed=3)
-    ref_stats, start, finish, end = _reference(config)
     result = run_sharded(
-        config, "canneal", WARMUP, MEASURE, n_shards=2, check=False,
+        CELL.config(), "canneal", WARMUP, MEASURE, n_shards=2, check=False,
         _chaos={"shard": 0, "barrier_seq": barrier_seq, "action": "sigkill"},
     )
     assert result.respawns == 1
-    assert result.start_cycle == start
-    assert result.finish_cycle == finish
-    assert result.end_cycle == end
-    assert result.stats.snapshot() == ref_stats
+    assert not conformance.diff(
+        conformance.witness(result.stats, start=result.start_cycle,
+                            finish=result.finish_cycle,
+                            end=result.end_cycle),
+        pinned(CELL, "fast"))
 
 
 def test_respawn_budget_exhaustion_is_typed():
@@ -159,17 +155,6 @@ def test_orphaned_workers_exit_when_coordinator_dies():
 def test_timeout_explicit_override_wins(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "7")
     assert resolve_shard_timeout(override=3.5) == 3.5
-
-
-def test_timeout_config_beats_environment(monkeypatch):
-    import dataclasses
-
-    monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "7")
-    config = small_test_config(16, Variant.BASELINE, seed=1)
-    config = dataclasses.replace(
-        config, sim=dataclasses.replace(config.sim, shard_timeout=9.0)
-    )
-    assert resolve_shard_timeout(config) == 9.0
 
 
 def test_timeout_environment_beats_default(monkeypatch):

@@ -1,10 +1,11 @@
-"""Telemetry must be a pure observer: A/B bit-identity + golden trace.
+"""Telemetry must be a pure observer: bit-identity + golden trace.
 
-The A/B tests run the same simulation twice - once bare, once with every
-telemetry instrument attached - and require *bit-identical* stats
-counters, means, histograms and finish cycles.  This is the contract that
-lets telemetry ship enabled in experiments without invalidating the
-result cache.
+The conformance-matrix cells (``pinned``, see ``tests/conftest.py``) run
+a simulation with every telemetry instrument attached and require the
+*bit-identical* stats counters, means, histograms and finish cycles the
+bare reference pipeline produced.  This is the contract that lets
+telemetry ship enabled in experiments without invalidating the result
+cache.
 
 The golden-file test pins the Chrome-trace exporter's schema: a
 deterministic two-message run on the scripted chip must serialise exactly
@@ -16,89 +17,44 @@ import itertools
 import json
 import os
 
-import pytest
-
 import repro.noc.flit as flit_mod
-from repro.harness.experiment import RunSpec, _memo, run_experiment
-from repro.noc.traffic import RequestReplyTraffic
-from repro.sim.config import SystemConfig, Variant
-from repro.telemetry import SpanRecorder, Telemetry, TelemetryConfig
+from repro.sim.config import Variant
+from repro.telemetry import SpanRecorder, TelemetryConfig
+from repro.validate.conformance import Cell
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "trace_small.json")
-SMALL = dict(measure_instructions=250, warmup_instructions=80)
 
 
-def _traffic():
-    return RequestReplyTraffic(
-        SystemConfig(n_cores=16).with_variant(Variant.COMPLETE_NOACK),
-        requests_per_node_per_kcycle=40.0,
-        seed=11,
-    )
-
-
-def test_traffic_run_is_bit_identical_under_full_telemetry(tmp_path):
-    bare = _traffic()
-    bare.run(2000)
-    bare.drain()
-    reference = (bare.net.stats.snapshot(), bare.sim.cycle,
-                 bare.sim.ticks_run, bare.sim.cycles_skipped)
-
-    observed = _traffic()
-    telem = Telemetry(TelemetryConfig(
-        interval=250,
-        out_dir=str(tmp_path / "t"),
-        trace_dir=str(tmp_path / "tr"),
-    )).attach(observed)
-    observed.run(2000)
-    observed.drain()
-    telem.detach()
-
-    assert (observed.net.stats.snapshot(), observed.sim.cycle,
-            observed.sim.ticks_run, observed.sim.cycles_skipped) == reference
-    # and the observation itself was substantive, not vacuously empty
-    assert len(telem.registry) >= 8
-    assert any(telem.registry.series("circuit_hit_rate"))
-    assert telem.spans.closed
-    assert telem.profiler.report()["classes"]["Router"]["ticks"] > 0
-
-
-def test_run_experiment_bit_identical_with_telemetry(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_SCALE", raising=False)
-    _memo.clear()
-    plain_spec = RunSpec(16, Variant.COMPLETE_NOACK, "water_spatial",
-                         seed=1, **SMALL)
-    plain = run_experiment(plain_spec)
-
-    observed_spec = RunSpec(
-        16, Variant.COMPLETE_NOACK, "water_spatial", seed=1,
-        telemetry=TelemetryConfig(
-            interval=200,
-            out_dir=str(tmp_path / "telemetry"),
-            trace_dir=str(tmp_path / "trace"),
-        ),
-        **SMALL,
-    )
-    # same cache key, but the observed run bypasses the memo and re-runs
-    assert observed_spec.key() == plain_spec.key()
-    observed = run_experiment(observed_spec)
-
-    assert observed.exec_cycles == plain.exec_cycles
-    assert observed.counters == plain.counters
-    assert observed.means == plain.means
-    assert observed.outcomes == plain.outcomes
-    assert observed.histograms == plain.histograms
-    # the artifacts the acceptance criteria call for actually exist
-    trace_files = os.listdir(tmp_path / "trace")
-    assert len(trace_files) == 1
-    trace = json.load(open(tmp_path / "trace" / trace_files[0]))
-    assert trace["traceEvents"]
-    csvs = [f for f in os.listdir(tmp_path / "telemetry")
-            if f.endswith("_metrics.csv")]
-    assert len(csvs) == 1
-    header = open(tmp_path / "telemetry" / csvs[0]).readline().strip()
-    streams = header.split(",")
+def _assert_substantive_artifacts(directory):
+    """The observation itself was substantive, not vacuously empty."""
+    (trace_file,) = os.listdir(directory / "trace")
+    assert json.load(open(directory / "trace" / trace_file))["traceEvents"]
+    (csv,) = [f for f in os.listdir(directory / "telemetry")
+              if f.endswith("_metrics.csv")]
+    rows = open(directory / "telemetry" / csv).read().splitlines()
+    streams = rows[0].split(",")
     assert len(streams) >= 6 and "circuit_hit_rate" in streams
+    assert len(rows) > 2
+    (profile,) = [f for f in os.listdir(directory / "telemetry")
+                  if f.endswith("_profile.txt")]
+    assert "Router" in open(directory / "telemetry" / profile).read()
+
+
+def test_traffic_run_is_bit_identical_under_full_telemetry(tmp_path, pinned):
+    pinned(Cell(Variant.COMPLETE_NOACK, 40.0, 2000, seed=11), "observed",
+           workdir=tmp_path)
+    _assert_substantive_artifacts(tmp_path)
+
+
+def test_run_experiment_bit_identical_with_telemetry(tmp_path, pinned):
+    """Same cache key as the plain spec, but the observed run bypasses
+    the memo and re-runs, leaving the artifacts the acceptance criteria
+    call for."""
+    cell = Cell(Variant.COMPLETE_NOACK, "water_spatial", 250, warmup=80,
+                paper_caches=True)
+    assert cell.spec(TelemetryConfig()).key() == cell.spec().key()
+    pinned(cell, "api+observed", workdir=tmp_path)
+    _assert_substantive_artifacts(tmp_path)
 
 
 def _scripted_trace(chip):

@@ -7,13 +7,8 @@ from repro.noc.network import Network
 from repro.noc.traffic import RequestReplyTraffic
 from repro.sim.config import SystemConfig, Variant
 from repro.sim.kernel import Simulator
-from repro.validate import (
-    ALL_CHECKS,
-    InvariantMonitor,
-    InvariantViolation,
-    run_clean,
-    run_system_check,
-)
+from repro.validate import ALL_CHECKS, InvariantMonitor, InvariantViolation
+from repro.validate.conformance import Cell
 
 
 def _traffic(variant=Variant.COMPLETE_NOACK, rate=12.0, seed=3):
@@ -26,13 +21,11 @@ def _traffic(variant=Variant.COMPLETE_NOACK, rate=12.0, seed=3):
     [Variant.BASELINE, Variant.COMPLETE_NOACK, Variant.SLACKDELAY1_NOACK],
     ids=lambda v: v.value,
 )
-def test_clean_run_has_zero_violations(variant):
-    report = run_clean(variant, cycles=1500, interval=100)
-    assert report.ok
-    assert report.violations == 0
-    assert report.checks_run >= 10
-    assert report.requests_sent > 0
-    assert report.replies_received > 0
+def test_clean_run_has_zero_violations(variant, pinned):
+    measured = pinned(Cell(variant, 12.0, 1500, seed=3), "monitored")
+    assert measured["audit"]["checks_run"] >= 6
+    assert measured["traffic"]["requests_sent"] > 0
+    assert measured["traffic"]["replies_received"] > 0
 
 
 def test_violation_carries_structure():
@@ -151,10 +144,7 @@ def test_credit_conservation_detects_leaked_credit():
     assert "credit" in str(exc_info.value)
 
 
-def test_system_level_run_including_coherence_checks():
-    monitor = run_system_check(
-        Variant.COMPLETE_NOACK, workload="canneal", instructions=150,
-        interval=250,
-    )
-    assert monitor.violations == 0
-    assert monitor.checks_run > 0
+def test_system_level_run_including_coherence_checks(pinned):
+    audit = pinned(Cell(Variant.COMPLETE_NOACK, "canneal", 150, warmup=50,
+                        paper_caches=True), "monitored")["audit"]
+    assert audit["checks_run"] > 0 and audit["self_acks_checked"] > 0
