@@ -210,14 +210,9 @@ def cmd_chaos(args) -> int:
     """Process-level chaos campaign: every injected fault must either
     recover bit-identically or fail with its precise typed error."""
     from repro.validate import run_chaos_campaign
-    from repro.validate.chaos import PIPELINES
 
-    pipelines = PIPELINES if args.full else ("fastpath",)
-    print(f"Chaos campaign (pipelines: {', '.join(pipelines)})", flush=True)
-    outcomes = run_chaos_campaign(
-        pipelines=pipelines,
-        echo=lambda msg: print(msg, flush=True),
-    )
+    print("Chaos campaign", flush=True)
+    outcomes = run_chaos_campaign(echo=lambda msg: print(msg, flush=True))
     failures = [o for o in outcomes if not o.ok]
     if failures:
         print(f"{len(failures)} chaos scenario(s) FAILED", flush=True)

@@ -1,20 +1,14 @@
-"""Round-robin arbiters and the two-phase separable VC/switch allocators.
+"""The round-robin arbiter behind the two-phase separable VC/switch allocators.
 
 The baseline router (paper Table 4) uses round-robin two-phase allocators:
 phase 1 arbitrates among a unit's own candidates, phase 2 arbitrates among
-phase-1 winners competing for the same resource.
-
-:class:`RoundRobinArbiter` is the optimised hot-path arbiter (index
-rotation, no per-arbitration list copies); the fast router runs its
-allocation stages inline over it.  :class:`ReferenceRoundRobinArbiter`
-and :func:`reference_two_phase_allocate` preserve the pre-overhaul
-implementations verbatim; the reference router pipeline uses them so A/B
-tests can prove the fast paths grant-for-grant identical.
+phase-1 winners competing for the same resource.  The router runs both
+phases inline over :class:`RoundRobinArbiter` instances.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Type, TypeVar
+from typing import Hashable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -22,10 +16,10 @@ T = TypeVar("T")
 class RoundRobinArbiter:
     """Classic rotating-priority arbiter over opaque candidate ids.
 
-    Decision-identical to :class:`ReferenceRoundRobinArbiter` (the A/B
-    property test in ``tests/test_hotpath_equivalence.py`` pins it), but
-    rotates via ``candidates.index`` plus one integer increment instead
-    of materialising two list copies per arbitration.
+    Rotates via ``candidates.index`` plus one integer increment instead
+    of materialising two list copies per arbitration (the list-copying
+    formulation survives as the oracle of the property test in
+    ``tests/test_hotpath_equivalence.py``).
     """
 
     __slots__ = ("_last",)
@@ -74,66 +68,3 @@ class RoundRobinArbiter:
                     win = 0
         self._last = candidates[win]
         return win
-
-
-class ReferenceRoundRobinArbiter:
-    """Pre-overhaul arbiter, kept verbatim for A/B reference runs."""
-
-    def __init__(self) -> None:
-        self._last: Optional[Hashable] = None
-
-    def pick(self, candidates: Sequence[T]) -> Optional[T]:
-        """Grant one candidate, rotating priority after each grant."""
-        if not candidates:
-            return None
-        if self._last is not None and self._last in candidates:
-            start = (list(candidates).index(self._last) + 1) % len(candidates)
-        else:
-            # Previous winner absent (or no grant yet): restart priority at
-            # the first candidate in submission order.
-            start = 0
-        ordered = list(candidates[start:]) + list(candidates[:start])
-        winner = ordered[0]
-        self._last = winner
-        return winner
-
-
-class ArbiterPool:
-    """Lazy map of resource id -> arbiter."""
-
-    __slots__ = ("_arbiters", "_factory")
-
-    def __init__(self, factory: Type = RoundRobinArbiter) -> None:
-        self._arbiters: Dict[Hashable, object] = {}
-        self._factory = factory
-
-    def pick(self, resource: Hashable, candidates: Sequence[T]) -> Optional[T]:
-        arbiter = self._arbiters.get(resource)
-        if arbiter is None:
-            arbiter = self._arbiters[resource] = self._factory()
-        return arbiter.pick(candidates)
-
-
-def reference_two_phase_allocate(
-    requests: Dict[Hashable, List[Hashable]],
-    phase1: ArbiterPool,
-    phase2: ArbiterPool,
-) -> Dict[Hashable, Hashable]:
-    """Generic separable allocation, kept for A/B reference runs.
-
-    ``requests`` maps each requester to the resources it can use.  Phase 1:
-    each requester picks one resource (round-robin over its options).
-    Phase 2: each resource picks one requester.  Returns
-    ``{requester: resource}`` for the winners.
-    """
-    proposals: Dict[Hashable, List[Hashable]] = {}
-    for requester, resources in requests.items():
-        choice = phase1.pick(requester, resources)
-        if choice is not None:
-            proposals.setdefault(choice, []).append(requester)
-    grants: Dict[Hashable, Hashable] = {}
-    for resource, requesters in proposals.items():
-        winner = phase2.pick(resource, requesters)
-        if winner is not None:
-            grants[winner] = resource
-    return grants

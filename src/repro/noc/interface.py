@@ -46,11 +46,10 @@ class _ActiveSend:
 class NetworkInterface:
     """Injection/ejection endpoint of one tile.
 
-    This is the optimised hot path: per-flit counters are batched into
-    plain ints (drained into the shared :class:`Stats` by a registered
+    Written for the hot path: per-flit counters are batched into plain
+    ints (drained into the shared :class:`Stats` by a registered
     flusher), link drains are inlined, and per-call ``getattr`` lookups
-    are hoisted to construction time.  :class:`ReferenceNetworkInterface`
-    preserves the pre-overhaul per-event implementations for A/B runs.
+    are hoisted to construction time.
     """
 
     def __init__(self, node: int, mesh, config, policy, stats: Stats) -> None:
@@ -185,12 +184,9 @@ class NetworkInterface:
     # Tick.
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        """One NI cycle with the link drains inlined.  The reference NI
-        keeps the method-per-stage pipeline; A/B tests hold the two
-        bit-identical.
-        """
+        """One NI cycle with the link drains inlined."""
         active_packet = self.active_packet
-        # Inlined _has_work() (this guard runs once per awake cycle).
+        # Idle guard (runs once per awake cycle).
         if not (
             self.incoming
             or self.req_queue
@@ -248,19 +244,6 @@ class NetworkInterface:
             or active_packet[1] is not None
         ):
             self._inject_one_flit(cycle)
-
-    def _has_work(self) -> bool:
-        return bool(
-            self.incoming
-            or self.req_queue
-            or self.reply_pending
-            or self.reply_queue
-            or self.held
-            or self._undo_out
-            or self.active_circuit is not None
-            or self.active_packet[0] is not None
-            or self.active_packet[1] is not None
-        )
 
     def next_wake(self, cycle: int) -> Optional[int]:
         """Report the next cycle this NI could possibly act.
@@ -500,133 +483,4 @@ class NetworkInterface:
         stats.counters[key] += 1
         self._c_delivered_msgs += 1
         self._c_delivered_flits += msg.n_flits
-        return cls
-
-
-class ReferenceNetworkInterface(NetworkInterface):
-    """Pre-overhaul NI implementation, kept for A/B equivalence runs.
-
-    Reinstates the per-event ``Stats.bump`` calls, the generator-based
-    link drains and the per-send ``getattr`` policy probe that the fast
-    path hoists or batches.  Built when ``config.noc.fastpath`` is False.
-    """
-
-    def tick(self, cycle: int) -> None:
-        """Pre-overhaul tick: one method call per NI stage."""
-        if not self._has_work():
-            return
-        if self.incoming:
-            self._pull_credits(cycle)
-            self._pull_ejections(cycle)
-        if self._undo_out:
-            self._flush_undo(cycle)
-        if self.reply_pending:
-            self._plan_replies(cycle)
-        if (
-            self.active_circuit is not None
-            or self.held
-            or self.req_queue
-            or self.reply_queue
-            or self.active_packet[0] is not None
-            or self.active_packet[1] is not None
-        ):
-            self._inject_one_flit(cycle)
-
-    def enqueue(self, msg: Message, cycle: int) -> None:
-        msg.enqueued_cycle = cycle
-        self.stats.bump("noc.msgs_enqueued")
-        if self.observer is not None:
-            self.observer.ni_enqueue(self, msg, cycle)
-        if msg.vn == 0:
-            self.req_queue.append(msg)
-        else:
-            self.reply_pending.append(msg)
-        if self.kernel_wake is not None:
-            # Injectable (and plannable) from the next cycle on.
-            self.kernel_wake(cycle + 1)
-
-    def _pull_credits(self, cycle: int) -> None:
-        link = self.credit_in
-        if link is None or not link._queue or link._queue[0][0] > cycle:
-            return
-        for credit in link.arrivals(cycle):
-            if credit.is_buffer_credit:
-                self.credits[credit.vn][credit.vc] += 1
-
-    def _pull_ejections(self, cycle: int) -> None:
-        link = self.from_router
-        if link is None or not link._queue or link._queue[0][0] > cycle:
-            return
-        for flit in link.arrivals(cycle):
-            msg = flit.msg
-            got = self._rx_counts.get(msg.uid, 0) + 1
-            if got == msg.n_flits:
-                self._rx_counts.pop(msg.uid, None)
-                self._finish(msg, cycle)
-            else:
-                self._rx_counts[msg.uid] = got
-
-    def _advance_circuit(self, cycle: int) -> None:
-        act = self.active_circuit
-        assert act is not None
-        needs_credit = getattr(self.policy, "circuit_credits", False)
-        if needs_credit:
-            if self.credits[1][act.vc] <= 0:
-                return
-            self.credits[1][act.vc] -= 1
-        flit = act.flits[act.index]
-        flit.dst_vc = act.vc
-        act.index += 1
-        self.to_router.send(flit, cycle)
-        self.stats.bump("noc.flits_injected")
-        self.stats.bump("noc.link_flits")
-        if act.done:
-            self.active_circuit = None
-            if act.plan is not None and act.plan.is_scrounger:
-                self.policy.on_scrounger_sent(self, act.plan, cycle)
-
-    def _inject_one_flit(self, cycle: int) -> None:
-        """Pre-overhaul injection: one method call per arbitration step."""
-        if self.active_circuit is not None:
-            self._advance_circuit(cycle)
-            return
-        if self._start_circuit(cycle):
-            return
-        first = self._vn_preference
-        for vn in (first, 1 - first):
-            if self._advance_packet(vn, cycle):
-                self._vn_preference = 1 - vn
-                return
-
-    def _advance_packet(self, vn: int, cycle: int) -> bool:
-        act = self.active_packet[vn]
-        if act is None:
-            act = self._start_packet(vn, cycle)
-            if act is None:
-                return False
-        if self.credits[act.vn][act.vc] <= 0:
-            return False
-        flit = act.flits[act.index]
-        flit.dst_vc = act.vc
-        act.index += 1
-        self.credits[act.vn][act.vc] -= 1
-        self.to_router.send(flit, cycle)
-        self.stats.bump("noc.flits_injected")
-        self.stats.bump("noc.link_flits")
-        if act.done:
-            self.active_packet[vn] = None
-        return True
-
-    def _record_latency(self, msg: Message) -> str:
-        if msg.vn == 0:
-            cls = "req"
-        elif msg.circuit_eligible:
-            cls = "crep"
-        else:
-            cls = "norep"
-        self.stats.record(f"lat.net.{cls}", msg.net_acc)
-        self.stats.observe(f"lat.queue.{cls}", msg.queue_acc)
-        self.stats.bump(f"msg.count.{msg.kind}")
-        self.stats.bump("noc.msgs_delivered")
-        self.stats.bump("noc.flits_delivered", msg.n_flits)
         return cls

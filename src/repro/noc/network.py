@@ -5,9 +5,9 @@ from __future__ import annotations
 from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.noc.flit import Message
-from repro.noc.interface import NetworkInterface, ReferenceNetworkInterface
+from repro.noc.interface import NetworkInterface
 from repro.noc.link import CreditLink, FlitLink
-from repro.noc.router import ReferenceRouter, Router
+from repro.noc.router import Router
 from repro.noc.topology import build_topology
 from repro.sim.stats import Stats
 
@@ -31,18 +31,12 @@ class Network:
         #: queries that every Topology provides.
         self.mesh = self.topo
         self.policy = make_policy(config, self.topo, self.stats)
-        # ``fastpath=False`` builds the pre-overhaul reference pipeline so
-        # A/B tests can pin the optimised path bit-identical to it.
-        if config.noc.fastpath:
-            router_cls, ni_cls = Router, NetworkInterface
-        else:
-            router_cls, ni_cls = ReferenceRouter, ReferenceNetworkInterface
         self.routers: List[Router] = [
-            router_cls(router, self.topo, config, self.policy, self.stats)
+            Router(router, self.topo, config, self.policy, self.stats)
             for router in range(self.topo.n_routers)
         ]
         self.interfaces: List[NetworkInterface] = [
-            ni_cls(node, self.topo, config, self.policy, self.stats)
+            NetworkInterface(node, self.topo, config, self.policy, self.stats)
             for node in range(self.topo.n_nodes)
         ]
         self._wire()

@@ -14,31 +14,24 @@ crossbar in its arrival cycle (2 cycles/hop with the link).  The crossbar
 prioritises circuit flits; packet flits that already won switch allocation
 retry their traversal the next cycle (section 4.3).
 
-Two pipelines live here.  :class:`Router` is the optimised saturation
-hot path: dense port-indexed lists instead of dicts, precomputed
-route tables, per-unit round-robin arbiters over integer candidate
-codes with reused scratch lists, inlined link drains, and hot counters
-batched into plain ints that a registered :class:`~repro.sim.stats.Stats`
-flusher drains at read boundaries.  :class:`ReferenceRouter` keeps the
-pre-overhaul stage implementations (ArbiterPool-based separable
-allocation, pure-function route computation, per-event stats bumps);
-``NocConfig.fastpath=False`` builds a network on it so A/B tests can
-prove the overhaul bit-identical, stats and finish cycles included.
+:class:`Router` is written for the saturation hot path: dense
+port-indexed lists instead of dicts, precomputed route tables, per-unit
+round-robin arbiters over integer candidate codes with reused scratch
+lists, inlined link drains, and hot counters batched into plain ints
+that a registered :class:`~repro.sim.stats.Stats` flusher drains at read
+boundaries.  The committed conformance goldens
+(``tests/golden/conformance.json``) pin its behaviour, stats and finish
+cycles included.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
-from repro.noc.allocators import (
-    ArbiterPool,
-    ReferenceRoundRobinArbiter,
-    RoundRobinArbiter,
-    reference_two_phase_allocate,
-)
+from repro.noc.allocators import RoundRobinArbiter
 from repro.noc.flit import Flit
 from repro.noc.link import Credit, CreditLink, FlitLink
-from repro.noc.routing import route_for_vn, route_tables
+from repro.noc.routing import route_tables
 from repro.noc.topology import Topology
 from repro.noc.vc import InputVc, OutputVc, VcStage
 from repro.sim.kernel import SimulationError
@@ -343,12 +336,9 @@ class Router:
         The four stage bodies live inline in this one function: at
         saturation every awake router runs all of them every cycle, and
         the per-stage method dispatch alone was a measurable slice of the
-        cycle budget.  :class:`ReferenceRouter` keeps the pre-overhaul
-        method-per-stage pipeline; the A/B tests hold the two
-        bit-identical, so treat each section here as a transcription of
-        the reference method it replaced.
+        cycle budget.  Each section is marked with the stage it runs.
         """
-        # Inlined _has_work() (this guard runs once per awake cycle).
+        # Idle guard (runs once per awake cycle).
         if not (self._busy_vcs or self._st_pending or self.incoming):
             if not self._waiting:
                 return
@@ -698,15 +688,6 @@ class Router:
                 del touched[:]
                 self._c_va += grants
 
-    def _has_work(self) -> bool:
-        if self._busy_vcs or self._st_pending or self.incoming:
-            return True
-        if self._waiting:
-            for _port, unit in self._input_units:
-                if unit.wait_queue:
-                    return True
-        return False
-
     def next_wake(self, cycle: int) -> Optional[int]:
         """Sleep whenever the next tick could not make forward progress.
 
@@ -766,7 +747,8 @@ class Router:
 
     def _overflow(self, port: int, flit: Flit, vn: int, dst_vc: int,
                   vc: InputVc) -> None:
-        """Raise the pre-overhaul buffer-overflow diagnostics."""
+        """Raise the diagnostic for a flit arriving at a full (or
+        bufferless) input VC - a credit-protocol bug, never backpressure."""
         port_name = self.mesh.port_name(port)
         if vc.depth == 0:
             raise SimulationError(
@@ -806,224 +788,3 @@ class Router:
             if unit.circuit_table is not None:
                 total += len(unit.circuit_table.entries)
         return total
-
-
-class ReferenceRouter(Router):
-    """Pre-overhaul router pipeline, kept for A/B equivalence runs.
-
-    Every stage reproduces the implementation this PR replaced:
-    ``ArbiterPool``-backed separable allocation with the reference
-    round-robin arbiter, :func:`route_for_vn` recomputed per packet,
-    generator-based link drains, and a ``Stats.bump`` per flit event.
-    Built by :class:`~repro.noc.network.Network` when
-    ``config.noc.fastpath`` is False.
-    """
-
-    def __init__(self, node: int, mesh: Topology, config: "SystemConfig",
-                 policy, stats: Stats) -> None:
-        super().__init__(node, mesh, config, policy, stats)
-        self._va_p1 = ArbiterPool(ReferenceRoundRobinArbiter)
-        self._va_p2 = ArbiterPool(ReferenceRoundRobinArbiter)
-        self._sa_in = ArbiterPool(ReferenceRoundRobinArbiter)
-        self._sa_out = ArbiterPool(ReferenceRoundRobinArbiter)
-
-    def tick(self, cycle: int) -> None:
-        """Pre-overhaul tick: one method call per pipeline stage."""
-        if not self._has_work():
-            return
-        self._out_claimed = 0
-        self._in_claimed = 0
-        incoming = self.incoming
-        if incoming:
-            self._pull_credits(cycle)
-        if self._waiting:
-            self.policy.retry_waiting(self, cycle)
-        if incoming:
-            self._pull_flits(cycle)
-        if self._st_pending:
-            self._switch_traversal(cycle)
-        if self._busy_vcs:
-            self._allocate(cycle)
-
-    def forward_flit(self, out_port: int, flit: Flit, cycle: int) -> None:
-        self.out_flit[out_port].send(flit, cycle)
-        self.forwarded += 1
-        self.stats.bump("noc.xbar_traversals")
-        self.stats.bump("noc.link_flits")
-        if self.tracer is not None:
-            self.tracer(cycle, self, out_port, flit)
-
-    def return_credit(self, in_port: int, vn: int, vc_index: int, cycle: int) -> None:
-        self.out_credit[in_port].send_credit(vn, vc_index, cycle)
-        self.stats.bump("noc.credits_sent")
-
-    # -- credits ---------------------------------------------------------
-    def _pull_credits(self, cycle: int) -> None:
-        for port, link in self._credit_pulls:
-            queue = link._queue
-            if not queue or queue[0][0] > cycle:
-                continue
-            for credit in link.arrivals(cycle):
-                if credit.is_buffer_credit:
-                    self.outputs[port].vcs[credit.vn][credit.vc].credits += 1
-                if credit.undo_key is not None:
-                    self.policy.handle_undo(self, port, credit.undo_key, cycle)
-
-    # -- stage 1 ---------------------------------------------------------
-    def _pull_flits(self, cycle: int) -> None:
-        for port, link in self._flit_pulls:
-            queue = link._queue
-            if not queue or queue[0][0] > cycle:
-                continue
-            for flit in link.arrivals(cycle):
-                if self.policy.handle_arrival(self, port, flit, cycle):
-                    if self.observer is not None:
-                        self.observer.router_circuit_hit(self, flit, cycle)
-                    continue
-                self._buffer_flit(port, flit, cycle)
-
-    def _buffer_flit(self, port: int, flit: Flit, cycle: int) -> None:
-        vn = flit.msg.vn
-        vc = self.inputs[port].vcs[vn][flit.dst_vc]
-        if vc.depth == 0:
-            raise SimulationError(
-                f"packet flit {flit!r} targeted bufferless VC "
-                f"({vn},{flit.dst_vc}) at router {self.node} port "
-                f"{self.mesh.port_name(port)}"
-            )
-        if len(vc.buffer) >= vc.depth:
-            raise SimulationError(
-                f"buffer overflow at router {self.node} port "
-                f"{self.mesh.port_name(port)} vc ({vn},{flit.dst_vc})"
-            )
-        vc.buffer.append((flit, cycle, flit.dst_vc))
-        self.stats.bump("noc.buffer_writes")
-        if flit.is_head and vc.stage is VcStage.IDLE and len(vc.buffer) == 1:
-            self.vc_became_busy(port, vc)
-            self._route_compute(vc, flit, cycle)
-
-    def _route_compute(self, vc: InputVc, flit: Flit, cycle: int) -> None:
-        vc.route = route_for_vn(self.mesh, flit.msg.vn, self.node,
-                                flit.msg.dest, self._request_xy)
-        vc.stage = VcStage.VA
-        vc.ready_cycle = cycle + 1
-        self.stats.bump("noc.route_computations")
-
-    def route_reply(self, dest: int) -> int:
-        return route_for_vn(self.mesh, 1, self.node, dest, self._request_xy)
-
-    # -- stage 4 ---------------------------------------------------------
-    def _switch_traversal(self, cycle: int) -> None:
-        if not self._st_pending:
-            return
-        remaining: List[Tuple[int, int, InputVc]] = []
-        for item in self._st_pending:
-            st_cycle, in_port, vc = item
-            if st_cycle > cycle:
-                remaining.append(item)
-                continue
-            vn = vc.vn
-            out_port = vc.route
-            assert out_port is not None and vc.buffer
-            if not self.claim_path(in_port, out_port):
-                remaining.append(item)  # crossbar busy (circuit priority)
-                continue
-            flit, _arrived, credit_vc = vc.buffer.popleft()
-            self.stats.bump("noc.buffer_reads")
-            flit.dst_vc = vc.out_vc if vc.out_vc is not None else 0
-            self.forward_flit(out_port, flit, cycle)
-            self.return_credit(in_port, vn, credit_vc, cycle)
-            vc.granted_pending = False
-            if flit.is_tail:
-                out_vc = self.outputs[out_port].vcs[vn][vc.out_vc]
-                out_vc.allocated_to = None
-                self.policy.on_tail_departure(self, in_port, flit, cycle)
-                vc.reset_for_next_packet(cycle)
-                if vc.buffer:
-                    next_head = vc.buffer[0][0]
-                    assert next_head.is_head
-                    self._route_compute(vc, next_head, cycle)
-                else:
-                    self.vc_became_idle(in_port, vc)
-        self._st_pending = remaining
-
-    # -- stages 2+3 -------------------------------------------------------
-    def _allocate(self, cycle: int) -> None:
-        """The pre-overhaul pipeline ran the stages as separate passes."""
-        self._switch_allocation(cycle)
-        self._vc_allocation(cycle)
-
-    def _switch_allocation(self, cycle: int) -> None:
-        if not self._busy_vcs:
-            return
-        port_winners = {}
-        for port, unit in self._input_units:
-            candidates: List[Tuple[int, int]] = []
-            for vc in unit.busy_list:
-                if (
-                    vc.stage is VcStage.ACTIVE
-                    and not vc.granted_pending
-                    and vc.ready_cycle <= cycle
-                    and vc.head_ready(cycle)
-                    and self._downstream_credit(vc)
-                ):
-                    candidates.append((vc.vn, vc.index))
-            if candidates:
-                choice = self._sa_in.pick(port, candidates)
-                if choice is not None:
-                    port_winners[port] = choice
-        if not port_winners:
-            return
-        by_output = {}
-        for port, (vn, vc_index) in port_winners.items():
-            route = self.inputs[port].vcs[vn][vc_index].route
-            by_output.setdefault(route, []).append(port)
-        for out_port, contenders in by_output.items():
-            winner = self._sa_out.pick(out_port, contenders)
-            if winner is None:
-                continue
-            vn, vc_index = port_winners[winner]
-            vc = self.inputs[winner].vcs[vn][vc_index]
-            out_vc = self.outputs[out_port].vcs[vn][vc.out_vc]
-            if out_port < self._local_base:
-                out_vc.credits -= 1
-            vc.granted_pending = True
-            self._st_pending.append((cycle + 1, winner, vc))
-            self.stats.bump("noc.sa_grants")
-
-    # -- stage 2 ---------------------------------------------------------
-    def _vc_allocation(self, cycle: int) -> None:
-        if not self._busy_vcs:
-            return
-        requests = {}
-        for port, unit in self._input_units:
-            for vc in unit.busy_list:
-                if vc.stage is not VcStage.VA or vc.ready_cycle > cycle:
-                    continue
-                options = [
-                    (vc.route, vc.vn, index)
-                    for index in self._alloc_vn[vc.vn]
-                    if self.outputs[vc.route].vcs[vc.vn][index].is_free
-                ]
-                if options:
-                    requests[(port, vc.vn, vc.index)] = options
-        if not requests:
-            return
-        grants = reference_two_phase_allocate(requests, self._va_p1, self._va_p2)
-        for (port, vn, vc_index), (out_port, _vn, out_index) in grants.items():
-            vc = self.inputs[port].vcs[vn][vc_index]
-            vc.stage = VcStage.ACTIVE
-            vc.out_vc = out_index
-            vc.out_obj = self.outputs[out_port].vcs[vn][out_index]
-            vc.ready_cycle = cycle + 1
-            self.outputs[out_port].vcs[vn][out_index].allocated_to = (
-                port, vn, vc_index,
-            )
-            self.stats.bump("noc.va_grants")
-            head = vc.head_flit()
-            assert head is not None
-            if head.msg.builds_circuit and vn == 0:
-                # Circuit reservation happens in parallel with VA (sec. 4.1).
-                self.policy.on_request_va(self, port, head.msg, cycle)
-                if self.observer is not None:
-                    self.observer.router_reservation(self, head.msg, cycle)

@@ -16,8 +16,8 @@ lower coordinate so the reversed route retraces the same routers.
 
 Routing is a pure function of the (static) topology, so the whole
 function space is compiled once into dense next-hop tables
-(``table[router][dest_node] -> port``) that both router pipelines index
-in their route-compute stage.  Table entries are plain ints following
+(``table[router][dest_node] -> port``) that the router indexes in its
+route-compute stage.  Table entries are plain ints following
 the topology's port convention (ports >= ``local_base`` eject).
 """
 

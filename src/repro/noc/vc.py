@@ -74,13 +74,6 @@ class InputVc:
     def occupancy(self) -> int:
         return len(self.buffer)
 
-    def head_flit(self) -> Optional[Flit]:
-        return self.buffer[0][0] if self.buffer else None
-
-    def head_ready(self, cycle: int) -> bool:
-        """Head flit was buffered in an earlier cycle (1-cycle buffer write)."""
-        return bool(self.buffer) and self.buffer[0][1] < cycle
-
     def reset_for_next_packet(self, cycle: int) -> None:
         """Tail left: clear per-packet state (caller restarts a queued head)."""
         self.route = None

@@ -73,8 +73,9 @@ from repro.sim.kernel import SimulationError
 #: 3: cache sets are parallel lists with int PLRU bits, ``DirLine.sharers``
 #: may be None; 4: a cache array has no addr -> way dict, and a resident
 #: way whose line slot is None holds the default line, not yet built;
-#: 5: ``SystemConfig`` has no ``sim`` field).
-SCHEMA_VERSION = 5
+#: 5: ``SystemConfig`` has no ``sim`` field; 6: ``NocConfig`` has no
+#: pipeline switch, there is one router / NI class and one kernel mode).
+SCHEMA_VERSION = 6
 
 MAGIC = b"RPROCKPT"
 

@@ -86,10 +86,6 @@ class NocConfig:
     #: choice); False swaps them.  Either works - section 4.2 only needs
     #: the two VNs to use opposite dimension orders.
     request_xy: bool = True
-    #: Build the optimised router/NI hot path (default).  False builds the
-    #: pre-overhaul reference pipeline, which A/B equivalence tests use to
-    #: prove the fast path bit-identical (stats, histograms, finish cycle).
-    fastpath: bool = True
     #: Network topology: "mesh" (default), "torus" or "cmesh".  Unset
     #: (the empty string) defers to ``repro.config`` (``topology``);
     #: :class:`SystemConfig` resolves it eagerly so pickled configs (shard

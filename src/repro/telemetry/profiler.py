@@ -15,7 +15,8 @@ optimisation PR needs to pick its target.
 
 Profiled runs are bit-identical to unprofiled ones (the wrapper calls
 the original tick with unchanged arguments); only wall-time changes,
-which is why the A/B tests compare stats, not seconds.
+which is why the conformance matrix's ``profiled`` mode compares stats,
+not seconds.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from typing import Dict, List, Optional
 #: Component class -> architectural group of the profiler report.
 GROUP_OF = {
     "Router": "router",
-    "ReferenceRouter": "router",
     "NetworkInterface": "ni",
-    "ReferenceNetworkInterface": "ni",
     "L1Controller": "coherence",
     "L2BankController": "coherence",
     "MemoryController": "coherence",

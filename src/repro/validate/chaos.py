@@ -63,9 +63,6 @@ _INTERVAL = 2000
 CELL = conformance.Cell(Variant.REUSE_NOACK, _WORKLOAD, _MEASURE,
                         warmup=_WARMUP, seed=_SEED)
 
-#: The two router/NI pipelines every recovery scenario must hold on.
-PIPELINES = ("fastpath", "classic")
-
 
 @dataclass
 class ChaosOutcome:
@@ -75,17 +72,6 @@ class ChaosOutcome:
     ok: bool
     detail: str = ""
     error: str = ""
-
-
-def _config(pipeline: str = "fastpath"):
-    return CELL.config(reference=pipeline == "classic")
-
-
-def _reference(pipeline: str) -> dict:
-    """Witness of the uninterrupted sharded run every recovery scenario
-    compares against."""
-    return conformance.run(
-        CELL, "reference+shards2" if pipeline == "classic" else "shards2")
 
 
 def _identical(result, reference: dict) -> Optional[str]:
@@ -136,19 +122,18 @@ class _PidWatch:
 
 
 # ----------------------------------------------------------------------
-# Scenarios.  Each returns a ChaosOutcome; references are passed in so
-# one uninterrupted run per pipeline serves every scenario.
+# Scenarios.  Each returns a ChaosOutcome; the reference is passed in so
+# one uninterrupted run serves every recovery scenario.
 # ----------------------------------------------------------------------
 
-def _scenario_recovery(name: str, pipeline: str, reference: dict,
-                       respawns: int, detail: str, **fault) -> ChaosOutcome:
+def _scenario_recovery(name: str, reference: dict, respawns: int,
+                       detail: str, **fault) -> ChaosOutcome:
     """One supervised sharded run, unharmed (``respawns=0``: the control,
     which must not trip the supervisor at all) or with a ``_chaos`` fault
     injected into a worker: exactly ``respawns`` respawns, no leaked
     worker, and a result bit-identical to ``reference``."""
-    name = f"{name}-{pipeline}"
     with _PidWatch() as watch:
-        result = run_sharded(_config(pipeline), _WORKLOAD, _WARMUP,
+        result = run_sharded(CELL.config(), _WORKLOAD, _WARMUP,
                              _MEASURE, n_shards=2, check=False,
                              checkpoint_interval=_INTERVAL, **fault)
         leaked = watch.leaked()
@@ -172,7 +157,7 @@ def _scenario_respawn_exhausted() -> ChaosOutcome:
     with _PidWatch() as watch:
         try:
             run_sharded(
-                _config("fastpath"), _WORKLOAD, _WARMUP, _MEASURE,
+                CELL.config(), _WORKLOAD, _WARMUP, _MEASURE,
                 n_shards=2, check=False, checkpoint_interval=_INTERVAL,
                 respawn_limit=0,
                 _chaos={"shard": 1, "barrier_seq": 10, "action": "sigkill"},
@@ -192,18 +177,17 @@ def _scenario_respawn_exhausted() -> ChaosOutcome:
                               "respawn budget")
 
 
-def _scenario_coordinator_sigkill(pipeline: str,
-                                  reference: dict) -> ChaosOutcome:
+def _scenario_coordinator_sigkill(reference: dict) -> ChaosOutcome:
     """SIGKILL the whole coordinator process mid-run, then resume the run
     from the workers' snapshots (newest consistent cut)."""
-    name = f"coordinator-sigkill-{pipeline}"
+    name = "coordinator-sigkill"
     src_root = os.path.dirname(os.path.dirname(repro.__file__))
     child_src = (
         "import sys\n"
         f"sys.path.insert(0, {src_root!r})\n"
         "from repro.sim.shard import run_sharded\n"
-        "from repro.validate.chaos import _config\n"
-        f"run_sharded(_config({pipeline!r}), {_WORKLOAD!r}, {_WARMUP}, "
+        "from repro.validate.chaos import CELL\n"
+        f"run_sharded(CELL.config(), {_WORKLOAD!r}, {_WARMUP}, "
         f"{_MEASURE}, "
         f"n_shards=2, check=False, checkpoint_dir=sys.argv[1], "
         f"checkpoint_interval={_INTERVAL})\n"
@@ -242,7 +226,7 @@ def _scenario_coordinator_sigkill(pipeline: str,
         with _PidWatch() as watch:
             try:
                 result = run_sharded(
-                    _config(pipeline), _WORKLOAD, _WARMUP, _MEASURE,
+                    CELL.config(), _WORKLOAD, _WARMUP, _MEASURE,
                     n_shards=2, check=False, checkpoint_dir=ckdir,
                     checkpoint_interval=_INTERVAL, resume=True,
                 )
@@ -260,17 +244,16 @@ def _scenario_coordinator_sigkill(pipeline: str,
                         detail="resumed from consistent cut, bit-identical")
 
 
-def _scenario_singleproc_sigkill(pipeline: str) -> ChaosOutcome:
+def _scenario_singleproc_sigkill() -> ChaosOutcome:
     """SIGKILL a checkpointing single-process run, resume from its
     newest checkpoint, and match an uninterrupted in-process run (the
     matrix's ``killed-resume`` mode)."""
-    name = f"singleproc-sigkill-resume-{pipeline}"
-    mode = "reference" if pipeline == "classic" else "fast"
+    name = "singleproc-sigkill-resume"
     try:
-        resumed = conformance.run(CELL, mode + "+killed-resume")
+        resumed = conformance.run(CELL, "killed-resume")
     except RuntimeError as err:  # the victim was not killed
         return ChaosOutcome(name, False, error=str(err))
-    divergence = conformance.diff(resumed, conformance.run(CELL, mode))
+    divergence = conformance.diff(resumed, conformance.run(CELL))
     if divergence:
         return ChaosOutcome(name, False, error=divergence)
     return ChaosOutcome(name, True,
@@ -282,8 +265,7 @@ def _checkpoint_file_for_damage(directory: str) -> str:
     """Produce a real checkpoint to damage."""
     from repro.cpu.workloads import workload_by_name
 
-    config = _config("fastpath")
-    system = build_system(config, workload_by_name(_WORKLOAD))
+    system = build_system(CELL.config(), workload_by_name(_WORKLOAD))
     policy = CheckpointPolicy(directory, _INTERVAL,
                               fingerprint("chaos-damage"))
     watchdog_path = policy.path
@@ -543,15 +525,9 @@ def _scenario_service_dedup() -> ChaosOutcome:
 
 
 def run_chaos_campaign(
-    pipelines=PIPELINES,
     echo: Optional[Callable[[str], None]] = None,
 ) -> List[ChaosOutcome]:
-    """Run every chaos scenario; returns one outcome per scenario.
-
-    Recovery scenarios run once per router pipeline in ``pipelines``
-    (``fastpath`` and the ``classic`` reference by default); damaged-file
-    scenarios are pipeline-independent and run once.
-    """
+    """Run every chaos scenario; returns one outcome per scenario."""
     def say(message: str) -> None:
         if echo is not None:
             echo(message)
@@ -565,29 +541,28 @@ def run_chaos_campaign(
         say(f"  {outcome.scenario:34s} {verdict}  "
             f"{outcome.detail or outcome.error}")
 
-    for pipeline in pipelines:
-        say(f"pipeline: {pipeline}")
-        reference = _reference(pipeline)
+    say("recovery scenarios")
+    # The uninterrupted sharded run every recovery scenario must match.
+    reference = conformance.run(CELL, "shards2")
+    run(lambda: _scenario_recovery(
+        "clean-run", reference, 0, "0 respawns, bit-identical"))
+    # SIGKILL one worker mid-window, before the first snapshot (fresh
+    # respawn + full replay) and after several (snapshot restore +
+    # partial replay); then wedge one past the receive timeout.
+    for label, seq in (("early", 3), ("late", 200)):
         run(lambda: _scenario_recovery(
-            "clean-run", pipeline, reference, 0, "0 respawns, bit-identical"))
-        # SIGKILL one worker mid-window, before the first snapshot (fresh
-        # respawn + full replay) and after several (snapshot restore +
-        # partial replay); then wedge one past the receive timeout.
-        for label, seq in (("early", 3), ("late", 200)):
-            run(lambda: _scenario_recovery(
-                f"worker-sigkill-{label}", pipeline, reference, 1,
-                f"killed at barrier seq {seq}, recovered bit-identical",
-                _chaos={"shard": 1, "barrier_seq": seq,
-                        "action": "sigkill"}))
-        run(lambda: _scenario_recovery(
-            "worker-sigstop", pipeline, reference, 1,
-            "wedge detected by timeout, recovered bit-identical",
-            timeout=2.0,
-            _chaos={"shard": 0, "barrier_seq": 60, "action": "sigstop"}))
-        run(lambda: _scenario_coordinator_sigkill(pipeline, reference))
-        run(lambda: _scenario_singleproc_sigkill(pipeline))
-    say("pipeline-independent scenarios")
+            f"worker-sigkill-{label}", reference, 1,
+            f"killed at barrier seq {seq}, recovered bit-identical",
+            _chaos={"shard": 1, "barrier_seq": seq, "action": "sigkill"}))
+    run(lambda: _scenario_recovery(
+        "worker-sigstop", reference, 1,
+        "wedge detected by timeout, recovered bit-identical",
+        timeout=2.0,
+        _chaos={"shard": 0, "barrier_seq": 60, "action": "sigstop"}))
+    run(lambda: _scenario_coordinator_sigkill(reference))
+    run(_scenario_singleproc_sigkill)
     run(_scenario_respawn_exhausted)
+    say("damaged-file scenarios")
     run(_scenario_corrupt_checkpoint)
     run(_scenario_stale_or_foreign_checkpoint)
     say("service scenarios")

@@ -6,10 +6,9 @@ the uninterrupted run, bit for bit), *honest* (any damaged, truncated,
 stale, or foreign file is rejected with a typed error naming the exact
 mismatch, never silently reinterpreted), and *invisible* (a run that
 writes checkpoints is bit-identical to one that does not).  These tests
-pin all three, across protocol variants and both router pipelines.
+pin all three, across protocol variants.
 """
 
-import dataclasses
 import json
 import os
 import shutil
@@ -45,34 +44,26 @@ MEASURE = 250
 INTERVAL = 600  # capture every ~600 cycles: several per phase at this size
 
 
-def _config(variant, fastpath):
-    config = small_test_config(16, variant, seed=3)
-    if not fastpath:
-        config = dataclasses.replace(
-            config, noc=dataclasses.replace(config.noc, fastpath=False)
-        )
-    return config
-
-
-def _build(variant, fastpath):
-    return CmpSystem(_config(variant, fastpath), workload_by_name("canneal"))
+def _build(variant):
+    return CmpSystem(small_test_config(16, variant, seed=3),
+                     workload_by_name("canneal"))
 
 
 class _Run:
     """One reference + checkpointed run, with its surviving history."""
 
-    def __init__(self, variant, fastpath):
-        system = _build(variant, fastpath)
+    def __init__(self, variant):
+        system = _build(variant)
         system.warmup(WARMUP)
         self.start = system.sim.cycle
         self.finish = system.run_instructions(MEASURE)
         self.end = system.sim.cycle
         self.stats = system.stats.snapshot()
 
-        self.config_hash = fingerprint(variant.value, fastpath)
+        self.config_hash = fingerprint(variant.value)
         self.directory = tempfile.mkdtemp(prefix="repro-ckpt-test-")
         policy = CheckpointPolicy(self.directory, INTERVAL, self.config_hash)
-        system = _build(variant, fastpath)
+        system = _build(variant)
         start, finish = system.run_script(WARMUP, MEASURE, policy,
                                           keep_history=True)
         # Writing checkpoints must not perturb the run itself.
@@ -90,11 +81,10 @@ class _Run:
 _RUNS = {}
 
 
-def _run_for(variant, fastpath):
-    key = (variant, fastpath)
-    if key not in _RUNS:
-        _RUNS[key] = _Run(variant, fastpath)
-    return _RUNS[key]
+def _run_for(variant):
+    if variant not in _RUNS:
+        _RUNS[variant] = _Run(variant)
+    return _RUNS[variant]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -109,15 +99,14 @@ def _cleanup_run_dirs():
 @given(
     variant=st.sampled_from([Variant.BASELINE, Variant.REUSE_NOACK,
                              Variant.COMPLETE]),
-    fastpath=st.booleans(),
     fraction=st.floats(min_value=0.0, max_value=1.0),
 )
-@example(variant=Variant.REUSE_NOACK, fastpath=True, fraction=0.0)
-@example(variant=Variant.REUSE_NOACK, fastpath=True, fraction=1.0)
-@example(variant=Variant.BASELINE, fastpath=False, fraction=0.5)
-def test_resume_is_bit_identical(variant, fastpath, fraction):
+@example(variant=Variant.REUSE_NOACK, fraction=0.0)
+@example(variant=Variant.REUSE_NOACK, fraction=1.0)
+@example(variant=Variant.BASELINE, fraction=0.5)
+def test_resume_is_bit_identical(variant, fraction):
     """Restoring any mid-run checkpoint replays to the same result."""
-    run = _run_for(variant, fastpath)
+    run = _run_for(variant)
     pick = min(int(fraction * len(run.history)), len(run.history) - 1)
     _header, payload = read_checkpoint(run.history[pick], kind="run",
                                        config_hash=run.config_hash)
@@ -147,8 +136,8 @@ def test_capture_right_after_prewarm_resumes_identically():
     """The snapshot with the most unbuilt lines in it: "not built yet" is
     an empty slot, so it survives pickling as itself, and the restored
     run builds the same lines the uninterrupted one did."""
-    run = _run_for(Variant.REUSE_NOACK, True)
-    system = _build(Variant.REUSE_NOACK, True)
+    run = _run_for(Variant.REUSE_NOACK)
+    system = _build(Variant.REUSE_NOACK)
     run_state = new_run_state(WARMUP, MEASURE)
     system.functional_prewarm()
     arm_phase(system, run_state, PHASES["warmup"], system.cores, WARMUP)
@@ -269,14 +258,21 @@ def test_schema_3_file_is_refused_before_unpickling(tmp_path):
 
 
 def test_schema_4_file_is_refused_before_unpickling(tmp_path):
-    """Schema 4 pickled a ``SystemConfig`` with a ``sim`` field (and the
-    ``SimConfig`` class behind it) this build no longer has."""
-    policy = CheckpointPolicy(str(tmp_path), INTERVAL, "cafe")
-    write_checkpoint(policy.path, b"payload-bytes", kind="run",
-                     config_hash="cafe", cycle=42)
-    _rewrite_header(policy.path, schema=4)
-    with pytest.raises(IncompatibleCheckpointError, match="schema 4"):
-        policy.restore()
+    """Every retired schema from 4 on pickled a class or field this build
+    no longer has: 4 a ``SystemConfig`` with a ``sim`` field (and the
+    ``SimConfig`` class behind it), 5 a ``NocConfig`` with a pipeline
+    switch and, with the switch off, the deleted second router / NI
+    classes.  Each is refused typed at the header, like 2 and 3."""
+    assert SCHEMA_VERSION > 4
+    for schema in range(4, SCHEMA_VERSION):
+        policy = CheckpointPolicy(str(tmp_path / str(schema)), INTERVAL,
+                                  "cafe")
+        write_checkpoint(policy.path, b"payload-bytes", kind="run",
+                         config_hash="cafe", cycle=42)
+        _rewrite_header(policy.path, schema=schema)
+        with pytest.raises(IncompatibleCheckpointError,
+                           match=f"schema {schema}"):
+            policy.restore()
 
 
 def test_wrong_kind_is_incompatible(ckpt):

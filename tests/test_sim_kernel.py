@@ -91,27 +91,6 @@ def test_progress_watchdog_allows_progress():
     sim.run(100)  # should not raise
 
 
-def test_always_tick_toggle_wakes_the_sleepers():
-    """Switching to always-tick mid-run must re-arm the kernel: a
-    component that now ticks every cycle is not ``sleeping()``, so the
-    ``kernel_sleep`` audit has nothing (stale) to raise on."""
-    from repro.noc.traffic import RequestReplyTraffic
-    from repro.sim.config import SystemConfig, Variant
-    from repro.validate.invariants import InvariantMonitor
-
-    cfg = SystemConfig(n_cores=16).with_variant(Variant.COMPLETE_NOACK)
-    t = RequestReplyTraffic(cfg, 6.0, seed=1)
-    t.run(600)
-    assert t.sim.sleeping()  # light load: the activity kernel slept some
-    t.sim.set_always_tick(True)
-    InvariantMonitor(t.net, interval=50).attach(t.sim)
-    t.run(600)
-    assert t.sim.sleeping() == [] and t.sim.sleeping_slots() == []
-    t.sim.set_always_tick(False)
-    t.run(600)
-    assert t.sim.sleeping()
-
-
 def test_rng_streams_are_deterministic_and_independent():
     a = DeterministicRng(7).stream("x")
     b = DeterministicRng(7).stream("x")

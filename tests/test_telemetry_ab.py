@@ -2,8 +2,8 @@
 
 The conformance-matrix cells (``pinned``, see ``tests/conftest.py``) run
 a simulation with every telemetry instrument attached and require the
-*bit-identical* stats counters, means, histograms and finish cycles the
-bare reference pipeline produced.  This is the contract that lets
+*bit-identical* stats counters, means, histograms and finish cycles of
+the bare run's committed golden.  This is the contract that lets
 telemetry ship enabled in experiments without invalidating the result
 cache.
 

@@ -2,12 +2,11 @@
 
 The topology abstraction's contract mirrors the hot path's: swapping the
 mesh for a torus or a concentrated mesh must change *which* routers a
-message visits, never *how* the two pipelines disagree.  For each new
-topology these conformance-matrix cells (``pinned``, see
-``tests/conftest.py``) pin bit-identity of the fastpath and the
-reference pipeline (synthetic traffic and a full CMP system), of a
-sharded run (including the torus's wraparound boundary channels), and
-of a checkpointed run killed and resumed mid-flight.  The square mesh
+message visits, never the pipeline's behaviour.  For each new topology
+these conformance-matrix cells (``pinned``, see ``tests/conftest.py``)
+pin a plain run (synthetic traffic and a full CMP system) to its golden,
+as well as a sharded run (including the torus's wraparound boundary
+channels) and a checkpointed run killed and resumed mid-flight.  The square mesh
 itself is pinned by ``test_hotpath_equivalence.py`` /
 ``test_shard_equivalence.py``; this file extends the same witnesses to
 the new variants.
@@ -35,7 +34,7 @@ def _no_engine_env(monkeypatch):
     ids=lambda v: v.name,
 )
 def test_traffic_bit_identical(topology, variant, pinned):
-    pinned(Cell(variant, 24.0, 1500, topology=topology), "fast", "reference")
+    pinned(Cell(variant, 24.0, 1500, topology=topology), "fast")
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -51,7 +50,7 @@ def test_traffic_clean_under_invariant_monitor(topology, pinned):
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_full_system_bit_identical(topology, pinned):
     pinned(Cell(Variant.COMPLETE, "fluidanimate", 200, seed=3,
-                topology=topology), "fast", "reference")
+                topology=topology), "fast")
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)

@@ -179,7 +179,7 @@ def test_reply_path_is_reversed_request_path(case, src, dst):
 
 @pytest.mark.parametrize("name,cores", CASES, ids=CASE_IDS)
 def test_route_tables_match_routing_function(name, cores):
-    """The dense tables both router pipelines consume are exactly the
+    """The dense tables the router consumes are exactly the
     RoutingFunction, entry for entry (eject at the destination router)."""
     topo = topo_for(name, cores)
     req_table, rep_table = route_tables(topo)
