@@ -758,6 +758,7 @@ class IdealPolicy(CircuitPolicy):
         if unit.wait_queue or not self._try_forward(router, port, flit, cycle):
             unit.wait_queue.append(flit)
             router._waiting += 1
+            router.core.waiting += 1
             self._c_conflict_waits += 1
         return True
 
@@ -769,6 +770,7 @@ class IdealPolicy(CircuitPolicy):
                 if self._try_forward(router, port, unit.wait_queue[0], cycle):
                     unit.wait_queue.pop(0)
                     router._waiting -= 1
+                    router.core.waiting -= 1
                 else:
                     break
 

@@ -20,7 +20,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.noc.flit import CircuitKey, Message
-from repro.noc.link import CreditLink, FlitLink
+from repro.noc.link import Credit, CreditLink, FlitLink
 from repro.sim.stats import Stats
 
 
@@ -65,7 +65,7 @@ class NetworkInterface:
             policy.injectable_vcs(vn)
             for vn in range(len(config.noc.vcs_per_vn))
         )
-        # Hot counters, batched; see Router._flush_counters for the rules.
+        # Hot counters, batched; see RouterCore._flush_counters for the rules.
         self._c_enqueued = 0
         self._c_injected = 0
         self._c_link = 0
@@ -74,11 +74,13 @@ class NetworkInterface:
         #: ``msg.count.<kind>`` key strings, interned on first use.
         self._kind_keys: Dict[str, str] = {}
         stats.add_flusher(self._flush_counters)
-        # Channels (wired by the Network).
-        self.to_router: Optional[FlitLink] = None
+        # Channels (wired by the Network): flits and undo notices toward
+        # the router go into the router core's arrival calendar at
+        # ``router_key``; ejected flits and credits arrive on links.
+        self.core = None
+        self.router_key: Optional[int] = None
         self.from_router: Optional[FlitLink] = None
         self.credit_in: Optional[CreditLink] = None
-        self.credit_out: Optional[CreditLink] = None
         # Credits mirroring the router's LOCAL input VC buffers.
         depth = config.noc.buffer_depth_flits
         bufferless = policy.bufferless_vcs()
@@ -173,8 +175,6 @@ class NetworkInterface:
         total = len(self.req_queue) + len(self.reply_pending)
         total += len(self.reply_queue) + len(self.held)
         total += len(self._rx_counts) + len(self._undo_out)
-        if self.to_router is not None:
-            total += self.to_router.in_flight()
         if self.active_circuit is not None:
             total += 1
         total += sum(1 for act in self.active_packet.values() if act is not None)
@@ -284,7 +284,8 @@ class NetworkInterface:
         keep: List[Tuple[int, CircuitKey]] = []
         for due, key in self._undo_out:
             if due <= cycle:
-                self.credit_out.send_undo(key, cycle)
+                self.core.send_credit(self.router_key, Credit(undo_key=key),
+                                      cycle)
                 self.stats.bump("circuit.undo_hops")
             else:
                 keep.append((due, key))
@@ -330,16 +331,7 @@ class NetworkInterface:
             flit.dst_vc = avc
             act.index += 1
             row[avc] -= 1
-            # Inlined FlitLink.send (per-flit injection hot path).
-            link = self.to_router
-            due = cycle + 1 + link.latency
-            link._queue.append((due, flit))
-            watcher = link.watcher
-            if watcher is not None:
-                watcher.incoming += 1
-                wake = watcher.kernel_wake
-                if wake is not None:
-                    wake(due)
+            self.core.send_flit(self.router_key, flit, cycle)
             self._c_injected += 1
             self._c_link += 1
             if act.done:
@@ -382,16 +374,7 @@ class NetworkInterface:
         flit = act.flits[act.index]
         flit.dst_vc = act.vc
         act.index += 1
-        # Inlined FlitLink.send (per-flit injection hot path).
-        link = self.to_router
-        due = cycle + 1 + link.latency
-        link._queue.append((due, flit))
-        watcher = link.watcher
-        if watcher is not None:
-            watcher.incoming += 1
-            wake = watcher.kernel_wake
-            if wake is not None:
-                wake(due)
+        self.core.send_flit(self.router_key, flit, cycle)
         self._c_injected += 1
         self._c_link += 1
         if act.done:

@@ -1,9 +1,15 @@
-"""Pipelined links for flits and credits.
+"""Pipelined links toward the network interfaces, and credits.
 
 A flit sent during a router's switch-traversal cycle ``c`` spends
 ``latency`` cycles on the wire and is available to the receiver at the
 start of cycle ``c + 1 + latency`` (so a 4-stage router plus a 1-cycle link
 yields the paper's 5 cycles/hop, and a circuit hop yields 2 cycles/hop).
+
+Channels *into* routers are not objects: every router-bound flit, credit
+and undo notice is an entry of the arrival calendar the network's
+:class:`~repro.noc.router.RouterCore` owns.  The two channels from a
+router into its NI - ejected flits, and the credits of the NI's injection
+buffers - are the queues below.
 
 Credits flow on a dedicated reverse channel with the same timing.  Per
 section 4.4, credits may also carry "undo circuit" notifications, either
@@ -19,14 +25,14 @@ from repro.noc.flit import CircuitKey, Flit
 
 
 class FlitLink:
-    """One-directional flit channel between two routers (or router/NI).
+    """One-directional flit channel from a router to its NI.
 
-    ``watcher`` (the receiving router/NI) is poked on every send so idle
-    receivers can skip their tick entirely - a pure simulation-speed
-    optimisation with no architectural effect.  When the watcher is
-    registered with an activity-driven :class:`~repro.sim.kernel.Simulator`
-    its ``kernel_wake`` is also poked with the arrival cycle, so a
-    sleeping receiver is rescheduled exactly when the flit lands.
+    ``watcher`` (the receiving NI) is poked on every send so an idle NI
+    can skip its tick entirely - a pure simulation-speed optimisation with
+    no architectural effect.  When the NI is registered with an
+    activity-driven :class:`~repro.sim.kernel.Simulator` its
+    ``kernel_wake`` is also poked with the arrival cycle, so a sleeping NI
+    is rescheduled exactly when the flit lands.
     """
 
     __slots__ = ("latency", "_queue", "watcher")
@@ -42,8 +48,8 @@ class FlitLink:
         self._queue.append((due, flit))
         watcher = self.watcher
         if watcher is not None:
-            # Watchers are always routers/NIs, which define kernel_wake
-            # (None until registered with an activity-driven kernel).
+            # Watchers are NIs, which define kernel_wake (None until
+            # registered with an activity-driven kernel).
             watcher.incoming += 1
             wake = watcher.kernel_wake
             if wake is not None:
@@ -85,54 +91,8 @@ class Credit:
         return f"Credit(vn={self.vn}, vc={self.vc}, undo={self.undo_key})"
 
 
-class CreditLink:
-    """Reverse channel returning credits (and undo notices) upstream."""
+class CreditLink(FlitLink):
+    """Reverse channel returning credits to an NI: the same timing and
+    watcher contract as :class:`FlitLink`, carrying Credit objects."""
 
-    __slots__ = ("latency", "_queue", "watcher", "_cache")
-
-    def __init__(self, latency: int = 1) -> None:
-        self.latency = latency
-        self._queue: Deque[Tuple[int, Credit]] = deque()
-        self.watcher = None
-        #: Buffer credits are immutable (vn, vc) pairs, so each distinct
-        #: pair is built once and the same object is resent thereafter.
-        self._cache: dict = {}
-
-    def send_credit(self, vn: int, vc: int, cycle: int) -> None:
-        """Return one buffer credit.
-
-        If an undo notice is departing in the same cycle it is piggybacked
-        onto this credit (one wire transaction instead of two); the merge is
-        purely an energy optimisation, so we model it in the energy counters
-        rather than in the channel itself.
-        """
-        key = (vn << 8) | vc
-        credit = self._cache.get(key)
-        if credit is None:
-            credit = self._cache[key] = Credit(vn, vc)
-        self._push(credit, cycle)
-
-    def send_undo(self, key: CircuitKey, cycle: int) -> None:
-        """Send an undo notice for ``key`` (dedicated or piggybacked credit)."""
-        self._push(Credit(undo_key=key), cycle)
-
-    def _push(self, credit: Credit, cycle: int) -> None:
-        due = cycle + 1 + self.latency
-        self._queue.append((due, credit))
-        watcher = self.watcher
-        if watcher is not None:
-            watcher.incoming += 1
-            wake = watcher.kernel_wake
-            if wake is not None:
-                wake(due)
-
-    def arrivals(self, cycle: int) -> Iterator[Credit]:
-        queue = self._queue
-        watcher = self.watcher
-        while queue and queue[0][0] <= cycle:
-            if watcher is not None:
-                watcher.incoming -= 1
-            yield queue.popleft()[1]
-
-    def in_flight(self) -> int:
-        return len(self._queue)
+    __slots__ = ()

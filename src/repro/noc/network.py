@@ -1,4 +1,4 @@
-"""Network assembly: routers, links, and network interfaces for a config."""
+"""Network assembly: routers, their core, links, and network interfaces."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Callable, List, Optional, TYPE_CHECKING
 from repro.noc.flit import Message
 from repro.noc.interface import NetworkInterface
 from repro.noc.link import CreditLink, FlitLink
-from repro.noc.router import Router
+from repro.noc.router import Router, RouterCore
 from repro.noc.topology import build_topology
 from repro.sim.stats import Stats
 
@@ -31,8 +31,11 @@ class Network:
         #: queries that every Topology provides.
         self.mesh = self.topo
         self.policy = make_policy(config, self.topo, self.stats)
+        #: The one kernel component clocking every router.
+        self.core = RouterCore(self.topo, config, self.policy, self.stats)
         self.routers: List[Router] = [
-            Router(router, self.topo, config, self.policy, self.stats)
+            Router(router, self.topo, config, self.policy, self.stats,
+                   self.core)
             for router in range(self.topo.n_routers)
         ]
         self.interfaces: List[NetworkInterface] = [
@@ -44,50 +47,32 @@ class Network:
     def _wire(self) -> None:
         latency = self.config.noc.link_latency
         topo = self.topo
-        # Router <-> router links.
+        core = self.core
+        # The calendar's single due offset holds for every channel.
+        assert core.latency == latency
+        stride = core.stride
+        # Router -> router: flits leaving through ``port`` arrive at the
+        # neighbour's input ``back``; credits for flits received on
+        # ``port`` return to the neighbour's output ``back`` - one key.
         for rid, router in enumerate(self.routers):
             for port, nbr, back in topo.neighbors(rid):
-                if router.out_flit[port] is not None:
-                    continue
-                neighbor = self.routers[nbr]
-                down = FlitLink(latency)
-                up = CreditLink(latency)
-                down.watcher = neighbor
-                up.watcher = router
-                router.out_flit[port] = down
-                router.in_credit[port] = up
-                neighbor.in_flit[back] = down
-                neighbor.out_credit[back] = up
-                rev = FlitLink(latency)
-                rev_credit = CreditLink(latency)
-                rev.watcher = router
-                rev_credit.watcher = neighbor
-                neighbor.out_flit[back] = rev
-                neighbor.in_credit[back] = rev_credit
-                router.in_flit[port] = rev
-                router.out_credit[port] = rev_credit
-        # Router <-> NI (local port) links.
+                router.flit_to[port] = nbr * stride + back
+                router.credit_to[port] = nbr * stride + back
+        # NI -> router goes through the calendar at the local port's key;
+        # router -> NI (ejection, injection credits) are watched links.
         for node, ni in enumerate(self.interfaces):
-            router = self.routers[topo.router_of(node)]
+            rid = topo.router_of(node)
+            router = self.routers[rid]
             local = topo.local_port(node)
-            inject = FlitLink(latency)
-            inject_credit = CreditLink(latency)
-            inject.watcher = router
-            inject_credit.watcher = ni
-            ni.to_router = inject
-            router.in_flit[local] = inject
-            router.out_credit[local] = inject_credit
-            ni.credit_in = inject_credit
+            ni.core = core
+            ni.router_key = rid * stride + local
             eject = FlitLink(latency)
-            eject_credit = CreditLink(latency)
             eject.watcher = ni
-            eject_credit.watcher = router
-            router.out_flit[local] = eject
-            ni.from_router = eject
-            ni.credit_out = eject_credit
-            router.in_credit[local] = eject_credit
-        for router in self.routers:
-            router.finalize_wiring()
+            router.flit_to[local] = ni.from_router = eject
+            inject_credit = CreditLink(latency)
+            inject_credit.watcher = ni
+            router.credit_to[local] = ni.credit_in = inject_credit
+        core.attach(self.routers)
 
     # ------------------------------------------------------------------
     def interface(self, node: int) -> NetworkInterface:
@@ -101,37 +86,31 @@ class Network:
         self.interfaces[msg.src].enqueue(msg, cycle)
 
     def tick(self, cycle: int) -> None:
-        """Advance every router, then every NI, by one cycle.
+        """Advance the router core, then every NI, by one cycle.
 
         Kept for manual drivers (traffic generators, unit tests); systems
         built on a :class:`~repro.sim.kernel.Simulator` should call
-        :meth:`register` instead so each router/NI can sleep individually.
+        :meth:`register` instead so the core and each NI can sleep.
         """
-        for router in self.routers:
-            router.tick(cycle)
+        self.core.tick(cycle)
         for ni in self.interfaces:
             ni.tick(cycle)
 
     def register(self, sim: "Simulator", nodes=None) -> None:
-        """Register each router and NI with ``sim`` as its own component.
+        """Register the router core, then each NI, with ``sim``.
 
         Preserves the exact intra-cycle order of :meth:`tick` (all routers,
         then all NIs) while letting the activity-driven kernel skip the
         idle ones.
 
-        ``nodes`` (a set of node ids, or None for all) restricts
-        registration to a shard's local routers/NIs: the sharded engine
-        builds the full network in every worker for deterministic
-        construction, but only the local slice may ever tick.  The
-        relative order among registered components is unchanged, so a
-        shard's intra-cycle schedule is a subsequence of the
-        single-process one.
+        ``nodes`` (a set of node ids, or None for all) restricts the NIs
+        to a shard's local slice: the sharded engine builds the full
+        network in every worker for deterministic construction, but only
+        local NIs may ever tick.  The core clocks the local routers
+        alone, because the barrier moves every calendar entry bound for
+        a foreign router out before it is due.
         """
-        routers = (None if nodes is None
-                   else {self.topo.router_of(n) for n in nodes})
-        for router in self.routers:
-            if routers is None or router.node in routers:
-                sim.add(router)
+        sim.add(self.core)
         for ni in self.interfaces:
             if nodes is None or ni.node in nodes:
                 sim.add(ni)
@@ -148,52 +127,22 @@ class Network:
 
     def in_flight(self) -> int:
         """Flits/messages anywhere in the network or NI queues."""
-        total = 0
+        core = self.core
+        total = len(core.grants)
+        for bucket in core.flits.values():
+            total += len(bucket)
         for router in self.routers:
             total += router.buffered_flits()
-            total += len(router._st_pending)
-            for port in router.ports:
-                link = router.out_flit[port]
-                if link is not None:
-                    total += link.in_flight()
-                total += len(router.inputs[port].wait_queue)
+            for _port, unit in router._input_units:
+                total += len(unit.wait_queue)
         for ni in self.interfaces:
-            total += ni.pending_work()
+            total += ni.from_router.in_flight() + ni.pending_work()
         return total
 
-    def flit_links(self):
-        """Yield ``(label, FlitLink)`` for every flit channel exactly once.
-
-        Covers router-to-router links, ejection links (a router's LOCAL
-        output) and NI injection links.
-        """
-        for router in self.routers:
-            for port in router.ports:
-                link = router.out_flit[port]
-                if link is not None:
-                    yield (f"router{router.node}.out."
-                           f"{self.topo.port_name(port)}", link)
-        for ni in self.interfaces:
-            if ni.to_router is not None:
-                yield f"ni{ni.node}.inject", ni.to_router
-
-    def credit_links(self):
-        """Yield ``(label, CreditLink)`` for every credit channel exactly once.
-
-        A router's ``out_credit`` map covers the upstream credit channels it
-        drives (including the LOCAL one toward its NI); the NI ``credit_out``
-        link (toward its router, used for undo notifications) is the only
-        channel not owned by a router.
-        """
-        for router in self.routers:
-            for port in router.ports:
-                link = router.out_credit[port]
-                if link is not None:
-                    yield (f"router{router.node}.credit."
-                           f"{self.topo.port_name(port)}", link)
-        for ni in self.interfaces:
-            if ni.credit_out is not None:
-                yield f"ni{ni.node}.eject_credit", ni.credit_out
+    def channel_label(self, key: int) -> str:
+        """Name of the input port a calendar key delivers to."""
+        router, port = divmod(key, self.core.stride)
+        return f"router{router}.in.{self.topo.port_name(port)}"
 
     def buffered_flits(self) -> int:
         """Flits sitting in router input buffers chip-wide (occupancy)."""

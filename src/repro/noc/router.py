@@ -1,4 +1,4 @@
-"""Four-stage wormhole router with Reactive Circuits support.
+"""Four-stage wormhole routers with Reactive Circuits support.
 
 The baseline pipeline (paper Table 4 / Fig. 2) is:
 
@@ -14,23 +14,33 @@ crossbar in its arrival cycle (2 cycles/hop with the link).  The crossbar
 prioritises circuit flits; packet flits that already won switch allocation
 retry their traversal the next cycle (section 4.3).
 
-:class:`Router` is written for the saturation hot path: dense
-port-indexed lists instead of dicts, precomputed route tables, per-unit
-round-robin arbiters over integer candidate codes with reused scratch
-lists, inlined link drains, and hot counters batched into plain ints
-that a registered :class:`~repro.sim.stats.Stats` flusher drains at read
+The routers of a network are one kernel component, :class:`RouterCore`.
+Each cycle it runs one stage at a time across the whole network -
+credits, ideal-mode retries, arrivals, switch traversal, then the fused
+switch/VC allocation (:meth:`Router.allocate`) of every router holding a
+busy VC - over a network-owned arrival calendar.  Every channel between
+routers carries at least one cycle of latency, so no router reads
+another's state within a cycle: running the stages network-wide is
+bit-identical to running the routers one after another, each through the
+same stages in the same order.  :class:`Router` keeps one router's state
+(units, VCs, arbiters, circuit tables) and the helpers the circuit
+policies call.  The hot loops use dense port-indexed lists, precomputed
+route tables, round-robin arbiters over integer candidate codes with
+reused scratch lists, and counters batched into plain ints that a
+registered :class:`~repro.sim.stats.Stats` flusher drains at read
 boundaries.  The committed conformance goldens
-(``tests/golden/conformance.json``) pin its behaviour, stats and finish
+(``tests/golden/conformance.json``) pin the behaviour, stats and finish
 cycles included.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from operator import itemgetter
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.noc.allocators import RoundRobinArbiter
 from repro.noc.flit import Flit
-from repro.noc.link import Credit, CreditLink, FlitLink
+from repro.noc.link import Credit
 from repro.noc.routing import route_tables
 from repro.noc.topology import Topology
 from repro.noc.vc import InputVc, OutputVc, VcStage
@@ -44,18 +54,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Effectively infinite credit count used for ejection (NI sink) ports.
 EJECTION_CREDITS = 1 << 30
 
+#: Crossbar claim masks hold input port ``p`` at bit ``p`` and output
+#: port ``p`` at bit ``OUT_SHIFT + p``.
+OUT_SHIFT = 16
+
 _ACTIVE = VcStage.ACTIVE
 _VA = VcStage.VA
 _IDLE = VcStage.IDLE
+_KEY = itemgetter(0)
+
+
+def post(calendar: Dict[int, list], due: int, entry: tuple) -> None:
+    """File ``entry`` under cycle ``due`` of an arrival calendar."""
+    bucket = calendar.get(due)
+    if bucket is None:
+        calendar[due] = [entry]
+    else:
+        bucket.append(entry)
 
 
 class InputUnit:
     """All per-input-port state: VCs, circuit table, ideal-mode wait queue."""
 
-    __slots__ = ("port", "vcs", "circuit_table", "wait_queue", "busy_count",
+    __slots__ = ("router", "port", "vcs", "circuit_table", "wait_queue",
                  "busy_list", "sa_arb")
 
-    def __init__(self, port: int, vcs: List[List[InputVc]]) -> None:
+    def __init__(self, router: "Router", port: int,
+                 vcs: List[List[InputVc]]) -> None:
+        self.router = router
         self.port = port
         #: vcs[vn][vc_index]
         self.vcs = vcs
@@ -63,11 +89,9 @@ class InputUnit:
         self.circuit_table: Optional["CircuitTable"] = None
         #: Ideal mode: flits waiting for a free output port (FIFO).
         self.wait_queue: List[Flit] = []
-        #: Non-IDLE VCs at this port (lets allocation skip idle ports).
-        self.busy_count = 0
-        #: The non-IDLE VCs themselves, kept sorted by (vn, index) so the
-        #: allocation stages see candidates in the same order a full scan
-        #: of ``vcs`` would produce (round-robin decisions depend on it).
+        #: The non-IDLE VCs, kept sorted by (vn, index) so the allocation
+        #: stages see candidates in the same order a full scan of ``vcs``
+        #: would produce (round-robin decisions depend on it).
         self.busy_list: List[InputVc] = []
         #: Phase-1 switch-allocation arbiter for this port's candidates.
         self.sa_arb = RoundRobinArbiter()
@@ -76,9 +100,11 @@ class InputUnit:
 class OutputUnit:
     """Per-output-port state: downstream VC credit/allocation bookkeeping."""
 
-    __slots__ = ("port", "vcs", "sa_arb")
+    __slots__ = ("router", "port", "vcs", "sa_arb")
 
-    def __init__(self, port: int, vcs: List[List[OutputVc]]) -> None:
+    def __init__(self, router: "Router", port: int,
+                 vcs: List[List[OutputVc]]) -> None:
+        self.router = router
         self.port = port
         self.vcs = vcs
         #: Phase-2 switch-allocation arbiter among contending input ports.
@@ -86,30 +112,31 @@ class OutputUnit:
 
 
 class Router:
-    """One NoC router (optimised hot-path pipeline).
+    """One NoC router's state; :class:`RouterCore` clocks it.
 
-    Wiring (set by :class:`~repro.noc.network.Network`): for each port,
-    ``in_flit[p]`` delivers flits from the neighbour/NI, ``out_flit[p]``
-    carries flits out, ``in_credit[p]`` returns credits for flits we sent
-    out of ``p``, and ``out_credit[p]`` returns credits (and undo notices)
-    for flits we received on ``p``.
+    Wiring (set by :class:`~repro.noc.network.Network`): ``flit_to[p]``
+    and ``credit_to[p]`` say where flits leaving through ``p`` and the
+    credits for flits received on ``p`` go.  For a network port both are
+    the neighbour's calendar key (``router * stride + port``); for a local
+    port they are the :class:`~repro.noc.link.FlitLink` /
+    :class:`~repro.noc.link.CreditLink` toward the NI.
 
-    All six per-port structures are dense lists indexed by the plain-int
-    port id, sized to the topology's ``max_radix`` (``None`` where the
-    port does not exist / is not wired), so the per-cycle stage loops pay
-    a C-level list index instead of a dict hash per access.  Iterate
-    present ports via ``self.ports`` or the ``_input_units`` pairs.
-    ``node`` is the *router* id; topologies with concentration attach
-    several nodes through local ports >= ``topology.local_base``.
+    The per-port structures are dense lists indexed by the plain-int port
+    id, sized to the topology's ``max_radix`` (``None`` where the port
+    does not exist).  Iterate present ports via ``self.ports`` or the
+    ``_input_units`` pairs.  ``node`` is the *router* id; topologies with
+    concentration attach several nodes through local ports >=
+    ``topology.local_base``.
     """
 
     def __init__(self, node: int, mesh: Topology, config: "SystemConfig",
-                 policy, stats: Stats) -> None:
+                 policy, stats: Stats, core: "RouterCore") -> None:
         self.node = node
         self.mesh = mesh
         self.config = config
         self.policy = policy
         self.stats = stats
+        self.core = core
         noc = config.noc
         n_ports = mesh.max_radix
         local_base = mesh.local_base
@@ -118,7 +145,7 @@ class Router:
         self.inputs: List[Optional[InputUnit]] = [None] * n_ports
         self.outputs: List[Optional[OutputUnit]] = [None] * n_ports
         depth = noc.buffer_depth_flits
-        self._bufferless_vcs = policy.bufferless_vcs()  # set of (vn, vc)
+        bufferless = policy.bufferless_vcs()  # set of (vn, vc)
         for port in self.ports:
             in_vcs: List[List[InputVc]] = []
             out_vcs: List[List[OutputVc]] = []
@@ -127,7 +154,7 @@ class Router:
                 row_in: List[InputVc] = []
                 row_out: List[OutputVc] = []
                 for index in range(count):
-                    vc_depth = 0 if (vn, index) in self._bufferless_vcs else depth
+                    vc_depth = 0 if (vn, index) in bufferless else depth
                     ivc = InputVc(vn, index, vc_depth)
                     ivc.rcode = port_bits | ivc.scode
                     ivc.rkey = (port, vn, index)
@@ -143,31 +170,25 @@ class Router:
                     row_out.append(ovc)
                 in_vcs.append(row_in)
                 out_vcs.append(row_out)
-            self.inputs[port] = InputUnit(port, in_vcs)
-            self.outputs[port] = OutputUnit(port, out_vcs)
+            self.inputs[port] = InputUnit(self, port, in_vcs)
+            self.outputs[port] = OutputUnit(self, port, out_vcs)
         policy.attach_router(self)
-        # Channels, wired by the Network (dense, port-indexed).
-        self.in_flit: List[Optional[FlitLink]] = [None] * n_ports
-        self.out_flit: List[Optional[FlitLink]] = [None] * n_ports
-        self.in_credit: List[Optional[CreditLink]] = [None] * n_ports
-        self.out_credit: List[Optional[CreditLink]] = [None] * n_ports
+        self._input_units = [(port, self.inputs[port]) for port in self.ports]
+        # Destinations, wired by the Network (dense, port-indexed).
+        self.flit_to: list = [None] * n_ports
+        self.credit_to: list = [None] * n_ports
         # Precomputed next-hop rows for this router: [vn] -> dest -> port.
         req_table, rep_table = route_tables(mesh, noc.request_xy)
         self._route_rows = (req_table[node], rep_table[node])
-        # Pipeline state.  Granted traversals carry the winning InputVc
-        # itself so switch traversal skips the unit/vn/index re-lookup.
-        self._st_pending: List[Tuple[int, int, InputVc]] = []
-        self._st_scratch: List[Tuple[int, int, InputVc]] = []
-        self._out_claimed = 0
-        self._in_claimed = 0
-        #: Count of VCs not in IDLE stage (fast-path idle check).
+        # allocatable_vcs() is a static property of the policy; caching it
+        # keeps a per-VC virtual call out of the allocation inner loops.
+        self._alloc_vn = tuple(
+            policy.allocatable_vcs(vn) for vn in range(len(noc.vcs_per_vn))
+        )
+        #: Count of VCs not in IDLE stage.
         self._busy_vcs = 0
-        #: Flits/credits in flight toward this router (link watcher).
-        self.incoming = 0
-        #: Ideal-mode wait queues in use (kept non-empty check cheap).
+        #: Ideal-mode flits in this router's wait queues.
         self._waiting = 0
-        #: DOR orientation shared with the circuit policies.
-        self._request_xy = noc.request_xy
         #: Flits forwarded through this crossbar (utilisation heatmaps).
         self.forwarded = 0
         #: Optional debug tracer: fn(cycle, router, out_port, flit).
@@ -176,23 +197,7 @@ class Router:
         #: are guarded by ``observer is not None`` so detached telemetry
         #: costs one attribute test per event site.
         self.observer = None
-        #: Set by the simulator kernel; links poke it with arrival cycles
-        #: so a sleeping router wakes exactly when traffic reaches it.
-        self.kernel_wake = None
-        # Policy hooks that are no-ops for this variant are skipped at
-        # the call site (the flags are static per policy class), and the
-        # hook's own first-line guard is hoisted in front of the call:
-        # 0 = always call, 1 = only flits riding a circuit, 2 = only
-        # reply-VN flits carrying a circuit key.
-        self._arrival_hook = (
-            policy.handle_arrival if policy.handles_arrivals else None
-        )
-        self._tail_hook = policy.on_tail_departure if policy.handles_tails else None
-        filt = policy.arrival_filter
-        self._arrival_filter = (
-            1 if filt == "on_circuit" else 2 if filt == "reply_keyed" else 0
-        )
-        # Reused allocation scratch (never escapes a tick).
+        # Reused allocation scratch (never escapes an allocate call).
         self._sa_codes: List[int] = []
         self._sa_vcs: List[InputVc] = []
         self._sa_out_order: List[int] = []
@@ -201,50 +206,6 @@ class Router:
         self._va_codes: List[int] = []
         self._va_objs: List[OutputVc] = []
         self._va_touched: List[OutputVc] = []
-        # Hot counters, batched; drained by _flush_counters (registered
-        # with the Stats object) at sample/finish boundaries.
-        self._c_buffer_writes = 0
-        self._c_route = 0
-        self._c_buffer_reads = 0
-        self._c_xbar = 0
-        self._c_link = 0
-        self._c_credits = 0
-        self._c_sa = 0
-        self._c_va = 0
-        stats.add_flusher(self._flush_counters)
-
-    def _flush_counters(self) -> None:
-        """Drain batched hot counters into the shared Stats dict.
-
-        Only nonzero deltas are written: flushing zeros would create
-        counter keys an unbatched run never creates, breaking snapshot
-        equality.
-        """
-        counters = self.stats.counters
-        if self._c_buffer_writes:
-            counters["noc.buffer_writes"] += self._c_buffer_writes
-            self._c_buffer_writes = 0
-        if self._c_route:
-            counters["noc.route_computations"] += self._c_route
-            self._c_route = 0
-        if self._c_buffer_reads:
-            counters["noc.buffer_reads"] += self._c_buffer_reads
-            self._c_buffer_reads = 0
-        if self._c_xbar:
-            counters["noc.xbar_traversals"] += self._c_xbar
-            self._c_xbar = 0
-        if self._c_link:
-            counters["noc.link_flits"] += self._c_link
-            self._c_link = 0
-        if self._c_credits:
-            counters["noc.credits_sent"] += self._c_credits
-            self._c_credits = 0
-        if self._c_sa:
-            counters["noc.sa_grants"] += self._c_sa
-            self._c_sa = 0
-        if self._c_va:
-            counters["noc.va_grants"] += self._c_va
-            self._c_va = 0
 
     # ------------------------------------------------------------------
     # Helpers used by policies and the network interface machinery.
@@ -257,38 +218,50 @@ class Router:
 
     def claim_path(self, in_port: int, out_port: int) -> bool:
         """Atomically claim crossbar input+output lines for this cycle."""
-        out_bit = 1 << out_port
-        in_bit = 1 << in_port
-        if (self._out_claimed & out_bit) or (self._in_claimed & in_bit):
+        claims = self.core.claims
+        need = (1 << in_port) | (1 << (OUT_SHIFT + out_port))
+        mask = claims[self.node]
+        if mask & need:
             return False
-        self._out_claimed |= out_bit
-        self._in_claimed |= in_bit
+        claims[self.node] = mask | need
         return True
+
+    def _send(self, calendar: dict, to: list, port: int, item,
+              cycle: int) -> None:
+        """Put ``item`` on the wire out of ``port`` during ``cycle``."""
+        if port < self._local_base:
+            post(calendar, cycle + 1 + self.core.latency, (to[port], item))
+        else:
+            to[port].send(item, cycle)
 
     def forward_flit(self, out_port: int, flit: Flit, cycle: int) -> None:
         """Send ``flit`` through the crossbar onto ``out_port``'s link."""
-        self.out_flit[out_port].send(flit, cycle)
+        core = self.core
+        self._send(core.flits, self.flit_to, out_port, flit, cycle)
         self.forwarded += 1
-        self._c_xbar += 1
-        self._c_link += 1
+        core._c_xbar += 1
+        core._c_link += 1
         if self.tracer is not None:
             self.tracer(cycle, self, out_port, flit)
 
     def return_credit(self, in_port: int, vn: int, vc_index: int, cycle: int) -> None:
         """Return one buffer credit upstream for ``in_port``'s (vn, vc)."""
-        self.out_credit[in_port].send_credit(vn, vc_index, cycle)
-        self._c_credits += 1
+        core = self.core
+        self._send(core.credits, self.credit_to, in_port,
+                   core._credit_objs[vn][vc_index], cycle)
+        core._c_credits += 1
 
     def send_undo(self, out_port: int, key, cycle: int) -> None:
         """Propagate an undo notice toward the circuit destination."""
-        self.out_credit[out_port].send_undo(key, cycle)
+        self._send(self.core.credits, self.credit_to, out_port,
+                   Credit(undo_key=key), cycle)
         self.stats.bump("circuit.undo_hops")
 
     def vc_became_busy(self, port: int, vc: InputVc) -> None:
+        if not self._busy_vcs:
+            self.core.mark_busy(self)
         self._busy_vcs += 1
-        unit = self.inputs[port]
-        unit.busy_count += 1
-        busy = unit.busy_list
+        busy = self.inputs[port].busy_list
         key = (vc.vn, vc.index)
         i = len(busy)
         while i and (busy[i - 1].vn, busy[i - 1].index) > key:
@@ -297,9 +270,9 @@ class Router:
 
     def vc_became_idle(self, port: int, vc: InputVc) -> None:
         self._busy_vcs -= 1
-        unit = self.inputs[port]
-        unit.busy_count -= 1
-        unit.busy_list.remove(vc)
+        if not self._busy_vcs:
+            self.core.busy.remove(self)
+        self.inputs[port].busy_list.remove(vc)
 
     def route_vn(self, vn: int, dest: int) -> int:
         """Precomputed DOR next hop from this router for ``(vn, dest)``."""
@@ -309,441 +282,156 @@ class Router:
         """Reply-VN route from this router toward ``dest``."""
         return self._route_rows[1][dest]
 
-    def finalize_wiring(self) -> None:
-        """Precompute hot-loop port/link lists (called once by Network)."""
-        self._credit_pulls = [
-            (port, self.in_credit[port]) for port in self.ports
-            if self.in_credit[port] is not None
-        ]
-        self._flit_pulls = [
-            (port, self.in_flit[port]) for port in self.ports
-            if self.in_flit[port] is not None
-        ]
-        self._input_units = [(port, self.inputs[port]) for port in self.ports]
-        # allocatable_vcs() is a static property of the policy; caching it
-        # keeps a per-VC virtual call out of the allocation inner loops.
-        self._alloc_vn = tuple(
-            self.policy.allocatable_vcs(vn)
-            for vn in range(len(self.config.noc.vcs_per_vn))
-        )
-
     # ------------------------------------------------------------------
-    # Tick.
+    # Stages 2+3: fused switch + VC allocation.
     # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        """One router cycle: credits, arrivals, traversal, allocation.
+    def allocate(self, cycle: int) -> None:
+        """Switch and VC allocation over this router's busy VCs.
 
-        The four stage bodies live inline in this one function: at
-        saturation every awake router runs all of them every cycle, and
-        the per-stage method dispatch alone was a measurable slice of the
-        cycle budget.  Each section is marked with the stage it runs.
+        One pass over each port's busy list computes both the SA phase-1
+        port winners and the VA phase-1 proposals.  The fusion is
+        decision-identical to running the two stages back to back: the
+        scans read disjoint VC sets (stage ACTIVE vs. VA) through disjoint
+        arbiters, and applying the SA grants mutates only
+        ``credits``/``granted_pending``/the grant list, none of which the
+        VA phase reads.  Candidate lists materialise lazily - the common
+        single-candidate case advances the arbiter directly and never
+        appends.  A blocked VC finds no candidate and arbiters advance
+        only on grants, so calling this on a router whose busy VCs are
+        all blocked changes nothing.
         """
-        # Idle guard (runs once per awake cycle).
-        if not (self._busy_vcs or self._st_pending or self.incoming):
-            if not self._waiting:
-                return
-            for _port, unit in self._input_units:
-                if unit.wait_queue:
-                    break
-            else:
-                return
-        self._out_claimed = 0
-        self._in_claimed = 0
-        inputs = self.inputs
         outputs = self.outputs
-        policy = self.policy
-        # ``incoming`` counts flits+credits queued on our input links, so
-        # when it is zero both drain loops would scan empty queues.
-        incoming = self.incoming
-        if incoming:
-            # -- credits ---------------------------------------------------
-            removed = 0
-            for port, link in self._credit_pulls:
-                queue = link._queue
-                if not queue or queue[0][0] > cycle:
+        sa_codes = self._sa_codes
+        sa_vcs = self._sa_vcs
+        out_order = self._sa_out_order
+        out_cands = self._sa_out_cands
+        win_vc = self._sa_win_vc
+        va_codes = self._va_codes
+        va_objs = self._va_objs
+        touched = self._va_touched
+        alloc_vn = self._alloc_vn
+        ACTIVE = _ACTIVE
+        VA = _VA
+        sa_found = False
+        for port, unit in self._input_units:
+            busy = unit.busy_list
+            if not busy:
+                continue
+            sa_first = None
+            sa_multi = False
+            for vc in busy:
+                if vc.ready_cycle > cycle:
                     continue
-                vcs = outputs[port].vcs
-                while queue and queue[0][0] <= cycle:
-                    credit = queue.popleft()[1]
-                    removed += 1
-                    vn = credit.vn
-                    if vn is not None:
-                        vcs[vn][credit.vc].credits += 1
-                    if credit.undo_key is not None:
-                        policy.handle_undo(self, port, credit.undo_key, cycle)
-            if removed:
-                self.incoming -= removed
-        if self._waiting:
-            policy.retry_waiting(self, cycle)
-        if incoming:
-            # -- stage 1: arrivals (circuit check, buffering + RC) ---------
-            # Policies whose handle_arrival is a no-op (the flag is static
-            # per policy class) leave the hook unbound and skip the call.
-            arrival_hook = self._arrival_hook
-            filt = self._arrival_filter
-            route_rows = self._route_rows
-            IDLE = _IDLE
-            VA = _VA
-            removed = 0
-            writes = 0
-            routes = 0
-            for port, link in self._flit_pulls:
-                queue = link._queue
-                if not queue or queue[0][0] > cycle:
-                    continue
-                unit = inputs[port]
-                port_vcs = unit.vcs
-                ptable = unit.circuit_table
-                while queue and queue[0][0] <= cycle:
-                    flit = queue.popleft()[1]
-                    removed += 1
-                    msg = flit.msg
-                    if arrival_hook is not None:
-                        # The filter replicates the hook's first-line early
-                        # return, so skipping the call is decision-identical.
-                        if filt == 1:
-                            handled = flit.on_circuit and arrival_hook(
-                                self, port, flit, cycle)
-                        elif filt == 2:
-                            # Table pre-probe: a pure miss has no side
-                            # effects in the hook (fragmented entries are
-                            # untimed, so membership == live lookup), and
-                            # gap hops at saturation are mostly misses.
-                            handled = (msg.vn == 1
-                                       and msg.circuit_key is not None
-                                       and ptable is not None
-                                       and msg.circuit_key in ptable.entries
-                                       and arrival_hook(self, port, flit, cycle))
-                        else:
-                            handled = arrival_hook(self, port, flit, cycle)
-                        if handled:
-                            if self.observer is not None:
-                                self.observer.router_circuit_hit(self, flit, cycle)
-                            continue
-                    vn = msg.vn
-                    dst_vc = flit.dst_vc
-                    vc = port_vcs[vn][dst_vc]
+                stage = vc.stage
+                if stage is ACTIVE:
+                    if vc.granted_pending:
+                        continue
                     buf = vc.buffer
-                    if len(buf) >= vc.depth:
-                        self._overflow(port, flit, vn, dst_vc, vc)
-                    buf.append((flit, cycle, dst_vc))
-                    writes += 1
-                    if flit.is_head and vc.stage is IDLE and len(buf) == 1:
-                        # Inlined vc_became_busy (per-packet-head path).
-                        self._busy_vcs += 1
-                        unit.busy_count += 1
-                        busy = unit.busy_list
-                        bkey = (vn, dst_vc)
-                        i = len(busy)
-                        while i and (busy[i - 1].vn,
-                                     busy[i - 1].index) > bkey:
-                            i -= 1
-                        busy.insert(i, vc)
-                        vc.route = route_rows[vn][msg.dest]
-                        vc.stage = VA
-                        vc.ready_cycle = cycle + 1
-                        routes += 1
-            if removed:
-                self.incoming -= removed
-                self._c_buffer_writes += writes
-                self._c_route += routes
-        pending = self._st_pending
-        if pending:
-            # -- stage 4: switch traversal ---------------------------------
-            remaining = self._st_scratch
-            out_flit = self.out_flit
-            out_credit = self.out_credit
-            tail_hook = self._tail_hook
-            tracer = self.tracer
-            # Fault injection and tests patch claim_path per *instance*;
-            # when it is unpatched (no instance attribute shadows the
-            # method) the bit tests are inlined on claim-mask locals.
-            patched = self.__dict__.get("claim_path")
-            if patched is None:
-                out_claimed = self._out_claimed
-                in_claimed = self._in_claimed
-            moved = 0
-            for item in pending:
-                st_cycle, in_port, vc = item
-                if st_cycle > cycle:
-                    remaining.append(item)
-                    continue
-                out_port = vc.route
-                if patched is None:
-                    out_bit = 1 << out_port
-                    in_bit = 1 << in_port
-                    if (out_claimed & out_bit) or (in_claimed & in_bit):
-                        remaining.append(item)  # crossbar busy (circuit priority)
-                        continue
-                    out_claimed |= out_bit
-                    in_claimed |= in_bit
-                elif not patched(in_port, out_port):
-                    remaining.append(item)  # crossbar busy (circuit priority)
-                    continue
-                flit, _arrived, credit_vc = vc.buffer.popleft()
-                out_vc_index = vc.out_vc
-                flit.dst_vc = out_vc_index if out_vc_index is not None else 0
-                # Inlined FlitLink.send / CreditLink.send_credit (one flit
-                # out plus one credit back per traversal is the per-flit
-                # hot path; the bodies match link.py's exactly).
-                link = out_flit[out_port]
-                due = cycle + 1 + link.latency
-                link._queue.append((due, flit))
-                watcher = link.watcher
-                if watcher is not None:
-                    watcher.incoming += 1
-                    wake = watcher.kernel_wake
-                    if wake is not None:
-                        wake(due)
-                moved += 1
-                if tracer is not None:
-                    tracer(cycle, self, out_port, flit)
-                clink = out_credit[in_port]
-                cache = clink._cache
-                ckey = (vc.vn << 8) | credit_vc
-                credit = cache.get(ckey)
-                if credit is None:
-                    credit = cache[ckey] = Credit(vc.vn, credit_vc)
-                due = cycle + 1 + clink.latency
-                clink._queue.append((due, credit))
-                watcher = clink.watcher
-                if watcher is not None:
-                    watcher.incoming += 1
-                    wake = watcher.kernel_wake
-                    if wake is not None:
-                        wake(due)
-                vc.granted_pending = False
-                if flit.is_tail:
-                    vc.out_obj.allocated_to = None
-                    if tail_hook is not None:
-                        tail_hook(self, in_port, flit, cycle)
-                    vc.reset_for_next_packet(cycle)
-                    if vc.buffer:
-                        # Non-atomic buffers: the next packet is already
-                        # queued; its head starts route computation now
-                        # (the VC stays busy).
-                        self._route_compute(vc, vc.buffer[0][0], cycle)
-                    else:
-                        # Inlined vc_became_idle (per-packet-tail path).
-                        self._busy_vcs -= 1
-                        iunit = inputs[in_port]
-                        iunit.busy_count -= 1
-                        iunit.busy_list.remove(vc)
-            if patched is None:
-                self._out_claimed = out_claimed
-                self._in_claimed = in_claimed
-            # Recycle the drained list as the next call's scratch.
-            del pending[:]
-            self._st_pending = remaining
-            self._st_scratch = pending
-            if moved:
-                self.forwarded += moved
-                self._c_buffer_reads += moved
-                self._c_xbar += moved
-                self._c_link += moved
-                self._c_credits += moved
-        if self._busy_vcs:
-            # -- stages 2+3: fused switch + VC allocation ------------------
-            # One pass over each port's busy list computes both the SA
-            # phase-1 port winners and the VA phase-1 proposals.  The
-            # fusion is decision-identical to running the two stages back
-            # to back: the scans read disjoint VC sets (stage ACTIVE vs.
-            # VA) through disjoint arbiters, and applying the SA grants
-            # mutates only ``credits``/``granted_pending``/``_st_pending``,
-            # none of which the VA phase reads.  Candidate lists
-            # materialise lazily - the common single-candidate case
-            # advances the arbiter directly and never appends.
-            sa_codes = self._sa_codes
-            sa_vcs = self._sa_vcs
-            out_order = self._sa_out_order
-            out_cands = self._sa_out_cands
-            win_vc = self._sa_win_vc
-            va_codes = self._va_codes
-            va_objs = self._va_objs
-            touched = self._va_touched
-            alloc_vn = self._alloc_vn
-            ACTIVE = _ACTIVE
-            VA = _VA
-            sa_found = False
-            for port, unit in self._input_units:
-                busy = unit.busy_list
-                if not busy:
-                    continue
-                sa_first = None
-                sa_multi = False
-                for vc in busy:
-                    if vc.ready_cycle > cycle:
-                        continue
-                    stage = vc.stage
-                    if stage is ACTIVE:
-                        if vc.granted_pending:
-                            continue
-                        buf = vc.buffer
-                        if buf and buf[0][1] < cycle and vc.out_obj.credits > 0:
-                            if sa_first is None:
-                                sa_first = vc
-                            else:
-                                if not sa_multi:
-                                    sa_multi = True
-                                    sa_codes.append(sa_first.scode)
-                                    sa_vcs.append(sa_first)
-                                sa_codes.append(vc.scode)
-                                sa_vcs.append(vc)
-                    elif stage is VA:
-                        out_vcs = outputs[vc.route].vcs[vc.vn]
-                        first_ov = None
-                        multi = False
-                        for index in alloc_vn[vc.vn]:
-                            ov = out_vcs[index]
-                            if ov.allocated_to is None:
-                                if first_ov is None:
-                                    first_ov = ov
-                                else:
-                                    if not multi:
-                                        multi = True
-                                        va_codes.append(first_ov.code)
-                                        va_objs.append(first_ov)
-                                    va_codes.append(ov.code)
-                                    va_objs.append(ov)
-                        if first_ov is None:
-                            continue
-                        if multi:
-                            ov = va_objs[vc.va_arb.pick_at(va_codes)]
-                            del va_codes[:]
-                            del va_objs[:]
+                    if buf and buf[0][1] < cycle and vc.out_obj.credits > 0:
+                        if sa_first is None:
+                            sa_first = vc
                         else:
-                            vc.va_arb._last = first_ov.code
-                            ov = first_ov
-                        props = ov.proposals
-                        if not props:
-                            touched.append(ov)
-                        props.append(vc)
-                if sa_first is not None:
-                    if sa_multi:
-                        winner_vc = sa_vcs[unit.sa_arb.pick_at(sa_codes)]
-                        del sa_codes[:]
-                        del sa_vcs[:]
-                    else:
-                        unit.sa_arb._last = sa_first.scode
-                        winner_vc = sa_first
-                    sa_found = True
-                    win_vc[port] = winner_vc
-                    route = winner_vc.route
-                    contenders = out_cands[route]
-                    if not contenders:
-                        out_order.append(route)
-                    contenders.append(port)
-            # SA phase 2: one grant per output port.
-            if sa_found:
-                st_pending = self._st_pending
-                local_base = self._local_base
-                grants = 0
-                for route in out_order:
-                    contenders = out_cands[route]
-                    if len(contenders) == 1:
-                        winner = contenders[0]
-                        outputs[route].sa_arb._last = winner
-                    else:
-                        arb = outputs[route].sa_arb
-                        winner = contenders[arb.pick_at(contenders)]
-                    del contenders[:]
-                    vc = win_vc[winner]
-                    win_vc[winner] = None
-                    if route < local_base:
-                        vc.out_obj.credits -= 1
-                    vc.granted_pending = True
-                    st_pending.append((cycle + 1, winner, vc))
-                    grants += 1
-                del out_order[:]
-                self._c_sa += grants
-            # VA phase 2: one grant per proposed-to output VC.
-            if touched:
-                grants = 0
-                for ov in touched:
-                    props = ov.proposals
-                    if len(props) == 1:
-                        vc = props[0]
-                        ov.va_arb._last = vc.rcode
-                    else:
-                        del va_codes[:]
-                        for p in props:
-                            va_codes.append(p.rcode)
-                        vc = props[ov.va_arb.pick_at(va_codes)]
-                        del va_codes[:]
-                    del props[:]
-                    vc.stage = ACTIVE
-                    vc.out_vc = ov.index
-                    vc.out_obj = ov
-                    vc.ready_cycle = cycle + 1
-                    ov.allocated_to = vc.rkey
-                    grants += 1
-                    head = vc.buffer[0][0]
-                    msg = head.msg
-                    if msg.builds_circuit and vc.vn == 0:
-                        # Circuit reservation runs in parallel with VA
-                        # (sec. 4.1).
-                        policy.on_request_va(self, vc.rkey[0], msg, cycle)
-                        if self.observer is not None:
-                            self.observer.router_reservation(self, msg, cycle)
-                del touched[:]
-                self._c_va += grants
-
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """Sleep whenever the next tick could not make forward progress.
-
-        Beyond the obvious idle case, a *blocked* router sleeps too: a VC
-        waiting on downstream credits, on body flits from upstream, or on
-        an occupied output VC cannot act until an event that either
-        arrives on a watched link (flit/credit sends poke ``kernel_wake``)
-        or is produced by this router's own pipeline during a cycle it is
-        awake for anyway (tail departures need a switch traversal, and
-        ``_st_pending`` keeps the router awake through those).  Losing
-        arbitration always implies some other VC won a grant, so
-        ``_st_pending`` covers contention retries as well.  Skipping
-        blocked cycles is also state-identical because the round-robin
-        arbiters only advance on grants, never on empty candidate sets.
-
-        A router whose only pending work is ``incoming`` traffic still on
-        the wire sleeps through the wire latency: the earliest due cycle
-        across its input links is exact.  Circuit-table entries need no
-        wakeup of their own: expired windows self-clean lazily and
-        circuit flits arrive on watched links.
-        """
-        if self._st_pending:
-            return cycle + 1
-        if self._waiting:
-            for _port, unit in self._input_units:
-                if unit.wait_queue:
-                    return cycle + 1
-        due: Optional[int] = None
-        if self._busy_vcs:
-            threshold = cycle + 1
-            for _port, unit in self._input_units:
-                for vc in unit.busy_list:
-                    if vc.ready_cycle > threshold:
-                        if due is None or vc.ready_cycle < due:
-                            due = vc.ready_cycle
+                            if not sa_multi:
+                                sa_multi = True
+                                sa_codes.append(sa_first.scode)
+                                sa_vcs.append(sa_first)
+                            sa_codes.append(vc.scode)
+                            sa_vcs.append(vc)
+                elif stage is VA:
+                    out_vcs = outputs[vc.route].vcs[vc.vn]
+                    first_ov = None
+                    multi = False
+                    for index in alloc_vn[vc.vn]:
+                        ov = out_vcs[index]
+                        if ov.allocated_to is None:
+                            if first_ov is None:
+                                first_ov = ov
+                            else:
+                                if not multi:
+                                    multi = True
+                                    va_codes.append(first_ov.code)
+                                    va_objs.append(first_ov)
+                                va_codes.append(ov.code)
+                                va_objs.append(ov)
+                    if first_ov is None:
                         continue
-                    if vc.stage is _ACTIVE:
-                        # granted_pending is impossible here: grants sit
-                        # in _st_pending until their switch traversal.
-                        if vc.buffer and vc.out_obj.credits > 0:
-                            return threshold
-                    else:  # VcStage.VA
-                        out_vcs = self.outputs[vc.route].vcs[vc.vn]
-                        for index in self._alloc_vn[vc.vn]:
-                            if out_vcs[index].allocated_to is None:
-                                return threshold
-        if self.incoming:
-            for _port, link in self._flit_pulls:
-                queue = link._queue
-                if queue and (due is None or queue[0][0] < due):
-                    due = queue[0][0]
-            for _port, link in self._credit_pulls:
-                queue = link._queue
-                if queue and (due is None or queue[0][0] < due):
-                    due = queue[0][0]
-        return due
+                    if multi:
+                        ov = va_objs[vc.va_arb.pick_at(va_codes)]
+                        del va_codes[:]
+                        del va_objs[:]
+                    else:
+                        vc.va_arb._last = first_ov.code
+                        ov = first_ov
+                    props = ov.proposals
+                    if not props:
+                        touched.append(ov)
+                    props.append(vc)
+            if sa_first is not None:
+                if sa_multi:
+                    winner_vc = sa_vcs[unit.sa_arb.pick_at(sa_codes)]
+                    del sa_codes[:]
+                    del sa_vcs[:]
+                else:
+                    unit.sa_arb._last = sa_first.scode
+                    winner_vc = sa_first
+                sa_found = True
+                win_vc[port] = winner_vc
+                route = winner_vc.route
+                contenders = out_cands[route]
+                if not contenders:
+                    out_order.append(route)
+                contenders.append(port)
+        core = self.core
+        # SA phase 2: one grant per output port.
+        if sa_found:
+            grants = core.grants
+            local_base = self._local_base
+            for route in out_order:
+                contenders = out_cands[route]
+                if len(contenders) == 1:
+                    winner = contenders[0]
+                    outputs[route].sa_arb._last = winner
+                else:
+                    arb = outputs[route].sa_arb
+                    winner = contenders[arb.pick_at(contenders)]
+                del contenders[:]
+                vc = win_vc[winner]
+                win_vc[winner] = None
+                if route < local_base:
+                    vc.out_obj.credits -= 1
+                vc.granted_pending = True
+                grants.append((self, winner, vc))
+            core._c_sa += len(out_order)
+            del out_order[:]
+        # VA phase 2: one grant per proposed-to output VC.
+        if touched:
+            for ov in touched:
+                props = ov.proposals
+                if len(props) == 1:
+                    vc = props[0]
+                    ov.va_arb._last = vc.rcode
+                else:
+                    del va_codes[:]
+                    for p in props:
+                        va_codes.append(p.rcode)
+                    vc = props[ov.va_arb.pick_at(va_codes)]
+                    del va_codes[:]
+                del props[:]
+                vc.stage = ACTIVE
+                vc.out_vc = ov.index
+                vc.out_obj = ov
+                vc.ready_cycle = cycle + 1
+                ov.allocated_to = vc.rkey
+                head = vc.buffer[0][0]
+                msg = head.msg
+                if msg.builds_circuit and vc.vn == 0:
+                    # Circuit reservation runs in parallel with VA
+                    # (sec. 4.1).
+                    self.policy.on_request_va(self, vc.rkey[0], msg, cycle)
+                    if self.observer is not None:
+                        self.observer.router_reservation(self, msg, cycle)
+            core._c_va += len(touched)
+            del touched[:]
 
     def _overflow(self, port: int, flit: Flit, vn: int, dst_vc: int,
                   vc: InputVc) -> None:
@@ -759,17 +447,6 @@ class Router:
             f"buffer overflow at router {self.node} port {port_name} "
             f"vc ({vn},{dst_vc})"
         )
-
-    def _route_compute(self, vc: InputVc, flit: Flit, cycle: int) -> None:
-        """Stage 1 route computation; the caller manages busy accounting."""
-        msg = flit.msg
-        vc.route = self._route_rows[msg.vn][msg.dest]
-        vc.stage = _VA
-        vc.ready_cycle = cycle + 1
-        self._c_route += 1
-
-    def _downstream_credit(self, vc: InputVc) -> bool:
-        return vc.out_obj.credits > 0
 
     # ------------------------------------------------------------------
     # Introspection used by tests.
@@ -788,3 +465,322 @@ class Router:
             if unit.circuit_table is not None:
                 total += len(unit.circuit_table.entries)
         return total
+
+
+class RouterCore:
+    """Every router of one network, clocked as one kernel component.
+
+    The arrival calendar is two dicts, ``flits`` and ``credits``, mapping
+    a due cycle to its ``(key, item)`` entries; ``key = router * stride +
+    port`` names the receiving input unit (flits) or output unit (buffer
+    credits and undo notices).  Every link shares one latency ``L``, so an
+    item sent in cycle ``c`` is due in ``c + 1 + L``.  A due bucket is
+    stably sorted by key before it is applied, which replays the order one
+    router at a time would see: ports ascending, each channel first in
+    first out.
+
+    Wake rule (:meth:`next_wake`): awake while a grant awaits switch
+    traversal, a router holds a busy VC or an ideal-mode flit waits for
+    the crossbar; otherwise asleep until the earliest calendar entry
+    (``None`` for an empty calendar).  Sends made inside the core need no
+    wake; a network interface posting into the calendar pokes
+    ``kernel_wake`` (:meth:`send_flit`, :meth:`send_credit`).
+    """
+
+    def __init__(self, topo: Topology, config: "SystemConfig", policy,
+                 stats: Stats) -> None:
+        self.latency = config.noc.link_latency
+        self.stride = topo.max_radix
+        self._local_base = topo.local_base
+        self.policy = policy
+        self.stats = stats
+        self.routers: List[Router] = []
+        #: The arrival calendar: due cycle -> [(key, Flit / Credit)].
+        self.flits: Dict[int, list] = {}
+        self.credits: Dict[int, list] = {}
+        #: Switch-allocation winners awaiting traversal, in grant order:
+        #: ``(router, in_port, vc)``.
+        self.grants: List[tuple] = []
+        self._grant_scratch: List[tuple] = []
+        #: Routers holding a busy VC, in ascending node order.
+        self.busy: List[Router] = []
+        #: Ideal-mode flits waiting for the crossbar, network-wide.
+        self.waiting = 0
+        #: This cycle's crossbar claims, one mask per router (see
+        #: ``OUT_SHIFT``), reset each cycle to ``claims_floor`` - all
+        #: zero unless fault injection pins a port.
+        self.claims: List[int] = [0] * topo.n_routers
+        self.claims_floor: List[int] = [0] * topo.n_routers
+        #: Calendar key -> receiving InputUnit / OutputUnit (``attach``).
+        self._in_units: List[Optional[InputUnit]] = []
+        self._out_units: List[Optional[OutputUnit]] = []
+        #: Buffer credits by [vn][vc]: immutable, so each is built once.
+        self._credit_objs = [
+            [Credit(vn, vc) for vc in range(count)]
+            for vn, count in enumerate(config.noc.vcs_per_vn)
+        ]
+        # Policy hooks that are no-ops for this variant are skipped at
+        # the call site (the flags are static per policy class), and the
+        # hook's own first-line guard is hoisted in front of the call:
+        # 0 = always call, 1 = only flits riding a circuit, 2 = only
+        # reply-VN flits carrying a circuit key.
+        self._arrival_hook = (
+            policy.handle_arrival if policy.handles_arrivals else None
+        )
+        self._tail_hook = policy.on_tail_departure if policy.handles_tails else None
+        filt = policy.arrival_filter
+        self._arrival_filter = (
+            1 if filt == "on_circuit" else 2 if filt == "reply_keyed" else 0
+        )
+        #: Set by the simulator kernel; network interfaces poke it with
+        #: the due cycle of what they post into the calendar.
+        self.kernel_wake = None
+        # Hot counters, batched; drained by _flush_counters (registered
+        # with the Stats object) at sample/finish boundaries.
+        self._c_buffer_writes = 0
+        self._c_route = 0
+        self._c_buffer_reads = 0
+        self._c_xbar = 0
+        self._c_link = 0
+        self._c_credits = 0
+        self._c_sa = 0
+        self._c_va = 0
+        stats.add_flusher(self._flush_counters)
+
+    def attach(self, routers: List[Router]) -> None:
+        """Index the wired routers' units by calendar key."""
+        self.routers = routers
+        size = len(routers) * self.stride
+        self._in_units = [None] * size
+        self._out_units = [None] * size
+        for router in routers:
+            for port in router.ports:
+                key = router.node * self.stride + port
+                self._in_units[key] = router.inputs[port]
+                self._out_units[key] = router.outputs[port]
+
+    def _flush_counters(self) -> None:
+        """Drain batched hot counters into the shared Stats dict.
+
+        Only nonzero deltas are written: flushing zeros would create
+        counter keys an unbatched run never creates, breaking snapshot
+        equality.
+        """
+        counters = self.stats.counters
+        for name, key in (("_c_buffer_writes", "noc.buffer_writes"),
+                          ("_c_route", "noc.route_computations"),
+                          ("_c_buffer_reads", "noc.buffer_reads"),
+                          ("_c_xbar", "noc.xbar_traversals"),
+                          ("_c_link", "noc.link_flits"),
+                          ("_c_credits", "noc.credits_sent"),
+                          ("_c_sa", "noc.sa_grants"),
+                          ("_c_va", "noc.va_grants")):
+            value = getattr(self, name)
+            if value:
+                counters[key] += value
+                setattr(self, name, 0)
+
+    # ------------------------------------------------------------------
+    # Posting into the calendar from outside the core.
+    # ------------------------------------------------------------------
+    def send_flit(self, key: int, flit: Flit, cycle: int) -> None:
+        """A network interface puts ``flit`` on its injection link."""
+        due = cycle + 1 + self.latency
+        post(self.flits, due, (key, flit))
+        if self.kernel_wake is not None:
+            self.kernel_wake(due)
+
+    def send_credit(self, key: int, credit: Credit, cycle: int) -> None:
+        """A network interface sends ``credit`` (an undo notice)."""
+        due = cycle + 1 + self.latency
+        post(self.credits, due, (key, credit))
+        if self.kernel_wake is not None:
+            self.kernel_wake(due)
+
+    def mark_busy(self, router: Router) -> None:
+        """``router`` holds its first busy VC: join ``busy`` in order."""
+        busy = self.busy
+        node = router.node
+        i = len(busy)
+        while i and busy[i - 1].node > node:
+            i -= 1
+        busy.insert(i, router)
+
+    # ------------------------------------------------------------------
+    # The clocked protocol.
+    # ------------------------------------------------------------------
+    def tick(self, cycle: int) -> None:
+        """One network cycle, stage by stage across every router."""
+        self.claims = self.claims_floor[:]
+        credits = self.credits.pop(cycle, None)
+        if credits:
+            # -- credits and undo notices -----------------------------
+            if len(credits) > 1:
+                credits.sort(key=_KEY)
+            out_units = self._out_units
+            policy = self.policy
+            for key, credit in credits:
+                vn = credit.vn
+                if vn is not None:
+                    out_units[key].vcs[vn][credit.vc].credits += 1
+                if credit.undo_key is not None:
+                    unit = out_units[key]
+                    policy.handle_undo(unit.router, unit.port,
+                                       credit.undo_key, cycle)
+        if self.waiting:
+            retry = self.policy.retry_waiting
+            for router in self.routers:
+                if router._waiting:
+                    retry(router, cycle)
+        flits = self.flits.pop(cycle, None)
+        if flits:
+            self._arrive(flits, cycle)
+        if self.grants:
+            self._traverse(cycle)
+        for router in self.busy:
+            router.allocate(cycle)
+
+    def next_wake(self, cycle: int) -> Optional[int]:
+        """Stay awake while any router has pipeline work; otherwise sleep
+        until the calendar's earliest entry.  A busy VC keeps the core
+        awake even when blocked: blocked VCs find no allocation
+        candidate and arbiters advance only on grants, so those cycles
+        change nothing."""
+        if self.grants or self.busy or self.waiting:
+            return cycle + 1
+        due = min(self.flits) if self.flits else None
+        if self.credits:
+            first = min(self.credits)
+            if due is None or first < due:
+                due = first
+        return due
+
+    # -- stage 1: arrivals (circuit check, buffering + RC) -----------------
+    def _arrive(self, flits: list, cycle: int) -> None:
+        if len(flits) > 1:
+            flits.sort(key=_KEY)
+        in_units = self._in_units
+        # Policies whose handle_arrival is a no-op (the flag is static per
+        # policy class) leave the hook unbound and skip the call.
+        arrival_hook = self._arrival_hook
+        filt = self._arrival_filter
+        IDLE = _IDLE
+        VA = _VA
+        writes = 0
+        routes = 0
+        last = -1
+        for key, flit in flits:
+            if key != last:
+                last = key
+                unit = in_units[key]
+                router = unit.router
+                port = unit.port
+                port_vcs = unit.vcs
+                ptable = unit.circuit_table
+            msg = flit.msg
+            if arrival_hook is not None:
+                # The filter replicates the hook's first-line early
+                # return, so skipping the call is decision-identical.
+                if filt == 1:
+                    handled = flit.on_circuit and arrival_hook(
+                        router, port, flit, cycle)
+                elif filt == 2:
+                    # Table pre-probe: a pure miss has no side effects in
+                    # the hook (fragmented entries are untimed, so
+                    # membership == live lookup), and gap hops at
+                    # saturation are mostly misses.
+                    handled = (msg.vn == 1
+                               and msg.circuit_key is not None
+                               and ptable is not None
+                               and msg.circuit_key in ptable.entries
+                               and arrival_hook(router, port, flit, cycle))
+                else:
+                    handled = arrival_hook(router, port, flit, cycle)
+                if handled:
+                    if router.observer is not None:
+                        router.observer.router_circuit_hit(router, flit, cycle)
+                    continue
+            vn = msg.vn
+            dst_vc = flit.dst_vc
+            vc = port_vcs[vn][dst_vc]
+            buf = vc.buffer
+            if len(buf) >= vc.depth:
+                router._overflow(port, flit, vn, dst_vc, vc)
+            buf.append((flit, cycle, dst_vc))
+            writes += 1
+            if flit.is_head and vc.stage is IDLE and len(buf) == 1:
+                router.vc_became_busy(port, vc)
+                vc.route = router._route_rows[vn][msg.dest]
+                vc.stage = VA
+                vc.ready_cycle = cycle + 1
+                routes += 1
+        self._c_buffer_writes += writes
+        self._c_route += routes
+
+    # -- stage 4: switch traversal -------------------------------------------
+    def _traverse(self, cycle: int) -> None:
+        pending = self.grants
+        remaining = self._grant_scratch
+        claims = self.claims
+        due = cycle + 1 + self.latency
+        flits_out = self.flits.setdefault(due, [])
+        credits_out = self.credits.setdefault(due, [])
+        credit_objs = self._credit_objs
+        local_base = self._local_base
+        tail_hook = self._tail_hook
+        moved = 0
+        for item in pending:
+            router, in_port, vc = item
+            out_port = vc.route
+            node = router.node
+            need = (1 << in_port) | (1 << (OUT_SHIFT + out_port))
+            mask = claims[node]
+            if mask & need:
+                remaining.append(item)  # crossbar busy (circuit priority)
+                continue
+            claims[node] = mask | need
+            flit, _arrived, credit_vc = vc.buffer.popleft()
+            out_vc_index = vc.out_vc
+            flit.dst_vc = out_vc_index if out_vc_index is not None else 0
+            if out_port < local_base:
+                flits_out.append((router.flit_to[out_port], flit))
+            else:
+                router.flit_to[out_port].send(flit, cycle)
+            router.forwarded += 1
+            if router.tracer is not None:
+                router.tracer(cycle, router, out_port, flit)
+            credit = credit_objs[vc.vn][credit_vc]
+            if in_port < local_base:
+                credits_out.append((router.credit_to[in_port], credit))
+            else:
+                router.credit_to[in_port].send(credit, cycle)
+            moved += 1
+            vc.granted_pending = False
+            if flit.is_tail:
+                vc.out_obj.allocated_to = None
+                if tail_hook is not None:
+                    tail_hook(router, in_port, flit, cycle)
+                vc.reset_for_next_packet(cycle)
+                if vc.buffer:
+                    # Non-atomic buffers: the next packet is already
+                    # queued; its head starts route computation now (the
+                    # VC stays busy).
+                    msg = vc.buffer[0][0].msg
+                    vc.route = router._route_rows[msg.vn][msg.dest]
+                    vc.stage = _VA
+                    vc.ready_cycle = cycle + 1
+                    self._c_route += 1
+                else:
+                    router.vc_became_idle(in_port, vc)
+        if not flits_out:
+            del self.flits[due]
+        if not credits_out:
+            del self.credits[due]
+        # Recycle the drained list as the next call's scratch.
+        del pending[:]
+        self.grants = remaining
+        self._grant_scratch = pending
+        self._c_buffer_reads += moved
+        self._c_xbar += moved
+        self._c_link += moved
+        self._c_credits += moved

@@ -1,8 +1,9 @@
 """Deterministic checkpoint/restart of complete simulator state.
 
 A checkpoint is a pickle of the *entire* live object graph - kernel wake
-heap and awake set, RNG streams, router/NI/coherence/driver state,
-batched :class:`~repro.sim.stats.Stats` counters, in-flight messages -
+heap and awake set, RNG streams, router core (arrival calendar included),
+NI, coherence and driver state, batched
+:class:`~repro.sim.stats.Stats` counters, in-flight messages -
 plus the run-state record saying where the run script stood.  This
 module owns the snapshot (capture, file format, restore) and *when* one
 is taken; the script itself - warm-up -> drain -> measure - is
@@ -74,8 +75,10 @@ from repro.sim.kernel import SimulationError
 #: may be None; 4: a cache array has no addr -> way dict, and a resident
 #: way whose line slot is None holds the default line, not yet built;
 #: 5: ``SystemConfig`` has no ``sim`` field; 6: ``NocConfig`` has no
-#: pipeline switch, there is one router / NI class and one kernel mode).
-SCHEMA_VERSION = 6
+#: pipeline switch, there is one router / NI class and one kernel mode;
+#: 7: the routers are one kernel component with an arrival calendar, and
+#: the router-bound link queues are gone).
+SCHEMA_VERSION = 7
 
 MAGIC = b"RPROCKPT"
 

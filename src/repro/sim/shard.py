@@ -9,8 +9,9 @@ link during cycle ``c`` cannot be observed by the receiving router before
 cycle ``c + 1 + link_latency``.  Workers therefore advance in lockstep
 windows of ``W`` cycles (``W <= link_latency + 1``) and exchange all
 boundary flits/credits at window barriers; every transferred item lands
-on the receiving replica's link queue strictly before its due cycle, so
-no shard can ever observe an event out of order.
+in the receiving replica's arrival calendar no later than its due cycle,
+before that cycle runs, so no shard can ever observe an event out of
+order.
 
 Determinism / bit-identity argument (gated by
 ``tests/test_shard_equivalence.py``):
@@ -18,13 +19,15 @@ Determinism / bit-identity argument (gated by
 * every worker builds the *complete* :class:`~repro.system.CmpSystem`
   from the same config/seed - construction and functional prewarm
   consume the deterministic RNG streams identically everywhere - but
-  registers only its local band with the kernel.  Foreign components
-  keep ``kernel_wake = None`` and never tick;
-* boundary channels are the existing :class:`~repro.noc.link.FlitLink` /
-  :class:`~repro.noc.link.CreditLink` objects: the sender harvests its
-  outbound queues at each barrier, the receiver appends the items - with
-  identical ``due`` cycles - to its replica of the same link object, so
-  router/NI hot paths run unchanged;
+  registers only its local band with the kernel: the router core (whose
+  calendar only ever holds entries due at local routers) and the local
+  tiles and NIs.  Foreign tiles and NIs keep ``kernel_wake = None`` and
+  never tick;
+* boundary traffic is router-core calendar entries: at each barrier the
+  sender harvests every entry bound for a foreign router, and the
+  receiver files it - same ``due`` cycle, same key, same order - in its
+  own calendar, whose per-bucket sort by key then replays the
+  single-process order, so the router/NI hot paths run unchanged;
 * local components tick in a subsequence of the single-process
   registration order, and window barriers land exactly on the
   single-process ``run_until`` check boundaries, so completion cycles
@@ -85,6 +88,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import config as repro_config
+from repro.noc.router import post
 from repro.proc import reap, recv_or_exit, spawn
 from repro.sim.checkpoint import (
     CheckpointError,
@@ -288,33 +292,15 @@ class _ShardWorker:
                 interval=params["check_interval"], local_nodes=local,
             ).attach(self.system.sim)
 
-        # Boundary channel table, identical in every worker: channel
-        # 2i / 2i+1 are the flit / credit links of canonical edge i.
-        # For a directed edge (n, port, m) between routers: flits flow on
-        # routers[n].out_flit[port] (owner: shard(n)) and their credits
-        # return on routers[n].in_credit[port] (owner: shard(m)).
-        from repro.partition import boundary_links, router_shard
+        # Calendar key -> shard of the router it delivers to.
+        from repro.partition import router_shard
 
         topo = self.net.topo
-        routers = self.net.routers
-        #: (channel, link, destination shard, is_flit) we harvest from.
-        self._out_channels: List[Tuple[int, object, int, bool]] = []
-        #: channel -> (link, is_flit) we append into.
-        self._in_channels: Dict[int, Tuple[object, bool]] = {}
-        for i, (n, port, m) in enumerate(boundary_links(topo, assignment)):
-            flit_chan, credit_chan = 2 * i, 2 * i + 1
-            flit_link = routers[n].out_flit[port]
-            credit_link = routers[n].in_credit[port]
-            shard_n = router_shard(topo, assignment, n)
-            shard_m = router_shard(topo, assignment, m)
-            if shard_n == self.index:
-                self._out_channels.append(
-                    (flit_chan, flit_link, shard_m, True))
-                self._in_channels[credit_chan] = (credit_link, False)
-            if shard_m == self.index:
-                self._in_channels[flit_chan] = (flit_link, True)
-                self._out_channels.append(
-                    (credit_chan, credit_link, shard_n, False))
+        stride = self.net.core.stride
+        self._key_shard: List[int] = [
+            router_shard(topo, assignment, key // stride)
+            for key in range(topo.n_routers * stride)
+        ]
 
         # Recovery-snapshot schedule: a pure function of the (global)
         # barrier cycle, so every shard snapshots at identical barrier
@@ -327,37 +313,41 @@ class _ShardWorker:
 
     # -- boundary transfer ---------------------------------------------
     def _harvest(self) -> Tuple[Dict[int, bytes], int]:
-        """Drain every outbound boundary queue into per-shard pickles.
-
-        Returns ``(blobs by destination shard, flits exported)``.
-        Mirrors :meth:`FlitLink.arrivals` bookkeeping on the foreign
-        watcher replica (decrement ``incoming``) so replica state stays
-        internally consistent.
+        """Move every calendar entry bound for a foreign router into
+        per-shard pickles of ``(is_flit, due, key, item)``, in calendar
+        order.  Returns ``(blobs by destination shard, flits exported)``.
         """
         per_dest: Dict[int, list] = {}
         exported = 0
-        for channel, link, dest, is_flit in self._out_channels:
-            queue = link._queue
-            if not queue:
-                continue
-            items = list(queue)
-            queue.clear()
-            watcher = link.watcher
-            if watcher is not None:
-                watcher.incoming -= len(items)
-            if is_flit:
-                exported += len(items)
-                for _due, flit in items:
-                    # The circuit_resolved hook is a protocol-layer
-                    # callback that fires exactly once at origin-NI
-                    # injection - strictly before the message's flits
-                    # exist on any wire - so it is always spent by the
-                    # time a flit crosses a shard boundary.
-                    payload = flit.msg.payload
-                    if payload is not None and getattr(
-                            payload, "circuit_resolved", None) is not None:
-                        payload.circuit_resolved = None
-            per_dest.setdefault(dest, []).append((channel, items))
+        core = self.net.core
+        key_shard = self._key_shard
+        for is_flit, calendar in ((True, core.flits), (False, core.credits)):
+            for due in sorted(calendar):
+                bucket = calendar[due]
+                local = []
+                for key, item in bucket:
+                    dest = key_shard[key]
+                    if dest == self.index:
+                        local.append((key, item))
+                        continue
+                    if is_flit:
+                        exported += 1
+                        # The circuit_resolved hook is a protocol-layer
+                        # callback that fires exactly once at origin-NI
+                        # injection - strictly before the message's
+                        # flits exist on any wire - so it is always spent
+                        # by the time a flit crosses a shard boundary.
+                        payload = item.msg.payload
+                        if payload is not None and getattr(
+                                payload, "circuit_resolved", None) is not None:
+                            payload.circuit_resolved = None
+                    per_dest.setdefault(dest, []).append(
+                        (is_flit, due, key, item))
+                if len(local) < len(bucket):
+                    if local:
+                        calendar[due] = local
+                    else:
+                        del calendar[due]
         if exported:
             self.net.shard_flits_exported += exported
         blobs = {
@@ -367,33 +357,30 @@ class _ShardWorker:
         return blobs, exported
 
     def _apply(self, blobs: List[bytes]) -> None:
-        """Append transferred items to the local replicas of their links."""
+        """File transferred entries in the local calendar (each key has a
+        single sender, so appending keeps every channel first in first
+        out) and wake the router core for them."""
         canon = self._canon
         imported = 0
+        core = self.net.core
         for blob in blobs:
-            for channel, items in pickle.loads(blob):
-                link, is_flit = self._in_channels[channel]
-                queue = link._queue
-                watcher = link.watcher
-                wake = watcher.kernel_wake
-                for due, item in items:
-                    if is_flit:
-                        msg = item.msg
-                        entry = canon.get(msg.uid)
-                        if entry is None:
-                            if msg.n_flits > 1:
-                                canon[msg.uid] = [msg, 1]
-                        else:
-                            item.msg = entry[0]
-                            entry[1] += 1
-                            if entry[1] >= entry[0].n_flits:
-                                del canon[msg.uid]
-                    queue.append((due, item))
-                    watcher.incoming += 1
-                    if wake is not None:
-                        wake(due)
+            for is_flit, due, key, item in pickle.loads(blob):
                 if is_flit:
-                    imported += len(items)
+                    imported += 1
+                    msg = item.msg
+                    entry = canon.get(msg.uid)
+                    if entry is None:
+                        if msg.n_flits > 1:
+                            canon[msg.uid] = [msg, 1]
+                    else:
+                        item.msg = entry[0]
+                        entry[1] += 1
+                        if entry[1] >= entry[0].n_flits:
+                            del canon[msg.uid]
+                post(core.flits if is_flit else core.credits, due,
+                     (key, item))
+                if core.kernel_wake is not None:
+                    core.kernel_wake(due)
         if imported:
             self.net.shard_flits_imported += imported
 

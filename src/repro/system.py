@@ -171,8 +171,8 @@ class CmpSystem:
         #: Shard-local node set (None = whole chip).  The sharded engine
         #: builds the complete system in every worker (construction and
         #: functional prewarm must consume RNG streams identically), but
-        #: registers only the local slice with the kernel: foreign
-        #: components keep ``kernel_wake = None`` and never tick.
+        #: registers only the local slice with the kernel: foreign tiles
+        #: and NIs keep ``kernel_wake = None`` and never tick.
         self.local_nodes = frozenset(local_nodes) if local_nodes is not None \
             else None
         self.stats = Stats()
@@ -231,8 +231,8 @@ class CmpSystem:
             self.sim.add(tile.l2)
             if tile.mc is not None:
                 self.sim.add(tile.mc)
-        # Routers and NIs register individually (same order as
-        # Network.tick) so the kernel can sleep each one on its own.
+        # The router core, then each NI (same order as Network.tick), so
+        # the kernel can sleep each of them on its own.
         self.network.register(self.sim, nodes=local)
 
     def _make_home_of(self) -> Callable[[int], int]:

@@ -89,9 +89,11 @@ def reset_utilization(net: "Network") -> None:
 def sleep_report(sim) -> str:
     """Summarise a Simulator's activity-driven sleep state.
 
-    One line per sleeping component (class + node when available, with
+    One line per sleeping kernel slot (class + node when available, with
     its scheduled wake cycle or ``ext`` for externally-woken sleepers),
-    preceded by the aggregate skip counters.  Intended for interactive
+    preceded by the aggregate skip counters.  Every router sits behind
+    the one ``RouterCore`` slot, so a sleeping NoC shows as one
+    ``RouterCore`` line plus one line per sleeping NI.  Intended for interactive
     debugging and deadlock forensics: a component that should be working
     but shows up here points straight at broken wake bookkeeping.
     """

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 #: Component class -> architectural group of the profiler report.
 GROUP_OF = {
-    "Router": "router",
+    "RouterCore": "router",
     "NetworkInterface": "ni",
     "L1Controller": "coherence",
     "L2BankController": "coherence",
@@ -85,11 +85,16 @@ class KernelProfiler:
 
     Only ``slot.tick`` is wrapped.  A component's sleep decision
     (``next_wake``) is kernel time (``kernel_seconds``) for every class -
-    routers and NIs as much as cores, controllers and the traffic driver
-    - so compare ``router + ni + kernel`` sums across commits that move
-    work between a tick and its ``next_wake``, never one column alone.  A
-    second per-tick wrapper would make the split finer, at a cost the
-    observed-run overhead budget does not have.
+    the router core and NIs as much as cores, controllers and the traffic
+    driver - so compare ``router + ni + kernel`` sums across commits that
+    move work between a tick and its ``next_wake``, never one column
+    alone.  A second per-tick wrapper would make the split finer, at a
+    cost the observed-run overhead budget does not have.
+
+    Rows are kernel slots, not architectural units: every router of a
+    network is one :class:`~repro.noc.router.RouterCore` slot, so the
+    ``router`` group counts core ticks (one per awake network cycle),
+    whereas ``ni`` counts one tick per awake interface.
     """
 
     def __init__(self) -> None:

@@ -14,10 +14,10 @@ reproducible.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import Optional
 
 from repro.circuits.table import CircuitEntry
+from repro.noc.router import OUT_SHIFT, post
 from repro.sim.rng import DeterministicRng
 
 
@@ -31,7 +31,7 @@ class FaultKind(enum.Enum):
     DROP_FLIT = "drop_flit"
 
 
-#: How far a delayed link pushes its queued flits (cycles).
+#: How far a delayed channel pushes its queued flits (cycles).
 LINK_DELAY = 1_000_000
 
 
@@ -91,6 +91,19 @@ class FaultInjector:
                         best = candidate
         return best
 
+    def _loaded_channel(self):
+        """A seeded pick among the calendar keys with flits on the wire,
+        as ``(key, its (due, position) entries in due order)``."""
+        entries = {}
+        for due, bucket in sorted(self.net.core.flits.items()):
+            for index, (key, _flit) in enumerate(bucket):
+                entries.setdefault(key, []).append((due, index))
+        if not entries:
+            return None
+        keys = sorted(entries)
+        key = keys[self.rng.randrange(len(keys))]
+        return key, entries[key]
+
     # -- fault classes -------------------------------------------------
     def _apply_drop_reservation(self, cycle: int) -> Optional[dict]:
         best = self._newest_reserved_hop()
@@ -131,8 +144,7 @@ class FaultInjector:
         candidates = []
         for router in self.net.routers:
             for port in router.ports:
-                if port >= self.net.topo.local_base \
-                        or router.out_flit[port] is None:
+                if port >= self.net.topo.local_base:
                     continue
                 for vn_row in router.outputs[port].vcs:
                     for out_vc in vn_row:
@@ -176,45 +188,40 @@ class FaultInjector:
         topo = self.net.topo
         node = topo.central_router()
         router = self.net.routers[node]
-        ports = [p for p in router.ports
-                 if p < topo.local_base and router.out_flit[p] is not None]
+        ports = [p for p in router.ports if p < topo.local_base]
         if not ports:
             return None
         stuck = ports[self.rng.randrange(len(ports))]
-        original = router.claim_path
-
-        def stuck_claim(in_port, out_port, _orig=original, _stuck=stuck):
-            if out_port == _stuck:
-                return False
-            return _orig(in_port, out_port)
-
-        router.claim_path = stuck_claim
+        # Every cycle's crossbar claims start with the output taken.
+        self.net.core.claims_floor[node] |= 1 << (OUT_SHIFT + stuck)
         return {"node": node, "port": topo.port_name(stuck)}
 
+    def _take(self, due: int, index: int) -> tuple:
+        """Remove and return entry ``index`` of calendar bucket ``due``."""
+        calendar = self.net.core.flits
+        entry = calendar[due].pop(index)
+        if not calendar[due]:
+            del calendar[due]
+        return entry
+
     def _apply_delay_link(self, cycle: int) -> Optional[dict]:
-        loaded = [(label, link) for label, link in self.net.flit_links()
-                  if link._queue]
-        if not loaded:
+        loaded = self._loaded_channel()
+        if loaded is None:
             return None
-        label, link = loaded[self.rng.randrange(len(loaded))]
-        link._queue = deque(
-            (due + LINK_DELAY, flit) for due, flit in link._queue
-        )
-        return {"link": label, "delay": LINK_DELAY,
-                "flits": len(link._queue)}
+        key, entries = loaded
+        # Later positions first, so earlier indexes stay valid.
+        for due, index in sorted(entries, reverse=True):
+            post(self.net.core.flits, due + LINK_DELAY,
+                 self._take(due, index))
+        return {"link": self.net.channel_label(key), "delay": LINK_DELAY,
+                "flits": len(entries)}
 
     def _apply_drop_flit(self, cycle: int) -> Optional[dict]:
-        loaded = [(label, link) for label, link in self.net.flit_links()
-                  if link._queue]
-        if not loaded:
+        loaded = self._loaded_channel()
+        if loaded is None:
             return None
-        label, link = loaded[self.rng.randrange(len(loaded))]
-        entries = list(link._queue)
-        index = self.rng.randrange(len(entries))
-        _due, flit = entries.pop(index)
-        link._queue = deque(entries)
-        if link.watcher is not None:
-            # keep the receiver's idle-skip bookkeeping consistent
-            link.watcher.incoming -= 1
-        return {"link": label, "kind": flit.msg.kind, "uid": flit.msg.uid,
-                "flit_index": flit.index}
+        key, entries = loaded
+        due, index = entries[self.rng.randrange(len(entries))]
+        _key, flit = self._take(due, index)
+        return {"link": self.net.channel_label(key), "kind": flit.msg.kind,
+                "uid": flit.msg.uid, "flit_index": flit.index}

@@ -23,6 +23,7 @@ import os
 from typing import Dict, List, Optional
 
 from repro.noc.vc import VcStage
+from repro.validate.invariants import by_key
 
 #: Cap on per-section list sizes so a pathological dump stays readable.
 MAX_ITEMS = 64
@@ -36,11 +37,15 @@ def build_wait_graph(net) -> List[Dict[str, str]]:
     """Edges ``{src, dst, reason}`` between blocked VCs.
 
     An ACTIVE VC with no downstream credits waits on the downstream
-    input VC it feeds; a VC stuck in VC allocation waits on whoever
-    currently owns the output VCs it could be granted.
+    input VC it feeds - unless the router core's calendar already holds
+    a credit on its way back for it; a VC stuck in VC allocation waits
+    on whoever currently owns the output VCs it could be granted.
     """
     edges: List[Dict[str, str]] = []
     local_base = net.topo.local_base
+    stride = net.core.stride
+    returning = {key: {(c.vn, c.vc) for c in credits}
+                 for key, credits in by_key(net.core.credits).items()}
     for router in net.routers:
         for port, unit in router._input_units:
             for vn_row in unit.vcs:
@@ -56,7 +61,10 @@ def build_wait_graph(net) -> List[Dict[str, str]]:
                         and not vc.granted_pending
                     ):
                         out_vc = router.outputs[vc.route].vcs[vc.vn][vc.out_vc]
-                        if out_vc.credits <= 0:
+                        back = returning.get(router.node * stride + vc.route,
+                                             ())
+                        if out_vc.credits <= 0 \
+                                and (vc.vn, vc.out_vc) not in back:
                             down = net.topo.neighbor(router.node, vc.route)
                             edges.append({
                                 "src": src,

@@ -16,8 +16,9 @@ cycles re-derives the system's conservation laws from first principles:
     must equal the buffer depth.
 
 ``link_sanity``
-    No queued flit/credit is scheduled further in the future than the
-    link latency allows.
+    No flit/credit on a wire - in the router core's arrival calendar or
+    on a link toward an NI - is due further in the future than the link
+    latency allows.
 
 ``circuit_lifecycle``
     Circuit-table entries are reachable (their key is still referenced by
@@ -33,9 +34,10 @@ cycles re-derives the system's conservation laws from first principles:
 ``kernel_sleep``
     (Only when :meth:`InvariantMonitor.attach`-ed to a Simulator.)
     The activity-driven kernel's sleep bookkeeping is sound: a sleeping
-    router/NI/controller/core really has no runnable work, and any
-    future-dated work (scheduled handlers, held circuit replies, queued
-    undo notices) has a wakeup scheduled no later than its due cycle.
+    router core/NI/controller/core really has no runnable work, and any
+    future-dated work (calendar entries, scheduled handlers, held circuit
+    replies, queued undo notices) has a wakeup scheduled no later than
+    its due cycle.
 
 ``coherence``
     (Only when constructed with a :class:`~repro.system.CmpSystem`.)
@@ -101,21 +103,41 @@ class InvariantViolation(SimulationError):
 # Census helpers (module level so forensics can reuse them).
 # ----------------------------------------------------------------------
 
+def wire_items(net, kind: str) -> Iterable[Tuple[int, Optional[int], object]]:
+    """``(due, key, item)`` for every ``kind`` ("flits" / "credits") on
+    a wire: the router core's calendar entries (``key`` names the
+    receiving port), then the links toward the NIs (``key`` None)."""
+    for due, bucket in getattr(net.core, kind).items():
+        for key, item in bucket:
+            yield due, key, item
+    for ni in net.interfaces:
+        link = ni.from_router if kind == "flits" else ni.credit_in
+        for due, item in link._queue:
+            yield due, None, item
+
+
+def by_key(calendar: dict) -> Dict[int, list]:
+    """A calendar's items regrouped by key, each group in due order."""
+    groups: Dict[int, list] = {}
+    for _due, bucket in sorted(calendar.items()):
+        for key, item in bucket:
+            groups.setdefault(key, []).append(item)
+    return groups
+
+
 def flit_census(net) -> int:
     """Exact count of flits currently inside the network.
 
     Unlike :meth:`Network.in_flight` (a drain detector that may count a
     switch-allocated flit twice), this counts every flit exactly once:
-    input-VC buffers + ideal-mode wait queues + link pipelines + flits of
-    partially reassembled messages at the NIs.
+    input-VC buffers + ideal-mode wait queues + flits on a wire + flits
+    of partially reassembled messages at the NIs.
     """
-    total = 0
+    total = sum(1 for _item in wire_items(net, "flits"))
     for router in net.routers:
         total += router.buffered_flits()
         for _port, unit in router._input_units:
             total += len(unit.wait_queue)
-    for _label, link in net.flit_links():
-        total += len(link._queue)
     for ni in net.interfaces:
         total += ni.rx_partial_flits()
     return total
@@ -130,10 +152,9 @@ def iter_network_messages(net) -> Iterable:
             seen.add(id(msg))
             yield msg
 
-    for _label, link in net.flit_links():
-        for _due, flit in link._queue:
-            for msg in _once(flit.msg):
-                yield msg
+    for _due, _key, flit in wire_items(net, "flits"):
+        for msg in _once(flit.msg):
+            yield msg
     for router in net.routers:
         for _port, unit in router._input_units:
             for vn_row in unit.vcs:
@@ -175,10 +196,9 @@ def accounted_circuit_keys(net) -> Set:
         keys.update(ni.origin_table.keys())
         for _due, key in ni._undo_out:
             keys.add(key)
-    for _label, link in net.credit_links():
-        for _due, credit in link._queue:
-            if credit.undo_key is not None:
-                keys.add(credit.undo_key)
+    for _due, _key, credit in wire_items(net, "credits"):
+        if credit.undo_key is not None:
+            keys.add(credit.undo_key)
     return keys
 
 
@@ -299,24 +319,17 @@ class InvariantMonitor:
 
     # -- check: link sanity --------------------------------------------
     def check_link_sanity(self, cycle: int) -> None:
-        for label, link in self.net.flit_links():
-            horizon = cycle + link.latency + 1
-            for due, flit in link._queue:
+        net = self.net
+        horizon = cycle + net.core.latency + 1
+        for kind in ("flits", "credits"):
+            for due, key, item in wire_items(net, kind):
                 if due > horizon:
                     raise self._fail(
-                        "link_sanity", cycle, label,
-                        f"flit {flit!r} due at cycle {due}, beyond the "
-                        f"link's horizon {horizon}",
-                        {"due": due, "horizon": horizon},
-                    )
-        for label, link in self.net.credit_links():
-            horizon = cycle + link.latency + 1
-            for due, _credit in link._queue:
-                if due > horizon:
-                    raise self._fail(
-                        "link_sanity", cycle, label,
-                        f"credit due at cycle {due}, beyond the link's "
-                        f"horizon {horizon}",
+                        "link_sanity", cycle,
+                        "a link toward an NI" if key is None
+                        else net.channel_label(key),
+                        f"{kind[:-1]} {item!r} due at cycle {due}, beyond "
+                        f"the link's horizon {horizon}",
                         {"due": due, "horizon": horizon},
                     )
 
@@ -356,24 +369,26 @@ class InvariantMonitor:
         local_routers = self.local_routers
         topo = net.topo
         local_base = topo.local_base
+        flits = by_key(net.core.flits)
+        credits = by_key(net.core.credits)
+        granted_at: Dict[int, Dict[Tuple[int, int, int], int]] = {}
+        for router, _in_port, vc in net.core.grants:
+            if vc.route is None or vc.route >= local_base:
+                continue
+            if vc.out_vc is None:
+                continue
+            granted = granted_at.setdefault(router.node, {})
+            key = (vc.route, vc.vn, vc.out_vc)
+            granted[key] = granted.get(key, 0) + 1
         for router in net.routers:
             if local_routers is not None and router.node not in local_routers:
                 continue  # books span processes; audited by the owner shard
-            granted: Dict[Tuple[int, int, int], int] = {}
-            for _st_cycle, _in_port, vc in router._st_pending:
-                if vc.route is None or vc.route >= local_base:
-                    continue
-                if vc.out_vc is None:
-                    continue
-                key = (vc.route, vc.vn, vc.out_vc)
-                granted[key] = granted.get(key, 0) + 1
+            granted = granted_at.get(router.node, {})
             for port in router.ports:
                 if port >= local_base:
                     continue
-                down = router.out_flit[port]
-                up = router.in_credit[port]
-                if down is None or up is None:
-                    continue
+                down = flits.get(router.flit_to[port], ())
+                up = credits.get(router.node * net.core.stride + port, ())
                 neighbor_router = topo.neighbor(router.node, port)
                 if local_routers is not None \
                         and neighbor_router not in local_routers:
@@ -399,8 +414,6 @@ class InvariantMonitor:
         for ni in net.interfaces:
             if local is not None and ni.node not in local:
                 continue
-            if ni.to_router is None or ni.credit_in is None:
-                continue
             rid = topo.router_of(ni.node)
             lport = topo.local_port(ni.node)
             in_unit = net.routers[rid].inputs[lport]
@@ -408,20 +421,21 @@ class InvariantMonitor:
                 cycle,
                 f"ni {ni.node} -> router {rid} {topo.port_name(lport)}",
                 lambda vn, vc, _ni=ni: _ni.credits[vn][vc],
-                ni.to_router, ni.credit_in, in_unit, {},
+                flits.get(ni.router_key, ()),
+                [credit for _due, credit in ni.credit_in._queue], in_unit, {},
             )
 
     def _check_edge(
         self, cycle, label, upstream_credits, down, up, in_unit, granted
     ) -> None:
         link_counts: Dict[Tuple[int, int], int] = {}
-        for _due, flit in down._queue:
+        for flit in down:
             if flit.on_circuit and not self._circuit_credits:
                 continue  # complete/ideal circuit flits bypass flow control
             key = (flit.msg.vn, flit.dst_vc)
             link_counts[key] = link_counts.get(key, 0) + 1
         credit_counts: Dict[Tuple[int, int], int] = {}
-        for _due, credit in up._queue:
+        for credit in up:
             if credit.is_buffer_credit:
                 key = (credit.vn, credit.vc)
                 credit_counts[key] = credit_counts.get(key, 0) + 1
@@ -677,8 +691,7 @@ class InvariantMonitor:
         from repro.coherence.base import ScheduledController
         from repro.cpu.core import Core
         from repro.noc.interface import NetworkInterface
-        from repro.noc.router import Router
-        from repro.noc.vc import VcStage
+        from repro.noc.router import RouterCore
 
         def fail(label, message, details=None):
             raise self._fail("kernel_sleep", cycle, label, message, details)
@@ -709,83 +722,8 @@ class InvariantMonitor:
                 )
 
         for component, wake_at in self.sim.sleeping_slots():
-            if isinstance(component, Router):
-                label = f"router {component.node}"
-                waiting = sum(
-                    len(unit.wait_queue)
-                    for _port, unit in component._input_units
-                )
-                if component._st_pending or waiting:
-                    fail(
-                        label,
-                        f"sleeping router holds runnable work: "
-                        f"{len(component._st_pending)} granted traversals, "
-                        f"{waiting} waiting",
-                        {
-                            "st_pending": len(component._st_pending),
-                            "waiting": waiting,
-                        },
-                    )
-                # Buffered packets are legal while asleep only if every
-                # busy VC is genuinely blocked: an ACTIVE VC with a ready
-                # head and downstream credit, or a VA VC with a free
-                # output VC, could have acted next cycle.
-                for port, unit in component._input_units:
-                    for vn_row in unit.vcs:
-                        for vc in vn_row:
-                            if vc.stage is VcStage.IDLE:
-                                continue
-                            where = (
-                                f"{self.net.topo.port_name(port)} "
-                                f"vn{vc.vn} vc{vc.index} "
-                                f"(stage {vc.stage.value})"
-                            )
-                            if vc.ready_cycle > cycle + 1:
-                                if wake_at is None \
-                                        or wake_at > vc.ready_cycle:
-                                    fail(
-                                        label,
-                                        f"VC {where} is scheduled for "
-                                        f"cycle {vc.ready_cycle} but the "
-                                        f"wakeup is at {wake_at}",
-                                        {"ready": vc.ready_cycle,
-                                         "wake_at": wake_at},
-                                    )
-                                continue
-                            if vc.stage is VcStage.ACTIVE:
-                                if vc.granted_pending:
-                                    fail(
-                                        label,
-                                        f"VC {where} has a grant pending "
-                                        f"but no queued traversal",
-                                    )
-                                if vc.buffer \
-                                        and component._downstream_credit(vc):
-                                    fail(
-                                        label,
-                                        f"sleeping router could traverse "
-                                        f"VC {where} next cycle",
-                                    )
-                            elif vc.stage is VcStage.VA:
-                                out_vcs = (
-                                    component.outputs[vc.route].vcs[vc.vn]
-                                )
-                                for index in (
-                                    component.policy.allocatable_vcs(vc.vn)
-                                ):
-                                    if out_vcs[index].is_free:
-                                        fail(
-                                            label,
-                                            f"sleeping router could "
-                                            f"allocate VC {where} next "
-                                            f"cycle",
-                                        )
-                check_arrivals(
-                    label, component.incoming,
-                    [l for l in component.in_flit if l is not None]
-                    + [l for l in component.in_credit if l is not None],
-                    wake_at,
-                )
+            if isinstance(component, RouterCore):
+                self._check_core_sleep(component, wake_at, cycle, fail)
             elif isinstance(component, NetworkInterface):
                 label = f"ni {component.node}"
                 queued = (
@@ -859,6 +797,38 @@ class InvariantMonitor:
                          "target": component.target,
                          "wake_at": wake_at},
                     )
+
+    def _check_core_sleep(self, core, wake_at, cycle, fail) -> None:
+        """A sleeping router core holds no busy VC, pending grant or
+        waiting flit, and wakes no later than its earliest calendar
+        entry."""
+        from repro.noc.vc import VcStage
+
+        for router in core.routers:
+            for port, unit in router._input_units:
+                for vn_row in unit.vcs:
+                    for vc in vn_row:
+                        if vc.stage is not VcStage.IDLE:
+                            fail(f"router {router.node}",
+                                 f"sleeping router core holds busy VC "
+                                 f"{self.net.topo.port_name(port)} "
+                                 f"vn{vc.vn} vc{vc.index} "
+                                 f"(stage {vc.stage.value})")
+        waiting = sum(len(unit.wait_queue) for router in core.routers
+                      for _port, unit in router._input_units)
+        if core.grants or waiting:
+            fail("router core",
+                 f"sleeping router core holds runnable work: "
+                 f"{len(core.grants)} granted traversals, {waiting} waiting",
+                 {"grants": len(core.grants), "waiting": waiting})
+        due = min((due for calendar in (core.flits, core.credits)
+                   for due, bucket in calendar.items() if bucket),
+                  default=None)
+        if due is not None and (wake_at is None or wake_at > due):
+            fail("router core",
+                 f"sleeping router core has calendar entries due at cycle "
+                 f"{due} but its wakeup is scheduled at {wake_at}",
+                 {"due": due, "wake_at": wake_at})
 
     # -- check: forward progress ---------------------------------------
     def check_forward_progress(self, cycle: int) -> None:

@@ -262,7 +262,9 @@ def test_schema_4_file_is_refused_before_unpickling(tmp_path):
     no longer has: 4 a ``SystemConfig`` with a ``sim`` field (and the
     ``SimConfig`` class behind it), 5 a ``NocConfig`` with a pipeline
     switch and, with the switch off, the deleted second router / NI
-    classes.  Each is refused typed at the header, like 2 and 3."""
+    classes, 6 one kernel slot per router and the router-bound link
+    queues the router core's calendar replaced.  Each is refused typed
+    at the header, like 2 and 3."""
     assert SCHEMA_VERSION > 4
     for schema in range(4, SCHEMA_VERSION):
         policy = CheckpointPolicy(str(tmp_path / str(schema)), INTERVAL,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.noc.flit import Message, control_message, data_message
-from repro.noc.link import CreditLink, FlitLink
+from repro.noc.link import Credit, CreditLink, FlitLink
 
 
 def test_data_message_is_five_flits():
@@ -60,7 +60,7 @@ def test_flit_link_preserves_order():
 
 def test_link_watcher_counts():
     class Watcher:
-        # The watcher contract: routers/NIs expose ``incoming`` plus a
+        # The watcher contract: NIs expose ``incoming`` plus a
         # ``kernel_wake`` slot (None until an activity kernel registers).
         incoming = 0
         kernel_wake = None
@@ -77,8 +77,8 @@ def test_link_watcher_counts():
 
 def test_credit_link_and_undo():
     link = CreditLink(latency=1)
-    link.send_credit(1, 0, 4)
-    link.send_undo((3, 0x40, 9), 4)
+    link.send(Credit(1, 0), 4)
+    link.send(Credit(undo_key=(3, 0x40, 9)), 4)
     credits = list(link.arrivals(6))
     assert len(credits) == 2
     assert credits[0].is_buffer_credit and credits[0].vn == 1

@@ -151,11 +151,33 @@ def test_components_speak_one_clocked_protocol():
         _where, methods, bases = classes.get(name, ("", (), ()))
         return "tick" in methods or any(has_tick(base) for base in bases)
 
-    assert has_tick("Router") and not has_tick("CircuitPolicy")
+    assert has_tick("RouterCore") and not has_tick("CircuitPolicy")
     offenders += [f"{where} class {name}: next_wake without tick"
                   for name, (where, methods, _bases) in classes.items()
                   if "next_wake" in methods and not has_tick(name)]
     assert not offenders, offenders
+
+
+def test_routers_are_one_kernel_component():
+    """Every router of a network sits behind one kernel slot, the router
+    core: a 4x4 request-reply driver registers itself, the core and the
+    16 NIs, and ``Router`` has no clocked-protocol method of its own."""
+    import ast
+
+    from repro.noc.router import Router, RouterCore
+    from repro.noc.traffic import RequestReplyTraffic
+    from repro.sim.config import SystemConfig
+
+    traffic = RequestReplyTraffic(SystemConfig(n_cores=16), 4.0)
+    kinds = [type(slot.component) for slot in traffic.sim._slots]
+    assert len(kinds) == 1 + 1 + 16
+    assert kinds.count(RouterCore) == 1 and Router not in kinds
+    source = pathlib.Path(repro.__file__).parent / "noc" / "router.py"
+    router = next(node for node in ast.parse(source.read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name == "Router")
+    methods = {item.name for item in router.body
+               if isinstance(item, ast.FunctionDef)}
+    assert not methods & {"tick", "next_wake"}
 
 
 # ----------------------------------------------------------------------

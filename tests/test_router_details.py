@@ -3,6 +3,7 @@
 import pytest
 
 from repro.noc.flit import Message
+from repro.noc.link import Credit
 from repro.noc.network import Network
 from repro.noc.topology import Port
 from repro.noc.vc import VcStage
@@ -12,6 +13,11 @@ from repro.sim.kernel import SimulationError
 
 def make_net(variant=Variant.BASELINE, cores=16):
     return Network(SystemConfig(n_cores=cores).with_variant(variant))
+
+
+def inject(net, node, flit, cycle):
+    """Put ``flit`` on ``node``'s injection link (the core's calendar)."""
+    net.core.send_flit(net.interfaces[node].router_key, flit, cycle)
 
 
 def test_router_port_structure():
@@ -41,22 +47,22 @@ def test_vc_stage_progression():
     msg = Message(5, 6, 0, 1, "REQ")
     flit = msg.flits()[0]
     flit.dst_vc = 0
-    router.in_flit[Port.LOCAL].send(flit, 0)  # arrives at cycle 2
-    router.tick(2)
+    inject(net, 5, flit, 0)  # arrives at cycle 2
+    net.tick(2)
     vc = router.vc(Port.LOCAL, 0, 0)
     assert vc.stage is VcStage.VA
     assert vc.route == Port.EAST  # route tables hold plain int ports
-    router.tick(3)
+    net.tick(3)
     assert vc.stage is VcStage.ACTIVE
     assert vc.out_vc is not None
-    router.tick(4)  # SA grant
+    net.tick(4)  # SA grant
     assert vc.granted_pending
-    router.tick(5)  # ST
+    net.tick(5)  # ST
     assert not vc.buffer
     assert vc.stage is VcStage.IDLE
-    # flit on the EAST link, arriving at neighbour at cycle 7
-    arrivals = list(router.out_flit[Port.EAST].arrivals(7))
-    assert arrivals == [flit]
+    # flit on the EAST link, arriving at the neighbour's WEST input at 7
+    assert router.flit_to[Port.EAST] == 6 * net.core.stride + Port.WEST
+    assert net.core.flits == {7: [(router.flit_to[Port.EAST], flit)]}
 
 
 def test_bufferless_vc_rejects_packet_flit():
@@ -65,9 +71,9 @@ def test_bufferless_vc_rejects_packet_flit():
     msg = Message(5, 6, 1, 1, "REPLY")
     flit = msg.flits()[0]
     flit.dst_vc = 1  # the bufferless circuit VC
-    router.in_flit[Port.LOCAL].send(flit, 0)
-    with pytest.raises(SimulationError):
-        router.tick(2)
+    inject(net, 5, flit, 0)
+    with pytest.raises(SimulationError, match="bufferless VC"):
+        net.tick(2)
 
 
 def test_circuit_flit_without_entry_is_an_error():
@@ -77,9 +83,9 @@ def test_circuit_flit_without_entry_is_an_error():
     msg.circuit_key = (6, 0x40, msg.uid)
     flit = msg.flits()[0]
     flit.on_circuit = True
-    router.in_flit[Port.LOCAL].send(flit, 0)
-    with pytest.raises(SimulationError):
-        router.tick(2)
+    inject(net, 5, flit, 0)
+    with pytest.raises(SimulationError, match="found no entry at router 5"):
+        net.tick(2)
 
 
 def test_undo_credit_clears_entry_and_forwards():
@@ -91,12 +97,13 @@ def test_undo_credit_clears_entry_and_forwards():
     table = router.inputs[Port.EAST].circuit_table
     table.insert(CircuitEntry(key, Port.EAST, Port.WEST, built_cycle=0))
     # undo arrives on the EAST credit channel (from the failure router)
-    router.in_credit[Port.EAST].send_undo(key, 0)
-    router.tick(2)
+    east = 5 * net.core.stride + Port.EAST
+    net.core.send_credit(east, Credit(undo_key=key), 0)
+    net.tick(2)
     assert table.lookup(key, 2) is None
     # and is forwarded toward the circuit destination (WEST)
-    forwarded = list(router.out_credit[Port.WEST].arrivals(4))
-    assert len(forwarded) == 1 and forwarded[0].undo_key == key
+    [(to, forwarded)] = net.core.credits[4]
+    assert to == router.credit_to[Port.WEST] and forwarded.undo_key == key
 
 
 def test_undo_stops_at_destination_router():
@@ -107,10 +114,12 @@ def test_undo_stops_at_destination_router():
     key = (5, 0x80, 99)  # destination IS this node -> out port LOCAL
     table = router.inputs[Port.EAST].circuit_table
     table.insert(CircuitEntry(key, Port.EAST, Port.LOCAL, built_cycle=0))
-    router.in_credit[Port.EAST].send_undo(key, 0)
-    router.tick(2)
+    east = 5 * net.core.stride + Port.EAST
+    net.core.send_credit(east, Credit(undo_key=key), 0)
+    net.tick(2)
     assert table.lookup(key, 2) is None
-    assert router.out_credit[Port.LOCAL].in_flight() == 0
+    assert not net.core.credits
+    assert net.interfaces[5].credit_in.in_flight() == 0
 
 
 def test_ejection_port_has_effectively_infinite_credits():
@@ -129,7 +138,8 @@ def test_busy_vc_accounting_balances():
         net.interfaces[node].enqueue(msg, chip_cycle)
     for cycle in range(1, 300):
         net.tick(cycle)
+    assert not net.core.busy
     for router in net.routers:
         assert router._busy_vcs == 0
         for port, unit in router._input_units:
-            assert unit.busy_count == 0
+            assert not unit.busy_list

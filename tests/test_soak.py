@@ -55,7 +55,7 @@ def test_soak_buffers_and_vcs_fully_recovered():
         assert router.buffered_flits() == 0
         assert router._busy_vcs == 0
         for _port, unit in router._input_units:
-            assert unit.busy_count == 0
+            assert not unit.busy_list
             for vn_row in unit.vcs:
                 for vc in vn_row:
                     assert vc.stage.value == "I"

@@ -171,7 +171,7 @@ def test_profiler_attributes_and_restores():
         profiler.attach(traffic.sim)
     traffic.run(400)
     report = profiler.report()  # live snapshot
-    assert report["classes"]["Router"]["ticks"] > 0
+    assert report["classes"]["RouterCore"]["ticks"] > 0
     profiler.detach()
     # original bound ticks restored: hot loop calls the component again
     for slot in traffic.sim._slots:
@@ -180,12 +180,12 @@ def test_profiler_attributes_and_restores():
     assert report["wall_seconds"] > 0
     assert set(report["groups"]) <= {"router", "ni", "driver", "coherence",
                                      "other"}
-    assert report["classes"]["Router"]["group"] == "router"
+    assert report["classes"]["RouterCore"]["group"] == "router"
     assert report["classes"]["RequestReplyTraffic"]["group"] == "driver"
     total_ticks = sum(r["ticks"] for r in report["classes"].values())
     assert total_ticks == report["ticks_run"]
     table = profiler.table()
-    assert "Router" in table and "skip ratio" in table
+    assert "RouterCore" in table and "skip ratio" in table
     profiler.detach()  # idempotent
 
 

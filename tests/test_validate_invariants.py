@@ -132,7 +132,7 @@ def test_credit_conservation_detects_leaked_credit():
         vc
         for router in traffic.net.routers
         for port in router.ports
-        if port is not Port.LOCAL and router.out_flit[port] is not None
+        if port is not Port.LOCAL
         for vn_row in router.outputs[port].vcs
         for vc in vn_row
         if (vc.vn, vc.index) not in bufferless and vc.credits > 0
