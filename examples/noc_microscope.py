@@ -47,7 +47,7 @@ def run_one(variant: Variant):
         for item in [t for t in timers if t[0] == cycle]:
             timers.remove(item)
             net.inject(item[1], cycle)
-        net.tick(cycle)
+        net.core.tick(cycle)
         if done:
             reply = next(iter(done.values()))
             return reply

@@ -1,11 +1,12 @@
-"""Messages and flits.
+"""Messages, flits and credits.
 
 A :class:`Message` is what the protocol layer hands to a network interface;
 the NI segments it into 16-byte :class:`Flit` objects at injection.  The
 NoC layer treats the protocol meaning of a message as opaque (``kind`` is
 only used for statistics), but it does understand the circuit-related
 fields: requests may carry a reservation walk, and replies may ride a
-previously reserved circuit.
+previously reserved circuit.  Flits and :class:`Credit` objects travel as
+entries of the router core's arrival calendar (:mod:`repro.noc.router`).
 """
 
 from __future__ import annotations
@@ -153,6 +154,30 @@ class Flit:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "H" if self.is_head else ("T" if self.is_tail else "B")
         return f"Flit({role}{self.index} of {self.msg!r})"
+
+
+class Credit:
+    """A buffer credit flowing upstream, optionally carrying an undo
+    notice (section 4.4: piggybacked on a buffer credit or on its own)."""
+
+    __slots__ = ("vn", "vc", "undo_key")
+
+    def __init__(
+        self,
+        vn: Optional[int] = None,
+        vc: Optional[int] = None,
+        undo_key: Optional[CircuitKey] = None,
+    ) -> None:
+        self.vn = vn
+        self.vc = vc
+        self.undo_key = undo_key
+
+    @property
+    def is_buffer_credit(self) -> bool:
+        return self.vn is not None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Credit(vn={self.vn}, vc={self.vc}, undo={self.undo_key})"
 
 
 def control_message(src: int, dest: int, vn: int, kind: str, payload: Any = None) -> Message:

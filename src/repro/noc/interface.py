@@ -11,16 +11,20 @@ memory controller to the router's LOCAL port.  The NI:
 * plans replies with the circuit policy: ride the circuit (possibly waiting
   for a timed slot), scrounge another circuit, or fall back to packets,
 * relays scrounger messages onward from their intermediate destination.
+
+An NI is not a kernel component: the network's
+:class:`~repro.noc.router.RouterCore` runs its body (:meth:`tick`) as
+the core's last stage, in node order, whenever it has ejected flits or a
+wake due on the core's calendar, or queued work.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.noc.flit import CircuitKey, Message
-from repro.noc.link import Credit, CreditLink, FlitLink
+from repro.noc.flit import CircuitKey, Credit, Flit, Message
 from repro.sim.stats import Stats
 
 
@@ -48,8 +52,8 @@ class NetworkInterface:
 
     Written for the hot path: per-flit counters are batched into plain
     ints (drained into the shared :class:`Stats` by a registered
-    flusher), link drains are inlined, and per-call ``getattr`` lookups
-    are hoisted to construction time.
+    flusher), and per-call ``getattr`` lookups are hoisted to
+    construction time.
     """
 
     def __init__(self, node: int, mesh, config, policy, stats: Stats) -> None:
@@ -74,13 +78,11 @@ class NetworkInterface:
         #: ``msg.count.<kind>`` key strings, interned on first use.
         self._kind_keys: Dict[str, str] = {}
         stats.add_flusher(self._flush_counters)
-        # Channels (wired by the Network): flits and undo notices toward
-        # the router go into the router core's arrival calendar at
-        # ``router_key``; ejected flits and credits arrive on links.
+        # Wired by the Network: flits and undo notices toward the router
+        # go into the router core's arrival calendar at ``router_key``;
+        # the core hands this NI its ejected flits and applies its credits.
         self.core = None
         self.router_key: Optional[int] = None
-        self.from_router: Optional[FlitLink] = None
-        self.credit_in: Optional[CreditLink] = None
         # Credits mirroring the router's LOCAL input VC buffers.
         depth = config.noc.buffer_depth_flits
         bufferless = policy.bufferless_vcs()
@@ -107,11 +109,6 @@ class NetworkInterface:
         #: are guarded by ``observer is not None`` so detached telemetry
         #: costs one attribute test per event site.
         self.observer = None
-        #: Flits/credits in flight toward this NI (link watcher).
-        self.incoming = 0
-        #: Set by the simulator kernel; links and the protocol layer poke
-        #: it so a sleeping NI wakes exactly when new work materialises.
-        self.kernel_wake = None
 
     def _flush_counters(self) -> None:
         counters = self.stats.counters
@@ -144,9 +141,7 @@ class NetworkInterface:
             self.req_queue.append(msg)
         else:
             self.reply_pending.append(msg)
-        if self.kernel_wake is not None:
-            # Injectable (and plannable) from the next cycle on.
-            self.kernel_wake(cycle + 1)
+        self.core.wake_interface(self.node, cycle + 1)
 
     def cancel_circuit(self, key: CircuitKey, cycle: int) -> bool:
         """Protocol decided a reserved circuit will never be used (4.4).
@@ -163,8 +158,7 @@ class NetworkInterface:
         circuit flits already in flight on the same path.
         """
         self._undo_out.append((cycle + 1, key))
-        if self.kernel_wake is not None:
-            self.kernel_wake(cycle + 1)
+        self.core.wake_interface(self.node, cycle + 1)
 
     def rx_partial_flits(self) -> int:
         """Flits of partially reassembled messages (exact-census probe)."""
@@ -183,58 +177,28 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     # Tick.
     # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        """One NI cycle with the link drains inlined."""
-        active_packet = self.active_packet
-        # Idle guard (runs once per awake cycle).
-        if not (
-            self.incoming
-            or self.req_queue
-            or self.reply_pending
-            or self.reply_queue
-            or self.held
-            or self._undo_out
-            or self.active_circuit is not None
-            or active_packet[0] is not None
-            or active_packet[1] is not None
-        ):
-            return
-        if self.incoming:
-            removed = 0
-            # Inlined credit drain.
-            link = self.credit_in
-            if link is not None:
-                queue = link._queue
-                if queue and queue[0][0] <= cycle:
-                    credits = self.credits
-                    while queue and queue[0][0] <= cycle:
-                        credit = queue.popleft()[1]
-                        removed += 1
-                        vn = credit.vn
-                        if vn is not None:
-                            credits[vn][credit.vc] += 1
-            # Inlined ejection drain.
-            link = self.from_router
-            if link is not None:
-                queue = link._queue
-                if queue and queue[0][0] <= cycle:
-                    rx_counts = self._rx_counts
-                    while queue and queue[0][0] <= cycle:
-                        flit = queue.popleft()[1]
-                        removed += 1
-                        msg = flit.msg
-                        got = rx_counts.get(msg.uid, 0) + 1
-                        if got == msg.n_flits:
-                            rx_counts.pop(msg.uid, None)
-                            self._finish(msg, cycle)
-                        else:
-                            rx_counts[msg.uid] = got
-            if removed:
-                self.incoming -= removed
+    def tick(self, cycle: int, flits: Sequence[Flit] = ()) -> bool:
+        """One NI cycle: reassemble ``flits`` (this cycle's ejections, in
+        arrival order), send due undo notices, plan replies, inject.
+
+        Returns whether the NI has a queued message, an active send or a
+        released circuit reply, i.e. must run again next cycle.
+        """
+        if flits:
+            rx_counts = self._rx_counts
+            for flit in flits:
+                msg = flit.msg
+                got = rx_counts.get(msg.uid, 0) + 1
+                if got == msg.n_flits:
+                    rx_counts.pop(msg.uid, None)
+                    self._finish(msg, cycle)
+                else:
+                    rx_counts[msg.uid] = got
         if self._undo_out:
             self._flush_undo(cycle)
         if self.reply_pending:
             self._plan_replies(cycle)
+        active_packet = self.active_packet
         if (
             self.active_circuit is not None
             or self.held
@@ -244,39 +208,15 @@ class NetworkInterface:
             or active_packet[1] is not None
         ):
             self._inject_one_flit(cycle)
-
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """Report the next cycle this NI could possibly act.
-
-        Queued messages and active sends need a tick every cycle.  All
-        other NI work is future-dated with an exactly-known due cycle -
-        ``incoming`` traffic still on the wire (link queue heads), held
-        circuit replies (timed windows) and queued undo notices - so
-        with only those pending, the NI sleeps until the earliest one.
-        """
-        if (
+        return bool(
             self.req_queue
             or self.reply_pending
             or self.reply_queue
             or self.active_circuit is not None
-            or self.active_packet[0] is not None
-            or self.active_packet[1] is not None
-        ):
-            return cycle + 1
-        due: Optional[int] = None
-        if self.incoming:
-            for link in (self.from_router, self.credit_in):
-                if link is not None and link._queue:
-                    arrival = link._queue[0][0]
-                    if due is None or arrival < due:
-                        due = arrival
-        if self.held and (due is None or self.held[0][0] < due):
-            due = self.held[0][0]
-        if self._undo_out:
-            undo_due = min(entry[0] for entry in self._undo_out)
-            if due is None or undo_due < due:
-                due = undo_due
-        return due
+            or active_packet[0] is not None
+            or active_packet[1] is not None
+            or (self.held and self.held[0][0] <= cycle)
+        )
 
     def _flush_undo(self, cycle: int) -> None:
         if not self._undo_out:
@@ -299,10 +239,11 @@ class NetworkInterface:
             if self.observer is not None:
                 self.observer.ni_plan(self, msg, plan, cycle)
             if plan.kind == "circuit":
-                heapq.heappush(
-                    self.held, (max(plan.release, cycle), self._seq, msg)
-                )
+                release = max(plan.release, cycle)
+                heapq.heappush(self.held, (release, self._seq, msg))
                 self._seq += 1
+                if release > cycle:
+                    self.core.wake_interface(self.node, release)
             else:
                 self.reply_queue.append(msg)
 

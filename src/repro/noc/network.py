@@ -1,4 +1,4 @@
-"""Network assembly: routers, their core, links, and network interfaces."""
+"""Network assembly: routers, network interfaces, and the core clocking them."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.noc.flit import Message
 from repro.noc.interface import NetworkInterface
-from repro.noc.link import CreditLink, FlitLink
 from repro.noc.router import Router, RouterCore
 from repro.noc.topology import build_topology
 from repro.sim.stats import Stats
@@ -27,11 +26,8 @@ class Network:
         self.config = config
         self.stats = stats if stats is not None else Stats()
         self.topo = build_topology(config)
-        #: Legacy alias - most call sites only need n_nodes/neighbor-style
-        #: queries that every Topology provides.
-        self.mesh = self.topo
         self.policy = make_policy(config, self.topo, self.stats)
-        #: The one kernel component clocking every router.
+        #: The one kernel component clocking every router and NI.
         self.core = RouterCore(self.topo, config, self.policy, self.stats)
         self.routers: List[Router] = [
             Router(router, self.topo, config, self.policy, self.stats,
@@ -45,11 +41,8 @@ class Network:
         self._wire()
 
     def _wire(self) -> None:
-        latency = self.config.noc.link_latency
         topo = self.topo
         core = self.core
-        # The calendar's single due offset holds for every channel.
-        assert core.latency == latency
         stride = core.stride
         # Router -> router: flits leaving through ``port`` arrive at the
         # neighbour's input ``back``; credits for flits received on
@@ -58,21 +51,17 @@ class Network:
             for port, nbr, back in topo.neighbors(rid):
                 router.flit_to[port] = nbr * stride + back
                 router.credit_to[port] = nbr * stride + back
-        # NI -> router goes through the calendar at the local port's key;
-        # router -> NI (ejection, injection credits) are watched links.
+        # NI -> router goes to the local port's key; ejected flits and the
+        # credits of the NI's injection buffers go to the NI's key.
         for node, ni in enumerate(self.interfaces):
             rid = topo.router_of(node)
-            router = self.routers[rid]
             local = topo.local_port(node)
             ni.core = core
             ni.router_key = rid * stride + local
-            eject = FlitLink(latency)
-            eject.watcher = ni
-            router.flit_to[local] = ni.from_router = eject
-            inject_credit = CreditLink(latency)
-            inject_credit.watcher = ni
-            router.credit_to[local] = ni.credit_in = inject_credit
-        core.attach(self.routers)
+            router = self.routers[rid]
+            router.flit_to[local] = router.credit_to[local] = \
+                core.ni_base + node
+        core.attach(self.routers, self.interfaces)
 
     # ------------------------------------------------------------------
     def interface(self, node: int) -> NetworkInterface:
@@ -85,35 +74,16 @@ class Network:
         """Convenience injection entry point (used by traffic generators)."""
         self.interfaces[msg.src].enqueue(msg, cycle)
 
-    def tick(self, cycle: int) -> None:
-        """Advance the router core, then every NI, by one cycle.
+    def register(self, sim: "Simulator") -> None:
+        """Register the router core, the NoC's one kernel component,
+        with ``sim``.  Manual drivers call ``core.tick(cycle)`` instead.
 
-        Kept for manual drivers (traffic generators, unit tests); systems
-        built on a :class:`~repro.sim.kernel.Simulator` should call
-        :meth:`register` instead so the core and each NI can sleep.
-        """
-        self.core.tick(cycle)
-        for ni in self.interfaces:
-            ni.tick(cycle)
-
-    def register(self, sim: "Simulator", nodes=None) -> None:
-        """Register the router core, then each NI, with ``sim``.
-
-        Preserves the exact intra-cycle order of :meth:`tick` (all routers,
-        then all NIs) while letting the activity-driven kernel skip the
-        idle ones.
-
-        ``nodes`` (a set of node ids, or None for all) restricts the NIs
-        to a shard's local slice: the sharded engine builds the full
-        network in every worker for deterministic construction, but only
-        local NIs may ever tick.  The core clocks the local routers
-        alone, because the barrier moves every calendar entry bound for
-        a foreign router out before it is due.
+        In a shard (:mod:`repro.sim.shard`) the core clocks the local
+        routers and NIs alone: the barrier moves every calendar entry
+        bound for a foreign router out before it is due, and a foreign NI
+        is never handed a message or a calendar entry.
         """
         sim.add(self.core)
-        for ni in self.interfaces:
-            if nodes is None or ni.node in nodes:
-                sim.add(ni)
 
     def msgs_delivered(self) -> int:
         """Messages delivered so far, without flushing: the flushed
@@ -136,11 +106,13 @@ class Network:
             for _port, unit in router._input_units:
                 total += len(unit.wait_queue)
         for ni in self.interfaces:
-            total += ni.from_router.in_flight() + ni.pending_work()
+            total += ni.pending_work()
         return total
 
     def channel_label(self, key: int) -> str:
-        """Name of the input port a calendar key delivers to."""
+        """Name of the input port or NI a calendar key delivers to."""
+        if key >= self.core.ni_base:
+            return f"ni{key - self.core.ni_base}.in"
         router, port = divmod(key, self.core.stride)
         return f"router{router}.in.{self.topo.port_name(port)}"
 

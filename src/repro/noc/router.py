@@ -14,15 +14,16 @@ crossbar in its arrival cycle (2 cycles/hop with the link).  The crossbar
 prioritises circuit flits; packet flits that already won switch allocation
 retry their traversal the next cycle (section 4.3).
 
-The routers of a network are one kernel component, :class:`RouterCore`.
-Each cycle it runs one stage at a time across the whole network -
-credits, ideal-mode retries, arrivals, switch traversal, then the fused
-switch/VC allocation (:meth:`Router.allocate`) of every router holding a
-busy VC - over a network-owned arrival calendar.  Every channel between
-routers carries at least one cycle of latency, so no router reads
-another's state within a cycle: running the stages network-wide is
-bit-identical to running the routers one after another, each through the
-same stages in the same order.  :class:`Router` keeps one router's state
+The routers and network interfaces of a network are one kernel
+component, :class:`RouterCore`.  Each cycle it runs one stage at a time
+across the whole network - credits, ideal-mode retries, arrivals, switch
+traversal, the fused switch/VC allocation (:meth:`Router.allocate`) of
+every router holding a busy VC, and last the NI stage - over a
+network-owned arrival calendar that is the NoC's only wire and only
+timer.  Every channel carries at least one cycle of latency, so no
+router or NI reads another's state within a cycle: running the stages
+network-wide is bit-identical to running the routers one after another
+and then the NIs in node order.  :class:`Router` keeps one router's state
 (units, VCs, arbiters, circuit tables) and the helpers the circuit
 policies call.  The hot loops use dense port-indexed lists, precomputed
 route tables, round-robin arbiters over integer candidate codes with
@@ -36,11 +37,10 @@ cycles included.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.noc.allocators import RoundRobinArbiter
-from repro.noc.flit import Flit
-from repro.noc.link import Credit
+from repro.noc.flit import Credit, Flit
 from repro.noc.routing import route_tables
 from repro.noc.topology import Topology
 from repro.noc.vc import InputVc, OutputVc, VcStage
@@ -49,6 +49,7 @@ from repro.sim.stats import Stats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.circuits.table import CircuitTable
+    from repro.noc.interface import NetworkInterface
     from repro.sim.config import SystemConfig
 
 #: Effectively infinite credit count used for ejection (NI sink) ports.
@@ -115,11 +116,10 @@ class Router:
     """One NoC router's state; :class:`RouterCore` clocks it.
 
     Wiring (set by :class:`~repro.noc.network.Network`): ``flit_to[p]``
-    and ``credit_to[p]`` say where flits leaving through ``p`` and the
-    credits for flits received on ``p`` go.  For a network port both are
-    the neighbour's calendar key (``router * stride + port``); for a local
-    port they are the :class:`~repro.noc.link.FlitLink` /
-    :class:`~repro.noc.link.CreditLink` toward the NI.
+    and ``credit_to[p]`` are the calendar keys that flits leaving through
+    ``p`` and the credits for flits received on ``p`` are posted under -
+    the neighbour's ``router * stride + port`` for a network port, the
+    NI's ``n_routers * stride + node`` for a local port.
 
     The per-port structures are dense lists indexed by the plain-int port
     id, sized to the topology's ``max_radix`` (``None`` where the port
@@ -226,18 +226,10 @@ class Router:
         claims[self.node] = mask | need
         return True
 
-    def _send(self, calendar: dict, to: list, port: int, item,
-              cycle: int) -> None:
-        """Put ``item`` on the wire out of ``port`` during ``cycle``."""
-        if port < self._local_base:
-            post(calendar, cycle + 1 + self.core.latency, (to[port], item))
-        else:
-            to[port].send(item, cycle)
-
     def forward_flit(self, out_port: int, flit: Flit, cycle: int) -> None:
         """Send ``flit`` through the crossbar onto ``out_port``'s link."""
         core = self.core
-        self._send(core.flits, self.flit_to, out_port, flit, cycle)
+        core.send_flit(self.flit_to[out_port], flit, cycle)
         self.forwarded += 1
         core._c_xbar += 1
         core._c_link += 1
@@ -247,14 +239,14 @@ class Router:
     def return_credit(self, in_port: int, vn: int, vc_index: int, cycle: int) -> None:
         """Return one buffer credit upstream for ``in_port``'s (vn, vc)."""
         core = self.core
-        self._send(core.credits, self.credit_to, in_port,
-                   core._credit_objs[vn][vc_index], cycle)
+        core.send_credit(self.credit_to[in_port],
+                         core._credit_objs[vn][vc_index], cycle)
         core._c_credits += 1
 
     def send_undo(self, out_port: int, key, cycle: int) -> None:
         """Propagate an undo notice toward the circuit destination."""
-        self._send(self.core.credits, self.credit_to, out_port,
-                   Credit(undo_key=key), cycle)
+        self.core.send_credit(self.credit_to[out_port], Credit(undo_key=key),
+                              cycle)
         self.stats.bump("circuit.undo_hops")
 
     def vc_became_busy(self, port: int, vc: InputVc) -> None:
@@ -468,36 +460,50 @@ class Router:
 
 
 class RouterCore:
-    """Every router of one network, clocked as one kernel component.
+    """Every router and network interface of one network, clocked as one
+    kernel component.
 
-    The arrival calendar is two dicts, ``flits`` and ``credits``, mapping
-    a due cycle to its ``(key, item)`` entries; ``key = router * stride +
-    port`` names the receiving input unit (flits) or output unit (buffer
-    credits and undo notices).  Every link shares one latency ``L``, so an
-    item sent in cycle ``c`` is due in ``c + 1 + L``.  A due bucket is
-    stably sorted by key before it is applied, which replays the order one
-    router at a time would see: ports ascending, each channel first in
-    first out.
+    The arrival calendar is three dicts mapping a due cycle to its
+    entries: ``flits`` and ``credits`` hold ``(key, item)`` wire entries,
+    ``wakes`` holds the keys of NIs with timed work due then.  A key names
+    the receiver: ``router * stride + port`` the input unit (flits) or
+    output unit (buffer credits and undo notices) of a router port, and
+    ``ni_base + node`` (``ni_base = n_routers * stride``) the network
+    interface of a node.  Every link shares one latency ``L``, so an item
+    sent in cycle ``c`` is due in ``c + 1 + L``.  A due bucket is stably
+    sorted by key before it is applied, which replays the order one router
+    at a time and then one NI at a time would see: ports ascending, NIs
+    after every router, each channel first in first out.
+
+    The last stage of a cycle, ``ni_stage`` (an instance attribute, so a
+    profiler can time it), runs the body of every NI with ejected flits or
+    a wake due, or in ``ni_awake``, in node order.  Credits bound for an
+    NI are applied in the credit stage: only its injection reads them.
 
     Wake rule (:meth:`next_wake`): awake while a grant awaits switch
-    traversal, a router holds a busy VC or an ideal-mode flit waits for
-    the crossbar; otherwise asleep until the earliest calendar entry
-    (``None`` for an empty calendar).  Sends made inside the core need no
-    wake; a network interface posting into the calendar pokes
-    ``kernel_wake`` (:meth:`send_flit`, :meth:`send_credit`).
+    traversal, a router holds a busy VC, an ideal-mode flit waits for the
+    crossbar or an NI has a queued message or active send (``ni_awake``);
+    otherwise asleep until the earliest calendar entry (``None`` for an
+    empty calendar).  An NI handed a message or an undo notice from outside
+    the core (:meth:`wake_interface`) pokes ``kernel_wake``; nothing else
+    does.
     """
 
     def __init__(self, topo: Topology, config: "SystemConfig", policy,
                  stats: Stats) -> None:
         self.latency = config.noc.link_latency
         self.stride = topo.max_radix
-        self._local_base = topo.local_base
+        #: First NI key: NI-bound entries sort after every router's.
+        self.ni_base = topo.n_routers * self.stride
         self.policy = policy
         self.stats = stats
         self.routers: List[Router] = []
-        #: The arrival calendar: due cycle -> [(key, Flit / Credit)].
+        self.interfaces: List["NetworkInterface"] = []
+        #: The arrival calendar: due cycle -> [(key, Flit / Credit)], and
+        #: due cycle -> [NI key] for the NIs' timed work.
         self.flits: Dict[int, list] = {}
         self.credits: Dict[int, list] = {}
+        self.wakes: Dict[int, list] = {}
         #: Switch-allocation winners awaiting traversal, in grant order:
         #: ``(router, in_port, vc)``.
         self.grants: List[tuple] = []
@@ -506,6 +512,13 @@ class RouterCore:
         self.busy: List[Router] = []
         #: Ideal-mode flits waiting for the crossbar, network-wide.
         self.waiting = 0
+        #: Nodes whose NI has a queued message or an active send: its
+        #: body runs every cycle until they drain.
+        self.ni_awake: Set[int] = set()
+        #: This cycle's ejected flits, node -> [Flit] in arrival order.
+        self._ejected: Dict[int, list] = {}
+        #: The NI stage, rebindable: ``ni_stage(cycle)`` -> bodies run.
+        self.ni_stage = self._ni_stage
         #: This cycle's crossbar claims, one mask per router (see
         #: ``OUT_SHIFT``), reset each cycle to ``claims_floor`` - all
         #: zero unless fault injection pins a port.
@@ -532,8 +545,7 @@ class RouterCore:
         self._arrival_filter = (
             1 if filt == "on_circuit" else 2 if filt == "reply_keyed" else 0
         )
-        #: Set by the simulator kernel; network interfaces poke it with
-        #: the due cycle of what they post into the calendar.
+        #: Set by the simulator kernel (None until registered).
         self.kernel_wake = None
         # Hot counters, batched; drained by _flush_counters (registered
         # with the Stats object) at sample/finish boundaries.
@@ -547,12 +559,13 @@ class RouterCore:
         self._c_va = 0
         stats.add_flusher(self._flush_counters)
 
-    def attach(self, routers: List[Router]) -> None:
+    def attach(self, routers: List[Router],
+               interfaces: List["NetworkInterface"]) -> None:
         """Index the wired routers' units by calendar key."""
         self.routers = routers
-        size = len(routers) * self.stride
-        self._in_units = [None] * size
-        self._out_units = [None] * size
+        self.interfaces = interfaces
+        self._in_units = [None] * self.ni_base
+        self._out_units = [None] * self.ni_base
         for router in routers:
             for port in router.ports:
                 key = router.node * self.stride + port
@@ -581,19 +594,21 @@ class RouterCore:
                 setattr(self, name, 0)
 
     # ------------------------------------------------------------------
-    # Posting into the calendar from outside the core.
+    # Posting into the calendar.
     # ------------------------------------------------------------------
     def send_flit(self, key: int, flit: Flit, cycle: int) -> None:
-        """A network interface puts ``flit`` on its injection link."""
-        due = cycle + 1 + self.latency
-        post(self.flits, due, (key, flit))
-        if self.kernel_wake is not None:
-            self.kernel_wake(due)
+        """Put ``flit`` on the wire toward ``key`` during ``cycle``."""
+        post(self.flits, cycle + 1 + self.latency, (key, flit))
 
     def send_credit(self, key: int, credit: Credit, cycle: int) -> None:
-        """A network interface sends ``credit`` (an undo notice)."""
-        due = cycle + 1 + self.latency
-        post(self.credits, due, (key, credit))
+        """Put ``credit`` (or an undo notice) on the wire toward ``key``."""
+        post(self.credits, cycle + 1 + self.latency, (key, credit))
+
+    def wake_interface(self, node: int, due: int) -> None:
+        """NI ``node`` has work due at ``due`` (a message handed to it, a
+        held reply's release, an undo notice): a wake-only calendar entry
+        at its key, and a poke for a sleeping core."""
+        post(self.wakes, due, self.ni_base + node)
         if self.kernel_wake is not None:
             self.kernel_wake(due)
 
@@ -610,8 +625,10 @@ class RouterCore:
     # The clocked protocol.
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        """One network cycle, stage by stage across every router."""
+        """One network cycle, stage by stage across every router, then
+        the NI stage."""
         self.claims = self.claims_floor[:]
+        ni_base = self.ni_base
         credits = self.credits.pop(cycle, None)
         if credits:
             # -- credits and undo notices -----------------------------
@@ -621,6 +638,12 @@ class RouterCore:
             policy = self.policy
             for key, credit in credits:
                 vn = credit.vn
+                if key >= ni_base:
+                    # Undo notices end at the destination router.
+                    if vn is not None:
+                        self.interfaces[key - ni_base].credits[vn][
+                            credit.vc] += 1
+                    continue
                 if vn is not None:
                     out_units[key].vcs[vn][credit.vc].credits += 1
                 if credit.undo_key is not None:
@@ -634,31 +657,73 @@ class RouterCore:
                     retry(router, cycle)
         flits = self.flits.pop(cycle, None)
         if flits:
-            self._arrive(flits, cycle)
+            if len(flits) > 1:
+                flits.sort(key=_KEY)
+            if flits[-1][0] >= ni_base:
+                self._eject(flits)
+            if flits:
+                self._arrive(flits, cycle)
         if self.grants:
             self._traverse(cycle)
         for router in self.busy:
             router.allocate(cycle)
+        self.ni_stage(cycle)
 
     def next_wake(self, cycle: int) -> Optional[int]:
-        """Stay awake while any router has pipeline work; otherwise sleep
-        until the calendar's earliest entry.  A busy VC keeps the core
-        awake even when blocked: blocked VCs find no allocation
+        """Stay awake while any router or NI has pipeline work; otherwise
+        sleep until the calendar's earliest entry.  A busy VC keeps the
+        core awake even when blocked: blocked VCs find no allocation
         candidate and arbiters advance only on grants, so those cycles
-        change nothing."""
-        if self.grants or self.busy or self.waiting:
+        change nothing; so does an NI blocked on credits."""
+        if self.grants or self.busy or self.waiting or self.ni_awake:
             return cycle + 1
-        due = min(self.flits) if self.flits else None
-        if self.credits:
-            first = min(self.credits)
-            if due is None or first < due:
-                due = first
+        due = None
+        for calendar in (self.flits, self.credits, self.wakes):
+            if calendar:
+                first = min(calendar)
+                if due is None or first < due:
+                    due = first
         return due
+
+    # -- the NI stage ----------------------------------------------------------
+    def _eject(self, flits: list) -> None:
+        """Move the NI-bound tail of a sorted due bucket to ``_ejected``."""
+        ni_base = self.ni_base
+        split = len(flits) - 1
+        while split and flits[split - 1][0] >= ni_base:
+            split -= 1
+        ejected = self._ejected
+        for key, flit in flits[split:]:
+            ejected.setdefault(key - ni_base, []).append(flit)
+        del flits[split:]
+
+    def _ni_stage(self, cycle: int) -> int:
+        """Run the body of every NI with ejected flits, a wake due or
+        queued work, in node order; returns how many ran."""
+        ejected = self._ejected
+        awake = self.ni_awake
+        woken = self.wakes.pop(cycle, None)
+        if woken or ejected:
+            nodes = awake.union(ejected)
+            if woken:
+                nodes.update(key - self.ni_base for key in woken)
+        elif awake:
+            nodes = awake
+        else:
+            return 0
+        interfaces = self.interfaces
+        order = sorted(nodes)
+        for node in order:
+            if interfaces[node].tick(cycle, ejected.get(node, ())):
+                awake.add(node)
+            else:
+                awake.discard(node)
+        if ejected:
+            ejected.clear()
+        return len(order)
 
     # -- stage 1: arrivals (circuit check, buffering + RC) -----------------
     def _arrive(self, flits: list, cycle: int) -> None:
-        if len(flits) > 1:
-            flits.sort(key=_KEY)
         in_units = self._in_units
         # Policies whose handle_arrival is a no-op (the flag is static per
         # policy class) leave the hook unbound and skip the call.
@@ -726,7 +791,6 @@ class RouterCore:
         flits_out = self.flits.setdefault(due, [])
         credits_out = self.credits.setdefault(due, [])
         credit_objs = self._credit_objs
-        local_base = self._local_base
         tail_hook = self._tail_hook
         moved = 0
         for item in pending:
@@ -742,18 +806,12 @@ class RouterCore:
             flit, _arrived, credit_vc = vc.buffer.popleft()
             out_vc_index = vc.out_vc
             flit.dst_vc = out_vc_index if out_vc_index is not None else 0
-            if out_port < local_base:
-                flits_out.append((router.flit_to[out_port], flit))
-            else:
-                router.flit_to[out_port].send(flit, cycle)
+            flits_out.append((router.flit_to[out_port], flit))
             router.forwarded += 1
             if router.tracer is not None:
                 router.tracer(cycle, router, out_port, flit)
-            credit = credit_objs[vc.vn][credit_vc]
-            if in_port < local_base:
-                credits_out.append((router.credit_to[in_port], credit))
-            else:
-                router.credit_to[in_port].send(credit, cycle)
+            credits_out.append((router.credit_to[in_port],
+                                credit_objs[vc.vn][credit_vc]))
             moved += 1
             vc.granted_pending = False
             if flit.is_tail:

@@ -18,7 +18,7 @@ component between injections, so lightly loaded sweeps - the regime the
 paper's figures are drawn from - advance at event speed: whole quiet
 gaps are fast-forwarded by the kernel instead of being simulated cycle
 by cycle.  The kernel starts at cycle 1 so cycle labels match the old
-manual ``net.tick(cycle)`` loop.
+manual loop that stepped the network once per cycle from 1.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class RequestReplyTraffic:
         #: Per-node next-injection schedule: (cycle, node) min-heap.
         self._inj_heap: List[Tuple[int, int]] = []
         if self.rate > 0.0:
-            for node in range(self.net.mesh.n_nodes):
+            for node in range(self.net.topo.n_nodes):
                 heapq.heappush(self._inj_heap, (self._draw_gap(), node))
         #: Installed by Simulator.add; pokes the kernel when a reply timer
         #: is armed while the generator sleeps.
@@ -75,7 +75,7 @@ class RequestReplyTraffic:
         self.sim.add(self)
         self.net.register(self.sim)
         self.sim.cycle = 1
-        for node in range(self.net.mesh.n_nodes):
+        for node in range(self.net.topo.n_nodes):
             self.net.set_deliver(node, self._deliver)
 
     @property
@@ -107,7 +107,7 @@ class RequestReplyTraffic:
             self.reply_latencies.append(msg.network_latency)
 
     def _inject_from(self, src: int, cycle: int) -> None:
-        n = self.net.mesh.n_nodes
+        n = self.net.topo.n_nodes
         dest = self.rng.randrange(n - 1)
         if dest >= src:
             dest += 1
@@ -192,7 +192,7 @@ class RequestReplyTraffic:
     def offered_load_flits_per_kcycle_node(self) -> float:
         """Measured injected flits per 1000 cycles per node."""
         s = self.net.stats
-        n = self.net.mesh.n_nodes
+        n = self.net.topo.n_nodes
         if not self.cycle:
             return 0.0
         return 1000.0 * s.counter("noc.flits_injected") / self.cycle / n

@@ -1,8 +1,8 @@
 """Deterministic checkpoint/restart of complete simulator state.
 
 A checkpoint is a pickle of the *entire* live object graph - kernel wake
-heap and awake set, RNG streams, router core (arrival calendar included),
-NI, coherence and driver state, batched
+heap and awake set, RNG streams, router core (arrival calendar and NI
+state included), coherence and driver state, batched
 :class:`~repro.sim.stats.Stats` counters, in-flight messages -
 plus the run-state record saying where the run script stood.  This
 module owns the snapshot (capture, file format, restore) and *when* one
@@ -77,8 +77,10 @@ from repro.sim.kernel import SimulationError
 #: 5: ``SystemConfig`` has no ``sim`` field; 6: ``NocConfig`` has no
 #: pipeline switch, there is one router / NI class and one kernel mode;
 #: 7: the routers are one kernel component with an arrival calendar, and
-#: the router-bound link queues are gone).
-SCHEMA_VERSION = 7
+#: the router-bound link queues are gone; 8: the NIs run inside that
+#: component, their links and kernel slots are gone, and the calendar has
+#: NI keys and wake entries).
+SCHEMA_VERSION = 8
 
 MAGIC = b"RPROCKPT"
 

@@ -19,15 +19,17 @@ Determinism / bit-identity argument (gated by
 * every worker builds the *complete* :class:`~repro.system.CmpSystem`
   from the same config/seed - construction and functional prewarm
   consume the deterministic RNG streams identically everywhere - but
-  registers only its local band with the kernel: the router core (whose
-  calendar only ever holds entries due at local routers) and the local
-  tiles and NIs.  Foreign tiles and NIs keep ``kernel_wake = None`` and
-  never tick;
+  registers only its local band with the kernel: the local tiles and
+  the router core, whose calendar only ever holds entries due at local
+  routers and NIs.  Foreign tiles keep ``kernel_wake = None`` and never
+  tick, so a foreign NI is never handed work and the core never runs it;
 * boundary traffic is router-core calendar entries: at each barrier the
   sender harvests every entry bound for a foreign router, and the
   receiver files it - same ``due`` cycle, same key, same order - in its
   own calendar, whose per-bucket sort by key then replays the
-  single-process order, so the router/NI hot paths run unchanged;
+  single-process order, so the router/NI hot paths run unchanged.  An
+  NI's key always belongs to the shard of the NI's router, so NI-bound
+  entries never cross;
 * local components tick in a subsequence of the single-process
   registration order, and window barriers land exactly on the
   single-process ``run_until`` check boundaries, so completion cycles
@@ -292,7 +294,9 @@ class _ShardWorker:
                 interval=params["check_interval"], local_nodes=local,
             ).attach(self.system.sim)
 
-        # Calendar key -> shard of the router it delivers to.
+        # Calendar key -> shard of the router it delivers to; NI keys
+        # (after every router's) are local: only the NI's router sends
+        # to them.
         from repro.partition import router_shard
 
         topo = self.net.topo
@@ -300,7 +304,7 @@ class _ShardWorker:
         self._key_shard: List[int] = [
             router_shard(topo, assignment, key // stride)
             for key in range(topo.n_routers * stride)
-        ]
+        ] + [index] * topo.n_nodes
 
         # Recovery-snapshot schedule: a pure function of the (global)
         # barrier cycle, so every shard snapshots at identical barrier

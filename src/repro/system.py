@@ -172,7 +172,8 @@ class CmpSystem:
         #: builds the complete system in every worker (construction and
         #: functional prewarm must consume RNG streams identically), but
         #: registers only the local slice with the kernel: foreign tiles
-        #: and NIs keep ``kernel_wake = None`` and never tick.
+        #: keep ``kernel_wake = None`` and never tick, so their NIs are
+        #: never handed work and the router core never runs them.
         self.local_nodes = frozenset(local_nodes) if local_nodes is not None \
             else None
         self.stats = Stats()
@@ -180,11 +181,11 @@ class CmpSystem:
         self.network = Network(config, self.stats)
         self.rng = DeterministicRng(config.seed)
         self.factory = MessageFactory(config)
-        mesh = self.network.mesh
+        topo = self.network.topo
         line = config.cache.line_bytes
-        n_nodes = mesh.n_nodes
+        n_nodes = topo.n_nodes
         self.mc_nodes = memory_controller_nodes(
-            mesh, config.cache.num_memory_controllers
+            topo, config.cache.num_memory_controllers
         )
 
         #: Whether the default address-interleaving map is in use.  A
@@ -231,14 +232,13 @@ class CmpSystem:
             self.sim.add(tile.l2)
             if tile.mc is not None:
                 self.sim.add(tile.mc)
-        # The router core, then each NI (same order as Network.tick), so
-        # the kernel can sleep each of them on its own.
-        self.network.register(self.sim, nodes=local)
+        # Last, the router core: every router, then every NI.
+        self.network.register(self.sim)
 
     def _make_home_of(self) -> Callable[[int], int]:
         """The default block-interleaved L2 home map (recreatable wiring)."""
         line = self.config.cache.line_bytes
-        n_nodes = self.network.mesh.n_nodes
+        n_nodes = self.network.topo.n_nodes
 
         def home_of(addr: int) -> int:
             return (addr // line) % n_nodes

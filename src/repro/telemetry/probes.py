@@ -91,11 +91,11 @@ def sleep_report(sim) -> str:
 
     One line per sleeping kernel slot (class + node when available, with
     its scheduled wake cycle or ``ext`` for externally-woken sleepers),
-    preceded by the aggregate skip counters.  Every router sits behind
-    the one ``RouterCore`` slot, so a sleeping NoC shows as one
-    ``RouterCore`` line plus one line per sleeping NI.  Intended for interactive
-    debugging and deadlock forensics: a component that should be working
-    but shows up here points straight at broken wake bookkeeping.
+    preceded by the aggregate skip counters.  Every router and NI sits
+    behind the one ``RouterCore`` slot, so a sleeping NoC shows as one
+    ``RouterCore`` line.  Intended for interactive debugging and deadlock
+    forensics: a component that should be working but shows up here
+    points straight at broken wake bookkeeping.
     """
     sleepers = sim.sleeping_slots()
     lines = [
@@ -134,7 +134,7 @@ class LoadSampler:
         count = self.net.stats.counter("noc.flits_injected")
         delta = count - self._last_count
         self._last_count = count
-        self.samples.append(delta / self.net.mesh.n_nodes)
+        self.samples.append(delta / self.net.topo.n_nodes)
 
     def next_wake(self, cycle: int) -> int:
         """Sleep until the next sampling boundary (counters accumulate

@@ -2,10 +2,11 @@
 
 Attaches to a :class:`~repro.sim.kernel.Simulator` by swapping each
 registered slot's bound ``tick`` (``_Slot.tick``, the indirection the hot
-loops call) for a timing wrapper, so attribution needs no cooperation
-from - and adds no cost to - the components themselves.  Detaching
-restores the original bound methods, leaving the simulator exactly as it
-was.
+loops call) for a timing wrapper - and the router core's ``ni_stage``,
+the same indirection one level down - so attribution needs no
+cooperation from, and adds no cost to, the components themselves.
+Detaching restores the original bound methods, leaving the simulator
+exactly as it was.
 
 The report aggregates per component *class* and per architectural
 *group* (router / ni / coherence / driver), and pairs the wall-time
@@ -83,23 +84,29 @@ class _Cell:
 class KernelProfiler:
     """Per-component-class wall-time and tick attribution.
 
-    Only ``slot.tick`` is wrapped.  A component's sleep decision
+    ``slot.tick`` is wrapped, and so is the router core's NI stage
+    (``RouterCore.ni_stage``).  A component's sleep decision
     (``next_wake``) is kernel time (``kernel_seconds``) for every class -
-    the router core and NIs as much as cores, controllers and the traffic
-    driver - so compare ``router + ni + kernel`` sums across commits that
-    move work between a tick and its ``next_wake``, never one column
-    alone.  A second per-tick wrapper would make the split finer, at a
-    cost the observed-run overhead budget does not have.
+    the router core as much as cores, controllers and the traffic driver
+    - so compare ``router + ni + kernel`` sums across commits that move
+    work between a tick and its ``next_wake``, never one column alone.
+    A second per-tick wrapper would make the split finer, at a cost the
+    observed-run overhead budget does not have.
 
-    Rows are kernel slots, not architectural units: every router of a
-    network is one :class:`~repro.noc.router.RouterCore` slot, so the
-    ``router`` group counts core ticks (one per awake network cycle),
-    whereas ``ni`` counts one tick per awake interface.
+    Rows are kernel slots, not architectural units, with one exception:
+    every router and NI of a network is behind one
+    :class:`~repro.noc.router.RouterCore` slot, whose NI stage is
+    reported as a ``NetworkInterface`` row (group ``ni``: ``components``
+    = NIs, ``ticks`` = NI bodies the core ran, ``seconds`` = stage time)
+    and subtracted from the ``RouterCore`` row (group ``router``: one
+    tick per awake network cycle).  The core runs its NI stage once per
+    tick, so the stage wrapper's cost sits in the router row, and is
+    corrected there.
     """
 
     def __init__(self) -> None:
         self._sim = None
-        self._saved: List = []  # (slot, original tick)
+        self._saved: List = []  # (owner, attribute, original)
         self.cells: Dict[str, _Cell] = {}
         self.components: Dict[str, int] = {}
         self.wall_seconds = 0.0
@@ -132,8 +139,11 @@ class KernelProfiler:
                 _cell.seconds += _perf() - start
                 _cell.ticks += 1
 
-            self._saved.append((slot, original))
+            self._saved.append((slot, "tick", original))
             slot.tick = timed
+            stage = getattr(slot.component, "ni_stage", None)
+            if stage is not None:
+                self._wrap_ni_stage(slot.component, stage, perf)
         self._t0 = perf()
         self._ticks0 = sim.ticks_run
         self._skipped0 = sim.cycles_skipped
@@ -148,10 +158,28 @@ class KernelProfiler:
         self.ticks_run += sim.ticks_run - self._ticks0
         self.cycles_skipped += sim.cycles_skipped - self._skipped0
         self.cycles += sim.cycle - self._cycle0
-        for slot, original in self._saved:
-            slot.tick = original
+        for owner, attr, original in self._saved:
+            setattr(owner, attr, original)
         self._saved.clear()
         self._sim = None
+
+    def _wrap_ni_stage(self, core, stage, perf) -> None:
+        """Time the router core's NI stage as a ``NetworkInterface`` row;
+        its seconds leave the core's row in :meth:`report`."""
+        name = "NetworkInterface"
+        cell = self.cells.setdefault(name, _Cell())
+        self.components[name] = (self.components.get(name, 0)
+                                 + len(core.interfaces))
+
+        def timed(cycle, _stage=stage, _cell=cell, _perf=perf):
+            start = _perf()
+            ran = _stage(cycle)
+            _cell.seconds += _perf() - start
+            _cell.ticks += ran
+            return ran
+
+        self._saved.append((core, "ni_stage", stage))
+        core.ni_stage = timed
 
     # -- reporting -----------------------------------------------------
     def report(self) -> dict:
@@ -167,34 +195,40 @@ class KernelProfiler:
             ticks = self.ticks_run
             skipped = self.cycles_skipped
             cycles = self.cycles
-        ticked = sum(cell.seconds for cell in self.cells.values())
+        seconds = {name: cell.seconds for name, cell in self.cells.items()}
+        # Timing-wrapper calls whose cost each row's seconds contain.
+        wrapped = {name: cell.ticks for name, cell in self.cells.items()}
+        if "NetworkInterface" in seconds:
+            seconds["RouterCore"] -= seconds["NetworkInterface"]
+            wrapped["RouterCore"] *= 2
+            wrapped["NetworkInterface"] = 0
+        ticked = sum(seconds.values())
         overhead = self.overhead_per_tick
         classes = {}
         groups: Dict[str, Dict[str, float]] = {}
         for name, cell in sorted(
-            self.cells.items(), key=lambda item: -item[1].seconds
+            self.cells.items(), key=lambda item: -seconds[item[0]]
         ):
             group = GROUP_OF.get(name, "other")
-            corrected = max(cell.seconds - cell.ticks * overhead, 0.0)
+            corrected = max(seconds[name] - wrapped[name] * overhead, 0.0)
             classes[name] = {
                 "group": group,
                 "components": self.components[name],
                 "ticks": cell.ticks,
-                "seconds": cell.seconds,
+                "seconds": seconds[name],
                 "seconds_corrected": corrected,
-                "share": cell.seconds / wall if wall else 0.0,
+                "share": seconds[name] / wall if wall else 0.0,
             }
             agg = groups.setdefault(
                 group, {"ticks": 0, "seconds": 0.0, "seconds_corrected": 0.0}
             )
             agg["ticks"] += cell.ticks
-            agg["seconds"] += cell.seconds
+            agg["seconds"] += seconds[name]
             agg["seconds_corrected"] += corrected
         for agg in groups.values():
             agg["share"] = agg["seconds"] / wall if wall else 0.0
         possible = ticks + skipped
-        wrapped_ticks = sum(cell.ticks for cell in self.cells.values())
-        overhead_seconds = overhead * wrapped_ticks
+        overhead_seconds = overhead * sum(wrapped.values())
         return {
             "wall_seconds": wall,
             "kernel_seconds": max(wall - ticked, 0.0),

@@ -92,12 +92,15 @@ class FaultInjector:
         return best
 
     def _loaded_channel(self):
-        """A seeded pick among the calendar keys with flits on the wire,
-        as ``(key, its (due, position) entries in due order)``."""
+        """A seeded pick among the router-bound calendar keys with flits
+        on the wire, as ``(key, its (due, position) entries in due
+        order)``."""
+        ni_base = self.net.core.ni_base
         entries = {}
         for due, bucket in sorted(self.net.core.flits.items()):
             for index, (key, _flit) in enumerate(bucket):
-                entries.setdefault(key, []).append((due, index))
+                if key < ni_base:
+                    entries.setdefault(key, []).append((due, index))
         if not entries:
             return None
         keys = sorted(entries)

@@ -16,9 +16,8 @@ cycles re-derives the system's conservation laws from first principles:
     must equal the buffer depth.
 
 ``link_sanity``
-    No flit/credit on a wire - in the router core's arrival calendar or
-    on a link toward an NI - is due further in the future than the link
-    latency allows.
+    No flit/credit on a wire - an entry of the router core's arrival
+    calendar - is due further in the future than the link latency allows.
 
 ``circuit_lifecycle``
     Circuit-table entries are reachable (their key is still referenced by
@@ -34,10 +33,10 @@ cycles re-derives the system's conservation laws from first principles:
 ``kernel_sleep``
     (Only when :meth:`InvariantMonitor.attach`-ed to a Simulator.)
     The activity-driven kernel's sleep bookkeeping is sound: a sleeping
-    router core/NI/controller/core really has no runnable work, and any
-    future-dated work (calendar entries, scheduled handlers, held circuit
-    replies, queued undo notices) has a wakeup scheduled no later than
-    its due cycle.
+    router core (routers and NIs)/controller/core really has no runnable
+    work, and any future-dated work (calendar entries, scheduled
+    handlers, held circuit replies, queued undo notices) has a wakeup
+    scheduled no later than its due cycle.
 
 ``coherence``
     (Only when constructed with a :class:`~repro.system.CmpSystem`.)
@@ -103,17 +102,13 @@ class InvariantViolation(SimulationError):
 # Census helpers (module level so forensics can reuse them).
 # ----------------------------------------------------------------------
 
-def wire_items(net, kind: str) -> Iterable[Tuple[int, Optional[int], object]]:
+def wire_items(net, kind: str) -> Iterable[Tuple[int, int, object]]:
     """``(due, key, item)`` for every ``kind`` ("flits" / "credits") on
-    a wire: the router core's calendar entries (``key`` names the
-    receiving port), then the links toward the NIs (``key`` None)."""
+    a wire: the router core's calendar entries, ``key`` naming the
+    receiving router port or NI (``Network.channel_label``)."""
     for due, bucket in getattr(net.core, kind).items():
         for key, item in bucket:
             yield due, key, item
-    for ni in net.interfaces:
-        link = ni.from_router if kind == "flits" else ni.credit_in
-        for due, item in link._queue:
-            yield due, None, item
 
 
 def by_key(calendar: dict) -> Dict[int, list]:
@@ -325,9 +320,7 @@ class InvariantMonitor:
             for due, key, item in wire_items(net, kind):
                 if due > horizon:
                     raise self._fail(
-                        "link_sanity", cycle,
-                        "a link toward an NI" if key is None
-                        else net.channel_label(key),
+                        "link_sanity", cycle, net.channel_label(key),
                         f"{kind[:-1]} {item!r} due at cycle {due}, beyond "
                         f"the link's horizon {horizon}",
                         {"due": due, "horizon": horizon},
@@ -422,7 +415,7 @@ class InvariantMonitor:
                 f"ni {ni.node} -> router {rid} {topo.port_name(lport)}",
                 lambda vn, vc, _ni=ni: _ni.credits[vn][vc],
                 flits.get(ni.router_key, ()),
-                [credit for _due, credit in ni.credit_in._queue], in_unit, {},
+                credits.get(net.core.ni_base + ni.node, ()), in_unit, {},
             )
 
     def _check_edge(
@@ -690,86 +683,14 @@ class InvariantMonitor:
             return
         from repro.coherence.base import ScheduledController
         from repro.cpu.core import Core
-        from repro.noc.interface import NetworkInterface
         from repro.noc.router import RouterCore
 
         def fail(label, message, details=None):
             raise self._fail("kernel_sleep", cycle, label, message, details)
 
-        def check_arrivals(label, incoming, links, wake_at):
-            """In-flight traffic toward a sleeper needs a timely wakeup."""
-            if not incoming:
-                return
-            earliest = None
-            for link in links:
-                if link is not None and link._queue:
-                    due = link._queue[0][0]
-                    if earliest is None or due < earliest:
-                        earliest = due
-            if earliest is None:
-                fail(
-                    label,
-                    f"sleeper counts {incoming} incoming but no in-link "
-                    f"holds anything (watcher accounting corrupt)",
-                    {"incoming": incoming},
-                )
-            if wake_at is None or wake_at > earliest:
-                fail(
-                    label,
-                    f"sleeper has traffic arriving at cycle {earliest} "
-                    f"but its wakeup is scheduled at {wake_at}",
-                    {"earliest": earliest, "wake_at": wake_at},
-                )
-
         for component, wake_at in self.sim.sleeping_slots():
             if isinstance(component, RouterCore):
                 self._check_core_sleep(component, wake_at, cycle, fail)
-            elif isinstance(component, NetworkInterface):
-                label = f"ni {component.node}"
-                queued = (
-                    len(component.req_queue)
-                    + len(component.reply_pending)
-                    + len(component.reply_queue)
-                )
-                active = sum(
-                    1 for act in component.active_packet.values()
-                    if act is not None
-                )
-                if component.active_circuit is not None:
-                    active += 1
-                # A message enqueued *this* cycle while the NI slept (the
-                # protocol/driver pokes ``kernel_wake(cycle + 1)``) is
-                # injectable only from next cycle; the NI legitimately
-                # stays asleep until the scheduled wakeup delivers it.
-                resumed = wake_at is not None and wake_at <= cycle + 1
-                if (queued and not resumed) or active:
-                    fail(
-                        label,
-                        f"sleeping NI holds runnable work: {queued} "
-                        f"queued, {active} active sends",
-                        {"queued": queued, "active": active,
-                         "wake_at": wake_at},
-                    )
-                check_arrivals(
-                    label, component.incoming,
-                    [component.from_router, component.credit_in],
-                    wake_at,
-                )
-                for kind, due in (
-                    ("held reply", component.held[0][0]
-                     if component.held else None),
-                    ("undo notice", min(e[0] for e in component._undo_out)
-                     if component._undo_out else None),
-                ):
-                    if due is None:
-                        continue
-                    if wake_at is None or wake_at > max(due, cycle + 1):
-                        fail(
-                            label,
-                            f"sleeping NI has a {kind} due at cycle {due} "
-                            f"but its wakeup is scheduled at {wake_at}",
-                            {"due": due, "wake_at": wake_at},
-                        )
             elif isinstance(component, ScheduledController):
                 label = f"{type(component).__name__} {component.node}"
                 if component._events:
@@ -799,9 +720,9 @@ class InvariantMonitor:
                     )
 
     def _check_core_sleep(self, core, wake_at, cycle, fail) -> None:
-        """A sleeping router core holds no busy VC, pending grant or
-        waiting flit, and wakes no later than its earliest calendar
-        entry."""
+        """A sleeping router core holds no busy VC, pending grant, waiting
+        flit, queued NI message or active NI send, and wakes no later than
+        its earliest calendar entry, held circuit reply or undo notice."""
         from repro.noc.vc import VcStage
 
         for router in core.routers:
@@ -821,7 +742,37 @@ class InvariantMonitor:
                  f"sleeping router core holds runnable work: "
                  f"{len(core.grants)} granted traversals, {waiting} waiting",
                  {"grants": len(core.grants), "waiting": waiting})
-        due = min((due for calendar in (core.flits, core.credits)
+        # A message enqueued *this* cycle while the core slept (its wake
+        # entry is due at cycle + 1) is injectable only from the next
+        # cycle: the scheduled wakeup delivers it.
+        resumed = wake_at is not None and wake_at <= cycle + 1
+        for ni in core.interfaces:
+            label = f"ni {ni.node}"
+            queued = (len(ni.req_queue) + len(ni.reply_pending)
+                      + len(ni.reply_queue))
+            active = sum(1 for act in ni.active_packet.values()
+                         if act is not None)
+            if ni.active_circuit is not None:
+                active += 1
+            if (queued and not resumed) or active:
+                fail(label,
+                     f"sleeping router core holds NI work: {queued} "
+                     f"queued, {active} active sends",
+                     {"queued": queued, "active": active,
+                      "wake_at": wake_at})
+            for kind, due in (
+                ("held reply", ni.held[0][0] if ni.held else None),
+                ("undo notice", min(entry[0] for entry in ni._undo_out)
+                 if ni._undo_out else None),
+            ):
+                if due is not None and (wake_at is None
+                                        or wake_at > max(due, cycle + 1)):
+                    fail(label,
+                         f"sleeping router core has an NI {kind} due at "
+                         f"cycle {due} but its wakeup is scheduled at "
+                         f"{wake_at}",
+                         {"due": due, "wake_at": wake_at})
+        due = min((due for calendar in (core.flits, core.credits, core.wakes)
                    for due, bucket in calendar.items() if bucket),
                   default=None)
         if due is not None and (wake_at is None or wake_at > due):

@@ -38,7 +38,7 @@ def test_reservation_walk_covers_every_router(chip):
     req = c.request(0, 15)
     c.run(40)  # request in flight, reply not yet sent
     reply = reply_of(chip(Variant.COMPLETE), req) if False else None
-    path = path_routers(c.net.mesh, 0, 0, 15)
+    path = path_routers(c.net.topo, 0, 0, 15)
     walk = req.walk
     assert walk is not None
     assert [hop.node for hop in walk.hops] == path

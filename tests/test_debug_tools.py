@@ -15,7 +15,7 @@ def run_traffic(net, pairs, cycles=200):
     for src, dest in pairs:
         net.interfaces[src].enqueue(Message(src, dest, 0, 1, "REQ"), 0)
     for cycle in range(1, cycles):
-        net.tick(cycle)
+        net.core.tick(cycle)
 
 
 def test_tracer_records_crossbar_events():

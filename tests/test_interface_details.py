@@ -15,7 +15,7 @@ def make_net(variant=Variant.BASELINE):
 
 def run(net, cycles, start=1):
     for cycle in range(start, start + cycles):
-        net.tick(cycle)
+        net.core.tick(cycle)
     return start + cycles
 
 
@@ -26,7 +26,7 @@ def test_one_flit_per_cycle_injection():
     ni.enqueue(big, 0)
     seen = []
     for cycle in range(1, 5):
-        net.tick(cycle)
+        net.core.tick(cycle)
         seen.append(net.stats.counter("noc.flits_injected"))
     # exactly one flit leaves the NI per cycle
     assert seen == [1, 2, 3, 4]
@@ -101,7 +101,7 @@ def test_enqueued_message_not_injectable_same_cycle():
     ni = net.interfaces[0]
     msg = Message(0, 1, 0, 1, "REQ")
     ni.enqueue(msg, 5)
-    net.tick(5)
+    net.core.tick(5)
     assert net.stats.counter("noc.flits_injected") == 0
-    net.tick(6)
+    net.core.tick(6)
     assert net.stats.counter("noc.flits_injected") == 1

@@ -159,25 +159,29 @@ def test_components_speak_one_clocked_protocol():
 
 
 def test_routers_are_one_kernel_component():
-    """Every router of a network sits behind one kernel slot, the router
-    core: a 4x4 request-reply driver registers itself, the core and the
-    16 NIs, and ``Router`` has no clocked-protocol method of its own."""
+    """Every router and network interface of a network sits behind one
+    kernel slot, the router core: a 4x4 request-reply driver registers
+    itself and the core, and neither ``Router`` nor ``NetworkInterface``
+    has a sleep decision of its own."""
     import ast
 
-    from repro.noc.router import Router, RouterCore
+    from repro.noc.router import RouterCore
     from repro.noc.traffic import RequestReplyTraffic
     from repro.sim.config import SystemConfig
 
     traffic = RequestReplyTraffic(SystemConfig(n_cores=16), 4.0)
     kinds = [type(slot.component) for slot in traffic.sim._slots]
-    assert len(kinds) == 1 + 1 + 16
-    assert kinds.count(RouterCore) == 1 and Router not in kinds
-    source = pathlib.Path(repro.__file__).parent / "noc" / "router.py"
-    router = next(node for node in ast.parse(source.read_text()).body
-                  if isinstance(node, ast.ClassDef) and node.name == "Router")
-    methods = {item.name for item in router.body
-               if isinstance(item, ast.FunctionDef)}
-    assert not methods & {"tick", "next_wake"}
+    assert len(kinds) == 1 + 1
+    assert kinds.count(RouterCore) == 1
+    for module, name, banned in (("router", "Router", {"tick", "next_wake"}),
+                                 ("interface", "NetworkInterface",
+                                  {"next_wake"})):
+        source = pathlib.Path(repro.__file__).parent / "noc" / f"{module}.py"
+        cls = next(node for node in ast.parse(source.read_text()).body
+                   if isinstance(node, ast.ClassDef) and node.name == name)
+        methods = {item.name for item in cls.body
+                   if isinstance(item, ast.FunctionDef)}
+        assert not methods & banned, name
 
 
 # ----------------------------------------------------------------------

@@ -176,13 +176,21 @@ def test_profiler_attributes_and_restores():
     # original bound ticks restored: hot loop calls the component again
     for slot in traffic.sim._slots:
         assert slot.tick.__self__ is slot.component
+    core = traffic.net.core
+    assert core.ni_stage.__self__ is core
     report = profiler.report()
     assert report["wall_seconds"] > 0
     assert set(report["groups"]) <= {"router", "ni", "driver", "coherence",
                                      "other"}
     assert report["classes"]["RouterCore"]["group"] == "router"
     assert report["classes"]["RequestReplyTraffic"]["group"] == "driver"
-    total_ticks = sum(r["ticks"] for r in report["classes"].values())
+    # The core's NI stage is its own row: NI bodies run, not kernel ticks.
+    ni = report["classes"]["NetworkInterface"]
+    assert ni["group"] == "ni" and ni["components"] == 16
+    assert report["groups"]["ni"]["ticks"] == ni["ticks"] > 0
+    assert ni["seconds"] > 0
+    total_ticks = sum(r["ticks"] for name, r in report["classes"].items()
+                      if name != "NetworkInterface")
     assert total_ticks == report["ticks_run"]
     table = profiler.table()
     assert "RouterCore" in table and "skip ratio" in table
