@@ -1,13 +1,13 @@
-"""Reactive Circuits: reservation tables, walks, and per-variant policies."""
+"""Reactive Circuits: table entries, walks, and per-variant policies (which
+own the circuit store)."""
 
 from repro.circuits.outcomes import ReplyOutcome
 from repro.circuits.policy import CircuitPolicy, make_policy
-from repro.circuits.table import CircuitEntry, CircuitTable, CircuitWalk, HopRecord
+from repro.circuits.table import CircuitEntry, CircuitWalk, HopRecord
 
 __all__ = [
     "CircuitEntry",
     "CircuitPolicy",
-    "CircuitTable",
     "CircuitWalk",
     "HopRecord",
     "ReplyOutcome",

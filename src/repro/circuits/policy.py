@@ -14,9 +14,9 @@ system.  It owns all behaviour that differs between the paper's variants:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING, Set, Tuple
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Set, Tuple
 
-from repro.circuits.table import CircuitEntry, CircuitTable, CircuitWalk, HopRecord
+from repro.circuits.table import CircuitEntry, CircuitWalk, HopRecord, purge_expired
 from repro.noc.flit import CircuitKey, Flit, Message
 from repro.noc.topology import Topology
 from repro.noc.vc import VcStage
@@ -26,7 +26,14 @@ from repro.sim.stats import Stats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.noc.interface import NetworkInterface
-    from repro.noc.router import Router
+    from repro.noc.router import InputUnit, Router
+
+#: ``CircuitPolicy.arrival_filter`` values: the arriving flits the router
+#: core hands to ``handle_arrival`` - the hook's precondition, tested at
+#: the call site.  ON_CIRCUIT: flits riding a circuit.  REPLY_KEYED:
+#: reply-VN flits whose circuit key has an entry at the arrival port.
+ON_CIRCUIT = 1
+REPLY_KEYED = 2
 
 
 class ReplyPlan:
@@ -87,16 +94,22 @@ class CircuitPolicy:
 
     name = "baseline"
 
-    #: Static per-class flags the fast router pipeline uses to skip the
-    #: per-flit ``handle_arrival`` / ``on_tail_departure`` calls entirely
-    #: when a variant leaves them as the base-class no-ops.
-    handles_arrivals = False
-    handles_tails = False
-    #: Cheap precondition the fast pipeline hoists in front of the
-    #: ``handle_arrival`` call, mirroring the hook's own first-line early
-    #: return: ``"on_circuit"`` (complete/ideal) or ``"reply_keyed"``
-    #: (fragmented: reply VN with a circuit key).  ``None`` = always call.
-    arrival_filter = None
+    #: Per-flit router hooks, ``None`` for a variant without one (the
+    #: router core then makes no call): ``handle_arrival(router, port,
+    #: port_key, flit, cycle)`` returns True when it consumed an arriving
+    #: flit that passed ``arrival_filter``; ``on_tail_departure(port_key,
+    #: flit)`` sees a tail leave through the packet pipeline.
+    handle_arrival = None
+    on_tail_departure = None
+    arrival_filter = 0
+    #: Circuit flits take buffer credits (fragmented circuit VCs keep
+    #: their buffers; complete and ideal circuit flits bypass them).
+    circuit_credits = False
+    #: The circuit store, indexed like the router core's calendar:
+    #: ``tables[router * stride + port]`` is that input port's
+    #: ``{circuit key: CircuitEntry}`` (None where no port exists).
+    #: Empty for variants that keep no circuit state at routers.
+    tables: Sequence[Optional[Dict[CircuitKey, CircuitEntry]]] = ()
 
     def __init__(self, config: SystemConfig, mesh: Topology, stats: Stats) -> None:
         self.config = config
@@ -107,12 +120,15 @@ class CircuitPolicy:
         self.noc = config.noc
         self._vn0_vcs = tuple(range(config.noc.vcs_per_vn[0]))
         self._vn1_vcs = tuple(range(config.noc.vcs_per_vn[1]))
+        #: Ideal mode's flits waiting for the crossbar, by calendar key,
+        #: each port first in first out (``IdealPolicy.retry_waiting``
+        #: drains it); the router core stays awake while it is not empty.
+        self.waits: Dict[int, List[Flit]] = {}
         # Hot per-flit counters, batched exactly like the router's (a
         # registered Stats flusher drains them at read boundaries; zero
         # deltas are never written so counter keys match unbatched runs).
         self._c_flit_hops = 0
         self._c_entries_used = 0
-        self._c_buffer_writes = 0
         self._c_conflict_waits = 0
         self._c_reservations = 0
         self._c_reservation_failed = 0
@@ -127,9 +143,6 @@ class CircuitPolicy:
         if self._c_entries_used:
             counters["circuit.entries_used"] += self._c_entries_used
             self._c_entries_used = 0
-        if self._c_buffer_writes:
-            counters["noc.buffer_writes"] += self._c_buffer_writes
-            self._c_buffer_writes = 0
         if self._c_conflict_waits:
             counters["circuit.ideal_conflict_waits"] += self._c_conflict_waits
             self._c_conflict_waits = 0
@@ -157,24 +170,10 @@ class CircuitPolicy:
         """VC indexes a network interface may inject packets on."""
         return self.allocatable_vcs(vn)
 
-    def attach_router(self, router: "Router") -> None:
-        """Install per-router circuit state (tables) at build time."""
-
     # -- router-side hooks ------------------------------------------------
-    def retry_waiting(self, router: "Router", cycle: int) -> None:
-        """Re-attempt queued circuit flits (ideal mode's buffered waits)."""
-
-    def handle_arrival(self, router: "Router", port: int, flit: Flit, cycle: int) -> bool:
-        """Circuit-check an arriving flit; True = consumed by the circuit
-        path (fly-through or circuit-VC buffering), False = normal packet."""
-        return False
-
-    def handle_undo(self, router: "Router", port: int, key: CircuitKey, cycle: int) -> None:
+    def handle_undo(self, router: "Router", port_key: int, key: CircuitKey,
+                    cycle: int) -> None:
         """Process an undo notice from the credit channel (sec. 4.4)."""
-
-    def on_tail_departure(self, router: "Router", in_port: int, flit: Flit, cycle: int) -> None:
-        """A tail flit left via the packet pipeline (frees fragmented
-        circuit entries that drained through their buffered VC)."""
 
     def on_request_va(self, router: "Router", in_port: int, msg: Message, cycle: int) -> None:
         """Reserve the reply's circuit, in parallel with VA (sec. 4.1)."""
@@ -233,11 +232,15 @@ class CircuitPolicy:
 class _TablePolicy(CircuitPolicy):
     """Shared machinery for policies that store circuit state at routers."""
 
-    def attach_router(self, router: "Router") -> None:
-        for port in router.ports:
-            router.inputs[port].circuit_table = CircuitTable(
-                self.circuit.max_circuits_per_input
-            )
+    def __init__(self, config: SystemConfig, mesh: Topology, stats: Stats) -> None:
+        super().__init__(config, mesh, stats)
+        #: Entries per input port (paper: 5).
+        self.capacity = self.circuit.max_circuits_per_input
+        self.stride = mesh.max_radix
+        self.tables = [None] * (mesh.n_routers * self.stride)
+        for router in range(mesh.n_routers):
+            for port in mesh.router_ports(router):
+                self.tables[router * self.stride + port] = {}
 
     # -- walks -----------------------------------------------------------
     def on_request_injected(self, ni: "NetworkInterface", msg: Message, cycle: int) -> None:
@@ -255,9 +258,9 @@ class _TablePolicy(CircuitPolicy):
             ni.origin_table[msg.walk.key] = OriginEntry(msg.walk.key, msg.walk, cycle)
 
     # -- undo ------------------------------------------------------------
-    def handle_undo(self, router: "Router", port: int, key: CircuitKey, cycle: int) -> None:
-        table = router.inputs[port].circuit_table
-        if table is not None and table.remove(key) is not None:
+    def handle_undo(self, router: "Router", port_key: int, key: CircuitKey,
+                    cycle: int) -> None:
+        if self.tables[port_key].pop(key, None) is not None:
             self.stats.bump("circuit.entries_undone")
         nxt = router.route_reply(key[0])
         if nxt < self._local_base:
@@ -302,11 +305,9 @@ class _TablePolicy(CircuitPolicy):
     def _record_hop(self, walk: CircuitWalk, router: "Router", circ_in: int,
                     circ_out: int, reserved: bool, vc_index: Optional[int] = None,
                     window: Tuple[Optional[int], Optional[int]] = (None, None),
-                    ) -> HopRecord:
-        hop = HopRecord(router.node, circ_in, circ_out, reserved, vc_index,
-                        window[0], window[1])
-        walk.hops.append(hop)
-        return hop
+                    ) -> None:
+        walk.hops.append(HopRecord(router.node, circ_in, circ_out, reserved,
+                                   vc_index, window[0], window[1]))
 
 
 class CompletePolicy(_TablePolicy):
@@ -314,8 +315,7 @@ class CompletePolicy(_TablePolicy):
     optional timed windows, ACK elimination, and circuit reuse."""
 
     name = "complete"
-    handles_arrivals = True
-    arrival_filter = "on_circuit"
+    arrival_filter = ON_CIRCUIT
 
     #: Reply VN VC dedicated to circuits (its buffers are removed).
     CIRCUIT_VC = 1
@@ -336,11 +336,10 @@ class CompletePolicy(_TablePolicy):
         if walk is None or walk.failed:
             return
         circ_in, circ_out = self._circuit_ports(router, in_port, msg)
-        table = router.inputs[circ_in].circuit_table
-        assert table is not None
+        table = self.tables[router.node * self.stride + circ_in]
         window = self._window_for(router, msg, walk, cycle)
-        live = table.live_count(cycle)
-        ok = live < table.capacity
+        live = purge_expired(table, cycle)
+        ok = live < self.capacity
         if ok:
             ok = self._no_conflict(router, circ_in, circ_out, window, cycle)
             if not ok and self.circuit.allow_delay and window is not None:
@@ -350,7 +349,7 @@ class CompletePolicy(_TablePolicy):
         if not ok:
             self._fail_walk(router, walk, circ_in, circ_out, cycle)
             return
-        entry = CircuitEntry(
+        table[walk.key] = CircuitEntry(
             key=walk.key,
             in_port=circ_in,
             out_port=circ_out,
@@ -358,12 +357,11 @@ class CompletePolicy(_TablePolicy):
             window_start=window[0] if window else None,
             window_end=window[1] if window else None,
         )
-        table.insert(entry)
         self._record_hop(walk, router, circ_in, circ_out, True,
                          window=window or (None, None))
         # ``live`` was purged above and the new entry is live, so the
         # post-insert live count is exactly ``live + 1``.
-        ordinal = min(live + 1, table.capacity)
+        ordinal = min(live + 1, self.capacity)
         ords = self._c_ordinals
         ords[ordinal] = ords.get(ordinal, 0) + 1
         self._c_reservations += 1
@@ -398,10 +396,11 @@ class CompletePolicy(_TablePolicy):
                      window: Optional[Tuple[int, int]], cycle: int) -> bool:
         """Two circuits with different inputs may not share an output
         (simultaneously for untimed, with overlapping windows for timed)."""
-        for port, unit in router._input_units:
-            if port == circ_in or unit.circuit_table is None:
+        base = router.node * self.stride
+        for port in router.ports:
+            if port == circ_in:
                 continue
-            for entry in unit.circuit_table.entries.values():
+            for entry in self.tables[base + port].values():
                 if entry.out_port != circ_out or not entry.live(cycle):
                     continue
                 if window is None or not entry.timed:
@@ -496,19 +495,14 @@ class CompletePolicy(_TablePolicy):
         return best
 
     # -- circuit flit traversal ----------------------------------------------
-    def handle_arrival(self, router: "Router", port: int, flit: Flit, cycle: int) -> bool:
-        if not flit.on_circuit:
-            return False
+    def handle_arrival(self, router: "Router", port: int, port_key: int,
+                       flit: Flit, cycle: int) -> bool:
         msg = flit.msg
         key = msg.ride_key if msg.ride_key is not None else msg.circuit_key
-        table = router.inputs[port].circuit_table
-        # Inlined CircuitTable.lookup (per-circuit-flit hot path).
-        entry = table.entries.get(key) if table is not None else None
-        if entry is not None and entry.window_end is not None \
-                and entry.window_end < cycle:
-            del table.entries[key]
-            entry = None
-        if entry is None:
+        table = self.tables[port_key]
+        entry = table.get(key)
+        if entry is None or (entry.window_end is not None
+                             and entry.window_end < cycle):
             raise SimulationError(
                 f"circuit flit {flit!r} found no entry at router "
                 f"{router.node} port {router.mesh.port_name(port)} "
@@ -523,7 +517,7 @@ class CompletePolicy(_TablePolicy):
         router.forward_flit(entry.out_port, flit, cycle)
         self._c_flit_hops += 1
         if flit.is_tail and msg.ride_key is None:
-            table.remove(key)
+            del table[key]
             self._c_entries_used += 1
         return True
 
@@ -538,20 +532,15 @@ class FragmentedPolicy(_TablePolicy):
     """
 
     name = "fragmented"
-    handles_arrivals = True
-    handles_tails = True
-    arrival_filter = "reply_keyed"
-
-    #: Fragmented circuit VCs keep their buffers, so circuit-path flits
-    #: participate in normal credit flow control (unlike complete circuits).
+    arrival_filter = REPLY_KEYED
     circuit_credits = True
+
+    def __init__(self, config: SystemConfig, mesh: Topology, stats: Stats) -> None:
+        super().__init__(config, mesh, stats)
+        self._circuit_vc_indexes = tuple(range(1, self.noc.vcs_per_vn[1]))
 
     def allocatable_vcs(self, vn: int) -> Tuple[int, ...]:
         return self._vn0_vcs if vn == 0 else (0,)
-
-    @property
-    def _circuit_vc_indexes(self) -> Tuple[int, ...]:
-        return tuple(range(1, self.noc.vcs_per_vn[1]))
 
     # -- reservation --------------------------------------------------------
     def on_request_va(self, router: "Router", in_port: int, msg: Message, cycle: int) -> None:
@@ -559,15 +548,13 @@ class FragmentedPolicy(_TablePolicy):
         if walk is None:
             return
         circ_in, circ_out = self._circuit_ports(router, in_port, msg)
-        table = router.inputs[circ_in].circuit_table
-        assert table is not None
-        # First free circuit VC without the used-set/list comprehensions
-        # (same result: lowest index in _circuit_vc_indexes not taken).
-        entries = table.entries
+        table = self.tables[router.node * self.stride + circ_in]
+        # First free circuit VC: the lowest index in _circuit_vc_indexes
+        # not taken (no used-set for an empty table).
         free_vc = None
-        if len(entries) < table.capacity:
-            if entries:
-                used = {e.vc_index for e in entries.values()}
+        if len(table) < self.capacity:
+            if table:
+                used = {e.vc_index for e in table.values()}
                 for i in self._circuit_vc_indexes:
                     if i not in used:
                         free_vc = i
@@ -586,7 +573,7 @@ class FragmentedPolicy(_TablePolicy):
         else:
             fwd_reserved = prev.reserved
             fwd_vc = prev.vc_index if prev.reserved else None
-        entry = CircuitEntry(
+        table[walk.key] = CircuitEntry(
             key=walk.key,
             in_port=circ_in,
             out_port=circ_out,
@@ -595,9 +582,8 @@ class FragmentedPolicy(_TablePolicy):
             fwd_reserved=fwd_reserved,
             fwd_vc=fwd_vc,
         )
-        table.insert(entry)
         self._record_hop(walk, router, circ_in, circ_out, True, vc_index=free_vc)
-        ordinal = min(len(table.entries), table.capacity)
+        ordinal = min(len(table), self.capacity)
         ords = self._c_ordinals
         ords[ordinal] = ords.get(ordinal, 0) + 1
         self._c_reservations += 1
@@ -625,26 +611,14 @@ class FragmentedPolicy(_TablePolicy):
         return ReplyPlan("packet", outcome)
 
     # -- traversal ------------------------------------------------------------
-    def handle_arrival(self, router: "Router", port: int, flit: Flit, cycle: int) -> bool:
-        msg = flit.msg
-        if msg.vn != 1 or msg.circuit_key is None:
-            return False
-        unit = router.inputs[port]
-        table = unit.circuit_table
-        if table is None:
-            return False
-        # Inlined CircuitTable.lookup (per-reply-flit hot path).
-        key = msg.circuit_key
-        entry = table.entries.get(key)
-        if entry is None:
-            return False
-        if entry.window_end is not None and entry.window_end < cycle:
-            del table.entries[key]
-            return False
-        vc = unit.vcs[1][entry.vc_index]
+    def handle_arrival(self, router: "Router", port: int, port_key: int,
+                       flit: Flit, cycle: int) -> bool:
+        # REPLY_KEYED: the entry exists, and fragmented entries are untimed.
+        entry = self.tables[port_key][flit.msg.circuit_key]
+        vc = router.inputs[port].vcs[1][entry.vc_index]
         if not vc.buffer and self._try_fly(router, port, entry, flit, cycle):
             if flit.is_tail:
-                self._release_entry(router, port, entry, vc, cycle)
+                self._release_entry(router, port, port_key, entry, vc, cycle)
             return True
         self._buffer_on_circuit_vc(router, port, entry, vc, flit, cycle)
         return True
@@ -690,7 +664,7 @@ class FragmentedPolicy(_TablePolicy):
         # joins the reserved circuit VC, and the credit it owes upstream
         # (recorded per flit) is returned when it leaves this router.
         vc.buffer.append((flit, cycle, flit.dst_vc))
-        self._c_buffer_writes += 1
+        router.core._c_buffer_writes += 1
         if vc.stage is VcStage.IDLE:
             vc.route = entry.out_port
             router.vc_became_busy(port, vc)
@@ -711,23 +685,20 @@ class FragmentedPolicy(_TablePolicy):
                 else:
                     vc.stage = VcStage.VA
 
-    def _release_entry(self, router: "Router", port: int, entry: CircuitEntry,
-                       vc, cycle: int) -> None:
-        table = router.inputs[port].circuit_table
-        table.remove(entry.key)
+    def _release_entry(self, router: "Router", port: int, port_key: int,
+                       entry: CircuitEntry, vc, cycle: int) -> None:
+        del self.tables[port_key][entry.key]
         self._c_entries_used += 1
         if vc.stage is not VcStage.IDLE and not vc.buffer:
             vc.reset_for_next_packet(cycle)
             if vc.stage is VcStage.IDLE:
                 router.vc_became_idle(port, vc)
 
-    def on_tail_departure(self, router: "Router", in_port: int, flit: Flit,
-                          cycle: int) -> None:
-        key = flit.msg.circuit_key
-        if key is None or flit.msg.vn != 1:
-            return
-        table = router.inputs[in_port].circuit_table
-        if table is not None and table.remove(key) is not None:
+    def on_tail_departure(self, port_key: int, flit: Flit) -> None:
+        """A tail that drained through its circuit VC frees the entry."""
+        msg = flit.msg
+        if msg.vn == 1 and msg.circuit_key is not None \
+                and self.tables[port_key].pop(msg.circuit_key, None) is not None:
             self._c_entries_used += 1
 
 
@@ -736,8 +707,7 @@ class IdealPolicy(CircuitPolicy):
     conflicts cost one buffered cycle instead of failing the circuit."""
 
     name = "ideal"
-    handles_arrivals = True
-    arrival_filter = "on_circuit"
+    arrival_filter = ON_CIRCUIT
 
     def _guarantees_delivery(self) -> bool:
         # The ideal network delivers every circuit reply at circuit speed,
@@ -751,28 +721,30 @@ class IdealPolicy(CircuitPolicy):
         outcome = "undone" if msg.outcome_hint == "undone" else "not_eligible"
         return ReplyPlan("packet", outcome)
 
-    def handle_arrival(self, router: "Router", port: int, flit: Flit, cycle: int) -> bool:
-        if not flit.on_circuit:
-            return False
-        unit = router.inputs[port]
-        if unit.wait_queue or not self._try_forward(router, port, flit, cycle):
-            unit.wait_queue.append(flit)
-            router._waiting += 1
-            router.core.waiting += 1
-            self._c_conflict_waits += 1
+    def handle_arrival(self, router: "Router", port: int, port_key: int,
+                       flit: Flit, cycle: int) -> bool:
+        queue = self.waits.get(port_key)
+        if queue is not None:
+            queue.append(flit)
+        elif self._try_forward(router, port, flit, cycle):
+            return True
+        else:
+            self.waits[port_key] = [flit]
+        self._c_conflict_waits += 1
         return True
 
-    def retry_waiting(self, router: "Router", cycle: int) -> None:
-        if not router._waiting:
-            return
-        for port, unit in router._input_units:
-            while unit.wait_queue:
-                if self._try_forward(router, port, unit.wait_queue[0], cycle):
-                    unit.wait_queue.pop(0)
-                    router._waiting -= 1
-                    router.core.waiting -= 1
-                else:
-                    break
+    def retry_waiting(self, units: List[Optional["InputUnit"]], cycle: int) -> None:
+        """Re-attempt the waiting flits, ports in calendar-key order;
+        ``units`` maps a calendar key to its input unit."""
+        waits = self.waits
+        for port_key in sorted(waits):
+            queue = waits[port_key]
+            unit = units[port_key]
+            while queue and self._try_forward(unit.router, unit.port,
+                                              queue[0], cycle):
+                del queue[0]
+            if not queue:
+                del waits[port_key]
 
     def _try_forward(self, router: "Router", port: int, flit: Flit, cycle: int) -> bool:
         out = router.route_reply(flit.msg.dest)

@@ -1,18 +1,22 @@
-"""Circuit reservation state: per-input-port tables and reservation walks.
+"""Circuit reservation state: table entries and reservation walks.
 
-A circuit is identified by ``(reply destination node, block address)`` - the
-requestor identifier and cache line address the paper stores at each router
-(Fig. 3).  Each router input port owns a small :class:`CircuitTable`; the
-request accumulates a :class:`CircuitWalk` while reserving, which is
-delivered to the destination network interface so the reply knows exactly
-what was reserved (including the timed windows).
+A circuit is identified by :func:`circuit_key`, ``(reply destination node,
+block address, request uid)`` - the requestor identifier and cache line
+address the paper stores at each router (Fig. 3), plus the uid that keeps
+two requests for the same line apart.  A router input port's circuits are
+a plain ``{key: CircuitEntry}`` dict in the policy's store
+(``CircuitPolicy.tables``); the request accumulates a :class:`CircuitWalk`
+while reserving, which is delivered to the destination network interface
+so the reply knows exactly what was reserved (including the timed
+windows).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.noc.flit import CircuitKey
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.noc.flit import CircuitKey
 
 
 class CircuitEntry:
@@ -69,52 +73,14 @@ class CircuitEntry:
         return not (end < self.window_start or start > self.window_end)
 
 
-class CircuitTable:
-    """Circuit storage of one router input port (paper: 5 entries)."""
-
-    __slots__ = ("capacity", "entries")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.entries: Dict[CircuitKey, CircuitEntry] = {}
-
-    def purge_expired(self, cycle: int) -> None:
-        """Drop entries whose timed window has passed."""
-        entries = self.entries
-        if not entries:
-            return
-        dead = None
-        for key, entry in entries.items():
-            end = entry.window_end
-            if end is not None and end < cycle:
-                if dead is None:
-                    dead = [key]
-                else:
-                    dead.append(key)
-        if dead is not None:
-            for key in dead:
-                del entries[key]
-
-    def live_count(self, cycle: int) -> int:
-        """Number of still-live entries (purges expired ones first)."""
-        self.purge_expired(cycle)
-        return len(self.entries)
-
-    def lookup(self, key: CircuitKey, cycle: int) -> Optional[CircuitEntry]:
-        """Live entry for ``key`` (lazy expiry), or None."""
-        entry = self.entries.get(key)
-        if entry is not None and not entry.live(cycle):
-            del self.entries[key]
-            return None
-        return entry
-
-    def insert(self, entry: CircuitEntry) -> None:
-        """Store a new reservation (capacity is checked by the caller)."""
-        self.entries[entry.key] = entry
-
-    def remove(self, key: CircuitKey) -> Optional[CircuitEntry]:
-        """Free a reservation (tail passed, or undo arrived)."""
-        return self.entries.pop(key, None)
+def purge_expired(table: Dict[CircuitKey, CircuitEntry], cycle: int) -> int:
+    """Drop ``table``'s entries whose timed window has passed; returns
+    how many entries stay live."""
+    dead = [key for key, entry in table.items()
+            if entry.window_end is not None and entry.window_end < cycle]
+    for key in dead:
+        del table[key]
+    return len(table)
 
 
 class HopRecord:
@@ -223,11 +189,7 @@ class CircuitWalk:
         return t_min
 
 
-def circuit_key(reply_dest: int, block: int) -> CircuitKey:
-    """Build the (requestor node, cache line address) circuit identity."""
-    return (reply_dest, block)
-
-
-def format_entry(entry: CircuitEntry) -> Tuple:  # pragma: no cover - debug
-    return (entry.key, int(entry.in_port), int(entry.out_port),
-            entry.window_start, entry.window_end)
+def circuit_key(reply_dest: int, block: int, uid: int) -> CircuitKey:
+    """The one circuit identity: (requestor node, cache line address, uid
+    of the request reserving it)."""
+    return (reply_dest, block, uid)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.circuits.table import circuit_key
 from repro.noc.flit import Message
 
 
@@ -89,7 +90,7 @@ class MessageFactory:
                  n_flits: int, reply_flits: int, turnaround: int) -> Message:
         msg = Message(src, dest, 0, n_flits, kind, Payload(addr, requestor=src))
         msg.builds_circuit = True
-        msg.circuit_key = (src, addr, msg.uid)
+        msg.circuit_key = circuit_key(src, addr, msg.uid)
         msg.reply_flits = reply_flits
         msg.expected_turnaround = turnaround
         return msg

@@ -50,9 +50,9 @@ class _ActiveSend:
 class NetworkInterface:
     """Injection/ejection endpoint of one tile.
 
-    Written for the hot path: per-flit counters are batched into plain
-    ints (drained into the shared :class:`Stats` by a registered
-    flusher), and per-call ``getattr`` lookups are hoisted to
+    Written for the hot path: per-flit counters are batched into the
+    router core's plain ints (its registered flusher drains them into the
+    shared :class:`Stats`), and per-call lookups are hoisted to
     construction time.
     """
 
@@ -62,22 +62,13 @@ class NetworkInterface:
         self.config = config
         self.policy = policy
         self.stats = stats
-        #: Hoisted from the per-flit circuit-send path (static per policy).
-        self._circuit_credits = getattr(policy, "circuit_credits", False)
         #: injectable_vcs() is static per policy; cache per VN.
         self._inject_vcs = tuple(
             policy.injectable_vcs(vn)
             for vn in range(len(config.noc.vcs_per_vn))
         )
-        # Hot counters, batched; see RouterCore._flush_counters for the rules.
-        self._c_enqueued = 0
-        self._c_injected = 0
-        self._c_link = 0
-        self._c_delivered_msgs = 0
-        self._c_delivered_flits = 0
         #: ``msg.count.<kind>`` key strings, interned on first use.
         self._kind_keys: Dict[str, str] = {}
-        stats.add_flusher(self._flush_counters)
         # Wired by the Network: flits and undo notices toward the router
         # go into the router core's arrival calendar at ``router_key``;
         # the core hands this NI its ejected flits and applies its credits.
@@ -110,38 +101,21 @@ class NetworkInterface:
         #: costs one attribute test per event site.
         self.observer = None
 
-    def _flush_counters(self) -> None:
-        counters = self.stats.counters
-        if self._c_enqueued:
-            counters["noc.msgs_enqueued"] += self._c_enqueued
-            self._c_enqueued = 0
-        if self._c_injected:
-            counters["noc.flits_injected"] += self._c_injected
-            self._c_injected = 0
-        if self._c_link:
-            counters["noc.link_flits"] += self._c_link
-            self._c_link = 0
-        if self._c_delivered_msgs:
-            counters["noc.msgs_delivered"] += self._c_delivered_msgs
-            self._c_delivered_msgs = 0
-        if self._c_delivered_flits:
-            counters["noc.flits_delivered"] += self._c_delivered_flits
-            self._c_delivered_flits = 0
-
     # ------------------------------------------------------------------
     # Protocol-facing API.
     # ------------------------------------------------------------------
     def enqueue(self, msg: Message, cycle: int) -> None:
         """Hand a message to the NI (injectable from the next cycle on)."""
         msg.enqueued_cycle = cycle
-        self._c_enqueued += 1
+        core = self.core
+        core._c_enqueued += 1
         if self.observer is not None:
             self.observer.ni_enqueue(self, msg, cycle)
         if msg.vn == 0:
             self.req_queue.append(msg)
         else:
             self.reply_pending.append(msg)
-        self.core.wake_interface(self.node, cycle + 1)
+        core.wake_interface(self.node, cycle + 1)
 
     def cancel_circuit(self, key: CircuitKey, cycle: int) -> bool:
         """Protocol decided a reserved circuit will never be used (4.4).
@@ -272,9 +246,9 @@ class NetworkInterface:
             flit.dst_vc = avc
             act.index += 1
             row[avc] -= 1
-            self.core.send_flit(self.router_key, flit, cycle)
-            self._c_injected += 1
-            self._c_link += 1
+            core = self.core
+            core.send_flit(self.router_key, flit, cycle)
+            core._c_injected += 1
             if act.done:
                 active_packet[vn] = None
             self._vn_preference = 1 - vn
@@ -308,16 +282,16 @@ class NetworkInterface:
     def _advance_circuit(self, cycle: int) -> None:
         act = self.active_circuit
         assert act is not None
-        if self._circuit_credits:
+        if self.policy.circuit_credits:
             if self.credits[1][act.vc] <= 0:
                 return
             self.credits[1][act.vc] -= 1
         flit = act.flits[act.index]
         flit.dst_vc = act.vc
         act.index += 1
-        self.core.send_flit(self.router_key, flit, cycle)
-        self._c_injected += 1
-        self._c_link += 1
+        core = self.core
+        core.send_flit(self.router_key, flit, cycle)
+        core._c_injected += 1
         if act.done:
             self.active_circuit = None
             if act.plan is not None and act.plan.is_scrounger:
@@ -405,6 +379,7 @@ class NetworkInterface:
         if key is None:
             key = kind_keys[kind] = "msg.count." + kind
         stats.counters[key] += 1
-        self._c_delivered_msgs += 1
-        self._c_delivered_flits += msg.n_flits
+        core = self.core
+        core._c_delivered_msgs += 1
+        core._c_delivered_flits += msg.n_flits
         return cls

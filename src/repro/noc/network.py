@@ -87,13 +87,12 @@ class Network:
 
     def msgs_delivered(self) -> int:
         """Messages delivered so far, without flushing: the flushed
-        ``noc.msgs_delivered`` count plus what the NIs still batch.  Cheap
-        enough for a per-cycle hook (the progress watchdog's probe), which
-        ``Stats.counter`` - a flush of every batcher - is not."""
-        total = self.stats.counters.get("noc.msgs_delivered", 0)
-        for ni in self.interfaces:
-            total += ni._c_delivered_msgs
-        return total
+        ``noc.msgs_delivered`` count plus what the router core still
+        batches.  Cheap enough for a per-cycle hook (the progress
+        watchdog's probe), which ``Stats.counter`` - a flush of every
+        batcher - is not."""
+        return (self.stats.counters.get("noc.msgs_delivered", 0)
+                + self.core._c_delivered_msgs)
 
     def in_flight(self) -> int:
         """Flits/messages anywhere in the network or NI queues."""
@@ -103,8 +102,8 @@ class Network:
             total += len(bucket)
         for router in self.routers:
             total += router.buffered_flits()
-            for _port, unit in router._input_units:
-                total += len(unit.wait_queue)
+        for queue in self.policy.waits.values():
+            total += len(queue)
         for ni in self.interfaces:
             total += ni.pending_work()
         return total
@@ -130,14 +129,11 @@ class Network:
         return totals
 
     def circuit_entries(self) -> int:
-        """Raw circuit-table occupancy (may include expired timed entries)."""
-        return sum(router.circuit_entries() for router in self.routers)
+        """Raw circuit-store occupancy (may include expired timed entries)."""
+        return sum(len(table) for table in self.policy.tables if table)
 
     def live_circuit_entries(self, cycle: int) -> int:
-        """Circuit entries still live at ``cycle`` (expired ones purged)."""
-        total = 0
-        for router in self.routers:
-            for _port, unit in router._input_units:
-                if unit.circuit_table is not None:
-                    total += unit.circuit_table.live_count(cycle)
-        return total
+        """Circuit entries still live at ``cycle``.  Read-only: expired
+        timed entries are counted out, not purged."""
+        return sum(entry.live(cycle) for table in self.policy.tables if table
+                   for entry in table.values())

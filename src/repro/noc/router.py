@@ -24,12 +24,12 @@ timer.  Every channel carries at least one cycle of latency, so no
 router or NI reads another's state within a cycle: running the stages
 network-wide is bit-identical to running the routers one after another
 and then the NIs in node order.  :class:`Router` keeps one router's state
-(units, VCs, arbiters, circuit tables) and the helpers the circuit
-policies call.  The hot loops use dense port-indexed lists, precomputed
-route tables, round-robin arbiters over integer candidate codes with
-reused scratch lists, and counters batched into plain ints that a
-registered :class:`~repro.sim.stats.Stats` flusher drains at read
-boundaries.  The committed conformance goldens
+(units, VCs, arbiters) and the helpers the circuit policies call; the
+circuit state lives in the policy's store, under the calendar's keys.
+The hot loops use dense port-indexed lists, precomputed route tables,
+round-robin arbiters over integer candidate codes with reused scratch
+lists, and counters batched into plain ints that a registered
+:class:`~repro.sim.stats.Stats` flusher drains at read boundaries.  The committed conformance goldens
 (``tests/golden/conformance.json``) pin the behaviour, stats and finish
 cycles included.
 """
@@ -48,7 +48,6 @@ from repro.sim.kernel import SimulationError
 from repro.sim.stats import Stats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.circuits.table import CircuitTable
     from repro.noc.interface import NetworkInterface
     from repro.sim.config import SystemConfig
 
@@ -75,10 +74,9 @@ def post(calendar: Dict[int, list], due: int, entry: tuple) -> None:
 
 
 class InputUnit:
-    """All per-input-port state: VCs, circuit table, ideal-mode wait queue."""
+    """Per-input-port state: VCs, busy list, switch-allocation arbiter."""
 
-    __slots__ = ("router", "port", "vcs", "circuit_table", "wait_queue",
-                 "busy_list", "sa_arb")
+    __slots__ = ("router", "port", "vcs", "busy_list", "sa_arb")
 
     def __init__(self, router: "Router", port: int,
                  vcs: List[List[InputVc]]) -> None:
@@ -86,10 +84,6 @@ class InputUnit:
         self.port = port
         #: vcs[vn][vc_index]
         self.vcs = vcs
-        #: Installed by circuit policies that reserve state at routers.
-        self.circuit_table: Optional["CircuitTable"] = None
-        #: Ideal mode: flits waiting for a free output port (FIFO).
-        self.wait_queue: List[Flit] = []
         #: The non-IDLE VCs, kept sorted by (vn, index) so the allocation
         #: stages see candidates in the same order a full scan of ``vcs``
         #: would produce (round-robin decisions depend on it).
@@ -172,7 +166,6 @@ class Router:
                 out_vcs.append(row_out)
             self.inputs[port] = InputUnit(self, port, in_vcs)
             self.outputs[port] = OutputUnit(self, port, out_vcs)
-        policy.attach_router(self)
         self._input_units = [(port, self.inputs[port]) for port in self.ports]
         # Destinations, wired by the Network (dense, port-indexed).
         self.flit_to: list = [None] * n_ports
@@ -187,8 +180,6 @@ class Router:
         )
         #: Count of VCs not in IDLE stage.
         self._busy_vcs = 0
-        #: Ideal-mode flits in this router's wait queues.
-        self._waiting = 0
         #: Flits forwarded through this crossbar (utilisation heatmaps).
         self.forwarded = 0
         #: Optional debug tracer: fn(cycle, router, out_port, flit).
@@ -232,7 +223,6 @@ class Router:
         core.send_flit(self.flit_to[out_port], flit, cycle)
         self.forwarded += 1
         core._c_xbar += 1
-        core._c_link += 1
         if self.tracer is not None:
             self.tracer(cycle, self, out_port, flit)
 
@@ -451,13 +441,6 @@ class Router:
             for vc in vn_row
         )
 
-    def circuit_entries(self) -> int:
-        total = 0
-        for _port, unit in self._input_units:
-            if unit.circuit_table is not None:
-                total += len(unit.circuit_table.entries)
-        return total
-
 
 class RouterCore:
     """Every router and network interface of one network, clocked as one
@@ -482,11 +465,11 @@ class RouterCore:
 
     Wake rule (:meth:`next_wake`): awake while a grant awaits switch
     traversal, a router holds a busy VC, an ideal-mode flit waits for the
-    crossbar or an NI has a queued message or active send (``ni_awake``);
-    otherwise asleep until the earliest calendar entry (``None`` for an
-    empty calendar).  An NI handed a message or an undo notice from outside
-    the core (:meth:`wake_interface`) pokes ``kernel_wake``; nothing else
-    does.
+    crossbar (the policy's ``waits``) or an NI has a queued message or
+    active send (``ni_awake``); otherwise asleep until the earliest
+    calendar entry (``None`` for an empty calendar).  An NI handed a
+    message or an undo notice from outside the core
+    (:meth:`wake_interface`) pokes ``kernel_wake``; nothing else does.
     """
 
     def __init__(self, topo: Topology, config: "SystemConfig", policy,
@@ -510,8 +493,9 @@ class RouterCore:
         self._grant_scratch: List[tuple] = []
         #: Routers holding a busy VC, in ascending node order.
         self.busy: List[Router] = []
-        #: Ideal-mode flits waiting for the crossbar, network-wide.
-        self.waiting = 0
+        #: Ideal-mode flits waiting for the crossbar: the policy's
+        #: ``waits``, keyed like the calendar.
+        self.waits = policy.waits
         #: Nodes whose NI has a queued message or an active send: its
         #: body runs every cycle until they drain.
         self.ni_awake: Set[int] = set()
@@ -532,31 +516,28 @@ class RouterCore:
             [Credit(vn, vc) for vc in range(count)]
             for vn, count in enumerate(config.noc.vcs_per_vn)
         ]
-        # Policy hooks that are no-ops for this variant are skipped at
-        # the call site (the flags are static per policy class), and the
-        # hook's own first-line guard is hoisted in front of the call:
-        # 0 = always call, 1 = only flits riding a circuit, 2 = only
-        # reply-VN flits carrying a circuit key.
-        self._arrival_hook = (
-            policy.handle_arrival if policy.handles_arrivals else None
-        )
-        self._tail_hook = policy.on_tail_departure if policy.handles_tails else None
-        filt = policy.arrival_filter
-        self._arrival_filter = (
-            1 if filt == "on_circuit" else 2 if filt == "reply_keyed" else 0
-        )
+        # Imported here: repro.circuits imports repro.noc (see Network).
+        from repro.circuits.policy import ON_CIRCUIT
+
+        #: The policy's arrival hook sees flits riding a circuit, else
+        #: reply-VN flits keyed to an entry at the port (REPLY_KEYED).
+        self._filter_on_circuit = policy.arrival_filter == ON_CIRCUIT
         #: Set by the simulator kernel (None until registered).
         self.kernel_wake = None
-        # Hot counters, batched; drained by _flush_counters (registered
-        # with the Stats object) at sample/finish boundaries.
+        # Hot counters of the routers and NIs, batched; drained by
+        # _flush_counters (registered with the Stats object) at
+        # sample/finish boundaries.
         self._c_buffer_writes = 0
         self._c_route = 0
         self._c_buffer_reads = 0
         self._c_xbar = 0
-        self._c_link = 0
         self._c_credits = 0
         self._c_sa = 0
         self._c_va = 0
+        self._c_enqueued = 0
+        self._c_injected = 0
+        self._c_delivered_msgs = 0
+        self._c_delivered_flits = 0
         stats.add_flusher(self._flush_counters)
 
     def attach(self, routers: List[Router],
@@ -577,17 +558,24 @@ class RouterCore:
 
         Only nonzero deltas are written: flushing zeros would create
         counter keys an unbatched run never creates, breaking snapshot
-        equality.
+        equality.  A flit crosses a link when it is injected and each
+        time it traverses a crossbar, so ``noc.link_flits`` is their sum.
         """
         counters = self.stats.counters
+        link = self._c_xbar + self._c_injected
+        if link:
+            counters["noc.link_flits"] += link
         for name, key in (("_c_buffer_writes", "noc.buffer_writes"),
                           ("_c_route", "noc.route_computations"),
                           ("_c_buffer_reads", "noc.buffer_reads"),
                           ("_c_xbar", "noc.xbar_traversals"),
-                          ("_c_link", "noc.link_flits"),
                           ("_c_credits", "noc.credits_sent"),
                           ("_c_sa", "noc.sa_grants"),
-                          ("_c_va", "noc.va_grants")):
+                          ("_c_va", "noc.va_grants"),
+                          ("_c_enqueued", "noc.msgs_enqueued"),
+                          ("_c_injected", "noc.flits_injected"),
+                          ("_c_delivered_msgs", "noc.msgs_delivered"),
+                          ("_c_delivered_flits", "noc.flits_delivered")):
             value = getattr(self, name)
             if value:
                 counters[key] += value
@@ -647,14 +635,10 @@ class RouterCore:
                 if vn is not None:
                     out_units[key].vcs[vn][credit.vc].credits += 1
                 if credit.undo_key is not None:
-                    unit = out_units[key]
-                    policy.handle_undo(unit.router, unit.port,
+                    policy.handle_undo(out_units[key].router, key,
                                        credit.undo_key, cycle)
-        if self.waiting:
-            retry = self.policy.retry_waiting
-            for router in self.routers:
-                if router._waiting:
-                    retry(router, cycle)
+        if self.waits:
+            self.policy.retry_waiting(self._in_units, cycle)
         flits = self.flits.pop(cycle, None)
         if flits:
             if len(flits) > 1:
@@ -675,7 +659,7 @@ class RouterCore:
         core awake even when blocked: blocked VCs find no allocation
         candidate and arbiters advance only on grants, so those cycles
         change nothing; so does an NI blocked on credits."""
-        if self.grants or self.busy or self.waiting or self.ni_awake:
+        if self.grants or self.busy or self.waits or self.ni_awake:
             return cycle + 1
         due = None
         for calendar in (self.flits, self.credits, self.wakes):
@@ -725,10 +709,10 @@ class RouterCore:
     # -- stage 1: arrivals (circuit check, buffering + RC) -----------------
     def _arrive(self, flits: list, cycle: int) -> None:
         in_units = self._in_units
-        # Policies whose handle_arrival is a no-op (the flag is static per
-        # policy class) leave the hook unbound and skip the call.
-        arrival_hook = self._arrival_hook
-        filt = self._arrival_filter
+        policy = self.policy
+        arrival_hook = policy.handle_arrival
+        on_circuit = self._filter_on_circuit
+        tables = policy.tables
         IDLE = _IDLE
         VA = _VA
         writes = 0
@@ -741,26 +725,19 @@ class RouterCore:
                 router = unit.router
                 port = unit.port
                 port_vcs = unit.vcs
-                ptable = unit.circuit_table
             msg = flit.msg
             if arrival_hook is not None:
-                # The filter replicates the hook's first-line early
-                # return, so skipping the call is decision-identical.
-                if filt == 1:
+                # The policy's arrival_filter, tested here: the hook
+                # sees only the flits it may consume.
+                if on_circuit:
                     handled = flit.on_circuit and arrival_hook(
-                        router, port, flit, cycle)
-                elif filt == 2:
-                    # Table pre-probe: a pure miss has no side effects in
-                    # the hook (fragmented entries are untimed, so
-                    # membership == live lookup), and gap hops at
-                    # saturation are mostly misses.
+                        router, port, key, flit, cycle)
+                else:  # REPLY_KEYED
                     handled = (msg.vn == 1
                                and msg.circuit_key is not None
-                               and ptable is not None
-                               and msg.circuit_key in ptable.entries
-                               and arrival_hook(router, port, flit, cycle))
-                else:
-                    handled = arrival_hook(router, port, flit, cycle)
+                               and msg.circuit_key in tables[key]
+                               and arrival_hook(router, port, key, flit,
+                                                cycle))
                 if handled:
                     if router.observer is not None:
                         router.observer.router_circuit_hit(router, flit, cycle)
@@ -791,7 +768,8 @@ class RouterCore:
         flits_out = self.flits.setdefault(due, [])
         credits_out = self.credits.setdefault(due, [])
         credit_objs = self._credit_objs
-        tail_hook = self._tail_hook
+        tail_hook = self.policy.on_tail_departure
+        stride = self.stride
         moved = 0
         for item in pending:
             router, in_port, vc = item
@@ -817,7 +795,7 @@ class RouterCore:
             if flit.is_tail:
                 vc.out_obj.allocated_to = None
                 if tail_hook is not None:
-                    tail_hook(router, in_port, flit, cycle)
+                    tail_hook(node * stride + in_port, flit)
                 vc.reset_for_next_packet(cycle)
                 if vc.buffer:
                     # Non-atomic buffers: the next packet is already
@@ -840,5 +818,4 @@ class RouterCore:
         self._grant_scratch = pending
         self._c_buffer_reads += moved
         self._c_xbar += moved
-        self._c_link += moved
         self._c_credits += moved

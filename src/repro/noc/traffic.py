@@ -28,6 +28,7 @@ import math
 from random import Random
 from typing import List, Optional, Tuple
 
+from repro.circuits.table import circuit_key
 from repro.noc.flit import Message
 from repro.noc.network import Network
 from repro.sim.config import SystemConfig
@@ -114,7 +115,7 @@ class RequestReplyTraffic:
         msg = Message(src, dest, 0, 1, "REQUEST")
         msg.builds_circuit = True
         self._next_addr += 0x40
-        msg.circuit_key = (src, self._next_addr, msg.uid)
+        msg.circuit_key = circuit_key(src, self._next_addr, msg.uid)
         msg.reply_flits = self.reply_flits
         msg.expected_turnaround = self.turnaround
         self.net.inject(msg, cycle)

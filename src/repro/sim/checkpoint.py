@@ -79,8 +79,10 @@ from repro.sim.kernel import SimulationError
 #: 7: the routers are one kernel component with an arrival calendar, and
 #: the router-bound link queues are gone; 8: the NIs run inside that
 #: component, their links and kernel slots are gone, and the calendar has
-#: NI keys and wake entries).
-SCHEMA_VERSION = 8
+#: NI keys and wake entries; 9: circuit state is the policy's store keyed
+#: like the calendar - input units hold no circuit table or wait queue -
+#: and the NIs' counters are the router core's).
+SCHEMA_VERSION = 9
 
 MAGIC = b"RPROCKPT"
 

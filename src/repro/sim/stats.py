@@ -113,13 +113,14 @@ class Stats:
     use a ``subsystem.metric`` convention, e.g. ``noc.flits_injected`` or
     ``circuit.replies_on_circuit``.
 
-    Hot components (routers, NIs) batch their per-flit counters in plain
-    int attributes and register a *flusher* here; every read-style method
+    Hot components (the router core for every router and NI, the
+    circuit policy) batch their per-flit counters in plain int
+    attributes and register a *flusher* here; every read-style method
     (``counter``, ``counters_with_prefix``, ``as_dict``, ``snapshot``,
     ``share``, ``merge``, ``reset``) calls :meth:`flush` first, so observers
     (samplers, invariant checkers, forensics, result builders) always see
     complete counts.  That makes a read cost one call per registered
-    batcher - two per node plus the circuit policy - so read-style
+    batcher - two, whatever the chip size - so read-style
     methods are for interval and end-of-phase observers; a hook that runs
     every stepped cycle (a kernel watchdog's probe) must not call them,
     or it undoes the batching.  Such a hook reads ``counters`` plus the

@@ -73,6 +73,8 @@ class FaultInjector:
         """(origin, hop-node, hop-port, key) of the youngest live origin
         whose reservation is still present in a router table."""
         best = None
+        tables = self.net.policy.tables
+        stride = self.net.core.stride
         for ni in self.net.interfaces:
             for key, origin in ni.origin_table.items():
                 walk = getattr(origin, "walk", None)
@@ -81,9 +83,7 @@ class FaultInjector:
                 for hop in walk.hops:
                     if not hop.reserved:
                         continue
-                    unit = self.net.routers[hop.node].inputs[hop.in_port]
-                    table = unit.circuit_table
-                    if table is None or key not in table.entries:
+                    if key not in tables[hop.node * stride + hop.in_port]:
                         continue
                     candidate = (origin.created_cycle, hop.node,
                                  hop.in_port, key)
@@ -113,7 +113,7 @@ class FaultInjector:
         if best is None:
             return None
         _created, node, port, key = best
-        self.net.routers[node].inputs[port].circuit_table.remove(key)
+        del self.net.policy.tables[node * self.net.core.stride + port][key]
         return {"node": node, "port": self.net.topo.port_name(port),
                 "key": list(key)}
 
@@ -123,11 +123,10 @@ class FaultInjector:
             return None
         _created, node, port, key = best
         router = self.net.routers[node]
-        entry = router.inputs[port].circuit_table.entries[key]
-        others = [
-            p for p in router.ports
-            if p != port and router.inputs[p].circuit_table is not None
-        ]
+        tables = self.net.policy.tables
+        base = node * self.net.core.stride
+        entry = tables[base + port][key]
+        others = [p for p in router.ports if p != port]
         if not others:
             return None
         target = others[self.rng.randrange(len(others))]
@@ -137,7 +136,7 @@ class FaultInjector:
             window_end=entry.window_end, vc_index=entry.vc_index,
             fwd_reserved=entry.fwd_reserved, fwd_vc=entry.fwd_vc,
         )
-        router.inputs[target].circuit_table.entries[key] = clone
+        tables[base + target][key] = clone
         return {"node": node, "port": self.net.topo.port_name(port),
                 "dup_port": self.net.topo.port_name(target),
                 "key": list(key)}
@@ -165,17 +164,16 @@ class FaultInjector:
 
     def _apply_corrupt_window(self, cycle: int) -> Optional[dict]:
         candidates = []
-        for router in self.net.routers:
-            for port, unit in router._input_units:
-                table = unit.circuit_table
-                if table is None:
-                    continue
-                for entry in table.entries.values():
-                    if entry.timed and entry.live(cycle):
-                        candidates.append((router.node, port, entry))
+        for port_key, table in enumerate(self.net.policy.tables):
+            if not table:
+                continue
+            for entry in table.values():
+                if entry.timed and entry.live(cycle):
+                    candidates.append((port_key, entry))
         if not candidates:
             return None
-        node, port, entry = candidates[self.rng.randrange(len(candidates))]
+        port_key, entry = candidates[self.rng.randrange(len(candidates))]
+        node, port = divmod(port_key, self.net.core.stride)
         # Stretch the window far into the future, then invert it: the
         # entry stays live (won't self-expire before a check) yet is
         # structurally impossible.

@@ -20,7 +20,7 @@ cycles re-derives the system's conservation laws from first principles:
     calendar - is due further in the future than the link latency allows.
 
 ``circuit_lifecycle``
-    Circuit-table entries are reachable (their key is still referenced by
+    Entries of the policy's circuit store are reachable (their key is still referenced by
     an origin, an in-flight message or a pending undo), origins' reserved
     hops have matching entries, windows are well-formed, and
     guaranteed-complete circuits never share an output port.
@@ -131,8 +131,8 @@ def flit_census(net) -> int:
     total = sum(1 for _item in wire_items(net, "flits"))
     for router in net.routers:
         total += router.buffered_flits()
-        for _port, unit in router._input_units:
-            total += len(unit.wait_queue)
+    for queue in net.policy.waits.values():
+        total += len(queue)
     for ni in net.interfaces:
         total += ni.rx_partial_flits()
     return total
@@ -157,11 +157,10 @@ def iter_network_messages(net) -> Iterable:
                     for flit, _arrival, _credit_vc in vc.buffer:
                         for msg in _once(flit.msg):
                             yield msg
-            for waiting in unit.wait_queue:
-                flit = waiting[0] if isinstance(waiting, tuple) else waiting
-                msg = getattr(flit, "msg", None)
-                for m in _once(msg):
-                    yield m
+    for queue in net.policy.waits.values():
+        for flit in queue:
+            for msg in _once(flit.msg):
+                yield msg
     for ni in net.interfaces:
         for queue in (ni.req_queue, ni.reply_pending, ni.reply_queue):
             for msg in queue:
@@ -261,7 +260,7 @@ class InvariantMonitor:
         self.sim = None
         policy = net.policy
         self._policy_name = getattr(policy, "name", "baseline")
-        self._circuit_credits = bool(getattr(policy, "circuit_credits", False))
+        self._circuit_credits = policy.circuit_credits
         self._bufferless = set(policy.bufferless_vcs())
 
     # -- wiring --------------------------------------------------------
@@ -467,6 +466,8 @@ class InvariantMonitor:
         net = self.net
         accounted = accounted_circuit_keys(net)
         complete = self._policy_name == "complete"
+        tables = net.policy.tables
+        stride = net.core.stride
         # Map each origin to the (node, in_port) positions it reserved.
         origin_hops: Dict[object, Dict[Tuple[int, int], object]] = {}
         for ni in net.interfaces:
@@ -490,8 +491,7 @@ class InvariantMonitor:
                         continue  # hop reserved at a router in another shard
                     if hop.window_end is not None and hop.window_end < cycle:
                         continue  # expired windows self-clean lazily
-                    table = net.routers[node].inputs[in_port].circuit_table
-                    entry = None if table is None else table.entries.get(key)
+                    entry = tables[node * stride + in_port].get(key)
                     if entry is None:
                         raise self._fail(
                             "circuit_lifecycle", cycle,
@@ -516,21 +516,20 @@ class InvariantMonitor:
                             f"for key {key}",
                             {"key": list(key), "kind": "window_mismatch"},
                         )
+        capacity = net.policy.capacity
         for router in net.routers:
             sharing: List[Tuple[int, object]] = []
-            for port, unit in router._input_units:
-                table = unit.circuit_table
-                if table is None:
-                    continue
-                if len(table.entries) > table.capacity:
+            for port in router.ports:
+                table = tables[router.node * stride + port]
+                if len(table) > capacity:
                     raise self._fail(
                         "circuit_lifecycle", cycle,
                         f"router {router.node} {net.topo.port_name(port)}",
-                        f"{len(table.entries)} entries exceed the table "
-                        f"capacity {table.capacity}",
+                        f"{len(table)} entries exceed the table "
+                        f"capacity {capacity}",
                         {"kind": "capacity"},
                     )
-                for key, entry in table.entries.items():
+                for key, entry in table.items():
                     if entry.timed:
                         if entry.window_start > entry.window_end:
                             raise self._fail(
@@ -735,8 +734,7 @@ class InvariantMonitor:
                                  f"{self.net.topo.port_name(port)} "
                                  f"vn{vc.vn} vc{vc.index} "
                                  f"(stage {vc.stage.value})")
-        waiting = sum(len(unit.wait_queue) for router in core.routers
-                      for _port, unit in router._input_units)
+        waiting = sum(len(queue) for queue in core.policy.waits.values())
         if core.grants or waiting:
             fail("router core",
                  f"sleeping router core holds runnable work: "

@@ -264,8 +264,9 @@ def test_schema_4_file_is_refused_before_unpickling(tmp_path):
     switch and, with the switch off, the deleted second router / NI
     classes, 6 one kernel slot per router and the router-bound link
     queues the router core's calendar replaced, 7 the links toward the
-    NIs and one kernel slot per NI.  Each is refused typed at the
-    header, like 2 and 3."""
+    NIs and one kernel slot per NI, 8 a circuit table and a wait queue
+    on every router input unit.  Each is refused typed at the header,
+    like 2 and 3."""
     assert SCHEMA_VERSION > 4
     for schema in range(4, SCHEMA_VERSION):
         policy = CheckpointPolicy(str(tmp_path / str(schema)), INTERVAL,

@@ -1,20 +1,32 @@
-"""Circuit table and reservation-walk data structures."""
+"""Circuit table entries, the policy's circuit store and reservation
+walks."""
 
 from hypothesis import given, strategies as st
 
+from repro.circuits.policy import make_policy
 from repro.circuits.table import (
     CircuitEntry,
-    CircuitTable,
     CircuitWalk,
     HopRecord,
     circuit_key,
+    purge_expired,
 )
-from repro.noc.topology import Port
+from repro.coherence.messages import MessageFactory
+from repro.noc.flit import Message
+from repro.noc.topology import Port, build_topology
+from repro.sim.config import SystemConfig, Variant
+from repro.sim.stats import Stats
 
 
 def entry(key=(0, 0x40, 1), start=None, end=None):
     return CircuitEntry(key, Port.EAST, Port.WEST, built_cycle=0,
                         window_start=start, window_end=end)
+
+
+def store(variant=Variant.COMPLETE):
+    """The circuit policy of a 4x4 chip: it owns the circuit store."""
+    config = SystemConfig(n_cores=16).with_variant(variant)
+    return make_policy(config, build_topology(config), Stats())
 
 
 def test_untimed_entries_never_expire():
@@ -50,23 +62,34 @@ def test_overlap_is_symmetric(a0, a1, b0, b1):
 
 
 def test_table_capacity_and_purge():
-    table = CircuitTable(capacity=3)
-    table.insert(entry(key=(0, 1, 1), start=10, end=20))
-    table.insert(entry(key=(0, 2, 2), start=10, end=50))
-    table.insert(entry(key=(0, 3, 3)))
-    assert table.live_count(15) == 3
-    assert table.live_count(30) == 2  # first expired and purged
-    assert (0, 1, 1) not in table.entries
-    assert table.lookup((0, 2, 2), 30) is not None
-    assert table.lookup((0, 2, 2), 60) is None  # lazy expiry on lookup
+    policy = store()
+    assert policy.capacity == 5
+    assert policy.tables[0 * policy.stride + Port.NORTH] is None  # corner
+    table = policy.tables[5 * policy.stride + Port.EAST]
+    for e in (entry(key=(0, 1, 1), start=10, end=20),
+              entry(key=(0, 2, 2), start=10, end=50),
+              entry(key=(0, 3, 3))):
+        table[e.key] = e
+    assert purge_expired(table, 15) == 3
+    assert purge_expired(table, 30) == 2  # first expired and purged
+    assert (0, 1, 1) not in table
+    assert purge_expired(table, 60) == 1  # only the untimed entry is left
 
 
 def test_table_remove():
-    table = CircuitTable(capacity=2)
-    e = entry()
-    table.insert(e)
-    assert table.remove(e.key) is e
-    assert table.remove(e.key) is None
+    """A tail that drained through its fragmented circuit VC frees the
+    entry once; a second departure finds nothing to free."""
+    policy = store(Variant.FRAGMENTED)
+    port_key = 5 * policy.stride + Port.EAST
+    reply = Message(6, 4, 1, 5, "L2_REPLY")
+    reply.circuit_key = circuit_key(4, 0x40, 1)
+    e = entry(key=reply.circuit_key)
+    policy.tables[port_key][e.key] = e
+    tail = reply.flits()[-1]
+    policy.on_tail_departure(port_key, tail)
+    assert e.key not in policy.tables[port_key]
+    policy.on_tail_departure(port_key, tail)
+    assert policy._c_entries_used == 1
 
 
 def test_walk_fully_reserved():
@@ -93,14 +116,17 @@ def test_feasible_departure_untimed_hops_pass_through():
 
 
 def test_circuit_key_shape():
-    assert circuit_key(3, 0x1000) == (3, 0x1000)
+    assert circuit_key(3, 0x1000, 7) == (3, 0x1000, 7)
+    request = MessageFactory(SystemConfig(n_cores=16)).gets(3, 9, 0x1000)
+    assert request.circuit_key == circuit_key(3, 0x1000, request.uid)
 
 
 @given(st.integers(0, 63), st.integers(0, 1 << 32))
 def test_entries_keyed_uniquely(dest, block):
-    table = CircuitTable(capacity=8)
-    key_a = (dest, block, 1)
-    key_b = (dest, block, 2)
-    table.insert(CircuitEntry(key_a, Port.EAST, Port.WEST, 0))
-    table.insert(CircuitEntry(key_b, Port.EAST, Port.WEST, 0))
-    assert len(table.entries) == 2
+    policy = store()
+    table = policy.tables[5 * policy.stride + Port.EAST]
+    key_a = circuit_key(dest, block, 1)
+    key_b = circuit_key(dest, block, 2)
+    table[key_a] = CircuitEntry(key_a, Port.EAST, Port.WEST, 0)
+    table[key_b] = CircuitEntry(key_b, Port.EAST, Port.WEST, 0)
+    assert len(table) == 2

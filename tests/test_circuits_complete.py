@@ -61,10 +61,8 @@ def test_conflicting_circuits_fail_and_undo(chip):
         # failed walk must leave no dangling entries once undo propagates
         c.run(60)
         reserved_nodes = {h.node for h in b.walk.hops if h.reserved}
-        for router in c.net.routers:
-            for _port, unit in router._input_units:
-                for key in (unit.circuit_table.entries if unit.circuit_table else {}):
-                    assert key != b.circuit_key
+        for table in c.net.policy.tables:
+            assert b.circuit_key not in (table or ())
     c.run_until_drained(20000)
 
 

@@ -1,9 +1,10 @@
 """Timed circuit reservations (section 4.7): windows, slack, delay,
 postponement, and window misses."""
 
-from repro.circuits.table import CircuitWalk, HopRecord
+from repro.circuits.table import CircuitEntry, CircuitWalk, HopRecord
+from repro.noc.network import Network
 from repro.noc.topology import Port
-from repro.sim.config import Variant
+from repro.sim.config import SystemConfig, Variant
 
 
 def reply_of(c, req):
@@ -31,6 +32,18 @@ def test_windows_expire_and_free_storage(chip):
     # run past all windows; lazy expiry purges on next count
     c.run(200)
     assert c.net.circuit_entries() == 0
+
+
+def test_live_circuit_probe_is_read_only():
+    """Counting live entries (the telemetry gauge, the crash report, the
+    status line) must not purge the expired ones it counts out."""
+    net = Network(SystemConfig(n_cores=16).with_variant(Variant.TIMED_NOACK))
+    key = (4, 0x80, 1)
+    net.policy.tables[5 * net.core.stride + Port.EAST][key] = CircuitEntry(
+        key, Port.EAST, Port.WEST, built_cycle=0,
+        window_start=10, window_end=20)
+    assert net.live_circuit_entries(100) == 0
+    assert net.circuit_entries() == 1
 
 
 def test_delayed_reply_misses_window_and_is_undone(chip):

@@ -257,3 +257,56 @@ def test_only_the_conformance_matrix_compares_runs():
                     and any(map(takes_a_snapshot, node.comparators)):
                 offenders.append(f"{where} compares two Stats.snapshot()s")
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# One circuit store: circuit tables and ideal-mode waits live in the
+# circuit policy under the router core's calendar keys, not on the
+# input units, and the NIs' hot counters in the router core's batcher.
+# ----------------------------------------------------------------------
+
+_UNIT_STATE = frozenset({"circuit_table", "wait_queue"})
+_HOOK_FLAGS = frozenset({"handles_arrivals", "handles_tails"})
+
+
+def _second_store_sites(tree, interface):
+    """(lineno, what) for a ``CircuitTable`` class, a ``circuit_table`` /
+    ``wait_queue`` attribute or slot name, a hook flag and - where
+    ``interface`` (``noc/interface.py``) - an ``add_flusher`` call."""
+    import ast
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "CircuitTable":
+            yield node.lineno, "class CircuitTable"
+        elif isinstance(node, ast.Attribute) \
+                and node.attr in _UNIT_STATE | _HOOK_FLAGS:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Name) and node.id in _HOOK_FLAGS:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Constant) and node.value in _UNIT_STATE:
+            yield node.lineno, node.value
+        elif interface and isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "add_flusher":
+            yield node.lineno, "add_flusher"
+
+
+def test_circuit_state_lives_in_one_store():
+    import ast
+
+    probe = ast.parse(
+        "class CircuitTable: pass\n"
+        "unit.circuit_table = unit.wait_queue = None\n"
+        "__slots__ = ('wait_queue',)\n"
+        "handles_arrivals = policy.handles_tails\n"
+        "stats.add_flusher(self._flush_counters)\n")
+    assert sorted(what for _line, what in
+                  _second_store_sites(probe, interface=True)) == sorted([
+        "class CircuitTable", "circuit_table", "wait_queue", "wait_queue",
+        "handles_arrivals", "handles_tails", "add_flusher"])
+    offenders = [
+        f"{relative}:{line} {what}"
+        for relative, tree in _repro_sources()
+        for line, what in _second_store_sites(
+            tree, interface=relative.as_posix() == "noc/interface.py")]
+    assert not offenders, offenders

@@ -93,13 +93,13 @@ def test_undo_credit_clears_entry_and_forwards():
     from repro.circuits.table import CircuitEntry
 
     key = (4, 0x80, 1234)  # circuit toward node 4 = (0,1): WEST of node 5
-    table = router.inputs[Port.EAST].circuit_table
-    table.insert(CircuitEntry(key, Port.EAST, Port.WEST, built_cycle=0))
-    # undo arrives on the EAST credit channel (from the failure router)
     east = 5 * net.core.stride + Port.EAST
+    table = net.policy.tables[east]
+    table[key] = CircuitEntry(key, Port.EAST, Port.WEST, built_cycle=0)
+    # undo arrives on the EAST credit channel (from the failure router)
     net.core.send_credit(east, Credit(undo_key=key), 0)
     net.core.tick(2)
-    assert table.lookup(key, 2) is None
+    assert key not in table
     # and is forwarded toward the circuit destination (WEST)
     [(to, forwarded)] = net.core.credits[4]
     assert to == router.credit_to[Port.WEST] and forwarded.undo_key == key
@@ -111,12 +111,12 @@ def test_undo_stops_at_destination_router():
     from repro.circuits.table import CircuitEntry
 
     key = (5, 0x80, 99)  # destination IS this node -> out port LOCAL
-    table = router.inputs[Port.EAST].circuit_table
-    table.insert(CircuitEntry(key, Port.EAST, Port.LOCAL, built_cycle=0))
     east = 5 * net.core.stride + Port.EAST
+    table = net.policy.tables[east]
+    table[key] = CircuitEntry(key, Port.EAST, Port.LOCAL, built_cycle=0)
     net.core.send_credit(east, Credit(undo_key=key), 0)
     net.core.tick(2)
-    assert table.lookup(key, 2) is None
+    assert key not in table
     assert not net.core.credits  # nothing toward the NI either
 
 

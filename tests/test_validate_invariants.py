@@ -96,21 +96,13 @@ def test_circuit_lifecycle_detects_planted_entry():
     traffic = _traffic(Variant.COMPLETE, rate=10.0)
     traffic.run(400)
     net = traffic.net
-    table = None
-    for router in net.routers:
-        for port, unit in router._input_units:
-            if unit.circuit_table is not None:
-                table = unit.circuit_table
-                in_port, node = port, router.node
-                break
-        if table is not None:
-            break
+    node = 0
+    in_port = net.routers[node].ports[0]
+    table = net.policy.tables[node * net.core.stride + in_port]
     assert table is not None
     bogus_key = (99, 0xDEAD, 10 ** 9)
-    out_port = next(
-        p for p in net.routers[node].ports if p is not in_port
-    )
-    table.entries[bogus_key] = CircuitEntry(
+    out_port = next(p for p in net.routers[node].ports if p != in_port)
+    table[bogus_key] = CircuitEntry(
         key=bogus_key, in_port=in_port, out_port=out_port,
         built_cycle=traffic.cycle,
     )
