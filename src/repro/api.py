@@ -100,6 +100,7 @@ class _InProcessBackend:
         specs = list(specs)
         keys = [spec.scaled().key() for spec in specs]
         handle = JobHandle(self, specs, list(keys), keys)
+        experiment.load_stored(specs)
         plain = [spec for spec in specs if not spec.observed]
         if len(plain) > 1 and parallel.resolve_jobs(jobs) > 1:
             parallel.run_specs(plain, jobs=jobs, safe=True)
@@ -290,12 +291,13 @@ def prefetch(specs: Iterable[RunSpec], jobs: Optional[int] = None,
              safe: bool = False, echo=None) -> None:
     """Compute a batch through the active backend, seeding the memo.
 
-    The shared daemon fleet in service mode, worker processes otherwise
-    (``jobs`` / ``REPRO_JOBS``; nothing to do when serial), so serial
-    assembly afterwards is all memo hits.  ``echo`` receives progress
-    lines; without ``safe`` a failed run raises.
+    The shared daemon fleet computes it in service mode.  In-process,
+    stored results are read first, each store shard once; worker
+    processes (``jobs`` / ``REPRO_JOBS``) then compute the misses, or,
+    when serial, assembly computes them as it reaches them.  ``echo``
+    receives progress lines; without ``safe`` a failed run raises.
     """
-    from repro.harness import parallel
+    from repro.harness import experiment, parallel
 
     specs = list(specs)
     if not specs:
@@ -312,8 +314,10 @@ def prefetch(specs: Iterable[RunSpec], jobs: Optional[int] = None,
                     raise RuntimeError(
                         f"{result.error_kind}: {result.error} "
                         f"(spec {result.spec_key})")
-    elif parallel.resolve_jobs(jobs) > 1 and len(specs) > 1:
-        parallel.run_specs(specs, jobs=jobs, safe=safe, echo=echo)
+    else:
+        experiment.load_stored(specs)
+        if parallel.resolve_jobs(jobs) > 1 and len(specs) > 1:
+            parallel.run_specs(specs, jobs=jobs, safe=safe, echo=echo)
 
 
 def run_matrix(n_cores: int, variants: Iterable[Variant],

@@ -39,7 +39,7 @@ import logging
 import os
 import time
 import zlib
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Set
 
 from repro.config import ConfigError
 
@@ -146,10 +146,6 @@ class _ShardFile:
         self.lock_stale = lock_stale
 
     # -- reading ---------------------------------------------------------
-
-    def load(self, key: str) -> Optional[dict]:
-        """Return the entry stored under ``key``, or None."""
-        return self.load_all().get(key)
 
     def load_all(self) -> Dict[str, dict]:
         """Read every entry; quarantines the file if it is corrupt."""
@@ -366,38 +362,54 @@ class ShardedCache:
         self._shards: Dict[int, _ShardFile] = {}
 
     def _anchor_manifest(self, n_shards: Optional[int]) -> int:
+        """The store's shard count, creating the manifest if it is missing.
+
+        ``os.replace`` publishes the manifest atomically, so an existing
+        one is read without the lock (a read-only store stays readable);
+        only creation locks, and re-reads under it.
+        """
         manifest_path = os.path.join(self.root, MANIFEST_NAME)
-        with FileLock(manifest_path + ".lock", timeout=self.lock_timeout,
-                      stale_seconds=self.lock_stale):
-            try:
-                with open(manifest_path) as handle:
-                    manifest = json.load(handle)
-                existing = int(manifest["n_shards"])
-                if manifest.get("schema") != SCHEMA_VERSION or existing < 1:
-                    raise ValueError(f"bad manifest {manifest!r}")
-            except FileNotFoundError:
-                chosen = n_shards if n_shards else DEFAULT_SHARDS
-                if chosen < 1:
-                    raise ValueError(
-                        f"a sharded cache needs >= 1 shard, got {chosen}")
-                tmp = f"{manifest_path}.tmp.{os.getpid()}"
-                with open(tmp, "w") as handle:
-                    json.dump({"schema": SCHEMA_VERSION,
-                               "n_shards": chosen}, handle)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, manifest_path)
-                return chosen
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                raise ValueError(
-                    f"unreadable sharded-cache manifest {manifest_path!r}: "
-                    f"{exc}"
-                ) from None
+        existing = self._read_manifest(manifest_path)
+        if existing is None:
+            with FileLock(manifest_path + ".lock", timeout=self.lock_timeout,
+                          stale_seconds=self.lock_stale):
+                existing = (self._read_manifest(manifest_path)
+                            or self._create_manifest(manifest_path, n_shards))
         if n_shards and n_shards != existing:
             logger.warning(
                 "sharded cache %s has %d shards (manifest); ignoring the "
                 "requested %d", self.root, existing, n_shards)
         return existing
+
+    @staticmethod
+    def _read_manifest(manifest_path: str) -> Optional[int]:
+        """The manifest's shard count; None if there is no manifest."""
+        try:
+            with open(manifest_path) as handle:
+                manifest = json.load(handle)
+            existing = int(manifest["n_shards"])
+            if manifest.get("schema") != SCHEMA_VERSION or existing < 1:
+                raise ValueError(f"bad manifest {manifest!r}")
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"unreadable sharded-cache manifest {manifest_path!r}: {exc}"
+            ) from None
+        return existing
+
+    @staticmethod
+    def _create_manifest(manifest_path: str, n_shards: Optional[int]) -> int:
+        chosen = n_shards if n_shards else DEFAULT_SHARDS
+        if chosen < 1:
+            raise ValueError(f"a sharded cache needs >= 1 shard, got {chosen}")
+        tmp = f"{manifest_path}.tmp.{os.getpid()}"
+        with open(tmp, "w") as handle:
+            json.dump({"schema": SCHEMA_VERSION, "n_shards": chosen}, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, manifest_path)
+        return chosen
 
     def _shard(self, index: int) -> _ShardFile:
         cache = self._shards.get(index)
@@ -415,7 +427,23 @@ class ShardedCache:
     # -- reading ---------------------------------------------------------
 
     def load(self, key: str) -> Optional[dict]:
-        return self.shard_for(key).load(key)
+        return self.load_many((key,)).get(key)
+
+    def load_many(self, keys: Iterable[str]) -> Dict[str, dict]:
+        """``{key: entry}`` for the stored ones among ``keys``.
+
+        Each shard the keys route to is parsed once, and only the
+        requested entries are kept, so nothing outlives the call.
+        """
+        by_shard: Dict[int, Set[str]] = {}
+        for key in keys:
+            by_shard.setdefault(
+                spec_key_shard(key, self.n_shards), set()).add(key)
+        found: Dict[str, dict] = {}
+        for index, wanted in sorted(by_shard.items()):
+            entries = self._shard(index).load_all()
+            found.update((k, entries[k]) for k in wanted if k in entries)
+        return found
 
     def load_all(self) -> Dict[str, dict]:
         merged: Dict[str, dict] = {}

@@ -18,7 +18,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro import config as repro_config
 from repro.circuits.outcomes import outcome_fractions
@@ -237,17 +237,36 @@ def _disk_cache() -> Optional[ShardedCache]:
     return open_cache(path) if path else None
 
 
-def _load_disk(key: str) -> Optional[RunResult]:
-    cache = _disk_cache()
-    if cache is None:
-        return None
-    entry = cache.load(key)
+def _from_entry(entry: Optional[dict]) -> Optional[RunResult]:
     if entry is None:
         return None
     try:
         return RunResult.from_json(entry)
     except TypeError:
         return None  # entry from an incompatible RunResult shape
+
+
+def _load_disk(key: str) -> Optional[RunResult]:
+    cache = _disk_cache()
+    return None if cache is None else _from_entry(cache.load(key))
+
+
+def load_stored(specs: Iterable[RunSpec]) -> None:
+    """Memoise every stored result among ``specs`` with one store read.
+
+    Observed specs and memo hits are skipped; each shard the rest route
+    to is parsed once (:meth:`ShardedCache.load_many`), so a warm batch
+    costs one pass over the shards it touches, not one per spec.
+    """
+    keys = {spec.scaled().key() for spec in specs
+            if not spec.observed}.difference(_memo)
+    cache = _disk_cache() if keys else None
+    if cache is None:
+        return
+    for key, entry in cache.load_many(keys).items():
+        result = _from_entry(entry)
+        if result is not None:
+            _memo[key] = result
 
 
 def _store_disk(result: RunResult) -> None:

@@ -161,9 +161,15 @@ class Daemon:
     # -- job intake ------------------------------------------------------
 
     def submit_specs(self, spec_dicts: List[dict]) -> List[dict]:
+        specs = [spec_from_json(d).scaled() for d in spec_dicts]
+        # One store read for the batch, outside the lock: each shard the
+        # keys no job can serve route to is parsed once.
+        stored = self._store.load_many(
+            spec.key() for spec in specs if not spec.observed
+            and self.jobs.joinable_by_key(spec.key()) is None
+        ) if self._store else {}
         out = []
-        for spec_dict in spec_dicts:
-            spec = spec_from_json(spec_dict).scaled()
+        for spec in specs:
             key = spec.key()
             with self._lock:
                 job = None
@@ -172,7 +178,7 @@ class Daemon:
                     if existing is not None:
                         out.append(existing.to_status())
                         continue
-                    entry = self._store.load(key) if self._store else None
+                    entry = stored.get(key)
                     if entry is not None:
                         job = self.jobs.new_job(
                             spec, key, state=jobstates.DONE, source="cache",

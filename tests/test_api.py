@@ -115,6 +115,56 @@ def test_safe_runner_scales_exactly_once(monkeypatch):
     assert result.to_json() == experiment.run_experiment(spec).to_json()
 
 
+@pytest.fixture
+def warm_store(tmp_path, monkeypatch):
+    """Three specs simulated into a fresh store (two seeds of one cell, so
+    one shard holds two of them); returns the specs and their results'
+    JSON, with the memo emptied."""
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store") + os.sep)
+    specs = [_spec(seed=1), _spec(seed=2),
+             _spec(variant=Variant.COMPLETE_NOACK)]
+    direct = [experiment.run_experiment(spec).to_json() for spec in specs]
+    experiment._memo.clear()
+    return specs, direct
+
+
+def test_submit_parses_each_store_shard_once(warm_store, shard_reads):
+    specs, direct = warm_store
+    assert [r.to_json() for r in api.results(api.submit(specs))] == direct
+    assert shard_reads and max(shard_reads.values()) == 1
+
+
+def test_prefetch_of_stored_results_starts_no_worker(warm_store,
+                                                     monkeypatch):
+    from repro.harness import parallel
+
+    specs, direct = warm_store
+
+    def no_workers(*args, **kwargs):
+        raise AssertionError("prefetch forked for stored results")
+
+    monkeypatch.setattr(parallel, "run_tasks", no_workers)
+    api.prefetch(specs, jobs=2)
+    assert [experiment._memo[s.key()].to_json() for s in specs] == direct
+
+
+def test_incompatible_stored_entry_is_a_miss_on_both_paths(warm_store):
+    """An entry of another RunResult shape (``TypeError``) is a miss for
+    the batch read and the key-by-key read; submit re-simulates it."""
+    from repro.harness.cache import open_cache
+
+    specs, direct = warm_store
+    key = specs[0].key()
+    open_cache(os.environ["REPRO_CACHE"]).store(
+        key, dict(direct[0], field_of_another_build=1))
+    experiment.load_stored(specs)
+    assert key not in experiment._memo
+    assert specs[1].key() in experiment._memo
+    assert experiment._load_disk(key) is None
+    experiment._memo.clear()
+    assert [r.to_json() for r in api.results(api.submit(specs))] == direct
+
+
 def test_map_tasks_runs_locally():
     done = api.map_tasks({"a": 2, "b": 5}, worker=_triple, jobs=None)
     assert done == {"a": 6, "b": 15}

@@ -301,6 +301,37 @@ def test_run_matrix_parallel_is_bit_identical(monkeypatch, tmp_path):
             assert stored[result.spec_key] == result.to_json()
 
 
+def test_prefetch_forks_exactly_the_store_misses(monkeypatch, tmp_path):
+    """Store hits resolve in the parent; only the misses reach workers,
+    and both come back bit-identical to direct runs."""
+    from repro import api
+
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
+    stored = [RunSpec(16, Variant.BASELINE, "water_spatial", seed=s, **SMALL)
+              for s in (1, 2)]
+    missed = [RunSpec(16, Variant.COMPLETE_NOACK, "water_spatial", seed=s,
+                      **SMALL) for s in (1, 2)]
+    _memo.clear()
+    direct = {s.key(): run_experiment(s).to_json() for s in stored}
+    _memo.clear()
+    forked = []
+
+    def in_parent(tasks, worker, **kwargs):
+        forked.extend(tasks)
+        return {key: worker(spec) for key, spec in tasks.items()}
+
+    monkeypatch.setattr(parallel, "run_tasks", in_parent)
+    api.prefetch(stored + missed, jobs=2)
+    assert sorted(forked) == sorted(s.key() for s in missed)
+    for spec in stored:
+        assert _memo[spec.key()].to_json() == direct[spec.key()]
+    monkeypatch.delenv("REPRO_CACHE")
+    for spec in missed:
+        fresh = _memo.pop(spec.key())
+        assert run_experiment(spec).to_json() == fresh.to_json()
+    _memo.clear()
+
+
 # ---------------------------------------------------------------------------
 # crash-safe result store (one shard, so every key shares one file)
 

@@ -135,6 +135,28 @@ def test_store_hit_served_without_simulation(client, daemon, tmp_path):
         second.shutdown()
 
 
+def test_warm_batch_is_served_from_one_read_per_shard(tmp_path, monkeypatch,
+                                                     shard_reads):
+    """A batch of stored specs: every job is a cache hit, statuses come
+    back in submission order, each shard is parsed once, and the results
+    are bit-identical to direct runs."""
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store") + os.sep)
+    specs = [RunSpec(16, Variant.BASELINE, "canneal", seed, **SMALL)
+             for seed in (3, 1, 2)]
+    specs.append(RunSpec(16, Variant.COMPLETE_NOACK, "canneal", 1, **SMALL))
+    direct = [_direct(spec) for spec in specs]
+    shard_reads.clear()
+    # Never started: a warm batch must not need the fleet.
+    daemon = Daemon(str(tmp_path / "repro.sock"), workers=1,
+                    env=dict(os.environ))
+    rows = daemon.submit_specs([protocol.spec_to_json(s) for s in specs])
+    assert [row["key"] for row in rows] == [s.key() for s in specs]
+    assert {(row["state"], row["source"]) for row in rows} == {
+        (DONE, "cache")}
+    assert shard_reads and max(shard_reads.values()) == 1
+    assert [daemon.jobs.get(row["job_id"]).result for row in rows] == direct
+
+
 def test_concurrent_clients_get_bit_identical_results(daemon):
     specs = [RunSpec(16, Variant.BASELINE, "canneal", seed, **SMALL)
              for seed in (1, 2, 3, 4)]

@@ -17,6 +17,7 @@ import pytest
 from repro.config import ConfigError
 from repro.harness.cache import (
     DEFAULT_SHARDS,
+    FileLock,
     MANIFEST_NAME,
     QUARANTINE_KEEP,
     ShardedCache,
@@ -173,6 +174,85 @@ def test_corrupt_shard_is_quarantined_not_fatal(tmp_path):
     assert len(corrupt) == 1
     store.store(key, {"v": 2})
     assert store.load(key) == {"v": 2}
+
+
+def test_opening_an_existing_store_takes_no_lock(tmp_path, monkeypatch):
+    """Reads never lock: an existing store opens and reads with locking
+    unusable (as on a read-only mount) and leaves no lock file behind;
+    only creating a store locks its manifest."""
+    root = str(tmp_path / "store")
+    ShardedCache(root, n_shards=4).store(_key(), {"v": 1})
+
+    def refuse(lock):
+        raise RuntimeError(f"locked {os.path.basename(lock.path)}")
+
+    monkeypatch.setattr(FileLock, "acquire", refuse)
+    store = open_cache(root)
+    assert store.n_shards == 4
+    assert store.load(_key()) == {"v": 1}
+    assert store.load_many([_key(), _key(seed=2)]) == {_key(): {"v": 1}}
+    assert not [name for name in os.listdir(root) if name.endswith(".lock")]
+    with pytest.raises(RuntimeError, match="locked shards.json.lock"):
+        open_cache(str(tmp_path / "fresh"))
+    with open(os.path.join(root, MANIFEST_NAME), "w") as handle:
+        handle.write("{ not json")
+    with pytest.raises(ValueError, match="unreadable sharded-cache manifest"):
+        open_cache(root)
+
+
+def _keys_by_shard(n_shards, count):
+    """``{shard index: [key, ...]}`` for ``count`` workloads' keys."""
+    by_shard = {}
+    for i in range(count):
+        key = _key(workload=f"wl{i}")
+        by_shard.setdefault(spec_key_shard(key, n_shards), []).append(key)
+    return by_shard
+
+
+def test_load_many_matches_per_key_load(tmp_path, caplog):
+    """Hits, misses, duplicates, a missing shard file, a non-dict entry
+    and a corrupt shard: the batch read returns what key-by-key reads
+    would, and quarantines the corrupt shard once."""
+    by_shard = _keys_by_shard(4, 40)
+    hit_a, hit_b, missed, bad = by_shard[0][:4]
+    rotten, rotten_missed = by_shard[1][:2]
+    [absent] = by_shard[2][:1]
+    root = tmp_path / "a"
+    store = ShardedCache(str(root), n_shards=4)
+    store.store_many({hit_a: {"v": 1}, hit_b: {"v": 2}, rotten: {"v": 3}})
+    shard0 = store.shard_for(hit_a).path
+    with open(shard0) as handle:
+        data = json.load(handle)
+    data["entries"][bad] = "not-a-dict"
+    with open(shard0, "w") as handle:
+        json.dump(data, handle)
+    with open(store.shard_for(rotten).path, "w") as handle:
+        handle.write("{ not json")
+    twin = ShardedCache(str(tmp_path / "b"), n_shards=4)
+    for name in os.listdir(root):
+        (tmp_path / "b" / name).write_bytes((root / name).read_bytes())
+
+    keys = [hit_a, missed, hit_b, hit_a, absent, bad, rotten, rotten_missed]
+    with caplog.at_level("WARNING", logger="repro.harness.cache"):
+        batch = store.load_many(keys)
+    quarantines = [r for r in caplog.records if "quarantined" in r.message]
+    assert len(quarantines) == 1
+    assert len([n for n in os.listdir(root) if ".corrupt." in n]) == 1
+    assert batch == {hit_a: {"v": 1}, hit_b: {"v": 2}}
+    assert batch == {k: v for k in keys
+                     for v in [twin.load(k)] if v is not None}
+
+
+def test_load_many_parses_each_shard_once(tmp_path, shard_reads):
+    store = ShardedCache(str(tmp_path / "store"), n_shards=16)
+    entries = {_key(workload=f"wl{i % 16}", seed=i): {"i": i}
+               for i in range(64)}
+    store.store_many(entries)
+    shard_reads.clear()
+    assert store.load_many(list(entries)) == entries
+    assert shard_reads and max(shard_reads.values()) == 1
+    assert sum(shard_reads.values()) == len(
+        {spec_key_shard(key, 16) for key in entries})
 
 
 # ----------------------------------------------------------------------
