@@ -95,14 +95,16 @@ class _InProcessBackend:
 
     def submit(self, specs: List[RunSpec],
                jobs: Optional[int] = None) -> JobHandle:
-        from repro.harness import experiment, parallel
+        from repro.harness import experiment
 
         specs = list(specs)
         keys = [spec.scaled().key() for spec in specs]
         handle = JobHandle(self, specs, list(keys), keys)
         experiment.load_stored(specs)
         plain = [spec for spec in specs if not spec.observed]
-        if len(plain) > 1 and parallel.resolve_jobs(jobs) > 1:
+        if len(plain) > 1 and repro_config.resolve_jobs(jobs) > 1:
+            from repro.harness import parallel
+
             parallel.run_specs(plain, jobs=jobs, safe=True)
         collected: List[RunResult] = []
         for spec, key in zip(specs, keys):
@@ -297,7 +299,7 @@ def prefetch(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     when serial, assembly computes them as it reaches them.  ``echo``
     receives progress lines; without ``safe`` a failed run raises.
     """
-    from repro.harness import experiment, parallel
+    from repro.harness import experiment
 
     specs = list(specs)
     if not specs:
@@ -316,7 +318,9 @@ def prefetch(specs: Iterable[RunSpec], jobs: Optional[int] = None,
                         f"(spec {result.spec_key})")
     else:
         experiment.load_stored(specs)
-        if parallel.resolve_jobs(jobs) > 1 and len(specs) > 1:
+        if repro_config.resolve_jobs(jobs) > 1 and len(specs) > 1:
+            from repro.harness import parallel
+
             parallel.run_specs(specs, jobs=jobs, safe=safe, echo=echo)
 
 

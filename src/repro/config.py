@@ -38,6 +38,7 @@ __all__ = [
     "env_help",
     "overrides",
     "resolve",
+    "resolve_jobs",
     "setting",
 ]
 
@@ -198,7 +199,7 @@ class Setting:
 #: Every REPRO_* knob, in display order.  ``default`` is the effective
 #: value when neither a keyword override nor the environment supplies
 #: one (some call sites apply further context-specific defaults, e.g.
-#: ``resolve_jobs(default=...)``).  The ``help`` texts are the CLI's
+#: :func:`resolve_jobs`'s ``default``).  The ``help`` texts are the CLI's
 #: environment help (:func:`env_help`).
 SETTINGS: Dict[str, Setting] = {}
 
@@ -281,6 +282,22 @@ def resolve(name: str, override=None, default=None,
     offending source on a malformed value.
     """
     return _resolve(name, override, default, source).value
+
+
+def resolve_jobs(jobs: Optional[int] = None, default: int = 1) -> int:
+    """Worker-process count: explicit value, else ``REPRO_JOBS``, else
+    ``default``.  ``0`` means one worker per CPU core.
+    """
+    if jobs is None:
+        jobs = resolve("jobs", default=default)
+    if jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError(
+            f"REPRO_JOBS / --jobs must be >= 0 "
+            f"(0 = one worker per CPU core), got {jobs}"
+        )
+    return jobs
 
 
 def _resolve(name: str, override=None, default=None,

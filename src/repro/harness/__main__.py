@@ -35,18 +35,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from repro import config as repro_config
-from repro.harness import figures, parallel, render, tables
+from repro.harness import figures, render, tables
 from repro.harness.experiment import (
     RunSpec,
     crash_dir,
     default_workloads,
     last_telemetry,
+    load_stored,
     run_experiment,
 )
 from repro.sim.config import Variant
-from repro.telemetry import TelemetryConfig
+
+if TYPE_CHECKING:
+    from repro.telemetry import TelemetryConfig
 
 
 def _workloads(args) -> list:
@@ -243,6 +247,8 @@ def _observed_run(args, variant, config: TelemetryConfig):
 def cmd_trace(args) -> int:
     """Telemetry-enabled baseline vs. reactive run: Chrome-trace JSON
     (Perfetto-loadable), metric time series, latency breakdown."""
+    from repro.telemetry import TelemetryConfig
+
     variant = _parse_variant(args.variant)
     if variant is None:
         return 2
@@ -293,6 +299,8 @@ def cmd_topology(args) -> int:
 def cmd_profile(args) -> int:
     """Kernel self-profile of one run: wall-time and ticks per component
     class, plus activity-driven skip effectiveness."""
+    from repro.telemetry import TelemetryConfig
+
     variant = _parse_variant(args.variant)
     if variant is None:
         return 2
@@ -372,7 +380,9 @@ COMMAND_VARIANTS = {
 
 
 def _prefetch(names, args, jobs: int) -> None:
-    """Warm the memo across worker processes before serial rendering."""
+    """Warm the memo before serial rendering: stored results with one read
+    per store shard, then, with ``jobs > 1``, the misses across worker
+    processes."""
     variants = []
     for name in names:
         for variant in COMMAND_VARIANTS[name]:
@@ -383,6 +393,9 @@ def _prefetch(names, args, jobs: int) -> None:
         for variant in variants
         for workload in _workloads(args)
     ]
+    if jobs <= 1:
+        load_stored(specs)
+        return
     from repro import api
 
     api.prefetch(
@@ -461,7 +474,7 @@ def _dispatch(args, parser) -> int:
     if args.what == "serve":
         return cmd_serve(args)
     try:
-        jobs = parallel.resolve_jobs(args.jobs)
+        jobs = repro_config.resolve_jobs(args.jobs)
     except ValueError as exc:
         # malformed --jobs / REPRO_JOBS: a message beats a traceback
         parser.error(str(exc))
@@ -487,8 +500,7 @@ def _dispatch(args, parser) -> int:
     if args.fail_fast:
         os.environ["REPRO_FAILFAST"] = "1"
     names = list(COMMANDS) if args.what == "all" else [args.what]
-    if jobs > 1:
-        _prefetch(names, args, jobs)
+    _prefetch(names, args, jobs)
     for name in names:
         COMMANDS[name](args)
         if args.what == "all":

@@ -35,7 +35,6 @@ from __future__ import annotations
 import errno
 import itertools
 import json
-import logging
 import os
 import time
 import zlib
@@ -43,7 +42,13 @@ from typing import Dict, Iterable, Optional, Set
 
 from repro.config import ConfigError
 
-logger = logging.getLogger("repro.harness.cache")
+
+def _logger():
+    """This module's logger; ``logging`` loads only when a warning is due."""
+    import logging
+
+    return logging.getLogger("repro.harness.cache")
+
 
 #: Bump when the on-disk layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -109,8 +114,8 @@ class FileLock:
         except OSError:
             return False  # released between our open() and stat()
         if age > self.stale_seconds:
-            logger.warning("breaking stale cache lock %s (%.0fs old)",
-                           self.path, age)
+            _logger().warning("breaking stale cache lock %s (%.0fs old)",
+                              self.path, age)
             try:
                 os.unlink(self.path)
             except OSError:
@@ -188,8 +193,8 @@ class _ShardFile:
             os.replace(self.path, dest)
         except OSError:
             return  # another process already moved or removed it
-        logger.warning("quarantined corrupt result cache %s -> %s: %s",
-                       self.path, dest, reason)
+        _logger().warning("quarantined corrupt result cache %s -> %s: %s",
+                          self.path, dest, reason)
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
         prune_quarantine(directory, os.path.basename(self.path) + ".corrupt.")
 
@@ -257,8 +262,8 @@ def prune_quarantine(directory: str, prefix: str,
             os.unlink(victim)
         except OSError:  # pragma: no cover - concurrent prune
             continue
-        logger.warning("pruned old quarantined cache file %s "
-                       "(keeping newest %d)", victim, keep)
+        _logger().warning("pruned old quarantined cache file %s "
+                          "(keeping newest %d)", victim, keep)
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +381,7 @@ class ShardedCache:
                 existing = (self._read_manifest(manifest_path)
                             or self._create_manifest(manifest_path, n_shards))
         if n_shards and n_shards != existing:
-            logger.warning(
+            _logger().warning(
                 "sharded cache %s has %d shards (manifest); ignoring the "
                 "requested %d", self.root, existing, n_shards)
         return existing

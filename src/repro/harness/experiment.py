@@ -18,7 +18,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro import config as repro_config
 from repro.circuits.outcomes import outcome_fractions
@@ -29,7 +29,9 @@ from repro.power.energy import network_energy
 from repro.sim.config import SystemConfig, Variant
 from repro.sim.stats import Histogram, Stats
 from repro.system import build_system
-from repro.telemetry import Telemetry, TelemetryConfig
+
+if TYPE_CHECKING:
+    from repro.telemetry import TelemetryConfig
 
 #: Baseline measurement quantum (instructions per core) at scale 1.0.
 MEASURE_INSTRUCTIONS = 3_000
@@ -333,9 +335,11 @@ def _resolved_shards(spec: RunSpec, config: SystemConfig) -> int:
     span processes.  Results are bit-identical either way, so this is
     purely an execution-engine decision.
     """
-    from repro.sim.shard import resolve_shards
+    shards = repro_config.resolve("shards")
+    if shards > 1:
+        from repro.sim.shard import resolve_shards
 
-    shards = resolve_shards(config)
+        shards = resolve_shards(config)  # the router-grid height check
     if shards > 1 and spec.observed:
         global _warned_observed_shards
         if not _warned_observed_shards:
@@ -409,7 +413,11 @@ def _run_local(spec: RunSpec, key: str, config: SystemConfig):
         ).attach(system.sim)
     # Telemetry attaches where measurement starts: warm-up ends with a
     # stats reset, which would corrupt the interval-delta probes.
-    telem = Telemetry(spec.telemetry) if spec.observed else None
+    telem = None
+    if spec.observed:
+        from repro.telemetry import Telemetry
+
+        telem = Telemetry(spec.telemetry)
     try:
         start, finish = system.run_script(
             spec.warmup_instructions, spec.measure_instructions, policy,

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import functools
 import logging
-import os
 import time
 from typing import Callable, Dict, Iterable, Optional
 
+from repro.config import resolve_jobs
 from repro.proc import DEFAULT_RETRIES, Fleet, ParallelError, RunTimeoutError
 
 logger = logging.getLogger("repro.harness.parallel")
@@ -42,26 +42,6 @@ logger = logging.getLogger("repro.harness.parallel")
 
 class WorkerCrashError(ParallelError):
     """A run kept killing its worker process after the allowed retries."""
-
-
-def resolve_jobs(jobs: Optional[int] = None, default: int = 1) -> int:
-    """Worker-process count: explicit value, else ``REPRO_JOBS``, else
-    ``default``.  ``0`` means one worker per CPU core.
-    """
-    if jobs is None:
-        from repro import config as repro_config
-
-        jobs = repro_config.resolve("jobs")
-        if jobs is None:
-            jobs = default
-    if jobs == 0:
-        return os.cpu_count() or 1
-    if jobs < 0:
-        raise ValueError(
-            f"REPRO_JOBS / --jobs must be >= 0 "
-            f"(0 = one worker per CPU core), got {jobs}"
-        )
-    return jobs
 
 
 def _call(worker: Callable, payload, emit):

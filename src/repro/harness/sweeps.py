@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.harness import parallel
+from repro.config import resolve_jobs
 from repro.noc.traffic import RequestReplyTraffic
 from repro.sim.config import NocConfig, SystemConfig, Variant
 
@@ -52,7 +52,7 @@ def _measure_points(payloads: Sequence[Tuple],
     so the results are identical either way; they are re-ordered back to
     the input order after a parallel run.
     """
-    n_jobs = parallel.resolve_jobs(jobs)
+    n_jobs = resolve_jobs(jobs)
     if n_jobs <= 1 or len(payloads) <= 1:
         return [_measure(*payload) for payload in payloads]
     from repro import api

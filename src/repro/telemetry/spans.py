@@ -222,8 +222,12 @@ class SpanRecorder:
 
     def write_chrome_trace(self, path: str) -> str:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        # ``json.dumps`` without ``indent`` runs the C encoder; ``json.dump``
+        # and any ``indent`` fall back to the pure-Python one.
+        text = json.dumps(self.chrome_trace(), separators=(",", ":"),
+                          sort_keys=True)
         with open(path, "w") as handle:
-            json.dump(self.chrome_trace(), handle, indent=1, sort_keys=True)
+            handle.write(text)
         return path
 
     def breakdown_table(self) -> str:

@@ -43,6 +43,29 @@ def test_cli_fig9_small(capsys, monkeypatch):
     assert "Ideal" in out
 
 
+def test_serial_warm_table1_parses_each_store_shard_once(
+        capsys, monkeypatch, tmp_path, shard_reads):
+    from repro.harness import experiment
+    from repro.harness.cache import ShardedCache
+
+    store = tmp_path / "store"
+    ShardedCache(str(store), n_shards=1)  # every cell shares one shard
+    monkeypatch.setenv("REPRO_CACHE", str(store) + "/")
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.setattr(
+        "repro.harness.__main__.default_workloads",
+        lambda full=None: ["water_spatial", "blackscholes"],
+    )
+    with experiment.fresh_memo():
+        assert main(["table1", "--jobs", "1"]) == 0
+    cold = capsys.readouterr().out
+    shard_reads.clear()
+    with experiment.fresh_memo():
+        assert main(["table1", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == cold
+    assert dict(shard_reads) == {"shard-000.json": 1}
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["figX"])

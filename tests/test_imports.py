@@ -1,0 +1,144 @@
+"""Each entry point imports only the code it runs.
+
+Every case starts a fresh interpreter (``REPRO_*`` scrubbed), runs one
+entry point and lists ``sys.modules``: a plain run or a NoC study must
+not load the worker fleet, the shard engine, sockets or telemetry, and
+``import repro`` must load nothing but the package itself.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+#: Never needed by a plain run: fleets, sockets, the shard engine,
+#: telemetry, the daemon and the validators.  ``name*`` also matches the
+#: package's submodules.
+HEAVY = ["repro.proc", "repro.sim.shard", "repro.sim.checkpoint",
+         "repro.telemetry*", "repro.service*", "repro.validate*",
+         "multiprocessing*", "socket", "subprocess", "numpy*"]
+
+
+def _modules(code: str, tmp_path) -> set:
+    """``sys.modules`` after ``code`` ran in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=str(tmp_path), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _present(modules: set, patterns) -> list:
+    """The loaded modules that ``patterns`` name."""
+    hits = []
+    for pattern in patterns:
+        name = pattern.rstrip("*")
+        star = pattern.endswith("*")
+        hits += sorted(m for m in modules
+                       if m == name or (star and m.startswith(name + ".")))
+    return hits
+
+
+def test_import_repro_loads_no_submodule(tmp_path):
+    modules = _modules("import repro", tmp_path)
+    assert [m for m in modules if m.startswith("repro.")] == []
+
+
+def test_traffic_study_loads_no_harness_fleet_or_telemetry(tmp_path):
+    modules = _modules(
+        "from repro.noc.traffic import RequestReplyTraffic\n"
+        "from repro.sim.config import SystemConfig, Variant\n"
+        "cfg = SystemConfig(n_cores=16).with_variant(Variant.COMPLETE_NOACK)\n"
+        "traffic = RequestReplyTraffic(cfg, 48.0, seed=1)\n"
+        "traffic.run(200)\n"
+        "traffic.drain()\n"
+        "assert traffic.replies_received == traffic.requests_sent > 0\n",
+        tmp_path)
+    assert _present(modules, HEAVY + ["repro.harness*", "repro.partition"]) \
+        == []
+
+
+def test_plain_api_run_loads_no_fleet_shard_engine_or_telemetry(tmp_path):
+    modules = _modules(
+        "from repro import api\n"
+        "from repro.harness.experiment import RunSpec\n"
+        "from repro.sim.config import Variant\n"
+        "result = api.run(RunSpec(16, Variant.BASELINE, 'canneal', 1,"
+        " 200, 100))\n"
+        "assert result.exec_cycles > 0\n",
+        tmp_path)
+    assert _present(modules, HEAVY + ["repro.harness.parallel"]) == []
+
+
+def test_cli_help_loads_no_fleet_telemetry_daemon_or_validators(tmp_path):
+    modules = _modules(
+        "import runpy, sys\n"
+        "sys.argv = ['repro-harness', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('repro.harness', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code\n",
+        tmp_path)
+    assert "repro.harness.experiment" in modules  # the CLI module ran
+    assert _present(modules, ["multiprocessing*", "repro.telemetry*",
+                              "repro.service*", "repro.validate*"]) == []
+
+
+# ----------------------------------------------------------------------
+# The facades still serve every public name.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("package", ["repro", "repro.harness"])
+def test_every_public_name_resolves(package):
+    module = __import__(package, fromlist=["__all__"])
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_name")
+
+
+def test_star_import_and_version(tmp_path):
+    modules = _modules(
+        "from repro import *\n"
+        "import repro\n"
+        "assert repro.__version__ == '1.0.0'\n"
+        "missing = [n for n in repro.__all__ if n not in globals()]\n"
+        "assert not missing, missing\n",
+        tmp_path)
+    assert "repro.api" in modules
+
+
+def test_resolve_jobs_has_one_home():
+    from repro import config
+    from repro.harness import parallel
+
+    assert parallel.resolve_jobs is config.resolve_jobs
+    assert repro.harness.resolve_jobs is config.resolve_jobs
+
+
+def test_observed_run_still_loads_telemetry_and_exports(tmp_path):
+    from repro import api
+    from repro.harness import experiment
+    from repro.harness.experiment import RunSpec
+    from repro.sim.config import Variant
+    from repro.telemetry import TelemetryConfig
+
+    config = TelemetryConfig(profile=False, interval=200,
+                             out_dir=str(tmp_path / "telemetry"),
+                             trace_dir=str(tmp_path / "trace"))
+    spec = RunSpec(16, Variant.COMPLETE_NOACK, "canneal", 1, 200, 100,
+                   telemetry=config)
+    api.run(spec)
+    paths = experiment.last_telemetry()["paths"]
+    assert {"metrics_csv", "trace", "breakdown"} <= set(paths)
+    assert all(os.path.exists(path) for path in paths.values())

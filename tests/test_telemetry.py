@@ -147,6 +147,22 @@ def test_span_recorder_full_lifecycle(chip):
     assert "crep" in table and "hits/msg" in table
 
 
+def test_chrome_trace_file_is_compact_and_loads_equal(chip, tmp_path):
+    c = chip(variant=Variant.COMPLETE_NOACK)
+    recorder = SpanRecorder()
+    for router in c.net.routers:
+        router.observer = recorder
+    for ni in c.net.interfaces:
+        ni.observer = recorder
+    c.request(0, 5)
+    c.run_until_drained()
+    path = recorder.write_chrome_trace(str(tmp_path / "trace" / "t.json"))
+    with open(path) as handle:
+        text = handle.read()
+    assert json.loads(text) == recorder.chrome_trace()
+    assert "\n" not in text  # no indentation: the C encoder wrote it
+
+
 def test_span_recorder_respects_limit(chip):
     c = chip(variant=Variant.BASELINE)
     recorder = SpanRecorder(limit=1)
