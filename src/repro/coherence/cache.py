@@ -7,10 +7,14 @@ lines additionally carry directory state, attached by the L2 controller).
 
 from __future__ import annotations
 
-from typing import (Callable, Generic, Iterable, List, Optional, Tuple,
-                    TypeVar)
+from array import array
+from typing import (Callable, Dict, Generic, Iterable, List, Optional,
+                    Tuple, TypeVar)
 
 L = TypeVar("L")
+
+#: The address of an empty way.
+EMPTY = -1
 
 
 # ----------------------------------------------------------------------
@@ -56,13 +60,15 @@ class CacheArray(Generic[L]):
     bank-local block number (block // N) or only 1/N of its sets would
     ever be occupied.
 
-    Sets are three parallel lists indexed by set number: the ways'
-    addresses (``None`` for empty ways), their line objects, and the PLRU
-    bits.  Residency lives in the address rows alone: a resident way
-    whose line slot is still ``None`` holds the array's *default* line,
-    which ``make_line`` builds the first time a controller reads it - a
-    functional warm-up places a whole working set for the cost of the
-    addresses, and a run pays for the lines it touches.
+    The ways are flat: way ``w`` of set ``s`` is slot ``s * ways + w``.
+    ``_addrs`` is one int64 array of slots holding the way's address
+    (``-1`` for an empty way), ``_lines`` maps the slots whose line object
+    exists to it, and ``_plru`` holds each set's PLRU bits.  Residency
+    lives in ``_addrs`` alone: a resident way with no ``_lines`` entry
+    holds the array's *default* line, which ``make_line`` builds the first
+    time a controller reads it - a functional warm-up places a whole
+    working set for the cost of the addresses, and a run pays for the
+    lines it touches.  Addresses must fit in an int64.
     """
 
     def __init__(self, sets: int, ways: int, line_bytes: int,
@@ -80,59 +86,70 @@ class CacheArray(Generic[L]):
         #: Bytes between blocks that are neighbours in this array.
         self._set_bytes = line_bytes * block_stride
         self._touch = plru_masks(ways)
-        self._addrs: List[List[Optional[int]]] = [
-            [None] * ways for _ in range(sets)]
-        self._lines: List[List[Optional[L]]] = [
-            [None] * ways for _ in range(sets)]
+        self._addrs = array("q", [EMPTY]) * (sets * ways)
+        self._lines: Dict[int, L] = {}
         self._plru: List[int] = [0] * sets
 
     def set_index(self, addr: int) -> int:
         # The per-access methods inline this expression.
         return addr // self._set_bytes % self.sets
 
+    def _slot(self, addr: int) -> int:
+        """The slot ``addr`` is resident in, -1 if it is not."""
+        ways = self.ways
+        base = addr // self._set_bytes % self.sets * ways
+        row = self._addrs[base:base + ways]
+        return base + row.index(addr) if addr in row else EMPTY
+
     def way_of(self, addr: int) -> Optional[int]:
         """The way ``addr`` is resident in, None if it is not."""
-        row = self._addrs[addr // self._set_bytes % self.sets]
-        return row.index(addr) if addr in row else None
+        slot = self._slot(addr)
+        return None if slot < 0 else slot % self.ways
 
-    def _build(self, index: int, way: int) -> L:
+    def _build(self, slot: int) -> L:
         """First read of a resident way: build its default line, keep it."""
-        line = self._lines[index][way] = self.make_line()
+        line = self._lines[slot] = self.make_line()
         return line
 
     def lookup(self, addr: int) -> Optional[L]:
+        ways = self.ways
         index = addr // self._set_bytes % self.sets
-        row = self._addrs[index]
-        if addr not in row:
+        base = index * ways
+        row = self._addrs[base:base + ways]
+        if addr not in row:  # L1 misses are common: no raise on them
             return None
-        way = row.index(addr)
-        keep, point = self._touch[way]
+        slot = base + row.index(addr)
+        keep, point = self._touch[slot - base]
         plru = self._plru
         plru[index] = plru[index] & keep | point
-        line = self._lines[index][way]
-        return self._build(index, way) if line is None else line
+        line = self._lines.get(slot)
+        return self._build(slot) if line is None else line
 
     def peek(self, addr: int) -> Optional[L]:
         """Lookup without updating recency."""
-        index = addr // self._set_bytes % self.sets
-        row = self._addrs[index]
-        if addr not in row:
+        ways = self.ways
+        base = addr // self._set_bytes % self.sets * ways
+        try:  # the directory's peeks nearly always hit: one scan
+            slot = base + self._addrs[base:base + ways].index(addr)
+        except ValueError:
             return None
-        way = row.index(addr)
-        line = self._lines[index][way]
-        return self._build(index, way) if line is None else line
+        line = self._lines.get(slot)
+        return self._build(slot) if line is None else line
 
     def install_if_free(self, addr: int, line: Optional[L] = None) -> bool:
         """Place ``line`` (None: the default line, left unbuilt) at the
         first free way of ``addr``'s set and mark it most recently used;
         False (nothing changed) if the set is full."""
+        ways = self.ways
         index = addr // self._set_bytes % self.sets
-        row = self._addrs[index]
-        if None not in row:
+        base = index * ways
+        row = self._addrs[base:base + ways]
+        if EMPTY not in row:
             return False
-        way = row.index(None)
-        row[way] = addr
-        self._lines[index][way] = line
+        way = row.index(EMPTY)
+        self._addrs[base + way] = addr
+        if line is not None:
+            self._lines[base + way] = line
         keep, point = self._touch[way]
         plru = self._plru
         plru[index] = plru[index] & keep | point
@@ -147,12 +164,21 @@ class CacheArray(Generic[L]):
         """Functional warm-up in bulk: ``install_if_free(addr)`` for every
         address that is not resident, in order; addresses whose set is
         full are skipped.  No line is built."""
-        rows = self._addrs
-        set_bytes, sets = self._set_bytes, self.sets
-        install = self.install_if_free
+        slots, plru, touch = self._addrs, self._plru, self._touch
+        set_bytes, sets, ways = self._set_bytes, self.sets, self.ways
         for addr in addrs:
-            if addr not in rows[addr // set_bytes % sets]:
-                install(addr)
+            index = addr // set_bytes % sets
+            base = index * ways
+            row = slots[base:base + ways]
+            if addr in row:
+                continue
+            try:
+                way = row.index(EMPTY)
+            except ValueError:  # the set is full
+                continue
+            slots[base + way] = addr
+            keep, point = touch[way]
+            plru[index] = plru[index] & keep | point
 
     def choose_victim(
         self, addr: int, evictable: Callable[[L], bool]
@@ -163,45 +189,65 @@ class CacheArray(Generic[L]):
         lines are skipped; returns None when every way is unevictable.
         """
         index = self.set_index(addr)
-        row = self._addrs[index]
-        lines = self._lines[index]
         ways = self.ways
+        base = index * ways
         start = plru_victim(self._plru[index], ways)
         for offset in range(ways):
-            way = (start + offset) % ways
-            if row[way] is None:
+            slot = base + (start + offset) % ways
+            resident = self._addrs[slot]
+            if resident == EMPTY:
                 continue
-            line = lines[way]
-            if evictable(self._build(index, way) if line is None else line):
-                return row[way]
+            line = self._lines.get(slot)
+            if evictable(self._build(slot) if line is None else line):
+                return resident
         return None
 
     def remove(self, addr: int) -> Optional[L]:
-        way = self.way_of(addr)
-        if way is None:
+        slot = self._slot(addr)
+        if slot < 0:
             return None
-        index = self.set_index(addr)
-        line = self._lines[index][way]
-        self._addrs[index][way] = self._lines[index][way] = None
+        self._addrs[slot] = EMPTY
+        line = self._lines.pop(slot, None)
         return self.make_line() if line is None else line
 
     def occupancy(self) -> int:
-        return sum(self.ways - row.count(None) for row in self._addrs)
+        return len(self._addrs) - self._addrs.count(EMPTY)
 
     def items(self, defaults: bool = True):
         """Yield every resident ``(addr, line)`` pair in set-then-way
         order, recency untouched and nothing stored: a way still holding
         its default line yields a throwaway copy of it, or is skipped with
         ``defaults=False`` (no controller has ever seen such a line)."""
-        make_line = self.make_line
-        for addrs, lines in zip(self._addrs, self._lines):
-            for addr, line in zip(addrs, lines):
-                if addr is None:
-                    continue
-                if line is not None:
-                    yield addr, line
-                elif defaults:
-                    yield addr, make_line()
+        lines, make_line = self._lines, self.make_line
+        for slot, addr in enumerate(self._addrs):
+            if addr == EMPTY:
+                continue
+            line = lines.get(slot)
+            if line is not None:
+                yield addr, line
+            elif defaults:
+                yield addr, make_line()
+
+    def image(self, encode: Callable[[L], tuple]) -> tuple:
+        """Everything this array holds, sharing no object with it: the
+        addresses and PLRU bits as int64 arrays, the slots of the built
+        lines in ``_lines`` order, and each line as ``encode(line)`` -
+        a tuple of immutable fields, equal tuples stored once."""
+        encoded: Dict[tuple, tuple] = {}
+        return (array("q", self._addrs), array("q", self._plru),
+                array("q", self._lines),
+                [encoded.setdefault(fields, fields)
+                 for fields in map(encode, self._lines.values())])
+
+    def restore(self, image: tuple, decode: Callable[[tuple], L]) -> None:
+        """Make this array hold exactly what :meth:`image` captured, with
+        fresh line objects from ``decode``."""
+        addrs, plru, slots, fields = image
+        self._addrs[:] = addrs
+        self._plru = plru.tolist()
+        self._lines = dict(zip(slots, map(decode, fields)))
 
     def __contains__(self, addr: int) -> bool:
-        return addr in self._addrs[addr // self._set_bytes % self.sets]
+        ways = self.ways
+        base = addr // self._set_bytes % self.sets * ways
+        return addr in self._addrs[base:base + ways]

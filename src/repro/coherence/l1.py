@@ -38,6 +38,14 @@ class L1Line:
     def __init__(self, state: L1State) -> None:
         self.state = state
 
+    def pack(self) -> tuple:
+        """The line as immutable fields (:meth:`unpack` inverts it)."""
+        return (self.state,)
+
+    @staticmethod
+    def unpack(fields: tuple) -> "L1Line":
+        return L1Line(*fields)
+
 
 class L1Controller(ScheduledController):
     """One core's private L1 data cache + coherence engine."""

@@ -37,6 +37,22 @@ class DirLine:
         #: A transaction is in flight for this line (requests must queue).
         self.busy = False
 
+    def pack(self) -> tuple:
+        """The line as immutable fields (:meth:`unpack` inverts it).  A
+        small set copied through a frozenset keeps its slot layout, so
+        the rebuilt set iterates its sharers in the same order."""
+        sharers = self.sharers
+        return (self.dirty, self.owner,
+                None if sharers is None else frozenset(sharers), self.busy)
+
+    @staticmethod
+    def unpack(fields: tuple) -> "DirLine":
+        line = DirLine()
+        line.dirty, line.owner, sharers, line.busy = fields
+        if sharers is not None:
+            line.sharers = set(sharers)
+        return line
+
     def add_sharer(self, node: int) -> None:
         if self.sharers is None:
             self.sharers = {node}

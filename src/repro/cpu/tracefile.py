@@ -25,6 +25,9 @@ _HEADER_PREFIX = "# repro-trace v1"
 
 Access = Tuple[int, bool, int]
 
+#: The largest address a trace may name (the cache arrays are int64).
+_MAX_ADDR = (1 << 63) - 1
+
 
 class TraceFileError(ValueError):
     """Malformed trace file."""
@@ -113,6 +116,19 @@ class FileTraceWorkload:
         ]
 
 
+def _header_value(path: Path, lineno: int, token: str) -> int:
+    """A positive ``key=<int>`` header value."""
+    value = token.partition("=")[2]
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number <= 0:
+        raise TraceFileError(
+            f"{path}:{lineno}: header {token!r} needs a positive integer")
+    return number
+
+
 def _parse(path: Path) -> Tuple[int, int, Dict[int, List[Access]]]:
     per_core: Dict[int, List[Access]] = {}
     n_cores = line_bytes = None
@@ -124,11 +140,11 @@ def _parse(path: Path) -> Tuple[int, int, Dict[int, List[Access]]]:
             if text.startswith("#"):
                 if text.startswith(_HEADER_PREFIX):
                     for token in text[len(_HEADER_PREFIX):].split():
-                        key, _, value = token.partition("=")
+                        key = token.partition("=")[0]
                         if key == "cores":
-                            n_cores = int(value)
+                            n_cores = _header_value(path, lineno, token)
                         elif key == "line":
-                            line_bytes = int(value)
+                            line_bytes = _header_value(path, lineno, token)
                 continue
             parts = text.split()
             if len(parts) != 4:
@@ -142,8 +158,12 @@ def _parse(path: Path) -> Tuple[int, int, Dict[int, List[Access]]]:
                 raise TraceFileError(f"{path}:{lineno}: {exc}") from exc
             if rw not in ("r", "w"):
                 raise TraceFileError(f"{path}:{lineno}: bad r/w flag {rw!r}")
-            if gap < 0 or addr < 0:
+            if gap < 0 or addr < 0 or core < 0:
                 raise TraceFileError(f"{path}:{lineno}: negative field")
+            if addr > _MAX_ADDR:
+                raise TraceFileError(
+                    f"{path}:{lineno}: address {addr:#x} needs more than "
+                    f"63 bits")
             per_core.setdefault(core, []).append((gap, rw == "w", addr))
     if n_cores is None or line_bytes is None:
         raise TraceFileError(f"{path}: missing '{_HEADER_PREFIX}' header")

@@ -46,6 +46,8 @@ from repro.harness.experiment import (
     last_telemetry,
     load_stored,
     run_experiment,
+    run_experiment_safe,
+    run_grouped,
 )
 from repro.sim.config import Variant
 
@@ -381,8 +383,8 @@ COMMAND_VARIANTS = {
 
 def _prefetch(names, args, jobs: int) -> None:
     """Warm the memo before serial rendering: stored results with one read
-    per store shard, then, with ``jobs > 1``, the misses across worker
-    processes."""
+    per store shard, then the misses - across worker processes with
+    ``jobs > 1``, else here, one prewarm group after another."""
     variants = []
     for name in names:
         for variant in COMMAND_VARIANTS[name]:
@@ -393,13 +395,15 @@ def _prefetch(names, args, jobs: int) -> None:
         for variant in variants
         for workload in _workloads(args)
     ]
+    safe = not repro_config.resolve("failfast")
     if jobs <= 1:
-        load_stored(specs)
+        run_grouped(load_stored(specs),
+                    run_experiment_safe if safe else run_experiment)
         return
     from repro import api
 
     api.prefetch(
-        specs, jobs=jobs, safe=not repro_config.resolve("failfast"),
+        specs, jobs=jobs, safe=safe,
         echo=lambda msg: print(msg, file=sys.stderr, flush=True),
     )
 

@@ -116,6 +116,27 @@ class RunSpec:
         return base if topology == "mesh" else f"{base}_{topology}"
 
 
+def prewarm_group(spec: RunSpec) -> tuple:
+    """What a run's functional prewarm depends on.  Specs with the same
+    group (they differ at most in variant and instruction counts) leave
+    the same prewarmed state, which :func:`repro.system.prewarm` keeps
+    for the next run when they run back to back."""
+    return (spec.n_cores, spec.workload, spec.seed, spec.resolved_topology())
+
+
+def run_grouped(specs: Dict[str, "RunSpec"],
+                runner) -> Dict[str, "RunResult"]:
+    """``{key: runner(spec)}`` for ``{key: spec}``, in the same order,
+    computed one prewarm group after another, so each group prewarms
+    once (a variant-major batch would prewarm once per run)."""
+    groups: Dict[tuple, List[str]] = {}
+    for key, spec in specs.items():
+        groups.setdefault(prewarm_group(spec), []).append(key)
+    done = {key: runner(specs[key])
+            for keys in groups.values() for key in keys}
+    return {key: done[key] for key in specs}
+
+
 @dataclass
 class RunResult:
     """Flattened measurements of one run (everything the figures need).
@@ -253,22 +274,29 @@ def _load_disk(key: str) -> Optional[RunResult]:
     return None if cache is None else _from_entry(cache.load(key))
 
 
-def load_stored(specs: Iterable[RunSpec]) -> None:
-    """Memoise every stored result among ``specs`` with one store read.
+def load_stored(specs: Iterable[RunSpec]) -> Dict[str, RunSpec]:
+    """Memoise every stored result among ``specs`` with one store read;
+    return the misses, ``{key: spec}`` in order.
 
     Observed specs and memo hits are skipped; each shard the rest route
     to is parsed once (:meth:`ShardedCache.load_many`), so a warm batch
     costs one pass over the shards it touches, not one per spec.
     """
-    keys = {spec.scaled().key() for spec in specs
-            if not spec.observed}.difference(_memo)
-    cache = _disk_cache() if keys else None
+    wanted: Dict[str, RunSpec] = {}
+    for spec in specs:
+        if not spec.observed:
+            wanted.setdefault(spec.scaled().key(), spec)
+    for key in _memo.keys() & wanted.keys():
+        del wanted[key]
+    cache = _disk_cache() if wanted else None
     if cache is None:
-        return
-    for key, entry in cache.load_many(keys).items():
+        return wanted
+    for key, entry in cache.load_many(wanted).items():
         result = _from_entry(entry)
         if result is not None:
             _memo[key] = result
+            del wanted[key]
+    return wanted
 
 
 def _store_disk(result: RunResult) -> None:

@@ -165,8 +165,8 @@ def run_specs(
             # The serial fallback must uphold this function's memo
             # contract itself (not rely on the runner's internals), so
             # both execution paths seed the memo identically.
-            for key, spec in pending.items():
-                result = runner(spec)
+            for key, result in experiment.run_grouped(pending,
+                                                      runner).items():
                 experiment._memo[key] = result
                 results[key] = result
         else:

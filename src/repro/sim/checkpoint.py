@@ -81,8 +81,10 @@ from repro.sim.kernel import SimulationError
 #: component, their links and kernel slots are gone, and the calendar has
 #: NI keys and wake entries; 9: circuit state is the policy's store keyed
 #: like the calendar - input units hold no circuit table or wait queue -
-#: and the NIs' counters are the router core's).
-SCHEMA_VERSION = 9
+#: and the NIs' counters are the router core's; 10: a cache array's ways
+#: are one int64 address array with -1 for an empty way, and its built
+#: lines one ``{slot: line}`` dict).
+SCHEMA_VERSION = 10
 
 MAGIC = b"RPROCKPT"
 

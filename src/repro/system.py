@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.coherence.l1 import L1Controller
-from repro.coherence.l2dir import L2BankController
+from repro.coherence.l1 import L1Controller, L1Line
+from repro.coherence.l2dir import DirLine, L2BankController
 from repro.coherence.memory import MemoryController
 from repro.coherence.messages import Kind, MessageFactory
 from repro.cpu.core import Core
@@ -121,7 +121,7 @@ def run_phases(system: "CmpSystem", run_state: dict,
     """
     resumed = run_state["phase"] is not None
     if not resumed and run_state["warmup"]:
-        system.functional_prewarm()
+        prewarm(system)
         arm_phase(system, run_state, WARMUP, cores, run_state["warmup"],
                   run_state["max_warmup_cycles"])
     if run_state["phase"] == WARMUP.name:
@@ -142,6 +142,35 @@ def run_phases(system: "CmpSystem", run_state: dict,
                   run_state["max_measure_cycles"])
     execute(MEASURE, run_state, resumed)
     return run_state["start"], max(core.finish_cycle for core in cores)
+
+
+#: The one prewarm image this process keeps: ``(key, image)`` of the
+#: last functional prewarm :func:`prewarm` computed.
+_prewarm_slot: Optional[tuple] = None
+
+
+def prewarm(system: "CmpSystem") -> None:
+    """``system.functional_prewarm()``, computed once per program.
+
+    The prewarm reads the cache geometry, chip size, topology, seed and
+    workload - never the circuit variant - so systems that agree on those
+    (``system.prewarm_key``) are left in the same state.  The slot keeps
+    the state the last computed prewarm left, as flat arrays and encoded
+    lines that share no object with any system; a system with the same
+    key restores it by copy.  Nothing else reads the ``prewarm`` RNG
+    stream, so a restore need not draw it.  Systems with custom streams
+    or a custom home map have no key and always compute.
+    """
+    global _prewarm_slot
+    key = system.prewarm_key
+    slot = _prewarm_slot
+    if key is not None and slot is not None and slot[0] == key:
+        system.restore_prewarm(slot[1])
+        return
+    system.functional_prewarm()
+    if key is not None:
+        _prewarm_slot = None  # the old image goes before the new is taken
+        _prewarm_slot = (key, system.prewarm_image())
 
 
 class Tile:
@@ -196,6 +225,14 @@ class CmpSystem:
         self.home_of = self._make_home_of() if home_of is None else home_of
         self.mc_of = self._make_mc_of()
 
+        #: Everything a functional prewarm reads besides this system's
+        #: own streams and home map, when those are the defaults the key
+        #: determines; None otherwise (see :func:`prewarm`).
+        self.prewarm_key = None
+        if (streams is None and home_of is None
+                and isinstance(workload, WorkloadProfile)):
+            self.prewarm_key = (config.cache, config.n_cores,
+                                config.noc.topology, config.seed, workload)
         if streams is None and workload is not None:
             streams = workload.streams(
                 n_nodes, line, self.rng.stream(f"workload/{workload.name}")
@@ -483,10 +520,7 @@ class CmpSystem:
             while installed < l1_capacity and owned < len(mid):
                 installed += own(mid[owned])
                 owned += 1
-            l2_only = defaultdict(list)
-            for addr in mid[owned:]:
-                l2_only[home_of(addr)].append(addr)
-            for home, addrs in l2_only.items():
+            for home, addrs in self._bank_shares(mid[owned:]):
                 banks[home].prewarm_fill(addrs)
             if stream.params.shared_frac:
                 n = self.config.n_cores
@@ -498,6 +532,36 @@ class CmpSystem:
                         # E-grant-then-forward on every line.
                         stale = {(addr // 64) % n, (addr // 64 + 7) % n}
                         banks[home_of(addr)].prewarm_line(addr, sharers=stale)
+
+    def _bank_shares(self, addrs: Sequence[int]
+                     ) -> Iterable[Tuple[int, Sequence[int]]]:
+        """``(home bank, its addresses in order)`` for ``addrs``.  Under
+        the default interleaving every ``n_nodes``-th line of a range of
+        consecutive lines has the same home, so a share is a strided
+        slice of the range."""
+        home_of = self.home_of
+        if (self._default_home and isinstance(addrs, range)
+                and addrs.step == self.config.cache.line_bytes):
+            n_nodes = len(self.tiles)
+            return [(home_of(addrs[first]), addrs[first::n_nodes])
+                    for first in range(min(n_nodes, len(addrs)))]
+        shares = defaultdict(list)
+        for addr in addrs:
+            shares[home_of(addr)].append(addr)
+        return shares.items()
+
+    def prewarm_image(self) -> tuple:
+        """The cache and directory state: per tile, the L1 and L2 arrays'
+        :meth:`~repro.coherence.cache.CacheArray.image`."""
+        return tuple((tile.l1.array.image(L1Line.pack),
+                      tile.l2.array.image(DirLine.pack))
+                     for tile in self.tiles)
+
+    def restore_prewarm(self, image: tuple) -> None:
+        """Put back the state :meth:`prewarm_image` captured."""
+        for tile, (l1, l2) in zip(self.tiles, image):
+            tile.l1.array.restore(l1, L1Line.unpack)
+            tile.l2.array.restore(l2, DirLine.unpack)
 
     def warmup(self, per_core: int,
                max_cycles: int = WARMUP.deadline) -> None:

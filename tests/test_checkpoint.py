@@ -265,8 +265,9 @@ def test_schema_4_file_is_refused_before_unpickling(tmp_path):
     classes, 6 one kernel slot per router and the router-bound link
     queues the router core's calendar replaced, 7 the links toward the
     NIs and one kernel slot per NI, 8 a circuit table and a wait queue
-    on every router input unit.  Each is refused typed at the header,
-    like 2 and 3."""
+    on every router input unit, 9 cache arrays as per-set lists of
+    addresses and lines.  Each is refused typed at the header, like 2
+    and 3."""
     assert SCHEMA_VERSION > 4
     for schema in range(4, SCHEMA_VERSION):
         policy = CheckpointPolicy(str(tmp_path / str(schema)), INTERVAL,
@@ -277,6 +278,19 @@ def test_schema_4_file_is_refused_before_unpickling(tmp_path):
         with pytest.raises(IncompatibleCheckpointError,
                            match=f"schema {schema}"):
             policy.restore()
+
+
+def test_schema_9_file_is_refused_before_unpickling(tmp_path):
+    """Schema 9 cache arrays hold per-set lists (``None`` for an empty
+    way); unpickled into this build's flat int64 slots they would index
+    wrongly.  Refused typed at the header."""
+    assert SCHEMA_VERSION == 10
+    policy = CheckpointPolicy(str(tmp_path), INTERVAL, "cafe")
+    write_checkpoint(policy.path, b"payload-bytes", kind="run",
+                     config_hash="cafe", cycle=42)
+    _rewrite_header(policy.path, schema=9)
+    with pytest.raises(IncompatibleCheckpointError, match="schema 9"):
+        policy.restore()
 
 
 def test_wrong_kind_is_incompatible(ckpt):

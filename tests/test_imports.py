@@ -79,6 +79,20 @@ def test_plain_api_run_loads_no_fleet_shard_engine_or_telemetry(tmp_path):
     assert _present(modules, HEAVY + ["repro.harness.parallel"]) == []
 
 
+def test_serial_cli_run_loads_no_fleet(tmp_path):
+    """``--jobs 1`` computes its misses in prewarm-group order without
+    the worker fleet."""
+    modules = _modules(
+        "import os\n"
+        "os.environ['REPRO_SCALE'] = '0.02'\n"
+        "from repro.harness import __main__ as cli\n"
+        "cli.default_workloads = lambda full=None: ['swaptions']\n"
+        "assert cli.main(['fig10', '--jobs', '1']) == 0\n",
+        tmp_path)
+    assert "repro.system" in modules  # it simulated
+    assert _present(modules, HEAVY + ["repro.harness.parallel"]) == []
+
+
 def test_cli_help_loads_no_fleet_telemetry_daemon_or_validators(tmp_path):
     modules = _modules(
         "import runpy, sys\n"

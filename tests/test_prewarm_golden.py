@@ -69,6 +69,23 @@ def _array_digest(array, describe):
     return sha.hexdigest()[:16]
 
 
+def cache_state(system) -> dict:
+    """Digest of every cache and directory array of ``system``."""
+    return {
+        "l2": [
+            _array_digest(tile.l2.array, lambda line: (
+                line.owner, sorted(line.sharers or ()), line.dirty, line.busy))
+            for tile in system.tiles
+        ],
+        "l1": [
+            _array_digest(tile.l1.array, lambda line: (line.state.value,))
+            for tile in system.tiles
+        ],
+        "l2_lines": sum(t.l2.array.occupancy() for t in system.tiles),
+        "l1_lines": sum(t.l1.array.occupancy() for t in system.tiles),
+    }
+
+
 def prewarm_state(system) -> dict:
     """Run ``functional_prewarm`` and digest what it left behind."""
     drawn = {}
@@ -84,21 +101,8 @@ def prewarm_state(system) -> dict:
     finally:
         del system.rng.stream
     assert list(drawn) == ["prewarm"]
-    return {
-        "l2": [
-            _array_digest(tile.l2.array, lambda line: (
-                line.owner, sorted(line.sharers or ()), line.dirty, line.busy))
-            for tile in system.tiles
-        ],
-        "l1": [
-            _array_digest(tile.l1.array, lambda line: (line.state.value,))
-            for tile in system.tiles
-        ],
-        "l2_lines": sum(t.l2.array.occupancy() for t in system.tiles),
-        "l1_lines": sum(t.l1.array.occupancy() for t in system.tiles),
-        "rng": hashlib.sha256(
-            repr(drawn["prewarm"].getstate()).encode()).hexdigest()[:16],
-    }
+    return dict(cache_state(system), rng=hashlib.sha256(
+        repr(drawn["prewarm"].getstate()).encode()).hexdigest()[:16])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -75,8 +75,10 @@ def _scripted_trace(chip):
 def test_chrome_trace_matches_golden(chip, monkeypatch, tmp_path):
     monkeypatch.setattr(flit_mod, "_msg_ids", itertools.count())
     trace = _scripted_trace(chip)
-    # normalise through JSON exactly as write_chrome_trace does
-    produced = json.loads(json.dumps(trace, indent=1, sort_keys=True))
+    # normalise through JSON exactly as write_chrome_trace does (compact
+    # separators, sorted keys); the golden file itself stays indented
+    produced = json.loads(json.dumps(trace, separators=(",", ":"),
+                                     sort_keys=True))
     if os.environ.get("REPRO_REGOLDEN"):
         os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
         with open(GOLDEN, "w") as handle:

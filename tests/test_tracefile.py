@@ -83,6 +83,38 @@ def test_malformed_files_rejected(tmp_path):
             FileTraceWorkload(path)
 
 
+HEADER = "# repro-trace v1 cores=2 line=64\n"
+
+
+@pytest.mark.parametrize("body,lineno,reason", [
+    (HEADER + "0 1 r 40\n-1 1 r 80\n", 3, "negative field"),
+    (HEADER + "0 1 r 40\n1 1 w 8000000000000000\n", 3, "63 bits"),
+    ("# repro-trace v1 cores=0 line=64\n0 1 r 40\n", 1, "'cores=0'"),
+    ("# repro-trace v1 cores=-2 line=64\n0 1 r 40\n", 1, "'cores=-2'"),
+    ("# repro-trace v1 cores=2 line=0\n0 1 r 40\n", 1, "'line=0'"),
+    ("# repro-trace v1 cores=2 line=x\n0 1 r 40\n", 1, "'line=x'"),
+], ids=["negative-core", "address-over-63-bits", "zero-cores",
+        "negative-cores", "zero-line", "non-integer-line"])
+def test_out_of_range_values_are_rejected_at_their_line(tmp_path, body,
+                                                        lineno, reason):
+    """Each used to load: a negative core's accesses were dropped, an
+    address past int64 overflowed the cache arrays mid-run, and a header
+    size <= 0 (or not a number) failed later or untyped."""
+    path = tmp_path / "t.trace"
+    path.write_text(body)
+    with pytest.raises(TraceFileError) as info:
+        FileTraceWorkload(path)
+    assert str(info.value).startswith(f"{path}:{lineno}: ")
+    assert reason in str(info.value)
+
+
+def test_largest_int64_address_is_accepted(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text(HEADER + "0 1 r 40\n1 0 w 7fffffffffffffc0\n")
+    streams = FileTraceWorkload(path).streams(2, 64, None)
+    assert streams[1].next_access() == (0, True, 0x7FFFFFFFFFFFFFC0)
+
+
 def test_full_system_runs_from_trace(tmp_path):
     """A chip driven by a replayed trace executes end to end."""
     path = tmp_path / "t.trace"
