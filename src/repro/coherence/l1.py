@@ -38,13 +38,14 @@ class L1Line:
     def __init__(self, state: L1State) -> None:
         self.state = state
 
-    def pack(self) -> tuple:
-        """The line as immutable fields (:meth:`unpack` inverts it)."""
-        return (self.state,)
+    def pack(self) -> L1State:
+        """The line as one immutable value, its state (:meth:`unpack`
+        inverts it)."""
+        return self.state
 
     @staticmethod
-    def unpack(fields: tuple) -> "L1Line":
-        return L1Line(*fields)
+    def unpack(state: L1State) -> "L1Line":
+        return L1Line(state)
 
 
 class L1Controller(ScheduledController):

@@ -22,6 +22,12 @@ from repro.noc.flit import Message
 from repro.sim.stats import Stats
 
 
+#: The packed fields of sharer-less lines, each distinct value once
+#: (:meth:`DirLine.pack`): at most two dirty states x owners x two busy
+#: states.
+_PACKED: Dict[tuple, tuple] = {}
+
+
 class DirLine:
     """L2 line: data state plus directory sharing info."""
 
@@ -40,10 +46,15 @@ class DirLine:
     def pack(self) -> tuple:
         """The line as immutable fields (:meth:`unpack` inverts it).  A
         small set copied through a frozenset keeps its slot layout, so
-        the rebuilt set iterates its sharers in the same order."""
+        the rebuilt set iterates its sharers in the same order.  Lines
+        without sharers share one tuple per distinct value; a line with
+        sharers gets its own, since equal frozensets can iterate in
+        different orders."""
         sharers = self.sharers
-        return (self.dirty, self.owner,
-                None if sharers is None else frozenset(sharers), self.busy)
+        if sharers is None:
+            fields = (self.dirty, self.owner, None, self.busy)
+            return _PACKED.setdefault(fields, fields)
+        return (self.dirty, self.owner, frozenset(sharers), self.busy)
 
     @staticmethod
     def unpack(fields: tuple) -> "DirLine":

@@ -28,7 +28,7 @@ from repro.harness.cache import ShardedCache, open_cache
 from repro.power.energy import network_energy
 from repro.sim.config import SystemConfig, Variant
 from repro.sim.stats import Histogram, Stats
-from repro.system import build_system
+from repro.system import build_system, prewarm_key
 
 if TYPE_CHECKING:
     from repro.telemetry import TelemetryConfig
@@ -116,12 +116,25 @@ class RunSpec:
         return base if topology == "mesh" else f"{base}_{topology}"
 
 
+def spec_config(spec: RunSpec) -> SystemConfig:
+    """The system configuration ``spec`` runs."""
+    config = SystemConfig(n_cores=spec.n_cores, seed=spec.seed).with_variant(
+        spec.variant
+    )
+    if spec.topology:
+        config = replace(config, noc=replace(config.noc,
+                                             topology=spec.topology))
+    return config
+
+
 def prewarm_group(spec: RunSpec) -> tuple:
-    """What a run's functional prewarm depends on.  Specs with the same
-    group (they differ at most in variant and instruction counts) leave
-    the same prewarmed state, which :func:`repro.system.prewarm` keeps
-    for the next run when they run back to back."""
-    return (spec.n_cores, spec.workload, spec.seed, spec.resolved_topology())
+    """What a run's functional prewarm depends on: the
+    :func:`repro.system.prewarm_key` of the system it builds.  Specs with
+    the same group (they differ at most in variant and instruction
+    counts) leave the same prewarmed state, which
+    :func:`repro.system.prewarm` keeps for the next run when they run
+    back to back."""
+    return prewarm_key(spec_config(spec), workload_by_name(spec.workload))
 
 
 def run_grouped(specs: Dict[str, "RunSpec"],
@@ -501,12 +514,7 @@ def run_experiment(spec: RunSpec) -> RunResult:
             _memo[key] = cached
             return cached
 
-    config = SystemConfig(n_cores=spec.n_cores, seed=spec.seed).with_variant(
-        spec.variant
-    )
-    if spec.topology:
-        config = replace(config, noc=replace(config.noc,
-                                             topology=spec.topology))
+    config = spec_config(spec)
     shards = _resolved_shards(spec, config)
     if shards > 1:
         stats, start, finish = _run_sharded(spec, key, config, shards)

@@ -149,12 +149,23 @@ def run_phases(system: "CmpSystem", run_state: dict,
 _prewarm_slot: Optional[tuple] = None
 
 
+def prewarm_key(config: SystemConfig, workload: WorkloadProfile) -> tuple:
+    """Everything a functional prewarm reads besides a system's own
+    streams and home map: the cache geometry, the chip size and topology
+    (for the default home map), the seed and the workload profile.  The
+    one definition of what the prewarm depends on - ``CmpSystem`` keys
+    the image slot with it, ``experiment.prewarm_group`` groups specs by
+    it."""
+    return (config.cache, config.n_cores, config.noc.topology, config.seed,
+            workload)
+
+
 def prewarm(system: "CmpSystem") -> None:
     """``system.functional_prewarm()``, computed once per program.
 
     The prewarm reads the cache geometry, chip size, topology, seed and
     workload - never the circuit variant - so systems that agree on those
-    (``system.prewarm_key``) are left in the same state.  The slot keeps
+    (:func:`prewarm_key`) are left in the same state.  The slot keeps
     the state the last computed prewarm left, as flat arrays and encoded
     lines that share no object with any system; a system with the same
     key restores it by copy.  Nothing else reads the ``prewarm`` RNG
@@ -231,8 +242,7 @@ class CmpSystem:
         self.prewarm_key = None
         if (streams is None and home_of is None
                 and isinstance(workload, WorkloadProfile)):
-            self.prewarm_key = (config.cache, config.n_cores,
-                                config.noc.topology, config.seed, workload)
+            self.prewarm_key = prewarm_key(config, workload)
         if streams is None and workload is not None:
             streams = workload.streams(
                 n_nodes, line, self.rng.stream(f"workload/{workload.name}")

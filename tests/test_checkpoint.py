@@ -280,19 +280,6 @@ def test_schema_4_file_is_refused_before_unpickling(tmp_path):
             policy.restore()
 
 
-def test_schema_9_file_is_refused_before_unpickling(tmp_path):
-    """Schema 9 cache arrays hold per-set lists (``None`` for an empty
-    way); unpickled into this build's flat int64 slots they would index
-    wrongly.  Refused typed at the header."""
-    assert SCHEMA_VERSION == 10
-    policy = CheckpointPolicy(str(tmp_path), INTERVAL, "cafe")
-    write_checkpoint(policy.path, b"payload-bytes", kind="run",
-                     config_hash="cafe", cycle=42)
-    _rewrite_header(policy.path, schema=9)
-    with pytest.raises(IncompatibleCheckpointError, match="schema 9"):
-        policy.restore()
-
-
 def test_wrong_kind_is_incompatible(ckpt):
     with pytest.raises(IncompatibleCheckpointError, match="'shard'"):
         read_checkpoint(ckpt, kind="shard")

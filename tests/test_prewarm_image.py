@@ -17,6 +17,7 @@ import pytest
 from repro import build_system, workload_by_name
 from repro import system as system_mod
 from repro.coherence.l1 import L1State
+from repro.coherence.l2dir import DirLine
 from repro.harness import experiment
 from repro.harness.experiment import RunSpec
 from repro.sim.config import CacheConfig, NocConfig, SystemConfig, Variant
@@ -49,11 +50,22 @@ def _golden(case) -> dict:
     return state
 
 
+def _fields(line) -> tuple:
+    """A line's fields, a sharer set as a list: its iteration order is
+    the order invalidations fan out in, so a restore must keep it."""
+    if isinstance(line, DirLine):
+        sharers = line.sharers
+        return (line.dirty, line.owner,
+                None if sharers is None else list(sharers), line.busy)
+    return line.pack()
+
+
 def _raw(system) -> list:
     """Every array's slots, PLRU bits and built lines, compared whole:
-    two systems with equal raw state have equal digests."""
+    two systems with equal raw state have equal digests and fan out
+    invalidations in the same order."""
     return [(bytes(array._addrs), list(array._plru),
-             {slot: line.pack() for slot, line in array._lines.items()})
+             {slot: _fields(line) for slot, line in array._lines.items()})
             for tile in system.tiles
             for array in (tile.l1.array, tile.l2.array)]
 
@@ -117,6 +129,28 @@ def test_a_restore_shares_no_object_with_the_image(computes):
 
 
 _BASE = SystemConfig(n_cores=16, seed=1, cache=_SHRUNKEN)
+
+
+def test_a_restore_keeps_sharer_iteration_order(computes):
+    """Sharers 1 and 9 hash to the same slot of a small set, so the set
+    iterates them in insertion order; a restored line iterates them in
+    the order the imaged line did."""
+    workload = workload_by_name("swaptions")
+    system = build_system(_BASE, workload)
+    system.functional_prewarm()
+    orders = []
+    for tile in system.tiles:
+        for _, line in tile.l2.array.items(defaults=False):
+            order = [9, 1] if len(orders) % 2 else [1, 9]
+            line.sharers = set()
+            for node in order:
+                line.add_sharer(node)
+            assert list(line.sharers) == order
+            orders.append(order)
+    assert [9, 1] in orders and [1, 9] in orders
+    restored = build_system(_BASE, workload)
+    restored.restore_prewarm(system.prewarm_image())
+    assert _raw(restored) == _raw(system)
 
 #: One change per input the prewarm reads.
 DIFFERENT = {
@@ -203,6 +237,22 @@ def test_the_16_core_canneal_image_is_small(computes):
     finally:
         tracemalloc.stop()
     assert image and size <= 4_000_000
+
+
+def test_specs_group_by_the_key_their_systems_restore_with():
+    """A spec's prewarm group is the ``prewarm_key`` of the system it
+    runs: variants share it, a seed or a topology does not."""
+    specs = [RunSpec(16, Variant.BASELINE, "canneal", 1),
+             RunSpec(16, Variant.FRAGMENTED, "canneal", 1, 500, 200),
+             RunSpec(16, Variant.BASELINE, "canneal", 2),
+             RunSpec(16, Variant.BASELINE, "canneal", 1, topology="torus")]
+    groups = [experiment.prewarm_group(spec) for spec in specs]
+    for spec, group in zip(specs, groups):
+        system = build_system(experiment.spec_config(spec),
+                              workload_by_name(spec.workload))
+        assert system.prewarm_key == group
+    assert groups[0] == groups[1]
+    assert len({groups[0], groups[2], groups[3]}) == 3
 
 
 def test_serial_variant_major_batch_prewarms_once_per_program(
