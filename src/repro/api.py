@@ -15,9 +15,12 @@ and external users -- talks to this module:
 The same five calls work in two modes, chosen by configuration
 (``REPRO_SERVICE`` / :func:`repro.config.resolve`):
 
-* **in-process** (default): ``submit`` computes eagerly with the
-  caller's process (fanning out via :mod:`repro.harness.parallel` when
-  ``jobs``/``REPRO_JOBS`` allow) and the handle is already complete;
+* **in-process** (default): ``submit`` computes eagerly through
+  :func:`repro.harness.experiment.run_specs`, the one batch path
+  (memo, then the store, then the misses one program after another,
+  across worker processes when ``jobs``/``REPRO_JOBS`` allow), so the
+  handle is already complete; ``prefetch``, ``run_matrix`` and
+  ``compare_variants`` compute their batches through it too;
 * **daemon** (``REPRO_SERVICE=<socket path or host:port>``): ``submit``
   enqueues on the shared job daemon (:mod:`repro.service`) and
   ``results`` blocks on completion.
@@ -100,28 +103,23 @@ class _InProcessBackend:
         specs = list(specs)
         keys = [spec.scaled().key() for spec in specs]
         handle = JobHandle(self, specs, list(keys), keys)
-        experiment.load_stored(specs)
-        plain = [spec for spec in specs if not spec.observed]
-        if len(plain) > 1 and repro_config.resolve_jobs(jobs) > 1:
-            from repro.harness import parallel
-
-            parallel.run_specs(plain, jobs=jobs, safe=True)
+        done = experiment.run_specs(
+            [spec for spec in specs if not spec.observed], jobs, safe=True)
         collected: List[RunResult] = []
         for spec, key in zip(specs, keys):
-            if spec.observed:
-                buffer: List[Tuple[int, Dict[str, float]]] = []
+            if not spec.observed:
+                collected.append(done[key])
+                continue
+            buffer: List[Tuple[int, Dict[str, float]]] = []
 
-                def _capture(cycle, values, _buffer=buffer):
-                    _buffer.append((cycle, dict(values)))
+            def _capture(cycle, values, _buffer=buffer):
+                _buffer.append((cycle, dict(values)))
 
-                handle._metrics[key] = buffer
-                spec = replace(
-                    spec,
-                    telemetry=replace(spec.telemetry, on_sample=_capture),
-                )
-            # Dynamic attribute lookups so test doubles patched onto the
+            handle._metrics[key] = buffer
+            # Dynamic attribute lookup so test doubles patched onto the
             # experiment module are honoured.
-            collected.append(experiment.run_experiment_safe(spec))
+            collected.append(experiment.run_experiment_safe(replace(
+                spec, telemetry=replace(spec.telemetry, on_sample=_capture))))
         handle._results = collected
         return handle
 
@@ -203,7 +201,7 @@ class _DaemonBackend:
                     f"job {row.get('job_id')} finished in state "
                     f"{row.get('state')!r} without a result")
             # Seed the local memo so serial assembly (tables/figures)
-            # consumes daemon results exactly like parallel.run_specs'.
+            # consumes daemon results exactly like experiment.run_specs'.
             experiment._memo.setdefault(result.spec_key, result)
             out.append(result)
         return out
@@ -293,35 +291,27 @@ def prefetch(specs: Iterable[RunSpec], jobs: Optional[int] = None,
              safe: bool = False, echo=None) -> None:
     """Compute a batch through the active backend, seeding the memo.
 
-    The shared daemon fleet computes it in service mode.  In-process,
-    stored results are read first, each store shard once; worker
-    processes (``jobs`` / ``REPRO_JOBS``) then compute the misses, or,
-    when serial, assembly computes them as it reaches them.  ``echo``
-    receives progress lines; without ``safe`` a failed run raises.
+    The shared daemon fleet computes it in service mode, else
+    :func:`repro.harness.experiment.run_specs` does.  ``echo`` receives
+    progress lines; without ``safe`` a failed run raises.
     """
     from repro.harness import experiment
 
+    backend = _backend()
+    if backend is _IN_PROCESS:
+        experiment.run_specs(specs, jobs, safe=safe, echo=echo)
+        return
     specs = list(specs)
     if not specs:
         return
-    backend = _backend()
-    if backend is not _IN_PROCESS:
-        if echo is not None:
-            echo(f"submitting {len(specs)} spec(s) to the job daemon at "
-                 f"{backend.address}")
-        batch = backend.results(backend.submit(specs))
-        if not safe:
-            for result in batch:
-                if result.failed:
-                    raise RuntimeError(
-                        f"{result.error_kind}: {result.error} "
-                        f"(spec {result.spec_key})")
-    else:
-        experiment.load_stored(specs)
-        if repro_config.resolve_jobs(jobs) > 1 and len(specs) > 1:
-            from repro.harness import parallel
-
-            parallel.run_specs(specs, jobs=jobs, safe=safe, echo=echo)
+    if echo is not None:
+        echo(f"submitting {len(specs)} spec(s) to the job daemon at "
+             f"{backend.address}")
+    for result in backend.results(backend.submit(specs)):
+        if result.failed and not safe:
+            raise RuntimeError(
+                f"{result.error_kind}: {result.error} "
+                f"(spec {result.spec_key})")
 
 
 def run_matrix(n_cores: int, variants: Iterable[Variant],

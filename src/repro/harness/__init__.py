@@ -19,7 +19,7 @@ _EXPORTS = {
     "default_workloads": "repro.harness.experiment",
     "resolve_jobs": "repro.config",
     "run_experiment": "repro.harness.experiment",
-    "run_specs": "repro.harness.parallel",
+    "run_specs": "repro.harness.experiment",
 }
 
 __all__ = list(_EXPORTS)

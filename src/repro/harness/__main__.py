@@ -44,10 +44,7 @@ from repro.harness.experiment import (
     crash_dir,
     default_workloads,
     last_telemetry,
-    load_stored,
     run_experiment,
-    run_experiment_safe,
-    run_grouped,
 )
 from repro.sim.config import Variant
 
@@ -382,28 +379,20 @@ COMMAND_VARIANTS = {
 
 
 def _prefetch(names, args, jobs: int) -> None:
-    """Warm the memo before serial rendering: stored results with one read
-    per store shard, then the misses - across worker processes with
-    ``jobs > 1``, else here, one prewarm group after another."""
+    """Compute the commands' runs before serial rendering, through the
+    active backend (:func:`repro.api.prefetch`)."""
+    from repro import api
+
     variants = []
     for name in names:
         for variant in COMMAND_VARIANTS[name]:
             if variant not in variants:
                 variants.append(variant)
-    specs = [
-        RunSpec(args.cores, variant, workload, args.seed)
-        for variant in variants
-        for workload in _workloads(args)
-    ]
-    safe = not repro_config.resolve("failfast")
-    if jobs <= 1:
-        run_grouped(load_stored(specs),
-                    run_experiment_safe if safe else run_experiment)
-        return
-    from repro import api
-
     api.prefetch(
-        specs, jobs=jobs, safe=safe,
+        [RunSpec(args.cores, variant, workload, args.seed)
+         for variant in variants
+         for workload in _workloads(args)],
+        jobs=jobs, safe=not repro_config.resolve("failfast"),
         echo=lambda msg: print(msg, file=sys.stderr, flush=True),
     )
 

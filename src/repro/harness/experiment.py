@@ -3,9 +3,9 @@
 One :class:`RunResult` feeds every table/figure that needs that
 configuration, so results are memoised per process and optionally on disk
 (``REPRO_CACHE=<path>``, crash-safe and shareable between concurrent
-processes -- see :mod:`repro.harness.cache`).  Independent specs can be
-computed across worker processes (``REPRO_JOBS`` /
-:mod:`repro.harness.parallel`).  Simulation length is scaled by ``REPRO_SCALE``
+processes -- see :mod:`repro.harness.cache`).  :func:`run_specs` computes
+a batch of specs, across worker processes with ``REPRO_JOBS``
+(:mod:`repro.harness.parallel`).  Simulation length is scaled by ``REPRO_SCALE``
 (default 1.0): the default quanta are sized for laptop-speed pure-Python
 cycle simulation; the paper's 500M-cycle windows correspond to very large
 scales.  The synthetic workloads are stationary, so modest windows already
@@ -18,7 +18,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro import config as repro_config
 from repro.circuits.outcomes import outcome_fractions
@@ -127,27 +127,18 @@ def spec_config(spec: RunSpec) -> SystemConfig:
     return config
 
 
-def prewarm_group(spec: RunSpec) -> tuple:
+def prewarm_group(spec: RunSpec) -> Optional[tuple]:
     """What a run's functional prewarm depends on: the
     :func:`repro.system.prewarm_key` of the system it builds.  Specs with
     the same group (they differ at most in variant and instruction
     counts) leave the same prewarmed state, which
     :func:`repro.system.prewarm` keeps for the next run when they run
     back to back."""
-    return prewarm_key(spec_config(spec), workload_by_name(spec.workload))
-
-
-def run_grouped(specs: Dict[str, "RunSpec"],
-                runner) -> Dict[str, "RunResult"]:
-    """``{key: runner(spec)}`` for ``{key: spec}``, in the same order,
-    computed one prewarm group after another, so each group prewarms
-    once (a variant-major batch would prewarm once per run)."""
-    groups: Dict[tuple, List[str]] = {}
-    for key, spec in specs.items():
-        groups.setdefault(prewarm_group(spec), []).append(key)
-    done = {key: runner(specs[key])
-            for keys in groups.values() for key in keys}
-    return {key: done[key] for key in specs}
+    try:
+        workload = workload_by_name(spec.workload)
+    except KeyError:
+        return None  # the run itself reports the unknown program, in turn
+    return prewarm_key(spec_config(spec), workload)
 
 
 @dataclass
@@ -287,29 +278,60 @@ def _load_disk(key: str) -> Optional[RunResult]:
     return None if cache is None else _from_entry(cache.load(key))
 
 
-def load_stored(specs: Iterable[RunSpec]) -> Dict[str, RunSpec]:
-    """Memoise every stored result among ``specs`` with one store read;
-    return the misses, ``{key: spec}`` in order.
-
-    Observed specs and memo hits are skipped; each shard the rest route
-    to is parsed once (:meth:`ShardedCache.load_many`), so a warm batch
-    costs one pass over the shards it touches, not one per spec.
-    """
-    wanted: Dict[str, RunSpec] = {}
-    for spec in specs:
-        if not spec.observed:
-            wanted.setdefault(spec.scaled().key(), spec)
-    for key in _memo.keys() & wanted.keys():
-        del wanted[key]
+def load_stored(wanted: Dict[str, RunSpec]) -> Dict[str, RunSpec]:
+    """Memoise every stored result among ``wanted`` (``{scaled key:
+    spec}``) with one read per store shard
+    (:meth:`ShardedCache.load_many`); return the misses, in order."""
     cache = _disk_cache() if wanted else None
     if cache is None:
         return wanted
+    misses = dict(wanted)
     for key, entry in cache.load_many(wanted).items():
         result = _from_entry(entry)
         if result is not None:
             _memo[key] = result
-            del wanted[key]
-    return wanted
+            del misses[key]
+    return misses
+
+
+def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
+              safe: bool = False, timeout: Optional[float] = None,
+              echo: Optional[Callable[[str], None]] = None
+              ) -> Dict[str, RunResult]:
+    """Compute a batch: ``{scaled key: RunResult}`` for its unobserved
+    specs, in order, every result memoised.
+
+    The one in-process path for a batch of specs.  Memo hits come
+    first, then stored results (:func:`load_stored`, each store shard
+    read once).  The misses run one prewarm group after another, so each
+    program prewarms once (:func:`prewarm_group`): here, or across
+    ``jobs`` worker processes (``REPRO_JOBS``, else serial) through
+    :func:`repro.harness.parallel.run_tasks` when more than one is left.
+    Observed specs are skipped: their point is the artifacts of a run in
+    this process.  With ``safe`` a simulation failure becomes a failure
+    RunResult (:func:`run_experiment_safe`) instead of raising.
+    """
+    unique: Dict[str, RunSpec] = {}
+    for spec in specs:
+        if not spec.observed:
+            unique.setdefault(spec.scaled().key(), spec)
+    misses = load_stored({key: spec for key, spec in unique.items()
+                          if key not in _memo})
+    groups: Dict[tuple, Dict[str, RunSpec]] = {}
+    for key, spec in misses.items():
+        groups.setdefault(prewarm_group(spec), {})[key] = spec
+    ordered = {key: spec for group in groups.values()
+               for key, spec in group.items()}
+    runner = run_experiment_safe if safe else run_experiment
+    if len(ordered) > 1 and repro_config.resolve_jobs(jobs) > 1:
+        from repro.harness import parallel
+
+        _memo.update(parallel.run_tasks(ordered, worker=runner, jobs=jobs,
+                                        timeout=timeout, echo=echo))
+    else:
+        for key, spec in ordered.items():
+            _memo[key] = runner(spec)
+    return {key: _memo[key] for key in unique}
 
 
 def _store_disk(result: RunResult) -> None:

@@ -1,14 +1,16 @@
-"""Multiprocess experiment engine.
+"""Multiprocess task engine.
 
 Every :class:`~repro.harness.experiment.RunSpec` is independent (own
 system, own deterministic RNG seeded from the spec), so a sweep is
-embarrassingly parallel.  This module farms specs out to a
-:class:`repro.proc.Fleet` and feeds the results back into the
-in-process memo, so the serial table/figure assembly code consumes them
-exactly as if it had computed them itself:
+embarrassingly parallel.  :func:`run_tasks` farms ``{key: payload}``
+tasks out to a :class:`repro.proc.Fleet`;
+:func:`repro.harness.experiment.run_specs` hands it a batch's misses
+and feeds the results back into the in-process memo, so the serial
+table/figure assembly code consumes them exactly as if it had computed
+them itself:
 
-* worker count from ``REPRO_JOBS`` (``0`` = one worker per CPU core,
-  which is also the default when the engine is invoked explicitly);
+* worker count from ``jobs``, else ``REPRO_JOBS``, else one (``0`` =
+  one worker per CPU core);
 * per-run timeout, worker-death retries, orphan guard and shutdown are
   the fleet's (see :mod:`repro.proc`, the one supervision policy);
 * progress / ETA logging through the ``repro.harness.parallel`` logger
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import logging
 import time
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.config import resolve_jobs
 from repro.proc import DEFAULT_RETRIES, Fleet, ParallelError, RunTimeoutError
@@ -122,59 +124,4 @@ def run_tasks(
             f"{len(timed_out)} run(s) exceeded the {timeout:g}s "
             f"per-run timeout: {keys}"
         )
-    return results
-
-
-def run_specs(
-    specs: Iterable,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    echo: Optional[Callable[[str], None]] = None,
-    safe: bool = False,
-):
-    """Compute every spec across worker processes; seed the local memo.
-
-    Returns ``{scaled spec key: RunResult}``.  Specs already memoised in
-    this process are served locally; the rest are deduplicated by key and
-    farmed out.  Afterwards ``run_experiment`` on any of these specs is a
-    memo hit, so serial assembly code (tables, figures) transparently
-    consumes parallel results.
-
-    With ``safe=True`` workers degrade simulation failures to failure
-    RunResults (see :func:`experiment.run_experiment_safe`) instead of
-    aborting the sweep.
-    """
-    from repro.harness import experiment
-
-    jobs = resolve_jobs(jobs, default=0)
-    unique: Dict[str, object] = {}
-    for spec in specs:
-        unique.setdefault(spec.scaled().key(), spec)
-
-    results = {}
-    pending: Dict[str, object] = {}
-    for key, spec in unique.items():
-        if key in experiment._memo:
-            results[key] = experiment._memo[key]
-        else:
-            pending[key] = spec
-
-    runner = experiment.run_experiment_safe if safe else experiment.run_experiment
-    if pending:
-        if jobs <= 1 or len(pending) == 1:
-            # The serial fallback must uphold this function's memo
-            # contract itself (not rely on the runner's internals), so
-            # both execution paths seed the memo identically.
-            for key, result in experiment.run_grouped(pending,
-                                                      runner).items():
-                experiment._memo[key] = result
-                results[key] = result
-        else:
-            logger.info("running %d spec(s) across %d worker processes",
-                        len(pending), jobs)
-            computed = run_tasks(pending, worker=runner, jobs=jobs,
-                                 timeout=timeout, echo=echo)
-            for key, result in computed.items():
-                experiment._memo[key] = result
-                results[key] = result
     return results

@@ -10,10 +10,10 @@ composable and simulation-neutral:
   concentrates on the mesh.
 * :func:`sleep_report` summarises the activity-driven kernel's wake/sleep
   state - who is asleep, until when, and how much ticking was skipped.
-* :class:`LoadSampler` is a minimal periodic load probe; the full
-  :class:`~repro.telemetry.metrics.MetricRegistry` supersedes it for
-  multi-stream time series but it remains the cheapest single-number
-  answer to "how loaded is this network?".
+
+Periodic load series (e.g. injected flits per cycle) are
+:class:`~repro.telemetry.metrics.MetricRegistry` probes driven by a
+:class:`~repro.telemetry.metrics.MetricSampler`.
 """
 
 from __future__ import annotations
@@ -110,51 +110,3 @@ def sleep_report(sim) -> str:
         due = "ext" if wake_at is None else f"@{wake_at}"
         lines.append(f"  {label} {due}")
     return "\n".join(lines)
-
-
-class LoadSampler:
-    """Periodic sampler of network activity (a Clocked component).
-
-    Add to a simulator (``sim.add(LoadSampler(net))``) to record injected
-    flits per interval - the time series behind "the network is lightly
-    loaded" style claims (the paper quotes < 4 flits/100 cycles/node).
-    """
-
-    def __init__(self, net: "Network", interval: int = 100) -> None:
-        if interval < 1:
-            raise ValueError("interval must be positive")
-        self.net = net
-        self.interval = interval
-        self.samples: List[float] = []
-        self._last_count = 0
-
-    def tick(self, cycle: int) -> None:
-        if cycle == 0 or cycle % self.interval:
-            return
-        count = self.net.stats.counter("noc.flits_injected")
-        delta = count - self._last_count
-        self._last_count = count
-        self.samples.append(delta / self.net.topo.n_nodes)
-
-    def next_wake(self, cycle: int) -> int:
-        """Sleep until the next sampling boundary (counters accumulate
-        in the stats object regardless, so skipped cycles lose nothing)."""
-        return cycle + self.interval - cycle % self.interval
-
-    def mean_load(self) -> float:
-        """Average injected flits per interval per node."""
-        if not self.samples:
-            return 0.0
-        return sum(self.samples) / len(self.samples)
-
-    def sparkline(self, width: int = 60) -> str:
-        """Compact ASCII time series of the per-node load."""
-        if not self.samples:
-            return "(no samples)"
-        ramp = " .:-=+*#%@"
-        data = self.samples[-width:]
-        peak = max(data) or 1.0
-        chars = [ramp[min(len(ramp) - 1, int(v / peak * (len(ramp) - 1)))]
-                 for v in data]
-        return ("".join(chars)
-                + f"  (peak {peak:.2f} flits/{self.interval}cyc/node)")

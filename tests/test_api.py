@@ -157,7 +157,7 @@ def test_incompatible_stored_entry_is_a_miss_on_both_paths(warm_store):
     key = specs[0].key()
     open_cache(os.environ["REPRO_CACHE"]).store(
         key, dict(direct[0], field_of_another_build=1))
-    experiment.load_stored(specs)
+    experiment.load_stored({spec.key(): spec for spec in specs})
     assert key not in experiment._memo
     assert specs[1].key() in experiment._memo
     assert experiment._load_disk(key) is None
@@ -256,3 +256,20 @@ def test_daemon_mode_run_matrix_parity(daemon_address, monkeypatch):
     reference = experiment.run_experiment(
         RunSpec(16, Variant.BASELINE, "canneal", 5))
     assert daemon_result.to_json() == reference.to_json()
+
+
+def test_serial_cli_computes_every_run_on_the_daemon(daemon_address,
+                                                     monkeypatch, capsys):
+    """Regression: with ``REPRO_SERVICE`` set and no ``--jobs``, the CLI
+    computed every run in its own process; the daemon's fleet must."""
+    from repro.harness.__main__ import main
+    from repro.service import ServiceClient
+
+    monkeypatch.setenv("REPRO_SCALE", "0.02")
+    programs = ["swaptions", "blackscholes"]
+    monkeypatch.setattr("repro.harness.__main__.default_workloads",
+                        lambda full=None: programs)
+    assert main(["table1"]) == 0
+    workers = ServiceClient(daemon_address).info()["workers"]
+    assert sum(w["executed"] for w in workers) == len(programs)
+    assert capsys.readouterr().out.startswith("Table 1")

@@ -1,4 +1,5 @@
-"""Tracer, utilization heatmap and load sampler (repro.telemetry probes)."""
+"""Tracer, utilization heatmap and an injection-rate metric sampler
+(repro.telemetry probes and metrics)."""
 
 from repro.telemetry import (
     attach_tracer,
@@ -78,32 +79,41 @@ def test_heatmap_shows_hot_routers():
     assert all(r.forwarded == 0 for r in net.routers)
 
 
-def test_load_sampler_measures_injection():
+def _injection_rate(stats, interval):
+    """A one-stream registry sampling ``noc.flits_injected`` per cycle,
+    and the sampler that drives it."""
+    from repro.telemetry import MetricRegistry, MetricSampler, counter_rate
+
+    registry = MetricRegistry()
+    registry.add_probe("inject", counter_rate(stats, "noc.flits_injected",
+                                              interval))
+    return registry, MetricSampler(registry, interval)
+
+
+def test_metric_sampler_measures_injection():
     import pytest
 
     from repro.noc.traffic import RequestReplyTraffic
-
-    from repro.telemetry import LoadSampler
+    from repro.telemetry import MetricRegistry, MetricSampler
 
     config = SystemConfig(n_cores=16)
     traffic = RequestReplyTraffic(config, requests_per_node_per_kcycle=20.0,
                                   seed=2)
-    sampler = LoadSampler(traffic.net, interval=100)
+    registry, sampler = _injection_rate(traffic.net.stats, 100)
     for _ in range(2000):
         traffic.run(1)
-        sampler.tick(traffic.cycle)
-    assert len(sampler.samples) >= 19
-    assert sampler.mean_load() > 0
-    text = sampler.sparkline()
-    assert "peak" in text
+        sampler(traffic.cycle)
+    samples = registry.series("inject")
+    assert len(samples) >= 19
+    assert sum(samples) / len(samples) > 0
     with pytest.raises(ValueError):
-        LoadSampler(traffic.net, interval=0)
+        MetricSampler(MetricRegistry(), interval=0)
 
 
-def test_load_sampler_idle_network():
-    from repro.telemetry import LoadSampler
-
+def test_metric_sampler_idle_network_samples_zero():
     net = Network(SystemConfig(n_cores=16))
-    sampler = LoadSampler(net)
-    assert sampler.mean_load() == 0.0
-    assert sampler.sparkline() == "(no samples)"
+    registry, sampler = _injection_rate(net.stats, 100)
+    for cycle in range(1, 501):
+        net.core.tick(cycle)
+        sampler(cycle)
+    assert registry.series("inject") == [0.0] * 5

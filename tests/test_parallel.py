@@ -8,7 +8,7 @@ import time
 import pytest
 from tests.conftest import surviving_pids
 
-from repro.harness import parallel
+from repro.harness import experiment, parallel
 from repro import config
 from repro.api import run_matrix
 from repro.harness.cache import (
@@ -240,7 +240,7 @@ def test_run_specs_matches_serial_and_seeds_memo():
     _memo.clear()
     serial = {s.scaled().key(): run_experiment(s) for s in specs}
     _memo.clear()
-    results = parallel.run_specs(specs, jobs=2)
+    results = experiment.run_specs(specs, jobs=2)
     assert set(results) == set(serial)
     for key, result in results.items():
         assert result.to_json() == serial[key].to_json()
@@ -257,8 +257,6 @@ def test_run_specs_serial_fallback_seeds_memo(monkeypatch):
     memo explicitly.  run_specs' documented memo contract must hold for
     any runner on both paths.
     """
-    from repro.harness import experiment
-
     spec = RunSpec(16, Variant.BASELINE, "water_spatial", seed=1, **SMALL)
     key = spec.scaled().key()
     stub_result = experiment.RunResult(
@@ -272,7 +270,7 @@ def test_run_specs_serial_fallback_seeds_memo(monkeypatch):
     monkeypatch.setattr(experiment, "run_experiment", stub_runner)
     _memo.clear()
     # one pending spec triggers the serial fallback even with jobs > 1
-    results = parallel.run_specs([spec], jobs=4)
+    results = experiment.run_specs([spec], jobs=4)
     assert results[key] is stub_result
     assert _memo.get(key) is stub_result
     _memo.clear()
@@ -303,14 +301,21 @@ def test_run_matrix_parallel_is_bit_identical(monkeypatch, tmp_path):
 
 def test_prefetch_forks_exactly_the_store_misses(monkeypatch, tmp_path):
     """Store hits resolve in the parent; only the misses reach workers,
-    and both come back bit-identical to direct runs."""
+    and both come back bit-identical to direct runs.  An observed spec
+    never reaches a worker: its telemetry belongs to this process."""
     from repro import api
+    from repro.telemetry import TelemetryConfig
 
     monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
     stored = [RunSpec(16, Variant.BASELINE, "water_spatial", seed=s, **SMALL)
               for s in (1, 2)]
     missed = [RunSpec(16, Variant.COMPLETE_NOACK, "water_spatial", seed=s,
                       **SMALL) for s in (1, 2)]
+    observed = RunSpec(16, Variant.FRAGMENTED, "water_spatial", seed=1,
+                       telemetry=TelemetryConfig(
+                           out_dir=str(tmp_path / "telemetry"),
+                           trace_dir=str(tmp_path / "trace")),
+                       **SMALL)
     _memo.clear()
     direct = {s.key(): run_experiment(s).to_json() for s in stored}
     _memo.clear()
@@ -321,7 +326,8 @@ def test_prefetch_forks_exactly_the_store_misses(monkeypatch, tmp_path):
         return {key: worker(spec) for key, spec in tasks.items()}
 
     monkeypatch.setattr(parallel, "run_tasks", in_parent)
-    api.prefetch(stored + missed, jobs=2)
+    api.prefetch(stored + missed + [observed], jobs=2)
+    assert observed.key() not in forked
     assert sorted(forked) == sorted(s.key() for s in missed)
     for spec in stored:
         assert _memo[spec.key()].to_json() == direct[spec.key()]

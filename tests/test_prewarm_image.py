@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from repro import build_system, workload_by_name
+from repro import api, build_system, workload_by_name
 from repro import system as system_mod
 from repro.coherence.l1 import L1State
 from repro.coherence.l2dir import DirLine
@@ -255,21 +255,44 @@ def test_specs_group_by_the_key_their_systems_restore_with():
     assert len({groups[0], groups[2], groups[3]}) == 3
 
 
-def test_serial_variant_major_batch_prewarms_once_per_program(
-        monkeypatch, computes):
-    """2 programs x 3 variants, variant-major: the serial fallback runs
-    the programs' groups back to back, so two prewarms, and returns the
-    same results in the same order as one compute per run."""
-    from repro.harness import parallel
+_VARIANTS = [Variant.BASELINE, Variant.COMPLETE_NOACK, Variant.FRAGMENTED]
+_PROGRAMS = ["swaptions", "blackscholes"]
 
+
+def _by_key(results) -> dict:
+    return {result.spec_key: result for result in results}
+
+
+def _via_prefetch(specs) -> dict:
+    api.prefetch(specs, jobs=1)
+    return _by_key(experiment.run_experiment(spec) for spec in specs)
+
+
+def _via_run_matrix(specs) -> dict:
+    out = api.run_matrix(16, _VARIANTS, _PROGRAMS, jobs=1)
+    return _by_key(out[spec.variant][spec.workload] for spec in specs)
+
+
+@pytest.mark.parametrize("compute", [
+    lambda specs: experiment.run_specs(specs, jobs=1),
+    lambda specs: _by_key(api.results(api.submit(specs, jobs=1))),
+    _via_prefetch,
+    _via_run_matrix,
+], ids=["run_specs", "submit", "prefetch", "run_matrix"])
+def test_serial_variant_major_batch_prewarms_once_per_program(
+        monkeypatch, computes, compute):
+    """2 programs x 3 variants, variant-major: every serial entry point
+    runs the programs' groups back to back, so two prewarms, and returns
+    the same results, in the same order, as one compute per run."""
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    variants = [Variant.BASELINE, Variant.COMPLETE_NOACK,
-                Variant.FRAGMENTED]
+    monkeypatch.delenv("REPRO_SERVICE", raising=False)
+    # run_matrix runs the default quanta: at this scale they are the
+    # 200 / 100 instructions the specs name.
+    monkeypatch.setenv("REPRO_SCALE", "0.05")
     specs = [RunSpec(16, variant, workload, 1, 200, 100)
-             for variant in variants
-             for workload in ("swaptions", "blackscholes")]
+             for variant in _VARIANTS for workload in _PROGRAMS]
     with experiment.fresh_memo():
-        grouped = parallel.run_specs(specs, jobs=1)
+        grouped = compute(specs)
     assert len(computes) == 2
     assert list(grouped) == [spec.scaled().key() for spec in specs]
     for spec in specs:
@@ -292,3 +315,36 @@ def test_serial_cli_prefetch_prewarms_once_per_program(monkeypatch,
         assert main(["fig10", "--jobs", "1"]) == 0  # 2 variants
     assert len(computes) == 2
     assert "swaptions" in capsys.readouterr().out
+
+
+def test_a_serial_reproduction_prewarms_once_per_program(monkeypatch,
+                                                          tmp_path):
+    """``tools/run_reproduction.py``, serial, with the simulator stubbed
+    out: its 200 runs fall in 28 prewarm groups (16 and 64 cores x the
+    programs) and run one group after another, so a real sweep would
+    prewarm 28 times, not once per run of a variant-major assembly."""
+    import importlib.util
+    import os
+
+    from repro.sim.stats import Stats
+
+    for var in ("REPRO_CACHE", "REPRO_JOBS", "REPRO_SERVICE", "REPRO_FULL"):
+        monkeypatch.delenv(var, raising=False)
+    groups = []
+
+    def stub(spec, key, config):
+        groups.append(experiment.prewarm_group(spec))
+        return Stats(), 0, 1000
+
+    monkeypatch.setattr(experiment, "_run_local", stub)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "run_reproduction.py")
+    spec = importlib.util.spec_from_file_location("run_reproduction", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    with experiment.fresh_memo():
+        assert tool.main([str(tmp_path / "report.txt")]) == 0
+    changes = sum(1 for i, group in enumerate(groups)
+                  if i == 0 or group != groups[i - 1])
+    assert len(groups) == 200
+    assert changes == len(set(groups)) == 28
