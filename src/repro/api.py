@@ -15,12 +15,15 @@ and external users -- talks to this module:
 The same five calls work in two modes, chosen by configuration
 (``REPRO_SERVICE`` / :func:`repro.config.resolve`):
 
-* **in-process** (default): ``submit`` computes eagerly through
-  :func:`repro.harness.experiment.run_specs`, the one batch path
-  (memo, then the store, then the misses one program after another,
-  across worker processes when ``jobs``/``REPRO_JOBS`` allow), so the
-  handle is already complete; ``prefetch``, ``run_matrix`` and
-  ``compare_variants`` compute their batches through it too;
+* **in-process** (default): ``submit`` keys the batch once
+  (:func:`repro.harness.experiment.spec_keys`: ``REPRO_SCALE`` and
+  ``REPRO_TOPOLOGY`` read once) and computes eagerly through
+  :func:`repro.harness.experiment.run_specs`, the one batch path, which
+  takes that ``{key: spec}`` dict as is (memo, then the store, then the
+  misses one program after another, across worker processes when
+  ``jobs``/``REPRO_JOBS`` allow), so the handle is already complete;
+  ``prefetch``, ``run_matrix`` and ``compare_variants`` hand it plain
+  spec lists, which it keys the same way;
 * **daemon** (``REPRO_SERVICE=<socket path or host:port>``): ``submit``
   enqueues on the shared job daemon (:mod:`repro.service`) and
   ``results`` blocks on completion.
@@ -101,10 +104,10 @@ class _InProcessBackend:
         from repro.harness import experiment
 
         specs = list(specs)
-        keys = [spec.scaled().key() for spec in specs]
+        keys = experiment.spec_keys(specs)
         handle = JobHandle(self, specs, list(keys), keys)
         done = experiment.run_specs(
-            [spec for spec in specs if not spec.observed], jobs, safe=True)
+            experiment.unobserved_by_key(keys, specs), jobs, safe=True)
         collected: List[RunResult] = []
         for spec, key in zip(specs, keys):
             if not spec.observed:
@@ -175,7 +178,7 @@ class _DaemonBackend:
 
         rows = self.client.results(handle.job_ids, timeout=timeout)
         out: List[RunResult] = []
-        for row, spec in zip(rows, handle.specs):
+        for row, spec, key in zip(rows, handle.specs, handle.keys):
             entry = row.get("result")
             if entry is not None:
                 try:
@@ -188,7 +191,7 @@ class _DaemonBackend:
                 # Infrastructure failure (worker kept dying, timeout):
                 # surface it exactly like a degraded simulation failure.
                 result = RunResult(
-                    spec_key=row.get("key", spec.key()),
+                    spec_key=row.get("key", key),
                     n_cores=spec.n_cores,
                     variant=spec.variant.value,
                     workload=spec.workload,

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Tuple, Union)
 
 from repro import config as repro_config
 from repro.circuits.outcomes import outcome_fractions
@@ -55,6 +56,24 @@ def default_workloads(full: Optional[bool] = None) -> List[str]:
     return list(DEFAULT_WORKLOAD_SUBSET)
 
 
+def _scaled_quanta(measure: int, warmup: int, factor: float
+                   ) -> Tuple[int, int]:
+    """The one scaling rule: a run's quanta under ``REPRO_SCALE`` =
+    ``factor``.  Not idempotent (the floors), so scale a spec once."""
+    if factor == 1.0:
+        return measure, warmup
+    return max(200, int(measure * factor)), max(100, int(warmup * factor))
+
+
+def _format_key(n_cores: int, variant: str, workload: str, seed: int,
+                measure: int, warmup: int, topology: str) -> str:
+    """The one store-key format.  Mesh runs keep their historical keys so
+    existing stores stay valid; other topologies get their own entries
+    even when selected through ``REPRO_TOPOLOGY``."""
+    base = f"{n_cores}/{variant}/{workload}/{seed}/{measure}/{warmup}"
+    return base if topology == "mesh" else f"{base}/{topology}"
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Everything defining one measured simulation."""
@@ -79,12 +98,11 @@ class RunSpec:
         factor = repro_config.resolve("scale")
         if factor == 1.0:
             return self
+        measure, warmup = _scaled_quanta(
+            self.measure_instructions, self.warmup_instructions, factor)
         return RunSpec(
             self.n_cores, self.variant, self.workload, self.seed,
-            max(200, int(self.measure_instructions * factor)),
-            max(100, int(self.warmup_instructions * factor)),
-            self.telemetry,
-            self.topology,
+            measure, warmup, self.telemetry, self.topology,
         )
 
     def resolved_topology(self) -> str:
@@ -92,15 +110,10 @@ class RunSpec:
         return resolve_topology(self.topology)
 
     def key(self) -> str:
-        base = (
-            f"{self.n_cores}/{self.variant.value}/{self.workload}/{self.seed}/"
-            f"{self.measure_instructions}/{self.warmup_instructions}"
-        )
-        # Mesh runs keep their historical keys so existing disk caches
-        # stay valid; other topologies get their own cache entries even
-        # when selected through REPRO_TOPOLOGY.
-        topology = self.resolved_topology()
-        return base if topology == "mesh" else f"{base}/{topology}"
+        return _format_key(
+            self.n_cores, self.variant.value, self.workload, self.seed,
+            self.measure_instructions, self.warmup_instructions,
+            self.resolved_topology())
 
     @property
     def observed(self) -> bool:
@@ -114,6 +127,43 @@ class RunSpec:
         )
         topology = self.resolved_topology()
         return base if topology == "mesh" else f"{base}_{topology}"
+
+
+def spec_keys(specs: List[RunSpec]) -> List[str]:
+    """Each spec's store key, exactly ``spec.scaled().key()``, in order.
+
+    A batch reads ``REPRO_SCALE`` once and resolves each distinct
+    ``topology`` once (so ``REPRO_TOPOLOGY`` at most once), and builds no
+    scaled :class:`RunSpec`.  A malformed value raises the same
+    :class:`~repro.config.ConfigError` the per-spec spelling would.
+    """
+    if not specs:
+        return []
+    factor = repro_config.resolve("scale")
+    topologies: Dict[str, str] = {}
+    keys = []
+    for spec in specs:
+        topology = topologies.get(spec.topology)
+        if topology is None:
+            topology = topologies[spec.topology] = \
+                resolve_topology(spec.topology)
+        keys.append(_format_key(
+            spec.n_cores, spec.variant.value, spec.workload, spec.seed,
+            *_scaled_quanta(spec.measure_instructions,
+                            spec.warmup_instructions, factor),
+            topology))
+    return keys
+
+
+def unobserved_by_key(keys: List[str], specs: List[RunSpec]
+                      ) -> Dict[str, RunSpec]:
+    """``{key: spec}`` of the unobserved ``specs``, the first spec of each
+    key, in order: the dict :func:`run_specs` takes."""
+    unique: Dict[str, RunSpec] = {}
+    for key, spec in zip(keys, specs):
+        if not spec.observed:
+            unique.setdefault(key, spec)
+    return unique
 
 
 def spec_config(spec: RunSpec) -> SystemConfig:
@@ -216,8 +266,17 @@ class RunResult:
 
     @staticmethod
     def from_json(data: dict) -> "RunResult":
+        if tuple(data) == _RESULT_FIELDS:
+            # What to_json wrote: one __dict__ update fills the result.
+            result = RunResult.__new__(RunResult)
+            result.__dict__.update(data)
+            return result
+        # Anything else gets the defaults and the TypeErrors of __init__.
         return RunResult(**data)
 
+
+#: RunResult's field names in field order: the keys of every to_json().
+_RESULT_FIELDS = tuple(f.name for f in fields(RunResult))
 
 _memo: Dict[str, RunResult] = {}
 
@@ -294,27 +353,32 @@ def load_stored(wanted: Dict[str, RunSpec]) -> Dict[str, RunSpec]:
     return misses
 
 
-def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
-              safe: bool = False, timeout: Optional[float] = None,
+def run_specs(specs: Union[Iterable[RunSpec], Dict[str, RunSpec]],
+              jobs: Optional[int] = None, safe: bool = False,
+              timeout: Optional[float] = None,
               echo: Optional[Callable[[str], None]] = None
               ) -> Dict[str, RunResult]:
     """Compute a batch: ``{scaled key: RunResult}`` for its unobserved
     specs, in order, every result memoised.
 
-    The one in-process path for a batch of specs.  Memo hits come
-    first, then stored results (:func:`load_stored`, each store shard
-    read once).  The misses run one prewarm group after another, so each
-    program prewarms once (:func:`prewarm_group`): here, or across
-    ``jobs`` worker processes (``REPRO_JOBS``, else serial) through
-    :func:`repro.harness.parallel.run_tasks` when more than one is left.
-    Observed specs are skipped: their point is the artifacts of a run in
-    this process.  With ``safe`` a simulation failure becomes a failure
-    RunResult (:func:`run_experiment_safe`) instead of raising.
+    The one in-process path for a batch of specs.  ``specs`` is either
+    :func:`unobserved_by_key` of the batch and its :func:`spec_keys`
+    (what :func:`repro.api.submit` passes, so no key is computed twice),
+    or any iterable of specs, keyed here the same way.  Memo hits
+    come first, then stored results (:func:`load_stored`, each store
+    shard read once).  The misses run one prewarm group after another,
+    so each program prewarms once (:func:`prewarm_group`): here, or
+    across ``jobs`` worker processes (``REPRO_JOBS``, else serial)
+    through :func:`repro.harness.parallel.run_tasks` when more than one
+    is left.  Observed specs are skipped: their point is the artifacts
+    of a run in this process.  With ``safe`` a simulation failure becomes
+    a failure RunResult (:func:`run_experiment_safe`) instead of raising.
     """
-    unique: Dict[str, RunSpec] = {}
-    for spec in specs:
-        if not spec.observed:
-            unique.setdefault(spec.scaled().key(), spec)
+    if isinstance(specs, dict):
+        unique = specs
+    else:
+        specs = list(specs)
+        unique = unobserved_by_key(spec_keys(specs), specs)
     misses = load_stored({key: spec for key, spec in unique.items()
                           if key not in _memo})
     groups: Dict[tuple, Dict[str, RunSpec]] = {}

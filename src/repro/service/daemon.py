@@ -162,15 +162,15 @@ class Daemon:
 
     def submit_specs(self, spec_dicts: List[dict]) -> List[dict]:
         specs = [spec_from_json(d).scaled() for d in spec_dicts]
+        keys = [spec.key() for spec in specs]
         # One store read for the batch, outside the lock: each shard the
         # keys no job can serve route to is parsed once.
         stored = self._store.load_many(
-            spec.key() for spec in specs if not spec.observed
-            and self.jobs.joinable_by_key(spec.key()) is None
+            key for spec, key in zip(specs, keys) if not spec.observed
+            and self.jobs.joinable_by_key(key) is None
         ) if self._store else {}
         out = []
-        for spec in specs:
-            key = spec.key()
+        for spec, key in zip(specs, keys):
             with self._lock:
                 job = None
                 if not spec.observed:

@@ -149,18 +149,26 @@ def test_prefetch_of_stored_results_starts_no_worker(warm_store,
 
 
 def test_incompatible_stored_entry_is_a_miss_on_both_paths(warm_store):
-    """An entry of another RunResult shape (``TypeError``) is a miss for
-    the batch read and the key-by-key read; submit re-simulates it."""
+    """An entry of another RunResult shape (``TypeError``: an unknown or
+    a missing required field) is a miss for the batch read and the
+    key-by-key read; submit re-simulates it.  An entry that lacks only
+    optional fields is a hit that takes their defaults."""
     from repro.harness.cache import open_cache
 
     specs, direct = warm_store
-    key = specs[0].key()
-    open_cache(os.environ["REPRO_CACHE"]).store(
-        key, dict(direct[0], field_of_another_build=1))
+    unknown, older, partial = (spec.key() for spec in specs)
+    open_cache(os.environ["REPRO_CACHE"]).store_many({
+        unknown: dict(direct[0], field_of_another_build=1),
+        older: {k: v for k, v in direct[1].items() if k != "crash_report"},
+        partial: {k: v for k, v in direct[2].items() if k != "exec_cycles"},
+    })
     experiment.load_stored({spec.key(): spec for spec in specs})
-    assert key not in experiment._memo
-    assert specs[1].key() in experiment._memo
-    assert experiment._load_disk(key) is None
+    assert unknown not in experiment._memo
+    assert partial not in experiment._memo
+    assert experiment._memo[older].to_json() == direct[1]
+    assert experiment._load_disk(unknown) is None
+    assert experiment._load_disk(partial) is None
+    assert experiment._load_disk(older).to_json() == direct[1]
     experiment._memo.clear()
     assert [r.to_json() for r in api.results(api.submit(specs))] == direct
 
@@ -220,6 +228,31 @@ def test_legacy_imports_still_resolve():
 # ----------------------------------------------------------------------
 # Daemon mode: the same five calls against a live service.
 # ----------------------------------------------------------------------
+
+def test_daemon_failure_without_a_key_is_memoised_under_the_scaled_key(
+        monkeypatch):
+    """A ``failed`` row that carries no ``"key"`` stands in for the
+    result under the key the daemon acknowledged at submit (the scaled
+    one), where assembly looks it up."""
+    monkeypatch.setenv("REPRO_SCALE", "0.5")
+    spec = RunSpec(16, Variant.BASELINE, "canneal", 3)
+    key = spec.scaled().key()
+    assert key != spec.key()
+
+    class FakeClient:
+        def submit(self, specs):
+            return [{"job_id": "j1", "key": key, "state": "queued"}]
+
+        def results(self, job_ids, timeout=None):
+            return [{"job_id": "j1", "state": "failed",
+                     "error": "worker kept dying"}]
+
+    backend = api._DaemonBackend("unused.sock")
+    backend.client = FakeClient()
+    [result] = backend.results(backend.submit([spec]))
+    assert result.failed and result.spec_key == key
+    assert experiment._memo[key] is result
+
 
 def test_daemon_mode_results_bit_identical_and_memo_seeded(daemon_address):
     spec = _spec(seed=4)
