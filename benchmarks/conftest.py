@@ -58,20 +58,6 @@ def parallel_prefetch():
     """
     from repro import api
     from repro.harness import figures
-    from repro.harness.experiment import RunSpec
-    from repro.sim.config import Variant
 
-    variants = [Variant.BASELINE]
-    for group in (figures.FIG6_VARIANTS, figures.FIG7_VARIANTS,
-                  figures.FIG8_VARIANTS, figures.FIG9_VARIANTS,
-                  [Variant.COMPLETE_NOACK, Variant.SLACKDELAY1_NOACK]):
-        for variant in group:
-            if variant not in variants:
-                variants.append(variant)
-    specs = [
-        RunSpec(bench_cores(), variant, workload)
-        for variant in variants
-        for workload in bench_workloads()
-    ]
-    api.prefetch(specs)
+    api.prefetch(figures.report_specs(bench_cores(), bench_workloads()))
     yield

@@ -18,20 +18,20 @@ The same five calls work in two modes, chosen by configuration
 * **in-process** (default): ``submit`` keys the batch once
   (:func:`repro.harness.experiment.spec_keys`: ``REPRO_SCALE`` and
   ``REPRO_TOPOLOGY`` read once) and computes eagerly through
-  :func:`repro.harness.experiment.run_specs`, the one batch path, which
+  :func:`repro.harness.experiment.run_specs`, the one run path, which
   takes that ``{key: spec}`` dict as is (memo, then the store, then the
   misses one program after another, across worker processes when
   ``jobs``/``REPRO_JOBS`` allow), so the handle is already complete;
-  ``prefetch``, ``run_matrix`` and ``compare_variants`` hand it plain
-  spec lists, which it keys the same way;
 * **daemon** (``REPRO_SERVICE=<socket path or host:port>``): ``submit``
   enqueues on the shared job daemon (:mod:`repro.service`) and
   ``results`` blocks on completion.
 
-Results are bit-identical across modes -- the daemon's workers execute
-the exact :func:`repro.harness.experiment.run_experiment` code path --
-and daemon results are fed into the local experiment memo, so serial
-assembly code (tables, figures) transparently consumes them either way.
+``prefetch``, ``run_matrix`` and ``compare_variants`` are one
+``submit`` + ``results`` batch each.  Results are bit-identical across
+modes -- the daemon's workers run the same compute step
+(:func:`repro.harness.experiment._compute`) on the spec it scaled and
+keyed at submit -- and daemon results are fed into the local experiment
+memo, so assembly code (tables, figures) consumes them either way.
 """
 
 from __future__ import annotations
@@ -99,15 +99,16 @@ class _InProcessBackend:
 
     name = "in-process"
 
-    def submit(self, specs: List[RunSpec],
-               jobs: Optional[int] = None) -> JobHandle:
+    def submit(self, specs: List[RunSpec], jobs: Optional[int] = None,
+               safe: bool = True, echo=None) -> JobHandle:
         from repro.harness import experiment
 
         specs = list(specs)
         keys = experiment.spec_keys(specs)
         handle = JobHandle(self, specs, list(keys), keys)
         done = experiment.run_specs(
-            experiment.unobserved_by_key(keys, specs), jobs, safe=True)
+            experiment.unobserved_by_key(keys, specs), jobs, safe=safe,
+            echo=echo)
         collected: List[RunResult] = []
         for spec, key in zip(specs, keys):
             if not spec.observed:
@@ -119,8 +120,6 @@ class _InProcessBackend:
                 _buffer.append((cycle, dict(values)))
 
             handle._metrics[key] = buffer
-            # Dynamic attribute lookup so test doubles patched onto the
-            # experiment module are honoured.
             collected.append(experiment.run_experiment_safe(replace(
                 spec, telemetry=replace(spec.telemetry, on_sample=_capture))))
         handle._results = collected
@@ -157,10 +156,14 @@ class _DaemonBackend:
     def name(self) -> str:
         return f"daemon {self.address}"
 
-    def submit(self, specs: List[RunSpec],
-               jobs: Optional[int] = None) -> JobHandle:
-        # ``jobs`` is a local-fan-out knob; the daemon sizes its own fleet.
+    def submit(self, specs: List[RunSpec], jobs: Optional[int] = None,
+               safe: bool = True, echo=None) -> JobHandle:
+        # ``jobs`` is a local-fan-out knob; the daemon sizes its own fleet,
+        # and always degrades failures (:func:`_batch` raises for them).
         specs = list(specs)
+        if echo is not None:
+            echo(f"submitting {len(specs)} spec(s) to the job daemon at "
+                 f"{self.address}")
         statuses = self.client.submit(specs)
         return JobHandle(
             self, specs,
@@ -290,31 +293,33 @@ def run(spec: RunSpec, address: Optional[str] = None) -> RunResult:
 # Sweep helpers (the canonical homes; old spellings are shims).
 # ----------------------------------------------------------------------
 
+def _batch(specs: List[RunSpec], jobs: Optional[int], safe: bool,
+           echo=None) -> List[RunResult]:
+    """``submit`` + ``results`` of one batch through the active backend:
+    its RunResults in order, every one memoised.  Without ``safe`` a
+    failed run raises (in-process, the simulation error itself)."""
+    backend = _backend()
+    done = backend.results(backend.submit(specs, jobs, safe=safe, echo=echo))
+    for result in done:
+        if result.failed and not safe:
+            raise RuntimeError(
+                f"{result.error_kind}: {result.error} "
+                f"(spec {result.spec_key})")
+    return done
+
+
 def prefetch(specs: Iterable[RunSpec], jobs: Optional[int] = None,
              safe: bool = False, echo=None) -> None:
     """Compute a batch through the active backend, seeding the memo.
 
     The shared daemon fleet computes it in service mode, else
     :func:`repro.harness.experiment.run_specs` does.  ``echo`` receives
-    progress lines; without ``safe`` a failed run raises.
+    progress lines; without ``safe`` a failed run raises.  Observed
+    specs are skipped: their point is a run of their own.
     """
-    from repro.harness import experiment
-
-    backend = _backend()
-    if backend is _IN_PROCESS:
-        experiment.run_specs(specs, jobs, safe=safe, echo=echo)
-        return
-    specs = list(specs)
-    if not specs:
-        return
-    if echo is not None:
-        echo(f"submitting {len(specs)} spec(s) to the job daemon at "
-             f"{backend.address}")
-    for result in backend.results(backend.submit(specs)):
-        if result.failed and not safe:
-            raise RuntimeError(
-                f"{result.error_kind}: {result.error} "
-                f"(spec {result.spec_key})")
+    specs = [spec for spec in specs if not spec.observed]
+    if specs:
+        _batch(specs, jobs, safe, echo)
 
 
 def run_matrix(n_cores: int, variants: Iterable[Variant],
@@ -324,10 +329,9 @@ def run_matrix(n_cores: int, variants: Iterable[Variant],
                ) -> Dict[Variant, Dict[str, RunResult]]:
     """Sweep variants x workloads; returns results[variant][workload].
 
-    Specs are computed through the active backend first -- worker
-    processes in-process (``jobs`` / ``REPRO_JOBS``), the shared daemon
-    fleet in service mode -- then assembled from the memo, so the
-    returned results are bit-identical to a serial sweep.
+    One batch through the active backend -- worker processes in-process
+    (``jobs`` / ``REPRO_JOBS``), the shared daemon fleet in service mode
+    -- so the returned results are bit-identical to a serial sweep.
 
     By default a failing run (deadlock/invariant violation) degrades to
     a failure :class:`RunResult` and the sweep continues; pass
@@ -336,26 +340,13 @@ def run_matrix(n_cores: int, variants: Iterable[Variant],
     """
     from repro.harness import experiment
 
-    fail_fast = repro_config.resolve("failfast", override=fail_fast)
     variants = list(variants)
     workloads = list(workloads)
-    specs = [
-        RunSpec(n_cores, variant, workload, seed)
-        for variant in variants
-        for workload in workloads
-    ]
-    prefetch(specs, jobs, safe=not fail_fast)
-    runner = (experiment.run_experiment if fail_fast
-              else experiment.run_experiment_safe)
-    out: Dict[Variant, Dict[str, RunResult]] = {}
-    for variant in variants:
-        per = {}
-        for workload in workloads:
-            per[workload] = runner(
-                RunSpec(n_cores, variant, workload, seed)
-            )
-        out[variant] = per
-    return out
+    done = iter(_batch([RunSpec(n_cores, variant, workload, seed)
+                        for variant in variants for workload in workloads],
+                       jobs, experiment.degrades(fail_fast)))
+    return {variant: {workload: next(done) for workload in workloads}
+            for variant in variants}
 
 
 def compare_variants(workload: str, n_cores: int = 16,
@@ -370,22 +361,16 @@ def compare_variants(workload: str, n_cores: int = 16,
     The convenient entry point for downstream users exploring the design
     space (``from repro import compare_variants``).
     """
-    from repro.harness import experiment
-
     if variants is None:
         variants = [Variant.BASELINE, Variant.FRAGMENTED, Variant.COMPLETE,
                     Variant.COMPLETE_NOACK, Variant.SLACKDELAY1_NOACK,
                     Variant.IDEAL]
     variants = list(variants)
-    specs = [RunSpec(n_cores, v, workload, seed)
-             for v in [Variant.BASELINE] + variants]
-    prefetch(specs, jobs)
-    base = experiment.run_experiment(
-        RunSpec(n_cores, Variant.BASELINE, workload, seed))
+    base, *done = _batch([RunSpec(n_cores, v, workload, seed)
+                          for v in [Variant.BASELINE] + variants],
+                         jobs, safe=False)
     out: Dict[str, Dict[str, float]] = {}
-    for variant in variants:
-        result = experiment.run_experiment(
-            RunSpec(n_cores, variant, workload, seed))
+    for variant, result in zip(variants, done):
         replies = result.counter("circuit.replies_total")
         out[variant.value] = {
             "speedup": base.exec_cycles / result.exec_cycles,

@@ -43,6 +43,7 @@ from repro.harness.experiment import (
     RunSpec,
     crash_dir,
     default_workloads,
+    degrades,
     last_telemetry,
     run_experiment,
 )
@@ -365,34 +366,15 @@ COMMANDS = {
     "fig10": cmd_fig10,
 }
 
-#: Variants each command simulates (table6 is a pure area model: none).
-COMMAND_VARIANTS = {
-    "table1": [Variant.BASELINE],
-    "table5": [Variant.COMPLETE_NOACK],
-    "table6": [],
-    "fig6": figures.FIG6_VARIANTS,
-    "fig7": figures.FIG7_VARIANTS,
-    "fig8": [Variant.BASELINE] + figures.FIG8_VARIANTS,
-    "fig9": [Variant.BASELINE] + figures.FIG9_VARIANTS,
-    "fig10": [Variant.BASELINE, Variant.SLACKDELAY1_NOACK],
-}
-
 
 def _prefetch(names, args, jobs: int) -> None:
-    """Compute the commands' runs before serial rendering, through the
-    active backend (:func:`repro.api.prefetch`)."""
+    """Compute the commands' runs before rendering, in one batch through
+    the active backend (:func:`repro.api.prefetch`)."""
     from repro import api
 
-    variants = []
-    for name in names:
-        for variant in COMMAND_VARIANTS[name]:
-            if variant not in variants:
-                variants.append(variant)
     api.prefetch(
-        [RunSpec(args.cores, variant, workload, args.seed)
-         for variant in variants
-         for workload in _workloads(args)],
-        jobs=jobs, safe=not repro_config.resolve("failfast"),
+        figures.report_specs(args.cores, _workloads(args), args.seed, names),
+        jobs=jobs, safe=degrades(),
         echo=lambda msg: print(msg, file=sys.stderr, flush=True),
     )
 

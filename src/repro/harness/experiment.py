@@ -3,9 +3,12 @@
 One :class:`RunResult` feeds every table/figure that needs that
 configuration, so results are memoised per process and optionally on disk
 (``REPRO_CACHE=<path>``, crash-safe and shareable between concurrent
-processes -- see :mod:`repro.harness.cache`).  :func:`run_specs` computes
-a batch of specs, across worker processes with ``REPRO_JOBS``
-(:mod:`repro.harness.parallel`).  Simulation length is scaled by ``REPRO_SCALE``
+processes -- see :mod:`repro.harness.cache`).  :func:`run_specs` is the
+one run path, the only place specs are looked up, scaled and keyed
+(:func:`run_experiment` is a batch of one); :func:`_compute` is the one
+compute step, which every executor calls (the serial loop, workers with
+``REPRO_JOBS``, the job daemon's workers, observed runs).
+Simulation length is scaled by ``REPRO_SCALE``
 (default 1.0): the default quanta are sized for laptop-speed pure-Python
 cycle simulation; the paper's 500M-cycle windows correspond to very large
 scales.  The synthetic workloads are stationary, so modest windows already
@@ -28,6 +31,7 @@ from repro.cpu.workloads import ALL_WORKLOADS, workload_by_name
 from repro.harness.cache import ShardedCache, open_cache
 from repro.power.energy import network_energy
 from repro.sim.config import SystemConfig, Variant
+from repro.sim.kernel import SimulationError
 from repro.sim.stats import Histogram, Stats
 from repro.system import build_system, prewarm_key
 
@@ -323,20 +327,6 @@ def _disk_cache() -> Optional[ShardedCache]:
     return open_cache(path) if path else None
 
 
-def _from_entry(entry: Optional[dict]) -> Optional[RunResult]:
-    if entry is None:
-        return None
-    try:
-        return RunResult.from_json(entry)
-    except TypeError:
-        return None  # entry from an incompatible RunResult shape
-
-
-def _load_disk(key: str) -> Optional[RunResult]:
-    cache = _disk_cache()
-    return None if cache is None else _from_entry(cache.load(key))
-
-
 def load_stored(wanted: Dict[str, RunSpec]) -> Dict[str, RunSpec]:
     """Memoise every stored result among ``wanted`` (``{scaled key:
     spec}``) with one read per store shard
@@ -346,11 +336,19 @@ def load_stored(wanted: Dict[str, RunSpec]) -> Dict[str, RunSpec]:
         return wanted
     misses = dict(wanted)
     for key, entry in cache.load_many(wanted).items():
-        result = _from_entry(entry)
-        if result is not None:
-            _memo[key] = result
-            del misses[key]
+        try:
+            _memo[key] = RunResult.from_json(entry)
+        except TypeError:
+            continue  # entry from an incompatible RunResult shape
+        del misses[key]
     return misses
+
+
+def degrades(fail_fast: Optional[bool] = None) -> bool:
+    """Whether an assembled batch turns a simulation failure into a
+    failure :class:`RunResult` instead of raising: unless ``fail_fast``,
+    else ``REPRO_FAILFAST``, is set (the one reading of it)."""
+    return not repro_config.resolve("failfast", override=fail_fast)
 
 
 def run_specs(specs: Union[Iterable[RunSpec], Dict[str, RunSpec]],
@@ -358,21 +356,24 @@ def run_specs(specs: Union[Iterable[RunSpec], Dict[str, RunSpec]],
               timeout: Optional[float] = None,
               echo: Optional[Callable[[str], None]] = None
               ) -> Dict[str, RunResult]:
-    """Compute a batch: ``{scaled key: RunResult}`` for its unobserved
-    specs, in order, every result memoised.
+    """Look up or compute a batch: ``{scaled key: RunResult}`` for its
+    unobserved specs, in order, every result memoised.
 
-    The one in-process path for a batch of specs.  ``specs`` is either
-    :func:`unobserved_by_key` of the batch and its :func:`spec_keys`
-    (what :func:`repro.api.submit` passes, so no key is computed twice),
-    or any iterable of specs, keyed here the same way.  Memo hits
-    come first, then stored results (:func:`load_stored`, each store
-    shard read once).  The misses run one prewarm group after another,
+    The one run path: the only place a spec is looked up.  ``specs`` is
+    either :func:`unobserved_by_key` of the batch and its
+    :func:`spec_keys` (what :func:`repro.api.submit` passes, so no key
+    is computed twice), or any iterable of specs, keyed here the same
+    way.  Memo hits come first, then stored results
+    (:func:`load_stored`, each store shard read once).  Each miss is
+    scaled once and handed with its key to :func:`_compute`, which looks
+    nothing up again.  The misses run one prewarm group after another,
     so each program prewarms once (:func:`prewarm_group`): here, or
     across ``jobs`` worker processes (``REPRO_JOBS``, else serial)
     through :func:`repro.harness.parallel.run_tasks` when more than one
     is left.  Observed specs are skipped: their point is the artifacts
-    of a run in this process.  With ``safe`` a simulation failure becomes
-    a failure RunResult (:func:`run_experiment_safe`) instead of raising.
+    of a run in this process (:func:`run_experiment` runs them).  With
+    ``safe`` a simulation failure becomes a failure RunResult instead of
+    raising.
     """
     if isinstance(specs, dict):
         unique = specs
@@ -384,33 +385,47 @@ def run_specs(specs: Union[Iterable[RunSpec], Dict[str, RunSpec]],
     groups: Dict[tuple, Dict[str, RunSpec]] = {}
     for key, spec in misses.items():
         groups.setdefault(prewarm_group(spec), {})[key] = spec
-    ordered = {key: spec for group in groups.values()
-               for key, spec in group.items()}
-    runner = run_experiment_safe if safe else run_experiment
-    if len(ordered) > 1 and repro_config.resolve_jobs(jobs) > 1:
+    tasks = {key: (spec.scaled(), key, safe)
+             for group in groups.values() for key, spec in group.items()}
+    if len(tasks) > 1 and repro_config.resolve_jobs(jobs) > 1:
         from repro.harness import parallel
 
-        _memo.update(parallel.run_tasks(ordered, worker=runner, jobs=jobs,
-                                        timeout=timeout, echo=echo))
+        _memo.update(parallel.run_tasks(tasks, worker=_compute_task,
+                                        jobs=jobs, timeout=timeout,
+                                        echo=echo))
     else:
-        for key, spec in ordered.items():
-            _memo[key] = runner(spec)
+        for key, task in tasks.items():
+            _memo[key] = _compute(*task)
     return {key: _memo[key] for key in unique}
 
 
-def _store_disk(result: RunResult) -> None:
-    cache = _disk_cache()
-    if cache is not None:
-        cache.store(result.spec_key, result.to_json())
+def _run_one(spec: RunSpec, safe: bool) -> RunResult:
+    if spec.observed:
+        # Observed runs bypass the memo and store READ on purpose: their
+        # whole point is regenerating trace/metric artifacts.  Results
+        # stay bit-identical, so they still land in the same entries.
+        spec = spec.scaled()
+        return _compute(spec, spec.key(), safe)
+    [result] = run_specs([spec], safe=safe).values()
+    return result
+
+
+def run_experiment(spec: RunSpec) -> RunResult:
+    """One spec (memoised per process and in the store): a one-spec
+    :func:`run_specs` batch, or for an observed spec :func:`_compute`
+    directly.  A simulation failure raises."""
+    return _run_one(spec, False)
+
+
+def run_experiment_safe(spec: RunSpec) -> RunResult:
+    """Like :func:`run_experiment`, but a simulation failure becomes a
+    failure :class:`RunResult` (see :func:`_compute`)."""
+    return _run_one(spec, True)
 
 
 def crash_dir() -> str:
     """Directory for crash reports (env ``REPRO_CRASH_DIR``)."""
     return repro_config.resolve("crash_dir")
-
-
-def _check_interval() -> int:
-    return repro_config.resolve("check_interval")
 
 
 def _assemble_result(spec: RunSpec, key: str, config: SystemConfig,
@@ -442,13 +457,10 @@ def _assemble_result(spec: RunSpec, key: str, config: SystemConfig,
     )
 
 
-def _checkpoint_base_dir() -> str:
-    return repro_config.resolve("checkpoint_dir")
-
-
 def _checkpoint_dir(spec_key: str) -> str:
     """Per-run checkpoint directory, keyed by the run's spec key."""
-    return os.path.join(_checkpoint_base_dir(), spec_key.replace("/", "_"))
+    return os.path.join(repro_config.resolve("checkpoint_dir"),
+                        spec_key.replace("/", "_"))
 
 
 _warned_observed_shards = False
@@ -501,7 +513,7 @@ def _run_sharded(spec: RunSpec, key: str, config: SystemConfig,
         config, spec.workload, spec.warmup_instructions,
         spec.measure_instructions, n_shards=shards,
         check=repro_config.resolve("check"),
-        check_interval=_check_interval(),
+        check_interval=repro_config.resolve("check_interval"),
         **ckpt_kwargs,
     )
     return sharded.stats, sharded.start_cycle, sharded.finish_cycle
@@ -536,7 +548,8 @@ def _run_local(spec: RunSpec, key: str, config: SystemConfig):
         from repro.validate import InvariantMonitor
 
         InvariantMonitor(
-            system.network, system=system, interval=_check_interval()
+            system.network, system=system,
+            interval=repro_config.resolve("check_interval"),
         ).attach(system.sim)
     # Telemetry attaches where measurement starts: warm-up ends with a
     # stats reset, which would corrupt the interval-delta probes.
@@ -566,8 +579,13 @@ def _run_local(spec: RunSpec, key: str, config: SystemConfig):
     return system.stats, start, finish
 
 
-def run_experiment(spec: RunSpec) -> RunResult:
-    """Simulate one configuration (memoised per process and on disk).
+def _compute(spec: RunSpec, key: str, safe: bool = False) -> RunResult:
+    """Simulate the scaled ``spec`` under store key ``key``; memoise and
+    store the result.
+
+    The one compute step behind every executor: :func:`run_specs`' serial
+    loop and its workers, the job daemon's workers, and observed runs.
+    It looks nothing up and scales nothing.
 
     With ``REPRO_CHECK=1`` an :class:`~repro.validate.InvariantMonitor`
     audits the run every ``REPRO_CHECK_INTERVAL`` cycles (default 2000).
@@ -586,74 +604,57 @@ def run_experiment(spec: RunSpec) -> RunResult:
     newest checkpoint.  Checkpointed, resumed and plain runs are all
     bit-identical, so they share cache entries too.  Telemetry-observed
     runs never checkpoint.
+
+    With ``safe`` a :class:`~repro.sim.kernel.SimulationError`
+    (deadlock, invariant violation, ...) becomes a failure
+    :class:`RunResult` with the crash report saved under
+    :func:`crash_dir`, so one sick configuration cannot abort a whole
+    sweep.  Failure results are memoised in-process only - never written
+    to the shared store.
     """
-    spec = spec.scaled()
-    key = spec.key()
-    if not spec.observed:
-        # Observed runs bypass the cache READ on purpose: their whole
-        # point is regenerating trace/metric artifacts.  Results stay
-        # bit-identical, so they still land in the same cache entries.
-        if key in _memo:
-            return _memo[key]
-        cached = _load_disk(key)
-        if cached is not None:
-            _memo[key] = cached
-            return cached
-
-    config = spec_config(spec)
-    shards = _resolved_shards(spec, config)
-    if shards > 1:
-        stats, start, finish = _run_sharded(spec, key, config, shards)
-    else:
-        stats, start, finish = _run_local(spec, key, config)
-    result = _assemble_result(spec, key, config, stats, finish - start)
-    _memo[key] = result
-    _store_disk(result)
-    return result
-
-
-def run_experiment_safe(spec: RunSpec) -> RunResult:
-    """Like :func:`run_experiment`, but degrade simulation failures.
-
-    A :class:`~repro.sim.kernel.SimulationError` (deadlock, invariant
-    violation, ...) becomes a failure :class:`RunResult` with the crash
-    report saved under :func:`crash_dir`, so one sick configuration
-    cannot abort a whole sweep.  Failure results are memoised in-process
-    only - never written to the shared disk cache.
-    """
-    from repro.sim.kernel import SimulationError
-
     try:
-        return run_experiment(spec)
+        config = spec_config(spec)
+        shards = _resolved_shards(spec, config)
+        if shards > 1:
+            stats, start, finish = _run_sharded(spec, key, config, shards)
+        else:
+            stats, start, finish = _run_local(spec, key, config)
     except SimulationError as exc:
-        # run_experiment scales internally and scaled() is not
-        # idempotent, so it received the original spec; the failure
-        # record is keyed like the result it stands in for.
-        scaled = spec.scaled()
-        key = scaled.key()
+        if not safe:
+            raise
         result = RunResult(
             spec_key=key,
-            n_cores=scaled.n_cores,
-            variant=scaled.variant.value,
-            workload=scaled.workload,
+            n_cores=spec.n_cores,
+            variant=spec.variant.value,
+            workload=spec.workload,
             exec_cycles=0,
             error=str(exc),
             error_kind=type(exc).__name__,
-            crash_report=_save_crash(scaled, exc),
+            crash_report=_save_crash(key, exc),
         )
-        _memo[key] = result
-        return result
+    else:
+        result = _assemble_result(spec, key, config, stats, finish - start)
+    _memo[key] = result
+    cache = None if result.failed else _disk_cache()
+    if cache is not None:
+        cache.store(key, result.to_json())
+    return result
 
 
-def _save_crash(spec: RunSpec, exc: BaseException) -> Optional[str]:
+def _compute_task(task: Tuple[RunSpec, str, bool]) -> RunResult:
+    """:func:`_compute` of a ``(scaled spec, key, safe)`` worker task."""
+    return _compute(*task)
+
+
+def _save_crash(key: str, exc: BaseException) -> Optional[str]:
     from repro.validate.forensics import save_crash_report
 
     report = getattr(exc, "report", None)
     if report is None:
         report = {"kind": type(exc).__name__, "error": str(exc)}
     elif hasattr(report, "data"):
-        report.data["spec"] = spec.key()
+        report.data["spec"] = key
     try:
-        return save_crash_report(report, crash_dir(), spec.key())
+        return save_crash_report(report, crash_dir(), key)
     except OSError:
         return None  # an unwritable crash dir must not mask the failure

@@ -5,8 +5,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from repro.coherence.messages import Kind, REPLY_KINDS, REQUEST_KINDS
-from repro.harness.experiment import RunResult, RunSpec, run_experiment
-from repro.power.area import area_savings, router_area
+from repro.harness.experiment import RunResult
+from repro.harness.figures import cells
+from repro.power.area import area_savings
 from repro.sim.config import SystemConfig, Variant
 
 #: The paper's Table 1 (64-core averages, % of all network messages).
@@ -34,6 +35,15 @@ TABLE6_PAPER = {
 }
 
 
+def _nan_if_failed(table: dict, results: Iterable[RunResult]) -> dict:
+    """``table``, or NaN in every cell if a run failed: a total over the
+    surviving workloads is not the table (the figures' ratios go NaN
+    the same way)."""
+    if any(result.failed for result in results):
+        return dict.fromkeys(table, float("nan"))
+    return table
+
+
 def _message_counts(results: Iterable[RunResult]) -> Dict[str, int]:
     total: Dict[str, int] = {}
     for result in results:
@@ -46,10 +56,9 @@ def _message_counts(results: Iterable[RunResult]) -> Dict[str, int]:
 def table1(workloads: List[str], n_cores: int = 64, seed: int = 1
            ) -> Dict[str, float]:
     """Message-type percentages on the baseline network (paper Table 1)."""
-    results = [
-        run_experiment(RunSpec(n_cores, Variant.BASELINE, w, seed))
-        for w in workloads
-    ]
+    results = list(
+        cells(n_cores, [Variant.BASELINE], workloads, seed)[Variant.BASELINE]
+        .values())
     counts = _message_counts(results)
     counts.pop(f"{Kind.L1_DATA_ACK}_eliminated", None)  # baseline: none
     total = sum(counts.values())
@@ -58,7 +67,7 @@ def table1(workloads: List[str], n_cores: int = 64, seed: int = 1
     pct = {kind: 100.0 * value / total for kind, value in counts.items()}
     requests = sum(pct.get(kind, 0.0) for kind in REQUEST_KINDS)
     replies = sum(pct.get(kind, 0.0) for kind in REPLY_KINDS)
-    return {
+    return _nan_if_failed({
         "requests": requests,
         "replies": replies,
         Kind.L2_REPLY: pct.get(Kind.L2_REPLY, 0.0),
@@ -67,18 +76,17 @@ def table1(workloads: List[str], n_cores: int = 64, seed: int = 1
         Kind.L1_INV_ACK: pct.get(Kind.L1_INV_ACK, 0.0),
         "MEMORY": pct.get(Kind.MEMORY_DATA, 0.0) + pct.get(Kind.MEMORY_ACK, 0.0),
         Kind.L1_TO_L1: pct.get(Kind.L1_TO_L1, 0.0),
-    }
+    }, results)
 
 
 def table5(workloads: List[str], n_cores: int = 64, seed: int = 1
            ) -> Dict[object, float]:
     """Ordinal distribution of circuit reservations (paper Table 5)."""
+    results = cells(n_cores, [Variant.COMPLETE_NOACK], workloads,
+                    seed)[Variant.COMPLETE_NOACK].values()
     ordinals = {i: 0 for i in range(1, 6)}
     failed = 0
-    for workload in workloads:
-        result = run_experiment(
-            RunSpec(n_cores, Variant.COMPLETE_NOACK, workload, seed)
-        )
+    for result in results:
         for i in ordinals:
             ordinals[i] += result.counter(f"circuit.reservation_ordinal.{i}")
         failed += result.counter("circuit.reservation_failed")
@@ -89,7 +97,7 @@ def table5(workloads: List[str], n_cores: int = 64, seed: int = 1
         i: 100.0 * count / total for i, count in ordinals.items()
     }
     out["failed"] = 100.0 * failed / total
-    return out
+    return _nan_if_failed(out, results)
 
 
 def table6() -> Dict[Tuple[str, int], float]:
@@ -104,13 +112,3 @@ def table6() -> Dict[Tuple[str, int], float]:
             config = SystemConfig(n_cores=n_cores).with_variant(variant)
             rows[(label, n_cores)] = 100.0 * area_savings(config)
     return rows
-
-
-def table6_breakdown(n_cores: int = 64) -> Dict[str, Dict[str, float]]:
-    """Per-component router area for each variant (model introspection)."""
-    out = {}
-    for variant in (Variant.BASELINE, Variant.FRAGMENTED, Variant.COMPLETE,
-                    Variant.TIMED_NOACK):
-        config = SystemConfig(n_cores=n_cores).with_variant(variant)
-        out[variant.value] = router_area(config).as_dict()
-    return out

@@ -2,10 +2,11 @@
 
 One :class:`Daemon` owns
 
-* a :class:`repro.proc.Fleet` -- long-lived worker processes executing
-  :func:`repro.harness.experiment.run_experiment_safe` (so a sick
-  configuration degrades to a failure result instead of killing the
-  worker); timeout, worker-death requeue, respawn and shutdown are the
+* a :class:`repro.proc.Fleet` -- long-lived worker processes running
+  the harness's one compute step (:func:`repro.harness.experiment._compute`,
+  degrading, so a sick configuration becomes a failure result instead of
+  killing the worker) on each spec, scaled and keyed once at submit;
+  timeout, worker-death requeue, respawn and shutdown are the
   fleet's (see :mod:`repro.proc`, the one supervision policy);
 * a **pump thread** -- turns :meth:`~repro.proc.Fleet.events` into job
   state transitions and metric fan-out;
@@ -21,10 +22,10 @@ so every metric sample travels daemon-ward while the run is in flight;
 the daemon fans samples out to any number of ``stream`` subscribers,
 keeping a bounded replay buffer for late joiners.
 
-Determinism: workers compute results with the exact same code path as a
-direct ``run_experiment`` call -- the daemon only schedules, so results
-are bit-identical to serial execution (enforced by tests and the chaos
-campaign).
+Determinism: workers compute results with the same compute step as an
+in-process :func:`repro.harness.experiment.run_specs` batch -- the daemon
+only looks up and schedules, so results are bit-identical to serial
+execution (enforced by tests and the chaos campaign).
 """
 
 from __future__ import annotations
@@ -70,10 +71,13 @@ def worker_env(base: Optional[dict] = None) -> Dict[str, str]:
     }
 
 
-def _run_job(spec_json: dict, emit) -> dict:
-    """Fleet task: simulate one spec, streaming its samples if observed."""
-    from repro.harness.experiment import run_experiment_safe
+def _run_job(task: tuple, emit) -> dict:
+    """Fleet task: compute one ``(scaled spec JSON, key)`` job, streaming
+    its samples if observed.  The spec was scaled and keyed at submit, so
+    the worker computes it under the key the daemon acknowledged."""
+    from repro.harness.experiment import _compute
 
+    spec_json, key = task
     spec = spec_from_json(spec_json)
     if spec.observed:
         def _forward(cycle, values):
@@ -81,7 +85,7 @@ def _run_job(spec_json: dict, emit) -> dict:
         spec = replace(
             spec, telemetry=replace(spec.telemetry, on_sample=_forward)
         )
-    return run_experiment_safe(spec).to_json()
+    return _compute(spec, key, safe=True).to_json()
 
 
 class Daemon:
@@ -95,9 +99,6 @@ class Daemon:
         self.retries = retries
         self.run_timeout = run_timeout
         self.env = worker_env(env)
-        # Specs are scaled once at submit time (so job keys, dedup and
-        # store routing agree); workers must not scale them again.
-        self.env.pop("REPRO_SCALE", None)
         configured = repro_config.resolve("service_workers", override=workers)
         self.n_workers = configured if configured else (os.cpu_count() or 1)
         self.jobs = JobTable()
@@ -185,7 +186,7 @@ class Daemon:
                             result=entry)
                 if job is None:
                     job = self.jobs.new_job(spec, key)
-                    self._fleet.submit(job.job_id, spec_to_json(spec))
+                    self._fleet.submit(job.job_id, (spec_to_json(spec), key))
                 out.append(job.to_status())
         return out
 

@@ -150,9 +150,10 @@ def test_prefetch_of_stored_results_starts_no_worker(warm_store,
 
 def test_incompatible_stored_entry_is_a_miss_on_both_paths(warm_store):
     """An entry of another RunResult shape (``TypeError``: an unknown or
-    a missing required field) is a miss for the batch read and the
-    key-by-key read; submit re-simulates it.  An entry that lacks only
-    optional fields is a hit that takes their defaults."""
+    a missing required field) is a miss for a batch read and for a
+    one-spec read (the same ``load_stored``); submit re-simulates it.  An
+    entry that lacks only optional fields is a hit that takes their
+    defaults."""
     from repro.harness.cache import open_cache
 
     specs, direct = warm_store
@@ -166,9 +167,13 @@ def test_incompatible_stored_entry_is_a_miss_on_both_paths(warm_store):
     assert unknown not in experiment._memo
     assert partial not in experiment._memo
     assert experiment._memo[older].to_json() == direct[1]
-    assert experiment._load_disk(unknown) is None
-    assert experiment._load_disk(partial) is None
-    assert experiment._load_disk(older).to_json() == direct[1]
+    experiment._memo.clear()
+    for key, spec in zip((unknown, older, partial), specs):
+        hit = key == older
+        assert experiment.load_stored({key: spec}) == ({} if hit
+                                                       else {key: spec})
+        assert (key in experiment._memo) == hit
+    assert experiment._memo[older].to_json() == direct[1]
     experiment._memo.clear()
     assert [r.to_json() for r in api.results(api.submit(specs))] == direct
 
@@ -187,18 +192,14 @@ def _triple(payload):
 # ----------------------------------------------------------------------
 
 def _fake_runner(calls):
-    def runner(spec):
-        spec = spec.scaled()
-        key = spec.key()
+    def runner(spec, key, safe=False):
         calls.append(key)
-        result = experiment._memo.get(key)
-        if result is None:
-            result = RunResult(
-                spec_key=key, n_cores=spec.n_cores,
-                variant=spec.variant.value, workload=spec.workload,
-                exec_cycles=1000 + len(calls),
-            )
-            experiment._memo[key] = result
+        result = RunResult(
+            spec_key=key, n_cores=spec.n_cores,
+            variant=spec.variant.value, workload=spec.workload,
+            exec_cycles=1000 + len(calls),
+        )
+        experiment._memo[key] = result
         return result
     return runner
 
@@ -206,8 +207,7 @@ def _fake_runner(calls):
 def test_run_matrix_assembles_variant_by_workload(monkeypatch):
     calls = []
     runner = _fake_runner(calls)
-    monkeypatch.setattr(experiment, "run_experiment_safe", runner)
-    monkeypatch.setattr(experiment, "run_experiment", runner)
+    monkeypatch.setattr(experiment, "_compute", runner)
     out = api.run_matrix(16, [Variant.BASELINE, Variant.COMPLETE],
                          ["canneal", "fft"], seed=1)
     assert set(out) == {Variant.BASELINE, Variant.COMPLETE}

@@ -16,6 +16,7 @@ from repro.harness.cache import FileLock, ShardedCache, open_cache
 from repro.harness.experiment import RunResult, RunSpec
 from repro.sim.config import Variant
 from repro.sim.kernel import DeadlockError
+from repro.sim.stats import Stats
 
 
 # -- proc._invoke (the per-run timeout every fleet worker runs under) ---
@@ -114,22 +115,19 @@ def test_quarantine_growth_is_capped(tmp_path, caplog):
 
 @pytest.fixture
 def fake_runs(monkeypatch, tmp_path):
-    """run_experiment stub: 'streamcluster' deadlocks, the rest succeed."""
+    """Engine stub under the compute step: 'streamcluster' deadlocks, the
+    rest succeed in 1000 cycles."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_FAILFAST", raising=False)
     monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
     monkeypatch.setattr(experiment, "_memo", {})
 
-    def fake_run(spec):
+    def fake_run(spec, key, config):
         if spec.workload == "streamcluster":
             raise DeadlockError("synthetic deadlock", cycle=123)
-        return RunResult(
-            spec_key=spec.key(), n_cores=spec.n_cores,
-            variant=spec.variant.value, workload=spec.workload,
-            exec_cycles=1000,
-        )
+        return Stats(), 0, 1000
 
-    monkeypatch.setattr(experiment, "run_experiment", fake_run)
+    monkeypatch.setattr(experiment, "_run_local", fake_run)
     return tmp_path
 
 
@@ -171,3 +169,35 @@ def test_failure_results_survive_json_roundtrip(fake_runs):
     clone = RunResult.from_json(result.to_json())
     assert clone.failed
     assert clone.error_kind == "DeadlockError"
+
+
+def test_a_failed_run_makes_every_table_cell_nan(monkeypatch):
+    """Tables treat a failed run like the figures do: a mix over the
+    surviving programs is not the table, so every value is NaN."""
+    from repro.harness import tables
+
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    monkeypatch.delenv("REPRO_FAILFAST", raising=False)
+    monkeypatch.setattr(experiment, "_memo", {})
+    programs = ["water_spatial", "blackscholes"]
+    counters = {"msg.count.GETS": 40, "msg.count.L2_REPLY": 30,
+                "msg.count.L1_DATA_ACK": 30,
+                "circuit.reservation_ordinal.1": 7,
+                "circuit.reservation_failed": 3}
+
+    def memoise(workload, **outcome):
+        for variant in (Variant.BASELINE, Variant.COMPLETE_NOACK):
+            spec = RunSpec(16, variant, workload)
+            experiment._memo[spec.key()] = RunResult(
+                spec_key=spec.key(), n_cores=16, variant=variant.value,
+                workload=workload, **outcome)
+
+    memoise("water_spatial", exec_cycles=1000, counters=counters)
+    memoise("blackscholes", exec_cycles=1000, counters=counters)
+    for table in (tables.table1, tables.table5):
+        assert all(value == value for value in table(programs, 16).values())
+    memoise("blackscholes", exec_cycles=0, error="synthetic deadlock",
+            error_kind="DeadlockError")
+    for table in (tables.table1, tables.table5):
+        values = table(programs, 16).values()
+        assert values and all(value != value for value in values)

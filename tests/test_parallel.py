@@ -264,10 +264,10 @@ def test_run_specs_serial_fallback_seeds_memo(monkeypatch):
         workload="water_spatial", exec_cycles=123,
     )
 
-    def stub_runner(s):
+    def stub_compute(s, k, safe=False):
         return stub_result  # deliberately does NOT touch the memo
 
-    monkeypatch.setattr(experiment, "run_experiment", stub_runner)
+    monkeypatch.setattr(experiment, "_compute", stub_compute)
     _memo.clear()
     # one pending spec triggers the serial fallback even with jobs > 1
     results = experiment.run_specs([spec], jobs=4)
@@ -297,6 +297,40 @@ def test_run_matrix_parallel_is_bit_identical(monkeypatch, tmp_path):
         for workload in workloads:
             result = par[variant][workload]
             assert stored[result.spec_key] == result.to_json()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cold_batch_reads_the_store_once_then_merges_each_result(
+        monkeypatch, tmp_path, jobs):
+    """A cold batch of N misses parses the shards ``load_stored`` reads,
+    plus one locked read-merge per stored result, serial or across
+    workers: the compute step never reads the store again.  The engine is
+    stubbed out, so nothing simulates."""
+    from repro.harness import cache
+    from repro.sim.stats import Stats
+
+    parses = tmp_path / "parses"  # a file: worker processes append too
+    load_all = cache._ShardFile.load_all
+
+    def counted(shard):
+        with open(parses, "a") as handle:
+            handle.write(os.path.basename(shard.path) + "\n")
+        return load_all(shard)
+
+    monkeypatch.setattr(cache._ShardFile, "load_all", counted)
+    monkeypatch.setattr(experiment, "_run_local",
+                        lambda spec, key, config: (Stats(), 0, 1000))
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store") + os.sep)
+    specs = [RunSpec(16, variant, workload)
+             for variant in (Variant.BASELINE, Variant.COMPLETE_NOACK)
+             for workload in default_workloads()]
+    store = open_cache(os.environ["REPRO_CACHE"])
+    routed = {store.shard_for(key).path
+              for key in experiment.spec_keys(specs)}
+    with experiment.fresh_memo():
+        assert len(experiment.run_specs(specs, jobs=jobs)) == len(specs)
+    assert len(parses.read_text().split()) == len(routed) + len(specs)
+    assert len(store.load_all()) == len(specs)
 
 
 def test_prefetch_forks_exactly_the_store_misses(monkeypatch, tmp_path):

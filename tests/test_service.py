@@ -135,6 +135,32 @@ def test_store_hit_served_without_simulation(client, daemon, tmp_path):
         second.shutdown()
 
 
+def test_workers_keep_repro_scale_and_compute_the_acknowledged_key(
+        tmp_path, monkeypatch):
+    """``REPRO_SCALE`` stays in the workers' environment: the daemon
+    scales and keys each spec once at submit, and the worker computes
+    that scaled spec under that key, so the job matches an in-process
+    run of the same spec bit for bit."""
+    monkeypatch.setenv("REPRO_SCALE", "0.5")
+    spec = RunSpec(16, Variant.COMPLETE_NOACK, "canneal", 2,
+                   measure_instructions=500, warmup_instructions=200)
+    key = spec.scaled().key()
+    assert key not in (spec.key(), spec.scaled().scaled().key())
+    d = Daemon(str(tmp_path / "repro.sock"), workers=1,
+               env=dict(os.environ))
+    assert d.env["REPRO_SCALE"] == "0.5"
+    d.start()
+    try:
+        [status] = ServiceClient(d.address).submit([spec])
+        assert status["key"] == key
+        [row] = ServiceClient(d.address).results([status["job_id"]],
+                                                 timeout=300.0)
+    finally:
+        d.shutdown()
+    assert row["result"]["spec_key"] == key
+    assert row["result"] == _direct(spec)
+
+
 def test_warm_batch_is_served_from_one_read_per_shard(tmp_path, monkeypatch,
                                                      shard_reads):
     """A batch of stored specs: every job is a cache hit, statuses come

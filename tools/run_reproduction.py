@@ -17,31 +17,7 @@ import time
 
 from repro import config
 from repro.harness import figures, render, tables
-from repro.harness.experiment import RunSpec, default_workloads
-from repro.sim.config import Variant
-
-
-def _all_specs(workloads, full, seed):
-    """Every spec the report simulates, deduplicated by key."""
-    variants = [Variant.BASELINE]
-    for group in (figures.FIG6_VARIANTS, figures.FIG7_VARIANTS,
-                  figures.FIG8_VARIANTS, figures.FIG9_VARIANTS,
-                  [Variant.COMPLETE_NOACK, Variant.SLACKDELAY1_NOACK]):
-        for variant in group:
-            if variant not in variants:
-                variants.append(variant)
-    specs = [
-        RunSpec(cores, variant, workload, seed)
-        for cores in (16, 64)
-        for variant in variants
-        for workload in workloads
-    ]
-    specs += [
-        RunSpec(64, variant, workload, seed)
-        for variant in (Variant.BASELINE, Variant.SLACKDELAY1_NOACK)
-        for workload in full
-    ]
-    return specs
+from repro.harness.experiment import default_workloads, degrades
 
 
 def main(argv=None) -> int:
@@ -65,8 +41,10 @@ def main(argv=None) -> int:
     from repro import api
 
     api.prefetch(
-        _all_specs(workloads, full, args.seed), jobs=args.jobs,
-        safe=not config.resolve("failfast"),
+        figures.report_specs(16, workloads, args.seed)
+        + figures.report_specs(64, workloads, args.seed)
+        + figures.report_specs(64, full, args.seed, ["fig10"]),
+        jobs=args.jobs, safe=degrades(),
         echo=lambda msg: print(msg, file=sys.stderr, flush=True),
     )
 
