@@ -40,6 +40,7 @@ from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import config as repro_config
+from repro.harness import experiment
 from repro.harness.experiment import RunResult, RunSpec
 from repro.sim.config import Variant
 
@@ -101,8 +102,6 @@ class _InProcessBackend:
 
     def submit(self, specs: List[RunSpec], jobs: Optional[int] = None,
                safe: bool = True, echo=None) -> JobHandle:
-        from repro.harness import experiment
-
         specs = list(specs)
         keys = experiment.spec_keys(specs)
         handle = JobHandle(self, specs, list(keys), keys)
@@ -176,7 +175,6 @@ class _DaemonBackend:
 
     def results(self, handle: JobHandle,
                 timeout: Optional[float] = None) -> List[RunResult]:
-        from repro.harness import experiment
         from repro.service import ServiceError
 
         rows = self.client.results(handle.job_ids, timeout=timeout)
@@ -278,8 +276,6 @@ def run(spec: RunSpec, address: Optional[str] = None) -> RunResult:
     """Run one spec to completion; raises on simulation failure."""
     backend = _backend(address)
     if backend is _IN_PROCESS:
-        from repro.harness import experiment
-
         return experiment.run_experiment(spec)
     result = backend.results(backend.submit([spec]))[0]
     if result.failed:
@@ -338,8 +334,6 @@ def run_matrix(n_cores: int, variants: Iterable[Variant],
     ``fail_fast=True`` (or set ``REPRO_FAILFAST=1``) to abort on the
     first simulation error instead.
     """
-    from repro.harness import experiment
-
     variants = list(variants)
     workloads = list(workloads)
     done = iter(_batch([RunSpec(n_cores, variant, workload, seed)

@@ -1,15 +1,18 @@
 """Reactive Circuits: table entries, walks, and per-variant policies (which
 own the circuit store)."""
 
-from repro.circuits.outcomes import ReplyOutcome
-from repro.circuits.policy import CircuitPolicy, make_policy
-from repro.circuits.table import CircuitEntry, CircuitWalk, HopRecord
+from repro import _lazy_exports
 
-__all__ = [
-    "CircuitEntry",
-    "CircuitPolicy",
-    "CircuitWalk",
-    "HopRecord",
-    "ReplyOutcome",
-    "make_policy",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "CircuitEntry": "repro.circuits.table",
+    "CircuitPolicy": "repro.circuits.policy",
+    "CircuitWalk": "repro.circuits.table",
+    "HopRecord": "repro.circuits.table",
+    "ReplyOutcome": "repro.circuits.outcomes",
+    "make_policy": "repro.circuits.policy",
+}
+
+__all__ = list(_EXPORTS)
+
+_lazy_exports(globals(), _EXPORTS)

@@ -1,15 +1,16 @@
 """MESI directory coherence protocol over the NoC (paper Tables 2 and 3)."""
 
-from repro.coherence.cache import CacheArray
-from repro.coherence.l1 import L1Controller
-from repro.coherence.l2dir import L2BankController
-from repro.coherence.memory import MemoryController
-from repro.coherence.messages import Kind
+from repro import _lazy_exports
 
-__all__ = [
-    "CacheArray",
-    "Kind",
-    "L1Controller",
-    "L2BankController",
-    "MemoryController",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "CacheArray": "repro.coherence.cache",
+    "Kind": "repro.coherence.messages",
+    "L1Controller": "repro.coherence.l1",
+    "L2BankController": "repro.coherence.l2dir",
+    "MemoryController": "repro.coherence.memory",
+}
+
+__all__ = list(_EXPORTS)
+
+_lazy_exports(globals(), _EXPORTS)

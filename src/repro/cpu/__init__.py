@@ -1,22 +1,19 @@
 """Cores and synthetic workloads (the paper's Simics/GEMS substitution)."""
 
-from repro.cpu.core import Core
-from repro.cpu.trace import AccessStream, StreamParams
-from repro.cpu.workloads import (
-    ALL_WORKLOADS,
-    MULTIPROGRAMMED_MIX,
-    PARALLEL_WORKLOADS,
-    WorkloadProfile,
-    workload_by_name,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ALL_WORKLOADS",
-    "AccessStream",
-    "Core",
-    "MULTIPROGRAMMED_MIX",
-    "PARALLEL_WORKLOADS",
-    "StreamParams",
-    "WorkloadProfile",
-    "workload_by_name",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "ALL_WORKLOADS": "repro.cpu.workloads",
+    "AccessStream": "repro.cpu.trace",
+    "Core": "repro.cpu.core",
+    "MULTIPROGRAMMED_MIX": "repro.cpu.workloads",
+    "PARALLEL_WORKLOADS": "repro.cpu.workloads",
+    "StreamParams": "repro.cpu.trace",
+    "WorkloadProfile": "repro.cpu.workloads",
+    "workload_by_name": "repro.cpu.workloads",
+}
+
+__all__ = list(_EXPORTS)
+
+_lazy_exports(globals(), _EXPORTS)

@@ -27,13 +27,9 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
 from repro import config as repro_config
 from repro.circuits.outcomes import outcome_fractions
 from repro.noc.topology import resolve_topology
-from repro.cpu.workloads import ALL_WORKLOADS, workload_by_name
 from repro.harness.cache import ShardedCache, open_cache
-from repro.power.energy import network_energy
 from repro.sim.config import SystemConfig, Variant
-from repro.sim.kernel import SimulationError
 from repro.sim.stats import Histogram, Stats
-from repro.system import build_system, prewarm_key
 
 if TYPE_CHECKING:
     from repro.telemetry import TelemetryConfig
@@ -56,6 +52,8 @@ DEFAULT_WORKLOAD_SUBSET = [
 def default_workloads(full: Optional[bool] = None) -> List[str]:
     """Workload names to sweep (env ``REPRO_FULL=1`` for all 22)."""
     if repro_config.resolve("full", override=full):
+        from repro.cpu.workloads import ALL_WORKLOADS
+
         return [w.name for w in ALL_WORKLOADS]
     return list(DEFAULT_WORKLOAD_SUBSET)
 
@@ -188,6 +186,9 @@ def prewarm_group(spec: RunSpec) -> Optional[tuple]:
     counts) leave the same prewarmed state, which
     :func:`repro.system.prewarm` keeps for the next run when they run
     back to back."""
+    from repro.cpu.workloads import workload_by_name
+    from repro.system import prewarm_key
+
     try:
         workload = workload_by_name(spec.workload)
     except KeyError:
@@ -435,6 +436,8 @@ def _assemble_result(spec: RunSpec, key: str, config: SystemConfig,
     Every engine's stats pass through here, so results are
     byte-identical whichever one ran.
     """
+    from repro.power.energy import network_energy
+
     energy = network_energy(config, stats, exec_cycles)
     means = {k: m.mean for k, m in stats.means.items()}
     for cls in ("req", "crep", "norep"):
@@ -528,6 +531,9 @@ def _run_local(spec: RunSpec, key: str, config: SystemConfig):
     Observed runs never checkpoint - instruments hold live object
     references that cannot be restored.
     """
+    from repro.cpu.workloads import workload_by_name
+    from repro.system import build_system
+
     policy = run_state = None
     interval = 0 if spec.observed else repro_config.resolve("checkpoint")
     if interval:
@@ -612,6 +618,8 @@ def _compute(spec: RunSpec, key: str, safe: bool = False) -> RunResult:
     sweep.  Failure results are memoised in-process only - never written
     to the shared store.
     """
+    from repro.sim.kernel import SimulationError
+
     try:
         config = spec_config(spec)
         shards = _resolved_shards(spec, config)

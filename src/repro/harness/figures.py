@@ -26,6 +26,16 @@ def cells(n_cores: int, variants: List[Variant],
             for variant in variants}
 
 
+def _nan_if_failed(table: dict, results: Iterable[RunResult],
+                   nan: object = float("nan")) -> dict:
+    """``table``, or ``nan`` in every cell if a run failed: an average
+    over the surviving workloads is not the table or figure (the ratio
+    figures' means go NaN the same way)."""
+    if any(result.failed for result in results):
+        return dict.fromkeys(table, nan)
+    return table
+
+
 def _ratio(value: float, reference: float) -> float:
     """NaN-safe ratio: a failed run contributes NaN instead of crashing."""
     if not value or not reference:
@@ -129,9 +139,9 @@ def figure6(workloads: List[str], n_cores: int, seed: int = 1
         for result in per.values():
             for key, value in result.outcomes.items():
                 sums[key] += value
-        out[variant.value] = {
-            key: value / len(per) for key, value in sums.items()
-        }
+        out[variant.value] = _nan_if_failed(
+            {key: value / len(per) for key, value in sums.items()},
+            per.values())
     return out
 
 
@@ -152,10 +162,10 @@ def figure7(workloads: List[str], n_cores: int, seed: int = 1
                 per_class[cls][0] += result.mean(f"lat.net.{cls}")
                 per_class[cls][1] += result.mean(f"lat.queue.{cls}")
                 per_class[cls][2] += result.percentile(f"lat.net.{cls}", 95)
-        out[variant.value] = {
-            cls: tuple(value / len(per) for value in vals)
-            for cls, vals in per_class.items()
-        }
+        out[variant.value] = _nan_if_failed(
+            {cls: tuple(value / len(per) for value in vals)
+             for cls, vals in per_class.items()},
+            per.values(), (float("nan"),) * 3)
     return out
 
 

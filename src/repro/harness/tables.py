@@ -6,7 +6,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.coherence.messages import Kind, REPLY_KINDS, REQUEST_KINDS
 from repro.harness.experiment import RunResult
-from repro.harness.figures import cells
+from repro.harness.figures import _nan_if_failed, cells
 from repro.power.area import area_savings
 from repro.sim.config import SystemConfig, Variant
 
@@ -33,15 +33,6 @@ TABLE6_PAPER = {
     ("Complete Timed", 16): 3.38,
     ("Complete Timed", 64): 1.09,
 }
-
-
-def _nan_if_failed(table: dict, results: Iterable[RunResult]) -> dict:
-    """``table``, or NaN in every cell if a run failed: a total over the
-    surviving workloads is not the table (the figures' ratios go NaN
-    the same way)."""
-    if any(result.failed for result in results):
-        return dict.fromkeys(table, float("nan"))
-    return table
 
 
 def _message_counts(results: Iterable[RunResult]) -> Dict[str, int]:

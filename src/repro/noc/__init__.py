@@ -1,41 +1,29 @@
 """Cycle-level NoC substrate: pluggable topologies, wormhole routers, NIs."""
 
-from repro.noc.flit import Flit, Message
-from repro.noc.network import Network
-from repro.noc.routing import route_xy, route_yx
-from repro.noc.topology import (
-    CMesh,
-    ConfigError,
-    LOCAL,
-    Mesh,
-    Port,
-    TOPOLOGY_CHOICES,
-    Topology,
-    Torus,
-    build_topology,
-    make_topology,
-    opposite,
-    resolve_topology,
-)
-from repro.noc.traffic import RequestReplyTraffic
+from repro import _lazy_exports
 
-__all__ = [
-    "CMesh",
-    "ConfigError",
-    "Flit",
-    "LOCAL",
-    "Mesh",
-    "Message",
-    "Network",
-    "Port",
-    "RequestReplyTraffic",
-    "TOPOLOGY_CHOICES",
-    "Topology",
-    "Torus",
-    "build_topology",
-    "make_topology",
-    "opposite",
-    "resolve_topology",
-    "route_xy",
-    "route_yx",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "CMesh": "repro.noc.topology",
+    "ConfigError": "repro.noc.topology",
+    "Flit": "repro.noc.flit",
+    "LOCAL": "repro.noc.topology",
+    "Mesh": "repro.noc.topology",
+    "Message": "repro.noc.flit",
+    "Network": "repro.noc.network",
+    "Port": "repro.noc.topology",
+    "RequestReplyTraffic": "repro.noc.traffic",
+    "TOPOLOGY_CHOICES": "repro.noc.topology",
+    "Topology": "repro.noc.topology",
+    "Torus": "repro.noc.topology",
+    "build_topology": "repro.noc.topology",
+    "make_topology": "repro.noc.topology",
+    "opposite": "repro.noc.topology",
+    "resolve_topology": "repro.noc.topology",
+    "route_xy": "repro.noc.routing",
+    "route_yx": "repro.noc.routing",
+}
+
+__all__ = list(_EXPORTS)
+
+_lazy_exports(globals(), _EXPORTS)

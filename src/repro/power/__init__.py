@@ -1,12 +1,16 @@
 """DSENT-substitute analytical area and energy models for the NoC."""
 
-from repro.power.area import RouterAreaModel, router_area, area_savings
-from repro.power.energy import NetworkEnergyModel, network_energy
+from repro import _lazy_exports
 
-__all__ = [
-    "NetworkEnergyModel",
-    "RouterAreaModel",
-    "area_savings",
-    "network_energy",
-    "router_area",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "NetworkEnergyModel": "repro.power.energy",
+    "RouterAreaModel": "repro.power.area",
+    "area_savings": "repro.power.area",
+    "network_energy": "repro.power.energy",
+    "router_area": "repro.power.area",
+}
+
+__all__ = list(_EXPORTS)
+
+_lazy_exports(globals(), _EXPORTS)

@@ -22,30 +22,22 @@ Architecture notes live in ``docs/architecture.md`` §15; the pieces are
 * :mod:`repro.service.protocol` -- framing, addresses, spec (de)serialisation.
 """
 
-from repro.service.client import (
-    ServiceClient,
-    ServiceError,
-    ServiceUnavailable,
-)
-from repro.service.daemon import Daemon
-from repro.service.jobs import (
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    Job,
-    JobTable,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Daemon",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceUnavailable",
-    "Job",
-    "JobTable",
-    "QUEUED",
-    "RUNNING",
-    "DONE",
-    "FAILED",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "Daemon": "repro.service.daemon",
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "ServiceUnavailable": "repro.service.client",
+    "Job": "repro.service.jobs",
+    "JobTable": "repro.service.jobs",
+    "QUEUED": "repro.service.jobs",
+    "RUNNING": "repro.service.jobs",
+    "DONE": "repro.service.jobs",
+    "FAILED": "repro.service.jobs",
+}
+
+__all__ = list(_EXPORTS)
+
+_lazy_exports(globals(), _EXPORTS)

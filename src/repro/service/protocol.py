@@ -28,7 +28,6 @@ from typing import Optional, Tuple, Union
 from repro.config import ConfigError
 from repro.harness.experiment import RunSpec
 from repro.sim.config import Variant
-from repro.telemetry import TelemetryConfig
 
 #: Protocol revision; bumped on incompatible message-shape changes.
 PROTOCOL_VERSION = 1
@@ -69,22 +68,41 @@ def spec_to_json(spec: RunSpec) -> dict:
     return data
 
 
+def _field(data: dict, name: str, convert, *default):
+    """``convert(data[name])`` (``default`` when given and absent); a
+    missing or malformed value is a :class:`ServiceError` naming it."""
+    try:
+        value = data.get(name, *default) if default else data[name]
+        if convert in (str, dict) and not isinstance(value, convert):
+            raise TypeError(f"got a {type(value).__name__}")
+        return convert(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ServiceError(
+            f"spec field {name!r}: {type(exc).__name__}: {exc}") from None
+
+
 def spec_from_json(data: dict) -> RunSpec:
-    telemetry = None
-    if data.get("telemetry") is not None:
+    """The :class:`RunSpec` a wire dict names.  Anything that is not
+    one raises :class:`ServiceError` naming the bad field."""
+    if not isinstance(data, dict):
+        raise ServiceError(f"spec is a JSON {type(data).__name__}, "
+                           "not an object")
+    telemetry = data.get("telemetry")
+    if telemetry is not None:
+        from repro.telemetry import TelemetryConfig
+
+        given = _field(data, "telemetry", dict)
         telemetry = TelemetryConfig(**{
-            name: data["telemetry"][name]
-            for name in _TELEMETRY_FIELDS if name in data["telemetry"]
-        })
+            name: given[name] for name in _TELEMETRY_FIELDS if name in given})
     return RunSpec(
-        n_cores=int(data["n_cores"]),
-        variant=Variant(data["variant"]),
-        workload=data["workload"],
-        seed=int(data.get("seed", 1)),
-        measure_instructions=int(data["measure_instructions"]),
-        warmup_instructions=int(data["warmup_instructions"]),
+        n_cores=_field(data, "n_cores", int),
+        variant=_field(data, "variant", Variant),
+        workload=_field(data, "workload", str),
+        seed=_field(data, "seed", int, 1),
+        measure_instructions=_field(data, "measure_instructions", int),
+        warmup_instructions=_field(data, "warmup_instructions", int),
         telemetry=telemetry,
-        topology=data.get("topology", ""),
+        topology=_field(data, "topology", str, ""),
     )
 
 

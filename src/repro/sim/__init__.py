@@ -1,28 +1,22 @@
 """Simulation kernel: cycle-driven scheduler, configuration, RNG, statistics."""
 
-from repro.sim.config import (
-    CacheConfig,
-    CircuitConfig,
-    CircuitMode,
-    NocConfig,
-    SystemConfig,
-    Variant,
-    variant_config,
-)
-from repro.sim.kernel import Simulator
-from repro.sim.rng import DeterministicRng
-from repro.sim.stats import MeanStat, Stats
+from repro import _lazy_exports
 
-__all__ = [
-    "CacheConfig",
-    "CircuitConfig",
-    "CircuitMode",
-    "DeterministicRng",
-    "MeanStat",
-    "NocConfig",
-    "Simulator",
-    "Stats",
-    "SystemConfig",
-    "Variant",
-    "variant_config",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "CacheConfig": "repro.sim.config",
+    "CircuitConfig": "repro.sim.config",
+    "CircuitMode": "repro.sim.config",
+    "DeterministicRng": "repro.sim.rng",
+    "MeanStat": "repro.sim.stats",
+    "NocConfig": "repro.sim.config",
+    "Simulator": "repro.sim.kernel",
+    "Stats": "repro.sim.stats",
+    "SystemConfig": "repro.sim.config",
+    "Variant": "repro.sim.config",
+    "variant_config": "repro.sim.config",
+}
+
+__all__ = list(_EXPORTS)
+
+_lazy_exports(globals(), _EXPORTS)

@@ -228,16 +228,16 @@ def test_checked_run_builds_no_directory_line(monkeypatch):
     monitor sweeps every L2 bank, yet the checked run ends with exactly
     the lines the plain run built (a default line cannot be busy, so it
     is never read) and the same result, byte for byte."""
-    from repro.harness import experiment
+    from repro import system
 
     systems = []
-    real_build = experiment.build_system
+    real_build = system.build_system
 
     def build_system(*args):
         systems.append(real_build(*args))
         return systems[-1]
 
-    monkeypatch.setattr(experiment, "build_system", build_system)
+    monkeypatch.setattr(system, "build_system", build_system)
     for name in ENGINE_ENV:
         monkeypatch.delenv(name, raising=False)
     plain = _run_engine(ENGINE_SPEC)
@@ -245,8 +245,8 @@ def test_checked_run_builds_no_directory_line(monkeypatch):
     monkeypatch.setenv("REPRO_CHECK_INTERVAL", "200")
     assert _run_engine(ENGINE_SPEC) == plain
 
-    def lines(system):
-        arrays = [tile.l2.array for tile in system.tiles]
+    def lines(built):
+        arrays = [tile.l2.array for tile in built.tiles]
         return (sum(1 for array in arrays
                     for _ in array.items(defaults=False)),
                 sum(array.occupancy() for array in arrays))

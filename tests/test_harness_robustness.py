@@ -201,3 +201,39 @@ def test_a_failed_run_makes_every_table_cell_nan(monkeypatch):
     for table in (tables.table1, tables.table5):
         values = table(programs, 16).values()
         assert values and all(value != value for value in values)
+
+
+def test_a_failed_run_makes_its_figure6_and_figure7_rows_nan(monkeypatch):
+    """Figs. 6 and 7 average per variant; a failed run's empty outcomes
+    and means are not zeros, so the failed variant's row is NaN and the
+    other rows keep their values."""
+    from repro.harness import figures, render
+
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    monkeypatch.delenv("REPRO_FAILFAST", raising=False)
+    monkeypatch.setattr(experiment, "_memo", {})
+    programs = ["water_spatial", "blackscholes"]
+    sick = Variant.COMPLETE
+    for variant in set(figures.FIG6_VARIANTS + figures.FIG7_VARIANTS):
+        for workload in programs:
+            spec = RunSpec(16, variant, workload)
+            outcome = dict(exec_cycles=1000,
+                           outcomes={"on_circuit": 0.5, "failed": 0.5},
+                           means={"lat.net.req": 10.0, "lat.queue.req": 2.0})
+            if variant is sick and workload == "blackscholes":
+                outcome = dict(exec_cycles=0, error="synthetic deadlock",
+                               error_kind="DeadlockError")
+            experiment._memo[spec.key()] = RunResult(
+                spec_key=spec.key(), n_cores=16, variant=variant.value,
+                workload=workload, **outcome)
+
+    fig6 = figures.figure6(programs, 16)
+    fig7 = figures.figure7(programs, 16)
+    for row in (fig6[sick.value], fig7[sick.value]):
+        flat = [v for value in row.values()
+                for v in (value if isinstance(value, tuple) else [value])]
+        assert flat and all(value != value for value in flat)
+    assert fig6[Variant.COMPLETE_NOACK.value]["on_circuit"] == 0.5
+    assert fig7[Variant.COMPLETE_NOACK.value]["req"][:2] == (10.0, 2.0)
+    assert "nan" in render.render_figure6(fig6)
+    assert "nan" in render.render_figure7(fig7)

@@ -2,8 +2,9 @@
 
 Every case starts a fresh interpreter (``REPRO_*`` scrubbed), runs one
 entry point and lists ``sys.modules``: a plain run or a NoC study must
-not load the worker fleet, the shard engine, sockets or telemetry, and
-``import repro`` must load nothing but the package itself.
+not load the worker fleet, the shard engine, sockets or telemetry, a
+warm read of stored results must not load the simulator, and ``import
+repro`` (or any of its packages) must load none of its modules.
 """
 
 import json
@@ -25,8 +26,20 @@ HEAVY = ["repro.proc", "repro.sim.shard", "repro.sim.checkpoint",
          "multiprocessing*", "socket", "subprocess", "numpy*"]
 
 
-def _modules(code: str, tmp_path) -> set:
-    """``sys.modules`` after ``code`` ran in a fresh interpreter."""
+#: The simulator: never needed to read a stored result.
+SIMULATOR = ["repro.system", "repro.noc.network", "repro.noc.router",
+             "repro.noc.interface", "repro.circuits.policy",
+             "repro.coherence.l1", "repro.coherence.l2dir", "repro.cpu.core",
+             "repro.cpu.trace", "repro.power.energy"]
+
+#: The packages below ``repro`` that are name -> module facades.
+PACKAGES = ["repro.sim", "repro.noc", "repro.circuits", "repro.coherence",
+            "repro.cpu", "repro.power", "repro.service"]
+
+
+def _run(code: str, tmp_path) -> "tuple[str, set]":
+    """Standard output and ``sys.modules`` after ``code`` ran in a fresh
+    interpreter."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = SRC
     code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
@@ -34,7 +47,13 @@ def _modules(code: str, tmp_path) -> set:
                           cwd=str(tmp_path), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    return out, set(json.loads(last))
+
+
+def _modules(code: str, tmp_path) -> set:
+    """``sys.modules`` after ``code`` ran in a fresh interpreter."""
+    return _run(code, tmp_path)[1]
 
 
 def _present(modules: set, patterns) -> list:
@@ -51,6 +70,45 @@ def _present(modules: set, patterns) -> list:
 def test_import_repro_loads_no_submodule(tmp_path):
     modules = _modules("import repro", tmp_path)
     assert [m for m in modules if m.startswith("repro.")] == []
+
+
+def test_importing_a_package_loads_none_of_its_modules(tmp_path):
+    modules = _modules("".join(f"import {p}\n" for p in PACKAGES), tmp_path)
+    assert sorted(m for m in modules if m.startswith("repro.")) \
+        == sorted(PACKAGES)
+
+
+def test_a_warm_read_loads_no_simulator(tmp_path):
+    """One interpreter fills a store with a tiny cold batch; a second
+    reads it back through ``api`` into Table 1 and Fig. 9, renders the
+    same text, and never loads the simulator."""
+    code = (
+        "import os\n"
+        "os.environ['REPRO_SCALE'] = '0.02'\n"
+        f"os.environ['REPRO_CACHE'] = {str(tmp_path / 'store')!r} + os.sep\n"
+        "from repro import api\n"
+        "from repro.harness import figures, render, tables\n"
+        "programs = ['swaptions']\n"
+        "specs = figures.report_specs(16, programs, names=['table1', 'fig9'])\n"
+        "results = api.results(api.submit(specs, jobs=1))\n"
+        "assert len(results) == 8 and not any(r.failed for r in results)\n"
+        "print(render.render_table1(tables.table1(programs, 16),\n"
+        "                           tables.TABLE1_PAPER))\n"
+        "print(render.render_ratio_figure(figures.figure9(programs, 16),\n"
+        "                                 'speedup'))\n")
+    cold_text, cold = _run(code, tmp_path)
+    assert "repro.system" in cold  # the first pass simulated
+    warm_text, warm = _run(code, tmp_path)
+    assert warm_text == cold_text
+    assert _present(warm, SIMULATOR + HEAVY) == []
+
+
+def test_a_service_client_loads_no_daemon_or_fleet(tmp_path):
+    modules = _modules("from repro.service import ServiceClient", tmp_path)
+    assert "repro.service.client" in modules
+    assert _present(modules, ["repro.service.daemon", "repro.proc",
+                              "multiprocessing*", "repro.telemetry*"]
+                    + SIMULATOR) == []
 
 
 def test_traffic_study_loads_no_harness_fleet_or_telemetry(tmp_path):
@@ -111,7 +169,7 @@ def test_cli_help_loads_no_fleet_telemetry_daemon_or_validators(tmp_path):
 # The facades still serve every public name.
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("package", ["repro", "repro.harness"])
+@pytest.mark.parametrize("package", ["repro", "repro.harness"] + PACKAGES)
 def test_every_public_name_resolves(package):
     module = __import__(package, fromlist=["__all__"])
     for name in module.__all__:
