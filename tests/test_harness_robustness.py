@@ -103,7 +103,7 @@ def test_quarantine_growth_is_capped(tmp_path, caplog):
             assert cache.load_all() == {}
     corrupt = sorted(
         name for name in os.listdir(os.path.dirname(path))
-        if name.startswith("shard-000.json.corrupt.")
+        if name.startswith("shard-000.bin.corrupt.")
     )
     assert len(corrupt) == QUARANTINE_KEEP
     assert any(

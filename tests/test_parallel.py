@@ -1,6 +1,5 @@
 """Parallel experiment engine and the crash-safe shared result cache."""
 
-import json
 import multiprocessing
 import os
 import time
@@ -16,6 +15,8 @@ from repro.harness.cache import (
     CacheLockTimeout,
     FileLock,
     ShardedCache,
+    decode_shard,
+    encode_shard,
     open_cache,
 )
 from repro.harness.experiment import (
@@ -379,7 +380,7 @@ def test_prefetch_forks_exactly_the_store_misses(monkeypatch, tmp_path):
 def _one_file_store(tmp_path):
     """A one-shard store and the path of its single shard file."""
     store = ShardedCache(str(tmp_path / "store"), n_shards=1)
-    return store, tmp_path / "store" / "shard-000.json"
+    return store, tmp_path / "store" / "shard-000.bin"
 
 
 def test_cache_quarantines_corrupt_file(tmp_path):
@@ -387,32 +388,32 @@ def test_cache_quarantines_corrupt_file(tmp_path):
     path.write_text("{ definitely not json")
     assert store.load("k") is None
     assert not path.exists()  # moved aside, not retried forever
-    quarantined = list(path.parent.glob("shard-000.json.corrupt.*"))
+    quarantined = list(path.parent.glob("shard-000.bin.corrupt.*"))
     assert len(quarantined) == 1
     assert quarantined[0].read_text() == "{ definitely not json"
     store.store("k", {"x": 1})  # a fresh, valid file replaces it
-    data = json.loads(path.read_text())
+    data = decode_shard(path.read_bytes())
     assert data == {"schema": SCHEMA_VERSION, "entries": {"k": {"x": 1}}}
 
 
 def test_cache_quarantines_unknown_schema(tmp_path):
     store, path = _one_file_store(tmp_path)
-    path.write_text(json.dumps({"schema": 999, "entries": {"k": {}}}))
+    path.write_bytes(encode_shard({"schema": 999, "entries": {"k": {}}}))
     assert store.load_all() == {}
-    assert list(path.parent.glob("shard-000.json.corrupt.*"))
+    assert list(path.parent.glob("shard-000.bin.corrupt.*"))
 
 
 def test_cache_quarantines_schemaless_file(tmp_path):
     """A file without a schema field is never reinterpreted as entries."""
     store, path = _one_file_store(tmp_path)
-    flat = json.dumps({"old-key": {"x": 1}})
-    path.write_text(flat)
+    flat = encode_shard({"old-key": {"x": 1}})
+    path.write_bytes(flat)
     assert store.load("old-key") is None
     assert store.load_all() == {}
-    [quarantined] = path.parent.glob("shard-000.json.corrupt.*")
-    assert quarantined.read_text() == flat  # the evidence survives
+    [quarantined] = path.parent.glob("shard-000.bin.corrupt.*")
+    assert quarantined.read_bytes() == flat  # the evidence survives
     store.store("new-key", {"y": 2})
-    assert json.loads(path.read_text()) == {
+    assert decode_shard(path.read_bytes()) == {
         "schema": SCHEMA_VERSION, "entries": {"new-key": {"y": 2}}}
 
 
@@ -425,7 +426,7 @@ def test_cache_merge_on_write(tmp_path):
 
 def test_cache_drops_corrupt_entries_not_file(tmp_path):
     store, path = _one_file_store(tmp_path)
-    path.write_text(json.dumps(
+    path.write_bytes(encode_shard(
         {"schema": SCHEMA_VERSION,
          "entries": {"good": {"v": 1}, "bad": "not-a-dict"}}
     ))
@@ -452,6 +453,33 @@ def test_file_lock_times_out_then_breaks_stale(tmp_path):
         pass
 
 
+def test_a_slow_breaker_leaves_the_lock_a_faster_one_took(
+        tmp_path, monkeypatch):
+    """Two waiters judge a dead writer's lock stale; the faster breaks it
+    and takes the lock before the slower acts on its judgement.  The
+    slower must leave the new lock alone, or both would write."""
+    lock_path = str(tmp_path / "shard.lock")
+    open(lock_path, "w").close()
+    os.utime(lock_path, (time.time() - 120, time.time() - 120))
+    fast = FileLock(lock_path, timeout=1, stale_seconds=30)
+    slow = FileLock(lock_path, timeout=0.2, stale_seconds=30)
+    real_stat = os.stat
+
+    def judge_then_lose_the_race(path, *args, **kwargs):
+        judged = real_stat(path, *args, **kwargs)
+        if path == lock_path:
+            monkeypatch.setattr(os, "stat", real_stat)
+            fast.acquire()
+        return judged
+
+    monkeypatch.setattr(os, "stat", judge_then_lose_the_race)
+    with pytest.raises(CacheLockTimeout):
+        slow.acquire()
+    assert fast._fd is not None and os.path.exists(lock_path)
+    fast.release()
+    assert sorted(os.listdir(tmp_path)) == []
+
+
 def _hammer(root, start, count):
     store = open_cache(root)
     for i in range(start, start + count):
@@ -475,7 +503,7 @@ def test_cache_multiprocess_hammer(tmp_path):
     assert len(entries) == 100
     for i in range(100):
         assert entries[f"key-{i}"] == {"value": i}
-    data = json.loads(path.read_text())  # never a torn file
+    data = decode_shard(path.read_bytes())  # never a torn file
     assert data["schema"] == SCHEMA_VERSION
     assert len(data["entries"]) == 100
     assert not list(path.parent.glob("*.corrupt.*"))

@@ -21,6 +21,8 @@ from repro.harness.cache import (
     MANIFEST_NAME,
     QUARANTINE_KEEP,
     ShardedCache,
+    decode_shard,
+    encode_shard,
     open_cache,
     parse_spec_key,
     prune_quarantine,
@@ -105,11 +107,11 @@ def test_sharded_roundtrip_and_shard_placement(tmp_path):
     # Each key lives in exactly the shard file its routing names.
     seen = {}
     for name in os.listdir(root):
-        if not name.startswith("shard-") or not name.endswith(".json"):
+        if not name.startswith("shard-") or not name.endswith(".bin"):
             continue
-        index = int(name[len("shard-"):-len(".json")])
-        with open(os.path.join(root, name)) as handle:
-            data = json.load(handle)
+        index = int(name[len("shard-"):-len(".bin")])
+        with open(os.path.join(root, name), "rb") as handle:
+            data = decode_shard(handle.read())
         for key in data["entries"]:
             assert spec_key_shard(key, 4) == index
             assert key not in seen, f"{key} duplicated across shards"
@@ -221,11 +223,11 @@ def test_load_many_matches_per_key_load(tmp_path, caplog):
     store = ShardedCache(str(root), n_shards=4)
     store.store_many({hit_a: {"v": 1}, hit_b: {"v": 2}, rotten: {"v": 3}})
     shard0 = store.shard_for(hit_a).path
-    with open(shard0) as handle:
-        data = json.load(handle)
+    with open(shard0, "rb") as handle:
+        data = decode_shard(handle.read())
     data["entries"][bad] = "not-a-dict"
-    with open(shard0, "w") as handle:
-        json.dump(data, handle)
+    with open(shard0, "wb") as handle:
+        handle.write(encode_shard(data))
     with open(store.shard_for(rotten).path, "w") as handle:
         handle.write("{ not json")
     twin = ShardedCache(str(tmp_path / "b"), n_shards=4)
@@ -339,11 +341,11 @@ def test_multiprocess_hammer_no_lost_or_duplicated_entries(tmp_path):
     # holds only keys that route to it.
     total = 0
     for name in os.listdir(root):
-        if not name.startswith("shard-") or not name.endswith(".json"):
+        if not name.startswith("shard-") or not name.endswith(".bin"):
             continue
-        index = int(name[len("shard-"):-len(".json")])
-        with open(os.path.join(root, name)) as handle:
-            entries = json.load(handle)["entries"]
+        index = int(name[len("shard-"):-len(".bin")])
+        with open(os.path.join(root, name), "rb") as handle:
+            entries = decode_shard(handle.read())["entries"]
         for key in entries:
             assert spec_key_shard(key, HAMMER_SHARDS) == index
         total += len(entries)
@@ -375,3 +377,86 @@ def test_crash_mid_publish_leaves_store_recoverable(tmp_path):
     assert merged[pre_key] == {"v": "pre-existing"}
     assert merged[after_key] == {"v": "after-crash"}
     assert not any(".corrupt." in n for n in os.listdir(root))
+
+
+# ----------------------------------------------------------------------
+# Entry types: what the harness stores loads back as JSON would give it.
+# ----------------------------------------------------------------------
+
+def _as_json_gives(loaded, written, where="entry"):
+    """``loaded`` equals ``json.loads(json.dumps(written))`` type for type:
+    same dict keys (of the same types), same lists, same scalars."""
+    expected = json.loads(json.dumps(written))
+    _same(loaded, expected, where)
+
+
+def _same(a, b, where):
+    assert type(a) is type(b), (where, type(a), type(b))
+    if isinstance(a, dict):
+        assert [type(k) for k in a] == [type(k) for k in b], where
+        assert list(a) == list(b), where
+        for key in a:
+            _same(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for index, (x, y) in enumerate(zip(a, b)):
+            _same(x, y, f"{where}[{index}]")
+    elif a == a:  # NaN compares unequal to itself
+        assert a == b, where
+    else:
+        assert b != b, where
+
+
+def test_every_stored_entry_loads_back_as_json_would_give_it(
+        tmp_path, monkeypatch):
+    """A computed ``RunResult.to_json()``, the daemon's stored result and
+    ``store_many`` of re-keyed copies (which share sub-dicts) load back
+    equal, type for type, to a JSON round trip of what was written, and
+    no two loaded entries share a dict."""
+    from repro.harness import experiment
+    from repro.harness.experiment import RunSpec
+    from repro.service import Daemon, ServiceClient
+    from repro.sim.config import Variant
+
+    for var in ("REPRO_SCALE", "REPRO_FULL", "REPRO_JOBS", "REPRO_SERVICE",
+                "REPRO_CHECKPOINT", "REPRO_RESUME", "REPRO_SHARDS"):
+        monkeypatch.delenv(var, raising=False)
+    small = dict(measure_instructions=250, warmup_instructions=80)
+    root = str(tmp_path / "store") + os.sep
+    monkeypatch.setenv("REPRO_CACHE", root)
+
+    # computed in process
+    spec = RunSpec(16, Variant.COMPLETE_NOACK, "canneal", 1, **small)
+    with experiment.fresh_memo():
+        computed = experiment.run_experiment(spec).to_json()
+    _as_json_gives(open_cache(root).load(spec.key()), computed, "computed")
+
+    # computed by a daemon worker, which stores it itself
+    served = RunSpec(16, Variant.BASELINE, "fft", 1, **small)
+    daemon = Daemon(str(tmp_path / "repro.sock"), workers=1,
+                    env=dict(os.environ))
+    daemon.start()
+    try:
+        client = ServiceClient(daemon.address)
+        [status] = client.submit([served])
+        [row] = client.results([status["job_id"]], timeout=300.0)
+    finally:
+        daemon.shutdown()
+    assert row["source"] == "run"
+    stored = open_cache(root).load(served.key())
+    _as_json_gives(stored, row["result"], "daemon")  # the wire is JSON
+
+    # re-keyed copies sharing their sub-dicts, in one store_many
+    copies = {f"16/Complete_NoAck/canneal/{seed}/250/80":
+              dict(computed, spec_key=f"16/Complete_NoAck/canneal/{seed}/"
+                   "250/80") for seed in range(2, 6)}
+    copies.update({served.key().replace("/1/", "/9/"): stored})
+    store = open_cache(root)
+    store.store_many(copies)
+    loaded = store.load_many(copies)
+    assert set(loaded) == set(copies)
+    for key, entry in copies.items():
+        _as_json_gives(loaded[key], entry, key)
+    shared = [id(entry[field]) for entry in loaded.values()
+              for field in ("counters", "means", "histograms")]
+    assert len(shared) == len(set(shared))
