@@ -40,6 +40,7 @@ __all__ = [
     "resolve",
     "resolve_jobs",
     "setting",
+    "unknown_env",
 ]
 
 
@@ -228,14 +229,6 @@ _register("crash_dir", "REPRO_CRASH_DIR", os.path.join("out", "crash"),
 _register("shards", "REPRO_SHARDS", 1,
           _parse_int(1, " (single-run mesh shards)"),
           "split each run across N worker processes (bit-identical)")
-_register("checkpoint", "REPRO_CHECKPOINT", 0,
-          _parse_int(1, " (cycles between durable checkpoints)"),
-          "cycles between durable checkpoints (unset = off)")
-_register("checkpoint_dir", "REPRO_CHECKPOINT_DIR",
-          os.path.join("out", "checkpoint"), _parse_str,
-          "checkpoint root directory")
-_register("resume", "REPRO_RESUME", False, _parse_bool,
-          "resume interrupted runs from their checkpoints")
 _register("topology", "REPRO_TOPOLOGY", "mesh", _parse_topology,
           "network topology (mesh, torus or cmesh)")
 _register("shard_timeout", "REPRO_SHARD_TIMEOUT", 1200.0,
@@ -252,9 +245,6 @@ _register("service_workers", "REPRO_SERVICE_WORKERS", 0,
           "daemon worker-fleet size (0 = one per CPU core)")
 _register("shard_pidfile", "REPRO_SHARD_PIDFILE", "", _parse_str,
           "test hook: file the pid of every spawned worker is appended to")
-_register("chaos_kill_after", "REPRO_CHAOS_KILL_AFTER", 0,
-          _parse_int(1, " (checkpoint captures)"),
-          "test hook: SIGKILL the run after its Nth checkpoint capture")
 
 
 @dataclass(frozen=True)
@@ -332,12 +322,22 @@ def overrides(**kwargs) -> Dict[str, Resolved]:
     }
 
 
+def unknown_env() -> List[str]:
+    """The ``REPRO_*`` environment variables no setting reads, sorted: a
+    typo, or a setting that has since been removed.  Nothing reads their
+    values; the CLI warns about each one."""
+    known = {entry.env for entry in SETTINGS.values()}
+    return sorted(name for name in os.environ
+                  if name.startswith("REPRO_") and name not in known)
+
+
 def describe(**kwargs) -> List[Tuple[str, str, str, str]]:
     """Rows for the ``repro.harness env`` display.
 
     Returns ``(name, env var, rendered value, source)`` per setting; a
     malformed environment value renders as ``<error: ...>`` instead of
-    aborting the whole table.
+    aborting the whole table.  Each :func:`unknown_env` variable follows
+    as a row named ``-`` with source ``unknown (ignored)``.
     """
     rows = []
     for name, entry in SETTINGS.items():
@@ -347,6 +347,8 @@ def describe(**kwargs) -> List[Tuple[str, str, str, str]]:
         except ConfigError as exc:
             value, source = f"<error: {exc}>", entry.env
         rows.append((name, entry.env, repr(value), source))
+    for env in unknown_env():
+        rows.append(("-", env, repr(os.environ[env]), "unknown (ignored)"))
     return rows
 
 

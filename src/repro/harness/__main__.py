@@ -28,6 +28,8 @@ Usage::
 
 Every ``REPRO_*`` environment variable is listed by ``--help`` (generated
 from the :mod:`repro.config` registry); ``env`` shows the resolved values.
+A ``REPRO_*`` variable no setting reads is ignored: ``env`` shows it as
+``unknown (ignored)``, every other command warns about it on stderr.
 """
 
 from __future__ import annotations
@@ -435,6 +437,11 @@ def main(argv=None) -> int:
                         help="serve: worker-fleet size (default: "
                              "REPRO_SERVICE_WORKERS or one per CPU core)")
     args = parser.parse_args(argv)
+    if args.what != "env":  # env lists them as rows instead
+        for name in repro_config.unknown_env():
+            print(f"warning: {name} is not a repro setting and is ignored "
+                  f"(`python -m repro.harness env` lists the settings)",
+                  file=sys.stderr)
     try:
         return _dispatch(args, parser)
     except repro_config.ConfigError as exc:

@@ -17,7 +17,6 @@ produce stable averages.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -76,6 +75,11 @@ def _format_key(n_cores: int, variant: str, workload: str, seed: int,
     return base if topology == "mesh" else f"{base}/{topology}"
 
 
+#: The smallest value each integer :class:`RunSpec` field may take.
+_SPEC_MINIMA = (("seed", 0), ("measure_instructions", 1),
+                ("warmup_instructions", 0))
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Everything defining one measured simulation."""
@@ -95,6 +99,19 @@ class RunSpec:
     #: defers to ``REPRO_TOPOLOGY`` (then mesh), mirroring
     #: ``config.noc.topology``.
     topology: str = ""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.variant, Variant):
+            raise repro_config.ConfigError(
+                "variant", "RunSpec.variant",
+                f"RunSpec.variant must be a Variant, got {self.variant!r}")
+        for name, minimum in _SPEC_MINIMA:
+            value = getattr(self, name)
+            if type(value) is not int or value < minimum:
+                raise repro_config.ConfigError(
+                    name, f"RunSpec.{name}",
+                    f"RunSpec.{name} must be an integer >= {minimum}, "
+                    f"got {value!r}")
 
     def scaled(self) -> "RunSpec":
         factor = repro_config.resolve("scale")
@@ -460,12 +477,6 @@ def _assemble_result(spec: RunSpec, key: str, config: SystemConfig,
     )
 
 
-def _checkpoint_dir(spec_key: str) -> str:
-    """Per-run checkpoint directory, keyed by the run's spec key."""
-    return os.path.join(repro_config.resolve("checkpoint_dir"),
-                        spec_key.replace("/", "_"))
-
-
 _warned_observed_shards = False
 
 
@@ -496,60 +507,26 @@ def _resolved_shards(spec: RunSpec, config: SystemConfig) -> int:
     return shards
 
 
-def _run_sharded(spec: RunSpec, key: str, config: SystemConfig,
-                 shards: int):
+def _run_sharded(spec: RunSpec, config: SystemConfig, shards: int):
     """The sharded engine -> ``(stats, start_cycle, finish_cycle)``."""
-    from repro.sim.shard import has_snapshots, run_sharded
+    from repro.sim.shard import run_sharded
 
-    ckpt_kwargs = {}
-    interval = repro_config.resolve("checkpoint")
-    if interval:
-        # A persistent directory lets a killed *coordinator* be
-        # resumed; without one the engine still self-heals worker
-        # deaths via a private temporary directory.
-        directory = _checkpoint_dir(key)
-        ckpt_kwargs = dict(
-            checkpoint_dir=directory, checkpoint_interval=interval,
-            resume=repro_config.resolve("resume")
-            and has_snapshots(directory))
     sharded = run_sharded(
         config, spec.workload, spec.warmup_instructions,
         spec.measure_instructions, n_shards=shards,
         check=repro_config.resolve("check"),
         check_interval=repro_config.resolve("check_interval"),
-        **ckpt_kwargs,
     )
     return sharded.stats, sharded.start_cycle, sharded.finish_cycle
 
 
 def _run_local(spec: RunSpec, key: str, config: SystemConfig):
-    """The single-process engine -> ``(stats, start_cycle, finish_cycle)``.
-
-    Plain, checkpointing and resumed runs are one call of
-    :meth:`~repro.system.CmpSystem.run_script`; they differ in whether a
-    checkpoint policy is passed and where the system comes from.
-    Observed runs never checkpoint - instruments hold live object
-    references that cannot be restored.
-    """
+    """The single-process engine -> ``(stats, start_cycle, finish_cycle)``:
+    a fresh system, one :meth:`~repro.system.CmpSystem.run_script`."""
     from repro.cpu.workloads import workload_by_name
     from repro.system import build_system
 
-    policy = run_state = None
-    interval = 0 if spec.observed else repro_config.resolve("checkpoint")
-    if interval:
-        from repro.sim.checkpoint import CheckpointPolicy, fingerprint
-
-        policy = CheckpointPolicy(
-            _checkpoint_dir(key), interval,
-            fingerprint(config, spec.workload, spec.warmup_instructions,
-                        spec.measure_instructions),
-        )
-    if policy is not None and repro_config.resolve("resume") \
-            and policy.has_checkpoint():
-        data = policy.restore()
-        system, run_state = data["system"], data["run"]
-    else:
-        system = build_system(config, workload_by_name(spec.workload))
+    system = build_system(config, workload_by_name(spec.workload))
     if repro_config.resolve("check"):
         from repro.validate import InvariantMonitor
 
@@ -566,15 +543,12 @@ def _run_local(spec: RunSpec, key: str, config: SystemConfig):
         telem = Telemetry(spec.telemetry)
     try:
         start, finish = system.run_script(
-            spec.warmup_instructions, spec.measure_instructions, policy,
-            run_state=run_state,
+            spec.warmup_instructions, spec.measure_instructions,
             at_measure=partial(telem.attach, system) if telem else None,
         )
     finally:
         if telem is not None:
             telem.detach()
-    if policy is not None:
-        policy.discard()  # completed: recovery data is moot
     if telem is not None:
         global _last_telemetry
         _last_telemetry = {
@@ -604,12 +578,9 @@ def _compute(spec: RunSpec, key: str, safe: bool = False) -> RunResult:
     bit-identical to single-process ones, so they share the same memo
     and disk-cache entries.
 
-    With ``REPRO_CHECKPOINT=<cycles>`` the run writes periodic durable
-    checkpoints (:mod:`repro.sim.checkpoint`) under ``REPRO_CHECKPOINT_DIR`` (default ``out/checkpoint``), keyed by
-    the spec key; ``REPRO_RESUME=1`` restarts an interrupted run from its
-    newest checkpoint.  Checkpointed, resumed and plain runs are all
-    bit-identical, so they share cache entries too.  Telemetry-observed
-    runs never checkpoint.
+    A run keeps no checkpoint.  One that is killed is computed again
+    from the start: a worker's death makes its fleet rerun the task, and
+    a rerun batch finds every result that finished in the store.
 
     With ``safe`` a :class:`~repro.sim.kernel.SimulationError`
     (deadlock, invariant violation, ...) becomes a failure
@@ -624,7 +595,7 @@ def _compute(spec: RunSpec, key: str, safe: bool = False) -> RunResult:
         config = spec_config(spec)
         shards = _resolved_shards(spec, config)
         if shards > 1:
-            stats, start, finish = _run_sharded(spec, key, config, shards)
+            stats, start, finish = _run_sharded(spec, config, shards)
         else:
             stats, start, finish = _run_local(spec, key, config)
     except SimulationError as exc:

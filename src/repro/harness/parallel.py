@@ -21,12 +21,10 @@ included), never on scheduling, and results are assembled by spec key,
 so parallel and serial execution produce bit-identical
 :class:`RunResult` values.
 
-Crash recovery composes with checkpointing (``REPRO_CHECKPOINT`` /
-``REPRO_RESUME``, see :mod:`repro.sim.checkpoint`): workers inherit the
-environment and checkpoint directories are keyed by spec key, so each
-run in a parallel sweep checkpoints independently and a re-submitted
-sweep resumes every interrupted run from its own newest snapshot —
-completed runs come straight from the result cache.
+Crash recovery is a rerun: a run keeps no checkpoint, so when a worker
+dies the fleet hands its task, from the start, to a respawned worker;
+and a killed sweep, submitted again, computes only what it had not
+finished - completed runs come straight from the result store.
 """
 
 from __future__ import annotations

@@ -1,19 +1,16 @@
-"""Deterministic checkpoint/restart of complete simulator state.
+"""Snapshots of complete simulator state, for the sharded engine.
 
-A checkpoint is a pickle of the *entire* live object graph - kernel wake
+A snapshot is a pickle of the *entire* live object graph - kernel wake
 heap and awake set, RNG streams, router core (arrival calendar and NI
 state included), coherence and driver state, batched
 :class:`~repro.sim.stats.Stats` counters, in-flight messages -
 plus the run-state record saying where the run script stood.  This
-module owns the snapshot (capture, file format, restore) and *when* one
-is taken; the script itself - warm-up -> drain -> measure - is
-:func:`repro.system.run_phases`, the same driver every engine walks.
-Restoring unpickles the graph and re-creates the wiring closures;
-handing the restored system and record back to
-:meth:`repro.system.CmpSystem.run_script` re-enters the interrupted
-phase at the exact ``run_until`` chunk boundary the checkpoint was taken
-on, so a resumed run is bit-identical (stats, histograms, finish cycle)
-to an uninterrupted one.
+module owns the snapshot (capture, file format, restore); when one is
+taken is the sharded engine's business (:mod:`repro.sim.shard`: each
+worker snapshots its replica at a barrier, so a respawned worker can
+restore it and re-enter :func:`repro.system.run_phases` at the exact
+``run_until`` chunk boundary it was taken on, bit-identically).  A
+single-process run keeps no snapshot: a killed run is rerun.
 
 Why pickling the graph is safe here:
 
@@ -29,7 +26,7 @@ Why pickling the graph is safe here:
 * any closure *not* on that allowlist is a state-carrying callable this
   module does not know how to rebuild - pickling fails loudly with
   :class:`UnpicklableStateError` naming the closure, never silently
-  corrupting a checkpoint.
+  corrupting a snapshot.
 
 File format (version + integrity before trust):
 
@@ -37,19 +34,9 @@ File format (version + integrity before trust):
 the schema version, a config fingerprint, the capture cycle and the
 payload's SHA-256.  Files are written to a temp name and published with
 ``os.replace`` (atomic on POSIX), so a reader only ever sees a complete
-old or complete new checkpoint.  Readers validate magic, schema,
+old or complete new snapshot.  Readers validate magic, schema,
 fingerprint and checksum in that order and raise a typed, pinpointed
 error for each failure mode.
-
-Capture points and bit-identity: ``run_until(done, ...)`` evaluates
-``done()`` on exact ``check_interval`` boundaries relative to the phase
-start (the *anchor*).  :class:`CheckpointWatchdog` therefore only
-captures on those boundaries (its ``next_due`` also keeps the kernel's
-quiet-gap fast-forward exact), so ``run_until`` restarted from a
-restored cycle towards the recorded absolute deadline walks the same
-remaining chunk boundaries - the resumed schedule of ``done()`` checks,
-watchdog hooks and component ticks is identical to the uninterrupted
-run's.
 """
 
 from __future__ import annotations
@@ -59,14 +46,10 @@ import io
 import json
 import os
 import pickle
-import shutil
-import signal
 import struct
 import types
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro import config as repro_config
 from repro.sim.kernel import SimulationError
 
 #: On-disk layout version; bump on incompatible change (2: the pickled
@@ -317,128 +300,3 @@ def read_checkpoint(path: str, *, kind: Optional[str] = None,
             f"header promises {str(header.get('payload_sha256'))[:12]}...)"
         )
     return header, payload
-
-
-# ----------------------------------------------------------------------
-# Periodic capture watchdog.
-# ----------------------------------------------------------------------
-
-class CheckpointWatchdog:
-    """Simulator hook capturing a checkpoint every ``interval`` cycles.
-
-    Kernel-friendly: ``next_due`` reports the cycle before the next
-    aligned capture boundary, so globally-quiet gaps still fast-forward
-    and the hook runs exactly where it must.  The watchdog is read-only
-    with respect to simulated state (it never wakes, schedules or
-    mutates components), so runs with and without it are bit-identical.
-
-    Captures land only on cycles ``anchor + k * check_interval`` of the
-    current phase - the exact boundaries ``run_until`` evaluates
-    ``done()`` on - which is what makes resumed chunk schedules match
-    the uninterrupted run (see the module docstring).
-    """
-
-    def __init__(self, system, run_state: dict, path: str, interval: int,
-                 config_hash: str, kind: str = "run",
-                 on_capture: Optional[Callable[[int], None]] = None) -> None:
-        if interval <= 0:
-            raise ValueError("checkpoint interval must be positive")
-        self.system = system
-        self.run_state = run_state
-        self.path = path
-        self.interval = interval
-        self.config_hash = config_hash
-        self.kind = kind
-        self.checkpoints_written = 0
-        #: Tests: also keep each capture as ``<path>.<n>`` so intermediate
-        #: checkpoints survive the atomic overwrite of the newest one.
-        self.keep_history = False
-        self._on_capture = on_capture
-        self._chaos_kill = repro_config.resolve("chaos_kill_after")
-        self._anchor = 0
-        self._ci = 64
-        self._next: Optional[int] = None
-
-    def set_phase(self, anchor: int, check_interval: int,
-                  from_cycle: Optional[int] = None) -> None:
-        """(Re)align capture boundaries to a phase's anchor and cadence."""
-        self._anchor = anchor
-        self._ci = check_interval
-        base = (anchor if from_cycle is None else from_cycle) + self.interval
-        steps = max(1, -(-(base - anchor) // check_interval))
-        self._next = anchor + steps * check_interval
-
-    def next_due(self, cycle: int) -> int:
-        """Bound for the kernel's quiet-gap fast-forward."""
-        if self._next is None:  # pragma: no cover - unarmed between phases
-            return cycle + (1 << 62)
-        return self._next - 1
-
-    def __call__(self, cycle: int) -> None:
-        # Hooks run after the components of ``cycle`` ticked; the state
-        # now corresponds to "about to execute cycle + 1", which is the
-        # boundary the capture is stamped with.
-        if self._next is None or cycle + 1 != self._next:
-            return
-        self.capture(cycle + 1)
-        base = cycle + 1 + self.interval
-        steps = max(1, -(-(base - self._anchor) // self._ci))
-        self._next = self._anchor + steps * self._ci
-
-    def capture(self, at_cycle: int) -> None:
-        """Write one checkpoint representing the state at ``at_cycle``."""
-        run_state = dict(self.run_state)
-        run_state["cycle"] = at_cycle
-        payload = capture_system(self.system, run_state)
-        write_checkpoint(self.path, payload, kind=self.kind,
-                         config_hash=self.config_hash, cycle=at_cycle)
-        self.checkpoints_written += 1
-        if self.keep_history:
-            shutil.copyfile(
-                self.path, f"{self.path}.{self.checkpoints_written:03d}"
-            )
-        if self._on_capture is not None:
-            self._on_capture(at_cycle)
-        if self._chaos_kill and self.checkpoints_written >= self._chaos_kill:
-            os.kill(os.getpid(), signal.SIGKILL)  # chaos: die mid-run
-
-
-# ----------------------------------------------------------------------
-# Where one single-process run keeps its checkpoint.
-# ----------------------------------------------------------------------
-
-@dataclass
-class CheckpointPolicy:
-    """Where and how often one run checkpoints."""
-
-    directory: str
-    interval: int
-    config_hash: str
-
-    @property
-    def path(self) -> str:
-        return os.path.join(self.directory, "run.ckpt")
-
-    def has_checkpoint(self) -> bool:
-        return os.path.exists(self.path)
-
-    def restore(self) -> dict:
-        """Validated :func:`restore_system` of this run's checkpoint."""
-        _header, payload = read_checkpoint(self.path, kind="run",
-                                           config_hash=self.config_hash)
-        return restore_system(payload)
-
-    def discard(self) -> None:
-        """Remove this run's checkpoint artifacts (called on success)."""
-        if not os.path.isdir(self.directory):
-            return
-        for name in os.listdir(self.directory):
-            if name == "run.ckpt" or name.startswith("run.ckpt."):
-                try:
-                    os.unlink(os.path.join(self.directory, name))
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
-        try:
-            os.rmdir(self.directory)
-        except OSError:
-            pass  # foreign files or shared directory: leave it

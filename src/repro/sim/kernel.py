@@ -169,7 +169,7 @@ class Simulator:
     def rewire_wakes(self) -> None:
         """Re-attach every component's ``kernel_wake`` closure.
 
-        Wake closures are wiring, not state: checkpointing
+        Wake closures are wiring, not state: a snapshot
         (:mod:`repro.sim.checkpoint`) drops them at pickle time and calls
         this after unpickling so the restored graph pokes the restored
         simulator.  Slot membership, the awake set and the wake heap are
@@ -181,12 +181,12 @@ class Simulator:
             except AttributeError:  # pragma: no cover - slotted component
                 pass
 
-    # -- checkpointing ------------------------------------------------
+    # -- snapshots ----------------------------------------------------
     def __getstate__(self) -> dict:
         """Pickle everything except the watchdog hooks.
 
-        Watchdogs (progress, invariants, checkpointing) are re-attached
-        fresh by the run control that resumes a checkpoint; they are
+        Watchdogs (progress, invariants) are re-attached fresh by the
+        shard worker that restores a snapshot; they are
         observation-only, so dropping them cannot change simulated
         behaviour.
         """

@@ -109,8 +109,8 @@ from repro.system import PHASES, CmpSystem, Phase, new_run_state, run_phases
 _BASE_INTERVAL = math.gcd(*(phase.check_interval
                             for phase in PHASES.values()))
 
-#: Recovery-snapshot cadence (simulated cycles) when neither
-#: ``checkpoint_interval`` nor config/environment specify one.
+#: Recovery-snapshot cadence (simulated cycles) when the caller passes
+#: no ``checkpoint_interval``.
 _DEFAULT_SNAPSHOT_INTERVAL = 50_000
 
 #: Snapshots each worker retains on disk.  Two is exactly enough for the
@@ -790,14 +790,6 @@ def _find_resume_seq(directory: str, n_shards: int) -> int:
     )
 
 
-def has_snapshots(directory: str) -> bool:
-    """Whether ``directory`` holds anything ``resume=True`` could use."""
-    try:
-        return any(_SNAPSHOT_RE.match(name) for name in os.listdir(directory))
-    except OSError:
-        return False
-
-
 def _cleanup_snapshots(directory: str) -> None:
     try:
         names = os.listdir(directory)
@@ -813,6 +805,21 @@ def _cleanup_snapshots(directory: str) -> None:
         os.rmdir(directory)
     except OSError:
         pass  # foreign files or shared directory: leave it
+
+
+def _snapshot_interval(checkpoint_interval: Optional[int]) -> int:
+    """``checkpoint_interval``, checked, or the default cadence."""
+    if checkpoint_interval is None:
+        return _DEFAULT_SNAPSHOT_INTERVAL
+    if isinstance(checkpoint_interval, bool) \
+            or not isinstance(checkpoint_interval, int) \
+            or checkpoint_interval < 1:
+        source = "checkpoint_interval= (keyword)"
+        raise repro_config.ConfigError(
+            "checkpoint_interval", source,
+            f"{source} must be an integer >= 1 (simulated cycles between "
+            f"shard snapshots), got {checkpoint_interval!r}")
+    return checkpoint_interval
 
 
 def run_sharded(config, workload: str, warmup_instructions: int,
@@ -835,7 +842,8 @@ def run_sharded(config, workload: str, warmup_instructions: int,
 
     Self-healing is always on: workers snapshot to ``checkpoint_dir``
     (a private temporary directory when not given) every
-    ``checkpoint_interval`` simulated cycles, and a worker that dies or
+    ``checkpoint_interval`` simulated cycles (default 50 000; set by
+    API only, no setting reads it), and a worker that dies or
     goes silent past ``timeout`` seconds is respawned from its snapshot
     and the coordinator's replay log - at most ``respawn_limit`` times
     per shard, after which :class:`ShardRecoveryError` is raised.
@@ -853,9 +861,7 @@ def run_sharded(config, workload: str, warmup_instructions: int,
     timeout = resolve_shard_timeout(timeout)
     respawn_limit = repro_config.resolve("shard_respawns",
                                          override=respawn_limit)
-    snapshot_interval = repro_config.resolve(
-        "checkpoint", override=checkpoint_interval,
-        default=_DEFAULT_SNAPSHOT_INTERVAL)
+    snapshot_interval = _snapshot_interval(checkpoint_interval)
     owned_dir = checkpoint_dir is None
     if owned_dir:
         if resume:

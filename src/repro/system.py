@@ -41,8 +41,9 @@ _MC_KINDS = frozenset({Kind.MEM_READ, Kind.WB_L2})
 
 # ----------------------------------------------------------------------
 # The run script (paper sec. 5.1: warm the chip up, then measure), as
-# data.  Every engine - plain, checkpointed, resumed, sharded - walks
-# these three rows through :func:`run_phases`.
+# data.  Both engines - one process, or sharded with its workers
+# restored from snapshots - walk these three rows through
+# :func:`run_phases`.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ def new_run_state(warmup_instructions: int,
     """Script position of a run that has not started.
 
     ``phase``/``anchor``/``deadline``/``ci`` are filled in as phases are
-    armed; the record rides in every checkpoint, so a restored run
-    re-enters :func:`run_phases` exactly where it stood.
+    armed; the record rides in every shard snapshot, so a restored
+    worker re-enters :func:`run_phases` exactly where it stood.
     """
     return {
         "phase": None, "start": None,
@@ -111,10 +112,11 @@ def run_phases(system: "CmpSystem", run_state: dict,
     reset, mark ``start``, measure.  Returns ``(start, finish)`` cycles.
 
     ``run_state`` is fresh (:func:`new_run_state`) or restored from a
-    checkpoint, in which case the script is re-entered in the recorded
-    phase.  ``execute(phase, run_state, resumed)`` is the one thing an
-    engine supplies: how an armed phase runs to its end-of-phase
-    predicate over ``cores`` (the shard worker passes its local ones).
+    shard snapshot, in which case the script is re-entered in the
+    recorded phase.  ``execute(phase, run_state, resumed)`` is the one
+    thing an engine supplies: how an armed phase runs to its
+    end-of-phase predicate over ``cores`` (the shard worker passes its
+    local ones).
     ``at_measure`` runs once where measurement starts - after the stats
     reset, before the first measured cycle.  A ``measure`` target of
     None ends the script there (:meth:`CmpSystem.warmup`).
@@ -230,7 +232,7 @@ class CmpSystem:
 
         #: Whether the default address-interleaving map is in use.  A
         #: custom ``home_of`` (partition experiments) cannot be rebuilt
-        #: after a checkpoint restore; the checkpoint pickler rejects it
+        #: after a snapshot restore; the snapshot pickler rejects it
         #: with a typed error instead.
         self._default_home = home_of is None
         self.home_of = self._make_home_of() if home_of is None else home_of
@@ -302,9 +304,9 @@ class CmpSystem:
         return mc_of
 
     def reattach(self) -> None:
-        """Rebuild every wiring closure after a checkpoint restore.
+        """Rebuild every wiring closure after a snapshot restore.
 
-        The checkpoint pickler (:mod:`repro.sim.checkpoint`) reduces the
+        The snapshot pickler (:mod:`repro.sim.checkpoint`) reduces the
         known wire-up closures - address maps, tile dispatch, kernel wake
         hooks - to None, because closures carry no state that is not
         recreatable from the restored object graph.  This re-creates all
@@ -404,9 +406,10 @@ class CmpSystem:
         current cycle to the phase's absolute deadline, under a
         :class:`ProgressWatchdog` when the phase is watched.
 
-        A restored run needs nothing extra (``resumed`` is for engines
-        that do): checkpoints are taken on check boundaries, so chunks
-        restarting from the restored cycle are the uninterrupted run's.
+        A restored snapshot needs nothing extra (``resumed`` is for
+        engines that do): snapshots are taken on check boundaries, so
+        chunks restarting from the restored cycle are the uninterrupted
+        run's.
         """
         sim = self.sim
         watchdog = None
@@ -427,45 +430,13 @@ class CmpSystem:
 
     def run_script(self, warmup_instructions: int = 0,
                    measure_instructions: Optional[int] = 0,
-                   policy=None, keep_history: bool = False,
-                   run_state: Optional[dict] = None,
                    at_measure: Optional[Callable[[], None]] = None,
                    ) -> Tuple[Optional[int], Optional[int]]:
-        """Run the warm-up + measure script in this process.
-
-        Fresh when no ``run_state`` is given; otherwise ``self`` and
-        ``run_state`` come from ``checkpoint.restore_system`` and the
-        script continues from the recorded position (the instruction
-        arguments are then ignored).  With a
-        :class:`~repro.sim.checkpoint.CheckpointPolicy` a
-        ``CheckpointWatchdog`` captures periodically; without one no
-        hook is added.  Plain, checkpointed and resumed runs are
-        bit-identical.  Returns ``(start_cycle, finish_cycle)``.
-        """
-        if run_state is None:
-            run_state = new_run_state(warmup_instructions,
-                                      measure_instructions)
-        execute = self.run_phase
-        watchdog = None
-        if policy is not None:
-            from repro.sim.checkpoint import CheckpointWatchdog
-
-            watchdog = CheckpointWatchdog(self, run_state, policy.path,
-                                          policy.interval, policy.config_hash)
-            watchdog.keep_history = keep_history
-
-            def execute(phase: Phase, run_state: dict, resumed: bool) -> None:
-                watchdog.set_phase(run_state["anchor"], run_state["ci"],
-                                   from_cycle=self.sim.cycle)
-                self.run_phase(phase, run_state)
-
-            self.sim.add_watchdog(watchdog)
-        try:
-            return run_phases(self, run_state, execute, self.cores,
-                              at_measure)
-        finally:
-            if watchdog is not None:
-                self.sim.remove_watchdog(watchdog)
+        """Run the warm-up + measure script in this process, from the
+        start.  Returns ``(start_cycle, finish_cycle)``."""
+        return run_phases(self, new_run_state(warmup_instructions,
+                                              measure_instructions),
+                          self.run_phase, self.cores, at_measure)
 
     def run_instructions(self, per_core: int,
                          max_cycles: int = MEASURE.deadline,
@@ -581,8 +552,9 @@ class CmpSystem:
         short timing warmup (queues, PLRU state, in-flight traffic): the
         run script up to where measurement would start.
         """
-        self.run_script(run_state=new_run_state(
-            per_core, None, max_warmup_cycles=max_cycles))
+        run_phases(self, new_run_state(per_core, None,
+                                       max_warmup_cycles=max_cycles),
+                   self.run_phase, self.cores)
 
     def drain(self, max_cycles: int = DRAIN.deadline) -> int:
         """Run until no message is in flight and no controller is busy."""

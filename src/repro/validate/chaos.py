@@ -2,15 +2,15 @@
 
 Each scenario injects a real process-level fault into a real run -
 SIGKILL a shard worker mid-window, SIGSTOP-wedge one past the receive
-timeout, SIGKILL a whole single-process run or the shard *coordinator*,
-corrupt or truncate a checkpoint on disk - and then demands one of two
-outcomes, with nothing in between:
+timeout, SIGKILL the shard *coordinator* or a sweep-pool worker,
+corrupt or truncate a shard snapshot on disk - and then demands one of
+two outcomes, with nothing in between:
 
-* the run **recovers** (self-healing respawn, or checkpoint resume) and
-  its stats, histograms and finish cycle are *bit-identical* to an
-  uninterrupted reference run; or
+* the run **recovers** (self-healing respawn, snapshot resume, or a
+  fleet rerunning a dead worker's task) and its stats, histograms and
+  finish cycle are *bit-identical* to an uninterrupted reference run; or
 * the failure is **impossible to recover** (respawn budget exhausted,
-  damaged checkpoint) and surfaces as its precise typed error
+  damaged snapshot) and surfaces as its precise typed error
   (:class:`~repro.sim.shard.ShardRecoveryError`,
   :class:`~repro.sim.checkpoint.CorruptCheckpointError`, ...).
 
@@ -25,11 +25,13 @@ Run it via ``python -m repro.harness chaos`` or
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -38,15 +40,16 @@ import repro
 from repro.cpu.workloads import ALL_WORKLOADS
 from repro.sim.checkpoint import (
     MAGIC,
-    CheckpointPolicy,
     CorruptCheckpointError,
     IncompatibleCheckpointError,
+    capture_system,
     fingerprint,
     read_checkpoint,
+    write_checkpoint,
 )
 from repro.sim.config import Variant
 from repro.sim.shard import _SNAPSHOT_RE, ShardRecoveryError, run_sharded
-from repro.system import build_system
+from repro.system import build_system, new_run_state
 from repro.validate import conformance
 
 #: Small-but-real quanta: enough cycles for several barrier windows,
@@ -101,10 +104,14 @@ class _PidWatch:
             os.environ["REPRO_SHARD_PIDFILE"] = self._saved
         os.unlink(self.path)
 
+    def pids(self) -> List[int]:
+        """Every worker pid spawned so far."""
+        with open(self.path) as handle:
+            return [int(line) for line in handle if line.strip()]
+
     def leaked(self) -> List[int]:
         alive = []
-        with open(self.path) as handle:
-            pids = [int(line) for line in handle if line.strip()]
+        pids = self.pids()
         deadline = time.time() + 10  # grace for SIGKILLed procs to reap
         for pid in pids:
             while True:
@@ -244,48 +251,114 @@ def _scenario_coordinator_sigkill(reference: dict) -> ChaosOutcome:
                         detail="resumed from consistent cut, bit-identical")
 
 
-def _scenario_singleproc_sigkill() -> ChaosOutcome:
-    """SIGKILL a checkpointing single-process run, resume from its
-    newest checkpoint, and match an uninterrupted in-process run (the
-    matrix's ``killed-resume`` mode)."""
-    name = "singleproc-sigkill-resume"
+class _Requeues(logging.Handler):
+    """Counts the tasks a fleet requeues after a worker's death."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.count = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.count += "requeueing" in record.getMessage()
+
+
+def _kill_first_worker(watch: "_PidWatch", killed: List[int]) -> None:
+    """Wait for the first worker ``watch`` sees, give it time to take a
+    task, then SIGKILL it and record its pid in ``killed``."""
+    deadline = time.time() + 60
+    while time.time() < deadline:
+        pids = watch.pids()
+        if pids:
+            time.sleep(0.3)  # the fleet hands out tasks as it starts
+            try:
+                os.kill(pids[0], signal.SIGKILL)
+            except ProcessLookupError:
+                return  # already gone: nothing was killed
+            killed.append(pids[0])
+            return
+        time.sleep(0.01)
+
+
+def _scenario_sweep_worker_sigkill() -> ChaosOutcome:
+    """SIGKILL one worker of a ``--jobs 2`` sweep pool mid-batch: its
+    fleet reruns the task on a respawned worker, and every result must
+    match an uninterrupted serial batch, with no worker left behind."""
+    from repro.harness import experiment
+    from repro.harness.experiment import RunSpec
+
+    name = "sweep-worker-sigkill"
+    # Memory-bound canneal: each run takes about a second, so the kill
+    # lands inside the first task.
+    specs = [RunSpec(16, variant, "canneal", _SEED,
+                     measure_instructions=800, warmup_instructions=200)
+             for variant in (Variant.BASELINE, Variant.COMPLETE,
+                             Variant.REUSE_NOACK)]
+    saved_cache = os.environ.pop("REPRO_CACHE", None)  # compute, not read
     try:
-        resumed = conformance.run(CELL, "killed-resume")
-    except RuntimeError as err:  # the victim was not killed
-        return ChaosOutcome(name, False, error=str(err))
-    divergence = conformance.diff(resumed, conformance.run(CELL))
-    if divergence:
-        return ChaosOutcome(name, False, error=divergence)
+        with experiment.fresh_memo():
+            serial = experiment.run_specs(specs, jobs=1)
+        killed: List[int] = []
+        requeues = _Requeues()
+        fleet_log = logging.getLogger("repro.proc")
+        with experiment.fresh_memo(), _PidWatch() as watch:
+            killer = threading.Thread(target=_kill_first_worker,
+                                      args=(watch, killed))
+            fleet_log.addHandler(requeues)
+            killer.start()
+            try:
+                pooled = experiment.run_specs(specs, jobs=2)
+            except Exception as err:  # noqa: BLE001 - verdict
+                pooled = err
+            finally:
+                killer.join()
+                fleet_log.removeHandler(requeues)
+            spawned = len(watch.pids())
+            leaked = watch.leaked()
+    finally:
+        if saved_cache is not None:
+            os.environ["REPRO_CACHE"] = saved_cache
+    if isinstance(pooled, Exception):
+        return ChaosOutcome(name, False,
+                            error=f"batch failed: {type(pooled).__name__}: "
+                                  f"{pooled}")
+    if not killed or spawned != 3 or requeues.count != 1:
+        return ChaosOutcome(name, False,
+                            error=f"expected 1 kill, 1 respawn and 1 rerun "
+                                  f"task, got {len(killed)}, {spawned - 2} "
+                                  f"and {requeues.count}")
+    if leaked:
+        return ChaosOutcome(name, False, error=f"leaked workers: {leaked}")
+    for key, result in serial.items():
+        divergence = conformance.diff(
+            conformance.result_witness(pooled[key]),
+            conformance.result_witness(result))
+        if divergence:
+            return ChaosOutcome(name, False, error=f"{key}: {divergence}")
     return ChaosOutcome(name, True,
-                        detail="killed after 2nd checkpoint, resumed "
-                               "bit-identical")
+                        detail=f"pool worker killed mid-batch; task rerun, "
+                               f"{len(serial)} results bit-identical")
 
 
-def _checkpoint_file_for_damage(directory: str) -> str:
-    """Produce a real checkpoint to damage."""
+def _snapshot_file_for_damage(directory: str) -> str:
+    """Write a real snapshot of a warmed-up system to damage."""
     from repro.cpu.workloads import workload_by_name
 
     system = build_system(CELL.config(), workload_by_name(_WORKLOAD))
-    policy = CheckpointPolicy(directory, _INTERVAL,
-                              fingerprint("chaos-damage"))
-    watchdog_path = policy.path
-    system.run_script(_WARMUP, _MEASURE, policy, keep_history=True)
-    # run_script discards nothing; the newest checkpoint survives
-    # under policy.path history copies.  Use the last history copy.
-    history = sorted(
-        entry for entry in os.listdir(directory)
-        if entry.startswith("run.ckpt.")
-    )
-    if history:
-        return os.path.join(directory, history[-1])
-    return watchdog_path  # pragma: no cover - interval > run length
+    system.warmup(_WARMUP)
+    cycle = system.sim.cycle
+    path = os.path.join(directory, "snapshot.ckpt")
+    write_checkpoint(
+        path, capture_system(system, dict(new_run_state(_WARMUP, _MEASURE),
+                                          cycle=cycle)),
+        kind="shard", config_hash=fingerprint("chaos-damage"), cycle=cycle)
+    return path
 
 
 def _scenario_corrupt_checkpoint() -> ChaosOutcome:
     """Bit-flips and truncation must raise CorruptCheckpointError."""
     name = "corrupt-checkpoint"
     with tempfile.TemporaryDirectory() as tmp:
-        path = _checkpoint_file_for_damage(tmp)
+        path = _snapshot_file_for_damage(tmp)
         with open(path, "rb") as handle:
             raw = handle.read()
         damages = {
@@ -322,7 +395,7 @@ def _scenario_stale_or_foreign_checkpoint() -> ChaosOutcome:
 
     name = "stale-or-foreign-checkpoint"
     with tempfile.TemporaryDirectory() as tmp:
-        path = _checkpoint_file_for_damage(tmp)
+        path = _snapshot_file_for_damage(tmp)
         with open(path, "rb") as handle:
             raw = handle.read()
         (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
@@ -560,8 +633,8 @@ def run_chaos_campaign(
         timeout=2.0,
         _chaos={"shard": 0, "barrier_seq": 60, "action": "sigstop"}))
     run(lambda: _scenario_coordinator_sigkill(reference))
-    run(_scenario_singleproc_sigkill)
     run(_scenario_respawn_exhausted)
+    run(_scenario_sweep_worker_sigkill)
     say("damaged-file scenarios")
     run(_scenario_corrupt_checkpoint)
     run(_scenario_stale_or_foreign_checkpoint)

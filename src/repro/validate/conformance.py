@@ -1,14 +1,14 @@
 """The conformance matrix: one experiment, every execution mode.
 
 "Run one configuration two ways and compare what it measured" -
-monitored / observed / profiled vs. bare, sharded / checkpointed /
-resumed / served vs. one plain process, and every run vs. the digest
-committed for it - is owned here, once:
+monitored / observed / profiled vs. bare, sharded / served vs. one
+plain process, and every run vs. the digest committed for it - is owned
+here, once:
 
 * a :class:`Cell` names a configuration (synthetic traffic when ``load``
   is a request rate, a full CMP when it is a workload name);
 * :func:`run` executes it in a *mode* - ``+``-joined :data:`MODES` flags
-  such as ``"monitored+shards2"`` or ``"api+killed-resume"`` - and
+  such as ``"monitored+shards2"`` or ``"api+observed"`` - and
   returns its :func:`witness`: ``Stats.snapshot()`` plus start / finish
   cycles (plus request / reply counts and latencies for traffic);
 * :func:`diff` compares two witnesses section by section, :func:`digest`
@@ -31,9 +31,6 @@ import hashlib
 import json
 import os
 import random
-import signal
-import subprocess
-import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -56,13 +53,11 @@ from repro.validate.invariants import InvariantMonitor, InvariantViolation
 #: process (``fast`` is the plain run, the absence of every other flag),
 #: then the engines, which need a CMP.
 _IN_PROCESS = ("fast", "monitored", "observed", "profiled")
-MODES = _IN_PROCESS + ("checkpoint", "killed-resume", "shards2", "shards4",
-                       "api", "daemon")
+MODES = _IN_PROCESS + ("shards2", "shards4", "api", "daemon")
 
 #: Cycles between audits of a ``monitored`` run (and telemetry samples
-#: of an ``observed`` one), and between checkpoints of a checkpointed one.
+#: of an ``observed`` one).
 MONITOR_INTERVAL = 250
-CHECKPOINT_INTERVAL = 600
 
 #: Highest load (requests / kcycle / node) generated for a 64-core torus.
 #: The model has no dateline VCs, so above it a wrap-around ring deadlocks
@@ -78,8 +73,7 @@ TORUS64_MAX_RATE = 48.0
 FRAGMENTED_MIN_BUFFER = 5
 
 #: Settings an ``api`` run must not inherit from the caller's shell.
-_ENGINE_ENV = ("REPRO_CHECKPOINT", "REPRO_CHECKPOINT_DIR", "REPRO_RESUME",
-               "REPRO_SHARDS", "REPRO_CACHE", "REPRO_SCALE", "REPRO_CHECK",
+_ENGINE_ENV = ("REPRO_SHARDS", "REPRO_CACHE", "REPRO_SCALE", "REPRO_CHECK",
                "REPRO_CHECK_INTERVAL", "REPRO_TOPOLOGY", "REPRO_SERVICE")
 
 
@@ -162,7 +156,7 @@ def witness(stats, **cycles) -> dict:
             "cycles": cycles}
 
 
-def _result_witness(result) -> dict:
+def result_witness(result) -> dict:
     """What a ``RunResult`` keeps of the witness: means as plain floats
     (the percentiles derived from the histograms are dropped here) and,
     of the cycles, only ``exec``.  :func:`diff` compares on those terms."""
@@ -369,61 +363,25 @@ def _shards(flags) -> int:
                  if flag.startswith("shards")), 0)
 
 
-def _kill_victim(cell: Cell, flags, workdir: str) -> None:
-    """Run the cell's checkpointing twin in a child that SIGKILLs itself
-    after its second checkpoint, leaving ``workdir`` to resume from."""
-    import repro
-
-    mode = "+".join(sorted(flags - {"killed-resume"} | {"checkpoint"}))
-    victim = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "from repro.validate.conformance import *\n"
-         f"run({cell!r}, {mode!r}, sys.argv[1])\n", workdir],
-        env=dict(os.environ, REPRO_CHAOS_KILL_AFTER="2",
-                 PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__))),
-        capture_output=True, text=True, timeout=600)
-    if victim.returncode != -signal.SIGKILL:
-        raise RuntimeError(
-            f"{cell!r}: victim exited {victim.returncode} instead of being "
-            f"killed after its 2nd checkpoint: {victim.stderr[-400:]}")
-
-
 def _run_cmp(cell: Cell, flags, workdir: str) -> dict:
-    from repro.sim.checkpoint import CheckpointPolicy, fingerprint
     from repro.sim.shard import run_sharded
     from repro.system import build_system
 
     config = cell.config()
-    checkpointed = bool(flags & {"checkpoint", "killed-resume"})
-    ckpt_dir = os.path.join(workdir, "ckpt")
     if _shards(flags):
         result = run_sharded(
             config, cell.load, cell.warmup, cell.length,
             n_shards=_shards(flags), check="monitored" in flags,
-            check_interval=MONITOR_INTERVAL,
-            checkpoint_dir=ckpt_dir if checkpointed else None,
-            checkpoint_interval=CHECKPOINT_INTERVAL if checkpointed else None)
+            check_interval=MONITOR_INTERVAL)
         return witness(result.stats, start=result.start_cycle,
                        finish=result.finish_cycle, end=result.end_cycle)
-    policy = run_state = None
-    if checkpointed:
-        policy = CheckpointPolicy(ckpt_dir, CHECKPOINT_INTERVAL,
-                                  fingerprint(cell))
-    if "killed-resume" in flags:
-        _kill_victim(cell, flags, workdir)
-        restored = policy.restore()
-        system, run_state = restored["system"], restored["run"]
-    else:
-        system = build_system(config, workload_by_name(cell.load))
+    system = build_system(config, workload_by_name(cell.load))
     out: dict = {}
     with _instruments(cell, flags, system.sim, system.network, system,
                       workdir, out) as attach:
         start, finish = system.run_script(
-            cell.warmup, cell.length, policy, run_state=run_state,
+            cell.warmup, cell.length,
             at_measure=attach and partial(attach, system))
-    if policy is not None:
-        policy.discard()
     return dict(witness(system.stats, start=start, finish=finish,
                         end=system.sim.cycle), **out)
 
@@ -438,10 +396,7 @@ def _run_api(cell: Cell, flags, workdir: str) -> dict:
 
     if "profiled" in flags:
         raise ValueError(f"a RunSpec cannot ask for {sorted(flags)}")
-    ckpt_dir = os.path.join(workdir, "ckpt")
-    env = {"REPRO_CHECKPOINT_DIR": ckpt_dir}
-    if flags & {"checkpoint", "killed-resume"}:
-        env["REPRO_CHECKPOINT"] = str(CHECKPOINT_INTERVAL)
+    env = {}
     if _shards(flags):
         env["REPRO_SHARDS"] = str(_shards(flags))
     if "monitored" in flags:
@@ -452,9 +407,6 @@ def _run_api(cell: Cell, flags, workdir: str) -> dict:
     os.environ.update(env)
     daemon = None
     try:
-        if "killed-resume" in flags:
-            _kill_victim(cell, flags, workdir)
-            os.environ["REPRO_RESUME"] = "1"
         if "daemon" in flags:
             daemon = Daemon(os.path.join(workdir, "repro.sock"),
                             workers=1).start()
@@ -467,17 +419,14 @@ def _run_api(cell: Cell, flags, workdir: str) -> dict:
             os.environ.pop(name, None)
             if value is not None:
                 os.environ[name] = value
-    if os.path.isdir(ckpt_dir) and os.listdir(ckpt_dir):
-        raise RuntimeError(f"{cell!r}: the completed run left checkpoints "
-                           f"behind in {ckpt_dir}")
-    return _result_witness(result)
+    return result_witness(result)
 
 
 def run(cell: Cell, mode: str = "fast", workdir: Optional[str] = None) -> dict:
     """Execute ``cell`` in ``mode``; returns its witness.
 
     ``workdir`` (default: a private temporary directory, removed
-    afterwards) receives checkpoints and telemetry artifacts.  Raises
+    afterwards) receives telemetry artifacts and the daemon's socket.  Raises
     whatever the run raises - in ``monitored`` mode an
     :class:`InvariantViolation` on the first broken law.
     """

@@ -1,12 +1,14 @@
-"""Checkpoint/restart: determinism round-trips and format integrity.
+"""Shard snapshots: determinism round-trips and format integrity.
 
-A checkpoint must be exactly three things: *complete* (restoring it and
+A snapshot must be exactly three things: *complete* (restoring it and
 continuing yields the same statistics, histograms, and finish cycle as
 the uninterrupted run, bit for bit), *honest* (any damaged, truncated,
 stale, or foreign file is rejected with a typed error naming the exact
 mismatch, never silently reinterpreted), and *invisible* (a run that
-writes checkpoints is bit-identical to one that does not).  These tests
-pin all three, across protocol variants.
+writes snapshots is bit-identical to one that does not).  These tests
+pin all three, across protocol variants, on the path a respawned shard
+worker takes: :func:`read_checkpoint` + :func:`restore_system`, then
+:func:`repro.system.run_phases` re-entered where the snapshot stood.
 """
 
 import json
@@ -14,6 +16,7 @@ import os
 import shutil
 import struct
 import tempfile
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -24,8 +27,6 @@ from repro.sim.checkpoint import (
     MAGIC,
     SCHEMA_VERSION,
     CheckpointError,
-    CheckpointPolicy,
-    CheckpointWatchdog,
     CorruptCheckpointError,
     IncompatibleCheckpointError,
     UnpicklableStateError,
@@ -37,11 +38,12 @@ from repro.sim.checkpoint import (
     write_checkpoint,
 )
 from repro.sim.config import SystemConfig, Variant, small_test_config
-from repro.system import PHASES, CmpSystem, arm_phase, new_run_state
+from repro.system import PHASES, CmpSystem, arm_phase, new_run_state, \
+    run_phases
 
 WARMUP = 80
 MEASURE = 250
-INTERVAL = 600  # capture every ~600 cycles: several per phase at this size
+INTERVAL = 600  # snapshot every ~600 cycles: several per phase at this size
 
 
 def _build(variant):
@@ -49,8 +51,42 @@ def _build(variant):
                      workload_by_name("canneal"))
 
 
+def _snapshotting(system, directory, config_hash, history):
+    """``run_phases``' ``execute`` that, like a shard worker at its
+    barriers, writes a snapshot about every ``INTERVAL`` cycles: it stops
+    ``run_until`` on one of the phase's check boundaries, snapshots, and
+    starts it again from there - which is what a restored run does."""
+    sim = system.sim
+
+    def execute(phase, run_state, resumed):
+        done = partial(system.phase_done, phase, system.cores)
+        ci = run_state["ci"]
+        step = -(-INTERVAL // ci) * ci
+        while True:
+            stop = sim.cycle + step
+            sim.run_until(lambda: done() or sim.cycle >= stop,
+                          run_state["deadline"] - sim.cycle, ci)
+            if done():
+                system.stats.flush()
+                return
+            path = os.path.join(directory, f"run.ckpt.{len(history):03d}")
+            write_checkpoint(
+                path, capture_system(system, dict(run_state, cycle=sim.cycle)),
+                kind="shard", config_hash=config_hash, cycle=sim.cycle)
+            history.append(path)
+
+    return execute
+
+
+def _restore(path, config_hash):
+    """What a respawned shard worker does with its snapshot file."""
+    _header, payload = read_checkpoint(path, kind="shard",
+                                       config_hash=config_hash)
+    return restore_system(payload)
+
+
 class _Run:
-    """One reference + checkpointed run, with its surviving history."""
+    """One reference + snapshotting run, with its snapshot history."""
 
     def __init__(self, variant):
         system = _build(variant)
@@ -62,19 +98,17 @@ class _Run:
 
         self.config_hash = fingerprint(variant.value)
         self.directory = tempfile.mkdtemp(prefix="repro-ckpt-test-")
-        policy = CheckpointPolicy(self.directory, INTERVAL, self.config_hash)
+        self.history = []
         system = _build(variant)
-        start, finish = system.run_script(WARMUP, MEASURE, policy,
-                                          keep_history=True)
-        # Writing checkpoints must not perturb the run itself.
+        start, finish = run_phases(
+            system, new_run_state(WARMUP, MEASURE),
+            _snapshotting(system, self.directory, self.config_hash,
+                          self.history),
+            system.cores)
+        # Writing snapshots must not perturb the run itself.
         assert (start, finish) == (self.start, self.finish)
         assert system.sim.cycle == self.end
         assert system.stats.snapshot() == self.stats
-        self.history = sorted(
-            os.path.join(self.directory, name)
-            for name in os.listdir(self.directory)
-            if name.startswith("run.ckpt.")
-        )
         assert len(self.history) >= 3, "interval too coarse for this test"
 
 
@@ -105,20 +139,13 @@ def _cleanup_run_dirs():
 @example(variant=Variant.REUSE_NOACK, fraction=1.0)
 @example(variant=Variant.BASELINE, fraction=0.5)
 def test_resume_is_bit_identical(variant, fraction):
-    """Restoring any mid-run checkpoint replays to the same result."""
+    """Restoring any mid-run snapshot replays to the same result."""
     run = _run_for(variant)
     pick = min(int(fraction * len(run.history)), len(run.history) - 1)
-    _header, payload = read_checkpoint(run.history[pick], kind="run",
-                                       config_hash=run.config_hash)
-    data = restore_system(payload)
+    data = _restore(run.history[pick], run.config_hash)
     system = data["system"]
-    scratch = tempfile.mkdtemp(prefix="repro-ckpt-resume-")
-    try:
-        policy = CheckpointPolicy(scratch, INTERVAL, run.config_hash)
-        start, finish = system.run_script(run_state=data["run"],
-                                          policy=policy)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    start, finish = run_phases(system, data["run"], system.run_phase,
+                               system.cores)
     assert (start, finish) == (run.start, run.finish)
     assert system.sim.cycle == run.end
     assert system.stats.snapshot() == run.stats
@@ -147,11 +174,12 @@ def test_capture_right_after_prewarm_resumes_identically():
         capture_system(system, dict(run_state, cycle=system.sim.cycle)))
     restored = data["system"]
     assert _directory_lines(restored) == before
-    assert restored.run_script(run_state=data["run"]) == (run.start,
-                                                          run.finish)
+    assert run_phases(restored, data["run"], restored.run_phase,
+                      restored.cores) == (run.start, run.finish)
     assert restored.sim.cycle == run.end
     assert restored.stats.snapshot() == run.stats
-    system.run_script(run_state=run_state)  # the uninterrupted twin
+    run_phases(system, run_state, system.run_phase,
+               system.cores)  # the uninterrupted twin
     assert _directory_lines(restored) == _directory_lines(system)
 
 
@@ -237,24 +265,24 @@ def test_schema_2_file_is_refused_before_unpickling(tmp_path):
     no longer has: resuming from such a file must fail typed at the
     header, never as an ``AttributeError`` out of the unpickler (the
     payload here would not even unpickle)."""
-    policy = CheckpointPolicy(str(tmp_path), INTERVAL, "cafe")
-    write_checkpoint(policy.path, b"payload-bytes", kind="run",
+    path = str(tmp_path / "x.ckpt")
+    write_checkpoint(path, b"payload-bytes", kind="shard",
                      config_hash="cafe", cycle=42)
-    _rewrite_header(policy.path, schema=2)
+    _rewrite_header(path, schema=2)
     with pytest.raises(IncompatibleCheckpointError, match="schema 2"):
-        policy.restore()
+        _restore(path, "cafe")
 
 
 def test_schema_3_file_is_refused_before_unpickling(tmp_path):
     """Schema 3 arrays carry an ``addr -> way`` dict and a line object in
     every resident way; unpickled into this build they would read as
     arrays whose occupancy is 0.  Refused typed at the header, like 2."""
-    policy = CheckpointPolicy(str(tmp_path), INTERVAL, "cafe")
-    write_checkpoint(policy.path, b"payload-bytes", kind="run",
+    path = str(tmp_path / "x.ckpt")
+    write_checkpoint(path, b"payload-bytes", kind="shard",
                      config_hash="cafe", cycle=42)
-    _rewrite_header(policy.path, schema=3)
+    _rewrite_header(path, schema=3)
     with pytest.raises(IncompatibleCheckpointError, match="schema 3"):
-        policy.restore()
+        _restore(path, "cafe")
 
 
 def test_schema_4_file_is_refused_before_unpickling(tmp_path):
@@ -270,14 +298,13 @@ def test_schema_4_file_is_refused_before_unpickling(tmp_path):
     and 3."""
     assert SCHEMA_VERSION > 4
     for schema in range(4, SCHEMA_VERSION):
-        policy = CheckpointPolicy(str(tmp_path / str(schema)), INTERVAL,
-                                  "cafe")
-        write_checkpoint(policy.path, b"payload-bytes", kind="run",
+        path = str(tmp_path / f"{schema}.ckpt")
+        write_checkpoint(path, b"payload-bytes", kind="shard",
                          config_hash="cafe", cycle=42)
-        _rewrite_header(policy.path, schema=schema)
+        _rewrite_header(path, schema=schema)
         with pytest.raises(IncompatibleCheckpointError,
                            match=f"schema {schema}"):
-            policy.restore()
+            _restore(path, "cafe")
 
 
 def test_wrong_kind_is_incompatible(ckpt):
@@ -298,24 +325,3 @@ def test_missing_file_is_a_checkpoint_error(tmp_path):
 def test_unknown_closure_is_named_not_silently_dropped():
     with pytest.raises(UnpicklableStateError, match="lambda"):
         dumps_state({"callback": lambda: None})
-
-
-# -- watchdog cadence: captures land exactly on check boundaries --------
-
-def test_watchdog_aligns_captures_to_check_boundaries(tmp_path):
-    wd = CheckpointWatchdog(object(), {}, str(tmp_path / "w.ckpt"),
-                            interval=100, config_hash="x")
-    wd.set_phase(anchor=0, check_interval=64)
-    # First boundary at or past interval 100 is 2 * 64 = 128; the hook
-    # fires on cycle 127 (state then corresponds to "about to run 128").
-    assert wd.next_due(0) == 127
-    wd.set_phase(anchor=1000, check_interval=64, from_cycle=1500)
-    # Re-entry mid-phase: boundaries stay anchored at 1000, not 1500.
-    assert (wd.next_due(1500) + 1 - 1000) % 64 == 0
-    assert wd.next_due(1500) + 1 >= 1500 + 100
-
-
-def test_watchdog_rejects_nonpositive_interval(tmp_path):
-    with pytest.raises(ValueError):
-        CheckpointWatchdog(object(), {}, str(tmp_path / "w.ckpt"),
-                           interval=0, config_hash="x")

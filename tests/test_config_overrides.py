@@ -92,7 +92,6 @@ def test_keyword_error_names_the_keyword():
     ("shard_timeout", "REPRO_SHARD_TIMEOUT", "0"),
     ("topology", "REPRO_TOPOLOGY", "ring"),
     ("service_workers", "REPRO_SERVICE_WORKERS", "lots"),
-    ("chaos_kill_after", "REPRO_CHAOS_KILL_AFTER", "x"),
 ])
 def test_constraints_enforced_per_setting(monkeypatch, name, env, bad):
     monkeypatch.setenv(env, bad)
@@ -119,8 +118,6 @@ def _default_shards():
     ("REPRO_SHARD_TIMEOUT", "-1", _sharded),
     ("REPRO_SHARD_RESPAWNS", "-1", _sharded),
     ("REPRO_SHARD_RESPAWNS", "many", _sharded),
-    ("REPRO_CHECKPOINT", "0", _sharded),
-    ("REPRO_CHECKPOINT", "often", _sharded),
     ("REPRO_CHECK", "maybe", _sharded),
     ("REPRO_TOPOLOGY", "ring", lambda: SystemConfig(n_cores=16)),
     # structural: 32 cores do not tile a cmesh
@@ -192,6 +189,39 @@ def test_cli_env_subcommand_prints_the_table(capsys, monkeypatch):
     assert "REPRO_SCALE" in out and "0.25" in out
     assert "REPRO_SERVICE" in out  # every registered knob is listed
     assert "<error:" in out  # malformed values render, not crash
+
+
+#: A removed setting and a typo.  The removed name is spelled in two
+#: parts, so that a search of the tree for it finds no live use.
+UNKNOWN = {"REPRO_" + "RESUME": "1", "REPRO_SCLAE": "0.1"}
+
+
+def test_an_unregistered_variable_is_listed_and_warned(capsys, monkeypatch):
+    """No setting reads these, so the env table shows each as
+    ``unknown (ignored)`` and every other command warns once per name on
+    stderr, leaving its stdout byte-identical."""
+    assert harness_main(["table6"]) == 0
+    plain = capsys.readouterr()
+    for name, value in UNKNOWN.items():
+        monkeypatch.setenv(name, value)
+    assert set(UNKNOWN) <= set(config.unknown_env())
+    assert not set(UNKNOWN) & {entry.env
+                               for entry in config.SETTINGS.values()}
+
+    assert harness_main(["env"]) == 0
+    listed = capsys.readouterr()
+    for name, value in UNKNOWN.items():
+        [row] = [line for line in listed.out.splitlines() if name in line]
+        assert repr(value) in row and row.endswith("[unknown (ignored)]")
+    assert "warning:" not in listed.err
+
+    assert harness_main(["table6"]) == 0
+    warned = capsys.readouterr()
+    assert warned.out == plain.out
+    warnings = [line for line in warned.err.splitlines()
+                if line.startswith("warning: ")]
+    for name in UNKNOWN:
+        assert sum(f" {name} " in line for line in warnings) == 1
 
 
 # ----------------------------------------------------------------------
@@ -284,5 +314,5 @@ def test_only_repro_config_reads_the_repro_environment():
                       for line, var in _env_loads(tree)]
     assert not offenders, offenders
     # and the registry really is what the CLI lists
-    assert {entry.env for entry in config.SETTINGS.values()} >= {
-        "REPRO_SHARD_PIDFILE", "REPRO_CHAOS_KILL_AFTER"}
+    assert "REPRO_SHARD_PIDFILE" in {
+        entry.env for entry in config.SETTINGS.values()}

@@ -192,9 +192,8 @@ def test_run_result_carries_latency_percentiles():
 ENGINE_CELL = Cell(Variant.REUSE_NOACK, "canneal", 250, warmup=80, seed=3,
                    paper_caches=True)
 ENGINE_SPEC = ENGINE_CELL.spec()
-ENGINE_ENV = ("REPRO_CHECKPOINT", "REPRO_CHECKPOINT_DIR", "REPRO_RESUME",
-              "REPRO_SHARDS", "REPRO_CHAOS_KILL_AFTER", "REPRO_CACHE",
-              "REPRO_SCALE", "REPRO_CHECK", "REPRO_TOPOLOGY")
+ENGINE_ENV = ("REPRO_SHARDS", "REPRO_CACHE", "REPRO_SCALE", "REPRO_CHECK",
+              "REPRO_TOPOLOGY")
 
 
 def _run_engine(spec):
@@ -208,18 +207,14 @@ def _run_engine(spec):
 #: Engine -> the conformance-matrix mode that picks it through the
 #: ``REPRO_*`` settings a user would export.
 ENGINE_MODES = {
-    "plain": "api", "checkpoint": "api+checkpoint",
-    "killed-resume": "api+killed-resume", "shards2": "api+shards2",
-    "shards2-checkpoint": "api+shards2+checkpoint",
+    "plain": "api", "shards2": "api+shards2",
     "observed": "api+observed", "daemon": "daemon",
 }
 
 
 @pytest.mark.parametrize("engine", list(ENGINE_MODES))
 def test_every_engine_yields_the_same_result(engine, pinned):
-    """plain = checkpointed = killed-and-resumed = 2 shards = 2 shards
-    checkpointed = observed = served by a job daemon, with no checkpoint
-    left over."""
+    """plain = 2 shards = observed = served by a job daemon."""
     pinned(ENGINE_CELL, ENGINE_MODES[engine])
 
 

@@ -2,8 +2,9 @@
 :class:`~repro.service.protocol.ServiceError` (naming the field) or
 :class:`~repro.config.ConfigError`, never a bare ``KeyError`` /
 ``TypeError`` / ``ValueError``; a damaged result-store shard file is a
-quarantined miss; an unusable store manifest and an out-of-range
-``n_cores`` raise ``ConfigError``.
+quarantined miss; an unusable store manifest, an out-of-range
+``n_cores`` and a ``RunSpec`` field out of its range raise
+``ConfigError``.
 """
 
 import json
@@ -121,6 +122,37 @@ def test_the_service_error_names_the_field(field, value):
 def test_valid_specs_round_trip():
     for data in VALID:
         assert spec_to_json(spec_from_json(data)) == data
+
+
+# ----------------------------------------------------------------------
+# RunSpec fields, checked at construction.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,value", [
+    ("variant", "Baseline"), ("variant", None), ("seed", -1),
+    ("seed", 1.5), ("seed", True), ("measure_instructions", 0),
+    ("measure_instructions", -3), ("measure_instructions", "500"),
+    ("warmup_instructions", -1), ("warmup_instructions", None),
+])
+def test_a_bad_run_spec_field_fails_typed_at_construction(field, value):
+    fields = dict(n_cores=16, variant=Variant.BASELINE, workload="canneal")
+    fields[field] = value
+    with pytest.raises(ConfigError, match=f"RunSpec.{field}") as info:
+        RunSpec(**fields)
+    assert info.value.setting == field
+
+
+def test_the_smallest_valid_run_spec_fields_are_accepted():
+    spec = RunSpec(16, Variant.BASELINE, "canneal", seed=0,
+                   measure_instructions=1, warmup_instructions=0)
+    assert spec.key() == "16/Baseline/canneal/0/1/0"
+
+
+def test_a_bad_wire_spec_field_fails_typed():
+    """A wire spec whose field converts but is out of range fails typed,
+    naming the field."""
+    with pytest.raises((ServiceError, ConfigError), match="seed"):
+        spec_from_json(dict(VALID[0], seed=-1))
 
 
 # ----------------------------------------------------------------------

@@ -310,3 +310,144 @@ def test_circuit_state_lives_in_one_store():
         for line, what in _second_store_sites(
             tree, interface=relative.as_posix() == "noc/interface.py")]
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# One way back from a killed run: it is rerun.  Snapshots of a live
+# system exist for the sharded engine's self-healing alone, so only the
+# engine and the chaos campaign that damages its files import them.
+# ----------------------------------------------------------------------
+
+_SNAPSHOT_USERS = {"sim/shard.py", "validate/chaos.py"}
+
+
+def _imports_of(tree, module: str):
+    """Line numbers of every import of ``module`` in ``tree``, in each
+    spelling: ``import a.b``, ``from a.b import x``, ``from a import b``."""
+    import ast
+
+    package, _, name = module.rpartition(".")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == module for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == module or (
+                    node.module == package
+                    and any(alias.name == name for alias in node.names)):
+                yield node.lineno
+
+
+def test_only_the_shard_engine_and_chaos_import_snapshots():
+    import ast
+
+    probe = ast.parse("import repro.sim.checkpoint\n"
+                      "from repro.sim.checkpoint import fingerprint\n"
+                      "from repro.sim import checkpoint as ckpt\n"
+                      "from repro.sim import kernel\n")
+    assert list(_imports_of(probe, "repro.sim.checkpoint")) == [1, 2, 3]
+    users = {relative.as_posix()
+             for relative, tree in _repro_sources()
+             if any(_imports_of(tree, "repro.sim.checkpoint"))}
+    assert users == _SNAPSHOT_USERS
+
+
+# ----------------------------------------------------------------------
+# The docs name what exists: every backticked code identifier in
+# README.md, DESIGN.md and docs/*.md is defined somewhere in the code,
+# or is one of a few outside names.
+# ----------------------------------------------------------------------
+
+#: Code the docs may name.
+_CODE_DIRS = ("src", "bench", "tools", "tests", "benchmarks")
+
+#: Outside names the docs use: other projects, the standard library's
+#: attributes, and one symbol of the shard-window derivation.
+_OUTSIDE_NAMES = frozenset({
+    "numpy", "certifi", "sys.settrace", "json.dump", "fsync",
+    "perf_counter", "time.process_time", "__dict__", "W",
+})
+
+_IDENTIFIER = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?:\(\))?"
+
+
+def _defined_names() -> set:
+    """Every name the code defines: modules and packages, classes,
+    functions and their parameters, assigned names and attributes,
+    keyword arguments, imported names, and identifier-like string and
+    bytes constants (setting names, environment variables, magics)."""
+    import ast
+    import re
+
+    names = set()
+    for directory in _CODE_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            names.add(path.stem)
+            names.update(parent.name
+                         for parent in path.relative_to(ROOT).parents)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.arg):
+                    names.add(node.arg)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+                    names.add(node.asname or "")
+                elif isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store):
+                    names.add(node.attr)
+                elif isinstance(node, ast.keyword) and node.arg:
+                    names.add(node.arg)
+                elif isinstance(node, ast.Constant) \
+                        and isinstance(node.value, (str, bytes)):
+                    value = node.value if isinstance(node.value, str) \
+                        else node.value.decode("latin-1")
+                    if re.fullmatch(_IDENTIFIER, value):
+                        names.update(value.split("."))
+    return names
+
+
+def _undefined_doc_names(docs, defined) -> dict:
+    """``{identifier: [doc names]}`` of the backticked identifiers in
+    ``docs`` (``(name, text)`` pairs) that name nothing: some dotted part
+    is neither defined, a builtin, nor a keyword, and the whole is not an
+    outside name.  A trailing ``_`` makes the span a prefix of a name.
+    Fenced code blocks are examples, not names, and are skipped."""
+    import builtins
+    import keyword
+    import re
+
+    def known(part: str) -> bool:
+        if part.endswith("_") and not part.endswith("__"):
+            return any(name.startswith(part) for name in defined)
+        return part in defined or hasattr(builtins, part) \
+            or keyword.iskeyword(part)
+
+    undefined: dict = {}
+    for doc, text in docs:
+        text = re.sub(r"```.*?```", "", text, flags=re.S)
+        for span in re.findall(r"`([^`\n]+)`", text):
+            if not re.fullmatch(_IDENTIFIER, span) \
+                    or span in _OUTSIDE_NAMES:
+                continue
+            if not all(map(known, span.removesuffix("()").split("."))):
+                undefined.setdefault(span, []).append(doc)
+    return undefined
+
+
+def test_docs_name_only_what_the_code_defines():
+    docs = [(path.name, path.read_text())
+            for path in [ROOT / "README.md", ROOT / "DESIGN.md",
+                         *sorted((ROOT / "docs").glob("*.md"))]]
+    defined = _defined_names()
+    assert _undefined_doc_names(docs, defined) == {}
+    # A deleted class planted in a doc is caught (spelled in parts, so
+    # this file does not define it).
+    planted = "Checkpoint" + "Policy"
+    assert _undefined_doc_names(
+        [("planted.md", f"Resume through `{planted}`, or `{planted}()`.")],
+        defined) == {planted: ["planted.md"], f"{planted}()": ["planted.md"]}

@@ -6,7 +6,7 @@ processes yields the exact same statistics (counters, means, histograms)
 and the exact same finish cycle as simulating the whole chip in one
 process.  These tests pin that contract as conformance-matrix cells
 (``pinned``, see ``tests/conftest.py``) for the paper's main variants,
-with checkpoints written while sharded, and through the public
+with recovery snapshots written while sharded, and through the public
 ``run_experiment`` / ``REPRO_SHARDS`` entry points.
 """
 
@@ -14,6 +14,7 @@ import pytest
 
 from repro.sim.config import Variant, small_test_config
 from repro.sim.shard import resolve_shards, run_sharded, shard_window
+from repro.validate import conformance
 from repro.validate.conformance import Cell
 
 WARMUP = 80
@@ -40,11 +41,17 @@ def test_sharded_run_bit_identical(variant, n_shards, pinned):
 @pytest.mark.parametrize("variant",
                          [Variant.BASELINE, Variant.COMPLETE,
                           Variant.FRAGMENTED])
-def test_sharded_run_bit_identical_reference_pipeline(variant, pinned):
-    """Sharded workers that write recovery checkpoints as they go match
-    the golden the deleted second pipeline generated for this cell, as
-    its own sharded runs did."""
-    pinned(_cell(variant), "shards2+checkpoint")
+def test_sharded_run_bit_identical_reference_pipeline(
+        variant, _conformance_golden):
+    """Sharded workers that write recovery snapshots as they go (every
+    600 cycles, several per phase) match the golden the deleted second
+    pipeline generated for this cell, as its own sharded runs did."""
+    cell = _cell(variant)
+    result = run_sharded(cell.config(), cell.load, WARMUP, MEASURE,
+                         n_shards=2, check=False, checkpoint_interval=600)
+    assert conformance.digest(conformance.witness(
+        result.stats, start=result.start_cycle, finish=result.finish_cycle,
+        end=result.end_cycle)) == _conformance_golden[cell.id]
 
 
 def test_sharded_run_with_invariant_monitor(pinned):

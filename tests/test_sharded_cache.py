@@ -419,7 +419,7 @@ def test_every_stored_entry_loads_back_as_json_would_give_it(
     from repro.sim.config import Variant
 
     for var in ("REPRO_SCALE", "REPRO_FULL", "REPRO_JOBS", "REPRO_SERVICE",
-                "REPRO_CHECKPOINT", "REPRO_RESUME", "REPRO_SHARDS"):
+                "REPRO_SHARDS"):
         monkeypatch.delenv(var, raising=False)
     small = dict(measure_instructions=250, warmup_instructions=80)
     root = str(tmp_path / "store") + os.sep

@@ -6,10 +6,9 @@ message visits, never the pipeline's behaviour.  For each new topology
 these conformance-matrix cells (``pinned``, see ``tests/conftest.py``)
 pin a plain run (synthetic traffic and a full CMP system) to its golden,
 as well as a sharded run (including the torus's wraparound boundary
-channels) and a checkpointed run killed and resumed mid-flight.  The square mesh
-itself is pinned by ``test_hotpath_equivalence.py`` /
-``test_shard_equivalence.py``; this file extends the same witnesses to
-the new variants.
+channels).  The square mesh itself is pinned by
+``test_hotpath_equivalence.py`` / ``test_shard_equivalence.py``; this
+file extends the same witnesses to the new variants.
 """
 
 import pytest
@@ -57,8 +56,3 @@ def test_full_system_bit_identical(topology, pinned):
 def test_sharded_run_bit_identical(topology, pinned):
     pinned(Cell(Variant.COMPLETE, "canneal", 250, warmup=80, seed=3,
                 topology=topology), "shards2")
-
-
-def test_checkpoint_resume_bit_identical_on_torus(pinned):
-    pinned(Cell(Variant.COMPLETE_NOACK, "canneal", 250, warmup=80, seed=3,
-                topology="torus"), "checkpoint", "killed-resume")
