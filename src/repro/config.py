@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro._record import record
 
 __all__ = [
     "ConfigError",
@@ -186,7 +187,7 @@ def _parse_scale(raw, source: str, setting: "Setting"):
 # The registry.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Setting:
     """One configurable knob: identity, type and constraint."""
 
@@ -247,7 +248,7 @@ _register("shard_pidfile", "REPRO_SHARD_PIDFILE", "", _parse_str,
           "test hook: file the pid of every spawned worker is appended to")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Resolved:
     """One resolved setting: its value and where it came from."""
 

@@ -28,12 +28,13 @@ the paper's 200M-cycle warmup, which pure-Python simulation cannot afford.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 from typing import Tuple
 
+from repro._record import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class StreamParams:
     """Knobs of one core's synthetic access stream."""
 

@@ -13,14 +13,14 @@ low-sharing vs. contended - is what these profiles preserve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Dict, List
 
+from repro._record import record
 from repro.cpu.trace import AccessStream, StreamParams
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WorkloadProfile:
     """A named workload: one stream parameterisation per core."""
 
@@ -105,7 +105,7 @@ _SPEC: Dict[str, StreamParams] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiprogrammedMix(WorkloadProfile):
     """SPEC-style mix: each core runs an independent application.
 

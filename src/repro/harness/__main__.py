@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING
 
 from repro import config as repro_config
@@ -443,11 +444,29 @@ def main(argv=None) -> int:
                   f"(`python -m repro.harness env` lists the settings)",
                   file=sys.stderr)
     try:
-        return _dispatch(args, parser)
+        # serve logs through its own timestamped handler instead
+        with nullcontext() if args.what == "serve" else _warnings_to_stderr():
+            return _dispatch(args, parser)
     except repro_config.ConfigError as exc:
         # a user error gets a message; anything else keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+@contextmanager
+def _warnings_to_stderr():
+    """While a command runs, print what the ``repro`` loggers warn about
+    on stderr as ``warning: <message>`` lines, like the CLI's own."""
+    import logging
+
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger = logging.getLogger("repro")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
 
 
 def _dispatch(args, parser) -> int:

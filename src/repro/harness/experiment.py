@@ -17,15 +17,17 @@ produce stable averages.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, replace
 from functools import partial
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
                     Tuple, Union)
 
 from repro import config as repro_config
+from repro._record import record
 from repro.circuits.outcomes import outcome_fractions
-from repro.noc.topology import resolve_topology
+from repro.noc.topology import MAX_CORES, resolve_topology
 from repro.harness.cache import ShardedCache, open_cache
 from repro.sim.config import SystemConfig, Variant
 from repro.sim.stats import Histogram, Stats
@@ -75,12 +77,17 @@ def _format_key(n_cores: int, variant: str, workload: str, seed: int,
     return base if topology == "mesh" else f"{base}/{topology}"
 
 
-#: The smallest value each integer :class:`RunSpec` field may take.
-_SPEC_MINIMA = (("seed", 0), ("measure_instructions", 1),
-                ("warmup_instructions", 0))
+#: The most instructions per core a run may measure or warm up for,
+#: far beyond any figure's needs (the paper's windows are 500M cycles).
+MAX_INSTRUCTIONS = 10 ** 9
+
+#: ``(field, smallest, largest)`` of each integer :class:`RunSpec` field.
+_SPEC_BOUNDS = (("n_cores", 1, MAX_CORES), ("seed", 0, math.inf),
+                ("measure_instructions", 1, MAX_INSTRUCTIONS),
+                ("warmup_instructions", 0, MAX_INSTRUCTIONS))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RunSpec:
     """Everything defining one measured simulation."""
 
@@ -105,12 +112,12 @@ class RunSpec:
             raise repro_config.ConfigError(
                 "variant", "RunSpec.variant",
                 f"RunSpec.variant must be a Variant, got {self.variant!r}")
-        for name, minimum in _SPEC_MINIMA:
+        for name, low, high in _SPEC_BOUNDS:
             value = getattr(self, name)
-            if type(value) is not int or value < minimum:
+            if type(value) is not int or not low <= value <= high:
                 raise repro_config.ConfigError(
                     name, f"RunSpec.{name}",
-                    f"RunSpec.{name} must be an integer >= {minimum}, "
+                    f"RunSpec.{name} must be an integer in {low}..{high}, "
                     f"got {value!r}")
 
     def scaled(self) -> "RunSpec":
@@ -213,7 +220,7 @@ def prewarm_group(spec: RunSpec) -> Optional[tuple]:
     return prewarm_key(spec_config(spec), workload)
 
 
-@dataclass
+@record
 class RunResult:
     """Flattened measurements of one run (everything the figures need).
 

@@ -8,15 +8,16 @@ protocol simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._record import record
 from repro.config import resolve_jobs
 from repro.noc.traffic import RequestReplyTraffic
 from repro.sim.config import NocConfig, SystemConfig, Variant
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepPoint:
     """One measured sweep configuration."""
 

@@ -16,9 +16,9 @@ the die edge and are shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._record import record
 from repro.cpu.trace import AccessStream
 from repro.cpu.workloads import WorkloadProfile
 from repro.noc.topology import Topology, build_topology
@@ -30,7 +30,7 @@ from repro.system import CmpSystem
 _PARTITION_SHARED_STRIDE = 1 << 20
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Partition:
     """A rectangle of the router grid running one workload."""
 

@@ -21,9 +21,9 @@ out of the actual bit counts rather than being hard-coded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict
 
+from repro._record import record
 from repro.noc.topology import build_topology
 from repro.sim.config import CircuitMode, SystemConfig
 
@@ -43,7 +43,7 @@ TIMER_LOGIC_PER_BIT = 0.3
 ADDRESS_BITS = 32
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RouterAreaModel:
     """Per-component area breakdown of one (5-port) router."""
 

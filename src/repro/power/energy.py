@@ -19,9 +19,9 @@ energies (Fig. 8 is normalised to the baseline) are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
+from repro._record import record
 from repro.noc.topology import build_topology
 from repro.power.area import router_area
 from repro.sim.config import SystemConfig
@@ -46,7 +46,7 @@ LEAK_PER_AREA_CYCLE = 1.9e-4
 LEAK_PER_LINK_CYCLE = 0.02
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NetworkEnergyModel:
     """Energy breakdown of one run."""
 

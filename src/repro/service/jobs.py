@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional
 
+from repro._record import record
 from repro.harness.experiment import RunSpec
 
 QUEUED = "queued"
@@ -45,7 +46,7 @@ JOINABLE = (QUEUED, RUNNING, DONE)
 TERMINAL = (DONE, FAILED)
 
 
-@dataclass
+@record
 class Job:
     """One unit of work owned by the daemon."""
 

@@ -9,8 +9,10 @@ exposed through :class:`Variant`, each of which expands to an orthogonal
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Dict, Tuple
+
+from repro._record import record
 
 
 class CircuitMode(enum.Enum):
@@ -22,7 +24,7 @@ class CircuitMode(enum.Enum):
     IDEAL = "ideal"  # upper bound: every eligible reply rides a circuit
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CircuitConfig:
     """Reactive-circuit policy knobs (orthogonal axes of section 4)."""
 
@@ -70,7 +72,7 @@ class CircuitConfig:
         return self.mode is not CircuitMode.NONE
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NocConfig:
     """Baseline NoC per the paper's Table 4."""
 
@@ -102,7 +104,7 @@ class NocConfig:
         return 1 + self.link_latency
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CacheConfig:
     """Memory hierarchy per the paper's Table 2."""
 
@@ -205,7 +207,7 @@ def variant_config(variant: Variant) -> CircuitConfig:
     return _VARIANT_CIRCUITS[variant]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SystemConfig:
     """Complete description of a simulated CMP."""
 

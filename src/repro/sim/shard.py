@@ -86,10 +86,11 @@ import re
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Tuple
 
 from repro import config as repro_config
+from repro._record import record
 from repro.noc.router import post
 from repro.proc import reap, recv_or_exit, spawn
 from repro.sim.checkpoint import (
@@ -186,7 +187,7 @@ class ShardRecoveryError(SimulationError):
         self.shard = shard
 
 
-@dataclass
+@record
 class ShardResult:
     """Outcome of one sharded run (coordinator side)."""
 

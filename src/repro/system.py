@@ -10,10 +10,11 @@ and provides run/warmup/drain control for experiments.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from repro._record import record
 from repro.coherence.l1 import L1Controller, L1Line
 from repro.coherence.l2dir import DirLine, L2BankController
 from repro.coherence.memory import MemoryController
@@ -46,7 +47,7 @@ _MC_KINDS = frozenset({Kind.MEM_READ, Kind.WB_L2})
 # :func:`run_phases`.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Phase:
     """One row of the run script."""
 

@@ -36,9 +36,10 @@ share the same property.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Dict, Optional
 
+from repro._record import record
 from repro.telemetry.metrics import (
     MetricRegistry,
     MetricSampler,
@@ -81,7 +82,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TelemetryConfig:
     """What to observe and where to write it.
 

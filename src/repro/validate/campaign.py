@@ -13,9 +13,10 @@ violations** (no false positives) - is ``monitored`` mode of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, Iterable, List, Optional
 
+from repro._record import record
 from repro.noc.traffic import RequestReplyTraffic
 from repro.sim.config import SystemConfig, Variant
 from repro.sim.kernel import SimulationError
@@ -62,7 +63,7 @@ FAULT_STALL_THRESHOLDS: Dict[FaultKind, int] = {
 }
 
 
-@dataclass
+@record
 class FaultOutcome:
     """One fault-injection run: detection by the right checker expected."""
 
@@ -169,7 +170,7 @@ def run_campaign(
     ]
 
 
-@dataclass
+@record
 class TopologyReport:
     """Static self-check of one registered topology (zero problems
     expected): port/opposite symmetry, neighbor reciprocity, node/router

@@ -33,10 +33,10 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import repro
+from repro._record import record
 from repro.cpu.workloads import ALL_WORKLOADS
 from repro.sim.checkpoint import (
     MAGIC,
@@ -67,7 +67,7 @@ CELL = conformance.Cell(Variant.REUSE_NOACK, _WORKLOAD, _MEASURE,
                         warmup=_WARMUP, seed=_SEED)
 
 
-@dataclass
+@record
 class ChaosOutcome:
     """Verdict of one chaos scenario."""
 
@@ -252,7 +252,8 @@ def _scenario_coordinator_sigkill(reference: dict) -> ChaosOutcome:
 
 
 class _Requeues(logging.Handler):
-    """Counts the tasks a fleet requeues after a worker's death."""
+    """Counts the tasks a fleet requeues after a worker's death, while
+    it is entered (``with _Requeues() as requeues:``)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -260,6 +261,13 @@ class _Requeues(logging.Handler):
 
     def emit(self, record: logging.LogRecord) -> None:
         self.count += "requeueing" in record.getMessage()
+
+    def __enter__(self) -> "_Requeues":
+        logging.getLogger("repro.proc").addHandler(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        logging.getLogger("repro.proc").removeHandler(self)
 
 
 def _kill_first_worker(watch: "_PidWatch", killed: List[int]) -> None:
@@ -298,12 +306,10 @@ def _scenario_sweep_worker_sigkill() -> ChaosOutcome:
         with experiment.fresh_memo():
             serial = experiment.run_specs(specs, jobs=1)
         killed: List[int] = []
-        requeues = _Requeues()
-        fleet_log = logging.getLogger("repro.proc")
-        with experiment.fresh_memo(), _PidWatch() as watch:
+        with experiment.fresh_memo(), _PidWatch() as watch, \
+                _Requeues() as requeues:
             killer = threading.Thread(target=_kill_first_worker,
                                       args=(watch, killed))
-            fleet_log.addHandler(requeues)
             killer.start()
             try:
                 pooled = experiment.run_specs(specs, jobs=2)
@@ -311,7 +317,6 @@ def _scenario_sweep_worker_sigkill() -> ChaosOutcome:
                 pooled = err
             finally:
                 killer.join()
-                fleet_log.removeHandler(requeues)
             spawned = len(watch.pids())
             leaked = watch.leaked()
     finally:
@@ -467,8 +472,8 @@ def _scenario_service_worker_sigkill() -> ChaosOutcome:
                    measure_instructions=2500, warmup_instructions=300)
     # Workers are forked at start(): empty the memo first so the job is
     # a genuine multi-second simulation the kill can land inside.
-    with experiment.fresh_memo(), \
-            tempfile.TemporaryDirectory() as tmp, _PidWatch() as watch:
+    with experiment.fresh_memo(), tempfile.TemporaryDirectory() as tmp, \
+            _PidWatch() as watch, _Requeues() as requeues:
         env = dict(os.environ,
                    REPRO_CACHE=os.path.join(tmp, "store") + os.sep)
         daemon = Daemon(os.path.join(tmp, "repro.sock"), workers=1, env=env)
@@ -509,9 +514,10 @@ def _scenario_service_worker_sigkill() -> ChaosOutcome:
             name, False,
             error=f"job ended {row['state']!r} after worker kill: "
                   f"{row.get('error', '')}")
-    if respawns != 1:
+    if respawns != 1 or requeues.count != 1:
         return ChaosOutcome(name, False,
-                            error=f"expected 1 respawn, got {respawns}")
+                            error=f"expected 1 respawn and 1 requeue, got "
+                                  f"{respawns} and {requeues.count}")
     if row["attempts"] != 1:
         return ChaosOutcome(
             name, False,

@@ -33,10 +33,11 @@ import os
 import random
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from functools import partial
 from typing import Dict, List, Optional, Union
 
+from repro._record import record
 from repro.coherence.messages import Kind
 from repro.cpu.workloads import workload_by_name
 from repro.noc.topology import TOPOLOGY_CHOICES
@@ -77,7 +78,7 @@ _ENGINE_ENV = ("REPRO_SHARDS", "REPRO_CACHE", "REPRO_SCALE", "REPRO_CHECK",
                "REPRO_CHECK_INTERVAL", "REPRO_TOPOLOGY", "REPRO_SERVICE")
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True)
 class Cell:
     """One configuration of the matrix.  Its ``repr`` is the expression
     that rebuilds it (defaults omitted), ready to paste into a test."""

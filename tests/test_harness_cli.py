@@ -66,6 +66,27 @@ def test_serial_warm_table1_parses_each_store_shard_once(
     assert dict(shard_reads) == {"shard-000.bin": 1}
 
 
+def test_a_library_warning_prints_once_as_a_warning_line(capsys,
+                                                        monkeypatch):
+    """What the ``repro`` loggers warn about inside a command (a fleet
+    requeueing a dead worker's task, say) reaches stderr once, prefixed
+    like the CLI's own warnings, and never stdout."""
+    import logging
+
+    def requeue(args):
+        logging.getLogger("repro.proc").warning(
+            "worker pid %d died (exit -9) running t1; requeueing", 123)
+
+    monkeypatch.setitem(COMMANDS, "table6", requeue)
+    main(["table6"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "123" in line] \
+        == ["warning: worker pid 123 died (exit -9) running t1; requeueing"]
+    main(["table6"])  # a second command installs no second handler
+    assert capsys.readouterr().err.count("warning: worker pid 123") == 1
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["figX"])

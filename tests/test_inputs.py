@@ -24,7 +24,7 @@ from repro.harness.cache import (
     encode_shard,
     open_cache,
 )
-from repro.harness.experiment import RunSpec, spec_keys
+from repro.harness.experiment import MAX_INSTRUCTIONS, RunSpec, spec_keys
 from repro.noc.topology import MAX_CORES, TOPOLOGY_CHOICES, topology_grid_side
 from repro.service.protocol import ServiceError, spec_from_json, spec_to_json
 from repro.sim.config import SystemConfig, Variant
@@ -133,6 +133,10 @@ def test_valid_specs_round_trip():
     ("seed", 1.5), ("seed", True), ("measure_instructions", 0),
     ("measure_instructions", -3), ("measure_instructions", "500"),
     ("warmup_instructions", -1), ("warmup_instructions", None),
+    ("n_cores", 0), ("n_cores", -1), ("n_cores", MAX_CORES + 1),
+    ("n_cores", 2 ** 70), ("n_cores", 16.0), ("n_cores", "16"),
+    ("n_cores", True), ("measure_instructions", MAX_INSTRUCTIONS + 1),
+    ("warmup_instructions", 10 ** 12),
 ])
 def test_a_bad_run_spec_field_fails_typed_at_construction(field, value):
     fields = dict(n_cores=16, variant=Variant.BASELINE, workload="canneal")
@@ -146,6 +150,14 @@ def test_the_smallest_valid_run_spec_fields_are_accepted():
     spec = RunSpec(16, Variant.BASELINE, "canneal", seed=0,
                    measure_instructions=1, warmup_instructions=0)
     assert spec.key() == "16/Baseline/canneal/0/1/0"
+
+
+def test_the_largest_valid_run_spec_fields_are_accepted():
+    spec = RunSpec(MAX_CORES, Variant.BASELINE, "canneal", seed=2 ** 70,
+                   measure_instructions=MAX_INSTRUCTIONS,
+                   warmup_instructions=MAX_INSTRUCTIONS)
+    assert spec.key() == (f"{MAX_CORES}/Baseline/canneal/{2 ** 70}/"
+                          f"{MAX_INSTRUCTIONS}/{MAX_INSTRUCTIONS}")
 
 
 def test_a_bad_wire_spec_field_fails_typed():

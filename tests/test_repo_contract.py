@@ -451,3 +451,37 @@ def test_docs_name_only_what_the_code_defines():
     assert _undefined_doc_names(
         [("planted.md", f"Resume through `{planted}`, or `{planted}()`.")],
         defined) == {planted: ["planted.md"], f"{planted}()": ["planted.md"]}
+
+
+# ----------------------------------------------------------------------
+# One way to declare a value class: ``repro._record.record``, which
+# generates no code at import.
+# ----------------------------------------------------------------------
+
+def _dataclass_sites(tree):
+    """(lineno, what) for every use of ``dataclasses.dataclass``: a
+    ``dataclass`` decorator, name or import, or a ``.dataclass`` call."""
+    import ast
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "dataclass":
+            yield node.lineno, "dataclass"
+        elif isinstance(node, ast.Attribute) and node.attr == "dataclass":
+            yield node.lineno, ".dataclass"
+        elif isinstance(node, ast.alias) and node.name == "dataclass":
+            yield node.lineno, "import dataclass"
+
+
+def test_only_record_calls_dataclass():
+    import ast
+
+    probe = ast.parse("from dataclasses import dataclass\n"
+                      "@dataclass(frozen=True)\nclass A: pass\n"
+                      "@dataclasses.dataclass\nclass B: pass\n")
+    assert [what for _line, what in sorted(_dataclass_sites(probe))] == [
+        "import dataclass", "dataclass", ".dataclass"]
+    offenders = [f"{relative}:{line} {what}"
+                 for relative, tree in _repro_sources()
+                 if relative != pathlib.Path("_record.py")
+                 for line, what in _dataclass_sites(tree)]
+    assert not offenders, offenders
