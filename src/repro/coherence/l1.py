@@ -139,8 +139,6 @@ class L1Controller(ScheduledController):
             Kind.FWD_GETX: self._on_forward,
         }[msg.kind]
         latency = self.config.cache.l1_hit_cycles
-        # partial, not a lambda: pending events must survive checkpoint
-        # pickling (repro.sim.checkpoint).
         self.schedule(cycle + latency, partial(handler, msg))
 
     def _on_data(self, msg: Message, cycle: int) -> None:

@@ -159,8 +159,6 @@ class L2BankController(ScheduledController):
             Kind.MEMORY_DATA: self._on_memory_data,
             Kind.MEMORY_ACK: self._on_memory_ack,
         }[msg.kind]
-        # partial, not a lambda: pending events must survive checkpoint
-        # pickling (repro.sim.checkpoint).
         self.schedule(cycle + self.config.cache.l2_hit_cycles,
                       partial(handler, msg))
 

@@ -29,8 +29,6 @@ class MemoryController(ScheduledController):
 
     def receive(self, msg: Message, cycle: int) -> None:
         due = cycle + self.config.cache.memory_latency_cycles
-        # partials, not lambdas: pending events must survive checkpoint
-        # pickling (repro.sim.checkpoint).
         if msg.kind == Kind.MEM_READ:
             self.schedule(due, partial(self._read_done, msg))
         elif msg.kind == Kind.WB_L2:

@@ -237,7 +237,7 @@ _register("shard_timeout", "REPRO_SHARD_TIMEOUT", 1200.0,
           "seconds before a silent shard worker is declared dead")
 _register("shard_respawns", "REPRO_SHARD_RESPAWNS", 2,
           _parse_int(0, ""),
-          "respawn budget per shard worker")
+          "times a sharded run is rerun after a worker dies")
 _register("service", "REPRO_SERVICE", "", _parse_str,
           "job-daemon address (unix socket path or host:port); "
           "when set, repro.api routes work through the daemon")

@@ -9,7 +9,7 @@ Usage::
     python -m repro.harness check             # monitored clean variant sweep
     python -m repro.harness inject            # seeded fault-injection campaign
     python -m repro.harness chaos             # process-level chaos campaign:
-                                              # kill/wedge/corrupt, prove
+                                              # kill/wedge workers, prove
                                               # recovery is bit-identical
     python -m repro.harness trace --workload fft    # telemetry: Perfetto
                                               # trace + metric time series

@@ -15,8 +15,8 @@ the payload (4 bytes, little-endian), then the payload, a version-4
 and a shard of stored results, written with interned keys, decodes
 about 2.5 times as fast as the same entries in ``json``; the manifest
 stays JSON.  The CRC catches damage -- a torn, truncated or
-bit-flipped file -- not a malicious writer: like a checkpoint file, a
-shard file is trusted to come from this package.
+bit-flipped file -- not a malicious writer: a shard file is trusted
+to come from this package.
 
 Per shard file the store guarantees:
 

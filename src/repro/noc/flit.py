@@ -109,10 +109,6 @@ class Message:
         self.queue_acc = 0
 
     @property
-    def is_reply(self) -> bool:
-        return self.vn == 1
-
-    @property
     def queueing_latency(self) -> int:
         """Cycles spent waiting in NI queues (all legs)."""
         return self.queue_acc

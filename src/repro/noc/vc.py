@@ -102,7 +102,3 @@ class OutputVc:
         self.va_arb = None
         #: Transient phase-1 proposers this cycle (reused, cleared by VA).
         self.proposals: list = []
-
-    @property
-    def is_free(self) -> bool:
-        return self.allocated_to is None

@@ -44,8 +44,9 @@ from repro import config as repro_config
 
 logger = logging.getLogger("repro.proc")
 
-#: Worker deaths tolerated per task (or shard) before giving up - the
-#: one default budget; ``REPRO_SHARD_RESPAWNS`` overrides it for shards.
+#: Worker deaths tolerated per task (or sharded run) before giving up -
+#: the one default budget; ``REPRO_SHARD_RESPAWNS`` overrides it for
+#: sharded runs.
 DEFAULT_RETRIES: int = repro_config.SETTINGS["shard_respawns"].default
 
 #: How often (seconds) a blocked worker checks that its parent is alive.

@@ -91,7 +91,7 @@ class NocConfig:
     #: Network topology: "mesh" (default), "torus" or "cmesh".  Unset
     #: (the empty string) defers to ``repro.config`` (``topology``);
     #: :class:`SystemConfig` resolves it eagerly so pickled configs (shard
-    #: workers, checkpoints) are independent of the worker's environment.
+    #: workers) are independent of the worker's environment.
     topology: str = ""
     #: Per-hop cycles for a packet-switched head flit (4 router + 1 link).
     @property
@@ -219,9 +219,9 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         # Resolve the topology eagerly (consulting repro.config once)
-        # so pickled configs reaching shard workers or checkpoints do not
-        # depend on the receiving process's environment.  Imported here:
-        # repro.noc pulls in modules that import this one at load time.
+        # so pickled configs reaching shard workers do not depend on the
+        # receiving process's environment.  Imported here: repro.noc
+        # pulls in modules that import this one at load time.
         from repro.noc.topology import resolve_topology, topology_grid_side
 
         topology = resolve_topology(self.noc.topology)

@@ -166,37 +166,6 @@ class Simulator:
 
         return wake
 
-    def rewire_wakes(self) -> None:
-        """Re-attach every component's ``kernel_wake`` closure.
-
-        Wake closures are wiring, not state: a snapshot
-        (:mod:`repro.sim.checkpoint`) drops them at pickle time and calls
-        this after unpickling so the restored graph pokes the restored
-        simulator.  Slot membership, the awake set and the wake heap are
-        ordinary data and round-trip through pickle untouched.
-        """
-        for slot in self._slots:
-            try:
-                slot.component.kernel_wake = self._make_wake(slot)
-            except AttributeError:  # pragma: no cover - slotted component
-                pass
-
-    # -- snapshots ----------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle everything except the watchdog hooks.
-
-        Watchdogs (progress, invariants) are re-attached fresh by the
-        shard worker that restores a snapshot; they are
-        observation-only, so dropping them cannot change simulated
-        behaviour.
-        """
-        state = self.__dict__.copy()
-        state["_watchdogs"] = []
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     def add_watchdog(self, hook: Callable[[int], None]) -> None:
         """Register a hook invoked after every executed cycle.
 

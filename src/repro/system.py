@@ -42,9 +42,8 @@ _MC_KINDS = frozenset({Kind.MEM_READ, Kind.WB_L2})
 
 # ----------------------------------------------------------------------
 # The run script (paper sec. 5.1: warm the chip up, then measure), as
-# data.  Both engines - one process, or sharded with its workers
-# restored from snapshots - walk these three rows through
-# :func:`run_phases`.
+# data.  Both engines - one process, or sharded - walk these three rows
+# through :func:`run_phases`.
 # ----------------------------------------------------------------------
 
 @record(frozen=True)
@@ -77,12 +76,11 @@ def new_run_state(warmup_instructions: int,
                   max_measure_cycles: Optional[int] = None) -> dict:
     """Script position of a run that has not started.
 
-    ``phase``/``anchor``/``deadline``/``ci`` are filled in as phases are
-    armed; the record rides in every shard snapshot, so a restored
-    worker re-enters :func:`run_phases` exactly where it stood.
+    ``anchor``/``deadline``/``ci`` are filled in as phases are armed
+    (:func:`arm_phase`).
     """
     return {
-        "phase": None, "start": None,
+        "start": None,
         "warmup": warmup_instructions, "measure": measure_instructions,
         "max_warmup_cycles": max_warmup_cycles,
         "max_measure_cycles": max_measure_cycles,
@@ -98,52 +96,44 @@ def arm_phase(system: "CmpSystem", run_state: dict, phase: Phase,
     for core in cores:
         core.set_target(target)
     cycle = system.sim.cycle
-    run_state.update(phase=phase.name, anchor=cycle,
+    run_state.update(anchor=cycle,
                      deadline=cycle + (max_cycles or phase.deadline),
                      ci=phase.check_interval)
     return run_state
 
 
 def run_phases(system: "CmpSystem", run_state: dict,
-               execute: Callable[[Phase, dict, bool], None],
+               execute: Callable[[Phase, dict], None],
                cores: Sequence[Core],
                at_measure: Optional[Callable[[], None]] = None,
                ) -> Tuple[Optional[int], Optional[int]]:
-    """Walk the script over ``run_state``: prewarm, warm-up, drain, stats
-    reset, mark ``start``, measure.  Returns ``(start, finish)`` cycles.
+    """Walk the script over a fresh ``run_state`` (:func:`new_run_state`):
+    prewarm, warm-up, drain, stats reset, mark ``start``, measure.
+    Returns ``(start, finish)`` cycles.
 
-    ``run_state`` is fresh (:func:`new_run_state`) or restored from a
-    shard snapshot, in which case the script is re-entered in the
-    recorded phase.  ``execute(phase, run_state, resumed)`` is the one
-    thing an engine supplies: how an armed phase runs to its
-    end-of-phase predicate over ``cores`` (the shard worker passes its
-    local ones).
+    ``execute(phase, run_state)`` is the one thing an engine supplies:
+    how an armed phase runs to its end-of-phase predicate over ``cores``
+    (the shard worker passes its local ones).
     ``at_measure`` runs once where measurement starts - after the stats
     reset, before the first measured cycle.  A ``measure`` target of
     None ends the script there (:meth:`CmpSystem.warmup`).
     """
-    resumed = run_state["phase"] is not None
-    if not resumed and run_state["warmup"]:
+    if run_state["warmup"]:
         prewarm(system)
         arm_phase(system, run_state, WARMUP, cores, run_state["warmup"],
                   run_state["max_warmup_cycles"])
-    if run_state["phase"] == WARMUP.name:
-        execute(WARMUP, run_state, resumed)
-        resumed = False
+        execute(WARMUP, run_state)
         arm_phase(system, run_state, DRAIN)
-    if run_state["phase"] == DRAIN.name:
-        execute(DRAIN, run_state, resumed)
-        resumed = False
+        execute(DRAIN, run_state)
         system.stats.reset()
     if run_state["measure"] is None:
         return None, None
-    if not resumed:
-        if at_measure is not None:
-            at_measure()
-        run_state["start"] = system.sim.cycle
-        arm_phase(system, run_state, MEASURE, cores, run_state["measure"],
-                  run_state["max_measure_cycles"])
-    execute(MEASURE, run_state, resumed)
+    if at_measure is not None:
+        at_measure()
+    run_state["start"] = system.sim.cycle
+    arm_phase(system, run_state, MEASURE, cores, run_state["measure"],
+              run_state["max_measure_cycles"])
+    execute(MEASURE, run_state)
     return run_state["start"], max(core.finish_cycle for core in cores)
 
 
@@ -231,10 +221,8 @@ class CmpSystem:
             topo, config.cache.num_memory_controllers
         )
 
-        #: Whether the default address-interleaving map is in use.  A
-        #: custom ``home_of`` (partition experiments) cannot be rebuilt
-        #: after a snapshot restore; the snapshot pickler rejects it
-        #: with a typed error instead.
+        #: Whether the default address-interleaving map is in use (a
+        #: custom ``home_of`` comes from partition experiments).
         self._default_home = home_of is None
         self.home_of = self._make_home_of() if home_of is None else home_of
         self.mc_of = self._make_mc_of()
@@ -286,7 +274,7 @@ class CmpSystem:
         self.network.register(self.sim)
 
     def _make_home_of(self) -> Callable[[int], int]:
-        """The default block-interleaved L2 home map (recreatable wiring)."""
+        """The default block-interleaved L2 home map."""
         line = self.config.cache.line_bytes
         n_nodes = self.network.topo.n_nodes
 
@@ -296,31 +284,13 @@ class CmpSystem:
         return home_of
 
     def _make_mc_of(self) -> Callable[[int], int]:
-        """The block-interleaved memory-controller map (recreatable wiring)."""
+        """The block-interleaved memory-controller map."""
         line = self.config.cache.line_bytes
 
         def mc_of(addr: int) -> int:
             return self.mc_nodes[(addr // line) % len(self.mc_nodes)]
 
         return mc_of
-
-    def reattach(self) -> None:
-        """Rebuild every wiring closure after a snapshot restore.
-
-        The snapshot pickler (:mod:`repro.sim.checkpoint`) reduces the
-        known wire-up closures - address maps, tile dispatch, kernel wake
-        hooks - to None, because closures carry no state that is not
-        recreatable from the restored object graph.  This re-creates all
-        of them against the restored objects.
-        """
-        if self._default_home:
-            self.home_of = self._make_home_of()
-        self.mc_of = self._make_mc_of()
-        for tile in self.tiles:
-            tile.l1.home_of = self.home_of
-            tile.l2.mc_of = self.mc_of
-            tile.ni.deliver = self._make_dispatch(tile)
-        self.sim.rewire_wakes()
 
     def _make_dispatch(self, tile: Tile) -> Callable[[Message, int], None]:
         l1, l2, mc = tile.l1, tile.l2, tile.mc
@@ -400,17 +370,11 @@ class CmpSystem:
             for tile in self.tiles
         )
 
-    def run_phase(self, phase: Phase, run_state: dict,
-                  resumed: bool = False) -> None:
+    def run_phase(self, phase: Phase, run_state: dict) -> None:
         """Execute one armed phase in this process (the local engine's
         half of :func:`run_phases`): ``Simulator.run_until`` from the
         current cycle to the phase's absolute deadline, under a
         :class:`ProgressWatchdog` when the phase is watched.
-
-        A restored snapshot needs nothing extra (``resumed`` is for
-        engines that do): snapshots are taken on check boundaries, so
-        chunks restarting from the restored cycle are the uninterrupted
-        run's.
         """
         sim = self.sim
         watchdog = None

@@ -2,17 +2,15 @@
 
 Each scenario injects a real process-level fault into a real run -
 SIGKILL a shard worker mid-window, SIGSTOP-wedge one past the receive
-timeout, SIGKILL the shard *coordinator* or a sweep-pool worker,
-corrupt or truncate a shard snapshot on disk - and then demands one of
-two outcomes, with nothing in between:
+timeout, SIGKILL a sweep-pool or job-daemon worker - and then demands
+one of two outcomes, with nothing in between:
 
-* the run **recovers** (self-healing respawn, snapshot resume, or a
-  fleet rerunning a dead worker's task) and its stats, histograms and
-  finish cycle are *bit-identical* to an uninterrupted reference run; or
-* the failure is **impossible to recover** (respawn budget exhausted,
-  damaged snapshot) and surfaces as its precise typed error
-  (:class:`~repro.sim.shard.ShardRecoveryError`,
-  :class:`~repro.sim.checkpoint.CorruptCheckpointError`, ...).
+* the run **recovers** (the sharded run is rerun, or a fleet reruns a
+  dead worker's task) and its stats, histograms and finish cycle are
+  *bit-identical* to an uninterrupted reference run; or
+* the failure is **impossible to recover** (respawn budget exhausted)
+  and surfaces as its precise typed error
+  (:class:`~repro.sim.shard.ShardRecoveryError`).
 
 A clean control run must report **zero** respawns (no false positives),
 and no worker process - shard or daemon - may outlive its campaign
@@ -28,39 +26,23 @@ from __future__ import annotations
 import logging
 import os
 import signal
-import subprocess
-import sys
 import tempfile
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-import repro
 from repro._record import record
 from repro.cpu.workloads import ALL_WORKLOADS
-from repro.sim.checkpoint import (
-    MAGIC,
-    CorruptCheckpointError,
-    IncompatibleCheckpointError,
-    capture_system,
-    fingerprint,
-    read_checkpoint,
-    write_checkpoint,
-)
 from repro.sim.config import Variant
-from repro.sim.shard import _SNAPSHOT_RE, ShardRecoveryError, run_sharded
-from repro.system import build_system, new_run_state
+from repro.sim.shard import ShardRecoveryError, run_sharded
 from repro.validate import conformance
 
-#: Small-but-real quanta: enough cycles for several barrier windows,
-#: snapshots and phase transitions on a 4x4 mesh.
+#: Small-but-real quanta: enough cycles for many barrier windows and
+#: every phase transition on a 4x4 mesh.
 _WARMUP = 200
 _MEASURE = 400
 _WORKLOAD = ALL_WORKLOADS[0].name
 _SEED = 3
-#: Snapshot cadence tight enough that every scenario crosses several
-#: snapshot points inside its ~15k-cycle run.
-_INTERVAL = 2000
 
 #: The conformance cell every recovery scenario runs.
 CELL = conformance.Cell(Variant.REUSE_NOACK, _WORKLOAD, _MEASURE,
@@ -141,8 +123,7 @@ def _scenario_recovery(name: str, reference: dict, respawns: int,
     worker, and a result bit-identical to ``reference``."""
     with _PidWatch() as watch:
         result = run_sharded(CELL.config(), _WORKLOAD, _WARMUP,
-                             _MEASURE, n_shards=2, check=False,
-                             checkpoint_interval=_INTERVAL, **fault)
+                             _MEASURE, n_shards=2, check=False, **fault)
         leaked = watch.leaked()
     if result.respawns != respawns:
         return ChaosOutcome(name, False,
@@ -165,8 +146,7 @@ def _scenario_respawn_exhausted() -> ChaosOutcome:
         try:
             run_sharded(
                 CELL.config(), _WORKLOAD, _WARMUP, _MEASURE,
-                n_shards=2, check=False, checkpoint_interval=_INTERVAL,
-                respawn_limit=0,
+                n_shards=2, check=False, respawn_limit=0,
                 _chaos={"shard": 1, "barrier_seq": 10, "action": "sigkill"},
             )
         except ShardRecoveryError as err:
@@ -182,73 +162,6 @@ def _scenario_respawn_exhausted() -> ChaosOutcome:
     return ChaosOutcome(name, False,
                         error="run succeeded with a dead worker and no "
                               "respawn budget")
-
-
-def _scenario_coordinator_sigkill(reference: dict) -> ChaosOutcome:
-    """SIGKILL the whole coordinator process mid-run, then resume the run
-    from the workers' snapshots (newest consistent cut)."""
-    name = "coordinator-sigkill"
-    src_root = os.path.dirname(os.path.dirname(repro.__file__))
-    child_src = (
-        "import sys\n"
-        f"sys.path.insert(0, {src_root!r})\n"
-        "from repro.sim.shard import run_sharded\n"
-        "from repro.validate.chaos import CELL\n"
-        f"run_sharded(CELL.config(), {_WORKLOAD!r}, {_WARMUP}, "
-        f"{_MEASURE}, "
-        f"n_shards=2, check=False, checkpoint_dir=sys.argv[1], "
-        f"checkpoint_interval={_INTERVAL})\n"
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        ckdir = os.path.join(tmp, "ck")
-        proc = subprocess.Popen([sys.executable, "-c", child_src, ckdir])
-
-        def common_seqs() -> set:
-            per: Dict[int, set] = {0: set(), 1: set()}
-            if os.path.isdir(ckdir):
-                for entry in os.listdir(ckdir):
-                    match = _SNAPSHOT_RE.match(entry)
-                    if match:
-                        per[int(match.group(1))].add(int(match.group(2)))
-            return per[0] & per[1]
-
-        deadline = time.time() + 180
-        while time.time() < deadline:
-            if common_seqs():
-                break
-            if proc.poll() is not None:
-                return ChaosOutcome(
-                    name, False,
-                    error="victim finished before any snapshot appeared "
-                          "(scenario too short for the cadence)")
-            time.sleep(0.05)
-        else:
-            proc.kill()
-            proc.wait()
-            return ChaosOutcome(name, False,
-                                error="no snapshots appeared in time")
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.wait()
-        time.sleep(0.5)  # orphaned daemon workers die with the parent
-        with _PidWatch() as watch:
-            try:
-                result = run_sharded(
-                    CELL.config(), _WORKLOAD, _WARMUP, _MEASURE,
-                    n_shards=2, check=False, checkpoint_dir=ckdir,
-                    checkpoint_interval=_INTERVAL, resume=True,
-                )
-            except Exception as err:  # noqa: BLE001 - verdict
-                return ChaosOutcome(name, False,
-                                    error=f"resume failed: "
-                                          f"{type(err).__name__}: {err}")
-            leaked = watch.leaked()
-    if leaked:
-        return ChaosOutcome(name, False, error=f"leaked workers: {leaked}")
-    divergence = _identical(result, reference)
-    if divergence:
-        return ChaosOutcome(name, False, error=divergence)
-    return ChaosOutcome(name, True,
-                        detail="resumed from consistent cut, bit-identical")
 
 
 class _Requeues(logging.Handler):
@@ -342,100 +255,6 @@ def _scenario_sweep_worker_sigkill() -> ChaosOutcome:
     return ChaosOutcome(name, True,
                         detail=f"pool worker killed mid-batch; task rerun, "
                                f"{len(serial)} results bit-identical")
-
-
-def _snapshot_file_for_damage(directory: str) -> str:
-    """Write a real snapshot of a warmed-up system to damage."""
-    from repro.cpu.workloads import workload_by_name
-
-    system = build_system(CELL.config(), workload_by_name(_WORKLOAD))
-    system.warmup(_WARMUP)
-    cycle = system.sim.cycle
-    path = os.path.join(directory, "snapshot.ckpt")
-    write_checkpoint(
-        path, capture_system(system, dict(new_run_state(_WARMUP, _MEASURE),
-                                          cycle=cycle)),
-        kind="shard", config_hash=fingerprint("chaos-damage"), cycle=cycle)
-    return path
-
-
-def _scenario_corrupt_checkpoint() -> ChaosOutcome:
-    """Bit-flips and truncation must raise CorruptCheckpointError."""
-    name = "corrupt-checkpoint"
-    with tempfile.TemporaryDirectory() as tmp:
-        path = _snapshot_file_for_damage(tmp)
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        damages = {
-            "bad-magic": b"NOTACKPT" + raw[len(MAGIC):],
-            "payload-bitflip": raw[:-10] + bytes([raw[-10] ^ 0xFF])
-            + raw[-9:],
-            "truncated": raw[:len(raw) // 2],
-            "empty": b"",
-        }
-        for label, blob in damages.items():
-            damaged = os.path.join(tmp, f"damaged-{label}.ckpt")
-            with open(damaged, "wb") as handle:
-                handle.write(blob)
-            try:
-                read_checkpoint(damaged)
-            except CorruptCheckpointError:
-                continue  # the required typed outcome
-            except Exception as err:  # noqa: BLE001 - verdict
-                return ChaosOutcome(name, False,
-                                    error=f"{label}: wrong error "
-                                          f"{type(err).__name__}: {err}")
-            return ChaosOutcome(name, False,
-                                error=f"{label}: damage went undetected")
-    return ChaosOutcome(name, True,
-                        detail="bad magic / bitflip / truncation / empty "
-                               "all raise CorruptCheckpointError")
-
-
-def _scenario_stale_or_foreign_checkpoint() -> ChaosOutcome:
-    """Stale schema versions and config mismatches must be rejected with
-    IncompatibleCheckpointError before any state is deserialised."""
-    import json
-    import struct
-
-    name = "stale-or-foreign-checkpoint"
-    with tempfile.TemporaryDirectory() as tmp:
-        path = _snapshot_file_for_damage(tmp)
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
-        header_end = len(MAGIC) + 4 + header_len
-        header = json.loads(raw[len(MAGIC) + 4:header_end])
-        # Stale schema.
-        stale_header = dict(header, schema=999)
-        blob = json.dumps(stale_header).encode()
-        stale = os.path.join(tmp, "stale.ckpt")
-        with open(stale, "wb") as handle:
-            handle.write(MAGIC + struct.pack("<I", len(blob)) + blob
-                         + raw[header_end:])
-        try:
-            read_checkpoint(stale)
-        except IncompatibleCheckpointError:
-            pass
-        except Exception as err:  # noqa: BLE001 - verdict
-            return ChaosOutcome(name, False,
-                                error=f"stale schema: wrong error "
-                                      f"{type(err).__name__}: {err}")
-        else:
-            return ChaosOutcome(name, False,
-                                error="stale schema accepted")
-        # Config mismatch.
-        try:
-            read_checkpoint(path, config_hash=fingerprint("other-config"))
-        except IncompatibleCheckpointError:
-            return ChaosOutcome(
-                name, True,
-                detail="stale schema and foreign config both rejected")
-        except Exception as err:  # noqa: BLE001 - verdict
-            return ChaosOutcome(name, False,
-                                error=f"config mismatch: wrong error "
-                                      f"{type(err).__name__}: {err}")
-        return ChaosOutcome(name, False, error="foreign config accepted")
 
 
 # ----------------------------------------------------------------------
@@ -625,25 +444,19 @@ def run_chaos_campaign(
     reference = conformance.run(CELL, "shards2")
     run(lambda: _scenario_recovery(
         "clean-run", reference, 0, "0 respawns, bit-identical"))
-    # SIGKILL one worker mid-window, before the first snapshot (fresh
-    # respawn + full replay) and after several (snapshot restore +
-    # partial replay); then wedge one past the receive timeout.
-    for label, seq in (("early", 3), ("late", 200)):
-        run(lambda: _scenario_recovery(
-            f"worker-sigkill-{label}", reference, 1,
-            f"killed at barrier seq {seq}, recovered bit-identical",
-            _chaos={"shard": 1, "barrier_seq": seq, "action": "sigkill"}))
+    # SIGKILL one worker mid-window, then wedge one past the receive
+    # timeout: either way the whole run is rerun.
+    run(lambda: _scenario_recovery(
+        "worker-sigkill", reference, 1,
+        "killed at barrier seq 40, rerun bit-identical",
+        _chaos={"shard": 1, "barrier_seq": 40, "action": "sigkill"}))
     run(lambda: _scenario_recovery(
         "worker-sigstop", reference, 1,
-        "wedge detected by timeout, recovered bit-identical",
+        "wedge detected by timeout, rerun bit-identical",
         timeout=2.0,
         _chaos={"shard": 0, "barrier_seq": 60, "action": "sigstop"}))
-    run(lambda: _scenario_coordinator_sigkill(reference))
     run(_scenario_respawn_exhausted)
     run(_scenario_sweep_worker_sigkill)
-    say("damaged-file scenarios")
-    run(_scenario_corrupt_checkpoint)
-    run(_scenario_stale_or_foreign_checkpoint)
     say("service scenarios")
     run(_scenario_service_worker_sigkill)
     run(_scenario_service_dedup)

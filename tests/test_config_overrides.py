@@ -134,13 +134,12 @@ def test_bad_env_is_typed_at_entry_point(monkeypatch, env, bad, entry_point):
 @pytest.mark.parametrize("entry_point", [
     lambda: _sharded(timeout=0),
     lambda: _sharded(respawn_limit=-1),
-    lambda: _sharded(checkpoint_interval=0),
     lambda: run_sharded(SystemConfig(n_cores=16), "canneal", 10, 10,
                         n_shards=9),
     lambda: SystemConfig(n_cores=16, noc=NocConfig(topology="ring")),
     lambda: SystemConfig(n_cores=17),
-], ids=["timeout", "respawn_limit", "checkpoint_interval", "n_shards",
-        "noc.topology", "n_cores"])
+], ids=["timeout", "respawn_limit", "n_shards", "noc.topology",
+        "n_cores"])
 def test_bad_kwarg_or_field_is_typed(entry_point):
     with pytest.raises(config.ConfigError):
         entry_point()

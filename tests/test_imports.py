@@ -21,9 +21,9 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 #: Never needed by a plain run: fleets, sockets, the shard engine,
 #: telemetry, the daemon and the validators.  ``name*`` also matches the
 #: package's submodules.
-HEAVY = ["repro.proc", "repro.sim.shard", "repro.sim.checkpoint",
-         "repro.telemetry*", "repro.service*", "repro.validate*",
-         "multiprocessing*", "socket", "subprocess", "numpy*"]
+HEAVY = ["repro.proc", "repro.sim.shard", "repro.telemetry*",
+         "repro.service*", "repro.validate*", "multiprocessing*", "socket",
+         "subprocess", "numpy*"]
 
 
 #: The simulator: never needed to read a stored result.

@@ -4,7 +4,7 @@ For each class that ``src/`` declares with ``@record``, a ``@dataclass``
 twin is built from the same fields (and the same ``__post_init__`` and
 own methods).  Both must agree on what callers and stored files see:
 ``repr``, ``==``, ``hash``, the instance ``__dict__`` (keys and their
-order fix the pickle bytes of shard snapshots), ``dataclasses.replace``,
+order fix the pickle bytes), ``dataclasses.replace``,
 ``fields``, ``asdict``, ``inspect.signature``, and the exception types of
 bad calls and of writes to a frozen instance.
 """

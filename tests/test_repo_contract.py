@@ -313,46 +313,6 @@ def test_circuit_state_lives_in_one_store():
 
 
 # ----------------------------------------------------------------------
-# One way back from a killed run: it is rerun.  Snapshots of a live
-# system exist for the sharded engine's self-healing alone, so only the
-# engine and the chaos campaign that damages its files import them.
-# ----------------------------------------------------------------------
-
-_SNAPSHOT_USERS = {"sim/shard.py", "validate/chaos.py"}
-
-
-def _imports_of(tree, module: str):
-    """Line numbers of every import of ``module`` in ``tree``, in each
-    spelling: ``import a.b``, ``from a.b import x``, ``from a import b``."""
-    import ast
-
-    package, _, name = module.rpartition(".")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(alias.name == module for alias in node.names):
-                yield node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if node.module == module or (
-                    node.module == package
-                    and any(alias.name == name for alias in node.names)):
-                yield node.lineno
-
-
-def test_only_the_shard_engine_and_chaos_import_snapshots():
-    import ast
-
-    probe = ast.parse("import repro.sim.checkpoint\n"
-                      "from repro.sim.checkpoint import fingerprint\n"
-                      "from repro.sim import checkpoint as ckpt\n"
-                      "from repro.sim import kernel\n")
-    assert list(_imports_of(probe, "repro.sim.checkpoint")) == [1, 2, 3]
-    users = {relative.as_posix()
-             for relative, tree in _repro_sources()
-             if any(_imports_of(tree, "repro.sim.checkpoint"))}
-    assert users == _SNAPSHOT_USERS
-
-
-# ----------------------------------------------------------------------
 # The docs name what exists: every backticked code identifier in
 # README.md, DESIGN.md and docs/*.md is defined somewhere in the code,
 # or is one of a few outside names.

@@ -6,8 +6,8 @@ processes yields the exact same statistics (counters, means, histograms)
 and the exact same finish cycle as simulating the whole chip in one
 process.  These tests pin that contract as conformance-matrix cells
 (``pinned``, see ``tests/conftest.py``) for the paper's main variants,
-with recovery snapshots written while sharded, and through the public
-``run_experiment`` / ``REPRO_SHARDS`` entry points.
+and through the public ``run_experiment`` / ``REPRO_SHARDS`` entry
+points.
 """
 
 import pytest
@@ -43,12 +43,11 @@ def test_sharded_run_bit_identical(variant, n_shards, pinned):
                           Variant.FRAGMENTED])
 def test_sharded_run_bit_identical_reference_pipeline(
         variant, _conformance_golden):
-    """Sharded workers that write recovery snapshots as they go (every
-    600 cycles, several per phase) match the golden the deleted second
-    pipeline generated for this cell, as its own sharded runs did."""
+    """Sharded runs match the golden the deleted second pipeline
+    generated for this cell, as its own sharded runs did."""
     cell = _cell(variant)
     result = run_sharded(cell.config(), cell.load, WARMUP, MEASURE,
-                         n_shards=2, check=False, checkpoint_interval=600)
+                         n_shards=2, check=False)
     assert conformance.digest(conformance.witness(
         result.stats, start=result.start_cycle, finish=result.finish_cycle,
         end=result.end_cycle)) == _conformance_golden[cell.id]

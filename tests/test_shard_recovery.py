@@ -1,12 +1,11 @@
-"""Self-healing shard supervision: respawn, escalation, typed failure.
+"""Shard supervision: rerun, escalation, typed failure.
 
 The sharded engine must survive the death of any worker process without
-changing a single bit of the result: the supervisor respawns the victim
-from its newest barrier snapshot, replays the logged coordinator replies
-it missed, and the fleet continues as if nothing happened.  When
-recovery is impossible (budget exhausted, deterministic worker error)
-the run must fail with a typed error naming the shard - and no process,
-healthy or wedged, may ever outlive the coordinator.
+changing a single bit of the result: the supervisor reaps every worker
+and reruns the whole sharded run from scratch.  When recovery is
+impossible (budget exhausted, deterministic worker error) the run must
+fail with a typed error naming the shard - and no process, healthy or
+wedged, may ever outlive the coordinator.
 """
 
 import os
@@ -45,24 +44,41 @@ def _no_engine_env(monkeypatch):
 
 # -- recovery keeps bit-identity ----------------------------------------
 
-@pytest.mark.parametrize("barrier_seq", [3, 40])
-def test_worker_sigkill_recovers_bit_identically(barrier_seq, pinned):
-    """SIGKILL a worker mid-run; the respawned fleet finishes identically.
+def _witness(result) -> dict:
+    return conformance.witness(result.stats, start=result.start_cycle,
+                               finish=result.finish_cycle,
+                               end=result.end_cycle)
 
-    Seq 3 dies before the first snapshot cadence (recovery = fresh build
-    + full replay); seq 40 dies with a snapshot on disk (restore +
-    partial replay).  Both paths must converge on the reference result.
-    """
+
+@pytest.mark.parametrize("barrier_seq", [3])
+def test_worker_sigkill_recovers_bit_identically(barrier_seq, pinned,
+                                                 monkeypatch, tmp_path):
+    """SIGKILL a worker mid-run; the rerun fleet finishes identically,
+    and every worker of both attempts is gone - the killed attempt's
+    healthy shard is reaped, not left at its barrier."""
+    pidfile = tmp_path / "pids"
+    monkeypatch.setenv("REPRO_SHARD_PIDFILE", str(pidfile))
     result = run_sharded(
         CELL.config(), "canneal", WARMUP, MEASURE, n_shards=2, check=False,
         _chaos={"shard": 0, "barrier_seq": barrier_seq, "action": "sigkill"},
     )
     assert result.respawns == 1
-    assert not conformance.diff(
-        conformance.witness(result.stats, start=result.start_cycle,
-                            finish=result.finish_cycle,
-                            end=result.end_cycle),
-        pinned(CELL, "fast"))
+    assert not conformance.diff(_witness(result), pinned(CELL, "fast"))
+    pids = [int(pid) for pid in pidfile.read_text().split()]
+    assert len(pids) == 4  # two shards, two attempts
+    assert not surviving_pids(pids, timeout=5)
+
+
+def test_a_budget_of_one_rerun_recovers(pinned):
+    """``respawn_limit=1`` is enough for one death: the run is rerun
+    once and matches the uninterrupted one."""
+    result = run_sharded(
+        CELL.config(), "canneal", WARMUP, MEASURE, n_shards=2, check=False,
+        respawn_limit=1,
+        _chaos={"shard": 1, "barrier_seq": 20, "action": "sigkill"},
+    )
+    assert result.respawns == 1
+    assert not conformance.diff(_witness(result), pinned(CELL, "fast"))
 
 
 def test_respawn_budget_exhaustion_is_typed():
