@@ -15,23 +15,23 @@ and external users -- talks to this module:
 The same five calls work in two modes, chosen by configuration
 (``REPRO_SERVICE`` / :func:`repro.config.resolve`):
 
+In both, the submitting process resolves ``REPRO_SCALE`` and
+``REPRO_TOPOLOGY``, so a spec names one run whichever process runs it:
+
 * **in-process** (default): ``submit`` keys the batch once
-  (:func:`repro.harness.experiment.spec_keys`: ``REPRO_SCALE`` and
-  ``REPRO_TOPOLOGY`` read once) and computes eagerly through
-  :func:`repro.harness.experiment.run_specs`, the one run path, which
-  takes that ``{key: spec}`` dict as is (memo, then the store, then the
-  misses one program after another, across worker processes when
-  ``jobs``/``REPRO_JOBS`` allow), so the handle is already complete;
+  (:func:`repro.harness.experiment.spec_keys`) and computes eagerly
+  through :func:`repro.harness.experiment.run_specs`, the one run path,
+  so the handle is already complete;
 * **daemon** (``REPRO_SERVICE=<socket path or host:port>``): ``submit``
-  enqueues on the shared job daemon (:mod:`repro.service`) and
+  sends each spec explicit (scaled quanta, named topology) to the shared
+  job daemon (:mod:`repro.service`), which keys it as written, and
   ``results`` blocks on completion.
 
 ``prefetch``, ``run_matrix`` and ``compare_variants`` are one
 ``submit`` + ``results`` batch each.  Results are bit-identical across
-modes -- the daemon's workers run the same compute step
-(:func:`repro.harness.experiment._compute`) on the spec it scaled and
-keyed at submit -- and daemon results are fed into the local experiment
-memo, so assembly code (tables, figures) consumes them either way.
+modes (the daemon's workers run the same compute step,
+:func:`repro.harness.experiment._compute`), and daemon results seed the
+local memo, so tables and figures consume them either way.
 """
 
 from __future__ import annotations

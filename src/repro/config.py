@@ -60,6 +60,9 @@ class ConfigError(ValueError):
         self.setting = name
         self.source = source
 
+    def __reduce__(self):  # crosses a worker pipe with its fields
+        return type(self), (self.setting, self.source, str(self))
+
 
 # ----------------------------------------------------------------------
 # Value parsers.  Each takes (raw, source, setting) and either returns

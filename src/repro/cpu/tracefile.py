@@ -17,7 +17,7 @@ synthetic streams, so traces can be captured once and replayed exactly
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cpu.trace import AccessStream
 

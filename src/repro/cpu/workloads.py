@@ -17,6 +17,7 @@ from random import Random
 from typing import Dict, List
 
 from repro._record import record
+from repro.config import ConfigError
 from repro.cpu.trace import AccessStream, StreamParams
 
 
@@ -140,4 +141,6 @@ def workload_by_name(name: str) -> WorkloadProfile:
     for workload in ALL_WORKLOADS:
         if workload.name == name:
             return workload
-    raise KeyError(f"unknown workload: {name!r}")
+    raise ConfigError("workload", "RunSpec.workload", (
+        f"unknown workload {name!r} (RunSpec.workload); valid workloads: "
+        + ", ".join(w.name for w in ALL_WORKLOADS)))

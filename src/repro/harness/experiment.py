@@ -2,24 +2,21 @@
 
 One :class:`RunResult` feeds every table/figure that needs that
 configuration, so results are memoised per process and optionally on disk
-(``REPRO_CACHE=<path>``, crash-safe and shareable between concurrent
-processes -- see :mod:`repro.harness.cache`).  :func:`run_specs` is the
-one run path, the only place specs are looked up, scaled and keyed
-(:func:`run_experiment` is a batch of one); :func:`_compute` is the one
-compute step, which every executor calls (the serial loop, workers with
-``REPRO_JOBS``, the job daemon's workers, observed runs).
-Simulation length is scaled by ``REPRO_SCALE``
-(default 1.0): the default quanta are sized for laptop-speed pure-Python
-cycle simulation; the paper's 500M-cycle windows correspond to very large
-scales.  The synthetic workloads are stationary, so modest windows already
-produce stable averages.
+(``REPRO_CACHE=<path>``, see :mod:`repro.harness.cache`).  A spec is made
+explicit where it is submitted (:meth:`RunSpec.scaled` /
+:func:`spec_keys`: quanta scaled by ``REPRO_SCALE``, topology named by
+``REPRO_TOPOLOGY``) and read as written downstream.  :func:`run_specs` is
+the one run path (:func:`run_experiment` is a batch of one) and
+:func:`_compute` the one compute step every executor calls.  The default
+quanta are sized for pure-Python cycle simulation; the synthetic
+workloads are stationary, so modest windows give stable averages.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import field, fields, replace
+from dataclasses import field, fields
 from functools import partial
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
                     Tuple, Union)
@@ -27,9 +24,9 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
 from repro import config as repro_config
 from repro._record import record
 from repro.circuits.outcomes import outcome_fractions
-from repro.noc.topology import MAX_CORES, resolve_topology
+from repro.noc.topology import MAX_CORES, resolve_topology, topology_grid_side
 from repro.harness.cache import ShardedCache, open_cache
-from repro.sim.config import SystemConfig, Variant
+from repro.sim.config import NocConfig, SystemConfig, Variant
 from repro.sim.stats import Histogram, Stats
 
 if TYPE_CHECKING:
@@ -71,8 +68,7 @@ def _scaled_quanta(measure: int, warmup: int, factor: float
 def _format_key(n_cores: int, variant: str, workload: str, seed: int,
                 measure: int, warmup: int, topology: str) -> str:
     """The one store-key format.  Mesh runs keep their historical keys so
-    existing stores stay valid; other topologies get their own entries
-    even when selected through ``REPRO_TOPOLOGY``."""
+    existing stores stay valid; other topologies get their own entries."""
     base = f"{n_cores}/{variant}/{workload}/{seed}/{measure}/{warmup}"
     return base if topology == "mesh" else f"{base}/{topology}"
 
@@ -102,9 +98,8 @@ class RunSpec:
     #: so this field is deliberately NOT part of :meth:`key`: observed and
     #: unobserved runs share cache entries.
     telemetry: Optional[TelemetryConfig] = None
-    #: Network topology ("mesh"/"torus"/"cmesh").  The empty string
-    #: defers to ``REPRO_TOPOLOGY`` (then mesh), mirroring
-    #: ``config.noc.topology``.
+    #: Network topology ("mesh"/"torus"/"cmesh"); "" is mesh, but
+    #: :meth:`scaled` and :func:`spec_keys` name it from REPRO_TOPOLOGY.
     topology: str = ""
 
     def __post_init__(self) -> None:
@@ -121,25 +116,26 @@ class RunSpec:
                     f"got {value!r}")
 
     def scaled(self) -> "RunSpec":
+        """The explicit run this spec names where it is submitted: quanta
+        scaled by ``REPRO_SCALE``, topology named (``""`` is
+        ``REPRO_TOPOLOGY``, then mesh) and tiled by ``n_cores``."""
         factor = repro_config.resolve("scale")
-        if factor == 1.0:
+        topology = resolve_topology(self.topology)
+        topology_grid_side(topology, self.n_cores)
+        if factor == 1.0 and topology == self.topology:
             return self
-        measure, warmup = _scaled_quanta(
-            self.measure_instructions, self.warmup_instructions, factor)
         return RunSpec(
             self.n_cores, self.variant, self.workload, self.seed,
-            measure, warmup, self.telemetry, self.topology,
+            *_scaled_quanta(self.measure_instructions,
+                            self.warmup_instructions, factor),
+            self.telemetry, topology,
         )
-
-    def resolved_topology(self) -> str:
-        """Effective topology name (resolving '' through the environment)."""
-        return resolve_topology(self.topology)
 
     def key(self) -> str:
         return _format_key(
             self.n_cores, self.variant.value, self.workload, self.seed,
             self.measure_instructions, self.warmup_instructions,
-            self.resolved_topology())
+            self.topology or "mesh")
 
     @property
     def observed(self) -> bool:
@@ -151,28 +147,33 @@ class RunSpec:
             f"{self.variant.value}_{self.workload}_{self.n_cores}c"
             f"_s{self.seed}"
         )
-        topology = self.resolved_topology()
-        return base if topology == "mesh" else f"{base}_{topology}"
+        return (base if self.topology in ("", "mesh")
+                else f"{base}_{self.topology}")
 
 
 def spec_keys(specs: List[RunSpec]) -> List[str]:
     """Each spec's store key, exactly ``spec.scaled().key()``, in order.
 
-    A batch reads ``REPRO_SCALE`` once and resolves each distinct
-    ``topology`` once (so ``REPRO_TOPOLOGY`` at most once), and builds no
-    scaled :class:`RunSpec`.  A malformed value raises the same
-    :class:`~repro.config.ConfigError` the per-spec spelling would.
+    A batch reads ``REPRO_SCALE`` once, resolves each distinct
+    ``topology`` once (so ``REPRO_TOPOLOGY`` at most once), checks that
+    each distinct ``n_cores`` tiles it, and builds no scaled
+    :class:`RunSpec`.  A bad value raises the per-spec spelling's
+    :class:`~repro.config.ConfigError`.
     """
     if not specs:
         return []
     factor = repro_config.resolve("scale")
     topologies: Dict[str, str] = {}
+    tiled = set()
     keys = []
     for spec in specs:
         topology = topologies.get(spec.topology)
         if topology is None:
             topology = topologies[spec.topology] = \
                 resolve_topology(spec.topology)
+        if (topology, spec.n_cores) not in tiled:
+            topology_grid_side(topology, spec.n_cores)
+            tiled.add((topology, spec.n_cores))
         keys.append(_format_key(
             spec.n_cores, spec.variant.value, spec.workload, spec.seed,
             *_scaled_quanta(spec.measure_instructions,
@@ -193,14 +194,12 @@ def unobserved_by_key(keys: List[str], specs: List[RunSpec]
 
 
 def spec_config(spec: RunSpec) -> SystemConfig:
-    """The system configuration ``spec`` runs."""
-    config = SystemConfig(n_cores=spec.n_cores, seed=spec.seed).with_variant(
-        spec.variant
-    )
-    if spec.topology:
-        config = replace(config, noc=replace(config.noc,
-                                             topology=spec.topology))
-    return config
+    """The system configuration ``spec`` runs, read as written
+    (``topology=""`` is mesh)."""
+    return SystemConfig(
+        n_cores=spec.n_cores, seed=spec.seed,
+        noc=NocConfig(topology=spec.topology or "mesh"),
+    ).with_variant(spec.variant)
 
 
 def prewarm_group(spec: RunSpec) -> Optional[tuple]:
@@ -209,15 +208,11 @@ def prewarm_group(spec: RunSpec) -> Optional[tuple]:
     the same group (they differ at most in variant and instruction
     counts) leave the same prewarmed state, which
     :func:`repro.system.prewarm` keeps for the next run when they run
-    back to back."""
+    back to back.  An unknown program raises ``ConfigError``."""
     from repro.cpu.workloads import workload_by_name
     from repro.system import prewarm_key
 
-    try:
-        workload = workload_by_name(spec.workload)
-    except KeyError:
-        return None  # the run itself reports the unknown program, in turn
-    return prewarm_key(spec_config(spec), workload)
+    return prewarm_key(spec_config(spec), workload_by_name(spec.workload))
 
 
 @record
@@ -385,20 +380,16 @@ def run_specs(specs: Union[Iterable[RunSpec], Dict[str, RunSpec]],
     unobserved specs, in order, every result memoised.
 
     The one run path: the only place a spec is looked up.  ``specs`` is
-    either :func:`unobserved_by_key` of the batch and its
-    :func:`spec_keys` (what :func:`repro.api.submit` passes, so no key
-    is computed twice), or any iterable of specs, keyed here the same
-    way.  Memo hits come first, then stored results
-    (:func:`load_stored`, each store shard read once).  Each miss is
-    scaled once and handed with its key to :func:`_compute`, which looks
-    nothing up again.  The misses run one prewarm group after another,
-    so each program prewarms once (:func:`prewarm_group`): here, or
-    across ``jobs`` worker processes (``REPRO_JOBS``, else serial)
-    through :func:`repro.harness.parallel.run_tasks` when more than one
-    is left.  Observed specs are skipped: their point is the artifacts
-    of a run in this process (:func:`run_experiment` runs them).  With
-    ``safe`` a simulation failure becomes a failure RunResult instead of
-    raising.
+    :func:`unobserved_by_key` of a batch and its :func:`spec_keys` (what
+    :func:`repro.api.submit` passes), or any iterable of specs, keyed
+    here.  Memo hits come first, then stored results (:func:`load_stored`,
+    each shard read once).  Each miss is made explicit once
+    (:meth:`RunSpec.scaled`) and handed with its key to :func:`_compute`.
+    The misses run one prewarm group after another (:func:`prewarm_group`,
+    which refuses an unknown program), here or across ``jobs`` workers
+    (``REPRO_JOBS``, :func:`repro.harness.parallel.run_tasks`).  Observed
+    specs are skipped (:func:`run_experiment` runs them).  With ``safe``
+    a simulation failure becomes a failure RunResult.
     """
     if isinstance(specs, dict):
         unique = specs
@@ -409,8 +400,9 @@ def run_specs(specs: Union[Iterable[RunSpec], Dict[str, RunSpec]],
                           if key not in _memo})
     groups: Dict[tuple, Dict[str, RunSpec]] = {}
     for key, spec in misses.items():
+        spec = spec.scaled()
         groups.setdefault(prewarm_group(spec), {})[key] = spec
-    tasks = {key: (spec.scaled(), key, safe)
+    tasks = {key: (spec, key, safe)
              for group in groups.values() for key, spec in group.items()}
     if len(tasks) > 1 and repro_config.resolve_jobs(jobs) > 1:
         from repro.harness import parallel
@@ -567,7 +559,7 @@ def _run_local(spec: RunSpec, key: str, config: SystemConfig):
 
 
 def _compute(spec: RunSpec, key: str, safe: bool = False) -> RunResult:
-    """Simulate the scaled ``spec`` under store key ``key``; memoise and
+    """Simulate the explicit ``spec`` under store key ``key``; memoise and
     store the result.
 
     The one compute step behind every executor: :func:`run_specs`' serial
@@ -628,7 +620,7 @@ def _compute(spec: RunSpec, key: str, safe: bool = False) -> RunResult:
 
 
 def _compute_task(task: Tuple[RunSpec, str, bool]) -> RunResult:
-    """:func:`_compute` of a ``(scaled spec, key, safe)`` worker task."""
+    """:func:`_compute` of an ``(explicit spec, key, safe)`` worker task."""
     return _compute(*task)
 
 

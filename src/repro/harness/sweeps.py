@@ -9,12 +9,12 @@ protocol simulation.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro._record import record
 from repro.config import resolve_jobs
 from repro.noc.traffic import RequestReplyTraffic
-from repro.sim.config import NocConfig, SystemConfig, Variant
+from repro.sim.config import SystemConfig, Variant
 
 
 @record(frozen=True)

@@ -66,10 +66,11 @@ class ServiceClient:
     # -- operations ------------------------------------------------------
 
     def submit(self, specs: List[RunSpec]) -> List[dict]:
-        """Submit a batch; returns one status dict (with job_id) per spec."""
+        """Submit a batch, each spec made explicit here
+        (:meth:`RunSpec.scaled`); returns one status dict per spec."""
         response = self._request({
             "op": "submit",
-            "specs": [spec_to_json(spec) for spec in specs],
+            "specs": [spec_to_json(spec.scaled()) for spec in specs],
         })
         return response["jobs"]
 

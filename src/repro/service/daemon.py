@@ -5,7 +5,8 @@ One :class:`Daemon` owns
 * a :class:`repro.proc.Fleet` -- long-lived worker processes running
   the harness's one compute step (:func:`repro.harness.experiment._compute`,
   degrading, so a sick configuration becomes a failure result instead of
-  killing the worker) on each spec, scaled and keyed once at submit;
+  killing the worker) on each spec as its client made it explicit (no
+  ``REPRO_SCALE`` / ``REPRO_TOPOLOGY`` read here), keyed once at submit;
   timeout, worker-death requeue, respawn and shutdown are the
   fleet's (see :mod:`repro.proc`, the one supervision policy);
 * a **pump thread** -- turns :meth:`~repro.proc.Fleet.events` into job
@@ -72,9 +73,9 @@ def worker_env(base: Optional[dict] = None) -> Dict[str, str]:
 
 
 def _run_job(task: tuple, emit) -> dict:
-    """Fleet task: compute one ``(scaled spec JSON, key)`` job, streaming
-    its samples if observed.  The spec was scaled and keyed at submit, so
-    the worker computes it under the key the daemon acknowledged."""
+    """Fleet task: compute one ``(explicit spec JSON, key)`` job as
+    written, under the key the daemon acknowledged at submit, streaming
+    its samples if observed."""
     from repro.harness.experiment import _compute
 
     spec_json, key = task
@@ -162,7 +163,7 @@ class Daemon:
     # -- job intake ------------------------------------------------------
 
     def submit_specs(self, spec_dicts: List[dict]) -> List[dict]:
-        specs = [spec_from_json(d).scaled() for d in spec_dicts]
+        specs = [spec_from_json(d) for d in spec_dicts]
         keys = [spec.key() for spec in specs]
         # One store read for the batch, outside the lock: each shard the
         # keys no job can serve route to is parsed once.

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import field
 from typing import Dict, List, Optional
 
 from repro._record import record

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.sim.stats import Stats
 

@@ -23,7 +23,7 @@ not seconds.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Component class -> architectural group of the profiler report.
 GROUP_OF = {

@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro import api
+from repro.config import ConfigError
 from repro.harness import experiment
 from repro.harness.experiment import RunResult, RunSpec
 from repro.sim.config import Variant
@@ -106,13 +107,29 @@ def test_safe_runner_scales_exactly_once(monkeypatch):
     # Regression: run_experiment_safe used to scale the spec and then
     # call run_experiment, which scales again -- so with REPRO_SCALE set
     # the in-process facade simulated a double-shrunk run and diverged
-    # from the daemon (which scales exactly once, at submit).
+    # from the daemon (whose client scales exactly once, at submit).
     monkeypatch.setenv("REPRO_SCALE", "0.08")
     spec = RunSpec(16, Variant.BASELINE, "canneal", 7)
     result = experiment.run_experiment_safe(spec)
     assert result.spec_key == spec.scaled().key()
     assert result.spec_key != spec.scaled().scaled().key()  # not idempotent
     assert result.to_json() == experiment.run_experiment(spec).to_json()
+
+
+def test_an_unknown_program_is_refused_before_anything_runs(monkeypatch):
+    """A batch naming an unknown program raises the typed error while
+    its misses are grouped, before any of them is computed."""
+    computed = []
+    monkeypatch.setattr(experiment, "_compute",
+                        lambda *args: computed.append(args))
+    with pytest.raises(ConfigError, match="cannneal.*canneal") as err:
+        api.submit([_spec(), RunSpec(16, Variant.BASELINE, "cannneal", 1,
+                                     200, 100)])
+    assert err.value.setting == "workload"
+    with pytest.raises(ConfigError, match="cannneal"):
+        experiment.run_experiment_safe(
+            RunSpec(16, Variant.BASELINE, "cannneal", 1, 200, 100))
+    assert computed == []
 
 
 @pytest.fixture
@@ -280,8 +297,8 @@ def test_daemon_mode_stream_metrics(daemon_address, tmp_path):
 
 def test_daemon_mode_run_matrix_parity(daemon_address, monkeypatch):
     # run_matrix uses the default quanta; shrink them for the test.  The
-    # daemon pre-scales at submit with this same environment, so the
-    # keys (and results) agree with the local reference run.
+    # client scales at submit with this same environment, so the keys
+    # (and results) agree with the local reference run.
     monkeypatch.setenv("REPRO_SCALE", "0.02")
     out = api.run_matrix(16, [Variant.BASELINE], ["canneal"], seed=5)
     daemon_result = out[Variant.BASELINE]["canneal"]

@@ -123,6 +123,17 @@ def test_cli_profile_prints_component_table(capsys, monkeypatch, tmp_path):
     assert "skip ratio" in out
 
 
+@pytest.mark.parametrize("argv", [["trace", "--workload", "cannneal"],
+                                  ["table1"]])
+def test_cli_unknown_program_exits_2(monkeypatch, capsys, argv):
+    monkeypatch.setattr("repro.harness.__main__.default_workloads",
+                        lambda full=None: ["cannneal"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown workload 'cannneal'")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_trace_rejects_unknown_variant(capsys):
     assert main(["trace", "--variant", "NoSuchVariant"]) == 2
     assert "unknown variant" in capsys.readouterr().err

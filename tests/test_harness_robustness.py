@@ -115,7 +115,7 @@ def test_quarantine_growth_is_capped(tmp_path, caplog):
 
 @pytest.fixture
 def fake_runs(monkeypatch, tmp_path):
-    """Engine stub under the compute step: 'streamcluster' deadlocks, the
+    """Engine stub under the compute step: 'dedup' deadlocks, the
     rest succeed in 1000 cycles."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_FAILFAST", raising=False)
@@ -123,7 +123,7 @@ def fake_runs(monkeypatch, tmp_path):
     monkeypatch.setattr(experiment, "_memo", {})
 
     def fake_run(spec, key, config):
-        if spec.workload == "streamcluster":
+        if spec.workload == "dedup":
             raise DeadlockError("synthetic deadlock", cycle=123)
         return Stats(), 0, 1000
 
@@ -132,9 +132,9 @@ def fake_runs(monkeypatch, tmp_path):
 
 
 def test_run_matrix_degrades_failing_runs(fake_runs):
-    out = run_matrix(16, [Variant.BASELINE], ["canneal", "streamcluster"])
+    out = run_matrix(16, [Variant.BASELINE], ["canneal", "dedup"])
     good = out[Variant.BASELINE]["canneal"]
-    bad = out[Variant.BASELINE]["streamcluster"]
+    bad = out[Variant.BASELINE]["dedup"]
     assert not good.failed
     assert good.exec_cycles == 1000
     assert bad.failed
@@ -149,14 +149,14 @@ def test_run_matrix_degrades_failing_runs(fake_runs):
 
 def test_run_matrix_fail_fast_restores_raising(fake_runs):
     with pytest.raises(DeadlockError):
-        run_matrix(16, [Variant.BASELINE], ["canneal", "streamcluster"],
+        run_matrix(16, [Variant.BASELINE], ["canneal", "dedup"],
                    fail_fast=True)
 
 
 def test_failure_results_are_not_disk_cached(fake_runs, monkeypatch):
     cache_path = str(fake_runs / "results")
     monkeypatch.setenv("REPRO_CACHE", cache_path)
-    spec = RunSpec(16, Variant.BASELINE, "streamcluster", 1)
+    spec = RunSpec(16, Variant.BASELINE, "dedup", 1)
     result = experiment.run_experiment_safe(spec)
     assert result.failed
     stored = open_cache(cache_path).load_all()
@@ -164,7 +164,7 @@ def test_failure_results_are_not_disk_cached(fake_runs, monkeypatch):
 
 
 def test_failure_results_survive_json_roundtrip(fake_runs):
-    spec = RunSpec(16, Variant.BASELINE, "streamcluster", 1)
+    spec = RunSpec(16, Variant.BASELINE, "dedup", 1)
     result = experiment.run_experiment_safe(spec)
     clone = RunResult.from_json(result.to_json())
     assert clone.failed

@@ -11,15 +11,21 @@ import io
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro import api
+from repro import config as repro_config
 from repro.config import ConfigError
-from repro.harness import experiment
-from repro.harness.experiment import RunSpec
+from repro.harness import experiment, figures
+from repro.harness.experiment import RunSpec, spec_keys
 from repro.service import (
     DONE,
     FAILED,
@@ -136,10 +142,11 @@ def test_store_hit_served_without_simulation(client, daemon, tmp_path):
 
 def test_workers_keep_repro_scale_and_compute_the_acknowledged_key(
         tmp_path, monkeypatch):
-    """``REPRO_SCALE`` stays in the workers' environment: the daemon
-    scales and keys each spec once at submit, and the worker computes
-    that scaled spec under that key, so the job matches an in-process
-    run of the same spec bit for bit."""
+    """``REPRO_SCALE`` stays in the workers' environment, yet only the
+    client scales: :meth:`ServiceClient.submit` sends each spec explicit,
+    the daemon keys it as written and the worker computes it under that
+    key, so the job matches an in-process run of the same spec bit for
+    bit."""
     monkeypatch.setenv("REPRO_SCALE", "0.5")
     spec = RunSpec(16, Variant.COMPLETE_NOACK, "canneal", 2,
                    measure_instructions=500, warmup_instructions=200)
@@ -158,6 +165,102 @@ def test_workers_keep_repro_scale_and_compute_the_acknowledged_key(
         d.shutdown()
     assert row["result"]["spec_key"] == key
     assert row["result"] == _direct(spec)
+
+
+def test_the_daemon_and_its_worker_read_neither_scale_nor_topology(
+        tmp_path, monkeypatch):
+    """Downstream of the client's edge a spec is read as written: keying
+    it at submit and computing it in a worker resolve neither
+    ``REPRO_SCALE`` nor ``REPRO_TOPOLOGY`` from the environment."""
+    from repro.service.daemon import _run_job
+
+    monkeypatch.setenv("REPRO_SCALE", "0.2")
+    monkeypatch.setenv("REPRO_TOPOLOGY", "cmesh")
+    spec = RunSpec(16, Variant.BASELINE, "canneal", 1, **SMALL)
+    [key] = spec_keys([spec])
+    wire = protocol.spec_to_json(spec.scaled())  # the client's edge
+    daemon = Daemon(str(tmp_path / "repro.sock"), workers=1,
+                    env=dict(os.environ))  # never started: no fleet
+    tasks = []
+    daemon._fleet = SimpleNamespace(
+        submit=lambda job_id, task: tasks.append(task))
+    reads: Counter = Counter()
+    resolve = repro_config._resolve
+
+    def counted(name, override=None, default=None, source=None):
+        if override is None:
+            reads[name] += 1
+        return resolve(name, override, default, source)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repro_config, "_resolve", counted)
+        [row] = daemon.submit_specs([wire])
+        result = _run_job(tasks[0], emit=lambda data: None)
+    assert reads["scale"] == reads["topology"] == 0, reads
+    assert row["key"] == result["spec_key"] == key
+    assert key.endswith("/cmesh")
+
+
+def test_a_daemon_process_computes_the_runs_its_client_names(
+        tmp_path, monkeypatch):
+    """A daemon booted at another ``REPRO_SCALE`` and ``REPRO_TOPOLOGY``
+    than its client acknowledges the client's keys, so the figure that
+    follows the prefetch computes nothing locally, and its results equal
+    an in-process run's."""
+    address = str(tmp_path / "repro.sock")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, REPRO_SCALE="0.2",
+               REPRO_TOPOLOGY="cmesh",
+               REPRO_CACHE=str(tmp_path / "store") + os.sep)
+    with open(tmp_path / "daemon.log", "wb") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness", "serve", "--socket",
+             address, "--workers", "1"],
+            env=env, stdout=log, stderr=subprocess.STDOUT)
+    client = ServiceClient(address)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not client.ping():
+            assert proc.poll() is None and time.monotonic() < deadline, \
+                (tmp_path / "daemon.log").read_text()
+            time.sleep(0.1)
+        monkeypatch.setenv("REPRO_SCALE", "0.08")
+        monkeypatch.delenv("REPRO_TOPOLOGY", raising=False)
+        monkeypatch.setenv("REPRO_SERVICE", address)
+        variants = [Variant.BASELINE, Variant.COMPLETE_NOACK]
+        specs = [RunSpec(16, variant, "fft") for variant in variants]
+        acknowledged, computed = [], []
+        submit, compute = ServiceClient.submit, experiment._compute
+
+        def recording_submit(self, batch):
+            rows = submit(self, batch)
+            acknowledged.extend(row["key"] for row in rows)
+            return rows
+
+        def counting_compute(*args, **kwargs):
+            computed.append(args[1])
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(ServiceClient, "submit", recording_submit)
+        monkeypatch.setattr(experiment, "_compute", counting_compute)
+        api.prefetch(specs)
+        done = figures.cells(16, variants, ["fft"])
+        via_daemon = [done[variant]["fft"].to_json() for variant in variants]
+        assert acknowledged == spec_keys(specs)
+        assert computed == []
+    finally:
+        try:
+            client.shutdown()
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    monkeypatch.delenv("REPRO_SERVICE")
+    with experiment.fresh_memo():
+        local = [experiment.run_experiment(spec).to_json()
+                 for spec in specs]
+    assert via_daemon == local
 
 
 def test_warm_batch_is_served_from_one_read_per_shard(tmp_path, monkeypatch,
@@ -251,8 +354,8 @@ def test_infra_failure_fails_on_first_attempt(client, daemon):
     [row] = client.results([status["job_id"]], timeout=300.0)
     assert row["state"] == FAILED
     assert row["attempts"] == 1
-    assert row["error_kind"] == "KeyError"
-    assert "no-such-workload" in row["error"]
+    assert row["error_kind"] == "ConfigError"
+    assert "no-such-workload" in row["error"] and "canneal" in row["error"]
     # FAILED jobs do not absorb resubmissions: the next submit retries.
     [again] = client.submit([spec])
     assert again["job_id"] != status["job_id"]

@@ -1,9 +1,11 @@
 """Batch keying (:func:`repro.harness.experiment.spec_keys`).
 
 A batch resolves ``REPRO_SCALE`` / ``REPRO_TOPOLOGY`` once and keys
-every spec exactly as ``spec.scaled().key()`` does, so stored keys stay
-byte-identical; a warm ``api.submit`` resolves them a constant number
-of times, whatever the batch size.
+every spec exactly as ``spec.scaled().key()`` does, or raises the same
+:class:`~repro.config.ConfigError` (a malformed setting, a core count
+the topology cannot tile), so stored keys stay byte-identical; a warm
+``api.submit`` resolves them a constant number of times, whatever the
+batch size.
 """
 
 import os
@@ -20,23 +22,29 @@ from repro.cpu.workloads import ALL_WORKLOADS
 from repro.harness import experiment
 from repro.harness.cache import open_cache
 from repro.harness.experiment import RunResult, RunSpec, spec_keys
+from repro.noc.topology import topology_grid_side
 from repro.sim.config import Variant
 
 TOPOLOGIES = ["", "mesh", "torus", "cmesh"]
 
-specs_strategy = st.lists(
-    st.builds(
+#: Core counts that tile every topology (4 * k^2 is a square too).
+TILING_CORES = st.integers(1, 8).map(lambda k: 4 * k * k)
+
+
+def specs_of(n_cores):
+    return st.lists(st.builds(
         RunSpec,
-        n_cores=st.integers(1, 256),
+        n_cores=n_cores,
         variant=st.sampled_from(list(Variant)),
         workload=st.sampled_from([w.name for w in ALL_WORKLOADS]),
         seed=st.integers(0, 10**6),
         measure_instructions=st.integers(1, 10**6),
         warmup_instructions=st.integers(1, 10**6),
         topology=st.sampled_from(TOPOLOGIES),
-    ),
-    max_size=12,
-)
+    ), max_size=12)
+
+
+specs_strategy = specs_of(TILING_CORES)
 
 
 @contextmanager
@@ -69,7 +77,40 @@ def _one_by_one(specs):
        topology=st.sampled_from([None, "mesh", "torus", "cmesh"]))
 def test_batch_keys_equal_one_by_one_keys(specs, scale, topology):
     with _env(REPRO_SCALE=scale, REPRO_TOPOLOGY=topology):
-        assert spec_keys(specs) == _one_by_one(specs)
+        batch = _outcome(spec_keys, specs)
+        assert batch == _outcome(_one_by_one, specs)
+    assert batch[0] == "keys"
+
+
+def _tiles(topology, n_cores):
+    try:
+        topology_grid_side(topology, n_cores)
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs=specs_of(st.integers(1, 256)),
+       topology=st.sampled_from([None, "mesh", "torus", "cmesh"]))
+def test_a_core_count_that_does_not_tile_fails_the_same_from_both(
+        specs, topology):
+    with _env(REPRO_SCALE="0.15", REPRO_TOPOLOGY=topology):
+        batch = _outcome(spec_keys, specs)
+        assert batch == _outcome(_one_by_one, specs)
+    tiled = all(_tiles(spec.topology or topology or "mesh", spec.n_cores)
+                for spec in specs)
+    assert batch[0] == ("keys" if tiled else "error")
+    if not tiled:
+        assert batch[1][1:] == ("n_cores", "n_cores")
+
+
+def test_a_spec_that_does_not_tile_its_topology_has_no_key():
+    spec = RunSpec(15, Variant.BASELINE, "canneal")
+    for specs in ([spec], [RunSpec(16, Variant.BASELINE, "fft"), spec]):
+        outcome = _outcome(spec_keys, specs)
+        assert outcome == _outcome(_one_by_one, specs)
+        assert outcome[0] == "error" and "perfect square" in outcome[1][0]
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import ConfigError
 from repro.cpu.trace import AccessStream, StreamParams
 from repro.cpu.workloads import (
     ALL_WORKLOADS,
@@ -124,8 +125,10 @@ def test_workload_catalogue_matches_paper():
 
 def test_workload_by_name():
     assert workload_by_name("canneal").suite == "parsec"
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match="doom.*canneal") as err:
         workload_by_name("doom")
+    assert (err.value.setting, err.value.source) == ("workload",
+                                                     "RunSpec.workload")
 
 
 def test_mix_assigns_each_app_once_at_16_cores():
