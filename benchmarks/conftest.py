@@ -57,7 +57,7 @@ def parallel_prefetch():
     seeds).
     """
     from repro import api
-    from repro.harness import figures
+    from repro.harness import render
 
-    api.prefetch(figures.report_specs(bench_cores(), bench_workloads()))
+    api.prefetch(render.report_specs(bench_cores(), bench_workloads()))
     yield

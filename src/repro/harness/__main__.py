@@ -2,30 +2,21 @@
 
 Usage::
 
-    python -m repro.harness table1 [--cores 64] [--full]
-    python -m repro.harness fig9 --cores 16 --jobs 4
-    python -m repro.harness all --jobs 0      # one worker per CPU core
-    python -m repro.harness table1 --check    # audit invariants while running
+    python -m repro.harness table1 [--cores 64] [--full] [--check]
+    python -m repro.harness all --jobs 0      # the report, one worker per CPU
     python -m repro.harness check             # monitored clean variant sweep
-    python -m repro.harness inject            # seeded fault-injection campaign
-    python -m repro.harness chaos             # process-level chaos campaign:
-                                              # kill/wedge workers, prove
-                                              # recovery is bit-identical
-    python -m repro.harness trace --workload fft    # telemetry: Perfetto
-                                              # trace + metric time series
-    python -m repro.harness profile           # kernel wall-time profile
-    python -m repro.harness topology          # BASELINE vs Complete_NoAck
-                                              # per topology (mesh/torus/
-                                              # cmesh comparison figure)
     python -m repro.harness check --topology  # static topology self-check
-                                              # (adjacency + route tables)
+    python -m repro.harness inject            # seeded fault-injection campaign
+    python -m repro.harness chaos             # kill/wedge workers, recover
+    python -m repro.harness trace --workload fft    # Perfetto trace, metrics
+    python -m repro.harness profile           # kernel wall-time profile
+    python -m repro.harness topology          # mesh / torus / cmesh figure
     python -m repro.harness serve --socket /tmp/repro.sock --workers 4
-                                              # job daemon (repro.service);
-                                              # point clients at it with
-                                              # REPRO_SERVICE=/tmp/repro.sock
-    python -m repro.harness env               # print the effective resolved
-                                              # configuration (value + source)
+                                              # job daemon for REPRO_SERVICE
+    python -m repro.harness env               # resolved configuration
 
+The table and figure commands are the entries of
+:data:`repro.harness.render.REPORT`.
 Every ``REPRO_*`` environment variable is listed by ``--help`` (generated
 from the :mod:`repro.config` registry); ``env`` shows the resolved values.
 A ``REPRO_*`` variable no setting reads is ignored: ``env`` shows it as
@@ -38,10 +29,11 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro import config as repro_config
-from repro.harness import figures, render, tables
+from repro.harness import figures, render
 from repro.harness.experiment import (
     RunSpec,
     crash_dir,
@@ -60,53 +52,9 @@ def _workloads(args) -> list:
     return default_workloads(full=args.full or None)
 
 
-def cmd_table1(args) -> None:
-    measured = tables.table1(_workloads(args), args.cores, args.seed)
-    print(f"Table 1 - message mix ({args.cores} cores, baseline)")
-    print(render.render_table1(measured, tables.TABLE1_PAPER))
-
-
-def cmd_table5(args) -> None:
-    measured = tables.table5(_workloads(args), args.cores, args.seed)
-    print(f"Table 5 - circuit reservation ordinals ({args.cores} cores)")
-    print(render.render_table5(measured, tables.TABLE5_PAPER))
-
-
-def cmd_table6(args) -> None:
-    measured = tables.table6()
-    print("Table 6 - router area savings")
-    print(render.render_table6(measured, tables.TABLE6_PAPER))
-
-
-def cmd_fig6(args) -> None:
-    data = figures.figure6(_workloads(args), args.cores, args.seed)
-    print(f"Figure 6 - reply outcomes ({args.cores} cores)")
-    print(render.render_figure6(data))
-
-
-def cmd_fig7(args) -> None:
-    data = figures.figure7(_workloads(args), args.cores, args.seed)
-    print(f"Figure 7 - message latency ({args.cores} cores)")
-    print(render.render_figure7(data))
-
-
-def cmd_fig8(args) -> None:
-    data = figures.figure8(_workloads(args), args.cores, args.seed)
-    print(f"Figure 8 - normalised network energy ({args.cores} cores)")
-    print(render.render_ratio_figure(data, "energy vs baseline"))
-
-
-def cmd_fig9(args) -> None:
-    data = figures.figure9(_workloads(args), args.cores, args.seed)
-    print(f"Figure 9 - speedup ({args.cores} cores)")
-    print(render.render_ratio_figure(data, "speedup"))
-
-
-def cmd_fig10(args) -> None:
-    data = figures.figure10(_workloads(args), args.cores, args.seed)
-    print(f"Figure 10 - per-application speedup ({args.cores} cores, "
-          "SlackDelay1 + NoAck)")
-    print(render.render_figure10(data))
+def _show(entry, args) -> None:
+    """Print one table or figure of the report at ``--cores``."""
+    print(render.section(entry, _workloads(args), args.cores, args.seed)[0])
 
 
 def cmd_check_topology(args) -> int:
@@ -181,14 +129,13 @@ def cmd_inject(args) -> int:
     directory = crash_dir()
     if args.inject and args.inject != "all":
         try:
-            kinds = [FaultKind(args.inject)]
+            kind = FaultKind(args.inject)
         except ValueError:
             choices = ", ".join(k.value for k in FaultKind)
             print(f"error: unknown fault {args.inject!r} (choose from "
                   f"{choices} or all)", file=sys.stderr)
             return 2
-        outcomes = [run_fault(kinds[0], seed=args.seed,
-                              crash_dir=directory)]
+        outcomes = [run_fault(kind, seed=args.seed, crash_dir=directory)]
     else:
         outcomes = run_campaign(seed=args.seed, crash_dir=directory)
     print("Fault-injection campaign "
@@ -241,9 +188,8 @@ def _parse_variant(name: str):
 
 def _observed_run(args, variant, config: TelemetryConfig):
     """Run one telemetry-enabled experiment; returns (result, info)."""
-    spec = RunSpec(args.cores, variant, args.workload, args.seed,
-                   telemetry=config)
-    result = run_experiment(spec)
+    result = run_experiment(RunSpec(args.cores, variant, args.workload,
+                                    args.seed, telemetry=config))
     return result, last_telemetry()
 
 
@@ -285,15 +231,12 @@ def cmd_topology(args) -> int:
     """Topology-comparison figure: BASELINE vs Complete_NoAck speedup,
     circuit hit rate and reply latency on mesh, torus and cmesh."""
     data = figures.figure_topology(_workloads(args), args.cores, args.seed)
-    text = render.render_figure_topology(data)
-    print(f"Topology comparison - Complete_NoAck vs Baseline "
-          f"({args.cores} cores)")
+    text = (f"Topology comparison - Complete_NoAck vs Baseline "
+            f"({args.cores} cores)\n" + render.render_figure_topology(data))
     print(text)
     out_path = os.path.join("out", "figure_topology.txt")
     os.makedirs(os.path.dirname(out_path), exist_ok=True)
     with open(out_path, "w") as fh:
-        fh.write(f"Topology comparison - Complete_NoAck vs Baseline "
-                 f"({args.cores} cores)\n")
         fh.write(text + "\n")
     print(f"  written: {out_path}")
     return 0
@@ -347,9 +290,8 @@ def cmd_serve(args) -> int:
 def cmd_env(args) -> int:
     """Print the effective resolved configuration, one row per setting."""
     rows = repro_config.describe()
-    name_w = max(len(row[0]) for row in rows)
-    env_w = max(len(row[1]) for row in rows)
-    value_w = max(len(row[2]) for row in rows)
+    name_w, env_w, value_w = (max(len(row[i]) for row in rows)
+                              for i in range(3))
     print("Effective configuration (precedence: kwargs > environment "
           "> defaults)")
     for name, env, value, source in rows:
@@ -358,28 +300,13 @@ def cmd_env(args) -> int:
     return 0
 
 
-COMMANDS = {
-    "table1": cmd_table1,
-    "table5": cmd_table5,
-    "table6": cmd_table6,
-    "fig6": cmd_fig6,
-    "fig7": cmd_fig7,
-    "fig8": cmd_fig8,
-    "fig9": cmd_fig9,
-    "fig10": cmd_fig10,
-}
+#: The report's table and figure commands, in the order ``all`` runs them.
+COMMANDS = {name: partial(_show, entry)
+            for name, entry in render.REPORT.items()}
 
-
-def _prefetch(names, args, jobs: int) -> None:
-    """Compute the commands' runs before rendering, in one batch through
-    the active backend (:func:`repro.api.prefetch`)."""
-    from repro import api
-
-    api.prefetch(
-        figures.report_specs(args.cores, _workloads(args), args.seed, names),
-        jobs=jobs, safe=degrades(),
-        echo=lambda msg: print(msg, file=sys.stderr, flush=True),
-    )
+#: The other commands that name one function.
+TOOLS = {"chaos": cmd_chaos, "trace": cmd_trace, "profile": cmd_profile,
+         "topology": cmd_topology, "serve": cmd_serve, "env": cmd_env}
 
 
 def main(argv=None) -> int:
@@ -390,10 +317,8 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("what", nargs="?", default=None,
-                        choices=list(COMMANDS) + ["all", "check", "inject",
-                                                  "chaos", "trace",
-                                                  "profile", "topology",
-                                                  "serve", "env"])
+                        choices=list(COMMANDS) + ["all", "check", "inject"]
+                        + list(TOOLS))
     parser.add_argument("--cores", type=int, default=16,
                         help="chip size (16 or 64; default 16)")
     parser.add_argument("--seed", type=int, default=1)
@@ -470,10 +395,8 @@ def _warnings_to_stderr():
 
 
 def _dispatch(args, parser) -> int:
-    if args.what == "env":
-        return cmd_env(args)
-    if args.what == "serve":
-        return cmd_serve(args)
+    if args.what in ("env", "serve"):
+        return TOOLS[args.what](args)
     try:
         jobs = repro_config.resolve_jobs(args.jobs)
     except ValueError as exc:
@@ -485,14 +408,8 @@ def _dispatch(args, parser) -> int:
         return cmd_check_topology(args)
     if args.what == "check" or (args.what is None and args.check):
         return cmd_check(args)
-    if args.what == "chaos":
-        return cmd_chaos(args)
-    if args.what == "trace":
-        return cmd_trace(args)
-    if args.what == "profile":
-        return cmd_profile(args)
-    if args.what == "topology":
-        return cmd_topology(args)
+    if args.what in TOOLS:
+        return TOOLS[args.what](args)
     if args.what is None:
         parser.error("nothing to do: name a table/figure, or use "
                      "--check / --inject")
@@ -501,7 +418,13 @@ def _dispatch(args, parser) -> int:
     if args.fail_fast:
         os.environ["REPRO_FAILFAST"] = "1"
     names = list(COMMANDS) if args.what == "all" else [args.what]
-    _prefetch(names, args, jobs)
+    from repro import api
+
+    # the commands' runs in one batch through the active backend
+    api.prefetch(
+        render.report_specs(args.cores, _workloads(args), args.seed, names),
+        jobs=jobs, safe=degrades(),
+        echo=lambda msg: print(msg, file=sys.stderr, flush=True))
     for name in names:
         COMMANDS[name](args)
         if args.what == "all":

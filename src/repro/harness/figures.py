@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.circuits.outcomes import OUTCOME_ORDER
 from repro.harness.experiment import (RunResult, RunSpec, degrades,
@@ -42,86 +42,28 @@ def _ratio(value: float, reference: float) -> float:
         return float("nan")
     return value / reference
 
-#: Circuit-building configurations of Fig. 6 (both chip sizes).
-FIG6_VARIANTS = [
-    Variant.FRAGMENTED,
-    Variant.COMPLETE,
-    Variant.COMPLETE_NOACK,
-    Variant.REUSE_NOACK,
-    Variant.TIMED_NOACK,
-    Variant.SLACK1_NOACK,
-    Variant.SLACK2_NOACK,
-    Variant.SLACK4_NOACK,
-    Variant.SLACKDELAY1_NOACK,
-    Variant.SLACKDELAY2_NOACK,
-    Variant.POSTPONED1_NOACK,
-    Variant.POSTPONED2_NOACK,
-    Variant.IDEAL,
-]
+#: Energy configurations of Fig. 8 (the paper excludes Ideal and
+#: Postponed).
+FIG8_VARIANTS = [Variant.FRAGMENTED, Variant.COMPLETE, Variant.COMPLETE_NOACK,
+                 Variant.REUSE_NOACK, Variant.TIMED_NOACK,
+                 Variant.SLACKDELAY1_NOACK]
 
-#: Latency comparison configurations of Fig. 7.
-FIG7_VARIANTS = [
-    Variant.BASELINE,
-    Variant.FRAGMENTED,
-    Variant.COMPLETE,
-    Variant.COMPLETE_NOACK,
-    Variant.REUSE_NOACK,
-    Variant.TIMED_NOACK,
-    Variant.SLACKDELAY1_NOACK,
-    Variant.POSTPONED1_NOACK,
-    Variant.IDEAL,
-]
+#: Speedup configurations of Fig. 9: Fig. 8's and the Ideal bound.
+FIG9_VARIANTS = FIG8_VARIANTS + [Variant.IDEAL]
 
-#: Energy configurations of Fig. 8 (paper excludes Ideal and Postponed).
-FIG8_VARIANTS = [
-    Variant.FRAGMENTED,
-    Variant.COMPLETE,
-    Variant.COMPLETE_NOACK,
-    Variant.REUSE_NOACK,
-    Variant.TIMED_NOACK,
-    Variant.SLACKDELAY1_NOACK,
-]
+#: Latency comparison configurations of Fig. 7: Baseline, Fig. 8's,
+#: Postponed1 and Ideal.
+FIG7_VARIANTS = [Variant.BASELINE, *FIG8_VARIANTS, Variant.POSTPONED1_NOACK,
+                 Variant.IDEAL]
 
-#: Speedup configurations of Fig. 9.
-FIG9_VARIANTS = [
-    Variant.FRAGMENTED,
-    Variant.COMPLETE,
-    Variant.COMPLETE_NOACK,
-    Variant.REUSE_NOACK,
-    Variant.TIMED_NOACK,
-    Variant.SLACKDELAY1_NOACK,
-    Variant.IDEAL,
-]
+#: Circuit-building configurations of Fig. 6 (both chip sizes): every
+#: variant with circuits but Reuse with acknowledgements.
+FIG6_VARIANTS = [variant for variant in Variant
+                 if variant not in (Variant.BASELINE, Variant.REUSE)]
 
-#: Variants each table / figure command of the report simulates, by
-#: command name (table6 is a pure area model: none).
-REPORT_VARIANTS: Dict[str, List[Variant]] = {
-    "table1": [Variant.BASELINE],
-    "table5": [Variant.COMPLETE_NOACK],
-    "table6": [],
-    "fig6": FIG6_VARIANTS,
-    "fig7": FIG7_VARIANTS,
-    "fig8": [Variant.BASELINE] + FIG8_VARIANTS,
-    "fig9": [Variant.BASELINE] + FIG9_VARIANTS,
-    "fig10": [Variant.BASELINE, Variant.SLACKDELAY1_NOACK],
-}
-
-
-def report_specs(n_cores: int, workloads: List[str], seed: int = 1,
-                 names: Optional[Iterable[str]] = None) -> List[RunSpec]:
-    """Every spec the named commands (default: all of them) simulate on
-    ``n_cores``, variant-major, each variant once."""
-    variants: List[Variant] = []
-    for name in REPORT_VARIANTS if names is None else names:
-        for variant in REPORT_VARIANTS[name]:
-            if variant not in variants:
-                variants.append(variant)
-    return [RunSpec(n_cores, variant, workload, seed)
-            for variant in variants for workload in workloads]
-
-
-#: Paper headline numbers for cross-checking (EXPERIMENTS.md).
-PAPER_ENERGY_REDUCTION = {16: 15.2, 64: 20.8}  # Complete_NoAck, percent
+#: The paper's headline numbers in percent, set beside the measured
+#: ones by the report's Fig. 8 and Fig. 9 entries.
+PAPER_ENERGY_REDUCTION = {16: 15.2, 64: 20.8}  # Complete_NoAck
 PAPER_SPEEDUP = {
     (Variant.COMPLETE_NOACK, 16): 3.8,
     (Variant.COMPLETE_NOACK, 64): 4.8,
@@ -133,16 +75,12 @@ PAPER_SPEEDUP = {
 def figure6(workloads: List[str], n_cores: int, seed: int = 1
             ) -> Dict[str, Dict[str, float]]:
     """Reply outcome breakdown per variant (averaged over workloads)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for variant, per in cells(n_cores, FIG6_VARIANTS, workloads, seed).items():
-        sums = {o.value: 0.0 for o in OUTCOME_ORDER}
-        for result in per.values():
-            for key, value in result.outcomes.items():
-                sums[key] += value
-        out[variant.value] = _nan_if_failed(
-            {key: value / len(per) for key, value in sums.items()},
-            per.values())
-    return out
+    grid = cells(n_cores, FIG6_VARIANTS, workloads, seed)
+    return {variant.value: _nan_if_failed({
+        o.value: sum(result.outcomes.get(o.value, 0.0)
+                     for result in per.values()) / len(per)
+        for o in OUTCOME_ORDER}, per.values())
+        for variant, per in grid.items()}
 
 
 def figure7(workloads: List[str], n_cores: int, seed: int = 1
@@ -154,55 +92,58 @@ def figure7(workloads: List[str], n_cores: int, seed: int = 1
     distributions that :meth:`RunResult.percentile` now carries, so the
     tail is measured, not approximated from means.
     """
-    out: Dict[str, Dict[str, Tuple[float, float, float]]] = {}
-    for variant, per in cells(n_cores, FIG7_VARIANTS, workloads, seed).items():
-        per_class = {cls: [0.0, 0.0, 0.0] for cls in ("req", "crep", "norep")}
-        for result in per.values():
-            for cls in per_class:
-                per_class[cls][0] += result.mean(f"lat.net.{cls}")
-                per_class[cls][1] += result.mean(f"lat.queue.{cls}")
-                per_class[cls][2] += result.percentile(f"lat.net.{cls}", 95)
-        out[variant.value] = _nan_if_failed(
-            {cls: tuple(value / len(per) for value in vals)
-             for cls, vals in per_class.items()},
-            per.values(), (float("nan"),) * 3)
-    return out
+    def averaged(per: Dict[str, RunResult], cls: str) -> Tuple[float, ...]:
+        samples = [(result.mean(f"lat.net.{cls}"),
+                    result.mean(f"lat.queue.{cls}"),
+                    result.percentile(f"lat.net.{cls}", 95))
+                   for result in per.values()]
+        return tuple(sum(column) / len(per) for column in zip(*samples))
+
+    grid = cells(n_cores, FIG7_VARIANTS, workloads, seed)
+    return {variant.value: _nan_if_failed(
+        {cls: averaged(per, cls) for cls in ("req", "crep", "norep")},
+        per.values(), (float("nan"),) * 3) for variant, per in grid.items()}
+
+
+def _vs_baseline(workloads: List[str], n_cores: int, seed: int,
+                 variants: List[Variant], ratio
+                 ) -> Dict[str, Dict[str, float]]:
+    """``ratio(baseline run, run)`` per variant and workload."""
+    grid = cells(n_cores, [Variant.BASELINE] + variants, workloads, seed)
+    return {variant.value: {
+        workload: ratio(grid[Variant.BASELINE][workload], result)
+        for workload, result in grid[variant].items()} for variant in variants}
+
+
+def _speedup(base: RunResult, result: RunResult) -> float:
+    return _ratio(base.exec_cycles, result.exec_cycles)
 
 
 def figure8(workloads: List[str], n_cores: int, seed: int = 1
             ) -> Dict[str, Tuple[float, float]]:
     """Network energy normalised to baseline: (mean, stderr) per variant."""
-    grid = cells(n_cores, REPORT_VARIANTS["fig8"], workloads, seed)
-    base = grid[Variant.BASELINE]
-    out: Dict[str, Tuple[float, float]] = {"Baseline": (1.0, 0.0)}
-    for variant in FIG8_VARIANTS:
-        out[variant.value] = mean_and_stderr([
-            _ratio(result.energy_total, base[workload].energy_total)
-            for workload, result in grid[variant].items()])
-    return out
+    ratios = _vs_baseline(
+        workloads, n_cores, seed, FIG8_VARIANTS,
+        lambda base, result: _ratio(result.energy_total, base.energy_total))
+    return {"Baseline": (1.0, 0.0), **{
+        variant: mean_and_stderr(values.values())
+        for variant, values in ratios.items()}}
 
 
 def figure9(workloads: List[str], n_cores: int, seed: int = 1
             ) -> Dict[str, Tuple[float, float]]:
     """Speedup vs. baseline: (mean, stderr) per variant."""
-    grid = cells(n_cores, REPORT_VARIANTS["fig9"], workloads, seed)
-    base = grid[Variant.BASELINE]
-    out: Dict[str, Tuple[float, float]] = {}
-    for variant in FIG9_VARIANTS:
-        out[variant.value] = mean_and_stderr([
-            _ratio(base[workload].exec_cycles, result.exec_cycles)
-            for workload, result in grid[variant].items()])
-    return out
+    return {variant: mean_and_stderr(values.values())
+            for variant, values in _vs_baseline(
+                workloads, n_cores, seed, FIG9_VARIANTS, _speedup).items()}
 
 
 def figure10(workloads: List[str], n_cores: int = 64, seed: int = 1,
              variant: Variant = Variant.SLACKDELAY1_NOACK
              ) -> Dict[str, float]:
     """Per-application speedup for timed circuits with slack+delay of 1."""
-    grid = cells(n_cores, [Variant.BASELINE, variant], workloads, seed)
-    return {workload: _ratio(grid[Variant.BASELINE][workload].exec_cycles,
-                             result.exec_cycles)
-            for workload, result in grid[variant].items()}
+    return _vs_baseline(workloads, n_cores, seed, [variant],
+                        _speedup)[variant.value]
 
 
 def figure_topology(workloads: List[str], n_cores: int = 16, seed: int = 1,
@@ -223,8 +164,8 @@ def figure_topology(workloads: List[str], n_cores: int = 16, seed: int = 1,
                      topology)
         speedups, success, latency = [], [], []
         for workload, result in grid[variant].items():
-            speedups.append(_ratio(grid[Variant.BASELINE][workload]
-                                   .exec_cycles, result.exec_cycles))
+            speedups.append(_speedup(grid[Variant.BASELINE][workload],
+                                     result))
             replies = result.counter("circuit.replies_total")
             success.append(
                 result.counter("circuit.outcome.on_circuit") / replies

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Tuple
 
 from repro.coherence.messages import Kind, REPLY_KINDS, REQUEST_KINDS
@@ -35,12 +36,11 @@ TABLE6_PAPER = {
 }
 
 
-def _message_counts(results: Iterable[RunResult]) -> Dict[str, int]:
-    total: Dict[str, int] = {}
+def _message_counts(results: Iterable[RunResult]) -> Counter:
+    total: Counter = Counter()
     for result in results:
-        for key, value in result.counters_with_prefix("msg.count.").items():
-            kind = key[len("msg.count."):]
-            total[kind] = total.get(kind, 0) + value
+        total.update({key[len("msg.count."):]: value for key, value in
+                      result.counters_with_prefix("msg.count.").items()})
     return total
 
 
@@ -56,15 +56,11 @@ def table1(workloads: List[str], n_cores: int = 64, seed: int = 1
     if total == 0:
         return {}
     pct = {kind: 100.0 * value / total for kind, value in counts.items()}
-    requests = sum(pct.get(kind, 0.0) for kind in REQUEST_KINDS)
-    replies = sum(pct.get(kind, 0.0) for kind in REPLY_KINDS)
     return _nan_if_failed({
-        "requests": requests,
-        "replies": replies,
-        Kind.L2_REPLY: pct.get(Kind.L2_REPLY, 0.0),
-        Kind.L1_DATA_ACK: pct.get(Kind.L1_DATA_ACK, 0.0),
-        Kind.L2_WB_ACK: pct.get(Kind.L2_WB_ACK, 0.0),
-        Kind.L1_INV_ACK: pct.get(Kind.L1_INV_ACK, 0.0),
+        "requests": sum(pct.get(kind, 0.0) for kind in REQUEST_KINDS),
+        "replies": sum(pct.get(kind, 0.0) for kind in REPLY_KINDS),
+        **{kind: pct.get(kind, 0.0) for kind in (
+            Kind.L2_REPLY, Kind.L1_DATA_ACK, Kind.L2_WB_ACK, Kind.L1_INV_ACK)},
         "MEMORY": pct.get(Kind.MEMORY_DATA, 0.0) + pct.get(Kind.MEMORY_ACK, 0.0),
         Kind.L1_TO_L1: pct.get(Kind.L1_TO_L1, 0.0),
     }, results)
@@ -93,13 +89,9 @@ def table5(workloads: List[str], n_cores: int = 64, seed: int = 1
 
 def table6() -> Dict[Tuple[str, int], float]:
     """Router area savings per variant and chip size (paper Table 6)."""
-    rows = {}
-    for label, variant in (
-        ("Fragmented", Variant.FRAGMENTED),
-        ("Complete", Variant.COMPLETE),
-        ("Complete Timed", Variant.TIMED_NOACK),
-    ):
-        for n_cores in (16, 64):
-            config = SystemConfig(n_cores=n_cores).with_variant(variant)
-            rows[(label, n_cores)] = 100.0 * area_savings(config)
-    return rows
+    return {(label, n_cores): 100.0 * area_savings(
+                SystemConfig(n_cores=n_cores).with_variant(variant))
+            for label, variant in (("Fragmented", Variant.FRAGMENTED),
+                                   ("Complete", Variant.COMPLETE),
+                                   ("Complete Timed", Variant.TIMED_NOACK))
+            for n_cores in (16, 64)}

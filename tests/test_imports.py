@@ -89,7 +89,7 @@ def test_a_warm_read_loads_no_simulator(tmp_path):
         "from repro import api\n"
         "from repro.harness import figures, render, tables\n"
         "programs = ['swaptions']\n"
-        "specs = figures.report_specs(16, programs, names=['table1', 'fig9'])\n"
+        "specs = render.report_specs(16, programs, names=['table1', 'fig9'])\n"
         "results = api.results(api.submit(specs, jobs=1))\n"
         "assert len(results) == 8 and not any(r.failed for r in results)\n"
         "print(render.render_table1(tables.table1(programs, 16),\n"

@@ -8,16 +8,41 @@ Usage:
 The run honours REPRO_SCALE / REPRO_FULL / REPRO_CACHE / REPRO_JOBS like
 the harness.  With more than one job, every simulation the report needs
 is computed up front across worker processes; the rendering below then
-assembles the identical results from the in-process memo.
+assembles the identical results from the in-process memo.  Beside the
+report it writes FIDELITY.json: one row per number of the report (entry,
+cores, row, column, the paper's value or null, the measured value), with
+the scale, quanta, seed, workloads and commit of the run.
 """
 
 import argparse
+import json
+import os
+import subprocess
 import sys
 import time
 
 from repro import config
-from repro.harness import figures, render, tables
-from repro.harness.experiment import default_workloads, degrades
+from repro.harness import render
+from repro.harness.experiment import RunSpec, default_workloads, degrades
+
+
+def _commit() -> "str | None":
+    """The checkout's commit (``-dirty`` if it has local changes)."""
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty"],
+                              capture_output=True, text=True,
+                              cwd=os.path.dirname(os.path.abspath(__file__))
+                              ).stdout.strip() or None
+    except OSError:  # no git
+        return None
+
+
+def _dump(fidelity: dict) -> str:
+    """``fidelity`` as JSON text with one row per line."""
+    head = json.dumps({k: v for k, v in fidelity.items() if k != "rows"},
+                      indent=1)
+    rows = ",\n".join("  " + json.dumps(row) for row in fidelity["rows"])
+    return head[:-2] + f',\n "rows": [\n{rows}\n ]\n}}\n'
 
 
 def main(argv=None) -> int:
@@ -31,7 +56,22 @@ def main(argv=None) -> int:
 
     workloads = default_workloads()
     full = default_workloads(full=True)
-    lines = []
+    entries = list(render.REPORT.values())
+    # the report in print order: (entry, workloads, chip size), or a line
+    plan = [(entry, workloads, None) for entry in entries if not entry.chips]
+    for cores in dict.fromkeys(cores for entry in entries
+                               for cores in entry.chips):
+        plan += [f"=================== {cores} cores ==================="]
+        plan += [(entry, workloads, cores) for entry in entries
+                 if cores in entry.chips and not entry.full]
+        plan += ["[{elapsed:.0f}s elapsed]"]
+    plan += [(entry, full, cores) for entry in entries if entry.full
+             for cores in entry.chips]
+    sections = [item for item in plan if not isinstance(item, str)]
+    specs = [spec for entry, programs, cores in sections
+             for spec in render.report_specs(cores, programs, args.seed,
+                                             [entry.name])]
+    lines, rows = [], []
 
     def emit(text=""):
         print(text, flush=True)
@@ -40,56 +80,36 @@ def main(argv=None) -> int:
     t0 = time.time()
     from repro import api
 
-    api.prefetch(
-        figures.report_specs(16, workloads, args.seed)
-        + figures.report_specs(64, workloads, args.seed)
-        + figures.report_specs(64, full, args.seed, ["fig10"]),
-        jobs=args.jobs, safe=degrades(),
-        echo=lambda msg: print(msg, file=sys.stderr, flush=True),
-    )
+    api.prefetch(specs, jobs=args.jobs, safe=degrades(),
+                 echo=lambda msg: print(msg, file=sys.stderr, flush=True))
 
     emit(f"# Reactive Circuits reproduction report")
     emit(f"# scale={config.resolve('scale')} workloads={workloads}")
     emit()
-
-    emit("## Table 6 - router area savings")
-    emit(render.render_table6(tables.table6(), tables.TABLE6_PAPER))
-    emit()
-
-    for cores in (16, 64):
-        emit(f"=================== {cores} cores ===================")
-        emit(f"## Table 1 - message mix ({cores} cores)")
-        emit(render.render_table1(tables.table1(workloads, cores, args.seed),
-                                  tables.TABLE1_PAPER))
+    for item in plan:
+        if isinstance(item, str):
+            emit(item.format(elapsed=time.time() - t0))
+            continue
+        text, cells = render.section(*item, args.seed)
+        emit("## " + text)
         emit()
-        emit(f"## Table 5 - reservation ordinals ({cores} cores)")
-        emit(render.render_table5(tables.table5(workloads, cores, args.seed),
-                                  tables.TABLE5_PAPER))
-        emit()
-        emit(f"## Figure 6 - reply outcomes ({cores} cores)")
-        emit(render.render_figure6(figures.figure6(workloads, cores, args.seed)))
-        emit()
-        emit(f"## Figure 7 - message latency ({cores} cores)")
-        emit(render.render_figure7(figures.figure7(workloads, cores, args.seed)))
-        emit()
-        emit(f"## Figure 8 - normalised network energy ({cores} cores)")
-        emit(render.render_ratio_figure(
-            figures.figure8(workloads, cores, args.seed), "energy vs baseline"))
-        emit()
-        emit(f"## Figure 9 - speedup ({cores} cores)")
-        emit(render.render_ratio_figure(
-            figures.figure9(workloads, cores, args.seed), "speedup"))
-        emit()
-        emit(f"[{time.time() - t0:.0f}s elapsed]")
-
-    emit("## Figure 10 - per-application speedup "
-         "(64 cores, SlackDelay1+NoAck, all workloads)")
-    emit(render.render_figure10(figures.figure10(full, 64, args.seed)))
-    emit()
+        rows += cells
     emit(f"# total {time.time() - t0:.0f}s")
 
     with open(args.output, "w") as handle:
         handle.write("\n".join(lines) + "\n")
+    # every run of the report has the default quanta, scaled
+    [(measure, warmup)] = {(spec.measure_instructions,
+                            spec.warmup_instructions)
+                           for spec in map(RunSpec.scaled, specs)}
+    fidelity = {
+        "commit": _commit(), "scale": config.resolve("scale"),
+        "measure_instructions": measure, "warmup_instructions": warmup,
+        "seed": args.seed, "workloads": workloads, "all_workloads": full,
+        "rows": rows}
+    path = os.path.join(os.path.dirname(args.output), "FIDELITY.json")
+    with open(path, "w") as handle:
+        handle.write(_dump(fidelity))
     return 0
 
 
