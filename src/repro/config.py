@@ -91,7 +91,7 @@ def _parse_int(minimum: Optional[int] = None, hint: str = ""):
     def parse(raw, source: str, setting: "Setting"):
         try:
             value = int(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 setting.name, source,
                 f"{source} must be an integer{hint}, got {raw!r}"
@@ -110,7 +110,7 @@ def _parse_float(minimum_exclusive: Optional[float] = None, hint: str = ""):
     def parse(raw, source: str, setting: "Setting"):
         try:
             value = float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 setting.name, source,
                 f"{source} must be a number{hint}, got {raw!r}"
@@ -153,7 +153,7 @@ def _parse_topology(raw, source: str, setting: "Setting"):
 def _parse_jobs(raw, source: str, setting: "Setting"):
     try:
         value = int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             setting.name, source,
             f"{source} must be a non-negative integer "
@@ -171,7 +171,7 @@ def _parse_jobs(raw, source: str, setting: "Setting"):
 def _parse_scale(raw, source: str, setting: "Setting"):
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             setting.name, source,
             f"{source} must be a number (simulation-length multiplier, "

@@ -132,7 +132,8 @@ def _header_value(path: Path, lineno: int, token: str) -> int:
 def _parse(path: Path) -> Tuple[int, int, Dict[int, List[Access]]]:
     per_core: Dict[int, List[Access]] = {}
     n_cores = line_bytes = None
-    with open(path) as handle:
+    # an undecodable byte becomes U+FFFD, so it fails its line's parse
+    with open(path, encoding="utf-8", errors="replace") as handle:
         for lineno, raw in enumerate(handle, 1):
             text = raw.strip()
             if not text:

@@ -188,8 +188,9 @@ def _parse_variant(name: str):
 
 def _observed_run(args, variant, config: TelemetryConfig):
     """Run one telemetry-enabled experiment; returns (result, info)."""
-    result = run_experiment(RunSpec(args.cores, variant, args.workload,
-                                    args.seed, telemetry=config))
+    spec = RunSpec(args.cores, variant, args.workload, args.seed,
+                   telemetry=config)
+    result = run_experiment(spec)
     return result, last_telemetry()
 
 
@@ -290,8 +291,9 @@ def cmd_serve(args) -> int:
 def cmd_env(args) -> int:
     """Print the effective resolved configuration, one row per setting."""
     rows = repro_config.describe()
-    name_w, env_w, value_w = (max(len(row[i]) for row in rows)
-                              for i in range(3))
+    name_w = max(len(row[0]) for row in rows)
+    env_w = max(len(row[1]) for row in rows)
+    value_w = max(len(row[2]) for row in rows)
     print("Effective configuration (precedence: kwargs > environment "
           "> defaults)")
     for name, env, value, source in rows:

@@ -61,9 +61,8 @@ FIG7_VARIANTS = [Variant.BASELINE, *FIG8_VARIANTS, Variant.POSTPONED1_NOACK,
 FIG6_VARIANTS = [variant for variant in Variant
                  if variant not in (Variant.BASELINE, Variant.REUSE)]
 
-#: The paper's headline numbers in percent, set beside the measured
-#: ones by the report's Fig. 8 and Fig. 9 entries.
-PAPER_ENERGY_REDUCTION = {16: 15.2, 64: 20.8}  # Complete_NoAck
+#: The paper's Fig. 9 speedups in percent (the report's entry sets them
+#: beside the measured ones).
 PAPER_SPEEDUP = {
     (Variant.COMPLETE_NOACK, 16): 3.8,
     (Variant.COMPLETE_NOACK, 64): 4.8,

@@ -102,12 +102,12 @@ class Entry:
 
     ``compute(workloads, n_cores, seed)`` assembles its data from the runs
     of ``variants``, and ``render(data, paper)`` prints that beside
-    ``paper(n_cores)``: the paper's values keyed like the data's rows, in
-    the unit of ``columns[0]``.  ``columns`` names the numbers of a row
-    that is a number or a tuple; a row that maps names to numbers names
-    its own (``""`` then).  The reproduction renders the entry at each of
-    ``chips`` (none: it has no chip size), over every workload if
-    ``full``.
+    ``paper(n_cores)`` (if the paper gives numbers): the paper's values
+    keyed like the data's rows, in the unit of ``columns[0]``.
+    ``columns`` names the numbers of a row that is a number or a tuple; a
+    row that maps names to numbers names its own (``""`` then).  The
+    reproduction renders the entry at each of ``chips`` (none: it has no
+    chip size), over every workload if ``full``.
     """
 
     name: str
@@ -116,7 +116,7 @@ class Entry:
     compute: Callable
     render: Callable
     columns: Tuple[str, ...]
-    paper: Callable = lambda n_cores: {}
+    paper: Optional[Callable] = None
     chips: Tuple[int, ...] = (16, 64)
     full: bool = False
 
@@ -142,10 +142,9 @@ REPORT: Dict[str, Entry] = {entry.name: entry for entry in (
     Entry("fig8", "Figure 8 - normalised network energy ({cores} cores)",
           (Variant.BASELINE, *figures.FIG8_VARIANTS), figures.figure8,
           lambda data, paper: render_ratio_figure(data, "energy vs baseline"),
-          ("energy", "stderr"), paper=lambda n_cores: {
-              Variant.COMPLETE_NOACK.value: 1 - percent / 100
-              for cores, percent in figures.PAPER_ENERGY_REDUCTION.items()
-              if cores == n_cores}),
+          ("energy", "stderr"),  # the paper: -15.2 % and -20.8 %
+          paper=lambda n_cores: {Variant.COMPLETE_NOACK.value:
+                                 {16: 0.848, 64: 0.792}.get(n_cores)}),
     Entry("fig9", "Figure 9 - speedup ({cores} cores)",
           (Variant.BASELINE, *figures.FIG9_VARIANTS), figures.figure9,
           lambda data, paper: render_ratio_figure(data, "speedup"),
@@ -177,14 +176,16 @@ def section(entry: Entry, workloads: List[str], n_cores: Optional[int],
     """``(text, cells)`` of ``entry`` on ``n_cores``: its title and
     rendered table, and one ``FIDELITY.json`` row per number."""
     data = entry.compute(workloads, n_cores, seed)
-    paper = entry.paper(n_cores)
-    cells = [{"entry": entry.name, "cores": cores, "row": str(row),
-              "column": column, "paper": paper.get(key)
-              if column == entry.columns[0] else None, "measured": measured}
-             for key, value in data.items()
-             for row, cores in [key if isinstance(key, tuple)
-                                else (key, n_cores)]
-             for column, measured in _leaves(value, entry.columns)]
+    paper = entry.paper(n_cores) if entry.paper else {}
+    cells = []
+    for key, value in data.items():
+        # Table 6's rows are keyed (version, chip size)
+        row, cores = key if isinstance(key, tuple) else (key, n_cores)
+        cells += [{"entry": entry.name, "cores": cores, "row": str(row),
+                   "column": column, "paper": paper.get(key)
+                   if column == entry.columns[0] else None,
+                   "measured": measured}
+                  for column, measured in _leaves(value, entry.columns)]
     return (entry.title.format(cores=n_cores) + "\n"
             + entry.render(data, paper)), cells
 

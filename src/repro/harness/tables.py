@@ -71,20 +71,17 @@ def table5(workloads: List[str], n_cores: int = 64, seed: int = 1
     """Ordinal distribution of circuit reservations (paper Table 5)."""
     results = cells(n_cores, [Variant.COMPLETE_NOACK], workloads,
                     seed)[Variant.COMPLETE_NOACK].values()
-    ordinals = {i: 0 for i in range(1, 6)}
-    failed = 0
-    for result in results:
-        for i in ordinals:
-            ordinals[i] += result.counter(f"circuit.reservation_ordinal.{i}")
-        failed += result.counter("circuit.reservation_failed")
-    total = sum(ordinals.values()) + failed
+    counters: Dict[object, str] = {
+        i: f"circuit.reservation_ordinal.{i}" for i in range(1, 6)}
+    counters["failed"] = "circuit.reservation_failed"
+    counts = {key: sum(result.counter(name) for result in results)
+              for key, name in counters.items()}
+    total = sum(counts.values())
     if total == 0:
         return {}
-    out: Dict[object, float] = {
-        i: 100.0 * count / total for i, count in ordinals.items()
-    }
-    out["failed"] = 100.0 * failed / total
-    return _nan_if_failed(out, results)
+    return _nan_if_failed(
+        {key: 100.0 * count / total for key, count in counts.items()},
+        results)
 
 
 def table6() -> Dict[Tuple[str, int], float]:

@@ -27,6 +27,7 @@ from typing import Optional, Tuple, Union
 
 from repro.config import ConfigError
 from repro.harness.experiment import RunSpec
+from repro.noc.topology import TOPOLOGY_CHOICES, topology_grid_side
 from repro.sim.config import Variant
 
 #: Protocol revision; bumped on incompatible message-shape changes.
@@ -82,8 +83,11 @@ def _field(data: dict, name: str, convert, *default):
 
 
 def spec_from_json(data: dict) -> RunSpec:
-    """The :class:`RunSpec` a wire dict names.  Anything that is not
-    one raises :class:`ServiceError` naming the bad field."""
+    """The :class:`RunSpec` a wire dict names, if a worker can run it.
+    Anything else raises :class:`ServiceError` naming the bad field: a
+    malformed field, a topology outside :data:`TOPOLOGY_CHOICES` (``""``
+    is mesh), an ``n_cores`` that does not tile it, or an unknown
+    program.  It reads no environment."""
     if not isinstance(data, dict):
         raise ServiceError(f"spec is a JSON {type(data).__name__}, "
                            "not an object")
@@ -94,7 +98,7 @@ def spec_from_json(data: dict) -> RunSpec:
         given = _field(data, "telemetry", dict)
         telemetry = TelemetryConfig(**{
             name: given[name] for name in _TELEMETRY_FIELDS if name in given})
-    return RunSpec(
+    spec = RunSpec(
         n_cores=_field(data, "n_cores", int),
         variant=_field(data, "variant", Variant),
         workload=_field(data, "workload", str),
@@ -104,6 +108,22 @@ def spec_from_json(data: dict) -> RunSpec:
         telemetry=telemetry,
         topology=_field(data, "topology", str, ""),
     )
+    # imported here: a process that only sends specs loads no cpu.trace
+    from repro.cpu.workloads import workload_by_name
+
+    if spec.topology not in ("",) + TOPOLOGY_CHOICES:
+        raise ServiceError(
+            f"spec field 'topology': unknown topology {spec.topology!r} "
+            f"(choose from {', '.join(TOPOLOGY_CHOICES)})")
+    try:
+        topology_grid_side(spec.topology or "mesh", spec.n_cores)
+    except ConfigError as exc:
+        raise ServiceError(f"spec field 'n_cores': {exc}") from None
+    try:
+        workload_by_name(spec.workload)
+    except ConfigError as exc:
+        raise ServiceError(f"spec field 'workload': {exc}") from None
+    return spec
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +206,7 @@ def recv_json(handle) -> Optional[dict]:
             f"frame exceeds {MAX_FRAME_BYTES} bytes; not a repro message")
     try:
         message = json.loads(line.decode())
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or depth
         raise ServiceError(f"undecodable frame: {exc}") from None
     if not isinstance(message, dict):
         raise ServiceError(

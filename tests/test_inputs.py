@@ -4,9 +4,13 @@
 ``TypeError`` / ``ValueError``; a damaged result-store shard file is a
 quarantined miss; an unusable store manifest, an out-of-range
 ``n_cores`` and a ``RunSpec`` field out of its range raise
-``ConfigError``.
+``ConfigError``; a mutated ``REPRO_*`` value raises only
+``ConfigError``, a mutated wire frame only ``ServiceError`` and a
+mutated trace file only ``TraceFileError``, each within
+``MUTATION_BOUND_S``.
 """
 
+import io
 import json
 import os
 import random
@@ -15,7 +19,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import config as repro_config
 from repro.config import ConfigError
+from repro.cpu.tracefile import FileTraceWorkload, TraceFileError
 from repro.harness.cache import (
     MANIFEST_NAME,
     SCHEMA_VERSION,
@@ -26,7 +32,8 @@ from repro.harness.cache import (
 )
 from repro.harness.experiment import MAX_INSTRUCTIONS, RunSpec
 from repro.noc.topology import MAX_CORES, TOPOLOGY_CHOICES, topology_grid_side
-from repro.service.protocol import ServiceError, spec_from_json, spec_to_json
+from repro.service.protocol import (ServiceError, recv_json, spec_from_json,
+                                    spec_to_json)
 from repro.sim.config import SystemConfig, Variant
 from repro.telemetry import TelemetryConfig
 
@@ -370,3 +377,151 @@ def test_a_huge_core_count_is_refused_before_anything_is_built():
 def test_core_counts_up_to_the_cap_still_tile(n_cores, sides):
     for topology, side in sides.items():
         assert topology_grid_side(topology, n_cores) == side
+
+
+# ----------------------------------------------------------------------
+# Settings, wire frames and trace files, mutated from valid ones.
+# ----------------------------------------------------------------------
+
+#: Seconds one mutated input may take to be accepted or refused.
+MUTATION_BOUND_S = 1.0
+
+#: Values that break parsers: empty, signs, overflow, non-finite, digit
+#: and size limits, other scripts' digits, bases, separators, whitespace.
+ODD_TEXT = ["", " ", "-1", "-0", "0", "1e400", "-1e400", "nan", "inf",
+            "9" * 5000, "x", "true", "\u0661\u0662", "0x10", "1_000", " 5 ",
+            "\t", "\u00e9", "\u2028", "1.5", "2" * 30, "mesh", "Torus "]
+
+#: Values a keyword override may carry that no environment string can.
+ODD_OBJECTS = [True, -1, 0, 1.5, 2 ** 70, 10 ** 400, float("inf"),
+               float("nan"), [1], {}, b"12", "16", object()]
+
+
+def _within_bound(call, *typed):
+    """Run ``call``; only the ``typed`` errors may escape, and it must
+    return within :data:`MUTATION_BOUND_S`.  Returns the escaped error
+    (or None) for the caller's count."""
+    start = time.perf_counter()
+    try:
+        call()
+        escaped = None
+    except typed:
+        escaped = None
+    except Exception as exc:  # noqa: BLE001 - counting what escapes
+        escaped = exc
+    assert time.perf_counter() - start < MUTATION_BOUND_S
+    return escaped
+
+
+def _text_mutations(rng, valid: str, n: int):
+    """``n`` seeded mutations of ``valid``: odd values, and ``valid``
+    with characters inserted, dropped or replaced."""
+    for _ in range(n):
+        text = list(valid)
+        action = rng.randrange(4)
+        if action == 0 or not text:
+            yield rng.choice(ODD_TEXT)
+            continue
+        at = rng.randrange(len(text))
+        char = rng.choice(["-", ".", "e", "0", "9", " ", "x", "\u0663", "_"])
+        if action == 1:
+            text.insert(at, char)
+        elif action == 2:
+            del text[at]
+        else:
+            text[at] = char
+        yield "".join(text)
+
+
+def test_a_mutated_setting_value_raises_only_config_error(monkeypatch):
+    """Every registered ``REPRO_*`` setting, read from a mutated
+    environment value and from an odd keyword override."""
+    rng = random.Random(43)
+    untyped = []
+    for name, entry in repro_config.SETTINGS.items():
+        for raw in _text_mutations(rng, str(entry.default), 60):
+            monkeypatch.setenv(entry.env, raw)
+            error = _within_bound(lambda: repro_config.resolve(name),
+                                  ConfigError)
+            if error is not None:
+                untyped.append((entry.env, raw, error))
+        monkeypatch.delenv(entry.env)
+        for value in ODD_OBJECTS:
+            error = _within_bound(
+                lambda: repro_config.resolve(name, override=value),
+                ConfigError)
+            if error is not None:
+                untyped.append((name, value, error))
+    assert len(repro_config.SETTINGS) == 15
+    assert untyped == []
+
+
+#: A valid submit frame, as ``ServiceClient`` sends it.
+FRAME = (json.dumps({"op": "submit", "specs": VALID}) + "\n").encode()
+
+
+def _frame_mutations(rng):
+    yield b"[" * 200_000 + b"\n"  # nesting deeper than the parser recurses
+    yield b'{"op": ' + b"1" * 5000 + b"}\n"  # past the int digit limit
+    yield b'{"op": 1e999999}\n'
+    yield b"\n"
+    for n in range(300):
+        data = bytearray(FRAME)
+        action = n % 3
+        at = rng.randrange(len(data) - 1)
+        if action == 0:
+            data[at] ^= 1 << rng.randrange(8)
+        elif action == 1:
+            del data[at:at + rng.randrange(1, 16)]
+        else:
+            data[at:at] = rng.choice([b"\xff", b"[", b"{", b'"', b"\\",
+                                      b"\x00", b"NaN", b"\xe2\x80\xa8"])
+        yield bytes(data)
+
+
+def test_a_mutated_wire_frame_raises_only_service_error():
+    rng = random.Random(2043)
+    untyped = [(frame[:40], error) for frame in _frame_mutations(rng)
+               if (error := _within_bound(
+                   lambda: recv_json(io.BytesIO(frame)), ServiceError))]
+    assert untyped == []
+
+
+def _trace_text():
+    lines = ["# repro-trace v1 cores=4 line=64"]
+    lines += [f"{core} {gap} {'rw'[gap % 2]} {0x1000 + 64 * gap:x}"
+              for core in range(4) for gap in range(6)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_a_mutated_trace_file_raises_only_trace_file_error(tmp_path):
+    """Byte flips, cuts and insertions (odd bytes, odd tokens) of a valid
+    trace, parsed and replayed through :class:`FileTraceWorkload`."""
+    rng = random.Random(20431)
+    valid = _trace_text()
+    path = tmp_path / "mutated.trace"
+
+    def load():
+        workload = FileTraceWorkload(path)
+        for stream in workload.streams(workload.n_cores,
+                                       workload.line_bytes, None):
+            stream.next_access()
+
+    untyped = []
+    for n in range(400):
+        data = bytearray(valid)
+        at = rng.randrange(len(data))
+        if n % 3 == 0:
+            data[at] ^= 1 << rng.randrange(8)
+        elif n % 3 == 1:
+            del data[at:at + rng.randrange(1, 24)]
+        else:
+            data[at:at] = rng.choice([
+                b"\xff\xfe", b"\x00", b" ", b"\n", b"-", b"9" * 5000,
+                b"cores=0", b"cores=99999", b"line=x", "\u0661".encode(),
+                b"1_0", b"0x", b"#"])
+        path.write_bytes(bytes(data))
+        error = _within_bound(load, TraceFileError)
+        if error is not None:
+            untyped.append((n, bytes(data[:60]), error))
+    assert untyped == []

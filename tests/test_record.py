@@ -35,6 +35,7 @@ SAMPLES = {
     "StreamParams": StreamParams(),
     "WorkloadProfile": workload_by_name("canneal"),
     "RunSpec": RunSpec(16, Variant.BASELINE, "canneal"), "Stats": Stats(),
+    "Tuple[Variant, ...]": (Variant.BASELINE,), "Tuple[str, ...]": ("x",),
 }
 
 

@@ -346,19 +346,30 @@ def test_worker_sigkill_mid_job_requeues_bit_identical(client):
     assert row["result"] == _direct(spec)
 
 
-def test_infra_failure_fails_on_first_attempt(client, daemon):
+def test_infra_failure_fails_on_first_attempt(tmp_path):
     # Only worker death is retried; an exception raised inside the
-    # worker is deterministic and fails the job at once.
-    spec = RunSpec(16, Variant.BASELINE, "no-such-workload", 1, **SMALL)
-    [status] = client.submit([spec])
-    [row] = client.results([status["job_id"]], timeout=300.0)
-    assert row["state"] == FAILED
-    assert row["attempts"] == 1
-    assert row["error_kind"] == "ConfigError"
-    assert "no-such-workload" in row["error"] and "canneal" in row["error"]
-    # FAILED jobs do not absorb resubmissions: the next submit retries.
-    [again] = client.submit([spec])
-    assert again["job_id"] != status["job_id"]
+    # worker is deterministic and fails the job at once.  The spec is
+    # valid (the daemon refuses one that is not at intake); the worker's
+    # environment asks for the invariant monitor at a malformed interval.
+    daemon = Daemon(str(tmp_path / "repro.sock"), workers=1,
+                    env=dict(os.environ, REPRO_CHECK="1",
+                             REPRO_CHECK_INTERVAL="banana"))
+    daemon.start()
+    try:
+        client = ServiceClient(daemon.address)
+        spec = RunSpec(16, Variant.BASELINE, "canneal", 1, **SMALL)
+        [status] = client.submit([spec])
+        [row] = client.results([status["job_id"]], timeout=300.0)
+        assert row["state"] == FAILED
+        assert row["attempts"] == 1
+        assert row["error_kind"] == "ConfigError"
+        assert "REPRO_CHECK_INTERVAL" in row["error"] \
+            and "banana" in row["error"]
+        # FAILED jobs do not absorb resubmissions: the next submit retries.
+        [again] = client.submit([spec])
+        assert again["job_id"] != status["job_id"]
+    finally:
+        daemon.shutdown()
 
 
 def test_run_timeout_is_not_retried(tmp_path):
@@ -478,6 +489,28 @@ def test_second_daemon_cannot_steal_a_live_socket(daemon, client):
         assert ServiceClient(stale).ping()
     finally:
         successor.shutdown()
+
+
+def test_the_daemon_refuses_a_spec_it_cannot_run_at_intake(tmp_path):
+    """A raw wire spec (one ``ServiceClient.submit`` did not make explicit)
+    with an unknown topology, a core count that does not tile it or an
+    unknown program is refused with a ``ServiceError`` naming the field,
+    and the daemon holds no job for it."""
+    d = Daemon(str(tmp_path / "repro.sock"), workers=1,
+               env=dict(os.environ, REPRO_CACHE=str(tmp_path / "store")))
+    d.start()
+    try:
+        client = ServiceClient(d.address)
+        good = protocol.spec_to_json(
+            RunSpec(16, Variant.BASELINE, "fft", 1, **SMALL))
+        for field, value in [("topology", "ring"), ("n_cores", 15),
+                             ("workload", "cannneal")]:
+            with pytest.raises(ServiceError, match=f"spec field '{field}'"):
+                client._request({"op": "submit",
+                                 "specs": [dict(good, **{field: value})]})
+        assert d.jobs.snapshot() == [] and client.info()["jobs"] == {}
+    finally:
+        d.shutdown()
 
 
 @pytest.mark.parametrize("frame,complaint", [
