@@ -104,45 +104,42 @@ def figure7(workloads: List[str], n_cores: int, seed: int = 1
         per.values(), (float("nan"),) * 3) for variant, per in grid.items()}
 
 
-def _vs_baseline(workloads: List[str], n_cores: int, seed: int,
-                 variants: List[Variant], ratio
-                 ) -> Dict[str, Dict[str, float]]:
-    """``ratio(baseline run, run)`` per variant and workload."""
-    grid = cells(n_cores, [Variant.BASELINE] + variants, workloads, seed)
-    return {variant.value: {
-        workload: ratio(grid[Variant.BASELINE][workload], result)
-        for workload, result in grid[variant].items()} for variant in variants}
-
-
-def _speedup(base: RunResult, result: RunResult) -> float:
-    return _ratio(base.exec_cycles, result.exec_cycles)
-
-
 def figure8(workloads: List[str], n_cores: int, seed: int = 1
             ) -> Dict[str, Tuple[float, float]]:
     """Network energy normalised to baseline: (mean, stderr) per variant."""
-    ratios = _vs_baseline(
-        workloads, n_cores, seed, FIG8_VARIANTS,
-        lambda base, result: _ratio(result.energy_total, base.energy_total))
-    return {"Baseline": (1.0, 0.0), **{
-        variant: mean_and_stderr(values.values())
-        for variant, values in ratios.items()}}
+    grid = cells(n_cores, [Variant.BASELINE] + FIG8_VARIANTS, workloads,
+                 seed)
+    base = grid[Variant.BASELINE]
+    out: Dict[str, Tuple[float, float]] = {"Baseline": (1.0, 0.0)}
+    for variant in FIG8_VARIANTS:
+        out[variant.value] = mean_and_stderr([
+            _ratio(result.energy_total, base[workload].energy_total)
+            for workload, result in grid[variant].items()])
+    return out
 
 
 def figure9(workloads: List[str], n_cores: int, seed: int = 1
             ) -> Dict[str, Tuple[float, float]]:
     """Speedup vs. baseline: (mean, stderr) per variant."""
-    return {variant: mean_and_stderr(values.values())
-            for variant, values in _vs_baseline(
-                workloads, n_cores, seed, FIG9_VARIANTS, _speedup).items()}
+    grid = cells(n_cores, [Variant.BASELINE] + FIG9_VARIANTS, workloads,
+                 seed)
+    base = grid[Variant.BASELINE]
+    out: Dict[str, Tuple[float, float]] = {}
+    for variant in FIG9_VARIANTS:
+        out[variant.value] = mean_and_stderr([
+            _ratio(base[workload].exec_cycles, result.exec_cycles)
+            for workload, result in grid[variant].items()])
+    return out
 
 
 def figure10(workloads: List[str], n_cores: int = 64, seed: int = 1,
              variant: Variant = Variant.SLACKDELAY1_NOACK
              ) -> Dict[str, float]:
     """Per-application speedup for timed circuits with slack+delay of 1."""
-    return _vs_baseline(workloads, n_cores, seed, [variant],
-                        _speedup)[variant.value]
+    grid = cells(n_cores, [Variant.BASELINE, variant], workloads, seed)
+    return {workload: _ratio(grid[Variant.BASELINE][workload].exec_cycles,
+                             result.exec_cycles)
+            for workload, result in grid[variant].items()}
 
 
 def figure_topology(workloads: List[str], n_cores: int = 16, seed: int = 1,
@@ -163,8 +160,8 @@ def figure_topology(workloads: List[str], n_cores: int = 16, seed: int = 1,
                      topology)
         speedups, success, latency = [], [], []
         for workload, result in grid[variant].items():
-            speedups.append(_speedup(grid[Variant.BASELINE][workload],
-                                     result))
+            speedups.append(_ratio(grid[Variant.BASELINE][workload]
+                                   .exec_cycles, result.exec_cycles))
             replies = result.counter("circuit.replies_total")
             success.append(
                 result.counter("circuit.outcome.on_circuit") / replies

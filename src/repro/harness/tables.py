@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterable, List, Tuple
 
 from repro.coherence.messages import Kind, REPLY_KINDS, REQUEST_KINDS
@@ -36,11 +35,12 @@ TABLE6_PAPER = {
 }
 
 
-def _message_counts(results: Iterable[RunResult]) -> Counter:
-    total: Counter = Counter()
+def _message_counts(results: Iterable[RunResult]) -> Dict[str, int]:
+    total: Dict[str, int] = {}
     for result in results:
-        total.update({key[len("msg.count."):]: value for key, value in
-                      result.counters_with_prefix("msg.count.").items()})
+        for key, value in result.counters_with_prefix("msg.count.").items():
+            kind = key[len("msg.count."):]
+            total[kind] = total.get(kind, 0) + value
     return total
 
 
