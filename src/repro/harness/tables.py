@@ -57,8 +57,10 @@ def table1(workloads: List[str], n_cores: int = 64, seed: int = 1
         return {}
     pct = {kind: 100.0 * value / total for kind, value in counts.items()}
     return _nan_if_failed({
-        "requests": sum(pct.get(kind, 0.0) for kind in REQUEST_KINDS),
-        "replies": sum(pct.get(kind, 0.0) for kind in REPLY_KINDS),
+        # sorted: a frozenset's order, and so the float sum, varies with
+        # the process's string-hash seed
+        "requests": sum(pct.get(kind, 0.0) for kind in sorted(REQUEST_KINDS)),
+        "replies": sum(pct.get(kind, 0.0) for kind in sorted(REPLY_KINDS)),
         **{kind: pct.get(kind, 0.0) for kind in (
             Kind.L2_REPLY, Kind.L1_DATA_ACK, Kind.L2_WB_ACK, Kind.L1_INV_ACK)},
         "MEMORY": pct.get(Kind.MEMORY_DATA, 0.0) + pct.get(Kind.MEMORY_ACK, 0.0),

@@ -111,7 +111,7 @@ def test_fidelity_json_holds_every_number_of_the_report(fake_simulator,
     assert fidelity["scale"] == 0.5
     assert (fidelity["measure_instructions"],
             fidelity["warmup_instructions"]) == (1500, 400)
-    assert fidelity["seed"] == 1 and fidelity["commit"]
+    assert fidelity["seed"] == 1 and "commit" in fidelity  # None off git
     assert len(fidelity["all_workloads"]) == 22
     rows = fidelity["rows"]
     assert {row["entry"] for row in rows} == set(render.REPORT)
