@@ -13,8 +13,8 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Full paper-vs-measured report at scale 1 (200 runs: 538 s wall, 1 005 s
-# CPU with 2 jobs on a 2-CPU host from an empty store): writes
+# Full paper-vs-measured report at scale 1 (200 runs: 480-540 s wall,
+# about 1 000 s CPU with 2 jobs on a 2-CPU host from an empty store): writes
 # out/report.txt and out/FIDELITY.json, then refreshes the committed
 # FIDELITY.json and the generated tables of EXPERIMENTS.md from it.
 reproduce:
