@@ -2,16 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench reproduce examples clean
+.PHONY: install test reproduce examples clean
 
 install:
 	pip install -e .[test] || $(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Full paper-vs-measured report at scale 1 (200 runs: 480-540 s wall,
 # about 1 000 s CPU with 2 jobs on a 2-CPU host from an empty store): writes
@@ -31,5 +28,5 @@ examples:
 	$(PYTHON) examples/partitioned_chip.py
 
 clean:
-	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks
+	rm -rf build dist src/repro.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

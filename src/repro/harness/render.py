@@ -36,7 +36,8 @@ def render_table1(measured: Mapping[str, float],
 def render_table5(measured: Mapping[object, float],
                   paper: Mapping[object, float]) -> str:
     return format_table(["reservation", "measured", "paper"], [
-        [f"{key}th circuit" if isinstance(key, int) else key,
+        [f"{key}{ {1: 'st', 2: 'nd', 3: 'rd'}.get(key, 'th')} circuit"
+         if isinstance(key, int) else key,
          f"{measured.get(key, 0.0):.1f}%", f"{paper.get(key, 0.0):.1f}%"]
         for key in (1, 2, 3, 4, 5, "failed")])
 

@@ -31,6 +31,7 @@ execution (enforced by tests and the chaos campaign).
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import queue
@@ -47,6 +48,7 @@ from repro.service import jobs as jobstates
 from repro.service.jobs import Job, JobTable
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    ServiceError,
     bind_address,
     recv_json,
     send_json,
@@ -154,10 +156,8 @@ class Daemon:
 
             parsed = parse_address(self.address)
             if not isinstance(parsed, tuple):
-                try:
+                with contextlib.suppress(OSError):
                     os.unlink(parsed)
-                except OSError:
-                    pass
         logger.info("daemon on %s shut down", self.address)
 
     # -- job intake ------------------------------------------------------
@@ -298,16 +298,15 @@ class Daemon:
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass
         except Exception as exc:  # noqa: BLE001 - report instead of dying
-            logger.exception("error serving client request")
-            try:
+            if isinstance(exc, ServiceError):  # the client's fault: no trace
+                logger.warning("refused a client request: %s", exc)
+            else:
+                logger.exception("error serving client request")
+            with contextlib.suppress(OSError):
                 send_json(handle, {"ok": False, "error": str(exc)})
-            except OSError:
-                pass
         finally:
-            try:
+            with contextlib.suppress(OSError):
                 handle.close()
-            except OSError:
-                pass
             client.close()
 
     def _statuses(self, request: dict) -> List[dict]:

@@ -7,14 +7,11 @@ import repro
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_every_experiment_has_a_bench():
-    benches = {p.name for p in (ROOT / "benchmarks").glob("test_*.py")}
-    assert "test_table1_message_mix.py" in benches
-    assert "test_table5_reservation_ordinals.py" in benches
-    assert "test_table6_router_area.py" in benches
-    for fig in (6, 7, 8, 9, 10):
-        assert any(f"fig{fig}" in b for b in benches), f"figure {fig} bench"
-    assert any("ablation" in b for b in benches)
+def test_every_report_entry_has_a_shape_check():
+    from repro.harness.render import REPORT
+    from tests.test_fidelity import CHECKS
+
+    assert {entry for entry, _label, _check in CHECKS} == set(REPORT)
 
 
 def test_examples_present_and_importable_as_scripts():
@@ -319,7 +316,7 @@ def test_circuit_state_lives_in_one_store():
 # ----------------------------------------------------------------------
 
 #: Code the docs may name.
-_CODE_DIRS = ("src", "bench", "tools", "tests", "benchmarks")
+_CODE_DIRS = ("src", "bench", "tools", "tests")
 
 #: Outside names the docs use: other projects, the standard library's
 #: attributes, and one symbol of the shard-window derivation.

@@ -8,6 +8,7 @@ mid-job must be absorbed by requeue + respawn.
 """
 
 import io
+import logging
 import os
 import signal
 import socket
@@ -511,6 +512,21 @@ def test_the_daemon_refuses_a_spec_it_cannot_run_at_intake(tmp_path):
         assert d.jobs.snapshot() == [] and client.info()["jobs"] == {}
     finally:
         d.shutdown()
+
+
+def test_a_refused_spec_is_one_warning_line_without_a_traceback(client,
+                                                               caplog):
+    """A spec refused at intake is the client's error, not the daemon's:
+    its log names the refusal in one WARNING record and carries no
+    traceback."""
+    bad = dict(protocol.spec_to_json(
+        RunSpec(16, Variant.BASELINE, "fft", 1, **SMALL)), workload="cannneal")
+    with caplog.at_level(logging.INFO, logger="repro.service.daemon"):
+        with pytest.raises(ServiceError, match="spec field 'workload'"):
+            client._request({"op": "submit", "specs": [bad]})
+    [record] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert record.levelno == logging.WARNING and record.exc_info is None
+    assert "cannneal" in record.getMessage()
 
 
 @pytest.mark.parametrize("frame,complaint", [

@@ -64,7 +64,6 @@ def main(argv=None) -> int:
         plan += [f"=================== {cores} cores ==================="]
         plan += [(entry, workloads, cores) for entry in entries
                  if cores in entry.chips and not entry.full]
-        plan += ["[{elapsed:.0f}s elapsed]"]
     plan += [(entry, full, cores) for entry in entries if entry.full
              for cores in entry.chips]
     sections = [item for item in plan if not isinstance(item, str)]
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
     emit()
     for item in plan:
         if isinstance(item, str):
-            emit(item.format(elapsed=time.time() - t0))
+            emit(item)
             continue
         text, cells = render.section(*item, args.seed)
         emit("## " + text)
