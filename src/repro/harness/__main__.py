@@ -4,10 +4,7 @@ Usage::
 
     python -m repro.harness table1 [--cores 64] [--full] [--check]
     python -m repro.harness all --jobs 0      # the report, one worker per CPU
-    python -m repro.harness check             # monitored clean variant sweep
-    python -m repro.harness check --topology  # static topology self-check
-    python -m repro.harness inject            # seeded fault-injection campaign
-    python -m repro.harness chaos             # kill/wedge workers, recover
+    python -m repro.harness check             # the validation table
     python -m repro.harness trace --workload fft    # Perfetto trace, metrics
     python -m repro.harness profile           # kernel wall-time profile
     python -m repro.harness topology          # mesh / torus / cmesh figure
@@ -57,122 +54,22 @@ def _show(entry, args) -> None:
     print(render.section(entry, _workloads(args), args.cores, args.seed)[0])
 
 
-def cmd_check_topology(args) -> int:
-    """Static self-check of registered topologies: port/opposite symmetry,
-    neighbor reciprocity, route-table reachability of every (src, dst)
-    pair, and the request/reply same-routers invariant."""
-    from repro.noc.topology import TOPOLOGY_CHOICES
-    from repro.validate import check_topology
-
-    names = (TOPOLOGY_CHOICES if args.topology in (None, "all")
-             else [args.topology])
-    print(f"Topology self-check ({args.cores} cores)")
-    failures = 0
-    for name in names:
-        try:
-            report = check_topology(name, args.cores)
-        except ValueError as exc:
-            failures += 1
-            print(f"  {name:8s} ERROR: {exc}")
-            continue
-        if report.ok:
-            print(f"  {name:8s} OK  {report.checks_run} checks, "
-                  f"{report.n_routers} routers")
-        else:
-            failures += 1
-            print(f"  {name:8s} {len(report.problems)} problem(s):")
-            for problem in report.problems[:10]:
-                print(f"      {problem}")
-    if failures:
-        print(f"{failures} topology check(s) FAILED")
-        return 1
-    print("all topologies clean: adjacency and route tables verified")
-    return 0
-
-
 def cmd_check(args) -> int:
-    """Monitored clean sweep: the conformance matrix's check cells, one
-    line each (invariant monitor + paper-property oracles, zero
-    violations expected)."""
-    import time
-
-    from repro.sim.kernel import SimulationError
-    from repro.validate import conformance
-
-    cells = conformance.check_cells(args.cycles or 5000, args.cores)
-    failures = 0
-    print(f"Invariant-checked clean sweep ({len(cells)} conformance cells)")
-    for cell in cells:
-        started = time.perf_counter()
-        try:
-            audit = conformance.run(cell, "monitored")["audit"]
-        except SimulationError as exc:
-            failures += 1
-            print(f"  {cell.id:52s} VIOLATION: {exc}")
-            continue
-        print(f"  {cell.id:52s} OK  {audit['checks_run']} checks, "
-              f"{audit['replies_checked']} circuit replies, "
-              f"{audit['self_acks_checked']} self-acks, "
-              f"{time.perf_counter() - started:.1f}s")
-    if failures:
-        print(f"{failures} cell(s) FAILED")
-        return 1
-    print("all cells clean: zero violations")
-    return 0
-
-
-def cmd_inject(args) -> int:
-    """Seeded fault-injection campaign: one fault per class, each must be
-    caught by its own checker."""
-    from repro.validate import FaultKind, run_campaign, run_fault
+    """Run every row of the validation table
+    (:mod:`repro.validate.scenarios`): one line per row, exit 1 if any
+    row does not observe its expected outcome."""
+    from repro.validate import scenarios
 
     directory = crash_dir()
-    if args.inject and args.inject != "all":
-        try:
-            kind = FaultKind(args.inject)
-        except ValueError:
-            choices = ", ".join(k.value for k in FaultKind)
-            print(f"error: unknown fault {args.inject!r} (choose from "
-                  f"{choices} or all)", file=sys.stderr)
-            return 2
-        outcomes = [run_fault(kind, seed=args.seed, crash_dir=directory)]
-    else:
-        outcomes = run_campaign(seed=args.seed, crash_dir=directory)
-    print("Fault-injection campaign "
-          f"(seed {args.seed}, crash reports in {directory})")
-    print(f"  {'fault':18s} {'variant':20s} {'detected by':20s} "
-          f"{'expected':20s} verdict")
-    failures = 0
-    for o in outcomes:
-        verdict = "OK" if o.ok else "FAIL"
-        if not o.ok:
-            failures += 1
-        print(f"  {o.fault:18s} {o.variant:20s} {str(o.checker):20s} "
-              f"{o.expected_checker:20s} {verdict}")
-        if o.report_path:
-            print(f"      report: {o.report_path}")
-        if not o.ok:
-            print(f"      injected={o.injected} error={o.error}")
-    if failures:
-        print(f"{failures} fault class(es) escaped their checker")
+    rows = scenarios.table(args.seed, args.cores, directory)
+    print(f"Validation table: {len(rows)} rows (seed {args.seed}, crash "
+          f"reports in {directory})", flush=True)
+    outcomes = scenarios.run_scenarios(rows, echo=partial(print, flush=True))
+    failed = [o.name for o in outcomes if not o.ok]
+    if failed:
+        print(f"{len(failed)} row(s) FAILED: {', '.join(failed)}")
         return 1
-    print("every fault class was detected by its checker")
-    return 0
-
-
-def cmd_chaos(args) -> int:
-    """Process-level chaos campaign: every injected fault must either
-    recover bit-identically or fail with its precise typed error."""
-    from repro.validate import run_chaos_campaign
-
-    print("Chaos campaign", flush=True)
-    outcomes = run_chaos_campaign(echo=lambda msg: print(msg, flush=True))
-    failures = [o for o in outcomes if not o.ok]
-    if failures:
-        print(f"{len(failures)} chaos scenario(s) FAILED", flush=True)
-        return 1
-    print(f"all {len(outcomes)} chaos scenarios held: recovery is "
-          f"deterministic", flush=True)
+    print(f"all {len(outcomes)} rows held")
     return 0
 
 
@@ -307,7 +204,7 @@ COMMANDS = {name: partial(_show, entry)
             for name, entry in render.REPORT.items()}
 
 #: The other commands that name one function.
-TOOLS = {"chaos": cmd_chaos, "trace": cmd_trace, "profile": cmd_profile,
+TOOLS = {"trace": cmd_trace, "profile": cmd_profile,
          "topology": cmd_topology, "serve": cmd_serve, "env": cmd_env}
 
 
@@ -319,7 +216,7 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("what", nargs="?", default=None,
-                        choices=list(COMMANDS) + ["all", "check", "inject"]
+                        choices=list(COMMANDS) + ["all", "check"]
                         + list(TOOLS))
     parser.add_argument("--cores", type=int, default=16,
                         help="chip size (16 or 64; default 16)")
@@ -333,16 +230,10 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="with a table/figure: audit invariants inside "
                              "every run (REPRO_CHECK=1); alone: run the "
-                             "clean validation sweep")
-    parser.add_argument("--inject", metavar="FAULT", nargs="?", const="all",
-                        default=None,
-                        help="run the seeded fault-injection campaign "
-                             "(optionally a single fault class)")
+                             "validation table")
     parser.add_argument("--fail-fast", dest="fail_fast", action="store_true",
                         help="abort a sweep on the first failing run "
                              "instead of recording a failure result")
-    parser.add_argument("--cycles", type=int, default=None,
-                        help="cycles per clean-sweep run (check command)")
     parser.add_argument("--workload", default="fft",
                         help="workload for trace/profile (default fft)")
     parser.add_argument("--variant", default=Variant.COMPLETE_NOACK.value,
@@ -354,10 +245,6 @@ def main(argv=None) -> int:
     parser.add_argument("--per-router", dest="per_router",
                         action="store_true",
                         help="trace: one buffer-occupancy stream per router")
-    parser.add_argument("--topology", metavar="NAME", nargs="?",
-                        const="all", default=None,
-                        help="with check: statically verify the named "
-                             "topology (default: all registered ones)")
     parser.add_argument("--socket", default=None,
                         help="serve: daemon address (socket path or "
                              "host:port; default out/repro.sock)")
@@ -404,17 +291,12 @@ def _dispatch(args, parser) -> int:
     except ValueError as exc:
         # malformed --jobs / REPRO_JOBS: a message beats a traceback
         parser.error(str(exc))
-    if args.what == "inject" or (args.what is None and args.inject):
-        return cmd_inject(args)
-    if args.topology is not None and args.what in (None, "check"):
-        return cmd_check_topology(args)
     if args.what == "check" or (args.what is None and args.check):
         return cmd_check(args)
     if args.what in TOOLS:
         return TOOLS[args.what](args)
     if args.what is None:
-        parser.error("nothing to do: name a table/figure, or use "
-                     "--check / --inject")
+        parser.error("nothing to do: name a table/figure, or use --check")
     if args.check:
         os.environ["REPRO_CHECK"] = "1"
     if args.fail_fast:

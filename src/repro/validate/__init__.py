@@ -5,22 +5,13 @@ Quick use::
     from repro.validate import InvariantMonitor
     monitor = InvariantMonitor(system.network, system=system).attach(system.sim)
 
-    from repro.validate import run_campaign
-    outcomes = run_campaign()          # every fault class must be detected
-
-See ``docs/architecture.md`` (section "Validation & fault injection").
+The package exports what a run needs.  The validation table - seeded
+faults, clean cells, topologies and process faults, each with its
+expected outcome - is :mod:`repro.validate.scenarios`
+(``python -m repro.harness check``).  See ``docs/architecture.md``
+(section "Validation & fault injection").
 """
 
-from repro.validate.campaign import (
-    EXPECTED_CHECKER,
-    FAULT_VARIANTS,
-    FaultOutcome,
-    TopologyReport,
-    check_topology,
-    run_campaign,
-    run_fault,
-)
-from repro.validate.chaos import ChaosOutcome, run_chaos_campaign
 from repro.validate.faults import FaultInjector, FaultKind
 from repro.validate.forensics import (
     CrashReport,
@@ -38,23 +29,14 @@ from repro.validate.invariants import (
 
 __all__ = [
     "ALL_CHECKS",
-    "EXPECTED_CHECKER",
-    "FAULT_VARIANTS",
     "CrashReport",
     "FaultInjector",
     "FaultKind",
-    "FaultOutcome",
-    "TopologyReport",
-    "check_topology",
     "InvariantMonitor",
     "InvariantViolation",
     "build_wait_graph",
     "crash_report",
     "find_cycle",
     "flit_census",
-    "ChaosOutcome",
-    "run_campaign",
-    "run_chaos_campaign",
-    "run_fault",
     "save_crash_report",
 ]

@@ -20,9 +20,9 @@ here, once:
   own two properties (:class:`PaperOracles`); :func:`generate` draws
   seeded cells over the whole space (:data:`AXES`).
 
-The test suite's ``pinned`` fixture and ``tests/test_conformance.py``,
-``python -m repro.harness check`` and the chaos campaign all go through
-:func:`run` / :func:`diff`.  docs/architecture.md §11 has the tour.
+The test suite's ``pinned`` fixture and ``tests/test_conformance.py``
+and the validation table (:mod:`repro.validate.scenarios`) all go
+through :func:`run` / :func:`diff`.  docs/architecture.md §11 has the tour.
 """
 
 from __future__ import annotations
@@ -447,7 +447,7 @@ def run(cell: Cell, mode: str = "fast", workdir: Optional[str] = None) -> dict:
 
 
 # ----------------------------------------------------------------------
-# The generated half and the clean sweep.
+# The generated half.
 # ----------------------------------------------------------------------
 
 #: The space :func:`generate` (and the test suite's hypothesis strategy)
@@ -489,16 +489,3 @@ def generate(seed: int, n: int) -> List[Cell]:
     return [legal(Cell(length=0, **{axis: rng.choice(choices)
                                     for axis, choices in AXES.items()}))
             for _ in range(n)]
-
-
-def check_cells(cycles: int = 5000, n_cores: int = 16) -> List[Cell]:
-    """What ``python -m repro.harness check`` audits: light traffic under
-    the packet baseline, both circuit flavours, ACK elimination, timed
-    windows and the ideal bound, plus one full CMP (the coherence checks
-    and the NoAck ordering oracle only see something there)."""
-    return [Cell(variant, 12.0, cycles, seed=3, n_cores=n_cores)
-            for variant in (Variant.BASELINE, Variant.FRAGMENTED,
-                            Variant.COMPLETE, Variant.COMPLETE_NOACK,
-                            Variant.SLACKDELAY1_NOACK, Variant.IDEAL)] + [
-        Cell(Variant.COMPLETE_NOACK, "canneal", 300, warmup=100,
-             n_cores=n_cores, paper_caches=True)]

@@ -1,13 +1,13 @@
 """Deterministic fault injection for the NoC + circuit machinery.
 
 Each :class:`FaultKind` breaks exactly one conservation law, so the
-campaign in :mod:`repro.validate.campaign` can prove that every checker
-of :class:`~repro.validate.invariants.InvariantMonitor` detects its
-fault class (and, via clean runs, that none of them false-positives).
+validation table (:mod:`repro.validate.scenarios`) can prove that every
+checker of :class:`~repro.validate.invariants.InvariantMonitor` detects
+its fault class (and, via clean runs, that none of them false-positives).
 
 Injection is seeded through :class:`~repro.sim.rng.DeterministicRng`
 (stream ``fault/<kind>``), so a given ``(kind, seed)`` always corrupts
-the same resource at the same cycle - a failing campaign run is exactly
+the same resource at the same cycle - a failing row is exactly
 reproducible.
 """
 
@@ -58,7 +58,7 @@ class FaultInjector:
         """Try to apply the fault; True the cycle it lands."""
         if self.applied or cycle < self.at_cycle:
             return False
-        description = getattr(self, f"_apply_{self.kind.value}")(cycle)
+        description = self._APPLY[self.kind](self, cycle)
         if description is None:
             return False
         description["fault"] = self.kind.value
@@ -226,3 +226,14 @@ class FaultInjector:
         _key, flit = self._take(due, index)
         return {"link": self.net.channel_label(key), "kind": flit.msg.kind,
                 "uid": flit.msg.uid, "flit_index": flit.index}
+
+    #: What each fault class applies.
+    _APPLY = {
+        FaultKind.DROP_RESERVATION: _apply_drop_reservation,
+        FaultKind.DUP_RESERVATION: _apply_dup_reservation,
+        FaultKind.LEAK_CREDIT: _apply_leak_credit,
+        FaultKind.CORRUPT_WINDOW: _apply_corrupt_window,
+        FaultKind.STUCK_PORT: _apply_stuck_port,
+        FaultKind.DELAY_LINK: _apply_delay_link,
+        FaultKind.DROP_FLIT: _apply_drop_flit,
+    }

@@ -55,23 +55,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.kernel import SimulationError
 
-#: Check families in evaluation order.  Order matters for fault
-#: attribution: the cheapest, most local law that a fault breaks should
-#: fire before its knock-on effects trip a broader one.
-#: ``kernel_sleep`` audits the simulation kernel itself (a sleeping
-#: component must truly have no runnable work) and runs first: if the
-#: activity tracking is wrong, every higher-level law is suspect.
-ALL_CHECKS = (
-    "kernel_sleep",
-    "link_sanity",
-    "flit_conservation",
-    "credit_conservation",
-    "circuit_lifecycle",
-    "coherence",
-    "forward_progress",
-)
-
-
 class InvariantViolation(SimulationError):
     """A conservation law failed.
 
@@ -288,7 +271,7 @@ class InvariantMonitor:
                 continue
             if check == "kernel_sleep" and self.sim is None:
                 continue
-            getattr(self, f"check_{check}")(cycle)
+            self._CHECKERS[check](self, cycle)
 
     # -- violation plumbing --------------------------------------------
     def _fail(
@@ -801,3 +784,24 @@ class InvariantMonitor:
                                 f"cycles (stage {vc.stage})",
                                 {"age": age, "uid": flit.msg.uid},
                             )
+
+    #: Each check family's checker, in evaluation order.  Order matters
+    #: for fault attribution: the cheapest, most local law that a fault
+    #: breaks should fire before its knock-on effects trip a broader one.
+    #: ``kernel_sleep`` audits the simulation kernel itself (a sleeping
+    #: component must truly have no runnable work) and runs first: if the
+    #: activity tracking is wrong, every higher-level law is suspect.
+    _CHECKERS = {
+        "kernel_sleep": check_kernel_sleep,
+        "link_sanity": check_link_sanity,
+        "flit_conservation": check_flit_conservation,
+        "credit_conservation": check_credit_conservation,
+        "circuit_lifecycle": check_circuit_lifecycle,
+        "coherence": check_coherence,
+        "forward_progress": check_forward_progress,
+    }
+
+
+#: Check family names in evaluation order (the names
+#: :attr:`InvariantViolation.check` carries).
+ALL_CHECKS = tuple(InvariantMonitor._CHECKERS)

@@ -92,6 +92,35 @@ def test_cli_rejects_unknown_command():
         main(["figX"])
 
 
+def test_check_prints_one_line_per_row_and_fails_on_any(capsys,
+                                                        monkeypatch):
+    from repro.validate import scenarios
+
+    rows = [scenarios.Scenario("holds", lambda _: ("clean", "fine"), None,
+                               "clean"),
+            scenarios.Scenario("breaks", lambda fault: ("clean", "missed"),
+                               "a fault", "fires link_sanity")]
+    monkeypatch.setattr(scenarios, "table", lambda *args: rows)
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[1:3]] == [
+        ["holds", "ok"], ["breaks", "FAIL"]]
+    assert "expected fires link_sanity, observed clean: missed" in lines[2]
+    assert lines[3:] == ["1 row(s) FAILED: breaks"]
+    monkeypatch.setattr(scenarios, "table", lambda *args: rows[:1])
+    assert main(["check"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all 1 rows held"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--inject"], ["check", "--cycles", "4000"],
+    ["check", "--topology"], ["inject"], ["chaos"]])
+def test_the_folded_validation_entry_points_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_all_commands_registered():
     assert set(COMMANDS) == {
         "table1", "table5", "table6",

@@ -151,6 +151,18 @@ def test_serial_cli_run_loads_no_fleet(tmp_path):
     assert _present(modules, HEAVY + ["repro.harness.parallel"]) == []
 
 
+def test_the_monitor_loads_no_validation_table_or_shard_engine(tmp_path):
+    """A ``REPRO_CHECK`` run imports the monitor; the table's rows (and
+    the engines and fleets they perturb) stay unloaded."""
+    modules = _modules("from repro.validate import InvariantMonitor",
+                       tmp_path)
+    assert "repro.validate.invariants" in modules
+    assert _present(modules, [
+        "repro.sim.shard", "repro.validate.scenarios", "repro.validate.chaos",
+        "repro.validate.conformance", "repro.proc", "repro.service*",
+        "multiprocessing*"]) == []
+
+
 def test_cli_help_loads_no_fleet_telemetry_daemon_or_validators(tmp_path):
     modules = _modules(
         "import runpy, sys\n"

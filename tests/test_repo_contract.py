@@ -442,3 +442,58 @@ def test_only_record_calls_dataclass():
                  if relative != pathlib.Path("_record.py")
                  for line, what in _dataclass_sites(tree)]
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# No dead code: every function, class and method defined in src/ is
+# named somewhere besides its definition - code, a docstring, a test or
+# the Makefile.  Dunders are Python's to call.
+# ----------------------------------------------------------------------
+
+#: Where a definition of ``src/`` may be named.
+_NAMING_DIRS = ("src", "tests", "bench", "tools", "examples")
+
+
+def _naming_sources() -> list:
+    """``(path, text)`` of every ``.py`` file of :data:`_NAMING_DIRS`,
+    and of the Makefile (the only place some definitions are named)."""
+    sources = [(path.relative_to(ROOT).as_posix(), path.read_text())
+               for directory in _NAMING_DIRS
+               for path in sorted((ROOT / directory).rglob("*.py"))]
+    return sources + [("Makefile", (ROOT / "Makefile").read_text())]
+
+
+def _unnamed_definitions(sources) -> list:
+    """``path:line name`` of each function, class or method defined under
+    ``src/`` in ``sources`` whose name occurs nowhere but in its
+    definitions."""
+    import ast
+    import collections
+    import re
+
+    words = collections.Counter()
+    defined = []
+    for path, text in sources:
+        words.update(re.findall(r"\w+", text))
+        if path.startswith("src/"):
+            defined += [
+                (node.name, f"{path}:{node.lineno}")
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))]
+    definitions = collections.Counter(name for name, _where in defined)
+    return sorted(f"{where} {name}" for name, where in defined
+                  if words[name] <= definitions[name])
+
+
+def test_every_definition_in_src_is_named_somewhere_else():
+    sources = _naming_sources()
+    assert _unnamed_definitions(sources) == []
+    # A planted unused function is caught (its name spelled in parts, so
+    # this file does not name it).
+    name = "orphan_" + "helper"
+    planted = ("src/repro/planted.py", f"def {name}():\n    return 1\n")
+    assert _unnamed_definitions(sources + [planted]) == [
+        f"src/repro/planted.py:1 {name}"]

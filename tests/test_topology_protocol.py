@@ -45,7 +45,7 @@ from repro.partition import (
     shard_bands,
 )
 from repro.sim.config import NocConfig, SystemConfig
-from repro.validate import check_topology
+from repro.validate import scenarios
 
 #: Every topology at both paper chip sizes (all three support 16 and 64).
 CASES = [(name, cores) for name in TOPOLOGY_CHOICES for cores in (16, 64)]
@@ -197,10 +197,11 @@ def test_route_tables_match_routing_function(name, cores):
 
 @pytest.mark.parametrize("name", TOPOLOGY_CHOICES)
 def test_static_self_check_is_clean(name):
-    """The `repro check --topology` machinery agrees with the above."""
-    report = check_topology(name, n_cores=16)
-    assert report.ok, report.problems
-    assert report.checks_run > 0
+    """The validation table's topology row agrees with the above."""
+    [row] = [row for row in scenarios.table()
+             if row.name == f"topology-{name}"]
+    [outcome] = scenarios.run_scenarios([row])
+    assert outcome.ok, outcome.line()
 
 
 # ---------------------------------------------------------------------------
