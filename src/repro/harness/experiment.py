@@ -14,6 +14,7 @@ workloads are stationary, so modest windows give stable averages.
 
 from __future__ import annotations
 
+import gc
 import math
 from contextlib import contextmanager
 from dataclasses import field, fields
@@ -587,6 +588,11 @@ def _compute(spec: RunSpec, key: str, safe: bool = False) -> RunResult:
     :func:`crash_dir`, so one sick configuration cannot abort a whole
     sweep.  Failure results are memoised in-process only - never written
     to the shared store.
+
+    A computed run frees its chip before it returns, on either path: the
+    chip is cyclic garbage, so that takes an explicit :func:`gc.collect`,
+    without which the next run's chip is built beside the dead one.  An
+    observed run's chip outlives it in :func:`last_telemetry`.
     """
     from repro.sim.kernel import SimulationError
 
@@ -612,6 +618,8 @@ def _compute(spec: RunSpec, key: str, safe: bool = False) -> RunResult:
         )
     else:
         result = _assemble_result(spec, key, config, stats, finish - start)
+        del stats  # its flushers reach every router, NI, cache and core
+    gc.collect()
     _memo[key] = result
     cache = None if result.failed else _disk_cache()
     if cache is not None:

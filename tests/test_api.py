@@ -6,6 +6,7 @@ returns bit-identical results and seeds the local memo either way.
 """
 
 import os
+import weakref
 
 import pytest
 
@@ -114,6 +115,48 @@ def test_safe_runner_scales_exactly_once(monkeypatch):
     assert result.spec_key == spec.scaled().key()
     assert result.spec_key != spec.scaled().scaled().key()  # not idempotent
     assert result.to_json() == experiment.run_experiment(spec).to_json()
+
+
+@pytest.fixture
+def chips(monkeypatch):
+    """Weak references to the chips ``repro.system.build_system`` builds."""
+    from repro import system
+
+    refs = []
+    build = system.build_system
+
+    def tracked(*args, **kwargs):
+        chip = build(*args, **kwargs)
+        refs.append(weakref.ref(chip))
+        return chip
+
+    monkeypatch.setattr(system, "build_system", tracked)
+    return refs
+
+
+def test_a_computed_run_frees_its_chip_before_it_returns(chips):
+    """A finished chip is cyclic garbage; the compute step collects it,
+    so the next run's chip is not built beside it."""
+    api.run(_spec(seed=4))
+    assert len(chips) == 1 and chips[0]() is None
+
+
+def test_a_failed_safe_run_frees_its_chip_before_it_returns(chips, tmp_path,
+                                                             monkeypatch):
+    """The caught error's traceback reaches the chip; it is freed all the
+    same, and the failure result is returned."""
+    from repro.sim.kernel import DeadlockError
+    from repro.system import CmpSystem
+
+    def stalls(self, *args, **kwargs):
+        raise DeadlockError(f"{type(self).__name__} stalled", cycle=0)
+
+    monkeypatch.setattr(CmpSystem, "run_script", stalls)
+    monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
+    result = experiment.run_experiment_safe(_spec(seed=5))
+    assert result.failed and result.error_kind == "DeadlockError"
+    assert result.error == "CmpSystem stalled"
+    assert len(chips) == 1 and chips[0]() is None
 
 
 def test_an_unknown_program_is_refused_before_anything_runs(monkeypatch):

@@ -19,6 +19,7 @@ import pickle
 import pytest
 
 import repro
+from repro._record import record
 from repro.cpu.trace import StreamParams
 from repro.cpu.workloads import workload_by_name
 from repro.harness.experiment import RunSpec
@@ -81,8 +82,15 @@ def _twin(cls, frozen):
 
 
 def _required(cls):
-    return {f.name: SAMPLES[f.type] for f in dataclasses.fields(cls)
-            if f.default is f.default_factory is dataclasses.MISSING}
+    required = {}
+    for f in dataclasses.fields(cls):
+        if f.default is f.default_factory is dataclasses.MISSING:
+            if f.type not in SAMPLES:
+                pytest.fail(f"{cls.__name__}.{f.name}: no sample value "
+                            f"for the annotation {f.type!r}; add one to "
+                            "SAMPLES")
+            required[f.name] = SAMPLES[f.type]
+    return required
 
 
 def _raises(make):
@@ -91,6 +99,16 @@ def _raises(make):
     except Exception as err:  # noqa: BLE001 - the type is the result
         return type(err)
     return None
+
+
+def test_a_required_field_without_a_sample_fails_by_name():
+    @record
+    class Odd:
+        weights: "FrozenSet[int]"
+
+    with pytest.raises(pytest.fail.Exception,
+                       match=r"Odd\.weights: .*'FrozenSet\[int\]'"):
+        _required(Odd)
 
 
 def test_the_record_classes_are_found():
