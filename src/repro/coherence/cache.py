@@ -7,6 +7,7 @@ lines additionally carry directory state, attached by the L2 controller).
 
 from __future__ import annotations
 
+import zlib
 from array import array
 from typing import (Callable, Dict, Generic, Iterable, List, Optional,
                     Tuple, TypeVar)
@@ -52,6 +53,13 @@ def plru_victim(bits: int, ways: int) -> int:
     return node - (ways - 1)
 
 
+def _frame(values: array) -> bytes:
+    """An int64 array as one zlib frame.  Level 1 is enough: addresses,
+    PLRU bits and slot numbers are int64s whose high bytes are zero, and
+    an image is taken once per program."""
+    return zlib.compress(values, 1)
+
+
 class CacheArray(Generic[L]):
     """Tag array indexed by block address (block = addr // line_bytes).
 
@@ -63,12 +71,16 @@ class CacheArray(Generic[L]):
     The ways are flat: way ``w`` of set ``s`` is slot ``s * ways + w``.
     ``_addrs`` is one int64 array of slots holding the way's address
     (``-1`` for an empty way), ``_lines`` maps the slots whose line object
-    exists to it, and ``_plru`` holds each set's PLRU bits.  Residency
-    lives in ``_addrs`` alone: a resident way with no ``_lines`` entry
-    holds the array's *default* line, which ``make_line`` builds the first
-    time a controller reads it - a functional warm-up places a whole
-    working set for the cost of the addresses, and a run pays for the
-    lines it touches.  Addresses must fit in an int64.
+    exists to it, and ``_plru`` is one int64 array of each set's PLRU
+    bits.  Residency lives in ``_addrs`` alone: a resident way with no
+    ``_lines`` entry holds the array's *default* line, which ``make_line``
+    builds the first time a controller reads it - a functional warm-up
+    places a whole working set for the cost of the addresses, and a run
+    pays for the lines it touches.  Addresses must fit in an int64.
+
+    :meth:`image` keeps the two arrays and the built slots as zlib frames
+    and the built lines encoded; :meth:`restore` decompresses the frames
+    straight into the live arrays of an array of the same geometry.
     """
 
     def __init__(self, sets: int, ways: int, line_bytes: int,
@@ -88,7 +100,7 @@ class CacheArray(Generic[L]):
         self._touch = plru_masks(ways)
         self._addrs = array("q", [EMPTY]) * (sets * ways)
         self._lines: Dict[int, L] = {}
-        self._plru: List[int] = [0] * sets
+        self._plru = array("q", [0]) * sets
 
     def set_index(self, addr: int) -> int:
         # The per-access methods inline this expression.
@@ -235,21 +247,29 @@ class CacheArray(Generic[L]):
                 yield addr, make_line()
 
     def image(self, encode: Callable[[L], object]) -> tuple:
-        """Everything this array holds, sharing no object with it: the
-        addresses and PLRU bits as int64 arrays, the slots of the built
-        lines in ``_lines`` order, and each line as ``encode(line)``, an
-        immutable value (equal values may be one object)."""
-        return (array("q", self._addrs), array("q", self._plru),
-                array("q", self._lines),
+        """Everything this array holds, sharing no object with it: its
+        ``(sets, ways)``, the addresses, the PLRU bits and the slots of
+        the built lines (in ``_lines`` order) as zlib frames of their
+        int64 arrays, and each line as ``encode(line)``, an immutable
+        value (equal values may be one object)."""
+        return ((self.sets, self.ways), _frame(self._addrs),
+                _frame(self._plru), _frame(array("q", self._lines)),
                 list(map(encode, self._lines.values())))
 
     def restore(self, image: tuple, decode: Callable[[object], L]) -> None:
         """Make this array hold exactly what :meth:`image` captured, with
-        fresh line objects from ``decode``."""
-        addrs, plru, slots, values = image
-        self._addrs[:] = addrs
-        self._plru = plru.tolist()
-        self._lines = dict(zip(slots, map(decode, values)))
+        fresh line objects from ``decode``: the frames are decompressed
+        straight into the live arrays.  An image of another geometry
+        raises ``ValueError`` and changes nothing."""
+        geometry, addrs, plru, slots, values = image
+        if geometry != (self.sets, self.ways):
+            raise ValueError(
+                "a cache image of {}x{} (sets x ways) cannot restore into "
+                "a {}x{} array".format(*geometry, self.sets, self.ways))
+        memoryview(self._addrs).cast("B")[:] = zlib.decompress(addrs)
+        memoryview(self._plru).cast("B")[:] = zlib.decompress(plru)
+        self._lines = dict(zip(array("q", zlib.decompress(slots)),
+                               map(decode, values)))
 
     def __contains__(self, addr: int) -> bool:
         ways = self.ways

@@ -530,7 +530,11 @@ class CmpSystem:
                      for tile in self.tiles)
 
     def restore_prewarm(self, image: tuple) -> None:
-        """Put back the state :meth:`prewarm_image` captured."""
+        """Put back the state :meth:`prewarm_image` captured.  An image of
+        another chip size raises ``ValueError`` before any tile changes."""
+        if len(image) != len(self.tiles):
+            raise ValueError(f"cannot restore a {len(image)}-tile prewarm "
+                             f"image into a {len(self.tiles)}-tile chip")
         for tile, (l1, l2) in zip(self.tiles, image):
             tile.l1.array.restore(l1, L1Line.unpack)
             tile.l2.array.restore(l2, DirLine.unpack)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -17,6 +18,47 @@ from repro.validate import conformance
 
 CONFORMANCE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                                   "conformance.json")
+
+
+#: ``[count, seconds, last start]`` of the session's generation-2
+#: collections (collections never nest).
+_FULL_COLLECTIONS = [0, 0.0, 0.0]
+
+
+def _time_full_collections(phase: str, info: dict) -> None:
+    if info["generation"] != 2:
+        return
+    if phase == "start":
+        _FULL_COLLECTIONS[2] = time.perf_counter()
+    else:
+        _FULL_COLLECTIONS[0] += 1
+        _FULL_COLLECTIONS[1] += time.perf_counter() - _FULL_COLLECTIONS[2]
+
+
+def _untime_collections_in_child() -> None:
+    # A forked worker's SIGALRM timeout must not land in this callback,
+    # where its exception would be swallowed as unraisable.
+    if _time_full_collections in gc.callbacks:
+        gc.callbacks.remove(_time_full_collections)
+
+
+def pytest_configure(config) -> None:
+    gc.callbacks.append(_time_full_collections)
+    os.register_at_fork(after_in_child=_untime_collections_in_child)
+
+
+def pytest_collection_finish(session) -> None:
+    """Freeze what collection built (test modules, goldens, hypothesis
+    state), so each full collection a computed run makes scans only the
+    objects created after it."""
+    gc.collect()
+    gc.freeze()
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    count, seconds, _ = _FULL_COLLECTIONS
+    terminalreporter.write_line(
+        f"gc: {count} generation-2 collections took {seconds:.1f} s")
 
 
 def surviving_pids(pids: Iterable[int], timeout: float) -> Set[int]:

@@ -217,6 +217,26 @@ def test_default_lines_are_built_on_first_read_and_only_then():
         128, 192]
 
 
+def test_an_image_restores_only_into_its_own_geometry():
+    """A 4x2 array refuses an 8x2 image, naming both geometries, and keeps
+    what it held; an 8x2 array takes the image whole."""
+    big = CacheArray(8, 2, 64)
+    for block in (0, 3, 8, 13):
+        big.install(block * 64, Line(block))
+    big.lookup(0)
+    image = big.image(lambda line: line.tag)
+    small = CacheArray(4, 2, 64)
+    small.install(64, Line("kept"))
+    before = (_placement(small), small.sets, len(small._addrs))
+    with pytest.raises(ValueError, match=r"8x2 .* 4x2 array"):
+        small.restore(image, Line)
+    assert (_placement(small), small.sets, len(small._addrs)) == before
+    twin = CacheArray(8, 2, 64)
+    twin.restore(image, Line)
+    assert _placement(twin) == _placement(big)
+    assert [line.tag for _, line in twin.items()] == [0, 8, 3, 13]
+
+
 def test_victim_respects_evictability():
     cache = CacheArray(2, 2, 64)
     cache.install(0, Line("busy"))

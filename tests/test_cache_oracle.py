@@ -181,7 +181,7 @@ class Pair:
 
     def check(self):
         array, oracle = self.array, self.oracle
-        assert array._plru == oracle._plru
+        assert array._plru.tolist() == oracle._plru
         assert array.occupancy() == oracle.occupancy()
         seen = [(addr, line.tag) for addr, line in array.items()]
         assert seen == [(addr, line.tag) for addr, line in oracle.items()]

@@ -152,6 +152,25 @@ def test_a_restore_keeps_sharer_iteration_order(computes):
     restored.restore_prewarm(system.prewarm_image())
     assert _raw(restored) == _raw(system)
 
+
+def test_an_image_restores_only_into_a_chip_of_its_size(computes):
+    """A 16-tile image on a 64-tile chip, or the reverse, raises naming
+    both sizes and leaves every tile as it was."""
+    workload = workload_by_name("swaptions")
+    small = build_system(_BASE, workload)
+    small.functional_prewarm()
+    big = build_system(SystemConfig(n_cores=64, seed=1, cache=_SHRUNKEN),
+                       workload)
+    cold = _raw(big)
+    with pytest.raises(ValueError, match="16-tile .* 64-tile chip"):
+        big.restore_prewarm(small.prewarm_image())
+    assert _raw(big) == cold
+    warm = _raw(small)
+    with pytest.raises(ValueError, match="64-tile .* 16-tile chip"):
+        small.restore_prewarm(big.prewarm_image())
+    assert _raw(small) == warm
+
+
 #: One change per input the prewarm reads.
 DIFFERENT = {
     "seed": (SystemConfig(n_cores=16, seed=2, cache=_SHRUNKEN), "swaptions"),
@@ -225,9 +244,10 @@ def test_the_slot_holds_exactly_one_image(computes):
 
 
 def test_the_16_core_canneal_image_is_small(computes):
-    """The image holds addresses and PLRU bits as int64 arrays and each
-    distinct encoded line once: under 4 MB for 135 168 resident L2 lines
-    and 8 192 L1 lines (the per-set lists it replaced took 31 MB)."""
+    """The image holds the addresses, PLRU bits and built slots as zlib
+    frames and each distinct encoded line once: under 1.2 MB for 135 168
+    resident L2 lines and 8 192 L1 lines (raw int64 arrays took 2.9 MB,
+    the per-set lists before them 31 MB)."""
     system = build_system(*CASES["cmp16_canneal"](None))
     system.functional_prewarm()
     tracemalloc.start()
@@ -236,7 +256,7 @@ def test_the_16_core_canneal_image_is_small(computes):
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert image and size <= 4_000_000
+    assert image and size <= 1_200_000
 
 
 def test_specs_group_by_the_key_their_systems_restore_with():
